@@ -206,20 +206,24 @@ class Trajectory:
         return RadialState(r=float(self.r[i]), y=self.y[i].copy())
 
     def validate(self):
-        """Check the structural invariants; raises AssertionError on violation."""
-        assert self.r[0] == 0.0, "samples must start at r = 0"
-        assert np.all(np.diff(self.r) > 0), "samples must be strictly increasing"
-        assert np.all(self.y[0, 1::2] == 0.0), "odd slots must vanish at r = 0"
-        if not isinstance(self.verdict, Collapsed):
-            assert np.all(self.y[:, 0] > 0), "u must stay positive unless collapsed"
+        """Check the structural invariants; raises ValueError on violation."""
+        if not self.r[0] == 0.0:
+            raise ValueError("samples must start at r = 0")
+        if not np.all(np.diff(self.r) > 0):
+            raise ValueError("samples must be strictly increasing")
+        if not np.all(self.y[0, 1::2] == 0.0):
+            raise ValueError("odd slots must vanish at r = 0")
+        if not (isinstance(self.verdict, Collapsed) or np.all(self.y[:, 0] > 0)):
+            raise ValueError("u must stay positive unless collapsed")
 
 
-def _rhs_raw(p, r, y):
+def _rhs_raw(p, r, y, out=None):
     """Derivative of the first-order radial state; fast path without checks.
 
     Returns a NaN vector when u <= 0 so adaptive steppers reject the step.
+    Writes into ``out`` (same shape and dtype as y) when given.
     """
-    dy = np.empty_like(y)
+    dy = np.empty_like(y) if out is None else out
     u = y[0]
     if not u > 0:
         dy.fill(np.nan)

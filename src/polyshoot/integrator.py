@@ -1,12 +1,19 @@
 """Adaptive embedded Runge-Kutta integration of the radial system.
 
-A Dormand-Prince 5(4) pair with the matching quartic dense-output
+A Dormand-Prince 5(4) pair with Shampine's quartic dense-output
 interpolant drives every trajectory.  The independent variable is r
 itself; the origin singularity is removed by the even Taylor launch, so no
 change of variables is needed.  Steps are capped at max(0.1, r/20) to keep
 the tail densely enough sampled for growth fitting, and the same tableau
 is instantiated in float64 or 80-bit long double depending on the
 configured precision.
+
+The uniform sample grid is filled as steps are accepted: each step
+evaluates all grid points in (r, r + h] (or up to the floor crossing) in one
+array operation.  One evaluator, ``_quartic``, serves that fill, the event
+bisection and ``DenseSolution`` (which also gives a collapse its last
+sample), so samples and dense output agree; the fill never feeds back into
+the step sequence, which is therefore independent of the sample stride.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .core import (
     taylor_coefficients,
     taylor_launch,
 )
-from .errors import LaunchRadiusTooLarge, WindowTooNarrow
+from .errors import LaunchRadiusTooLarge, SampleGridMismatch, WindowTooNarrow
 
 __all__ = [
     "IntegratorConfig",
@@ -145,6 +152,24 @@ def _tableau(dtype):
     return _TABLEAUS[key]
 
 
+_THETA_POWERS = np.arange(1, 5)
+
+
+def _quartic(y0, h, q, theta, derivative: int = 0):
+    """Quartic dense output y0 + h q @ [t, t^2, t^3, t^4] at theta = t, or d/dr.
+
+    q has shape (..., n, 4); y0, h and theta broadcast against its leading
+    axes, so the sample fill, event bisection and DenseSolution share it.
+    """
+    if derivative not in (0, 1):
+        raise ValueError("only derivative 0 or 1 supported")
+    t = np.asarray(theta, dtype=q.dtype)[..., None]
+    powers = (t ** _THETA_POWERS if derivative == 0
+              else _THETA_POWERS * t ** (_THETA_POWERS - 1))
+    qt = np.matmul(q, powers[..., None])[..., 0]
+    return y0 + np.asarray(h)[..., None] * qt if derivative == 0 else qt
+
+
 class DenseSolution:
     """Piecewise-quartic dense output; also evaluates d/dr of every slot."""
 
@@ -168,17 +193,8 @@ class DenseSolution:
         idx = np.clip(idx, 0, len(self.hs) - 1)
         h = self.hs[idx]
         theta = (r.astype(self.hs.dtype) - self.r_lefts[idx]) / h
-        th = np.vstack([theta, theta ** 2, theta ** 3, theta ** 4]).T
-        if derivative == 0:
-            out = self.y_lefts[idx] + h[:, None] * np.einsum(
-                "ijk,ik->ij", self.qs[idx], th)
-        elif derivative == 1:
-            dth = np.vstack([np.ones_like(theta), 2 * theta,
-                             3 * theta ** 2, 4 * theta ** 3]).T
-            out = np.einsum("ijk,ik->ij", self.qs[idx], dth)
-        else:
-            raise ValueError("only derivative 0 or 1 supported")
-        out = out.astype(np.float64) if out.dtype != np.float64 else out
+        out = np.asarray(_quartic(self.y_lefts[idx], h, self.qs[idx], theta,
+                                  derivative), dtype=np.float64)
         return out[0] if scalar else out
 
 
@@ -221,7 +237,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     configured floor (r* bisected on the dense output to abs_tol in r),
     EntirePositive(gamma) when the horizon is reached with u above the
     floor throughout, and Inconclusive when the step budget or the step
-    size underflows.  Sign changes of every intermediate Laplacian slot are
+    size underflows or the growth-fit window [r_end/4, r_end] holds < 2
+    samples.  Sign changes of every intermediate Laplacian slot are
     recorded as events; they never terminate the integration.
     """
     dtype = cfg.dtype
@@ -266,30 +283,22 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     r_lefts, hs, y_lefts, qs = [], [], [], []
     events = []
     K = np.empty((7, n), dtype=dtype)
-    K[0] = _rhs_raw(p, r, y)
+    _rhs_raw(p, r, y, out=K[0])
+    # (node, row of A, stages it reads, stage it writes) for stages 1..5
+    stages = [(C[i], A[i, :i], K[:i], K[i]) for i in range(1, 6)]
+    B6, K6 = B[:6], K[:6]
     nfev = 1
     naccept = nreject = 0
     err_accum = np.zeros(n, dtype=np.float64)
     h = dtype(min(r_launch, _step_cap(r)))
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     verdict = None
-    r_stop = None
 
-    def dense_eval(q, y0, hstep, theta, der=0):
-        tvec = np.array([theta, theta ** 2, theta ** 3, theta ** 4], dtype=dtype)
-        if der:
-            dvec = np.array([1.0, 2 * theta, 3 * theta ** 2, 4 * theta ** 3],
-                            dtype=dtype)
-            return q @ dvec
-        return y0 + hstep * (q @ tvec)
-
-    steps = 0
     while True:
         if r >= r_max:
             events.append(Event(kind="horizon", r_event=float(r)))
             break
-        steps += 1
-        if steps > cfg.max_steps:
+        if naccept + nreject >= cfg.max_steps:
             verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
             break
         h = min(h, r_max - r, dtype(_step_cap(r)))
@@ -311,16 +320,17 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                     reason=f"step size underflow at r={float(r):.6g}")
             break
 
-        for i in range(1, 6):
-            K[i] = _rhs_raw(p, r + C[i] * h, y + h * (A[i, :i] @ K[:i]))
-        y_new = y + h * (B[:6] @ K[:6])
-        K[6] = _rhs_raw(p, r + h, y_new)
+        for c_i, a_i, k_in, k_out in stages:
+            _rhs_raw(p, r + c_i * h, y + h * (a_i @ k_in), out=k_out)
+        y_new = y + h * (B6 @ K6)
+        _rhs_raw(p, r + h, y_new, out=K[6])
         nfev += 6
         err = h * (E @ K)
         scale = _GLOBAL_SAFETY * (
             cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
         with np.errstate(invalid="ignore"):
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            z = err / scale
+            err_norm = float(np.sqrt(np.add.reduce(z * z) / n))
         if not math.isfinite(err_norm):
             h = h * dtype(0.5)
             nreject += 1
@@ -336,84 +346,74 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         q = K.T @ P  # (n, 4) dense coefficients for this step
         r_lefts.append(float(r))
         hs.append(float(h))
-        y_lefts.append(np.array(y))
+        y_lefts.append(y)
         qs.append(q)
 
         # --- events inside (r, r+h] ---
         theta_tol = cfg.abs_tol / float(h)
         terminal_theta = None
         if float(y_new[0]) < cfg.u_floor:
-            theta_star = _bisect_theta(
-                lambda t: float(dense_eval(q, y, h, t)[0]) - cfg.u_floor,
+            terminal_theta = _bisect_theta(
+                lambda t: float(_quartic(y, h, q, t)[0]) - cfg.u_floor,
                 0.0, 1.0, theta_tol)
-            terminal_theta = theta_star
         for j in range(1, spec.m):
             s0, s1 = float(y[2 * j]), float(y_new[2 * j])
             if s0 * s1 < 0.0:
                 tc = _bisect_theta(
-                    lambda t, jj=2 * j: float(dense_eval(q, y, h, t)[jj]),
+                    lambda t, jj=2 * j: float(_quartic(y, h, q, t)[jj]),
                     0.0, 1.0, theta_tol)
                 r_ev = float(r + h * dtype(tc))
                 if terminal_theta is None or tc <= terminal_theta:
                     events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                         level=j, direction=-1 if s1 < s0 else 1))
 
+        # --- samples inside (r, r_fill_to], one array operation ---
         r_new = r + h
         r_fill_to = float(r_new) if terminal_theta is None \
             else float(r + h * dtype(terminal_theta))
-        while next_sample < grid.shape[0] and grid[next_sample] <= r_fill_to + 1e-300:
-            g = grid[next_sample]
-            if g <= float(r_new) and g > float(r):
-                th = (dtype(g) - r) / h
-                samples[next_sample] = dense_eval(q, y, h, th).astype(np.float64)
-                next_sample += 1
-            else:
-                break
+        if next_sample < grid.shape[0] and grid[next_sample] <= r_fill_to:
+            stop = int(np.searchsorted(grid, r_fill_to, side="right"))
+            theta = (grid[next_sample:stop].astype(dtype) - r) / h
+            samples[next_sample:stop] = _quartic(y, h, q, theta)
+            next_sample = stop
 
         if terminal_theta is not None:
-            r_star = float(r + h * dtype(terminal_theta))
-            events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
-            y_star = dense_eval(q, y, h, terminal_theta).astype(np.float64)
-            verdict = Collapsed(r_star=r_star)
-            r_stop = (r_star, y_star)
+            r = r_fill_to  # the deepest radius reached
+            events.append(Event(kind="u_floor", r_event=r, direction=-1))
+            verdict = Collapsed(r_star=r)
             break
 
         r, y = r_new, y_new
         K[0] = K[6]  # FSAL
         h = h * dtype(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
-    # --- assemble the trajectory ---
-    if r_stop is not None:
-        keep = grid <= r_stop[0]
-        n_keep = min(int(keep.sum()), next_sample)
-        r_arr = np.append(grid[:n_keep], r_stop[0])
-        y_arr = np.vstack([samples[:n_keep], r_stop[1]])
-        r_end = r_stop[0]
+    # --- assemble the trajectory from the filled rows only ---
+    dense = DenseSolution(np.array(r_lefts), np.array(hs), np.array(y_lefts),
+                          np.array(qs)) if r_lefts else None
+    r_arr, y_arr = grid[:next_sample], samples[:next_sample]
+    if isinstance(verdict, Collapsed):
+        # end on the deepest radius reached (r* after a floor crossing, the
+        # last accepted radius after a wall closure), read off the dense output
+        if float(r) > r_arr[-1]:
+            r_arr = np.append(r_arr, float(r))
+            y_arr = np.vstack([y_arr, dense(float(r))])
+        r_end = verdict.r_star
+    elif verdict is not None:
+        r_end = float(r)
     else:
-        n_keep = next_sample
-        r_arr = grid[:n_keep]
-        y_arr = samples[:n_keep]
-        if isinstance(verdict, Collapsed):
-            # wall-closure path: keep the deepest accepted state as a sample
-            if float(r) > r_arr[-1]:
-                r_arr = np.append(r_arr, float(r))
-                y_arr = np.vstack([y_arr, np.asarray(y, dtype=np.float64)])
-            r_end = verdict.r_star
-        else:
-            r_end = float(r) if verdict is not None else float(r_max)
-            if verdict is None:
-                # horizon reached; make sure the last grid point is the horizon
-                if abs(r_arr[-1] - cfg.r_max) > 1e-9 * max(1.0, cfg.r_max):
-                    raise AssertionError("horizon sample missing from grid")
-
-    dense = None
-    if r_lefts:
-        dense = DenseSolution(np.array(r_lefts), np.array(hs),
-                              np.array(y_lefts), np.array(qs))
+        r_end = float(r_max)
+        if abs(r_arr[-1] - cfg.r_max) > 1e-9 * max(1.0, cfg.r_max):
+            raise SampleGridMismatch(
+                f"last filled sample r={r_arr[-1]!r} is not the horizon {cfg.r_max!r}")
 
     if verdict is None:
-        gamma = _fit_growth_arrays(r_arr, y_arr[:, 0], r_end / 4.0, r_end)[0]
-        verdict = EntirePositive(growth_exponent=gamma)
+        gamma, _, n_fit = _fit_growth_arrays(r_arr, y_arr[:, 0], r_end / 4.0, r_end)
+        if n_fit < 2:
+            verdict = Inconclusive(
+                reason=f"horizon {r_end:g} too short: {n_fit} sample(s) in the "
+                       f"growth-fit window [{r_end / 4.0:g}, {r_end:g}]")
+        else:
+            verdict = EntirePositive(growth_exponent=gamma)
 
     stats = {
         "naccept": naccept,
@@ -423,10 +423,9 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "launch_radius": r_launch,
         "precision": cfg.precision,
     }
-    traj = Trajectory(spec=spec, jet=jet, r=r_arr, y=y_arr, verdict=verdict,
+    return Trajectory(spec=spec, jet=jet, r=r_arr, y=y_arr, verdict=verdict,
                       r_end=float(r_end), events=tuple(events), dense=dense,
                       stats=stats)
-    return traj
 
 
 def _fit_growth_arrays(r, u, r_lo, r_hi):

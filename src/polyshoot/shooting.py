@@ -16,6 +16,7 @@ quantity whose positivity characterises entire solutions for both orders).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -105,8 +106,9 @@ def _divergence_radius(t1: Trajectory, t2: Trajectory, rel: float = 0.05):
 class EpsCache:
     """JSON-backed map from (m, k, horizon, tol) to (eps_star, volume).
 
-    Writes are serialised by a lock file and performed atomically
-    (temp file + rename), so parallel table builders cannot corrupt it.
+    Writes are serialised by an exclusive ``flock`` on
+    ``critical_eps.json.lock`` and performed atomically (temp file +
+    rename), so parallel table builders neither corrupt it nor lose entries.
     """
 
     SCHEMA = 1
@@ -134,13 +136,8 @@ class EpsCache:
 
     def put(self, key: str, value: dict):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            from filelock import FileLock
-            lock = FileLock(str(self.path) + ".lock")
-        except ImportError:  # pragma: no cover - filelock is a soft dependency
-            import contextlib
-            lock = contextlib.nullcontext()
-        with lock:
+        with open(str(self.path) + ".lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             entries = self._load()
             entries[key] = value
             payload = {"schema": self.SCHEMA, "entries": entries}

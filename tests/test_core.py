@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from polyshoot import (
     scale,
     taylor_launch,
 )
+import polyshoot
 from polyshoot.core import taylor_coefficients, _taylor_state
 
 
@@ -199,3 +204,41 @@ def test_taylor_state_vectorised(spec3):
     assert ys[0, 0] == 2.0 and np.all(ys[0, 1::2] == 0.0)
     single = _taylor_state(c, 3, np.float64(1e-3))
     assert np.allclose(single, ys[1])
+
+
+_BROKEN_TRAJECTORY = """
+import numpy as np
+from polyshoot import EntirePositive, EquationSpec, Jet
+from polyshoot.core import Trajectory
+
+r = np.array([0.0, 2.0, 1.0])   # not increasing
+y = np.ones((3, 4))
+y[0, 1::2] = 0.0
+traj = Trajectory(spec=EquationSpec.for_order(2), jet=Jet((1.0, 1.0)), r=r,
+                  y=y, verdict=EntirePositive(growth_exponent=1.0), r_end=2.0)
+"""
+
+
+def test_validate_raises_value_error():
+    scope = {}
+    exec(_BROKEN_TRAJECTORY, scope)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        scope["traj"].validate()
+
+
+def test_validate_survives_optimize_flag():
+    # under python -O every assert is stripped; validate must still raise
+    code = _BROKEN_TRAJECTORY + textwrap.dedent("""
+        import sys
+        assert False, "asserts are live"
+        try:
+            traj.validate()
+        except ValueError as exc:
+            print(f"optimize={sys.flags.optimize} ValueError: {exc}")
+    """)
+    src = os.path.dirname(os.path.dirname(polyshoot.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "optimize=1 ValueError: samples must be strictly increasing" in out.stdout

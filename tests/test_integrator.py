@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from polyshoot import (
     Collapsed,
+    EquationSpec,
     EntirePositive,
     Inconclusive,
     IntegratorConfig,
@@ -265,3 +266,71 @@ def test_config_validation():
         IntegratorConfig(r_max=1e-4)  # below launch radius
     with pytest.raises(ValueError):
         IntegratorConfig(precision="quad")
+
+
+# One case per way integrate() can end: horizon, m=2 wall closure (the
+# step-size stall inside the collapse wall), m=3 floor crossing located by
+# bisection, and the step budget.
+_ENDINGS = {
+    "horizon": (2, 0.0, dict(r_max=30.0), EntirePositive),
+    "wall_closure": (2, -0.2, dict(r_max=30.0), Collapsed),
+    "floor_crossing": (3, (10.0, -6.0, 1.0), dict(r_max=30.0), Collapsed),
+    "max_steps": (2, 0.0, dict(r_max=30.0, max_steps=5,
+                               dense_output_stride=1e-3), Inconclusive),
+}
+
+
+def _m2_jet(u0, rho):
+    return Jet((u0.eval(0.0, 0) + rho, u0.eval(0.0, 2)))
+
+
+def _reference_sample(dense, r):
+    """One sample the way a per-sample loop evaluates it, as a reference."""
+    i = min(max(int(np.searchsorted(dense.r_lefts, r, side="right")) - 1, 0),
+            len(dense.hs) - 1)
+    h = dense.hs[i]
+    t = (r - dense.r_lefts[i]) / h
+    return dense.y_lefts[i] + h * (dense.qs[i] @ np.array([t, t ** 2, t ** 3, t ** 4]))
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+def test_samples_agree_with_dense_output(u0, ending):
+    m, param, cfg_kw, kind = _ENDINGS[ending]
+    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+    traj = integrate(EquationSpec.for_order(m), jet, IntegratorConfig(**cfg_kw))
+    assert isinstance(traj.verdict, kind)
+    assert np.all(np.isfinite(traj.r)) and np.all(np.isfinite(traj.y))
+    assert np.all(np.diff(traj.r) > 0)
+    beyond = traj.r > traj.stats["launch_radius"]
+    assert beyond.sum() >= 2
+    y = traj.y[beyond]
+    tol = 1e-14 * np.maximum(1.0, np.abs(y))
+    assert np.all(np.abs(y - traj.dense(traj.r[beyond])) <= tol)
+    loop = np.array([_reference_sample(traj.dense, r) for r in traj.r[beyond]])
+    assert np.all(np.abs(y - loop) <= tol)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m3=st.booleans(), a=st.floats(min_value=0.0, max_value=1.0),
+       k=st.floats(min_value=5.0, max_value=40.0))
+def test_stride_does_not_change_stepping(u0, m3, a, k):
+    if m3:
+        # second datum from mildly entire to past the collapse cap sqrt(6k/5)
+        spec, jet = EquationSpec.for_order(3), Jet((k, -1.2 * a * np.sqrt(1.2 * k), 1.0))
+    else:
+        spec, jet = EquationSpec.for_order(2), _m2_jet(u0, -0.45 + 1.45 * a)
+    runs = [integrate(spec, jet, IntegratorConfig(r_max=30.0, dense_output_stride=s))
+            for s in (0.005, 0.01, 0.02, 0.05)]
+    first = runs[0]
+    for traj in runs[1:]:
+        assert type(traj.verdict) is type(first.verdict)
+        assert getattr(traj.verdict, "r_star", None) == getattr(first.verdict, "r_star", None)
+        for key in ("naccept", "nreject", "nfev"):
+            assert traj.stats[key] == first.stats[key]
+
+
+def test_too_short_horizon_is_inconclusive(spec2, u0):
+    # [r_end/4, r_end] = [0.00125, 0.005] holds only the horizon sample
+    traj = integrate(spec2, u0.jet(), IntegratorConfig(r_max=0.005))
+    assert isinstance(traj.verdict, Inconclusive)
+    assert "growth-fit window" in traj.verdict.reason

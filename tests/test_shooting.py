@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -170,3 +171,30 @@ def test_cache_ignores_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
     cache = EpsCache(tmp_path)
     assert cache.get("x") is None
+
+
+def _put_many(directory, worker, n_puts, barrier):
+    cache = EpsCache(directory)
+    barrier.wait(timeout=60)
+    for i in range(n_puts):
+        cache.put(f"worker={worker}|i={i}", {"eps_star": float(i), "volume": 1.0})
+
+
+def test_cache_concurrent_puts_keep_every_entry(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(3)
+    procs = [ctx.Process(target=_put_many, args=(str(tmp_path), w, 40, barrier))
+             for w in range(3)]
+    for proc in procs:
+        proc.start()
+    try:
+        for proc in procs:
+            proc.join(timeout=120)
+        assert not any(proc.is_alive() for proc in procs)
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.kill()
+    assert [proc.exitcode for proc in procs] == [0, 0, 0]
+    entries = json.loads((tmp_path / "critical_eps.json").read_text())["entries"]
+    assert len(entries) == 120
