@@ -3,7 +3,7 @@
 Integrates radial initial-value problems for Lap^m u = -u^p (m = 2, 3,
 negative p) from jet data at the origin, classifies trajectories as
 collapsing or entire, computes conformal volumes with modeled tails, and
-locates critical shooting parameters by bisection.
+locates critical shooting parameters by safeguarded bracket refinement.
 """
 
 from .core import (

@@ -28,8 +28,8 @@ from . import oracle
 from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, fit_growth, integrate
-from .shooting import (EpsCache, critical_eps, critical_eps_residual,
-                       default_config, prescribe_volume)
+from .shooting import (EpsCache, critical_eps, critical_eps_residual, jet_m2,
+                       jet_m3, prescribe_volume)
 from .volume import volume
 
 SCHEMA = 1
@@ -181,11 +181,10 @@ def _jet_from_args(rc: RunConfig, args) -> Jet:
     if rc.m == 2:
         if args.rho is None:
             raise UsageError("m=2 needs --rho (or --jet)")
-        profile = oracle.linear_profile()
-        return Jet((profile.eval(0.0, 0) + args.rho, profile.eval(0.0, 2)))
+        return jet_m2(args.rho)
     if args.k is None or args.eps is None:
         raise UsageError("m=3 needs --k and --eps (or --jet)")
-    return Jet((args.k, -args.eps, 1.0))
+    return jet_m3(args.k, args.eps)
 
 
 # ----------------------------------------------------------------- verify
@@ -306,13 +305,8 @@ def cmd_sweep(args) -> int:
         rows = []
         for k in sorted(ks):
             ce = critical_eps(k, cfg, args.bracket_tol, cache=cache)
-            traj = ce.traj_lo
-            spec = EquationSpec.for_order(3)
-            if traj is None:
-                traj = integrate(spec, Jet((k, -ce.eps_lo, 1.0)), cfg)
-            v = volume(spec, traj)
-            rows.append((k, ce.eps_star, "EntirePositive", v.total,
-                         v.err_estimate))
+            rows.append((k, ce.eps_star, "EntirePositive", ce.volume,
+                         ce.volume_err))
         lines = _csv_header("sweep", rc)
         lines.append("k,eps_star,verdict,volume,err_estimate")
         for row in rows:
@@ -324,9 +318,7 @@ def cmd_sweep(args) -> int:
         if not args.rho:
             raise UsageError("m=2 sweep needs --rho range")
         params = parse_range(args.rho)
-        profile = oracle.linear_profile()
-        u00, lap00 = profile.eval(0.0, 0), profile.eval(0.0, 2)
-        jets = [(p, (u00 + p, lap00)) for p in params]
+        jets = [(p, jet_m2(p).lap_values) for p in params]
         param_name = "rho"
         extra = (f"# lambda_star: {_fmt(oracle.lambda_star())}",)
     else:
@@ -334,7 +326,7 @@ def cmd_sweep(args) -> int:
             raise UsageError("m=3 sweep needs --k (single value) and --eps range")
         k = float(args.k)
         params = parse_range(args.eps)
-        jets = [(p, (k, -p, 1.0)) for p in params]
+        jets = [(p, jet_m3(k, p).lap_values) for p in params]
         param_name = "eps"
         extra = (f"# k: {_fmt(k)}",)
     if not params:
@@ -358,14 +350,12 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------- critical-eps
 
 def cmd_critical_eps(args) -> int:
+    if args.m not in (None, 3):
+        raise UsageError("critical-eps applies to --m 3")
+    args.m = 3  # also picks the m=3 default horizon when nothing sets r_max
     rc = load_run_config(args)
-    cfg = default_config(3, rel_tol=rc.rel_tol, abs_tol=rc.abs_tol,
-                         precision=rc.precision,
-                         **({"r_max": rc.r_max} if args.r_max else {}))
-    cache = rc.cache()
-    key = EpsCache.key(args.k, cfg, args.bracket_tol)
-    cache_hit = bool(cache and cache.get(key))
-    ce = critical_eps(args.k, cfg, args.bracket_tol, cache=cache)
+    cfg = rc.integrator_config()
+    ce = critical_eps(args.k, cfg, args.bracket_tol, cache=rc.cache())
     resid = critical_eps_residual(ce, cfg)
     report = {
         "schema": SCHEMA,
@@ -379,7 +369,7 @@ def cmd_critical_eps(args) -> int:
         "horizon": ce.horizon_used,
         "iterations": ce.iterations,
         "precision": ce.precision,
-        "cache_hit": cache_hit,
+        "cache_hit": ce.cache_hit,
         "residual": {
             "delta2_at_horizon": resid.delta2_at_horizon,
             "partial_integral": resid.partial_integral,
@@ -464,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("critical-eps", help="bisect the critical datum (m=3)")
+    p = sub.add_parser("critical-eps",
+                       help="locate the critical datum (m=3) by safeguarded "
+                            "bracket refinement")
     common(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--bracket-tol", type=float, default=1e-6)

@@ -9,8 +9,8 @@ is instantiated in float64 or 80-bit long double depending on the
 configured precision.
 
 The uniform sample grid is filled as steps are accepted: each step
-evaluates all grid points in (r, r + h] (or up to the floor crossing) in one
-array operation.  One evaluator, ``_quartic``, serves that fill, the event
+evaluates all grid points in (r, r_new] (or up to the floor crossing) in one
+array operation, with theta mapped over that stored interval.  One evaluator, ``_quartic``, serves that fill, the event
 bisection and ``DenseSolution`` (which also gives a collapse its last
 sample), so samples and dense output agree; the fill never feeds back into
 the step sequence, which is therefore independent of the sample stride.
@@ -171,15 +171,22 @@ def _quartic(y0, h, q, theta, derivative: int = 0):
 
 
 class DenseSolution:
-    """Piecewise-quartic dense output; also evaluates d/dr of every slot."""
+    """Piecewise-quartic dense output; also evaluates d/dr of every slot.
 
-    def __init__(self, r_lefts, hs, y_lefts, qs):
+    Step i covers (r_lefts[i], r_rights[i]] and is evaluated at theta =
+    (r - r_left) / (r_right - r_left) with multiplier hs[i]: near the m=2
+    wall r + h rounds, and mapping theta over the stored interval keeps
+    the interpolant continuous at every step boundary.
+    """
+
+    def __init__(self, r_lefts, r_rights, hs, y_lefts, qs):
         self.r_lefts = np.asarray(r_lefts)
+        self.r_rights = np.asarray(r_rights)
         self.hs = np.asarray(hs)
         self.y_lefts = np.asarray(y_lefts)
         self.qs = np.asarray(qs)
         self.r_lo = float(self.r_lefts[0])
-        self.r_hi = float(self.r_lefts[-1] + self.hs[-1])
+        self.r_hi = float(self.r_rights[-1])
 
     def __call__(self, r, derivative: int = 0):
         r = np.atleast_1d(np.asarray(r))
@@ -189,12 +196,12 @@ class DenseSolution:
                 f"dense output defined on [{self.r_lo}, {self.r_hi}], got "
                 f"[{r.min()}, {r.max()}]"
             )
-        idx = np.searchsorted(self.r_lefts, r, side="right") - 1
+        idx = np.searchsorted(self.r_lefts, r, side="left") - 1
         idx = np.clip(idx, 0, len(self.hs) - 1)
-        h = self.hs[idx]
-        theta = (r.astype(self.hs.dtype) - self.r_lefts[idx]) / h
-        out = np.asarray(_quartic(self.y_lefts[idx], h, self.qs[idx], theta,
-                                  derivative), dtype=np.float64)
+        r_left = self.r_lefts[idx]
+        theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
+        out = np.asarray(_quartic(self.y_lefts[idx], self.hs[idx], self.qs[idx],
+                                  theta, derivative), dtype=np.float64)
         return out[0] if scalar else out
 
 
@@ -280,7 +287,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                                            dtype=dtype).astype(np.float64)
     next_sample = int(in_taylor.sum())  # grid index of the next point to fill
 
-    r_lefts, hs, y_lefts, qs = [], [], [], []
+    r_lefts, r_rights, hs, y_lefts, qs = [], [], [], [], []
     events = []
     K = np.empty((7, n), dtype=dtype)
     _rhs_raw(p, r, y, out=K[0])
@@ -344,13 +351,16 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         naccept += 1
         err_accum += np.abs(err.astype(np.float64))
         q = K.T @ P  # (n, 4) dense coefficients for this step
-        r_lefts.append(float(r))
-        hs.append(float(h))
+        r_new = r + h
+        width = r_new - r  # theta runs over the stored interval, not h
+        r_lefts.append(r)
+        r_rights.append(r_new)
+        hs.append(h)
         y_lefts.append(y)
         qs.append(q)
 
-        # --- events inside (r, r+h] ---
-        theta_tol = cfg.abs_tol / float(h)
+        # --- events inside (r, r_new] ---
+        theta_tol = cfg.abs_tol / float(width)
         terminal_theta = None
         if float(y_new[0]) < cfg.u_floor:
             terminal_theta = _bisect_theta(
@@ -362,18 +372,17 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                 tc = _bisect_theta(
                     lambda t, jj=2 * j: float(_quartic(y, h, q, t)[jj]),
                     0.0, 1.0, theta_tol)
-                r_ev = float(r + h * dtype(tc))
+                r_ev = float(r + width * dtype(tc))
                 if terminal_theta is None or tc <= terminal_theta:
                     events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                         level=j, direction=-1 if s1 < s0 else 1))
 
         # --- samples inside (r, r_fill_to], one array operation ---
-        r_new = r + h
         r_fill_to = float(r_new) if terminal_theta is None \
-            else float(r + h * dtype(terminal_theta))
+            else float(r + width * dtype(terminal_theta))
         if next_sample < grid.shape[0] and grid[next_sample] <= r_fill_to:
             stop = int(np.searchsorted(grid, r_fill_to, side="right"))
-            theta = (grid[next_sample:stop].astype(dtype) - r) / h
+            theta = (grid[next_sample:stop].astype(dtype) - r) / width
             samples[next_sample:stop] = _quartic(y, h, q, theta)
             next_sample = stop
 
@@ -388,8 +397,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         h = h * dtype(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
     # --- assemble the trajectory from the filled rows only ---
-    dense = DenseSolution(np.array(r_lefts), np.array(hs), np.array(y_lefts),
-                          np.array(qs)) if r_lefts else None
+    dense = DenseSolution(np.array(r_lefts), np.array(r_rights), np.array(hs),
+                          np.array(y_lefts), np.array(qs)) if r_lefts else None
     r_arr, y_arr = grid[:next_sample], samples[:next_sample]
     if isinstance(verdict, Collapsed):
         # end on the deepest radius reached (r* after a floor crossing, the

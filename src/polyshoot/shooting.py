@@ -1,7 +1,7 @@
 """Root-finding layers over the integrator.
 
-Three shooting problems are solved by bisection on trajectory
-classifications:
+One safeguarded bracket refinement (refine_bracket) over trajectory
+classifications and residuals solves three shooting problems:
 
   * critical_eps: the largest second-datum magnitude eps for which the
     sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
@@ -21,39 +21,24 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import oracle
-from .core import Collapsed, EntirePositive, EquationSpec, Jet, Trajectory
-from .errors import (
-    BracketFailure,
-    HorizonTooShort,
-    TableExhausted,
-    TargetOutOfRange,
-    PolyshootError,
-)
+from .core import EntirePositive, EquationSpec, Jet, Trajectory
+from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
+                     TableExhausted, TargetOutOfRange)
 from .integrator import IntegratorConfig, integrate
 from .volume import volume, volume_of_jet
 
-__all__ = [
-    "default_config",
-    "is_entire",
-    "lap_limit_estimate",
-    "CriticalEps",
-    "critical_eps",
-    "EpsResidual",
-    "critical_eps_residual",
-    "collapse_boundary_m2",
-    "VolumeSolve",
-    "prescribe_volume",
-    "smallest_valid_k",
-    "EpsCache",
-]
+__all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
+           "Probe", "Bracket", "refine_bracket", "CriticalEps", "critical_eps",
+           "EpsResidual", "critical_eps_residual", "collapse_boundary_m2",
+           "VolumeSolve", "prescribe_volume", "smallest_valid_k", "EpsCache"]
 
 DEFAULT_K_MIN = 5.0
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
@@ -61,9 +46,18 @@ DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
 
 def default_config(m: int, **overrides) -> IntegratorConfig:
     """Per-order defaults: horizon 1e3 for m=2, 1e2 for m=3."""
-    kw = {"r_max": 1e3 if m == 2 else 1e2}
-    kw.update(overrides)
-    return IntegratorConfig(**kw)
+    return IntegratorConfig(**{"r_max": 1e3 if m == 2 else 1e2, **overrides})
+
+
+def jet_m2(rho: float) -> Jet:
+    """m=2 jet whose u(0) is offset by rho from the linear-growth profile's."""
+    profile = oracle.linear_profile()
+    return Jet((profile.eval(0.0, 0) + rho, profile.eval(0.0, 2)))
+
+
+def jet_m3(k: float, eps: float) -> Jet:
+    """m=3 jet (u, Lap u, Lap^2 u)(0) = (k, -eps, 1)."""
+    return Jet((k, -eps, 1.0))
 
 
 def is_entire(traj: Trajectory) -> bool:
@@ -84,7 +78,7 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     (finite) total source integral, so w + r w' evaluated at the horizon
     estimates w_inf with O(r^-7) error.  This removes the O(1/r_max)
     horizon bias that a bare sign check of w(r_max) carries, which is what
-    makes the critical-datum bisection horizon-robust.
+    makes the critical-datum refinement horizon-robust.
     """
     m = traj.spec.m
     w = float(traj.y[-1, 2 * (m - 1)])
@@ -92,34 +86,105 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     return w + float(traj.r[-1]) * wp
 
 
+def _entire(traj: Trajectory) -> bool:
+    """Critical-datum classifier: is_entire is not enough, since a
+    supercritical trajectory can outlive the horizon; w_inf must stay > 0."""
+    return is_entire(traj) and lap_limit_estimate(traj) > 0.0
+
+
 def _divergence_radius(t1: Trajectory, t2: Trajectory, rel: float = 0.05):
     """First common radius where the u-components differ by `rel` relatively."""
     n = min(len(t1), len(t2))
-    if n == 0:
-        return None
     u1, u2 = t1.u[:n], t2.u[:n]
     bad = np.abs(u1 - u2) > rel * (1.0 + np.minimum(np.abs(u1), np.abs(u2)))
     idx = np.flatnonzero(bad)
     return float(t1.r[idx[0]]) if idx.size else None
 
 
-class EpsCache:
-    """JSON-backed map from (m, k, horizon, tol) to (eps_star, volume).
+class Probe(NamedTuple):
+    """One evaluation: the end it replaces, an optional finite residual
+    (> 0 on the lo side, <= 0 on the hi side) and what the caller keeps."""
 
-    Writes are serialised by an exclusive ``flock`` on
-    ``critical_eps.json.lock`` and performed atomically (temp file +
-    rename), so parallel table builders neither corrupt it nor lose entries.
+    lo_side: bool
+    residual: Optional[float]
+    payload: object
+
+
+@dataclass
+class Bracket:
+    """[lo, hi], the probes at its ends, and the rounds spent refining it."""
+
+    lo: float
+    hi: float
+    at_lo: Probe
+    at_hi: Probe
+    rounds: int = 0
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
+                   stop: Optional[Callable[[Bracket], bool]] = None) -> Bracket:
+    """Shrink b in place until its width is <= tol or stop(b) holds.
+
+    A round evaluates Illinois false position when both ends carry a
+    residual (Dowell & Jarratt 1971), else the zero of the secant through
+    the two latest lo-side residuals (once per new lo-side point, if within
+    tol/2 of the bracket), else the midpoint, clamped tol/2 inside so that a
+    converged estimate steps across the root.  After two rounds in a row
+    that fail to halve the width a round bisects (Brent 1973).
     """
+    f = {True: b.at_lo.residual, False: b.at_hi.residual}  # Illinois weights
+    lo_points = [(b.lo, f[True])] if f[True] is not None else []
+    secant_after, last_side, stalls = 2, None, 0
+    while b.width > tol and not (stop is not None and stop(b)):
+        width, x = b.width, 0.5 * (b.lo + b.hi)
+        if stalls < 2 and None not in (f[True], f[False]) and f[True] != f[False]:
+            x = b.lo + width * f[True] / (f[True] - f[False])
+        elif stalls < 2 and len(lo_points) >= secant_after:
+            (x1, f1), (x2, f2) = lo_points[-2:]
+            secant_after = len(lo_points) + 1  # once per new lo-side point
+            guess = x2 - f2 * (x2 - x1) / (f2 - f1) if f1 != f2 else x
+            if b.lo - tol / 2 <= guess <= b.hi + tol / 2:  # else bisect
+                x = guess
+        x = min(max(x, b.lo + tol / 2), b.hi - tol / 2)
+        probe = evaluate(x)
+        b.rounds += 1
+        side = probe.lo_side
+        if side:
+            b.lo, b.at_lo = x, probe
+            if probe.residual is not None:
+                lo_points.append((x, probe.residual))
+        else:
+            b.hi, b.at_hi = x, probe
+        if side == last_side and f[not side] is not None:
+            f[not side] *= 0.5  # Illinois: an end kept twice weighs half
+        f[side], last_side = probe.residual, side
+        stalls = stalls + 1 if b.width > 0.5 * width else 0
+    return b
 
-    SCHEMA = 1
+
+class EpsCache:
+    """JSON map from (k, integrator config, bracket_tol) to a critical bracket
+    and its entire-side volume.  Writes hold an exclusive ``flock`` on
+    ``critical_eps.json.lock`` and go through a temp file and a rename, so
+    parallel table builders neither corrupt it nor lose entries."""
+
+    SCHEMA = 2
+    FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err")
 
     def __init__(self, directory):
         self.path = Path(directory) / "critical_eps.json"
 
     @staticmethod
     def key(k: float, cfg: IntegratorConfig, bracket_tol: float) -> str:
-        return (f"m=3|k={k:g}|horizon={cfg.r_max:g}|bracket_tol={bracket_tol:g}"
-                f"|rel_tol={cfg.rel_tol:g}|precision={cfg.precision}")
+        """Every IntegratorConfig field plus k and bracket_tol, numbers as floats."""
+        fields = {name: float(v) if isinstance(v, (int, float)) else v
+                  for name, v in asdict(cfg).items()}
+        return json.dumps({"m": 3, "k": float(k), "bracket_tol": float(bracket_tol),
+                           **fields}, sort_keys=True)
 
     def _load(self) -> dict:
         try:
@@ -127,9 +192,7 @@ class EpsCache:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return {}
-        if data.get("schema") != self.SCHEMA:
-            return {}
-        return data.get("entries", {})
+        return data.get("entries", {}) if data.get("schema") == self.SCHEMA else {}
 
     def get(self, key: str):
         return self._load().get(key)
@@ -153,7 +216,9 @@ class EpsCache:
 
 @dataclass
 class CriticalEps:
-    """Bisection result for the critical second datum at fixed k."""
+    """Refined bracket [eps_lo, eps_hi] for the critical second datum at fixed
+    k, with the volume (and its error estimate) of the entire end eps_lo; a
+    cache hit reads these from the entry and carries no trajectories."""
 
     k: float
     eps_lo: float
@@ -164,6 +229,8 @@ class CriticalEps:
     iterations: int
     bracket_tol: float
     precision: str
+    volume: float
+    volume_err: float
     cache_hit: bool = False
     traj_lo: Optional[Trajectory] = field(default=None, repr=False)
     traj_hi: Optional[Trajectory] = field(default=None, repr=False)
@@ -173,22 +240,19 @@ class CriticalEps:
         return math.sqrt(6.0 * self.k / 5.0)
 
 
-def _jet_m3(k: float, eps: float) -> Jet:
-    return Jet((k, -eps, 1.0))
-
-
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  bracket_tol: float = 1e-6, *, k_min: float = DEFAULT_K_MIN,
                  cache: Optional[EpsCache] = None,
                  extended_retry_width: float = 1e-10) -> CriticalEps:
-    """Bisect for the critical second datum of the m=3 problem at fixed k.
+    """Locate the critical second datum of the m=3 problem at fixed k.
 
-    Starts from the bracketimposed by theory: eps=0 must integrate entire
+    Starts from the bracket imposed by theory: eps=0 must integrate entire
     (BracketFailure otherwise, signalling k below the large-k regime at
     this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
-    short).  When the two bracket trajectories diverge before a tenth of
-    the horizon while the bracket is already at rounding width, the
-    bisection restarts the endpoint integrations in extended precision.
+    short).  refine_bracket closes it to bracket_tol, with w_inf of every
+    trajectory passing is_entire as the residual.  If the ends diverge
+    before a tenth of the horizon at rounding width, they are re-integrated
+    in extended precision and the refinement goes on there.
     """
     if k < k_min:
         raise ValueError(f"k={k} below configured k_min={k_min}")
@@ -199,70 +263,50 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     eps_cap = math.sqrt(6.0 * k / 5.0)
 
     key = EpsCache.key(k, cfg, bracket_tol)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return CriticalEps(
-                k=k, eps_lo=hit["eps_lo"], eps_hi=hit["eps_hi"],
-                eps_star=hit["eps_star"], width=hit["eps_hi"] - hit["eps_lo"],
-                horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
-                precision=hit.get("precision", cfg.precision), cache_hit=True)
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        return CriticalEps(k=k, width=hit["eps_hi"] - hit["eps_lo"],
+                           horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
+                           cache_hit=True, **{name: hit[name] for name in EpsCache.FIELDS})
 
-    def run(eps, config):
-        return integrate(spec, _jet_m3(k, eps), config)
+    def evaluate(eps):
+        traj = integrate(spec, jet_m3(k, eps), cfg)
+        w_inf = lap_limit_estimate(traj) if is_entire(traj) else None
+        return Probe(_entire(traj), w_inf, traj)
 
-    def entire(traj):
-        # surviving to the horizon with signs intact is not enough: the
-        # extrapolated top-Laplacian limit must stay positive, otherwise a
-        # supercritical trajectory that merely outlives the horizon passes
-        return is_entire(traj) and lap_limit_estimate(traj) > 0.0
+    def retry_due(b):  # an early split at rounding width is rounding noise
+        if cfg.precision != "double" or b.width > extended_retry_width * max(1.0, b.hi):
+            return False
+        r_div = _divergence_radius(b.at_lo.payload, b.at_hi.payload)
+        return r_div is not None and r_div < cfg.r_max / 10.0
 
-    t_lo = run(0.0, cfg)
-    if not entire(t_lo):
+    b = Bracket(0.0, eps_cap, evaluate(0.0), evaluate(eps_cap))
+    if not b.at_lo.lo_side:
         raise BracketFailure(
-            f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: "
-            f"k is below the large-k regime for this horizon ({t_lo.verdict})")
-    t_hi = run(eps_cap, cfg)
-    if entire(t_hi):
+            f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
+            f"below the large-k regime for this horizon ({b.at_lo.payload.verdict})")
+    if b.at_hi.lo_side:
         raise BracketFailure(
             f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
             f"horizon {cfg.r_max}: horizon too short")
 
-    lo, hi = 0.0, eps_cap
-    iterations = 0
-    while hi - lo > bracket_tol:
-        iterations += 1
-        if cfg.precision == "double":
-            width = hi - lo
-            r_div = _divergence_radius(t_lo, t_hi)
-            if (width <= extended_retry_width * max(1.0, hi)
-                    and r_div is not None and r_div < cfg.r_max / 10.0):
-                # bracket at rounding width but trajectories split early:
-                # the split is initial-condition rounding noise
-                cfg = replace(cfg, precision="extended")
-                t_lo = run(lo, cfg)
-                t_hi = run(hi, cfg)
-                if not (entire(t_lo) and not entire(t_hi)):
-                    raise BracketFailure(
-                        "bracket classifications did not survive the "
-                        "extended-precision retry")
-        mid = 0.5 * (lo + hi)
-        t_mid = run(mid, cfg)
-        if entire(t_mid):
-            lo, t_lo = mid, t_mid
-        else:
-            hi, t_hi = mid, t_mid
+    refine_bracket(evaluate, b, bracket_tol, stop=retry_due)
+    if b.width > bracket_tol:  # stopped by retry_due
+        cfg = replace(cfg, precision="extended")
+        b.at_lo, b.at_hi = evaluate(b.lo), evaluate(b.hi)
+        if not b.at_lo.lo_side or b.at_hi.lo_side:
+            raise BracketFailure("bracket classifications did not survive "
+                                 "the extended-precision retry")
+        refine_bracket(evaluate, b, bracket_tol)
 
+    v_lo = volume(spec, b.at_lo.payload)
     result = CriticalEps(
-        k=k, eps_lo=lo, eps_hi=hi, eps_star=0.5 * (lo + hi), width=hi - lo,
-        horizon_used=cfg.r_max, iterations=iterations,
-        bracket_tol=bracket_tol, precision=cfg.precision,
-        traj_lo=t_lo, traj_hi=t_hi)
+        k=k, eps_lo=b.lo, eps_hi=b.hi, eps_star=0.5 * (b.lo + b.hi), width=b.width,
+        horizon_used=cfg.r_max, iterations=b.rounds, bracket_tol=bracket_tol,
+        precision=cfg.precision, volume=v_lo.total, volume_err=v_lo.err_estimate,
+        traj_lo=b.at_lo.payload, traj_hi=b.at_hi.payload)
     if cache is not None:
-        vol_lo = volume(spec, t_lo).total
-        cache.put(key, {"eps_star": result.eps_star, "eps_lo": lo,
-                        "eps_hi": hi, "volume": vol_lo,
-                        "precision": cfg.precision})
+        cache.put(key, {name: getattr(result, name) for name in EpsCache.FIELDS})
     return result
 
 
@@ -289,7 +333,7 @@ def critical_eps_residual(ce: CriticalEps,
     spec = EquationSpec.for_order(3)
     traj = ce.traj_lo
     if traj is None or traj.r_end < cfg.r_max:
-        traj = integrate(spec, _jet_m3(ce.k, ce.eps_lo), cfg)
+        traj = integrate(spec, jet_m3(ce.k, ce.eps_lo), cfg)
     r, u = traj.r, traj.u
     inner = cumulative_simpson(r * r * u ** -3.0, x=r, initial=0.0)
     q = np.zeros_like(inner)
@@ -304,48 +348,40 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
                          tol_b: float = 1e-3, delta: float = 0.1) -> float:
     """Locate the collapse boundary of the fourth-order problem in rho.
 
-    Bisects rho over [-(u0(0)) + delta, 0] on the entire/collapse verdict;
-    theory puts the boundary exactly at 0, so the returned estimate must
-    land in [-tol_b, 0].  A parameter below -tol_b classifying entire
-    raises HorizonTooShort with a horizon estimate extrapolated from the
-    decay of the Laplacian gap.
+    Bisects rho over [-(u0(0)) + delta, 0] on the entire/collapse verdict
+    (refine_bracket without residuals); theory puts the boundary at 0, so
+    the estimate must land in [-tol_b, 0].  A parameter below -tol_b that
+    classifies entire raises HorizonTooShort with a horizon estimate
+    extrapolated from the decay of the Laplacian gap.
     """
     cfg = cfg if cfg is not None else default_config(2)
     spec = EquationSpec.for_order(2)
     profile = oracle.linear_profile()
-    u00 = profile.eval(0.0, 0)
-    lap00 = profile.eval(0.0, 2)
 
-    def run(rho):
-        return integrate(spec, Jet((u00 + rho, lap00)), cfg)
+    def evaluate(rho, guard=True):
+        traj = integrate(spec, jet_m2(rho), cfg)
+        entire = is_entire(traj)
+        if entire and guard and rho < -tol_b:
+            gap = profile.eval(traj.r_end, 2) - float(traj.y[-1, 2])
+            required = 2.0 / gap if gap > 0 else float("inf")
+            raise HorizonTooShort(
+                f"rho={rho:.6g} < -tol_b classified entire at horizon "
+                f"{cfg.r_max:g}; estimated required horizon ~{required:.3g}",
+                required_horizon=required)
+        return Probe(not entire, None, traj)
 
-    lo = -u00 + delta
+    lo = -profile.eval(0.0, 0) + delta
     if not lo < 0:
         raise ValueError("delta must leave a negative bracket")
-    t_hi = run(0.0)
-    if not is_entire(t_hi):
+    at_hi = evaluate(0.0)
+    if at_hi.lo_side:
         raise BracketFailure(
             f"rho=0 failed to classify entire at horizon {cfg.r_max}")
-    t_lo = run(lo)
-    if is_entire(t_lo):
+    at_lo = evaluate(lo, guard=False)
+    if not at_lo.lo_side:
         raise BracketFailure(f"rho={lo:.4g} classified entire; widen delta")
-
-    hi = 0.0
-    while hi - lo > tol_b:
-        mid = 0.5 * (lo + hi)
-        t_mid = run(mid)
-        if is_entire(t_mid):
-            if mid < -tol_b:
-                gap = profile.eval(t_mid.r_end, 2) - float(t_mid.y[-1, 2])
-                required = 2.0 / gap if gap > 0 else float("inf")
-                raise HorizonTooShort(
-                    f"rho={mid:.6g} < -tol_b classified entire at horizon "
-                    f"{cfg.r_max:g}; estimated required horizon ~{required:.3g}",
-                    required_horizon=required)
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    b = refine_bracket(evaluate, Bracket(lo, 0.0, at_lo, at_hi), tol_b)
+    return 0.5 * (b.lo + b.hi)
 
 
 @dataclass
@@ -365,126 +401,94 @@ class VolumeSolve:
         return abs(self.achieved - self.target) / self.target
 
 
-def _bisect_volume(vol_at, lo, hi, v_lo, v_hi, target, rel_tol, max_iter=200):
-    """Bisect a decreasing volume map until the relative target tolerance."""
-    best = (lo, v_lo) if abs(v_lo - target) < abs(v_hi - target) else (hi, v_hi)
-    iterations = 0
-    for _ in range(max_iter):
-        if abs(best[1] - target) / target <= rel_tol:
-            return best[0], best[1], iterations
-        mid = 0.5 * (lo + hi)
-        v_mid = vol_at(mid)
-        iterations += 1
-        if abs(v_mid - target) < abs(best[1] - target):
-            best = (mid, v_mid)
-        if v_mid >= target:
-            lo, v_lo = mid, v_mid
-        else:
-            hi, v_hi = mid, v_mid
-    raise PolyshootError(
-        f"volume bisection failed to reach {rel_tol:.1e} relative after "
-        f"{max_iter} iterations (best {best[1]:.6g} vs target {target:.6g})")
-
-
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
-                     rel_tol_target: float = 1e-3,
-                     cache: Optional[EpsCache] = None,
-                     bracket_tol: float = 1e-6,
-                     table_k=DEFAULT_TABLE_K) -> VolumeSolve:
+                     rel_tol_target: float = 1e-3, cache: Optional[EpsCache] = None,
+                     bracket_tol: float = 1e-6, table_k=DEFAULT_TABLE_K) -> VolumeSolve:
     """Find initial data whose trajectory has the prescribed volume.
 
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the
     critical volume toward 0); targets above the critical volume raise
     TargetOutOfRange.  m=3: picks the smallest tabulated k whose
-    near-critical volume reaches the target, then bisects the second datum
-    upward from the critical one (volume decreasing to 0); targets beyond
-    the largest tabulated k raise TableExhausted.
+    near-critical volume reaches the target, then moves the second datum
+    up from the critical one (volume decreasing to 0); targets beyond the
+    largest tabulated k raise TableExhausted.  Both then double the
+    parameter until V < target and refine log(V / target).
     """
     if not target > 0:
         raise TargetOutOfRange(f"volume target must be positive, got {target}")
     cfg = cfg if cfg is not None else default_config(spec.m)
+    evaluated = []
+
+    def point(v):  # on a decreasing volume map: lo side while V >= target
+        return Probe(v >= target, math.log(v / target), v)
+
+    def close(p):
+        return abs(p.payload - target) / target <= rel_tol_target
+
+    def evaluate(x):  # jet_of is set per order below
+        evaluated.append(x)
+        return point(volume_of_jet(spec, jet_of(x), cfg).total)
+
+    def scan_down(scan, x, limit):
+        while scan[-1][1].lo_side:
+            if x > limit:
+                raise PolyshootError("volume failed to drop below target")
+            scan.append((x, evaluate(x)))
+            x *= 2.0
+        return scan
+
+    def solve(lo_end, hi_end):
+        (lo, at_lo), (hi, at_hi) = lo_end, hi_end
+        b = refine_bracket(evaluate, Bracket(lo, hi, at_lo, at_hi),
+                           1e-12 * max(1.0, abs(lo), abs(hi)),  # floor; close() ends it
+                           stop=lambda b: close(b.at_lo) or close(b.at_hi))
+        x, best = (b.lo, b.at_lo) if close(b.at_lo) else (b.hi, b.at_hi)
+        if not close(best):
+            raise PolyshootError(
+                f"volume solve failed to reach {rel_tol_target:.1e} relative "
+                f"(best {best.payload:.6g} vs target {target:.6g})")
+        return x, best.payload
 
     if spec.m == 2:
-        profile = oracle.linear_profile()
-        u00, lap00 = profile.eval(0.0, 0), profile.eval(0.0, 2)
-        evaluations = 0
-
-        def vol_at(rho):
-            nonlocal evaluations
-            evaluations += 1
-            return volume_of_jet(spec, Jet((u00 + rho, lap00)), cfg).total
-
-        v0 = vol_at(0.0)
-        if target > v0 * (1.0 + rel_tol_target):
+        jet_of = jet_m2
+        p0 = evaluate(0.0)
+        if target > p0.payload * (1.0 + rel_tol_target):
             raise TargetOutOfRange(
-                f"target {target:.6g} above the critical volume {v0:.6g}")
-        if abs(v0 - target) / target <= rel_tol_target:
-            return VolumeSolve(target=target, param=0.0, achieved=v0,
-                               iterations=evaluations)
-        scan = [(0.0, v0)]
-        rho_hi, v_hi = 1.0, vol_at(1.0)
-        scan.append((rho_hi, v_hi))
-        while v_hi > target:
-            rho_hi *= 2.0
-            v_hi = vol_at(rho_hi)
-            scan.append((rho_hi, v_hi))
-            if rho_hi > 1e6:
-                raise PolyshootError("volume failed to drop below target")
-        monotone = all(b[1] < a[1] for a, b in zip(scan, scan[1:]))
-        multi_root = False
-        lo, v_lo = scan[-2] if len(scan) >= 2 else (0.0, v0)
+                f"target {target:.6g} above the critical volume {p0.payload:.6g}")
+        if close(p0):
+            return VolumeSolve(target=target, param=0.0, achieved=p0.payload,
+                               iterations=len(evaluated))
+        scan = scan_down([(0.0, p0)], 1.0, 1e6)
+        monotone = all(b.payload < a.payload for (_, a), (_, b) in zip(scan, scan[1:]))
+        ends = scan[-2:]
         if not monotone:
             # non-monotone scan: refine to the first bracketing interval
-            multi_root = True
-            grid = np.linspace(0.0, rho_hi, 17)
-            vals = [v0] + [vol_at(g) for g in grid[1:]]
-            for a, b, va, vb in zip(grid, grid[1:], vals, vals[1:]):
-                if (va - target) * (vb - target) <= 0:
-                    lo, v_lo, rho_hi, v_hi = a, va, b, vb
-                    break
-        rho, achieved, _ = _bisect_volume(vol_at, lo, rho_hi, v_lo, v_hi,
-                                          target, rel_tol_target)
+            grid = [(g, evaluate(g)) for g in np.linspace(0.0, scan[-1][0], 17)[1:]]
+            grid.insert(0, (0.0, p0))
+            ends = next(((a, b) for a, b in zip(grid, grid[1:])
+                         if (a[1].payload - target) * (b[1].payload - target) <= 0), ends)
+        rho, achieved = solve(*ends)
         return VolumeSolve(target=target, param=rho, achieved=achieved,
-                           iterations=evaluations,
-                           monotone_observed=monotone,
-                           multi_root_flag=multi_root)
+                           iterations=len(evaluated), monotone_observed=monotone,
+                           multi_root_flag=not monotone)
 
     # m=3: two-level strategy through the critical table
-    chosen = None
     for k in table_k:
         ce = critical_eps(k, cfg, bracket_tol, cache=cache)
-        traj_lo = ce.traj_lo
-        if traj_lo is None:
-            traj_lo = integrate(spec, _jet_m3(k, ce.eps_lo), cfg)
-        v_crit = volume(spec, traj_lo).total
-        if v_crit >= target:
-            chosen = (k, ce, v_crit)
+        if ce.volume >= target:
             break
-    if chosen is None:
+    else:
         raise TableExhausted(
             f"target {target:.6g} above the largest tabulated near-critical "
             f"volume; extend table_k beyond {table_k[-1]}")
-    k, ce, v_crit = chosen
-    evaluations = 0
+    def jet_of(s):  # V decreases in the second jet slot s = -eps
+        return jet_m3(k, -s)
 
-    def vol_at(s):
-        nonlocal evaluations
-        evaluations += 1
-        return volume_of_jet(spec, Jet((k, s, 1.0)), cfg).total
-
-    s_lo, v_lo = -ce.eps_lo, v_crit
-    s_hi = max(1.0, abs(s_lo) * 2.0)
-    v_hi = vol_at(s_hi)
-    while v_hi > target:
-        s_hi *= 2.0
-        v_hi = vol_at(s_hi)
-        if s_hi > 1e9:
-            raise PolyshootError("volume failed to drop below target")
-    s, achieved, _ = _bisect_volume(vol_at, s_lo, s_hi, v_lo, v_hi,
-                                    target, rel_tol_target)
+    scan = scan_down([(-ce.eps_lo, point(ce.volume))], max(1.0, 2.0 * ce.eps_lo), 1e9)
+    s, achieved = solve(*scan[-2:])
     return VolumeSolve(target=target, param=(k, -s), achieved=achieved,
-                       iterations=evaluations, k_used=k)
+                       iterations=len(evaluated), k_used=k)
 
 
 def smallest_valid_k(cfg: Optional[IntegratorConfig] = None,
@@ -498,15 +502,9 @@ def smallest_valid_k(cfg: Optional[IntegratorConfig] = None,
     cfg = cfg if cfg is not None else default_config(3)
     spec = EquationSpec.for_order(3)
     detail = []
-    smallest = None
     for k in k_grid:
-        t0 = integrate(spec, _jet_m3(k, 0.0), cfg)
-        lo_ok = is_entire(t0) and lap_limit_estimate(t0) > 0.0
-        t1 = integrate(spec, _jet_m3(k, math.sqrt(6.0 * k / 5.0)), cfg)
-        hi_ok = not (is_entire(t1) and lap_limit_estimate(t1) > 0.0)
-        valid = lo_ok and hi_ok
+        lo_ok = _entire(integrate(spec, jet_m3(k, 0.0), cfg))
+        hi_ok = not _entire(integrate(spec, jet_m3(k, math.sqrt(6.0 * k / 5.0)), cfg))
         detail.append({"k": k, "eps0_entire": lo_ok,
-                       "cap_collapses": hi_ok, "valid": valid})
-        if valid and smallest is None:
-            smallest = k
-    return smallest, detail
+                       "cap_collapses": hi_ok, "valid": lo_ok and hi_ok})
+    return next((d["k"] for d in detail if d["valid"]), None), detail

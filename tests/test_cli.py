@@ -147,6 +147,20 @@ def test_critical_eps_json_and_cache(tmp_path, monkeypatch):
     assert rep2["eps_star"] == pytest.approx(rep["eps_star"])
 
 
+def test_critical_eps_honours_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "r_max": 200, "u_floor": 1e-6}))
+    out = tmp_path / "ce.json"
+    argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3", "--out", str(out)]
+    assert main(argv + ["--config", str(cfg_path)]) == 0
+    assert json.loads(out.read_text())["horizon"] == 200.0
+    # nothing sets r_max: the m=3 default horizon
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["horizon"] == 100.0
+    assert main(argv + ["--m", "2"]) == 2
+
+
 def test_prescribe_volume_json(tmp_path):
     out = tmp_path / "pv.json"
     assert main(["prescribe-volume", "--m", "2", "--lambda", "9.4",

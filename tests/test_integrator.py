@@ -288,9 +288,8 @@ def _reference_sample(dense, r):
     """One sample the way a per-sample loop evaluates it, as a reference."""
     i = min(max(int(np.searchsorted(dense.r_lefts, r, side="right")) - 1, 0),
             len(dense.hs) - 1)
-    h = dense.hs[i]
-    t = (r - dense.r_lefts[i]) / h
-    return dense.y_lefts[i] + h * (dense.qs[i] @ np.array([t, t ** 2, t ** 3, t ** 4]))
+    t = (r - dense.r_lefts[i]) / (dense.r_rights[i] - dense.r_lefts[i])
+    return dense.y_lefts[i] + dense.hs[i] * (dense.qs[i] @ np.array([t, t ** 2, t ** 3, t ** 4]))
 
 
 @pytest.mark.parametrize("ending", sorted(_ENDINGS))
@@ -308,6 +307,18 @@ def test_samples_agree_with_dense_output(u0, ending):
     assert np.all(np.abs(y - traj.dense(traj.r[beyond])) <= tol)
     loop = np.array([_reference_sample(traj.dense, r) for r in traj.r[beyond]])
     assert np.all(np.abs(y - loop) <= tol)
+
+
+@pytest.mark.parametrize("ending", ["wall_closure", "floor_crossing"])
+def test_dense_output_continuous_at_step_boundaries(u0, ending):
+    # near the m=2 wall r + h rounds; theta over the stored interval keeps
+    # each step's interpolant at its right end equal to the next left state
+    m, param, cfg_kw, _ = _ENDINGS[ending]
+    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+    dense = integrate(EquationSpec.for_order(m), jet, IntegratorConfig(**cfg_kw)).dense
+    right_ends = dense(dense.r_lefts[1:])  # step i at theta = 1
+    y_next = dense.y_lefts[1:]
+    assert np.all(np.abs(right_ends - y_next) <= 1e-13 * np.maximum(1.0, np.abs(y_next)))
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from polyshoot import (
     lambda_star,
     prescribe_volume,
     smallest_valid_k,
+    volume,
 )
-from polyshoot.shooting import EpsCache, lap_limit_estimate
+from polyshoot import shooting
+from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
+                                refine_bracket)
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +47,85 @@ def test_critical_eps_bracket(ce10):
     assert ce10.eps_star == pytest.approx(3.075176, abs=1e-4)
 
 
-def test_bisection_width_arithmetic(ce10):
-    cap = math.sqrt(12.0)
-    assert ce10.width <= cap / 2 ** (ce10.iterations - 1)
-    assert ce10.width > cap / 2 ** (ce10.iterations + 1)
+def _round_bound(width0, tol):
+    return 2 * math.ceil(math.log2(width0 / tol)) + 2
+
+
+def test_refinement_round_bound(ce10):
+    assert ce10.iterations <= _round_bound(math.sqrt(12.0), 1e-6)
+
+
+# root 0.3 of [0, 1]; each case maps x to (lo side, residual or None)
+_ROOT = 0.3
+_ANALYTIC = {
+    "linear": lambda x: (x < _ROOT, _ROOT - x),
+    "linear_lo_only": lambda x: (x < _ROOT, _ROOT - x if x < _ROOT else None),
+    "cubic_lo_only": lambda x: (x < _ROOT, _ROOT ** 3 - x ** 3 if x < _ROOT else None),
+    "classifier_only": lambda x: (x < _ROOT, None),
+    # flat at the root: false position and the secant crawl, the forced
+    # bisection keeps the worst-case bound
+    "flat_pow9": lambda x: (x < _ROOT, (_ROOT - x) ** 9),
+    "flat_exp_lo_only": lambda x: (x < _ROOT, math.exp(-1.0 / (_ROOT - x)) if x < _ROOT else None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ANALYTIC))
+@pytest.mark.parametrize("tol", [1e-3, 1e-9])
+def test_refine_bracket_analytic(case, tol):
+    f = _ANALYTIC[case]
+    points = []
+
+    def evaluate(x):
+        points.append(x)
+        return Probe(*f(x), payload=x)
+
+    b = Bracket(0.0, 1.0, evaluate(0.0), evaluate(1.0))
+    before = []
+
+    def invariants(br):
+        assert br.lo < _ROOT <= br.hi
+        assert br.at_lo.lo_side and not br.at_hi.lo_side
+        assert (br.at_lo.payload, br.at_hi.payload) == (br.lo, br.hi)
+
+    def stop(br):  # called before every round
+        invariants(br)
+        before.append((br.lo, br.hi))
+        return False
+
+    refine_bracket(evaluate, b, tol, stop=stop)
+    invariants(b)
+    assert b.width <= tol
+    assert b.rounds == len(points) - 2 == len(before)
+    # worst case: two rounds that fail to halve, then a bisection
+    assert b.rounds <= 3 * math.ceil(math.log2(1.0 / tol))
+    if not case.startswith("flat"):
+        assert b.rounds <= _round_bound(1.0, tol)
+    # every probe fell strictly inside the bracket it refined, tol/2 in
+    for (lo, hi), x in zip(before, points[2:]):
+        assert lo + 0.5 * tol * (1 - 1e-12) <= x <= hi - 0.5 * tol * (1 - 1e-12)
+    if case == "classifier_only":  # plain bisection
+        assert b.rounds == math.ceil(math.log2(1.0 / tol))
+
+
+@pytest.mark.parametrize("k, eps_bisection",
+                         [(10.0, 3.0751762), (20.0, 4.6327902), (40.0, 6.7429124)])
+def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
+    # values located by plain bisection to bracket_tol = 1e-6 at horizon 100
+    ce = ce10 if k == 10.0 else critical_eps(k, bracket_tol=1e-6)
+    assert ce.eps_star == pytest.approx(eps_bisection, abs=1e-6)
+
+
+def test_critical_eps_integration_count(monkeypatch):
+    calls = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    critical_eps(10.0, bracket_tol=1e-6)
+    assert len(calls) <= 16  # plain bisection makes 24
 
 
 def test_envelope_at_entire_end(ce10):
@@ -153,7 +232,7 @@ def test_cache_roundtrip(tmp_path):
     ce = critical_eps(10.0, cfg, bracket_tol=1e-3, cache=cache)
     assert not ce.cache_hit
     raw = json.loads((tmp_path / "critical_eps.json").read_text())
-    assert raw["schema"] == 1
+    assert raw["schema"] == EpsCache.SCHEMA
     key = EpsCache.key(10.0, cfg, 1e-3)
     assert key in raw["entries"]
     assert raw["entries"][key]["eps_star"] == pytest.approx(ce.eps_star)
@@ -164,6 +243,29 @@ def test_cache_roundtrip(tmp_path):
     # different tolerance is a different key
     key_other = EpsCache.key(10.0, cfg, 1e-4)
     assert cache.get(key_other) is None
+
+
+def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
+    cache = EpsCache(tmp_path)
+    ce = critical_eps(10.0, bracket_tol=1e-3, cache=cache)
+    v = volume(spec3, ce.traj_lo)
+    assert (ce.volume, ce.volume_err) == (v.total, v.err_estimate)
+    calls = []
+    monkeypatch.setattr(shooting, "integrate", lambda *a, **kw: calls.append(a))
+    hit = critical_eps(10.0, bracket_tol=1e-3, cache=cache)
+    assert hit.cache_hit and not calls
+    assert (hit.volume, hit.volume_err) == (ce.volume, ce.volume_err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("abs_tol", 1e-11), ("u_floor", 1e-7), ("launch_radius", 5e-4),
+    ("dense_output_stride", 5e-3), ("max_steps", 100_000)])
+def test_cache_key_covers_whole_config(tmp_path, field, value):
+    cache = EpsCache(tmp_path)
+    cfg = default_config(3)
+    cache.put(EpsCache.key(10.0, cfg, 1e-6), {"eps_star": 3.0})
+    assert cache.get(EpsCache.key(10, cfg, 1e-6)) is not None
+    assert cache.get(EpsCache.key(10.0, replace(cfg, **{field: value}), 1e-6)) is None
 
 
 def test_cache_ignores_bad_schema(tmp_path):
