@@ -28,8 +28,8 @@ from . import oracle
 from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, fit_growth, integrate
-from .shooting import (EpsCache, critical_eps, critical_eps_residual, jet_m2,
-                       jet_m3, prescribe_volume)
+from .shooting import (EpsCache, critical_eps, critical_eps_residual,
+                       default_config, jet_m2, jet_m3, prescribe_volume)
 from .volume import volume
 
 SCHEMA = 1
@@ -46,32 +46,32 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Everything a command needs; mirrors the JSON config schema 1:1."""
+    """Everything a command needs; mirrors the JSON config schema 1:1.
+
+    The integrator fields and their defaults are IntegratorConfig's; an
+    unset r_max takes the per-order horizon of shooting.default_config.
+    """
 
     m: int = 2
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    rel_tol: float = IntegratorConfig.rel_tol
+    abs_tol: float = IntegratorConfig.abs_tol
     r_max: float = None
-    max_steps: int = 200_000
-    u_floor: float = 1e-8
-    launch_radius: float = 1e-3
-    dense_output_stride: float = 1e-2
-    precision: str = "double"
+    max_steps: int = IntegratorConfig.max_steps
+    u_floor: float = IntegratorConfig.u_floor
+    launch_radius: float = IntegratorConfig.launch_radius
+    dense_output_stride: float = IntegratorConfig.dense_output_stride
+    precision: str = IntegratorConfig.precision
     cache_dir: str = None
 
     def __post_init__(self):
         if self.m not in (2, 3):
             raise UsageError(f"--m must be 2 or 3, got {self.m}")
         if self.r_max is None:
-            self.r_max = 1e3 if self.m == 2 else 1e2
+            self.r_max = default_config(self.m).r_max
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            rel_tol=self.rel_tol, abs_tol=self.abs_tol, r_max=self.r_max,
-            max_steps=self.max_steps, u_floor=self.u_floor,
-            launch_radius=self.launch_radius,
-            dense_output_stride=self.dense_output_stride,
-            precision=self.precision)
+        return IntegratorConfig(**{f.name: getattr(self, f.name)
+                                   for f in fields(IntegratorConfig)})
 
     def cache(self):
         return EpsCache(self.cache_dir) if self.cache_dir else None

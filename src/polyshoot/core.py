@@ -217,23 +217,30 @@ class Trajectory:
             raise ValueError("u must stay positive unless collapsed")
 
 
-def _rhs_raw(p, r, y, out=None):
-    """Derivative of the first-order radial state; fast path without checks.
+def _radial_rhs(p, r, y) -> list:
+    """Derivative of the first-order radial state, on scalars, at r > 0.
 
-    Returns a NaN vector when u <= 0 so adaptive steppers reject the step.
-    Writes into ``out`` (same shape and dtype as y) when given.
+    y holds the 2m slots as scalars of one floating type (Python floats,
+    or np.longdouble for extended precision) and the result is a list of
+    that type.  The state has at most six slots, so per-call NumPy
+    dispatch would cost more than the arithmetic; the step loop and rhs()
+    both use this form.  No checks: when u <= 0 every slot is NaN, and when
+    u^p overflows (a binary64 Python float raises where NumPy gives inf)
+    the top slot is -inf, so an adaptive stepper rejects the step.
     """
-    dy = np.empty_like(y) if out is None else out
     u = y[0]
     if not u > 0:
-        dy.fill(np.nan)
-        return dy
-    two_over_r = 2.0 / r
-    dy[0::2] = y[1::2]
-    dy[1::2] = -two_over_r * y[1::2]
-    dy[1:-1:2] += y[2::2]
-    dy[-1] += -(u ** p)
-    return dy
+        return [math.nan] * len(y)
+    try:
+        top = u ** p
+    except OverflowError:
+        top = math.inf
+    t = 2.0 / r
+    if len(y) == 4:
+        u, u1, v, v1 = y
+        return [u1, -t * u1 + v, v1, -t * v1 - top]
+    u, u1, v, v1, w, w1 = y
+    return [u1, -t * u1 + v, v1, -t * v1 + w, w1, -t * w1 - top]
 
 
 def rhs(spec: EquationSpec, state: RadialState) -> np.ndarray:
@@ -252,7 +259,7 @@ def rhs(spec: EquationSpec, state: RadialState) -> np.ndarray:
     y = np.asarray(state.y, dtype=float)
     if y.shape[0] != spec.n_state:
         raise ValueError(f"state has {y.shape[0]} slots, spec needs {spec.n_state}")
-    return _rhs_raw(spec.rhs_exponent, state.r, y)
+    return np.array(_radial_rhs(spec.rhs_exponent, float(state.r), y.tolist()))
 
 
 def taylor_coefficients(spec: EquationSpec, jet: Jet, dtype=np.float64) -> np.ndarray:

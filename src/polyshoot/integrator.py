@@ -8,12 +8,22 @@ the tail densely enough sampled for growth fitting, and the same tableau
 is instantiated in float64 or 80-bit long double depending on the
 configured precision.
 
+Each step runs on Python scalars of that precision (floats for binary64,
+np.longdouble scalars for extended), one code path for both.  The state
+has only 2m <= 6 slots, so the dispatch of a NumPy call per stage
+operation would cost more than its arithmetic.  Every stage sum runs in
+tableau order, so the step sequence no longer depends on how a BLAS
+library orders a small matrix-vector product.  Arrays are built only for
+what leaves the loop: each accepted step's left state and dense
+coefficients, the sample fill and the event bisection.
+
 The uniform sample grid is filled as steps are accepted: each step
-evaluates all grid points in (r, r_new] (or up to the floor crossing) in one
-array operation, with theta mapped over that stored interval.  One evaluator, ``_quartic``, serves that fill, the event
-bisection and ``DenseSolution`` (which also gives a collapse its last
-sample), so samples and dense output agree; the fill never feeds back into
-the step sequence, which is therefore independent of the sample stride.
+evaluates all grid points in (r, r_new] (or up to the floor crossing) in
+one array operation, with theta mapped over that stored interval.  One
+evaluator, ``_quartic``, serves that fill, the event bisection and
+``DenseSolution`` (which also gives a collapse its last sample), so
+samples and dense output agree; the fill never feeds back into the step
+sequence, which is therefore independent of the sample stride.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .core import (
     Inconclusive,
     Jet,
     Trajectory,
-    _rhs_raw,
+    _radial_rhs,
     _taylor_state,
     taylor_coefficients,
     taylor_launch,
@@ -237,6 +247,57 @@ def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+def _step_tableau(dtype):
+    """Nodes c2..c6, rows a2..a7 and weights e1..e7 of the tableau as scalars
+    of dtype's precision (ndarray.tolist keeps np.longdouble), plus that
+    precision's square root: what one _dp5_step reads."""
+    A, _, C, E, _ = _tableau(dtype)
+    rows = tuple(row[:i] for i, row in enumerate(A.tolist()))[1:]
+    sqrt = math.sqrt if dtype is np.float64 else np.sqrt
+    return tuple(C.tolist()[1:6]), rows, tuple(E.tolist()), sqrt
+
+
+def _dp5_step(tab, p, r, y, k1, h, atol, rtol):
+    """One Dormand-Prince 5(4) step of size h from (r, y), on scalars.
+
+    k1 is the derivative at (r, y).  Returns (ys, ks, err, err_norm): ys are
+    the states the stages 2..7 are evaluated at (ys[-1] is the 5th-order
+    solution at r + h), ks the seven stage derivatives (ks[-1] serves as the
+    next k1), err = h E.K the embedded error estimate and err_norm its RMS
+    against the safety-scaled tolerance: NaN or inf when a stage state left
+    u > 0 or overflowed, so the caller rejects the step.  Every sum runs in
+    tableau order, as y + h (A[i, :i] @ K[:i]) reads.
+    """
+    ((c2, c3, c4, c5, c6),
+     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+      (a61, a62, a63, a64, a65), (b1, b2, b3, b4, b5, b6)),
+     (e1, e2, e3, e4, e5, e6, e7), sqrt) = tab
+    y2 = [yj + h * (a21 * x1) for yj, x1 in zip(y, k1)]
+    k2 = _radial_rhs(p, r + c2 * h, y2)
+    y3 = [yj + h * (a31 * x1 + a32 * x2) for yj, x1, x2 in zip(y, k1, k2)]
+    k3 = _radial_rhs(p, r + c3 * h, y3)
+    y4 = [yj + h * (a41 * x1 + a42 * x2 + a43 * x3)
+          for yj, x1, x2, x3 in zip(y, k1, k2, k3)]
+    k4 = _radial_rhs(p, r + c4 * h, y4)
+    y5 = [yj + h * (a51 * x1 + a52 * x2 + a53 * x3 + a54 * x4)
+          for yj, x1, x2, x3, x4 in zip(y, k1, k2, k3, k4)]
+    k5 = _radial_rhs(p, r + c5 * h, y5)
+    y6 = [yj + h * (a61 * x1 + a62 * x2 + a63 * x3 + a64 * x4 + a65 * x5)
+          for yj, x1, x2, x3, x4, x5 in zip(y, k1, k2, k3, k4, k5)]
+    k6 = _radial_rhs(p, r + c6 * h, y6)
+    y7 = [yj + h * (b1 * x1 + b2 * x2 + b3 * x3 + b4 * x4 + b5 * x5 + b6 * x6)
+          for yj, x1, x2, x3, x4, x5, x6 in zip(y, k1, k2, k3, k4, k5, k6)]
+    k7 = _radial_rhs(p, r + h, y7)
+    err = [h * (e1 * x1 + e2 * x2 + e3 * x3 + e4 * x4 + e5 * x5 + e6 * x6 + e7 * x7)
+           for x1, x2, x3, x4, x5, x6, x7 in zip(k1, k2, k3, k4, k5, k6, k7)]
+    err_sq = 0.0
+    for ej, yj, zj in zip(err, y, y7):
+        ej = ej / (_GLOBAL_SAFETY * (atol + rtol * max(abs(yj), abs(zj))))
+        err_sq += ej * ej
+    return ((y2, y3, y4, y5, y6, y7), (k1, k2, k3, k4, k5, k6, k7), err,
+            float(sqrt(err_sq / len(y))))
+
+
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the radial system from the origin jet out to the horizon.
 
@@ -247,11 +308,18 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     size underflows or the growth-fit window [r_end/4, r_end] holds < 2
     samples.  Sign changes of every intermediate Laplacian slot are
     recorded as events; they never terminate the integration.
+
+    Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
+    NumPy's per-call dispatch dominates at that size; its sums run in
+    tableau order, so the steps taken do not depend on the BLAS library.
     """
     dtype = cfg.dtype
+    num = float if dtype is np.float64 else dtype  # scalar type of the step
     p = spec.rhs_exponent
     n = spec.n_state
-    A, B, C, E, P = _tableau(dtype)
+    tab = _step_tableau(dtype)
+    P = _tableau(dtype)[4]
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
 
     coeffs = taylor_coefficients(spec, jet, dtype=dtype)
     # The configured launch radius is an upper bound: jets with small u(0)
@@ -268,9 +336,9 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     if launch is None:
         raise LaunchRadiusTooLarge(
             f"no workable launch radius below {cfg.launch_radius} for jet {jet}")
-    r = dtype(r_launch)
-    y = np.asarray(launch.y, dtype=dtype)
-    r_max = dtype(cfg.r_max)
+    r = num(r_launch)
+    y = np.asarray(launch.y, dtype=dtype).tolist()
+    r_max = num(cfg.r_max)
 
     # Uniform sampling grid; the final horizon point is appended if the
     # stride does not land on it exactly.
@@ -289,15 +357,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
     r_lefts, r_rights, hs, y_lefts, qs = [], [], [], [], []
     events = []
-    K = np.empty((7, n), dtype=dtype)
-    _rhs_raw(p, r, y, out=K[0])
-    # (node, row of A, stages it reads, stage it writes) for stages 1..5
-    stages = [(C[i], A[i, :i], K[:i], K[i]) for i in range(1, 6)]
-    B6, K6 = B[:6], K[:6]
+    k1 = _radial_rhs(p, r, y)
     nfev = 1
     naccept = nreject = 0
-    err_accum = np.zeros(n, dtype=np.float64)
-    h = dtype(min(r_launch, _step_cap(r)))
+    err_accum = [0.0] * n
+    h = num(min(r_launch, _step_cap(r)))
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     verdict = None
 
@@ -308,7 +372,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         if naccept + nreject >= cfg.max_steps:
             verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
             break
-        h = min(h, r_max - r, dtype(_step_cap(r)))
+        h = min(h, r_max - r, num(_step_cap(r)))
         if h < tiny_h_factor * max(float(r), 1.0):
             # Step-size stall: inside the collapse wall this is the expected
             # endgame for m=2 (the floor crossing sits below the resolution
@@ -327,36 +391,29 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                     reason=f"step size underflow at r={float(r):.6g}")
             break
 
-        for c_i, a_i, k_in, k_out in stages:
-            _rhs_raw(p, r + c_i * h, y + h * (a_i @ k_in), out=k_out)
-        y_new = y + h * (B6 @ K6)
-        _rhs_raw(p, r + h, y_new, out=K[6])
+        ys, ks, err, err_norm = _dp5_step(tab, p, r, y, k1, h, atol, rtol)
         nfev += 6
-        err = h * (E @ K)
-        scale = _GLOBAL_SAFETY * (
-            cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new)))
-        with np.errstate(invalid="ignore"):
-            z = err / scale
-            err_norm = float(np.sqrt(np.add.reduce(z * z) / n))
         if not math.isfinite(err_norm):
-            h = h * dtype(0.5)
+            h = h * num(0.5)
             nreject += 1
             continue
         if err_norm > 1.0:
-            h = h * dtype(min(0.9, max(0.2, 0.9 * err_norm ** -0.2)))
+            h = h * num(min(0.9, max(0.2, 0.9 * err_norm ** -0.2)))
             nreject += 1
             continue
 
-        # accepted
+        # accepted: only what leaves the loop becomes an array
         naccept += 1
-        err_accum += np.abs(err.astype(np.float64))
-        q = K.T @ P  # (n, 4) dense coefficients for this step
+        err_accum = [a + abs(float(ej)) for a, ej in zip(err_accum, err)]
+        y_new = ys[-1]
+        y_left = np.array(y, dtype=dtype)
+        q = np.array(ks, dtype=dtype).T @ P  # (n, 4) dense coefficients
         r_new = r + h
         width = r_new - r  # theta runs over the stored interval, not h
         r_lefts.append(r)
         r_rights.append(r_new)
         hs.append(h)
-        y_lefts.append(y)
+        y_lefts.append(y_left)
         qs.append(q)
 
         # --- events inside (r, r_new] ---
@@ -364,26 +421,26 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         terminal_theta = None
         if float(y_new[0]) < cfg.u_floor:
             terminal_theta = _bisect_theta(
-                lambda t: float(_quartic(y, h, q, t)[0]) - cfg.u_floor,
+                lambda t: float(_quartic(y_left, h, q, t)[0]) - cfg.u_floor,
                 0.0, 1.0, theta_tol)
         for j in range(1, spec.m):
             s0, s1 = float(y[2 * j]), float(y_new[2 * j])
             if s0 * s1 < 0.0:
                 tc = _bisect_theta(
-                    lambda t, jj=2 * j: float(_quartic(y, h, q, t)[jj]),
+                    lambda t, jj=2 * j: float(_quartic(y_left, h, q, t)[jj]),
                     0.0, 1.0, theta_tol)
-                r_ev = float(r + width * dtype(tc))
+                r_ev = float(r + width * num(tc))
                 if terminal_theta is None or tc <= terminal_theta:
                     events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                         level=j, direction=-1 if s1 < s0 else 1))
 
         # --- samples inside (r, r_fill_to], one array operation ---
         r_fill_to = float(r_new) if terminal_theta is None \
-            else float(r + width * dtype(terminal_theta))
+            else float(r + width * num(terminal_theta))
         if next_sample < grid.shape[0] and grid[next_sample] <= r_fill_to:
             stop = int(np.searchsorted(grid, r_fill_to, side="right"))
             theta = (grid[next_sample:stop].astype(dtype) - r) / width
-            samples[next_sample:stop] = _quartic(y, h, q, theta)
+            samples[next_sample:stop] = _quartic(y_left, h, q, theta)
             next_sample = stop
 
         if terminal_theta is not None:
@@ -392,13 +449,13 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             verdict = Collapsed(r_star=r)
             break
 
-        r, y = r_new, y_new
-        K[0] = K[6]  # FSAL
-        h = h * dtype(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
+        r, y, k1 = r_new, y_new, ks[-1]  # FSAL
+        h = h * num(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
     # --- assemble the trajectory from the filled rows only ---
-    dense = DenseSolution(np.array(r_lefts), np.array(r_rights), np.array(hs),
-                          np.array(y_lefts), np.array(qs)) if r_lefts else None
+    dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
+                          np.array(hs, dtype=dtype), np.array(y_lefts),
+                          np.array(qs)) if r_lefts else None
     r_arr, y_arr = grid[:next_sample], samples[:next_sample]
     if isinstance(verdict, Collapsed):
         # end on the deepest radius reached (r* after a floor crossing, the
@@ -428,7 +485,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "naccept": naccept,
         "nreject": nreject,
         "nfev": nfev,
-        "err_accum": err_accum,
+        "err_accum": np.array(err_accum),
         "launch_radius": r_launch,
         "precision": cfg.precision,
     }

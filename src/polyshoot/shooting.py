@@ -168,12 +168,13 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
 
 class EpsCache:
     """JSON map from (k, integrator config, bracket_tol) to a critical bracket
-    and its entire-side volume.  Writes hold an exclusive ``flock`` on
-    ``critical_eps.json.lock`` and go through a temp file and a rename, so
-    parallel table builders neither corrupt it nor lose entries."""
+    and its entire-side volume and residual.  Writes hold an exclusive
+    ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
+    rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 2
-    FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err")
+    SCHEMA = 3
+    FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
+              "delta2_at_horizon", "partial_integral")
 
     def __init__(self, directory):
         self.path = Path(directory) / "critical_eps.json"
@@ -217,8 +218,9 @@ class EpsCache:
 @dataclass
 class CriticalEps:
     """Refined bracket [eps_lo, eps_hi] for the critical second datum at fixed
-    k, with the volume (and its error estimate) of the entire end eps_lo; a
-    cache hit reads these from the entry and carries no trajectories."""
+    k, with the volume (and its error estimate) and the critical-balance
+    residual (see EpsResidual) of the entire end eps_lo; a cache hit reads
+    these from the entry and carries no trajectories."""
 
     k: float
     eps_lo: float
@@ -231,6 +233,8 @@ class CriticalEps:
     precision: str
     volume: float
     volume_err: float
+    delta2_at_horizon: float
+    partial_integral: float
     cache_hit: bool = False
     traj_lo: Optional[Trajectory] = field(default=None, repr=False)
     traj_hi: Optional[Trajectory] = field(default=None, repr=False)
@@ -300,10 +304,12 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
         refine_bracket(evaluate, b, bracket_tol)
 
     v_lo = volume(spec, b.at_lo.payload)
+    delta2, partial = _critical_balance(b.at_lo.payload)
     result = CriticalEps(
         k=k, eps_lo=b.lo, eps_hi=b.hi, eps_star=0.5 * (b.lo + b.hi), width=b.width,
         horizon_used=cfg.r_max, iterations=b.rounds, bracket_tol=bracket_tol,
         precision=cfg.precision, volume=v_lo.total, volume_err=v_lo.err_estimate,
+        delta2_at_horizon=delta2, partial_integral=partial,
         traj_lo=b.at_lo.payload, traj_hi=b.at_hi.payload)
     if cache is not None:
         cache.put(key, {name: getattr(result, name) for name in EpsCache.FIELDS})
@@ -326,22 +332,31 @@ class EpsResidual:
     horizon: float
 
 
-def critical_eps_residual(ce: CriticalEps,
-                          cfg: Optional[IntegratorConfig] = None) -> EpsResidual:
-    """Evaluate the critical-balance residual at the entire bracket end."""
-    cfg = cfg if cfg is not None else default_config(3)
-    spec = EquationSpec.for_order(3)
-    traj = ce.traj_lo
-    if traj is None or traj.r_end < cfg.r_max:
-        traj = integrate(spec, jet_m3(ce.k, ce.eps_lo), cfg)
+def _critical_balance(traj: Trajectory) -> tuple:
+    """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory."""
     r, u = traj.r, traj.u
     inner = cumulative_simpson(r * r * u ** -3.0, x=r, initial=0.0)
     q = np.zeros_like(inner)
     q[1:] = inner[1:] / r[1:] ** 2
-    partial = float(cumulative_simpson(q, x=r, initial=0.0)[-1])
-    return EpsResidual(delta2_at_horizon=float(traj.y[-1, 4]),
-                       partial_integral=partial, eps_used=ce.eps_lo,
-                       horizon=float(traj.r_end))
+    return float(traj.y[-1, 4]), float(cumulative_simpson(q, x=r, initial=0.0)[-1])
+
+
+def critical_eps_residual(ce: CriticalEps,
+                          cfg: Optional[IntegratorConfig] = None) -> EpsResidual:
+    """Critical-balance residual at the entire bracket end.
+
+    Read from ce (computed by the solve, or stored in its cache entry) when
+    cfg's horizon is within the solve's; a longer horizon re-integrates the
+    entire end there.
+    """
+    cfg = cfg if cfg is not None else default_config(3)
+    if cfg.r_max <= ce.horizon_used:
+        delta2, partial, horizon = ce.delta2_at_horizon, ce.partial_integral, ce.horizon_used
+    else:
+        traj = integrate(EquationSpec.for_order(3), jet_m3(ce.k, ce.eps_lo), cfg)
+        (delta2, partial), horizon = _critical_balance(traj), traj.r_end
+    return EpsResidual(delta2_at_horizon=delta2, partial_integral=partial,
+                       eps_used=ce.eps_lo, horizon=float(horizon))
 
 
 def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from polyshoot import shooting
 from polyshoot.cli import main, parse_range, UsageError
 
 
@@ -145,6 +146,30 @@ def test_critical_eps_json_and_cache(tmp_path, monkeypatch):
     rep2 = json.loads(out.read_text())
     assert rep2["cache_hit"] is True
     assert rep2["eps_star"] == pytest.approx(rep["eps_star"])
+
+
+def test_critical_eps_cache_hit_integrates_nothing(tmp_path, monkeypatch):
+    calls = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3",
+            "--cache-dir", str(tmp_path / "cache")]
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    assert main(argv + ["--out", str(cold)]) == 0
+    assert calls
+    calls.clear()
+    assert main(argv + ["--out", str(warm)]) == 0
+    assert calls == []
+    rep_cold, rep_warm = json.loads(cold.read_text()), json.loads(warm.read_text())
+    assert (rep_cold.pop("cache_hit"), rep_warm.pop("cache_hit")) == (False, True)
+    # iterations counts the refinement rounds of this run: none on a hit
+    assert rep_cold.pop("iterations") > 0 and rep_warm.pop("iterations") == 0
+    assert rep_warm == rep_cold
 
 
 def test_critical_eps_honours_config_file(tmp_path, monkeypatch):

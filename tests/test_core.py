@@ -24,7 +24,7 @@ from polyshoot import (
     taylor_launch,
 )
 import polyshoot
-from polyshoot.core import taylor_coefficients, _taylor_state
+from polyshoot.core import _radial_rhs, taylor_coefficients, _taylor_state
 
 
 def test_spec_exponents():
@@ -76,6 +76,24 @@ def test_rhs_preconditions(spec3):
     with pytest.raises(OriginSingularity):
         rhs(spec3, RadialState(r=0.0, y=y))
 
+
+
+def test_rhs_overflow_is_non_finite(spec2):
+    # 1e-50 ** -7 overflows binary64: a Python float raises OverflowError
+    # there, the RHS must give a non-finite slot so the step is rejected
+    y = np.array([1e-50, 0.0, 1.0, 0.0])
+    dy = rhs(spec2, RadialState(r=1.0, y=y))
+    assert not np.all(np.isfinite(dy))
+    assert dy[-1] == -np.inf
+    assert np.all(np.isfinite(dy[:-1]))
+
+
+@pytest.mark.parametrize("u", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("n", [4, 6])
+def test_rhs_without_positive_u_is_nan(u, n):
+    # the step loop's RHS does not raise: every slot is NaN instead
+    y = [u] + [0.5] * (n - 1)
+    assert all(math.isnan(v) for v in _radial_rhs(-7 if n == 4 else -3, 1.0, y))
 
 def test_taylor_series_m3_matches_stated_polynomial(spec3):
     # u-series k - eps r^2/6 + r^4/120 - k^-3 r^6/5040 plus O(r^8) transport

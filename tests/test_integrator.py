@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from polyshoot import (
     ode_residual_max,
 )
 from polyshoot.core import Trajectory
-from polyshoot.integrator import _tableau
+from polyshoot.integrator import _dp5_step, _step_tableau, _tableau
 
 from conftest import common_grid
 
@@ -345,3 +347,123 @@ def test_too_short_horizon_is_inconclusive(spec2, u0):
     traj = integrate(spec2, u0.jet(), IntegratorConfig(r_max=0.005))
     assert isinstance(traj.verdict, Inconclusive)
     assert "growth-fit window" in traj.verdict.reason
+
+
+# --- the scalar step against the NumPy matrix form of one DP5 step ---------
+
+def _reference_rhs(p, r, y):
+    """Radial-state derivative in NumPy array form, as a reference."""
+    dy = np.empty_like(y)
+    if not y[0] > 0:
+        dy.fill(np.nan)
+        return dy
+    dy[0::2] = y[1::2]
+    dy[1::2] = -(2.0 / r) * y[1::2]
+    dy[1:-1:2] += y[2::2]
+    dy[-1] -= y[0] ** p
+    return dy
+
+
+def _rhs_magnitude(p, r, y):
+    """Per-slot sum of the magnitudes of the RHS terms, to scale a tolerance."""
+    a = np.abs(y)
+    mag = np.empty_like(a)
+    mag[0::2] = a[1::2]
+    mag[1::2] = (2.0 / r) * a[1::2]
+    mag[1:-1:2] += a[2::2]
+    mag[-1] += a[0] ** p
+    return mag
+
+
+def _agree(x, ref, tol):
+    """|x - ref| <= tol per slot, where a NaN in the reference must be a NaN in x."""
+    x = np.asarray(x, dtype=ref.dtype)
+    return bool(np.all((np.abs(x - ref) <= tol) | (np.isnan(x) & np.isnan(ref))))
+
+
+def _check_step_against_reference(dtype, p, r, y, h):
+    """Run _dp5_step and check every stage relation in matrix form: stage
+    state y + h (A[i, :i] @ K[:i]), stage derivative, y_new and err = h E.K,
+    each within 32 eps of the magnitudes summed in that slot.  Returns the
+    step's err_norm."""
+    A, B, C, E, _ = _tableau(dtype)
+    eps = np.finfo(dtype).eps
+    r, h, y = dtype(r), dtype(h), np.asarray(y, dtype=dtype)
+    k1 = _reference_rhs(p, r, y)
+    atol, rtol = 1e-10, 1e-8
+    ys, ks, err, err_norm = _dp5_step(_step_tableau(dtype), p, r, y.tolist(),
+                                      k1.tolist(), h, atol, rtol)
+    K = np.array(ks, dtype=dtype)
+    assert np.array_equal(K[0], k1, equal_nan=True)
+    for i in range(1, 7):
+        y_i = np.array(ys[i - 1], dtype=dtype)
+        a_i = B[:6] if i == 6 else A[i, :i]
+        ref = y + h * (a_i @ K[:i])
+        tol = 32 * eps * (np.abs(y) + h * (np.abs(a_i[:, None] * K[:i])).sum(axis=0))
+        assert _agree(y_i, ref, tol), i
+        k_ref = _reference_rhs(p, r + C[i] * h, y_i)
+        tol = 32 * eps * _rhs_magnitude(p, r + C[i] * h, y_i)
+        assert _agree(K[i], k_ref, tol), i
+    err_ref = h * (E @ K)
+    err_tol = 32 * eps * h * (np.abs(E[:, None] * K)).sum(axis=0)
+    assert _agree(err, err_ref, err_tol)
+    y_new = np.array(ys[-1], dtype=dtype)
+    scale = 0.05 * (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+    norm_ref = np.sqrt(np.mean((err_ref / scale) ** 2))
+    slack = np.sqrt(np.mean((err_tol / scale) ** 2)) + 32 * eps * norm_ref
+    assert abs(err_norm - norm_ref) <= slack or (math.isnan(err_norm) and np.isnan(norm_ref))
+    return err_norm
+
+
+_STEP_CASES = {
+    "m2_wall": (2, -0.2, 30.0),        # m=2 collapse: huge slots near the wall
+    "m3_floor": (3, (10.0, -6.0, 1.0), 30.0),
+    "m3_entire": (3, (10.0, -1.0, 1.0), 100.0),
+}
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("case", sorted(_STEP_CASES))
+def test_scalar_step_matches_matrix_form(u0, case, precision):
+    m, param, r_max = _STEP_CASES[case]
+    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+    spec = EquationSpec.for_order(m)
+    cfg = IntegratorConfig(r_max=r_max, precision=precision)
+    dense = integrate(spec, jet, cfg).dense
+    assert dense.y_lefts.dtype == cfg.dtype
+    n_steps = len(dense.hs)
+    for i in sorted({0, n_steps // 2, n_steps - 2, n_steps - 1}):
+        err_norm = _check_step_against_reference(
+            cfg.dtype, spec.rhs_exponent, dense.r_lefts[i], dense.y_lefts[i], dense.hs[i])
+        assert err_norm <= 1.0  # an accepted step of the trajectory
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_scalar_step_rejects_a_stage_without_positive_u(dtype):
+    # stage 2 sits at u = 1e-3 + 0.1 * 0.2 * (-1) < 0
+    err_norm = _check_step_against_reference(dtype, -7, 1.0, [1e-3, -1.0, 0.5, 0.0], 0.1)
+    assert math.isnan(err_norm)
+
+
+def test_step_counts_pinned(u0, traj_u0_1000):
+    # the scalar step takes the same steps as the NumPy stage loop it replaced
+    spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
+    ext = IntegratorConfig(r_max=100.0, precision="extended")
+    runs = {
+        "m2 rho=0": (traj_u0_1000, (359, 1, 2161)),
+        "m2 rho=-0.2": (integrate(spec2, _m2_jet(u0, -0.2), IntegratorConfig(r_max=1e3)),
+                        (1006, 3, 6055)),
+        "m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)),
+                                   IntegratorConfig(r_max=100.0)), (597, 1, 3589)),
+        "extended m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)), ext),
+                                  (597, 1, 3589)),
+        "extended m2 rho=-0.2": (
+            integrate(spec2, _m2_jet(u0, -0.2),
+                      IntegratorConfig(r_max=1e3, precision="extended")), (1286, 3, 7735)),
+    }
+    for name, (traj, counts) in runs.items():
+        assert tuple(traj.stats[k] for k in ("naccept", "nreject", "nfev")) == counts, name
+        if name.startswith("extended"):
+            d = traj.dense
+            for arr in (d.r_lefts, d.r_rights, d.hs, d.y_lefts, d.qs):
+                assert arr.dtype == np.longdouble, name
