@@ -124,6 +124,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# Rows of a CSV table turned into Python floats at a time: all 100k rows of
+# a shoot at once would hold 500k float objects next to the lines (+26 MB).
+_CSV_BLOCK = 4096
+
+
+def _csv_rows(table) -> list:
+    """One CSV line per row of a float table, each field as _fmt writes it.
+
+    _fmt writes repr of the Python float, and "nan" can only be a whole
+    field, so deleting it leaves NaN as an empty field.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    return [",".join(map(repr, row)).replace("nan", "")
+            for start in range(0, len(table), _CSV_BLOCK)
+            for row in table[start:start + _CSV_BLOCK].tolist()]
+
+
 def write_text(path, text: str):
     """Atomic write when a path is given, stdout otherwise."""
     if path is None or path == "-":
@@ -253,8 +270,7 @@ def cmd_shoot(args) -> int:
         cols += ["lap2_u", "lap2_u1"]
     lines = _csv_header("shoot", rc, (f"# jet: {list(jet.lap_values)}",))
     lines.append(",".join(cols))
-    for i in range(len(traj)):
-        lines.append(",".join(_fmt(v) for v in (traj.r[i], *traj.y[i])))
+    lines += _csv_rows(np.column_stack((traj.r, traj.y)))
     verdict = traj.verdict
     if isinstance(verdict, Collapsed):
         footer = f"# verdict,Collapsed,r_star,{_fmt(verdict.r_star)}"

@@ -24,6 +24,17 @@ evaluator, ``_quartic``, serves that fill, the event bisection and
 ``DenseSolution`` (which also gives a collapse its last sample), so
 samples and dense output agree; the fill never feeds back into the step
 sequence, which is therefore independent of the sample stride.
+
+A collapse is closed on the wall asymptote as soon as that is accurate.
+Inside the wall the controller takes steps of a fixed fraction of the
+remaining distance s (about 85 per decade of s for m=2), so stepping all
+the way to the floor would cost most of a collapsing trajectory's steps.
+After each accepted step with u' < 0, ``_wall_distance`` gives two
+independent estimates of s; once they agree to abs_tol on three
+consecutive accepted steps, and no Laplacian slot can reach zero within s,
+the trajectory ends at that step with r* = r + s, which is then accurate
+to about abs_tol.  A step-size stall before that closes with the same
+estimates; a floor crossing reached first is bisected on the dense output.
 """
 
 from __future__ import annotations
@@ -222,10 +233,60 @@ _GLOBAL_SAFETY = 0.05
 # Collapse-wall exponents: near a finite-radius collapse the solution obeys
 # u ~ c (R - r)^(1/2) for m=2 (with c = (16/15)^(1/8), from balancing
 # Lap^2 s^(1/2) = -(15/16) s^(-7/2) against -u^(-7)) and u ~ c (R - r) for
-# m=3 (soft wall, slope selected by the trajectory).  The m=2 wall steepens
-# faster than binary64 can resolve, so the remaining distance at a step-size
-# stall is closed with the asymptotic law instead of event bisection.
+# m=3 (soft wall, slope selected by the trajectory).  The remaining distance
+# is closed with these laws (see _wall_distance) once two estimates agree to
+# abs_tol on consecutive steps, or at a step-size stall (the m=2 wall
+# steepens faster than binary64 can resolve), instead of stepping to the
+# floor; r* is then accurate to about abs_tol.
 _WALL_COEF_M2 = (16.0 / 15.0) ** 0.125
+
+
+# Accepted steps in a row on which the two wall estimates must agree to
+# abs_tol before a collapse is closed: their difference changes sign on the
+# way into the wall, so a single step can agree by chance.
+_WALL_AGREE_STEPS = 3
+
+
+def _wall_distance(m, r, y, u_floor):
+    """Remaining distance s to the collapse from state (r, y), or None.
+
+    Two independent estimates of the distance to the floor crossing: for
+    m=2 the wall law (u/c)^2 and the log-derivative -u/(2u'), each less
+    the wall-law depth (u_floor/c)^2 of the floor; for m=3 the quadratic
+    crossing (with u'' = Lap u - 2u'/r from the state) and the linear one
+    (u - u_floor)/(-u').  Returns (s, |difference|), s the first estimate,
+    or None when u' >= 0, the quadratic does not reach the floor, or some
+    Laplacian slot could reach zero within s (it moves toward zero and
+    |y_2j| <= 2 s |y_2j+1|), since that sign change would go unrecorded.
+    """
+    u, u1 = float(y[0]), float(y[1])
+    if not u1 < 0.0:
+        return None
+    if m == 2:
+        depth = (u_floor / _WALL_COEF_M2) ** 2
+        s = (u / _WALL_COEF_M2) ** 2 - depth
+        other = -u / (2.0 * u1) - depth
+    else:
+        d = u - u_floor
+        curv = float(y[2]) - 2.0 * u1 / float(r)
+        disc = u1 * u1 - 2.0 * curv * d
+        if not disc >= 0.0:
+            return None
+        s = 2.0 * d / (math.sqrt(disc) - u1)
+        other = d / -u1
+    for j in range(2, 2 * m, 2):
+        lap, lap1 = float(y[j]), float(y[j + 1])
+        if not (lap * lap1 > 0.0 or abs(lap) > 2.0 * s * abs(lap1)):
+            return None
+    return s, abs(s - other)
+
+
+def _close_on_wall(r, wall, events):
+    """Collapsed(r + s) and its closure record for the last accepted r."""
+    s, gap = wall
+    r_star = float(r) + s
+    events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
+    return Collapsed(r_star=r_star), {"kind": "wall", "s": s, "disagreement": gap}
 
 
 def _step_cap(r):
@@ -301,13 +362,21 @@ def _dp5_step(tab, p, r, y, k1, h, atol, rtol):
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the radial system from the origin jet out to the horizon.
 
-    Returns a Trajectory whose verdict is Collapsed(r*) when u crosses the
-    configured floor (r* bisected on the dense output to abs_tol in r),
+    Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
     EntirePositive(gamma) when the horizon is reached with u above the
     floor throughout, and Inconclusive when the step budget or the step
     size underflows or the growth-fit window [r_end/4, r_end] holds < 2
     samples.  Sign changes of every intermediate Laplacian slot are
     recorded as events; they never terminate the integration.
+
+    A collapse ends in one of two ways, recorded in stats["closure"]:
+    {"kind": "floor"} when a step crosses u_floor (r* bisected on the dense
+    output to abs_tol in r), or {"kind": "wall", "s": s, "disagreement": d}
+    when the two wall estimates of the remaining distance s (_wall_distance)
+    agree to abs_tol on three consecutive accepted steps (or the step size
+    stalls first), with no Laplacian sign change possible within s.  Then
+    r* = r + s is accurate to about abs_tol, and the samples end at that
+    last accepted r.  stats["closure"] is None when there is no collapse.
 
     Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
     NumPy's per-call dispatch dominates at that size; its sums run in
@@ -363,7 +432,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     err_accum = [0.0] * n
     h = num(min(r_launch, _step_cap(r)))
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
-    verdict = None
+    agree = 0  # consecutive accepted steps whose wall estimates agree
+    verdict = closure = None
 
     while True:
         if r >= r_max:
@@ -374,21 +444,15 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             break
         h = min(h, r_max - r, num(_step_cap(r)))
         if h < tiny_h_factor * max(float(r), 1.0):
-            # Step-size stall: inside the collapse wall this is the expected
-            # endgame for m=2 (the floor crossing sits below the resolution
-            # of r), so close the remaining distance with the wall asymptote.
-            u_now, up_now = float(y[0]), float(y[1])
-            if u_now < 1e-4 * max(1.0, jet.u0) and up_now < 0.0:
-                if spec.m == 2:
-                    s_left = (u_now / _WALL_COEF_M2) ** 2
-                else:
-                    s_left = u_now / -up_now
-                r_star = float(r) + s_left
-                events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
-                verdict = Collapsed(r_star=r_star)
-            else:
+            # Step-size stall before the wall estimates agreed to abs_tol:
+            # r cannot resolve the rest of the wall, so close it with them.
+            wall = (_wall_distance(spec.m, r, y, cfg.u_floor)
+                    if float(y[0]) < 1e-4 * max(1.0, jet.u0) else None)
+            if wall is None:
                 verdict = Inconclusive(
                     reason=f"step size underflow at r={float(r):.6g}")
+            else:
+                verdict, closure = _close_on_wall(r, wall, events)
             break
 
         ys, ks, err, err_norm = _dp5_step(tab, p, r, y, k1, h, atol, rtol)
@@ -446,10 +510,18 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         if terminal_theta is not None:
             r = r_fill_to  # the deepest radius reached
             events.append(Event(kind="u_floor", r_event=r, direction=-1))
-            verdict = Collapsed(r_star=r)
+            verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
             break
 
         r, y, k1 = r_new, y_new, ks[-1]  # FSAL
+        if y[1] < 0.0:  # only a falling u can be inside a wall
+            wall = _wall_distance(spec.m, r, y, cfg.u_floor)
+            agree = agree + 1 if wall is not None and wall[1] <= atol else 0
+            if agree == _WALL_AGREE_STEPS:
+                verdict, closure = _close_on_wall(r, wall, events)
+                break
+        else:
+            agree = 0
         h = h * num(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
     # --- assemble the trajectory from the filled rows only ---
@@ -488,6 +560,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "err_accum": np.array(err_accum),
         "launch_radius": r_launch,
         "precision": cfg.precision,
+        "closure": closure,
     }
     return Trajectory(spec=spec, jet=jet, r=r_arr, y=y_arr, verdict=verdict,
                       r_end=float(r_end), events=tuple(events), dense=dense,

@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from polyshoot import shooting
-from polyshoot.cli import main, parse_range, UsageError
+from polyshoot.cli import _CSV_BLOCK, _csv_rows, _fmt, main, parse_range, UsageError
 
 
 def run_cli(argv, capsys=None):
@@ -85,6 +86,18 @@ def test_shoot_csv_m3_columns(tmp_path):
     data = [ln for ln in lines if ln and not ln.startswith("#") and not ln.startswith("r,")]
     assert len(data) == 2001
     assert len(data[0].split(",")) == 7
+
+
+def test_csv_rows_format_like_fmt():
+    table = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
+                      [1e-300, -2.5e300, 0.1, np.float64(1) / 3, np.nan],
+                      [np.nan, np.nan, 5e-324, -1.0, 123456789.125]])
+    rows = _csv_rows(table)
+    assert rows == [",".join(_fmt(v) for v in row) for row in table]
+    tall = np.tile(table, (_CSV_BLOCK, 1))  # spans several blocks
+    assert _csv_rows(tall) == rows * _CSV_BLOCK
+    assert rows[0] == "0.0,-0.0,,inf,-inf"
+    assert rows[2].startswith(",,5e-324,")
 
 
 def test_shoot_usage_error():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyshoot import (
@@ -20,7 +20,9 @@ from polyshoot import (
     ode_residual_max,
 )
 from polyshoot.core import Trajectory
-from polyshoot.integrator import _dp5_step, _step_tableau, _tableau
+from polyshoot.integrator import (_WALL_COEF_M2, _dp5_step, _step_tableau, _tableau,
+                                  _wall_distance)
+from polyshoot.shooting import default_config, jet_m2, jet_m3
 
 from conftest import common_grid
 
@@ -270,13 +272,14 @@ def test_config_validation():
         IntegratorConfig(precision="quad")
 
 
-# One case per way integrate() can end: horizon, m=2 wall closure (the
-# step-size stall inside the collapse wall), m=3 floor crossing located by
-# bisection, and the step budget.
+# One case per way integrate() can end: horizon, m=2 and m=3 wall closure
+# (the wall estimates agree), floor crossing located by bisection (a floor
+# high enough to be crossed before they agree), and the step budget.
 _ENDINGS = {
     "horizon": (2, 0.0, dict(r_max=30.0), EntirePositive),
     "wall_closure": (2, -0.2, dict(r_max=30.0), Collapsed),
-    "floor_crossing": (3, (10.0, -6.0, 1.0), dict(r_max=30.0), Collapsed),
+    "m3_wall_closure": (3, (10.0, -6.0, 1.0), dict(r_max=30.0), Collapsed),
+    "floor_crossing": (3, (10.0, -6.0, 1.0), dict(r_max=30.0, u_floor=1e-2), Collapsed),
     "max_steps": (2, 0.0, dict(r_max=30.0, max_steps=5,
                                dense_output_stride=1e-3), Inconclusive),
 }
@@ -311,7 +314,7 @@ def test_samples_agree_with_dense_output(u0, ending):
     assert np.all(np.abs(y - loop) <= tol)
 
 
-@pytest.mark.parametrize("ending", ["wall_closure", "floor_crossing"])
+@pytest.mark.parametrize("ending", ["wall_closure", "m3_wall_closure", "floor_crossing"])
 def test_dense_output_continuous_at_step_boundaries(u0, ending):
     # near the m=2 wall r + h rounds; theta over the stored interval keeps
     # each step's interpolant at its right end equal to the next left state
@@ -446,24 +449,129 @@ def test_scalar_step_rejects_a_stage_without_positive_u(dtype):
 
 
 def test_step_counts_pinned(u0, traj_u0_1000):
-    # the scalar step takes the same steps as the NumPy stage loop it replaced
+    # counts of the scalar step with the wall closure; an entire trajectory
+    # never closes, and each collapse keeps r* within abs_tol of stepping
+    # on to the floor (the r* pins)
     spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
     ext = IntegratorConfig(r_max=100.0, precision="extended")
     runs = {
-        "m2 rho=0": (traj_u0_1000, (359, 1, 2161)),
+        "m2 rho=0": (traj_u0_1000, (359, 1, 2161), None),
         "m2 rho=-0.2": (integrate(spec2, _m2_jet(u0, -0.2), IntegratorConfig(r_max=1e3)),
-                        (1006, 3, 6055)),
+                        (449, 3, 2713), 0.32281330049203955),
         "m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)),
-                                   IntegratorConfig(r_max=100.0)), (597, 1, 3589)),
+                                   IntegratorConfig(r_max=100.0)), (325, 1, 1957),
+                         3.318089514799671),
+        "m2 (0.45493..., 5.90396...)": (
+            integrate(spec2, Jet((0.4549336961319741, 5.90396901379629)),
+                      IntegratorConfig(r_max=1e3)), (478, 2, 2881), 1.4060686975394066),
         "extended m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)), ext),
-                                  (597, 1, 3589)),
+                                  (325, 1, 1957), 3.3180895147996736),
         "extended m2 rho=-0.2": (
             integrate(spec2, _m2_jet(u0, -0.2),
-                      IntegratorConfig(r_max=1e3, precision="extended")), (1286, 3, 7735)),
+                      IntegratorConfig(r_max=1e3, precision="extended")), (449, 3, 2713),
+            0.32281330049203993),
     }
-    for name, (traj, counts) in runs.items():
+    for name, (traj, counts, r_star) in runs.items():
         assert tuple(traj.stats[k] for k in ("naccept", "nreject", "nfev")) == counts, name
+        if r_star is not None:
+            assert abs(traj.verdict.r_star - r_star) <= 1e-10, name
+            assert traj.stats["closure"]["kind"] == "wall", name
         if name.startswith("extended"):
             d = traj.dense
             for arr in (d.r_lefts, d.r_rights, d.hs, d.y_lefts, d.qs):
                 assert arr.dtype == np.longdouble, name
+
+
+def _m2_wall_state(s, r):
+    """State of u = c (R - r)^(1/2) at distance s = R - r, all slots exact."""
+    c = _WALL_COEF_M2
+    u, u1 = c * s ** 0.5, -0.5 * c * s ** -0.5
+    u2, u3 = -0.25 * c * s ** -1.5, -0.375 * c * s ** -2.5
+    return [u, u1, u2 + 2 * u1 / r, u3 + 2 * u2 / r - 2 * u1 / r ** 2]
+
+
+def _m3_quadratic_state(s, r, alpha, beta, u_floor):
+    """State of u = u_floor + alpha t + beta t^2, t = R - r, at t = s."""
+    u, u1, u2 = u_floor + alpha * s + beta * s * s, -alpha - 2 * beta * s, 2 * beta
+    # Lap u = u'' + 2u'/r and (Lap u)' = 2u''/r - 2u'/r^2; Lap^2 u falls away from 0
+    return [u, u1, u2 + 2 * u1 / r, 2 * u2 / r - 2 * u1 / r ** 2, -1e3, -1e5]
+
+
+@pytest.mark.parametrize("s, u_floor", [(1e-2, 1e-8), (1e-6, 1e-8), (1e-12, 1e-8),
+                                        (1e-2, 1e-4)])
+def test_wall_distance_exact_m2(s, u_floor):
+    # s is the distance to the wall; the floor lies (u_floor/c)^2 before it
+    to_floor = s - (u_floor / _WALL_COEF_M2) ** 2
+    got, gap = _wall_distance(2, 0.7, _m2_wall_state(s, 0.7), u_floor)
+    assert abs(got - to_floor) <= 1e-14 * s
+    assert gap <= 1e-14 * s
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("s", [1e-2, 1e-5])
+def test_wall_distance_exact_m3(s, beta):
+    alpha, u_floor = 0.8, 1e-8
+    got, gap = _wall_distance(3, 2.5, _m3_quadratic_state(s, 2.5, alpha, beta, u_floor),
+                              u_floor)
+    assert abs(got - s) <= 1e-14 * s
+    # the linear estimate misses the curvature by (alpha s + beta s^2)/(alpha + 2 beta s)
+    linear = (alpha * s + beta * s * s) / (alpha + 2 * beta * s)
+    assert abs(gap - abs(s - linear)) <= 1e-14 * s
+
+
+def test_wall_distance_needs_falling_u():
+    for u1 in (0.0, 1e-3):
+        y2 = _m2_wall_state(1e-6, 0.7)
+        y2[1] = u1
+        assert _wall_distance(2, 0.7, y2, 1e-8) is None
+        y3 = _m3_quadratic_state(1e-5, 2.5, 0.8, 0.0, 1e-8)
+        y3[1] = u1
+        assert _wall_distance(3, 2.5, y3, 1e-8) is None
+
+
+@pytest.mark.parametrize("m, slot", [(2, 2), (3, 2), (3, 4)])
+def test_wall_distance_refuses_a_slot_crossing(m, slot):
+    # a Laplacian slot heading for zero closes only if it stays clear of it
+    # over the remaining distance s, with a factor 2 margin
+    s = 1e-5
+    y = _m2_wall_state(s, 0.7) if m == 2 else _m3_quadratic_state(s, 0.7, 0.8, 0.0, 1e-8)
+    y[slot + 1] = 1e3
+    for lap, closes in ((-1.5 * 2 * s * 1e3, True), (-2 * s * 1e3 * 0.75, False),
+                        (0.0, False), (1e-3, True)):
+        y[slot] = lap
+        assert (_wall_distance(m, 0.7, y, 1e-8) is not None) is closes, lap
+
+
+# m=2 offsets rho in [-0.45, -0.02] and m=3 (10, -eps, 1), eps in [3.5, 10]
+_COLLAPSES = st.one_of(st.tuples(st.just(2), st.floats(-0.45, -0.02)),
+                       st.tuples(st.just(3), st.floats(3.5, 10.0)))
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=_COLLAPSES)
+@example(case=(2, -0.0531990520226406))  # closing on one agreeing step: r* 2e-8 off
+def test_wall_closure_matches_tight_stepping(case):
+    # closing on the wall at default tolerances gives the verdict, the
+    # events and r* (to 1e-8) of stepping much closer in at tight ones
+    m, param = case
+    spec, jet = EquationSpec.for_order(m), jet_m2(param) if m == 2 else jet_m3(10.0, param)
+    coarse = integrate(spec, jet, default_config(m))
+    tight = integrate(spec, jet, default_config(m, rel_tol=1e-10, abs_tol=1e-12))
+    assert isinstance(coarse.verdict, Collapsed)
+    assert type(tight.verdict) is type(coarse.verdict)
+    assert ([(e.kind, e.level) for e in coarse.events]
+            == [(e.kind, e.level) for e in tight.events])
+    assert abs(coarse.verdict.r_star - tight.verdict.r_star) <= 1e-8
+
+
+def test_closure_is_recorded(u0, traj_u0_1000):
+    assert traj_u0_1000.stats["closure"] is None
+    spec3, jet3 = EquationSpec.for_order(3), Jet((10.0, -6.0, 1.0))
+    wall = integrate(spec3, jet3, IntegratorConfig(r_max=30.0)).stats["closure"]
+    assert wall["kind"] == "wall"
+    assert 0.0 < wall["s"] < 1e-3 and wall["disagreement"] <= 1e-10
+    # a high floor is crossed long before the estimates agree
+    floor = integrate(spec3, jet3, IntegratorConfig(r_max=30.0, u_floor=1e-2))
+    assert floor.stats["closure"] == {"kind": "floor"}
+    assert floor.events[-1].kind == "u_floor"
+    assert floor.events[-1].r_event == floor.verdict.r_star == floor.r_end
