@@ -16,7 +16,6 @@ from .core import (
     Trajectory,
     Verdict,
     rhs,
-    sample_residual_max,
     scale,
     taylor_launch,
 )
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EquationSpec", "Jet", "RadialState", "Trajectory", "Verdict",
     "Collapsed", "EntirePositive", "Inconclusive",
-    "rhs", "taylor_launch", "scale", "sample_residual_max",
+    "rhs", "taylor_launch", "scale",
     "IntegratorConfig", "Event", "GrowthFit", "integrate",
     "classify_growth", "fit_growth", "formula1_check", "ode_residual_max",
     "VolumeEstimate", "PowerTail", "volume", "volume_of_jet", "power_tail",

@@ -27,7 +27,7 @@ import numpy as np
 from . import oracle
 from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet
 from .errors import PolyshootError, TargetOutOfRange
-from .integrator import IntegratorConfig, fit_growth, integrate
+from .integrator import IntegratorConfig, integrate
 from .shooting import (EpsCache, critical_eps, critical_eps_residual,
                        default_config, jet_m2, jet_m3, prescribe_volume)
 from .volume import volume

@@ -39,7 +39,6 @@ __all__ = [
     "taylor_launch",
     "taylor_coefficients",
     "scale",
-    "sample_residual_max",
 ]
 
 
@@ -360,7 +359,10 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
 
     The scaled solution is u_lam(r) = lam^{(3-2m)/2} u(lam r); each Lap^j
     slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
-    power.  Sample radii map to r/lam, so no interpolation is needed.
+    power.  Sample radii map to r/lam, so no interpolation is needed.  The
+    dense output is rescaled alike: its radii and step lengths are divided
+    by lam, its left states multiplied by the slot weights w and its
+    coefficients by lam * w, since each step's length shrinks by lam.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
@@ -374,6 +376,10 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
         verdict = Collapsed(r_star=verdict.r_star / lam)
     new_jet = Jet(tuple(v * w[2 * j] for j, v in enumerate(traj.jet.lap_values)))
     events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
+    dense = traj.dense
+    if dense is not None:
+        dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.hs / lam,
+                            dense.y_lefts * w, dense.qs * (lam * w)[:, None])
     return Trajectory(
         spec=traj.spec,
         jet=new_jet,
@@ -382,35 +388,6 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
         verdict=verdict,
         r_end=traj.r_end / lam,
         events=events,
-        dense=None,  # dense output does not survive resampling
+        dense=dense,
         stats=None,
     )
-
-
-def sample_residual_max(traj: Trajectory, r_min: float = 0.0,
-                        r_max: Optional[float] = None) -> float:
-    """Max relative defect |Lap^m u + u^p| over interior samples.
-
-    Lap^m u is reconstructed from the stored top derivative slot w' as
-    (w')' + (2/r) w', with (w')' by central differences on the sample grid;
-    no slot is differentiated twice.  The defect is normalised by
-    max(1, |u^p|) pointwise.
-    """
-    r, y = traj.r, traj.y
-    if len(r) < 5:
-        raise ValueError("too few samples for a residual check")
-    p = traj.spec.rhs_exponent
-    wp = y[:, -1]
-    u = y[:, 0]
-    hi = traj.r_end if r_max is None else r_max
-    # central difference of w' on a (possibly non-uniform) grid
-    dr = np.diff(r)
-    dwp = (wp[2:] - wp[:-2]) / (dr[1:] + dr[:-1])
-    rr = r[1:-1]
-    lap_top = dwp + 2.0 / rr * wp[1:-1]
-    resid = lap_top + u[1:-1] ** p
-    mask = (rr >= max(r_min, r[1])) & (rr <= hi)
-    if not mask.any():
-        raise ValueError("no interior samples in the requested range")
-    scale_ = np.maximum(1.0, np.abs(u[1:-1][mask] ** p))
-    return float(np.max(np.abs(resid[mask]) / scale_))

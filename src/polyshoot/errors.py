@@ -17,10 +17,6 @@ class LaunchRadiusTooLarge(PolyshootError):
     """Truncated-series launch error estimate exceeds tolerance at the requested radius."""
 
 
-class SampleGridMismatch(PolyshootError):
-    """The filled sample grid does not end where the integration ended."""
-
-
 class WindowTooNarrow(PolyshootError):
     """A fit window contains too few samples."""
 

@@ -3,10 +3,8 @@
 A Dormand-Prince 5(4) pair with Shampine's quartic dense-output
 interpolant drives every trajectory.  The independent variable is r
 itself; the origin singularity is removed by the even Taylor launch, so no
-change of variables is needed.  Steps are capped at max(0.1, r/20) to keep
-the tail densely enough sampled for growth fitting, and the same tableau
-is instantiated in float64 or 80-bit long double depending on the
-configured precision.
+change of variables is needed.  The same tableau is instantiated in
+float64 or 80-bit long double depending on the configured precision.
 
 Each step runs on Python scalars of that precision (floats for binary64,
 np.longdouble scalars for extended), one code path for both.  The state
@@ -15,15 +13,23 @@ operation would cost more than its arithmetic.  Every stage sum runs in
 tableau order, so the step sequence no longer depends on how a BLAS
 library orders a small matrix-vector product.  Arrays are built only for
 what leaves the loop: each accepted step's left state and dense
-coefficients, the sample fill and the event bisection.
+coefficients, and the event bisection.
 
-The uniform sample grid is filled as steps are accepted: each step
-evaluates all grid points in (r, r_new] (or up to the floor crossing) in
-one array operation, with theta mapped over that stored interval.  One
-evaluator, ``_quartic``, serves that fill, the event bisection and
-``DenseSolution`` (which also gives a collapse its last sample), so
-samples and dense output agree; the fill never feeds back into the step
-sequence, which is therefore independent of the sample stride.
+Samples are a view of the dense output, built once after the last step:
+the uniform grid up to the deepest radius reached is read off the Taylor
+series up to the launch radius and off ``DenseSolution`` beyond it.  One
+evaluator, ``_quartic``, serves the samples, the event bisection and
+``DenseSolution``, so samples and dense output agree bit for bit; the step
+loop never sees the grid, so the steps taken do not depend on the stride.
+
+Steps are capped at max(0.1, r/20).  The cap is not needed for accuracy
+or for the samples, which sit on a uniform grid whatever the step size:
+without it every slot of m=2 trajectories with rho in [0.3, 20] still
+matched a rel_tol 1e-12 run to the configured tolerance.  It binds for
+m=2 with quadratic growth (at r/20 through the tail) and for m=3 on r up
+to about 6 (at 0.1).  It stays because without it the m=3 critical_eps
+solves at k = 10, 20 and 40 (bracket_tol 1e-6) took 43 integrations and
+9969 accepted steps instead of 38 and 9009.
 
 A collapse is closed on the wall asymptote as soon as that is accurate.
 Inside the wall the controller takes steps of a fixed fraction of the
@@ -58,7 +64,7 @@ from .core import (
     taylor_coefficients,
     taylor_launch,
 )
-from .errors import LaunchRadiusTooLarge, SampleGridMismatch, WindowTooNarrow
+from .errors import LaunchRadiusTooLarge, WindowTooNarrow
 
 __all__ = [
     "IntegratorConfig",
@@ -219,10 +225,11 @@ class DenseSolution:
             )
         idx = np.searchsorted(self.r_lefts, r, side="left") - 1
         idx = np.clip(idx, 0, len(self.hs) - 1)
-        r_left = self.r_lefts[idx]
-        theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
-        out = np.asarray(_quartic(self.y_lefts[idx], self.hs[idx], self.qs[idx],
-                                  theta, derivative), dtype=np.float64)
+        r_left = self.r_lefts.take(idx)
+        theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights.take(idx) - r_left)
+        out = np.asarray(_quartic(self.y_lefts.take(idx, axis=0), self.hs.take(idx),
+                                  self.qs.take(idx, axis=0), theta, derivative),
+                         dtype=np.float64)
         return out[0] if scalar else out
 
 
@@ -287,6 +294,12 @@ def _close_on_wall(r, wall, events):
     r_star = float(r) + s
     events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
     return Collapsed(r_star=r_star), {"kind": "wall", "s": s, "disagreement": gap}
+
+
+# Rows per DenseSolution call when the samples are built: each row gathers
+# its step's (2m, 4) coefficients, so a whole 100 001-row grid in one call
+# would hold over 20 MB of temporaries at once.
+_ROW_BLOCK = 4096
 
 
 def _step_cap(r):
@@ -378,6 +391,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     r* = r + s is accurate to about abs_tol, and the samples end at that
     last accepted r.  stats["closure"] is None when there is no collapse.
 
+    The samples (r, y) are the grid of stride dense_output_stride up to the
+    deepest radius reached (and the horizon, if the stride misses it),
+    evaluated after the loop from the Taylor series and the dense output; a
+    collapse adds that deepest radius as its last row.
+
     Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
     NumPy's per-call dispatch dominates at that size; its sums run in
     tableau order, so the steps taken do not depend on the BLAS library.
@@ -408,21 +426,6 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     r = num(r_launch)
     y = np.asarray(launch.y, dtype=dtype).tolist()
     r_max = num(cfg.r_max)
-
-    # Uniform sampling grid; the final horizon point is appended if the
-    # stride does not land on it exactly.
-    stride = cfg.dense_output_stride
-    n_grid = int(math.floor(cfg.r_max / stride + 1e-9)) + 1
-    grid = np.arange(n_grid, dtype=np.float64) * stride
-    if grid[-1] < cfg.r_max - 1e-9 * max(1.0, cfg.r_max):
-        grid = np.append(grid, cfg.r_max)
-    samples = np.empty((grid.shape[0], n), dtype=np.float64)
-
-    in_taylor = grid <= r_launch
-    if in_taylor.any():
-        samples[in_taylor] = _taylor_state(coeffs, spec.m, grid[in_taylor],
-                                           dtype=dtype).astype(np.float64)
-    next_sample = int(in_taylor.sum())  # grid index of the next point to fill
 
     r_lefts, r_rights, hs, y_lefts, qs = [], [], [], [], []
     events = []
@@ -498,17 +501,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                     events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                         level=j, direction=-1 if s1 < s0 else 1))
 
-        # --- samples inside (r, r_fill_to], one array operation ---
-        r_fill_to = float(r_new) if terminal_theta is None \
-            else float(r + width * num(terminal_theta))
-        if next_sample < grid.shape[0] and grid[next_sample] <= r_fill_to:
-            stop = int(np.searchsorted(grid, r_fill_to, side="right"))
-            theta = (grid[next_sample:stop].astype(dtype) - r) / width
-            samples[next_sample:stop] = _quartic(y_left, h, q, theta)
-            next_sample = stop
-
         if terminal_theta is not None:
-            r = r_fill_to  # the deepest radius reached
+            r = float(r + width * num(terminal_theta))  # the deepest radius reached
             events.append(Event(kind="u_floor", r_event=r, direction=-1))
             verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
             break
@@ -524,25 +518,36 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             agree = 0
         h = h * num(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
-    # --- assemble the trajectory from the filled rows only ---
     dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
                           np.array(hs, dtype=dtype), np.array(y_lefts),
                           np.array(qs)) if r_lefts else None
-    r_arr, y_arr = grid[:next_sample], samples[:next_sample]
     if isinstance(verdict, Collapsed):
-        # end on the deepest radius reached (r* after a floor crossing, the
-        # last accepted radius after a wall closure), read off the dense output
-        if float(r) > r_arr[-1]:
-            r_arr = np.append(r_arr, float(r))
-            y_arr = np.vstack([y_arr, dense(float(r))])
         r_end = verdict.r_star
     elif verdict is not None:
         r_end = float(r)
     else:
         r_end = float(r_max)
-        if abs(r_arr[-1] - cfg.r_max) > 1e-9 * max(1.0, cfg.r_max):
-            raise SampleGridMismatch(
-                f"last filled sample r={r_arr[-1]!r} is not the horizon {cfg.r_max!r}")
+
+    # --- samples: the uniform grid up to the deepest radius reached ---
+    # Multiples of the stride (the last one clamped to the horizon), then
+    # the horizon itself if the stride does not land on it; a collapse adds
+    # its deepest radius (r* after a floor crossing, the last accepted
+    # radius after a wall closure) as the last row.
+    stride = cfg.dense_output_stride
+    n_grid = int(math.floor(cfg.r_max / stride + 1e-9)) + 1
+    r_arr = np.minimum(np.arange(n_grid, dtype=np.float64) * stride, cfg.r_max)
+    if r_arr[-1] < cfg.r_max - 1e-9 * max(1.0, cfg.r_max):
+        r_arr = np.append(r_arr, cfg.r_max)
+    r_arr = r_arr[:np.searchsorted(r_arr, float(r), side="right")]
+    if isinstance(verdict, Collapsed) and float(r) > r_arr[-1]:
+        r_arr = np.append(r_arr, float(r))
+    # Taylor series up to the launch radius, dense output beyond it, in
+    # blocks of _ROW_BLOCK rows so the per-row temporaries stay small.
+    y_arr = np.empty((r_arr.shape[0], n))
+    n_taylor = int(np.searchsorted(r_arr, r_launch, side="right"))
+    y_arr[:n_taylor] = _taylor_state(coeffs, spec.m, r_arr[:n_taylor], dtype=dtype)
+    for lo in range(n_taylor, r_arr.shape[0], _ROW_BLOCK):
+        y_arr[lo:lo + _ROW_BLOCK] = dense(r_arr[lo:lo + _ROW_BLOCK])
 
     if verdict is None:
         gamma, _, n_fit = _fit_growth_arrays(r_arr, y_arr[:, 0], r_end / 4.0, r_end)
@@ -626,8 +631,8 @@ def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -
     """Self-consistency of the radial integral identity at one Laplacian level.
 
     Reconstructs w = Lap^level u from w(0) plus the double integral
-    int_0^r t^-2 int_0^t s^2 (Lap w)(s) ds dt via cumulative Simpson rules
-    on the sample grid, and returns the max defect relative to sup |w|.
+    int_0^r t^-2 int_0^t s^2 (Lap w)(s) ds dt (radial_double_integral) on
+    the sample grid, and returns the max defect relative to sup |w|.
     The top level uses Lap^m u = -u^p for the integrand.
     """
     m = traj.spec.m
@@ -644,11 +649,20 @@ def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -
         g = y[:, 2 * level + 2]
     else:
         g = -(y[:, 0] ** traj.spec.rhs_exponent)
+    rec = w[0] + radial_double_integral(r, g)
+    return float(np.max(np.abs(rec - w)) / max(1.0, float(np.max(np.abs(w)))))
+
+
+def radial_double_integral(r, g):
+    """int_0^r t^-2 int_0^t s^2 g(s) ds dt at every radius of r (r[0] = 0).
+
+    Two cumulative Simpson passes over the samples, which may be unevenly
+    spaced; the inner integral over t^2 is taken as zero at t = 0.
+    """
     inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
     q = np.zeros_like(inner)
     q[1:] = inner[1:] / (r[1:] ** 2)
-    rec = w[0] + cumulative_simpson(q, x=r, initial=0.0)
-    return float(np.max(np.abs(rec - w)) / max(1.0, float(np.max(np.abs(w)))))
+    return cumulative_simpson(q, x=r, initial=0.0)
 
 
 def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
@@ -659,7 +673,8 @@ def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
     numerically; normalised pointwise by max(1, |u^p|).
     """
     if traj.dense is None:
-        raise ValueError("trajectory has no dense output (scaled or synthetic?)")
+        raise ValueError("trajectory has no dense output (no accepted step, "
+                         "or not built by integrate)")
     lo = traj.dense.r_lo if r_lo is None else max(r_lo, traj.dense.r_lo)
     hi = traj.dense.r_hi if r_hi is None else min(r_hi, traj.dense.r_hi)
     mask = (traj.r >= lo) & (traj.r <= hi)

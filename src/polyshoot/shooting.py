@@ -26,13 +26,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
-from .integrator import IntegratorConfig, integrate
+from .integrator import IntegratorConfig, integrate, radial_double_integral
 from .volume import volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
@@ -334,11 +333,8 @@ class EpsResidual:
 
 def _critical_balance(traj: Trajectory) -> tuple:
     """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory."""
-    r, u = traj.r, traj.u
-    inner = cumulative_simpson(r * r * u ** -3.0, x=r, initial=0.0)
-    q = np.zeros_like(inner)
-    q[1:] = inner[1:] / r[1:] ** 2
-    return float(traj.y[-1, 4]), float(cumulative_simpson(q, x=r, initial=0.0)[-1])
+    return (float(traj.y[-1, 4]),
+            float(radial_double_integral(traj.r, traj.u ** -3.0)[-1]))
 
 
 def critical_eps_residual(ce: CriticalEps,

@@ -8,9 +8,10 @@ the remainder, driven by a two-term fit
 
     log u  ~  log c + gamma log r + delta / r^2
 
-over an outer window.  The delta/r^2 correction is what the slow tails
-actually look like (u = r + a/(2r) + ... for the linear-growth class), and
-sharpens the tail well below the quadrature error.
+over the outer half [r_end/2, r_end] of the samples.  The delta/r^2
+correction is what the slow tails actually look like (u = r + a/(2r) + ...
+for the linear-growth class), and sharpens the tail well below the
+quadrature error.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def power_tail(coeff: float, gamma: float, vol_exponent: int, r_end: float,
     return lead + corr
 
 
-def _fit_tail(r, u, window, second_order=True):
+def _fit_tail(r, u, window):
     lo, hi = window
     mask = (r >= lo) & (r <= hi) & (u > 0)
     n_in = int(mask.sum())
@@ -82,22 +83,17 @@ def _fit_tail(r, u, window, second_order=True):
         raise WindowTooNarrow(f"only {n_in} samples in tail window [{lo}, {hi}]")
     lr = np.log(r[mask])
     lu = np.log(u[mask])
-    if second_order:
-        design = np.column_stack([np.ones_like(lr), lr, 1.0 / r[mask] ** 2])
-    else:
-        design = np.column_stack([np.ones_like(lr), lr])
+    design = np.column_stack([np.ones_like(lr), lr, 1.0 / r[mask] ** 2])
     sol, *_ = np.linalg.lstsq(design, lu, rcond=None)
     resid = lu - design @ sol
     fit_rms = float(np.sqrt(np.mean(resid ** 2)))
     gamma = float(sol[1])
     coeff = float(np.exp(sol[0]))
-    delta = float(sol[2]) if second_order else 0.0
-    return PowerTail(gamma=gamma, coeff=coeff, correction=delta,
+    return PowerTail(gamma=gamma, coeff=coeff, correction=float(sol[2]),
                      window=(float(lo), float(hi)), fit_rms=fit_rms)
 
 
-def volume(spec: EquationSpec, traj: Trajectory, *, tail_window=None,
-           second_order_tail: bool = True) -> VolumeEstimate:
+def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
     """Conformal volume of an entire trajectory.
 
     Collapsed (and inconclusive) trajectories have no defined volume and
@@ -120,9 +116,7 @@ def volume(spec: EquationSpec, traj: Trajectory, *, tail_window=None,
     core_err = max(abs(core - core_coarse) / 15.0, 1e-13 * abs(core))
 
     r_end = traj.r_end
-    if tail_window is None:
-        tail_window = (r_end / 2.0, r_end)
-    fit = _fit_tail(r, u, tail_window, second_order=second_order_tail)
+    fit = _fit_tail(r, u, (r_end / 2.0, r_end))
     tail = power_tail(fit.coeff, fit.gamma, ve, r_end, fit.correction)
     tail_lead = power_tail(fit.coeff, fit.gamma, ve, r_end)
     if tail < 0.0:
@@ -142,8 +136,8 @@ def volume(spec: EquationSpec, traj: Trajectory, *, tail_window=None,
                           err_estimate=core_err + tail_err, tail_model=fit)
 
 
-def volume_of_jet(spec: EquationSpec, jet: Jet, cfg, **kwargs) -> VolumeEstimate:
+def volume_of_jet(spec: EquationSpec, jet: Jet, cfg) -> VolumeEstimate:
     """Integrate the jet, then take the volume; errors propagate unchanged."""
     from .integrator import integrate
 
-    return volume(spec, integrate(spec, jet, cfg), **kwargs)
+    return volume(spec, integrate(spec, jet, cfg))

@@ -18,13 +18,13 @@ from polyshoot import (
     OriginSingularity,
     RadialState,
     integrate,
+    ode_residual_max,
     rhs,
-    sample_residual_max,
     scale,
     taylor_launch,
 )
 import polyshoot
-from polyshoot.core import _radial_rhs, taylor_coefficients, _taylor_state
+from polyshoot.core import _radial_rhs, _scaling_weights, taylor_coefficients, _taylor_state
 
 
 def test_spec_exponents():
@@ -161,14 +161,31 @@ def test_scaled_trajectory_still_solves_equation(spec2, traj_u0_50, lam):
     scaled = scale(spec2, traj_u0_50, lam)
     scaled.validate()
     assert scaled.r_end == pytest.approx(traj_u0_50.r_end / lam)
-    # finite differences of the stored derivative slot are truncation
-    # limited at ~lam * 1e-3 on the 0.01-stride grid
-    assert sample_residual_max(scaled, r_min=0.05, r_max=10.0 / lam) < 5e-3
+    # the rescaled dense output gives (w')' without differencing samples:
+    # measured 1.7e-7 at lam=0.5 and 5.4e-7 at lam=2
+    assert ode_residual_max(scaled, r_lo=0.05, r_hi=10.0 / lam) < 2e-6
     # the quadrature-based reconstruction is much sharper
     from polyshoot import formula1_check
 
     assert formula1_check(scaled, 0) < 1e-6
     assert formula1_check(scaled, 1) < 1e-5
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.7, 3.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_scale_rescales_dense_output(u0, u1, m, lam):
+    # scale(traj, lam).dense(r / lam) is w * traj.dense(r), and its d/dr is
+    # lam * w times the original's, at step boundaries and in between
+    spec = EquationSpec.for_order(m)
+    traj = integrate(spec, (u0 if m == 2 else u1).jet(), IntegratorConfig(r_max=20.0))
+    scaled = scale(spec, traj, lam)
+    w = _scaling_weights(spec, lam)
+    d = traj.dense
+    r = np.concatenate([np.linspace(d.r_lo, d.r_hi, 997), d.r_lefts[1:]])
+    for derivative, factor in ((0, w), (1, lam * w)):
+        want = factor * d(r, derivative)
+        got = scaled.dense(r / lam, derivative)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_scale_transforms_jet_slots(spec3, u1):

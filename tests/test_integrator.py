@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from polyshoot import (
 )
 from polyshoot.core import Trajectory
 from polyshoot.integrator import (_WALL_COEF_M2, _dp5_step, _step_tableau, _tableau,
-                                  _wall_distance)
+                                  _wall_distance, radial_double_integral)
 from polyshoot.shooting import default_config, jet_m2, jet_m3
 
 from conftest import common_grid
@@ -274,9 +275,12 @@ def test_config_validation():
 
 # One case per way integrate() can end: horizon, m=2 and m=3 wall closure
 # (the wall estimates agree), floor crossing located by bisection (a floor
-# high enough to be crossed before they agree), and the step budget.
+# high enough to be crossed before they agree), and the step budget; plus
+# a horizon in extended precision, near the m=3 critical datum.
 _ENDINGS = {
     "horizon": (2, 0.0, dict(r_max=30.0), EntirePositive),
+    "extended_horizon": (3, (10.0, -3.0751, 1.0), dict(r_max=30.0, precision="extended"),
+                         EntirePositive),
     "wall_closure": (2, -0.2, dict(r_max=30.0), Collapsed),
     "m3_wall_closure": (3, (10.0, -6.0, 1.0), dict(r_max=30.0), Collapsed),
     "floor_crossing": (3, (10.0, -6.0, 1.0), dict(r_max=30.0, u_floor=1e-2), Collapsed),
@@ -308,10 +312,46 @@ def test_samples_agree_with_dense_output(u0, ending):
     beyond = traj.r > traj.stats["launch_radius"]
     assert beyond.sum() >= 2
     y = traj.y[beyond]
-    tol = 1e-14 * np.maximum(1.0, np.abs(y))
-    assert np.all(np.abs(y - traj.dense(traj.r[beyond])) <= tol)
+    assert np.array_equal(y, traj.dense(traj.r[beyond]))
     loop = np.array([_reference_sample(traj.dense, r) for r in traj.r[beyond]])
-    assert np.all(np.abs(y - loop) <= tol)
+    assert np.all(np.abs(y - loop) <= 1e-14 * np.maximum(1.0, np.abs(y)))
+
+
+@pytest.mark.parametrize("r_max, stride", [(0.3, 0.1), (0.7, 0.1), (1.0, 0.3), (30.0, 0.01)])
+def test_samples_end_on_the_horizon(u0, r_max, stride):
+    # k * stride can round past r_max (3 * 0.1 > 0.3); the last row is still
+    # the horizon, and a stride that misses it gets the horizon appended
+    traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
+                     IntegratorConfig(r_max=r_max, dense_output_stride=stride))
+    assert traj.r[-1] == r_max
+    assert np.all(np.diff(traj.r) > 0)
+    assert len(traj) == math.ceil(r_max / stride - 1e-9) + 1
+
+
+def test_sample_rows_bounded_memory(u0):
+    # the rows are read off the dense output in blocks: one call over all
+    # 100001 rows would hold over 20 MB of gathered coefficients at once
+    spec, jet, cfg = EquationSpec.for_order(2), _m2_jet(u0, 0.0), IntegratorConfig(r_max=1e3)
+    integrate(spec, jet, cfg)  # first-call caches
+    tracemalloc.start()
+    try:
+        traj = integrate(spec, jet, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 100_001
+    assert peak <= 9.8e6  # 9.26 MB when the step loop filled the samples
+
+
+def test_radial_double_integral_exact_for_constant_source():
+    # Simpson is exact for the quadratic inner integrand and the linear outer
+    # one, so a constant source c gives c r^2 / 6 on any grid
+    rng = np.random.default_rng(7)
+    r = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 200))])
+    got = radial_double_integral(r, np.full_like(r, 0.7))
+    want = 0.7 * r ** 2 / 6.0
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-14
 
 
 @pytest.mark.parametrize("ending", ["wall_closure", "m3_wall_closure", "floor_crossing"])
