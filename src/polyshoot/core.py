@@ -19,7 +19,7 @@ singularity-free even-power Taylor launch off r = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -159,37 +159,59 @@ class Inconclusive:
 Verdict = Union[Collapsed, EntirePositive, Inconclusive]
 
 
-@dataclass
 class Trajectory:
-    """Dense numerical solution on a radial grid plus its termination verdict.
+    """A numerical solution: dense output, sample rows and termination verdict.
 
-    Samples are stored column-wise: ``r`` has shape (n,), ``y`` shape
-    (n, 2m).  ``dense`` (when present) is the integrator's piecewise dense
-    output and evaluates the solution and its derivative anywhere in
-    (launch_radius, r_end].
+    Rows are stored column-wise: ``r`` has shape (n,), ``y`` shape (n, 2m).
+    ``integrate`` passes a row builder (``rows``) instead of the arrays:
+    they are built the first time ``r`` or ``y`` is read and then kept,
+    while ``len``, ``state`` and ``count_rows`` answer from the builder
+    without building them.  ``dense`` (when present) is the integrator's
+    piecewise dense output and evaluates the solution and its derivative
+    anywhere in (launch_radius, r_end]; the verdict, the volume and the
+    critical-datum probes read only it.
     """
 
-    spec: EquationSpec
-    jet: Jet
-    r: np.ndarray
-    y: np.ndarray
-    verdict: Verdict
-    r_end: float
-    events: tuple = ()
-    dense: Optional[object] = field(default=None, repr=False)
-    stats: Optional[dict] = field(default=None, repr=False)
+    def __init__(self, spec: EquationSpec, jet: Jet, r=None, y=None, *,
+                 verdict: Verdict, r_end: float, events: tuple = (),
+                 dense: Optional[object] = None, stats: Optional[dict] = None,
+                 rows: Optional[object] = None):
+        self.spec, self.jet, self.verdict, self.r_end = spec, jet, verdict, r_end
+        self.events, self.dense, self.stats = events, dense, stats
+        self._rows, self._r, self._y = rows, None, None
+        if rows is None:
+            self._set_rows(r, y)
 
-    def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.y.shape != (self.r.shape[0], self.spec.n_state):
+    def _set_rows(self, r, y):
+        self._r = np.asarray(r, dtype=float)
+        self._y = np.asarray(y, dtype=float)
+        if self._y.shape != (self._r.shape[0], self.spec.n_state):
             raise ValueError(
-                f"sample array shape {self.y.shape} does not match "
-                f"{(self.r.shape[0], self.spec.n_state)}"
+                f"sample array shape {self._y.shape} does not match "
+                f"{(self._r.shape[0], self.spec.n_state)}"
             )
+        self._rows = None
+
+    @property
+    def r(self) -> np.ndarray:
+        if self._r is None:
+            self._set_rows(*self._rows())
+        return self._r
+
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None:
+            self._set_rows(*self._rows())
+        return self._y
 
     def __len__(self):
-        return self.r.shape[0]
+        return len(self._rows) if self._r is None else self._r.shape[0]
+
+    def count_rows(self, lo: float, hi: float) -> int:
+        """Number of sample rows with lo <= r <= hi."""
+        if self._r is None:
+            return self._rows.count(lo, hi)
+        return int(np.count_nonzero((self._r >= lo) & (self._r <= hi)))
 
     @property
     def u(self) -> np.ndarray:
@@ -202,6 +224,10 @@ class Trajectory:
         return self.y[:, 2 * j + 1]
 
     def state(self, i: int) -> RadialState:
+        """Row i as a RadialState; an unbuilt row is evaluated on its own."""
+        if self._r is None:
+            r = self._rows.radius(i)
+            return RadialState(r=r, y=self._rows.evaluate(np.array([r]))[0])
         return RadialState(r=float(self.r[i]), y=self.y[i].copy())
 
     def validate(self):

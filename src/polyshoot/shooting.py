@@ -60,11 +60,16 @@ def jet_m3(k: float, eps: float) -> Jet:
 
 
 def is_entire(traj: Trajectory) -> bool:
-    """Horizon reached, u above floor, and Lap^{m-1} u positive throughout."""
+    """Horizon reached, u above floor, and Lap^{m-1} u positive throughout.
+
+    The top slot w = Lap^{m-1} u falls strictly (w' = -r^-2 int s^2 u^p <
+    0), so its least sample is the last one, read off the dense output
+    without building the rows; a sign change between samples is an event.
+    """
     if not isinstance(traj.verdict, EntirePositive):
         return False
     m = traj.spec.m
-    if np.min(traj.y[:, 2 * (m - 1)]) <= 0.0:
+    if traj.state(-1).lap(m - 1) <= 0.0:
         return False
     return not any(ev.kind == "lap_sign_change" and ev.level == m - 1
                    for ev in traj.events)
@@ -77,12 +82,12 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     (finite) total source integral, so w + r w' evaluated at the horizon
     estimates w_inf with O(r^-7) error.  This removes the O(1/r_max)
     horizon bias that a bare sign check of w(r_max) carries, which is what
-    makes the critical-datum refinement horizon-robust.
+    makes the critical-datum refinement horizon-robust.  The state is the
+    last sample row's, read off the dense output.
     """
     m = traj.spec.m
-    w = float(traj.y[-1, 2 * (m - 1)])
-    wp = float(traj.y[-1, 2 * (m - 1) + 1])
-    return w + float(traj.r[-1]) * wp
+    last = traj.state(-1)
+    return last.lap(m - 1) + last.r * last.lap_deriv(m - 1)
 
 
 def _entire(traj: Trajectory) -> bool:
@@ -132,14 +137,15 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
     residual (Dowell & Jarratt 1971), else the zero of the secant through
     the two latest lo-side residuals (once per new lo-side point, if within
     tol/2 of the bracket), else the midpoint, clamped tol/2 inside so that a
-    converged estimate steps across the root.  After two rounds in a row
+    converged estimate steps across the root.  After two guesses in a row
     that fail to halve the width a round bisects (Brent 1973).
     """
     f = {True: b.at_lo.residual, False: b.at_hi.residual}  # Illinois weights
     lo_points = [(b.lo, f[True])] if f[True] is not None else []
     secant_after, last_side, stalls = 2, None, 0
     while b.width > tol and not (stop is not None and stop(b)):
-        width, x = b.width, 0.5 * (b.lo + b.hi)
+        width = b.width
+        x = mid = 0.5 * (b.lo + b.hi)
         if stalls < 2 and None not in (f[True], f[False]) and f[True] != f[False]:
             x = b.lo + width * f[True] / (f[True] - f[False])
         elif stalls < 2 and len(lo_points) >= secant_after:
@@ -161,7 +167,9 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
         if side == last_side and f[not side] is not None:
             f[not side] *= 0.5  # Illinois: an end kept twice weighs half
         f[side], last_side = probe.residual, side
-        stalls = stalls + 1 if b.width > 0.5 * width else 0
+        # a midpoint halves the width, though rounding may leave it a hair
+        # over; only a guess that fails to halve it is a stall
+        stalls = stalls + 1 if b.width > 0.5 * width and x != mid else 0
     return b
 
 
@@ -171,7 +179,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 3
+    SCHEMA = 4  # 4: volume and volume_err from the dense-output quadrature
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -333,7 +341,7 @@ class EpsResidual:
 
 def _critical_balance(traj: Trajectory) -> tuple:
     """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory."""
-    return (float(traj.y[-1, 4]),
+    return (traj.state(-1).lap(2),
             float(radial_double_integral(traj.r, traj.u ** -3.0)[-1]))
 
 
@@ -373,7 +381,7 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
         traj = integrate(spec, jet_m2(rho), cfg)
         entire = is_entire(traj)
         if entire and guard and rho < -tol_b:
-            gap = profile.eval(traj.r_end, 2) - float(traj.y[-1, 2])
+            gap = profile.eval(traj.r_end, 2) - traj.state(-1).lap(1)
             required = 2.0 / gap if gap > 0 else float("inf")
             raise HorizonTooShort(
                 f"rho={rho:.6g} < -tol_b classified entire at horizon "

@@ -2,16 +2,22 @@
 
 The volume is 4*pi int_0^inf r^2 u(r)^ve dr with ve = -6 (m=2) or -2
 (m=3).  The integrand decays only like r^-4 in the slowest growth class,
-so the integral is split at the trajectory horizon: composite Simpson on
-the dense sample grid for [0, r_end], and a closed-form power integral for
-the remainder, driven by a two-term fit
+so the integral is split at the trajectory horizon.  The core [0, r_end]
+is read off the dense output: 5-point Gauss-Legendre on every stored
+step (Davis & Rabinowitz), where the solution is one quartic, plus the
+same rule on the Taylor series over [0, launch radius].  The remainder is
+a closed-form power integral, driven by a two-term fit
 
     log u  ~  log c + gamma log r + delta / r^2
 
-over the outer half [r_end/2, r_end] of the samples.  The delta/r^2
-correction is what the slow tails actually look like (u = r + a/(2r) + ...
-for the linear-growth class), and sharpens the tail well below the
-quadrature error.
+over nodes of the dense output on the outer half [r_end/2, r_end].  The
+delta/r^2 correction is what the slow tails actually look like (u = r +
+a/(2r) + ... for the linear-growth class), and sharpens the tail well
+below the quadrature error.
+
+err_estimate covers the quadrature and the tail model only, not the
+error of the integration that produced the dense output, which at the
+default tolerances is the larger one.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .core import Collapsed, EntirePositive, EquationSpec, Jet, Trajectory
+from .core import (Collapsed, EntirePositive, EquationSpec, Jet, Trajectory,
+                   _taylor_state, taylor_coefficients)
 from .errors import DivergentTail, UndefinedVolume, WindowTooNarrow
+from . import integrator
 
 __all__ = ["PowerTail", "VolumeEstimate", "volume", "volume_of_jet", "power_tail"]
 
@@ -75,48 +82,87 @@ def power_tail(coeff: float, gamma: float, vol_exponent: int, r_end: float,
     return lead + corr
 
 
-def _fit_tail(r, u, window):
-    lo, hi = window
-    mask = (r >= lo) & (r <= hi) & (u > 0)
-    n_in = int(mask.sum())
-    if n_in < 10:
-        raise WindowTooNarrow(f"only {n_in} samples in tail window [{lo}, {hi}]")
-    lr = np.log(r[mask])
-    lu = np.log(u[mask])
-    design = np.column_stack([np.ones_like(lr), lr, 1.0 / r[mask] ** 2])
-    sol, *_ = np.linalg.lstsq(design, lu, rcond=None)
+def _fit_tail(dense, window):
+    """Weighted least squares of the tail model over the window's nodes."""
+    r, w, y = integrator.window_nodes(dense, *window)
+    lu = np.log(y[:, 0])
+    design = np.column_stack([np.ones_like(r), np.log(r), 1.0 / r ** 2])
+    root_w = np.sqrt(w)
+    sol, *_ = np.linalg.lstsq(design * root_w[:, None], lu * root_w, rcond=None)
     resid = lu - design @ sol
-    fit_rms = float(np.sqrt(np.mean(resid ** 2)))
-    gamma = float(sol[1])
-    coeff = float(np.exp(sol[0]))
-    return PowerTail(gamma=gamma, coeff=coeff, correction=float(sol[2]),
-                     window=(float(lo), float(hi)), fit_rms=fit_rms)
+    fit_rms = float(np.sqrt(w @ resid ** 2 / w.sum()))
+    return PowerTail(gamma=float(sol[1]), coeff=float(np.exp(sol[0])),
+                     correction=float(sol[2]), window=tuple(map(float, window)),
+                     fit_rms=fit_rms)
+
+
+# Gauss-Legendre nodes and weights on [0, 1] (Davis & Rabinowitz, Methods
+# of Numerical Integration, 2.7): 5 points, then 3 points as the
+# lower-order rule whose difference from them is the per-step error
+# estimate.  The weight rows pick one rule each out of the 8 nodes.
+_GL5_A = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GL5_B = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_GL5_WA = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_GL5_WB = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+_GL_X = 0.5 * (1.0 + np.array([-_GL5_B, -_GL5_A, 0.0, _GL5_A, _GL5_B,
+                               -math.sqrt(0.6), 0.0, math.sqrt(0.6)]))
+_GL_W = 0.5 * np.array([[_GL5_WB, _GL5_WA, 128.0 / 225.0, _GL5_WA, _GL5_WB, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0, 5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]]).T
+_GL_POWERS = _GL_X[None, :] ** np.arange(1, 5)[:, None]   # theta^j, j = 1..4
+
+
+def _core(spec: EquationSpec, traj: Trajectory):
+    """4 pi int_0^r_end r^2 u^ve dr off the dense output, and its error.
+
+    Each stored step is one quartic u = y0 + h q @ theta^[1..4], so its
+    Gauss-Legendre nodes are one small matrix product; the Taylor series
+    covers [0, launch radius].  The error is the sum over steps of the
+    difference between the 5- and the 3-point rule.
+    """
+    ve, d = spec.vol_exponent, traj.dense
+    a = d.r_lefts.astype(float)
+    width = d.r_rights.astype(float) - a
+    u = (d.y_lefts[:, 0].astype(float)[:, None]
+         + d.hs.astype(float)[:, None] * (d.qs[:, 0, :].astype(float) @ _GL_POWERS))
+    r = a[:, None] + width[:, None] * _GL_X
+    f = width[:, None] * (4.0 * math.pi) * r * r * u ** ve
+    r0 = d.r_lo * _GL_X
+    u0 = _taylor_state(taylor_coefficients(spec, traj.jet), spec.m, r0)[:, 0]
+    f0 = d.r_lo * (4.0 * math.pi) * r0 * r0 * u0 ** ve
+    q = np.vstack((f, f0)) @ _GL_W   # (steps + 1, 2): 5-point, 3-point
+    return float(np.sum(q[:, 0])), float(np.sum(np.abs(q[:, 0] - q[:, 1])))
 
 
 def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
-    """Conformal volume of an entire trajectory.
+    """Conformal volume of an entire trajectory, from its dense output.
 
-    Collapsed (and inconclusive) trajectories have no defined volume and
-    raise UndefinedVolume.  The error estimate combines a Richardson
-    quadrature comparison for the core with the tail-fit residual and the
-    next-order tail-model term, both propagated through the closed form.
+    Collapsed and inconclusive trajectories, and trajectories without a
+    dense output, have no defined volume and raise UndefinedVolume; a tail
+    window [r_end/2, r_end] holding fewer than 10 sample rows raises
+    WindowTooNarrow.  The error estimate adds the per-step quadrature
+    comparison of the core (floored at the summation rounding level) to
+    the tail-fit residual and the next-order tail-model term, both
+    propagated through the closed form; it leaves out the integration
+    error of the dense output itself.
     """
     if isinstance(traj.verdict, Collapsed):
         raise UndefinedVolume("volume is undefined for a collapsed trajectory")
     if not isinstance(traj.verdict, EntirePositive):
         raise UndefinedVolume(f"volume needs an entire trajectory, got {traj.verdict}")
+    if traj.dense is None:
+        raise UndefinedVolume("volume needs the trajectory's dense output")
     if spec.m != traj.spec.m:
         raise ValueError("spec/trajectory order mismatch")
     ve = spec.vol_exponent
-    r, u = traj.r, traj.u
-    f = 4.0 * math.pi * r * r * u.astype(float) ** ve
-    core = float(simpson(f, x=r))
-    core_coarse = float(simpson(f[::2], x=r[::2]))
-    # Richardson comparison, floored at the summation rounding level
-    core_err = max(abs(core - core_coarse) / 15.0, 1e-13 * abs(core))
+    core, core_err = _core(spec, traj)
+    core_err = max(core_err, 1e-13 * abs(core))
 
     r_end = traj.r_end
-    fit = _fit_tail(r, u, (r_end / 2.0, r_end))
+    window = (r_end / 2.0, r_end)
+    n_in = traj.count_rows(*window)
+    if n_in < 10:
+        raise WindowTooNarrow(f"only {n_in} samples in tail window [{window[0]}, {r_end}]")
+    fit = _fit_tail(traj.dense, window)
     tail = power_tail(fit.coeff, fit.gamma, ve, r_end, fit.correction)
     tail_lead = power_tail(fit.coeff, fit.gamma, ve, r_end)
     if tail < 0.0:
@@ -138,6 +184,4 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
 
 def volume_of_jet(spec: EquationSpec, jet: Jet, cfg) -> VolumeEstimate:
     """Integrate the jet, then take the volume; errors propagate unchanged."""
-    from .integrator import integrate
-
-    return volume(spec, integrate(spec, jet, cfg))
+    return volume(spec, integrator.integrate(spec, jet, cfg))

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polyshoot
 from polyshoot import shooting
 from polyshoot.cli import _CSV_BLOCK, _csv_rows, _fmt, main, parse_range, UsageError
 
@@ -283,3 +286,13 @@ def test_atomic_write_leaves_no_temp(tmp_path):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.integrate was most of the CLI's start-up time; only verify's
+    # quadrature check still imports it, when it runs
+    src = os.path.dirname(os.path.dirname(polyshoot.__file__))
+    code = "import polyshoot.cli, sys; assert 'scipy' not in sys.modules"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.returncode == 0, out.stderr

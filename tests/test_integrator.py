@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,10 @@ from polyshoot import (
     ode_residual_max,
 )
 from polyshoot.core import Trajectory
-from polyshoot.integrator import (_WALL_COEF_M2, _dp5_step, _step_tableau, _tableau,
-                                  _wall_distance, radial_double_integral)
-from polyshoot.shooting import default_config, jet_m2, jet_m3
+from polyshoot.integrator import (_WALL_COEF_M2, SampleRows, _dp5_step, _step_tableau,
+                                  _tableau, _wall_distance, radial_double_integral)
+from polyshoot.shooting import default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate
+from polyshoot.volume import volume, volume_of_jet
 
 from conftest import common_grid
 
@@ -336,10 +338,13 @@ def test_sample_rows_bounded_memory(u0):
     tracemalloc.start()
     try:
         traj = integrate(spec, jet, cfg)
+        peak_lazy = tracemalloc.get_traced_memory()[1]
+        traj.y
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(traj) == 100_001
+    assert peak_lazy <= 1e6   # the rows are not built until read
     assert peak <= 9.8e6  # 9.26 MB when the step loop filled the samples
 
 
@@ -352,6 +357,96 @@ def test_radial_double_integral_exact_for_constant_source():
     want = 0.7 * r ** 2 / 6.0
     assert got[0] == 0.0
     assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-14
+
+
+def test_radial_double_integral_matches_scipy():
+    from scipy.integrate import cumulative_simpson
+
+    def reference(r, g):
+        inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
+        q = np.zeros_like(inner)
+        q[1:] = inner[1:] / r[1:] ** 2
+        return cumulative_simpson(q, x=r, initial=0.0)
+
+    rng = np.random.default_rng(11)
+    r = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 301))])
+    traj = integrate(EquationSpec.for_order(3), jet_m3(10.0, 3.0751), default_config(3))
+    for r, g in ((r, np.cos(r) + 2.0), (traj.r, traj.u ** -3.0)):
+        want = reference(r, g)
+        got = radial_double_integral(r, g)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _reference_radii(stride, r_max, r_last, collapsed):
+    """The sample radii as integrate built them before the rows were lazy."""
+    n_grid = int(math.floor(r_max / stride + 1e-9)) + 1
+    r = np.minimum(np.arange(n_grid, dtype=np.float64) * stride, r_max)
+    if r[-1] < r_max - 1e-9 * max(1.0, r_max):
+        r = np.append(r, r_max)
+    r = r[:np.searchsorted(r, r_last, side="right")]
+    if collapsed and r_last > r[-1]:
+        r = np.append(r, r_last)
+    return r
+
+
+@settings(max_examples=300, deadline=None)
+@given(stride=st.sampled_from([1e-3, 3e-3, 1e-2, 0.1, 0.3, 1.0 / 3.0, 0.7]),
+       r_max=st.floats(0.01, 200.0), frac=st.floats(0.0, 1.2),
+       collapsed=st.booleans(), window=st.tuples(st.floats(-1.0, 250.0),
+                                                 st.floats(0.0, 250.0)))
+@example(stride=0.1, r_max=0.3, frac=1.0, collapsed=False, window=(0.1, 0.3))
+@example(stride=0.01, r_max=30.0, frac=0.5, collapsed=True, window=(3.75, 15.0))
+def test_sample_rows_count_without_building(stride, r_max, frac, collapsed, window):
+    r_last = max(1e-3, frac * r_max) if frac < 1.0 else r_max * frac
+    rows = SampleRows(None, 2, 1e-3, None, stride, r_max, r_last, collapsed and frac < 1.0)
+    want = _reference_radii(stride, r_max, r_last, collapsed and frac < 1.0)
+    assert np.array_equal(rows.radii(), want)
+    assert len(rows) == want.shape[0]
+    for i in (0, 1, len(rows) // 2, -2, -1):
+        if -len(rows) <= i < len(rows):
+            assert rows.radius(i) == want[i]
+    lo, hi = window
+    for lo_, hi_ in ((lo, hi), (want[-1] / 4.0, want[-1]), (want[len(want) // 2], want[-1])):
+        assert rows.count(lo_, hi_) == np.count_nonzero((want >= lo_) & (want <= hi_))
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+def test_rows_built_on_first_read(u0, ending, monkeypatch):
+    builds = []
+    build = SampleRows.__call__
+    monkeypatch.setattr(SampleRows, "__call__", lambda self: builds.append(1) or build(self))
+    m, param, cfg_kw, kind = _ENDINGS[ending]
+    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+    traj = integrate(EquationSpec.for_order(m), jet, IntegratorConfig(**cfg_kw))
+    n, first, last = len(traj), traj.state(0), traj.state(-1)
+    windows = [(traj.r_end / 4.0, traj.r_end), (traj.r_end / 2.0, traj.r_end), (0.0, 0.05)]
+    counts = [traj.count_rows(lo, hi) for lo, hi in windows]
+    copy = pickle.loads(pickle.dumps(traj))
+    assert builds == []
+    r, y = traj.r, traj.y
+    assert builds == [1] and traj.y is y  # built once, then kept
+    assert len(traj) == n == r.shape[0] == y.shape[0]
+    assert counts == [np.count_nonzero((r >= lo) & (r <= hi)) for lo, hi in windows]
+    assert (first.r, last.r) == (r[0], r[-1])
+    assert np.array_equal(first.y, y[0]) and np.array_equal(last.y, y[-1])
+    assert np.array_equal(copy.r, r) and np.array_equal(copy.y, y)
+
+
+def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
+    def refuse(self):
+        raise AssertionError("sample rows built")
+
+    monkeypatch.setattr(SampleRows, "__call__", refuse)
+    spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
+    # a critical_eps probe on each side, and the volumes of a sweep
+    for eps in (3.0, 3.2):
+        traj = integrate(spec3, jet_m3(10.0, eps), default_config(3))
+        if is_entire(traj):
+            lap_limit_estimate(traj)
+            fit_growth(traj)
+            volume(spec3, traj)
+    assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
+    assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
 
 
 @pytest.mark.parametrize("ending", ["wall_closure", "m3_wall_closure", "floor_crossing"])

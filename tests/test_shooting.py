@@ -300,3 +300,39 @@ def test_cache_concurrent_puts_keep_every_entry(tmp_path):
     assert [proc.exitcode for proc in procs] == [0, 0, 0]
     entries = json.loads((tmp_path / "critical_eps.json").read_text())["entries"]
     assert len(entries) == 120
+
+
+@pytest.mark.parametrize("root", [0.6232655185893089, 0.29280804238748326, 0.0868761715425752])
+def test_midpoint_round_is_not_a_stall(root):
+    # a midpoint leaves half the width up to rounding; counting a hair over
+    # half as a stall forced a second bisection before false position
+    before, points = [], []
+
+    def evaluate(x):
+        points.append(x)
+        return Probe(x < root, (root - x) ** 9, x)
+
+    def stop(br):
+        before.append((br.lo, br.hi, br.at_lo.residual != br.at_hi.residual))
+        return False
+
+    b = Bracket(0.0, 1.0, evaluate(0.0), evaluate(1.0))
+    points.clear()
+    refine_bracket(evaluate, b, 1e-9, stop=stop)
+    mids = [x == 0.5 * (lo + hi) for (lo, hi, _), x in zip(before, points)]
+    assert any(mids)
+    for i in range(1, len(points)):
+        assert not (mids[i - 1] and mids[i] and before[i][2]), i
+
+
+def test_cache_schema_3_is_a_miss(tmp_path):
+    # schema 3 entries hold volumes from Simpson on the sample rows
+    cfg = default_config(3)
+    key = EpsCache.key(10.0, cfg, 1e-6)
+    (tmp_path / "critical_eps.json").write_text(
+        json.dumps({"schema": 3, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
+    cache = EpsCache(tmp_path)
+    assert EpsCache.SCHEMA == 4
+    assert cache.get(key) is None
+    cache.put(key, {"eps_star": 3.0})
+    assert cache.get(key) == {"eps_star": 3.0}

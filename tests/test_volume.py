@@ -18,6 +18,7 @@ from polyshoot import (
     volume_of_jet,
 )
 from polyshoot.core import Trajectory
+from polyshoot.integrator import DenseSolution
 
 
 def jet_offset(u0, rho):
@@ -49,13 +50,28 @@ def test_power_tail_closed_form():
 
 
 def test_divergent_tail_on_flat_synthetic(spec3):
+    # flat dense output: constant left states, zero quartic coefficients
     r = np.linspace(0.0, 100.0, 5001)
     y = np.zeros((r.size, 6))
     y[:, 0] = 2.0   # flat profile: gamma ~ 0, integral diverges
     y[:, 4] = 1.0
+    edges = np.linspace(1e-3, 100.0, 101)
+    dense = DenseSolution(edges[:-1], edges[1:], np.diff(edges),
+                          np.tile(y[0], (100, 1)), np.zeros((100, 6, 4)))
+    traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
+                      verdict=EntirePositive(growth_exponent=0.0), r_end=100.0,
+                      dense=dense)
+    with pytest.raises(DivergentTail):
+        volume(spec3, traj)
+
+
+def test_volume_needs_dense_output(spec3):
+    r = np.linspace(0.0, 100.0, 5001)
+    y = np.zeros((r.size, 6))
+    y[:, 0] = 2.0
     traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
                       verdict=EntirePositive(growth_exponent=0.0), r_end=100.0)
-    with pytest.raises(DivergentTail):
+    with pytest.raises(UndefinedVolume, match="dense output"):
         volume(spec3, traj)
 
 
