@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -237,9 +237,7 @@ def cmd_verify(args) -> int:
             add("lambda_star_closed_form_vs_quadrature", rel, tol_override or 1e-10)
 
         cfg = rc_m.integrator_config()
-        track_cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            r_max=50.0 if m == 2 else 10.0, precision=cfg.precision)
+        track_cfg = replace(cfg, r_max=50.0 if m == 2 else 10.0)
         traj = integrate(spec, profile.jet(), track_cfg)
         mask = traj.r >= track_cfg.launch_radius
         ref = profile.eval(traj.r[mask], 0)

@@ -105,12 +105,6 @@ class Jet:
     def u0(self) -> float:
         return self.lap_values[0]
 
-    def state_at_origin(self, dtype=np.float64) -> "RadialState":
-        """The full state vector at r = 0 (odd slots zero)."""
-        y = np.zeros(2 * len(self.lap_values), dtype=dtype)
-        y[0::2] = self.lap_values
-        return RadialState(r=0.0, y=y)
-
 
 @dataclass(frozen=True)
 class RadialState:
@@ -216,12 +210,6 @@ class Trajectory:
     @property
     def u(self) -> np.ndarray:
         return self.y[:, 0]
-
-    def lap(self, j: int) -> np.ndarray:
-        return self.y[:, 2 * j]
-
-    def lap_deriv(self, j: int) -> np.ndarray:
-        return self.y[:, 2 * j + 1]
 
     def state(self, i: int) -> RadialState:
         """Row i as a RadialState; an unbuilt row is evaluated on its own."""

@@ -16,14 +16,18 @@ what leaves the loop: each accepted step's left state and dense
 coefficients, and the event bisection.
 
 The dense output is the one thing an integration has to produce: the
-growth fit of the verdict, the volume and the critical-datum probes read
-it directly.  Sample rows are a view of it, built by SampleRows the first
-time a caller reads Trajectory.r or .y (a CSV, the formula-1 check): the
-uniform grid up to the deepest radius reached, read off the Taylor series
-up to the launch radius and off ``DenseSolution`` beyond it.  One
-evaluator, ``_quartic``, serves the rows, the event bisection and
-``DenseSolution``, so rows and dense output agree bit for bit; the step
-loop never sees the grid, so the steps taken do not depend on the stride.
+growth fit of the verdict, the critical-datum probes and every integral
+a solve takes (volume.dense_quadrature: the volume and the critical
+balance) read it directly.  Sample rows are a view of it, built by
+SampleRows the first time a caller reads Trajectory.r or .y (a CSV, the
+formula-1 check): the uniform grid up to the deepest radius reached,
+read off the Taylor series up to the launch radius and off
+``DenseSolution`` beyond it.  One evaluator, ``_quartic``, serves the
+rows, the event bisection, ``DenseSolution`` and the quadrature nodes, so
+they all agree bit for bit; the step loop never sees the grid, so the
+steps taken do not depend on the stride.  Only the formula-1 check
+integrates over rows (radial_double_integral), with scipy's cumulative
+Simpson, imported when it runs.
 
 Steps are capped at max(0.1, r/20).  The cap is not needed for accuracy
 or for the samples, which sit on a uniform grid whatever the step size:
@@ -188,7 +192,8 @@ def _quartic(y0, h, q, theta, derivative: int = 0):
     """Quartic dense output y0 + h q @ [t, t^2, t^3, t^4] at theta = t, or d/dr.
 
     q has shape (..., n, 4); y0, h and theta broadcast against its leading
-    axes, so the sample fill, event bisection and DenseSolution share it.
+    axes, so the sample fill, event bisection, DenseSolution and the
+    quadrature nodes of volume.dense_quadrature share it.
     """
     if derivative not in (0, 1):
         raise ValueError("only derivative 0 or 1 supported")
@@ -218,8 +223,8 @@ class DenseSolution:
         self.r_hi = float(self.r_rights[-1])
 
     def __call__(self, r, derivative: int = 0):
+        scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
-        scalar = r.shape == (1,)
         if np.any(r < self.r_lo - 1e-12) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300):
             raise ValueError(
                 f"dense output defined on [{self.r_lo}, {self.r_hi}], got "
@@ -307,9 +312,10 @@ _ROW_BLOCK = 4096
 class SampleRows:
     """The sample grid of one integration, and its rows built on demand.
 
-    The grid is the multiples of stride (the last one clamped to r_max),
-    then r_max itself if the stride does not land on it, cut after the
-    deepest radius reached, r_last; a collapse adds r_last as its last row.
+    The grid is the multiples of stride below r_max, then r_max itself,
+    which takes the place of the last multiple when that lies within
+    1e-9 max(1, r_max) of it; the grid is cut after the deepest radius
+    reached, r_last, and a collapse adds r_last as its last row.
     The row count, any row's radius and the count in a window are
     arithmetic on i * stride, which is nondecreasing in i, so they need no
     grid.  Calling the object builds every row: the Taylor series up to the
@@ -320,26 +326,26 @@ class SampleRows:
     def __init__(self, coeffs, m, r_launch, dense, stride, r_max, r_last, collapsed):
         self.coeffs, self.m, self.r_launch, self.dense = coeffs, m, r_launch, dense
         self.stride, self.r_max = stride, r_max
-        self.n_grid = int(math.floor(r_max / stride + 1e-9)) + 1
-        self.horizon_row = self._full(self.n_grid - 1) < r_max - 1e-9 * max(1.0, r_max)
+        last = int(math.floor(r_max / stride + 1e-9))
+        self.n_mult = last + (last * stride < r_max - 1e-9 * max(1.0, r_max))
         self.n_kept = self._count_full(r_last)
         self.extra = (r_last if collapsed and r_last > self._full(self.n_kept - 1)
                       else None)
 
     def _full(self, i):
         """Radius of row i of the grid before the cut."""
-        return min(i * self.stride, self.r_max) if i < self.n_grid else self.r_max
+        return i * self.stride if i < self.n_mult else self.r_max
 
     def _count_full(self, x):
         """Rows of the grid before the cut with radius <= x."""
         if x >= self.r_max:
-            return self.n_grid + self.horizon_row
+            return self.n_mult + 1
         if x < 0.0:
             return 0
-        i = min(int(x / self.stride), self.n_grid - 1)  # then step to the last i*stride <= x
+        i = min(int(x / self.stride), self.n_mult - 1)  # then step to the last i*stride <= x
         while i > 0 and i * self.stride > x:
             i -= 1
-        while i + 1 < self.n_grid and (i + 1) * self.stride <= x:
+        while i + 1 < self.n_mult and (i + 1) * self.stride <= x:
             i += 1
         return i + 1
 
@@ -372,10 +378,8 @@ class SampleRows:
         return y
 
     def radii(self):
-        r = np.minimum(np.arange(self.n_grid, dtype=np.float64) * self.stride, self.r_max)
-        if self.horizon_row:
-            r = np.append(r, self.r_max)
-        r = r[:self.n_kept]
+        r = np.append(np.arange(self.n_mult, dtype=np.float64) * self.stride,
+                      self.r_max)[:self.n_kept]
         return r if self.extra is None else np.append(r, self.extra)
 
     def __call__(self):
@@ -478,10 +482,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     that window holds fewer than 2 rows of the sample grid.
 
     The sample rows (r, y) are the grid of stride dense_output_stride up to
-    the deepest radius reached (and the horizon, if the stride misses it),
-    with a collapse adding that deepest radius as its last row.  They are
-    built from the Taylor series and the dense output (SampleRows) the
-    first time the trajectory's r or y is read.
+    the deepest radius reached, with the horizon as the last row of a
+    trajectory that gets there and a collapse adding that deepest radius
+    as its last row.  They are built from the Taylor series and the dense
+    output (SampleRows) the first time the trajectory's r or y is read.
 
     Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
     NumPy's per-call dispatch dominates at that size; its sums run in
@@ -743,47 +747,20 @@ def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -
     return float(np.max(np.abs(rec - w)) / max(1.0, float(np.max(np.abs(w)))))
 
 
-def _simpson_pieces(y, dx):
-    """Integral over [x_i, x_i+1] of the parabola through points i, i+1, i+2,
-    for every i, on uneven spacing dx (Cartwright, eq. 8)."""
-    x21, x32 = dx[:-1], dx[1:]
-    x21_x31 = x21 / (x21 + x32)
-    x21x21_x31x32 = x21_x31 * (x21 / x32)
-    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                      - x21x21_x31x32 * y[2:])
-
-
-def _cumulative_simpson(y, x):
-    """Cumulative Simpson integral of y over x (uneven, increasing) from x[0].
-
-    Intervals 0, 2, 4, ... take the parabola through themselves and the
-    next interval, the others (and the last) the one through themselves
-    and the previous interval.  These are the operations, in the same
-    order, of scipy.integrate.cumulative_simpson(y, x=x, initial=0), so
-    the results agree bit for bit.
-    """
-    if y.shape[0] < 3:
-        raise ValueError("cumulative Simpson needs at least 3 points")
-    dx = np.diff(x)
-    ahead = _simpson_pieces(y, dx)
-    behind = _simpson_pieces(y[::-1], dx[::-1])[::-1]
-    pieces = np.empty(dx.shape[0])
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
-
-
 def radial_double_integral(r, g):
     """int_0^r t^-2 int_0^t s^2 g(s) ds dt at every radius of r (r[0] = 0).
 
-    Two cumulative Simpson passes over the samples, which may be unevenly
-    spaced; the inner integral over t^2 is taken as zero at t = 0.
+    Two passes of scipy's cumulative Simpson over the samples, which may
+    be unevenly spaced; the inner integral over t^2 is taken as zero at
+    t = 0.  Only formula1_check reads it, so scipy is imported here, off
+    the package's import path.
     """
-    inner = _cumulative_simpson(r * r * g, r)
+    from scipy.integrate import cumulative_simpson
+
+    inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
     q = np.zeros_like(inner)
     q[1:] = inner[1:] / (r[1:] ** 2)
-    return _cumulative_simpson(q, r)
+    return cumulative_simpson(q, x=r, initial=0.0)
 
 
 def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,

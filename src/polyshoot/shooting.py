@@ -31,8 +31,8 @@ from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
-from .integrator import IntegratorConfig, integrate, radial_double_integral
-from .volume import volume, volume_of_jet
+from .integrator import IntegratorConfig, integrate
+from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
            "Probe", "Bracket", "refine_bracket", "CriticalEps", "critical_eps",
@@ -179,7 +179,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 4  # 4: volume and volume_err from the dense-output quadrature
+    SCHEMA = 5  # 5: partial_integral from the dense-output quadrature
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -330,7 +330,7 @@ class EpsResidual:
     At the critical datum the top Laplacian drains to zero at infinity;
     equivalently the normalised source integral reaches one.  Both
     quantities are reported: delta2_at_horizon straight from the state,
-    partial_integral from an independent quadrature of the samples.
+    partial_integral from an independent quadrature of the dense output.
     """
 
     delta2_at_horizon: float
@@ -340,9 +340,16 @@ class EpsResidual:
 
 
 def _critical_balance(traj: Trajectory) -> tuple:
-    """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory."""
-    return (traj.state(-1).lap(2),
-            float(radial_double_integral(traj.r, traj.u ** -3.0)[-1]))
+    """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory.
+
+    The source integral int_0^R t^-2 int_0^t s^2 u^-3 ds dt over the
+    dense output's range [0, R] is, with the order of integration swapped
+    (int_s^R t^-2 dt = 1/s - 1/R), the single integral
+    int_0^R s (1 - s/R) u^-3 ds, taken by dense_quadrature.
+    """
+    r_hi = traj.dense.r_hi
+    partial, _ = dense_quadrature(traj, lambda dr, r, u: dr * r * (1.0 - r / r_hi) * u ** -3.0)
+    return traj.state(-1).lap(2), partial
 
 
 def critical_eps_residual(ce: CriticalEps,

@@ -1,12 +1,17 @@
 """Conformal volume of an entire trajectory: quadrature core + modeled tail.
 
+One quadrature, dense_quadrature, takes every integral over a solution:
+5-point Gauss-Legendre on every stored step of the dense output (Davis &
+Rabinowitz), where the solution is one quartic, plus the same rule on the
+Taylor series over [0, launch radius], with the 3-point rule as its
+error.  It has two integrands: the volume core here, and the source
+integral of the m=3 critical balance (shooting._critical_balance).
+
 The volume is 4*pi int_0^inf r^2 u(r)^ve dr with ve = -6 (m=2) or -2
 (m=3).  The integrand decays only like r^-4 in the slowest growth class,
 so the integral is split at the trajectory horizon.  The core [0, r_end]
-is read off the dense output: 5-point Gauss-Legendre on every stored
-step (Davis & Rabinowitz), where the solution is one quartic, plus the
-same rule on the Taylor series over [0, launch radius].  The remainder is
-a closed-form power integral, driven by a two-term fit
+is that quadrature of the dense output.  The remainder is a closed-form
+power integral, driven by a two-term fit
 
     log u  ~  log c + gamma log r + delta / r^2
 
@@ -33,7 +38,8 @@ from .core import (Collapsed, EntirePositive, EquationSpec, Jet, Trajectory,
 from .errors import DivergentTail, UndefinedVolume, WindowTooNarrow
 from . import integrator
 
-__all__ = ["PowerTail", "VolumeEstimate", "volume", "volume_of_jet", "power_tail"]
+__all__ = ["PowerTail", "VolumeEstimate", "volume", "volume_of_jet", "power_tail",
+           "dense_quadrature"]
 
 
 @dataclass(frozen=True)
@@ -108,28 +114,28 @@ _GL_X = 0.5 * (1.0 + np.array([-_GL5_B, -_GL5_A, 0.0, _GL5_A, _GL5_B,
                                -math.sqrt(0.6), 0.0, math.sqrt(0.6)]))
 _GL_W = 0.5 * np.array([[_GL5_WB, _GL5_WA, 128.0 / 225.0, _GL5_WA, _GL5_WB, 0.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 0.0, 0.0, 5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]]).T
-_GL_POWERS = _GL_X[None, :] ** np.arange(1, 5)[:, None]   # theta^j, j = 1..4
 
 
-def _core(spec: EquationSpec, traj: Trajectory):
-    """4 pi int_0^r_end r^2 u^ve dr off the dense output, and its error.
+def dense_quadrature(traj: Trajectory, integrand):
+    """int_0^R f(r, u) dr over the dense output, R its outer end, and the
+    error of that value.
 
-    Each stored step is one quartic u = y0 + h q @ theta^[1..4], so its
-    Gauss-Legendre nodes are one small matrix product; the Taylor series
-    covers [0, launch radius].  The error is the sum over steps of the
-    difference between the 5- and the 3-point rule.
+    integrand(dr, r, u) returns f(r, u) dr at the nodes r of an interval
+    of length dr, with u at those nodes.  Each stored step is one quartic,
+    read at its Gauss-Legendre nodes through integrator._quartic; the
+    Taylor series covers [0, launch radius].  The error is the sum over
+    intervals of the difference between the 5- and the 3-point rule.
     """
-    ve, d = spec.vol_exponent, traj.dense
+    d = traj.dense
     a = d.r_lefts.astype(float)
     width = d.r_rights.astype(float) - a
-    u = (d.y_lefts[:, 0].astype(float)[:, None]
-         + d.hs.astype(float)[:, None] * (d.qs[:, 0, :].astype(float) @ _GL_POWERS))
-    r = a[:, None] + width[:, None] * _GL_X
-    f = width[:, None] * (4.0 * math.pi) * r * r * u ** ve
+    u = integrator._quartic(d.y_lefts[:, None, :1].astype(float), d.hs.astype(float)[:, None],
+                            d.qs[:, None, :1].astype(float), _GL_X)[..., 0]
     r0 = d.r_lo * _GL_X
-    u0 = _taylor_state(taylor_coefficients(spec, traj.jet), spec.m, r0)[:, 0]
-    f0 = d.r_lo * (4.0 * math.pi) * r0 * r0 * u0 ** ve
-    q = np.vstack((f, f0)) @ _GL_W   # (steps + 1, 2): 5-point, 3-point
+    u0 = _taylor_state(taylor_coefficients(traj.spec, traj.jet), traj.spec.m, r0)[:, 0]
+    f = np.vstack((integrand(width[:, None], a[:, None] + width[:, None] * _GL_X, u),
+                   integrand(d.r_lo, r0, u0)))
+    q = f @ _GL_W   # (steps + 1, 2): 5-point, 3-point
     return float(np.sum(q[:, 0])), float(np.sum(np.abs(q[:, 0] - q[:, 1])))
 
 
@@ -154,7 +160,8 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
     if spec.m != traj.spec.m:
         raise ValueError("spec/trajectory order mismatch")
     ve = spec.vol_exponent
-    core, core_err = _core(spec, traj)
+    core, core_err = dense_quadrature(
+        traj, lambda dr, r, u: dr * (4.0 * math.pi) * r * r * u ** ve)
     core_err = max(core_err, 1e-13 * abs(core))
 
     r_end = traj.r_end

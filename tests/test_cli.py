@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import polyshoot
-from polyshoot import shooting
+from polyshoot import cli, shooting
 from polyshoot.cli import _CSV_BLOCK, _csv_rows, _fmt, main, parse_range, UsageError
 
 
@@ -54,6 +54,26 @@ def test_verify_controlled_failure(tmp_path):
     assert main(["verify", "--m", "2", "--tol", "1e-30", "--out", str(out)]) == 3
     report = json.loads(out.read_text())
     assert report["pass"] is False
+
+
+def test_verify_honours_config_file(tmp_path, monkeypatch):
+    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "launch_radius": 5e-4,
+              "dense_output_stride": 0.02, "max_steps": 150_000}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, **fields}))
+    seen = []
+    integrate = cli.integrate
+
+    def recording(spec, jet, cfg):
+        seen.append(cfg)
+        return integrate(spec, jet, cfg)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "report.json")])
+    # m=2: tracking run, volume run; m=3: tracking run
+    assert [cfg.r_max for cfg in seen] == [50.0, 1e3, 10.0]
+    for cfg in seen:
+        assert {name: getattr(cfg, name) for name in fields} == fields
 
 
 def test_shoot_csv_m2(tmp_path, capsys):
@@ -290,9 +310,13 @@ def test_unknown_subcommand():
 
 def test_cli_import_leaves_scipy_out():
     # scipy.integrate was most of the CLI's start-up time; only verify's
-    # quadrature check still imports it, when it runs
+    # quadrature check and formula1_check still import it, when they run,
+    # so neither the import nor a critical-datum solve loads it
     src = os.path.dirname(os.path.dirname(polyshoot.__file__))
-    code = "import polyshoot.cli, sys; assert 'scipy' not in sys.modules"
+    code = ("import polyshoot.cli, sys; assert 'scipy' not in sys.modules\n"
+            "from polyshoot import critical_eps, critical_eps_residual\n"
+            "critical_eps_residual(critical_eps(10.0, bracket_tol=1e-3))\n"
+            "assert 'scipy' not in sys.modules")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert out.returncode == 0, out.stderr

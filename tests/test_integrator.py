@@ -24,7 +24,8 @@ from polyshoot import (
 from polyshoot.core import Trajectory
 from polyshoot.integrator import (_WALL_COEF_M2, SampleRows, _dp5_step, _step_tableau,
                                   _tableau, _wall_distance, radial_double_integral)
-from polyshoot.shooting import default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate
+from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
+                                jet_m2, jet_m3, lap_limit_estimate)
 from polyshoot.volume import volume, volume_of_jet
 
 from conftest import common_grid
@@ -66,6 +67,15 @@ def test_all_slots_track_closed_form(u0, traj_u0_50):
         ref = u0.eval(traj_u0_50.r, slot)
         err = np.abs(traj_u0_50.y[:, slot] - ref)
         assert np.max(err / np.maximum(0.02, np.abs(ref))) < 2e-6
+
+
+def test_dense_output_keeps_the_axis_of_an_array(traj_u0_50):
+    d = traj_u0_50.dense
+    assert d(1.0).shape == d(np.float64(1.0)).shape == (4,)
+    assert d(np.array([1.0])).shape == (1, 4)
+    assert d(np.array([1.0, 2.0])).shape == (2, 4)
+    assert np.array_equal(d(np.array([1.0]))[0], d(1.0))
+    assert d(np.array([1.0]), derivative=1).shape == (1, 4)
 
 
 def test_dense_output_matches_samples(traj_u0_50):
@@ -319,15 +329,18 @@ def test_samples_agree_with_dense_output(u0, ending):
     assert np.all(np.abs(y - loop) <= 1e-14 * np.maximum(1.0, np.abs(y)))
 
 
-@pytest.mark.parametrize("r_max, stride", [(0.3, 0.1), (0.7, 0.1), (1.0, 0.3), (30.0, 0.01)])
+@pytest.mark.parametrize("r_max, stride", [(0.3, 0.1), (0.7, 0.1), (1.0, 0.3), (30.0, 0.01),
+                                           (100.00000005, 0.1)])
 def test_samples_end_on_the_horizon(u0, r_max, stride):
     # k * stride can round past r_max (3 * 0.1 > 0.3); the last row is still
-    # the horizon, and a stride that misses it gets the horizon appended
+    # the horizon, a stride that misses it gets the horizon appended, and a
+    # multiple within 1e-9 max(1, r_max) below it (1000 * 0.1) becomes it
     traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
                      IntegratorConfig(r_max=r_max, dense_output_stride=stride))
+    assert traj.state(-1).r == r_max  # what is_entire and lap_limit_estimate read
     assert traj.r[-1] == r_max
-    assert np.all(np.diff(traj.r) > 0)
-    assert len(traj) == math.ceil(r_max / stride - 1e-9) + 1
+    assert np.all(np.diff(traj.r) > 1e-9 * max(1.0, r_max))
+    assert len(traj) == math.ceil((r_max - 1e-9 * max(1.0, r_max)) / stride) + 1
 
 
 def test_sample_rows_bounded_memory(u0):
@@ -359,30 +372,16 @@ def test_radial_double_integral_exact_for_constant_source():
     assert np.max(np.abs(got[1:] - want[1:]) / want[1:]) <= 1e-14
 
 
-def test_radial_double_integral_matches_scipy():
-    from scipy.integrate import cumulative_simpson
-
-    def reference(r, g):
-        inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
-        q = np.zeros_like(inner)
-        q[1:] = inner[1:] / r[1:] ** 2
-        return cumulative_simpson(q, x=r, initial=0.0)
-
-    rng = np.random.default_rng(11)
-    r = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, 301))])
-    traj = integrate(EquationSpec.for_order(3), jet_m3(10.0, 3.0751), default_config(3))
-    for r, g in ((r, np.cos(r) + 2.0), (traj.r, traj.u ** -3.0)):
-        want = reference(r, g)
-        got = radial_double_integral(r, g)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-
-
 def _reference_radii(stride, r_max, r_last, collapsed):
-    """The sample radii as integrate built them before the rows were lazy."""
+    """The sample radii built as a whole grid: the multiples of stride, the
+    last clamped to r_max, and r_max appended unless that last multiple lies
+    within 1e-9 max(1, r_max) of it, in which case it becomes r_max."""
     n_grid = int(math.floor(r_max / stride + 1e-9)) + 1
     r = np.minimum(np.arange(n_grid, dtype=np.float64) * stride, r_max)
     if r[-1] < r_max - 1e-9 * max(1.0, r_max):
         r = np.append(r, r_max)
+    else:
+        r[-1] = r_max
     r = r[:np.searchsorted(r, r_last, side="right")]
     if collapsed and r_last > r[-1]:
         r = np.append(r, r_last)
@@ -396,6 +395,7 @@ def _reference_radii(stride, r_max, r_last, collapsed):
                                                  st.floats(0.0, 250.0)))
 @example(stride=0.1, r_max=0.3, frac=1.0, collapsed=False, window=(0.1, 0.3))
 @example(stride=0.01, r_max=30.0, frac=0.5, collapsed=True, window=(3.75, 15.0))
+@example(stride=0.1, r_max=100.00000005, frac=1.0, collapsed=False, window=(99.95, 100.0))
 def test_sample_rows_count_without_building(stride, r_max, frac, collapsed, window):
     r_last = max(1e-3, frac * r_max) if frac < 1.0 else r_max * frac
     rows = SampleRows(None, 2, 1e-3, None, stride, r_max, r_last, collapsed and frac < 1.0)
@@ -447,6 +447,11 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
             volume(spec3, traj)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
+    # a cold critical-datum solve, its volume and its critical balance
+    ce = critical_eps(10.0, bracket_tol=1e-3)
+    assert critical_eps_residual(ce).partial_integral == ce.partial_integral > 0.9
+    longer = critical_eps_residual(ce, default_config(3, r_max=150.0))
+    assert longer.horizon == 150.0 and ce.partial_integral < longer.partial_integral < 1.0
 
 
 @pytest.mark.parametrize("ending", ["wall_closure", "m3_wall_closure", "floor_crossing"])

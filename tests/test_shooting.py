@@ -26,6 +26,7 @@ from polyshoot import (
     volume,
 )
 from polyshoot import shooting
+from polyshoot.integrator import radial_double_integral
 from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
                                 refine_bracket)
 
@@ -147,6 +148,24 @@ def test_critical_eps_residual_behaviour(ce10, spec3):
     ce_long = critical_eps(10.0, default_config(3, r_max=200.0), bracket_tol=1e-6)
     res_long = critical_eps_residual(ce_long, default_config(3, r_max=200.0))
     assert res.partial_integral < res_long.partial_integral < 1.0
+
+
+@pytest.mark.parametrize("r_max", [10.0, 100.0])
+def test_source_integral_on_the_cubic_profile(spec3, u1, r_max):
+    # int_0^R s (1 - s/R) u^-3 ds = Lap^2 u(0) - Lap^2 u(R) for an exact solution
+    traj = integrate(spec3, u1.jet(), IntegratorConfig(r_max=r_max))
+    _, partial = shooting._critical_balance(traj)
+    want = u1.eval(0.0, 4) - u1.eval(r_max, 4)
+    assert partial == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [10.0, 20.0, 40.0])
+def test_source_integral_matches_simpson_on_the_samples(ce10, k):
+    # the double integral by two cumulative Simpson passes over the sample rows
+    ce = ce10 if k == 10.0 else critical_eps(k, bracket_tol=1e-6)
+    traj = ce.traj_lo
+    simpson = radial_double_integral(traj.r, traj.u ** -3.0)[-1]
+    assert ce.partial_integral == pytest.approx(simpson, abs=1e-10)
 
 
 def test_horizon_robustness(ce10):
@@ -326,13 +345,15 @@ def test_midpoint_round_is_not_a_stall(root):
 
 
 def test_cache_schema_3_is_a_miss(tmp_path):
-    # schema 3 entries hold volumes from Simpson on the sample rows
+    # schema 3 entries hold volumes from Simpson on the sample rows, schema 4
+    # entries partial integrals from it
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
-    (tmp_path / "critical_eps.json").write_text(
-        json.dumps({"schema": 3, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 4
-    assert cache.get(key) is None
+    assert EpsCache.SCHEMA == 5
+    for schema in (3, 4):
+        cache.path.write_text(json.dumps(
+            {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
+        assert cache.get(key) is None
     cache.put(key, {"eps_star": 3.0})
     assert cache.get(key) == {"eps_star": 3.0}
