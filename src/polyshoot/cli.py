@@ -5,8 +5,8 @@ configuration) or JSON; files are written atomically (temp + rename).
 Every command is deterministic for a fixed configuration; re-running
 produces byte-identical output apart from one timestamp comment line.
 
-Exit codes: 0 success, 2 usage/config error, 3 numerical failure,
-4 volume target out of range.
+Exit codes: 0 success, 2 usage or config error (an invalid argument or
+config value included), 3 numerical failure, 4 volume target out of range.
 """
 
 from __future__ import annotations
@@ -44,44 +44,31 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs; mirrors the JSON config schema 1:1.
+    """What a command runs with: the order, the IntegratorConfig of its
+    integrations and the critical-datum cache directory.
 
-    The integrator fields and their defaults are IntegratorConfig's; an
-    unset r_max takes the per-order horizon of shooting.default_config.
+    Its flattened form {m, cache_dir, **asdict(cfg)} is config schema 1.
     """
 
-    m: int = 2
-    rel_tol: float = IntegratorConfig.rel_tol
-    abs_tol: float = IntegratorConfig.abs_tol
-    r_max: float = None
-    max_steps: int = IntegratorConfig.max_steps
-    u_floor: float = IntegratorConfig.u_floor
-    launch_radius: float = IntegratorConfig.launch_radius
-    dense_output_stride: float = IntegratorConfig.dense_output_stride
-    precision: str = IntegratorConfig.precision
-    cache_dir: str = None
-
-    def __post_init__(self):
-        if self.m not in (2, 3):
-            raise UsageError(f"--m must be 2 or 3, got {self.m}")
-        if self.r_max is None:
-            self.r_max = default_config(self.m).r_max
-
-    def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(**{f.name: getattr(self, f.name)
-                                   for f in fields(IntegratorConfig)})
+    m: int
+    cfg: IntegratorConfig
+    cache_dir: str | None = None
 
     def cache(self):
         return EpsCache(self.cache_dir) if self.cache_dir else None
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_KEYS = {"m", "cache_dir"} | {f.name for f in fields(IntegratorConfig)}
 
 
 def load_run_config(args) -> RunConfig:
-    """Merge defaults < config file < CLI flags; env wins for the cache dir."""
+    """Merge defaults < config file < CLI flags; env wins for the cache dir.
+
+    A null value in the config file means the default; an unset r_max
+    takes the per-order horizon of shooting.default_config.
+    """
     values = {}
     if args.config:
         try:
@@ -109,8 +96,12 @@ def load_run_config(args) -> RunConfig:
         values["cache_dir"] = args.cache_dir
     elif env_cache:
         values["cache_dir"] = env_cache
+    values = {name: v for name, v in values.items() if v is not None}
+    m, cache_dir = values.pop("m", 2), values.pop("cache_dir", None)
+    if m not in (2, 3):
+        raise UsageError(f"--m must be 2 or 3, got {m}")
     try:
-        return RunConfig(**values)
+        return RunConfig(m, default_config(m, **values), cache_dir)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc))
 
@@ -159,9 +150,10 @@ def write_text(path, text: str):
 
 
 def _csv_header(command: str, rc: RunConfig, extra=()):
+    config = {"schema": SCHEMA, "m": rc.m, "cache_dir": rc.cache_dir, **asdict(rc.cfg)}
     lines = [f"# polyshoot {command}",
              f"# generated: {datetime.now(timezone.utc).isoformat()}",
-             f"# config: {json.dumps({'schema': SCHEMA, **asdict(rc)}, sort_keys=True)}"]
+             f"# config: {json.dumps(config, sort_keys=True)}"]
     lines.extend(extra)
     return lines
 
@@ -220,7 +212,6 @@ def cmd_verify(args) -> int:
                        "pass": bool(abs(value) <= tol)})
 
     for m in orders:
-        rc_m = RunConfig(**{**asdict(rc), "m": m, "r_max": None})
         profile = oracle.linear_profile() if m == 2 else oracle.cubic_profile()
         spec = EquationSpec.for_order(m)
         res_tol = tol_override or (1e-8 if m == 2 else 1e-6)
@@ -236,7 +227,7 @@ def cmd_verify(args) -> int:
             rel = abs(oracle.lambda_star() - quad_val) / quad_val
             add("lambda_star_closed_form_vs_quadrature", rel, tol_override or 1e-10)
 
-        cfg = rc_m.integrator_config()
+        cfg = replace(rc.cfg, r_max=default_config(m).r_max)
         track_cfg = replace(cfg, r_max=50.0 if m == 2 else 10.0)
         traj = integrate(spec, profile.jet(), track_cfg)
         mask = traj.r >= track_cfg.launch_radius
@@ -262,7 +253,7 @@ def cmd_shoot(args) -> int:
     rc = load_run_config(args)
     spec = EquationSpec.for_order(rc.m)
     jet = _jet_from_args(rc, args)
-    traj = integrate(spec, jet, rc.integrator_config())
+    traj = integrate(spec, jet, rc.cfg)
     cols = ["r", "u", "u1", "lap_u", "lap_u1"]
     if rc.m == 3:
         cols += ["lap2_u", "lap2_u1"]
@@ -291,10 +282,9 @@ def cmd_shoot(args) -> int:
 
 def _sweep_point(payload):
     """Worker: one (param, jet) volume evaluation; must stay picklable."""
-    rc_dict, param, jet_values = payload
-    rc = RunConfig(**rc_dict)
-    spec = EquationSpec.for_order(rc.m)
-    traj = integrate(spec, Jet(jet_values), rc.integrator_config())
+    m, cfg, param, jet_values = payload
+    spec = EquationSpec.for_order(m)
+    traj = integrate(spec, Jet(jet_values), cfg)
     label = _verdict_label(traj.verdict)
     vol_total = vol_err = gamma = float("nan")
     if isinstance(traj.verdict, EntirePositive):
@@ -306,6 +296,8 @@ def _sweep_point(payload):
 
 def cmd_sweep(args) -> int:
     rc = load_run_config(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or min(8, os.cpu_count() or 1)
 
     if args.at_critical:
@@ -315,10 +307,9 @@ def cmd_sweep(args) -> int:
         if not ks:
             raise UsageError("--at-critical needs a nonempty --k list")
         cache = rc.cache()
-        cfg = rc.integrator_config()
         rows = []
         for k in sorted(ks):
-            ce = critical_eps(k, cfg, args.bracket_tol, cache=cache)
+            ce = critical_eps(k, rc.cfg, args.bracket_tol, cache=cache)
             rows.append((k, ce.eps_star, "EntirePositive", ce.volume,
                          ce.volume_err))
         lines = _csv_header("sweep", rc)
@@ -346,7 +337,7 @@ def cmd_sweep(args) -> int:
     if not params:
         raise UsageError("empty parameter range")
 
-    payloads = [(asdict(rc), p, j) for p, j in sorted(jets)]
+    payloads = [(rc.m, rc.cfg, p, j) for p, j in sorted(jets)]
     if jobs == 1:
         results = [_sweep_point(pl) for pl in payloads]
     else:
@@ -368,9 +359,8 @@ def cmd_critical_eps(args) -> int:
         raise UsageError("critical-eps applies to --m 3")
     args.m = 3  # also picks the m=3 default horizon when nothing sets r_max
     rc = load_run_config(args)
-    cfg = rc.integrator_config()
-    ce = critical_eps(args.k, cfg, args.bracket_tol, cache=rc.cache())
-    resid = critical_eps_residual(ce, cfg)
+    ce = critical_eps(args.k, rc.cfg, args.bracket_tol, cache=rc.cache())
+    resid = critical_eps_residual(ce, rc.cfg)
     report = {
         "schema": SCHEMA,
         "k": args.k,
@@ -398,7 +388,7 @@ def cmd_critical_eps(args) -> int:
 def cmd_prescribe_volume(args) -> int:
     rc = load_run_config(args)
     spec = EquationSpec.for_order(rc.m)
-    solve = prescribe_volume(spec, args.lam, rc.integrator_config(),
+    solve = prescribe_volume(spec, args.lam, rc.cfg,
                              rel_tol_target=args.vol_tol, cache=rc.cache())
     report = {
         "schema": SCHEMA,
@@ -493,7 +483,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: an invalid argument
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TargetOutOfRange as exc:

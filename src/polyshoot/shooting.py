@@ -21,7 +21,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -94,15 +94,6 @@ def _entire(traj: Trajectory) -> bool:
     """Critical-datum classifier: is_entire is not enough, since a
     supercritical trajectory can outlive the horizon; w_inf must stay > 0."""
     return is_entire(traj) and lap_limit_estimate(traj) > 0.0
-
-
-def _divergence_radius(t1: Trajectory, t2: Trajectory, rel: float = 0.05):
-    """First common radius where the u-components differ by `rel` relatively."""
-    n = min(len(t1), len(t2))
-    u1, u2 = t1.u[:n], t2.u[:n]
-    bad = np.abs(u1 - u2) > rel * (1.0 + np.minimum(np.abs(u1), np.abs(u2)))
-    idx = np.flatnonzero(bad)
-    return float(t1.r[idx[0]]) if idx.size else None
 
 
 class Probe(NamedTuple):
@@ -227,7 +218,8 @@ class CriticalEps:
     """Refined bracket [eps_lo, eps_hi] for the critical second datum at fixed
     k, with the volume (and its error estimate) and the critical-balance
     residual (see EpsResidual) of the entire end eps_lo; a cache hit reads
-    these from the entry and carries no trajectories."""
+    these from the entry and carries no trajectories.  precision is that of
+    the config the solve ran with."""
 
     k: float
     eps_lo: float
@@ -253,17 +245,16 @@ class CriticalEps:
 
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  bracket_tol: float = 1e-6, *, k_min: float = DEFAULT_K_MIN,
-                 cache: Optional[EpsCache] = None,
-                 extended_retry_width: float = 1e-10) -> CriticalEps:
+                 cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
     Starts from the bracket imposed by theory: eps=0 must integrate entire
     (BracketFailure otherwise, signalling k below the large-k regime at
     this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
     short).  refine_bracket closes it to bracket_tol, with w_inf of every
-    trajectory passing is_entire as the residual.  If the ends diverge
-    before a tenth of the horizon at rounding width, they are re-integrated
-    in extended precision and the refinement goes on there.
+    trajectory passing is_entire as the residual.  Every integration runs
+    at cfg.precision; for a bracket_tol near the rounding width of eps,
+    pass precision="extended" in cfg.
     """
     if k < k_min:
         raise ValueError(f"k={k} below configured k_min={k_min}")
@@ -285,12 +276,6 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
         w_inf = lap_limit_estimate(traj) if is_entire(traj) else None
         return Probe(_entire(traj), w_inf, traj)
 
-    def retry_due(b):  # an early split at rounding width is rounding noise
-        if cfg.precision != "double" or b.width > extended_retry_width * max(1.0, b.hi):
-            return False
-        r_div = _divergence_radius(b.at_lo.payload, b.at_hi.payload)
-        return r_div is not None and r_div < cfg.r_max / 10.0
-
     b = Bracket(0.0, eps_cap, evaluate(0.0), evaluate(eps_cap))
     if not b.at_lo.lo_side:
         raise BracketFailure(
@@ -301,14 +286,7 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
             f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
             f"horizon {cfg.r_max}: horizon too short")
 
-    refine_bracket(evaluate, b, bracket_tol, stop=retry_due)
-    if b.width > bracket_tol:  # stopped by retry_due
-        cfg = replace(cfg, precision="extended")
-        b.at_lo, b.at_hi = evaluate(b.lo), evaluate(b.hi)
-        if not b.at_lo.lo_side or b.at_hi.lo_side:
-            raise BracketFailure("bracket classifications did not survive "
-                                 "the extended-precision retry")
-        refine_bracket(evaluate, b, bracket_tol)
+    refine_bracket(evaluate, b, bracket_tol)
 
     v_lo = volume(spec, b.at_lo.payload)
     delta2, partial = _critical_balance(b.at_lo.payload)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import polyshoot
-from polyshoot import cli, shooting
+from polyshoot import cli, integrator, shooting
 from polyshoot.cli import _CSV_BLOCK, _csv_rows, _fmt, main, parse_range, UsageError
 
 
@@ -72,6 +72,35 @@ def test_verify_honours_config_file(tmp_path, monkeypatch):
     main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "report.json")])
     # m=2: tracking run, volume run; m=3: tracking run
     assert [cfg.r_max for cfg in seen] == [50.0, 1e3, 10.0]
+    for cfg in seen:
+        assert {name: getattr(cfg, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--rho", "0.5"],
+    ["sweep", "--rho", "0:1:1", "--jobs", "1"],
+    ["prescribe-volume", "--m", "2", "--lambda", "9.4"],
+    ["critical-eps", "--k", "10", "--bracket-tol", "1e-3"],
+])
+def test_commands_honour_config_file(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
+    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "launch_radius": 5e-4,
+              "dense_output_stride": 0.02, "max_steps": 150_000}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, **fields}))
+    seen = []
+
+    def recording(integrate):
+        def wrapped(spec, jet, cfg):
+            seen.append(cfg)
+            return integrate(spec, jet, cfg)
+        return wrapped
+
+    # the command's own integrations, the root solves', and volume_of_jet's
+    for module in (cli, shooting, integrator):
+        monkeypatch.setattr(module, "integrate", recording(module.integrate))
+    assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert seen
     for cfg in seen:
         assert {name: getattr(cfg, name) for name in fields} == fields
 
@@ -256,6 +285,46 @@ def test_config_file_bad_schema(tmp_path):
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path)]) == 2
     cfg_path.write_text(json.dumps({"schema": 1, "bogus_key": 1}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"rel_tol": -1}, []),
+    ({}, ["--tol", "-1"]),
+    ({}, ["--r-max", "1e-4"]),  # below launch_radius
+])
+def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, **config}))
+    assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path), *flags]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, horizon", [(2, 1e3), (3, 1e2)])
+def test_config_null_means_default(tmp_path, m, horizon):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "m": m, "r_max": None,
+                                    "rel_tol": None, "cache_dir": None}))
+    out = tmp_path / "t.csv"
+    jet = ["--rho", "0.5"] if m == 2 else ["--k", "10", "--eps", "0.1"]
+    assert main(["shoot", *jet, "--config", str(cfg_path), "--out", str(out)]) == 0
+    header = [ln for ln in out.read_text().splitlines() if ln.startswith("# config:")][0]
+    stored = json.loads(header.split("# config:", 1)[1])
+    assert (stored["m"], stored["r_max"], stored["rel_tol"]) == (m, horizon, 1e-8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--jet", "1,2,3"],  # m=2 needs 2 values
+    ["shoot", "--jet", "a,b"],
+    ["sweep", "--rho", "a:b:c"],
+    ["sweep", "--m", "3", "--k", "1,2", "--eps=0:1:1"],
+    ["sweep", "--rho", "0:1:1", "--jobs", "0"],
+    ["critical-eps", "--k", "1"],  # below k_min
+    ["critical-eps", "--k", "10", "--bracket-tol", "-1"],
+    ["sweep", "--m", "3", "--at-critical", "--k", "1"],
+])
+def test_invalid_argument_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_sweep_at_critical(tmp_path, monkeypatch):

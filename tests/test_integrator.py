@@ -447,7 +447,9 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
             volume(spec3, traj)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
-    # a cold critical-datum solve, its volume and its critical balance
+    # cold critical-datum solves, their volumes and critical balances, down
+    # to a bracket near the rounding width of eps
+    assert critical_eps(40.0, bracket_tol=1e-13).width <= 1e-13
     ce = critical_eps(10.0, bracket_tol=1e-3)
     assert critical_eps_residual(ce).partial_integral == ce.partial_integral > 0.9
     longer = critical_eps_residual(ce, default_config(3, r_max=150.0))

@@ -191,11 +191,18 @@ def test_smallest_valid_k():
     assert any(not d["valid"] for d in detail) or k_min == 1
 
 
-def test_extended_precision_retry_path():
-    # force the retry trigger with an absurd width threshold: the run must
-    # complete in extended precision with a consistent bracket
-    ce = critical_eps(10.0, bracket_tol=1e-3, extended_retry_width=10.0)
-    assert ce.precision == "extended"
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
+    seen = []
+    integrate = shooting.integrate
+
+    def recording(spec, jet, cfg):
+        seen.append(cfg.precision)
+        return integrate(spec, jet, cfg)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    ce = critical_eps(10.0, default_config(3, precision=precision), bracket_tol=1e-3)
+    assert ce.precision == precision and set(seen) == {precision}
     assert ce.eps_star == pytest.approx(3.0752, abs=2e-3)
 
 
