@@ -202,21 +202,23 @@ def cmd_verify(args) -> int:
     # --tol tightens the CHECK tolerances only; integration still runs at
     # the configured (or default) integrator tolerances.
     tol_override = args.tol
+    if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0):
+        raise UsageError(f"--tol must be positive and finite, got {tol_override}")
     args.tol = None
     rc = load_run_config(args)
     orders = [rc.m] if args.m is not None else [2, 3]
     checks = []
 
     def add(name, value, tol):
+        tol = tol if tol_override is None else tol_override
         checks.append({"check": name, "value": value, "tolerance": tol,
                        "pass": bool(abs(value) <= tol)})
 
     for m in orders:
         profile = oracle.linear_profile() if m == 2 else oracle.cubic_profile()
         spec = EquationSpec.for_order(m)
-        res_tol = tol_override or (1e-8 if m == 2 else 1e-6)
         res = max(abs(profile.residual(r)) for r in (0.0, 0.1, 1.0, 10.0, 100.0))
-        add(f"m{m}_profile_residual_max", res, res_tol)
+        add(f"m{m}_profile_residual_max", res, 1e-8 if m == 2 else 1e-6)
 
         if m == 2:
             from scipy.integrate import quad
@@ -225,7 +227,7 @@ def cmd_verify(args) -> int:
                 lambda r: r * r * (a + r * r) ** -3.0, 0.0, np.inf,
                 epsabs=0.0, epsrel=1e-12)[0]
             rel = abs(oracle.lambda_star() - quad_val) / quad_val
-            add("lambda_star_closed_form_vs_quadrature", rel, tol_override or 1e-10)
+            add("lambda_star_closed_form_vs_quadrature", rel, 1e-10)
 
         cfg = replace(rc.cfg, r_max=default_config(m).r_max)
         track_cfg = replace(cfg, r_max=50.0 if m == 2 else 10.0)
@@ -233,13 +235,13 @@ def cmd_verify(args) -> int:
         mask = traj.r >= track_cfg.launch_radius
         ref = profile.eval(traj.r[mask], 0)
         track = float(np.max(np.abs(traj.u[mask] - ref) / ref))
-        add(f"m{m}_profile_tracking_sup", track, tol_override or 10 * cfg.rel_tol)
+        add(f"m{m}_profile_tracking_sup", track, 10 * cfg.rel_tol)
 
         if m == 2:
             vol_traj = integrate(spec, profile.jet(), cfg)
             v = volume(spec, vol_traj)
             rel = abs(v.total - oracle.lambda_star()) / oracle.lambda_star()
-            add("critical_volume_reproduction", rel, tol_override or 1e-4)
+            add("critical_volume_reproduction", rel, 1e-4)
 
     ok = all(c["pass"] for c in checks)
     report = {"schema": SCHEMA, "orders": orders, "checks": checks, "pass": ok}

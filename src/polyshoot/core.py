@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -153,59 +153,69 @@ class Inconclusive:
 Verdict = Union[Collapsed, EntirePositive, Inconclusive]
 
 
+# Rows per dense-output call when the state rows are built: each row
+# gathers its step's (2m, 4) coefficients, so a whole 100 001-row grid in
+# one call would hold over 20 MB of temporaries at once.
+_ROW_BLOCK = 4096
+
+
 class Trajectory:
     """A numerical solution: dense output, sample rows and termination verdict.
 
     Rows are stored column-wise: ``r`` has shape (n,), ``y`` shape (n, 2m).
-    ``integrate`` passes a row builder (``rows``) instead of the arrays:
-    they are built the first time ``r`` or ``y`` is read and then kept,
-    while ``len``, ``state`` and ``count_rows`` answer from the builder
-    without building them.  ``dense`` (when present) is the integrator's
-    piecewise dense output and evaluates the solution and its derivative
-    anywhere in (launch_radius, r_end]; the verdict, the volume and the
+    ``integrate`` passes a picklable grid function (``radii``) instead of
+    the arrays: ``r`` is built from it, and ``y`` as ``dense(r)``, the first
+    time each is read, then kept.  ``len``, ``count_rows`` and ``state``
+    read ``r`` only, so they leave ``y`` unbuilt.  ``dense`` (when present)
+    is the integrator's DenseSolution, which evaluates the solution from 0
+    to the deepest radius reached; the verdict, the volume and the
     critical-datum probes read only it.
     """
 
     def __init__(self, spec: EquationSpec, jet: Jet, r=None, y=None, *,
                  verdict: Verdict, r_end: float, events: tuple = (),
                  dense: Optional[object] = None, stats: Optional[dict] = None,
-                 rows: Optional[object] = None):
+                 radii: Optional[Callable[[], np.ndarray]] = None):
         self.spec, self.jet, self.verdict, self.r_end = spec, jet, verdict, r_end
         self.events, self.dense, self.stats = events, dense, stats
-        self._rows, self._r, self._y = rows, None, None
-        if rows is None:
-            self._set_rows(r, y)
-
-    def _set_rows(self, r, y):
-        self._r = np.asarray(r, dtype=float)
-        self._y = np.asarray(y, dtype=float)
-        if self._y.shape != (self._r.shape[0], self.spec.n_state):
-            raise ValueError(
-                f"sample array shape {self._y.shape} does not match "
-                f"{(self._r.shape[0], self.spec.n_state)}"
-            )
-        self._rows = None
+        self._radii, self._r, self._y = radii, None, None
+        if radii is None:
+            self._r = np.asarray(r, dtype=float)
+            self._y = np.asarray(y, dtype=float)
+            if self._y.shape != (self._r.shape[0], self.spec.n_state):
+                raise ValueError(
+                    f"sample array shape {self._y.shape} does not match "
+                    f"{(self._r.shape[0], self.spec.n_state)}"
+                )
 
     @property
     def r(self) -> np.ndarray:
         if self._r is None:
-            self._set_rows(*self._rows())
+            self._r = self._radii()
         return self._r
 
     @property
     def y(self) -> np.ndarray:
         if self._y is None:
-            self._set_rows(*self._rows())
+            self._y = self._dense_rows()
         return self._y
 
+    def _dense_rows(self) -> np.ndarray:
+        """The state rows, dense(r) in blocks of _ROW_BLOCK rows."""
+        r = self.r
+        y = np.empty((r.shape[0], self.spec.n_state))
+        for lo in range(0, r.shape[0], _ROW_BLOCK):
+            y[lo:lo + _ROW_BLOCK] = self.dense(r[lo:lo + _ROW_BLOCK])
+        return y
+
     def __len__(self):
-        return len(self._rows) if self._r is None else self._r.shape[0]
+        return self.r.shape[0]
 
     def count_rows(self, lo: float, hi: float) -> int:
         """Number of sample rows with lo <= r <= hi."""
-        if self._r is None:
-            return self._rows.count(lo, hi)
-        return int(np.count_nonzero((self._r >= lo) & (self._r <= hi)))
+        r = self.r
+        return max(0, int(np.searchsorted(r, hi, side="right")
+                          - np.searchsorted(r, lo, side="left")))
 
     @property
     def u(self) -> np.ndarray:
@@ -213,10 +223,8 @@ class Trajectory:
 
     def state(self, i: int) -> RadialState:
         """Row i as a RadialState; an unbuilt row is evaluated on its own."""
-        if self._r is None:
-            r = self._rows.radius(i)
-            return RadialState(r=r, y=self._rows.evaluate(np.array([r]))[0])
-        return RadialState(r=float(self.r[i]), y=self.y[i].copy())
+        r = float(self.r[i])
+        return RadialState(r=r, y=self.dense(r) if self._y is None else self._y[i].copy())
 
     def validate(self):
         """Check the structural invariants; raises ValueError on violation."""
@@ -375,8 +383,9 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
     power.  Sample radii map to r/lam, so no interpolation is needed.  The
     dense output is rescaled alike: its radii and step lengths are divided
-    by lam, its left states multiplied by the slot weights w and its
-    coefficients by lam * w, since each step's length shrinks by lam.
+    by lam, its left states multiplied by the slot weights w, its step
+    coefficients by lam * w, since each step's length shrinks by lam, and
+    its Taylor coefficients Lap^j u(0) by lam^{(3-2m)/2 + 2j}.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
@@ -392,7 +401,10 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
     dense = traj.dense
     if dense is not None:
-        dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.hs / lam,
+        alpha = (3 - 2 * spec.m) / 2.0
+        head = np.array([lam ** (alpha + 2 * j) for j in range(dense.coeffs.shape[0])])
+        dense = type(dense)(dense.coeffs * head, dense.r_lo / lam, dense.r_lefts / lam,
+                            dense.r_rights / lam, dense.hs / lam,
                             dense.y_lefts * w, dense.qs * (lam * w)[:, None])
     return Trajectory(
         spec=traj.spec,

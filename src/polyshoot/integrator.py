@@ -15,19 +15,14 @@ library orders a small matrix-vector product.  Arrays are built only for
 what leaves the loop: each accepted step's left state and dense
 coefficients, and the event bisection.
 
-The dense output is the one thing an integration has to produce: the
-growth fit of the verdict, the critical-datum probes and every integral
-a solve takes (volume.dense_quadrature: the volume and the critical
-balance) read it directly.  Sample rows are a view of it, built by
-SampleRows the first time a caller reads Trajectory.r or .y (a CSV, the
-formula-1 check): the uniform grid up to the deepest radius reached,
-read off the Taylor series up to the launch radius and off
-``DenseSolution`` beyond it.  One evaluator, ``_quartic``, serves the
-rows, the event bisection, ``DenseSolution`` and the quadrature nodes, so
-they all agree bit for bit; the step loop never sees the grid, so the
-steps taken do not depend on the stride.  Only the formula-1 check
-integrates over rows (radial_double_integral), with scipy's cumulative
-Simpson, imported when it runs.
+The dense output is the one thing an integration has to produce.
+``DenseSolution`` evaluates a trajectory on [0, r_hi]: the launch's Taylor
+series up to the launch radius, one quartic per accepted step beyond.  The
+growth fit of the verdict, the critical-datum probes, every integral a
+solve takes (volume.dense_quadrature) and the sample rows (Trajectory.y:
+a CSV, the formula-1 check) read it; ``_quartic`` also serves the event
+bisection, so they agree bit for bit.  The step loop never sees the sample
+grid (sample_radii), so the steps taken do not depend on the stride.
 
 Steps are capped at max(0.1, r/20).  The cap is not needed for accuracy
 or for the samples, which sit on a uniform grid whatever the step size:
@@ -52,6 +47,7 @@ estimates; a floor crossing reached first is bisected on the dense output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -205,38 +201,55 @@ def _quartic(y0, h, q, theta, derivative: int = 0):
 
 
 class DenseSolution:
-    """Piecewise-quartic dense output; also evaluates d/dr of every slot.
+    """The solution on [0, r_hi], and d/dr of every slot on [r_lo, r_hi].
 
-    Step i covers (r_lefts[i], r_rights[i]] and is evaluated at theta =
-    (r - r_left) / (r_right - r_left) with multiplier hs[i]: near the m=2
-    wall r + h rounds, and mapping theta over the stored interval keeps
-    the interpolant continuous at every step boundary.
+    Up to r_lo (the launch radius) it is the even Taylor series of coeffs,
+    the launch's coefficients in the integration's precision, which
+    series() reads directly; with no accepted step r_hi = r_lo.  Step i
+    covers (r_lefts[i], r_rights[i]] and is evaluated at theta = (r -
+    r_left) / (r_right - r_left) with multiplier hs[i]: near the m=2 wall
+    r + h rounds, and mapping theta over the stored interval keeps the
+    interpolant continuous at every step boundary.  Input need not be sorted.
     """
 
-    def __init__(self, r_lefts, r_rights, hs, y_lefts, qs):
+    def __init__(self, coeffs, r_lo, r_lefts, r_rights, hs, y_lefts, qs):
+        self.coeffs = np.asarray(coeffs)
+        self.m = self.coeffs.shape[0] - 3  # c[0] .. c[m+2]
+        self.r_lo = float(r_lo)
         self.r_lefts = np.asarray(r_lefts)
         self.r_rights = np.asarray(r_rights)
         self.hs = np.asarray(hs)
         self.y_lefts = np.asarray(y_lefts)
         self.qs = np.asarray(qs)
-        self.r_lo = float(self.r_lefts[0])
-        self.r_hi = float(self.r_rights[-1])
+        self.r_hi = float(self.r_rights[-1]) if self.hs.shape[0] else self.r_lo
+
+    def series(self, r):
+        """All 2m slots of the Taylor series at radii r, as float64."""
+        return np.asarray(_taylor_state(self.coeffs, self.m, r, dtype=self.coeffs.dtype.type),
+                          dtype=np.float64)
 
     def __call__(self, r, derivative: int = 0):
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
-        if np.any(r < self.r_lo - 1e-12) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300):
+        lo = 0.0 if derivative == 0 else self.r_lo
+        if (np.any(r < lo) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300)
+                or (derivative and not self.hs.shape[0])):
             raise ValueError(
-                f"dense output defined on [{self.r_lo}, {self.r_hi}], got "
-                f"[{r.min()}, {r.max()}]"
+                f"dense output (derivative {derivative}) defined on [{lo}, {self.r_hi}], "
+                f"got [{r.min()}, {r.max()}]"
             )
-        idx = np.searchsorted(self.r_lefts, r, side="left") - 1
-        idx = np.clip(idx, 0, len(self.hs) - 1)
-        r_left = self.r_lefts.take(idx)
-        theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights.take(idx) - r_left)
-        out = np.asarray(_quartic(self.y_lefts.take(idx, axis=0), self.hs.take(idx),
-                                  self.qs.take(idx, axis=0), theta, derivative),
-                         dtype=np.float64)
+        out = np.empty(r.shape + (2 * self.m,))
+        if self.hs.shape[0]:
+            idx = np.searchsorted(self.r_lefts, r, side="left") - 1
+            idx = np.clip(idx, 0, len(self.hs) - 1)
+            r_left = self.r_lefts.take(idx)
+            theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights.take(idx) - r_left)
+            out[...] = _quartic(self.y_lefts.take(idx, axis=0), self.hs.take(idx),
+                                self.qs.take(idx, axis=0), theta, derivative)
+        if derivative == 0:
+            head = (r <= self.r_lo) | (not self.hs.shape[0])
+            if head.any():
+                out[head] = self.series(r[head])
         return out[0] if scalar else out
 
 
@@ -303,88 +316,20 @@ def _close_on_wall(r, wall, events):
     return Collapsed(r_star=r_star), {"kind": "wall", "s": s, "disagreement": gap}
 
 
-# Rows per DenseSolution call when the samples are built: each row gathers
-# its step's (2m, 4) coefficients, so a whole 100 001-row grid in one call
-# would hold over 20 MB of temporaries at once.
-_ROW_BLOCK = 4096
+def sample_radii(stride, r_max, r_last, collapsed):
+    """The sample grid of an integration that reached r_last.
 
-
-class SampleRows:
-    """The sample grid of one integration, and its rows built on demand.
-
-    The grid is the multiples of stride below r_max, then r_max itself,
-    which takes the place of the last multiple when that lies within
-    1e-9 max(1, r_max) of it; the grid is cut after the deepest radius
-    reached, r_last, and a collapse adds r_last as its last row.
-    The row count, any row's radius and the count in a window are
-    arithmetic on i * stride, which is nondecreasing in i, so they need no
-    grid.  Calling the object builds every row: the Taylor series up to the
-    launch radius, the dense output beyond it.  A plain class, so that a
-    trajectory whose rows were never built still pickles.
+    The multiples of stride below r_max, then r_max itself, which takes the
+    place of the last multiple when that lies within 1e-9 max(1, r_max) of
+    it; cut after r_last, and a collapse adds r_last as its last row.
     """
-
-    def __init__(self, coeffs, m, r_launch, dense, stride, r_max, r_last, collapsed):
-        self.coeffs, self.m, self.r_launch, self.dense = coeffs, m, r_launch, dense
-        self.stride, self.r_max = stride, r_max
-        last = int(math.floor(r_max / stride + 1e-9))
-        self.n_mult = last + (last * stride < r_max - 1e-9 * max(1.0, r_max))
-        self.n_kept = self._count_full(r_last)
-        self.extra = (r_last if collapsed and r_last > self._full(self.n_kept - 1)
-                      else None)
-
-    def _full(self, i):
-        """Radius of row i of the grid before the cut."""
-        return i * self.stride if i < self.n_mult else self.r_max
-
-    def _count_full(self, x):
-        """Rows of the grid before the cut with radius <= x."""
-        if x >= self.r_max:
-            return self.n_mult + 1
-        if x < 0.0:
-            return 0
-        i = min(int(x / self.stride), self.n_mult - 1)  # then step to the last i*stride <= x
-        while i > 0 and i * self.stride > x:
-            i -= 1
-        while i + 1 < self.n_mult and (i + 1) * self.stride <= x:
-            i += 1
-        return i + 1
-
-    def __len__(self):
-        return self.n_kept + (self.extra is not None)
-
-    def count(self, lo, hi):
-        """Rows with lo <= r <= hi."""
-        def at_most(x):
-            return (min(self._count_full(x), self.n_kept)
-                    + (self.extra is not None and self.extra <= x))
-        return max(0, at_most(hi) - at_most(math.nextafter(lo, -math.inf)))
-
-    def radius(self, i):
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"row {i} out of range for {n} rows")
-        i %= n
-        return self._full(i) if i < self.n_kept else self.extra
-
-    def evaluate(self, r):
-        """Rows at increasing radii r, in blocks of _ROW_BLOCK so that the
-        per-row temporaries stay small."""
-        y = np.empty((r.shape[0], 2 * self.m))
-        n_taylor = int(np.searchsorted(r, self.r_launch, side="right"))
-        y[:n_taylor] = _taylor_state(self.coeffs, self.m, r[:n_taylor],
-                                     dtype=self.coeffs.dtype.type)
-        for lo in range(n_taylor, r.shape[0], _ROW_BLOCK):
-            y[lo:lo + _ROW_BLOCK] = self.dense(r[lo:lo + _ROW_BLOCK])
-        return y
-
-    def radii(self):
-        r = np.append(np.arange(self.n_mult, dtype=np.float64) * self.stride,
-                      self.r_max)[:self.n_kept]
-        return r if self.extra is None else np.append(r, self.extra)
-
-    def __call__(self):
-        r = self.radii()
-        return r, self.evaluate(r)
+    last = int(math.floor(r_max / stride + 1e-9))
+    n_mult = last + (last * stride < r_max - 1e-9 * max(1.0, r_max))
+    r = np.arange(n_mult + 1, dtype=np.float64)
+    r *= stride  # in place: one allocation, 800 kB for a 100 001-row grid
+    r[-1] = r_max
+    r = r[:np.searchsorted(r, r_last, side="right")]
+    return np.append(r, r_last) if collapsed and r_last > r[-1] else r
 
 
 def _step_cap(r):
@@ -463,9 +408,9 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
     EntirePositive(gamma) when the horizon is reached with u above the
     floor throughout, and Inconclusive when the step budget or the step
-    size underflows or the growth-fit window [r_end/4, r_end] holds < 2
-    samples.  Sign changes of every intermediate Laplacian slot are
-    recorded as events; they never terminate the integration.
+    size underflows or the horizon is too short (below).  Sign changes of
+    every intermediate Laplacian slot are recorded as events; they never
+    terminate the integration.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses u_floor (r* bisected on the dense
@@ -478,14 +423,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
     The growth exponent of an entire verdict is the weighted log-log slope
     of u over _FIT_NODES uniform nodes of the dense output on the window
-    [r_end/4, r_end] (_fit_growth_dense); the verdict is Inconclusive when
-    that window holds fewer than 2 rows of the sample grid.
-
-    The sample rows (r, y) are the grid of stride dense_output_stride up to
-    the deepest radius reached, with the horizon as the last row of a
-    trajectory that gets there and a collapse adding that deepest radius
-    as its last row.  They are built from the Taylor series and the dense
-    output (SampleRows) the first time the trajectory's r or y is read.
+    [r_end/4, r_end] (_fit_growth_dense).  The horizon is too short when
+    dense_output_stride >= r_max - 1e-9 max(1, r_max): then the sample
+    grid (sample_radii) has no row strictly between 0 and the horizon, and
+    the window holds only the horizon row.  The rows are that grid and the
+    dense output there, built the first time the trajectory reads them.
 
     Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
     NumPy's per-call dispatch dominates at that size; its sums run in
@@ -609,9 +551,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             agree = 0
         h = h * num(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
 
-    dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
-                          np.array(hs, dtype=dtype), np.array(y_lefts),
-                          np.array(qs)) if r_lefts else None
+    dense = DenseSolution(coeffs, r_launch, np.array(r_lefts, dtype=dtype),
+                          np.array(r_rights, dtype=dtype), np.array(hs, dtype=dtype),
+                          np.array(y_lefts, dtype=dtype).reshape(-1, n),
+                          np.array(qs, dtype=dtype).reshape(-1, n, 4))
     if isinstance(verdict, Collapsed):
         r_end = verdict.r_star
     elif verdict is not None:
@@ -619,14 +562,13 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     else:
         r_end = float(r_max)
 
-    rows = SampleRows(coeffs, spec.m, r_launch, dense, cfg.dense_output_stride,
-                      cfg.r_max, float(r), isinstance(verdict, Collapsed))
+    stride = cfg.dense_output_stride
     if verdict is None:
-        n_fit = rows.count(r_end / 4.0, r_end)
-        if n_fit < 2:
+        if stride >= cfg.r_max - 1e-9 * max(1.0, cfg.r_max):
             verdict = Inconclusive(
-                reason=f"horizon {r_end:g} too short: {n_fit} sample(s) in the "
-                       f"growth-fit window [{r_end / 4.0:g}, {r_end:g}]")
+                reason=f"horizon {r_end:g} too short: the growth-fit window "
+                       f"[{r_end / 4.0:g}, {r_end:g}] holds only the horizon row "
+                       f"(stride {stride:g})")
         else:
             verdict = EntirePositive(
                 growth_exponent=_fit_growth_dense(dense, r_end / 4.0, r_end)[0])
@@ -640,8 +582,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "precision": cfg.precision,
         "closure": closure,
     }
+    radii = functools.partial(sample_radii, stride, cfg.r_max, float(r),
+                              isinstance(verdict, Collapsed))
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
-                      events=tuple(events), dense=dense, stats=stats, rows=rows)
+                      events=tuple(events), dense=dense, stats=stats, radii=radii)
 
 
 # Nodes of the dense output that a fit over a window reads.  Uniform
@@ -771,8 +715,7 @@ def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
     numerically; normalised pointwise by max(1, |u^p|).
     """
     if traj.dense is None:
-        raise ValueError("trajectory has no dense output (no accepted step, "
-                         "or not built by integrate)")
+        raise ValueError("trajectory has no dense output (not built by integrate)")
     lo = traj.dense.r_lo if r_lo is None else max(r_lo, traj.dense.r_lo)
     hi = traj.dense.r_hi if r_hi is None else min(r_hi, traj.dense.r_hi)
     mask = (traj.r >= lo) & (traj.r <= hi)

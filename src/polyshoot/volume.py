@@ -1,9 +1,9 @@
 """Conformal volume of an entire trajectory: quadrature core + modeled tail.
 
 One quadrature, dense_quadrature, takes every integral over a solution:
-5-point Gauss-Legendre on every stored step of the dense output (Davis &
-Rabinowitz), where the solution is one quartic, plus the same rule on the
-Taylor series over [0, launch radius], with the 3-point rule as its
+5-point Gauss-Legendre (Davis & Rabinowitz) on every stored step of the
+dense output, where the solution is one quartic, and on its head [0,
+launch radius], where it is the Taylor series; the 3-point rule gives its
 error.  It has two integrands: the volume core here, and the source
 integral of the m=3 critical balance (shooting._critical_balance).
 
@@ -33,8 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Collapsed, EntirePositive, EquationSpec, Jet, Trajectory,
-                   _taylor_state, taylor_coefficients)
+from .core import Collapsed, EntirePositive, EquationSpec, Jet, Trajectory
 from .errors import DivergentTail, UndefinedVolume, WindowTooNarrow
 from . import integrator
 
@@ -122,9 +121,10 @@ def dense_quadrature(traj: Trajectory, integrand):
 
     integrand(dr, r, u) returns f(r, u) dr at the nodes r of an interval
     of length dr, with u at those nodes.  Each stored step is one quartic,
-    read at its Gauss-Legendre nodes through integrator._quartic; the
-    Taylor series covers [0, launch radius].  The error is the sum over
-    intervals of the difference between the 5- and the 3-point rule.
+    read at its Gauss-Legendre nodes through integrator._quartic; the head
+    [0, r_lo] is read off the dense output's series().  The error is the
+    sum over intervals of the difference between the 5- and the 3-point
+    rule.
     """
     d = traj.dense
     a = d.r_lefts.astype(float)
@@ -132,7 +132,7 @@ def dense_quadrature(traj: Trajectory, integrand):
     u = integrator._quartic(d.y_lefts[:, None, :1].astype(float), d.hs.astype(float)[:, None],
                             d.qs[:, None, :1].astype(float), _GL_X)[..., 0]
     r0 = d.r_lo * _GL_X
-    u0 = _taylor_state(taylor_coefficients(traj.spec, traj.jet), traj.spec.m, r0)[:, 0]
+    u0 = d.series(r0)[:, 0]
     f = np.vstack((integrand(width[:, None], a[:, None] + width[:, None] * _GL_X, u),
                    integrand(d.r_lo, r0, u0)))
     q = f @ _GL_W   # (steps + 1, 2): 5-point, 3-point

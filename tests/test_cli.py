@@ -321,6 +321,8 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["critical-eps", "--k", "1"],  # below k_min
     ["critical-eps", "--k", "10", "--bracket-tol", "-1"],
     ["sweep", "--m", "3", "--at-critical", "--k", "1"],
+    ["verify", "--m", "2", "--tol", "0"],
+    ["verify", "--m", "2", "--tol", "-1"],
 ])
 def test_invalid_argument_values_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -182,9 +182,10 @@ def test_scale_rescales_dense_output(u0, u1, m, lam):
     w = _scaling_weights(spec, lam)
     d = traj.dense
     r = np.concatenate([np.linspace(d.r_lo, d.r_hi, 997), d.r_lefts[1:]])
-    for derivative, factor in ((0, w), (1, lam * w)):
-        want = factor * d(r, derivative)
-        got = scaled.dense(r / lam, derivative)
+    head = np.linspace(0.0, d.r_lo, 7)  # the Taylor series; no d/dr there
+    for derivative, factor, rr in ((0, w, np.concatenate([r, head])), (1, lam * w, r)):
+        want = factor * d(rr, derivative)
+        got = scaled.dense(rr / lam, derivative)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 

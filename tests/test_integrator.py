@@ -21,9 +21,9 @@ from polyshoot import (
     integrate,
     ode_residual_max,
 )
-from polyshoot.core import Trajectory
-from polyshoot.integrator import (_WALL_COEF_M2, SampleRows, _dp5_step, _step_tableau,
-                                  _tableau, _wall_distance, radial_double_integral)
+from polyshoot.core import Trajectory, _taylor_state, taylor_coefficients
+from polyshoot.integrator import (_WALL_COEF_M2, _dp5_step, _step_tableau, _tableau,
+                                  _wall_distance, radial_double_integral, sample_radii)
 from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
                                 jet_m2, jet_m3, lap_limit_estimate)
 from polyshoot.volume import volume, volume_of_jet
@@ -398,23 +398,73 @@ def _reference_radii(stride, r_max, r_last, collapsed):
 @example(stride=0.1, r_max=100.00000005, frac=1.0, collapsed=False, window=(99.95, 100.0))
 def test_sample_rows_count_without_building(stride, r_max, frac, collapsed, window):
     r_last = max(1e-3, frac * r_max) if frac < 1.0 else r_max * frac
-    rows = SampleRows(None, 2, 1e-3, None, stride, r_max, r_last, collapsed and frac < 1.0)
     want = _reference_radii(stride, r_max, r_last, collapsed and frac < 1.0)
-    assert np.array_equal(rows.radii(), want)
-    assert len(rows) == want.shape[0]
-    for i in (0, 1, len(rows) // 2, -2, -1):
-        if -len(rows) <= i < len(rows):
-            assert rows.radius(i) == want[i]
+    assert np.array_equal(sample_radii(stride, r_max, r_last, collapsed and frac < 1.0), want)
+    traj = Trajectory(EquationSpec.for_order(2), Jet((1.0, 0.0)), verdict=Inconclusive("-"),
+                      r_end=r_max, radii=lambda: want)
     lo, hi = window
     for lo_, hi_ in ((lo, hi), (want[-1] / 4.0, want[-1]), (want[len(want) // 2], want[-1])):
-        assert rows.count(lo_, hi_) == np.count_nonzero((want >= lo_) & (want <= hi_))
+        assert traj.count_rows(lo_, hi_) == np.count_nonzero((want >= lo_) & (want <= hi_))
+
+
+_GUARD_STRIDES = (0.01, 0.1, 1.0 / 3.0, 0.7)
+
+
+@pytest.mark.parametrize("stride, r_max", [
+    (s, r) for s in _GUARD_STRIDES
+    for r in (s * (1 - 1e-12), s * (1 + 1e-12), s + 2e-9 * max(1.0, s), 1.2 * s,
+              4.0 / 3.0 * s, 2.0 * s)])
+def test_short_horizon_guard_is_the_row_rule(u0, stride, r_max):
+    # Inconclusive exactly when the growth-fit window [r_max/4, r_max] of
+    # the sample grid holds fewer than 2 rows
+    traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
+                     IntegratorConfig(r_max=r_max, dense_output_stride=stride))
+    grid = _reference_radii(stride, r_max, r_max, False)
+    n_fit = np.count_nonzero((grid >= r_max / 4.0) & (grid <= r_max))
+    assert isinstance(traj.verdict, Inconclusive) == (n_fit < 2)
+
+
+def test_trajectory_without_an_accepted_step(u0):
+    # the only step is rejected: one row at r = 0, read off the series
+    jet = _m2_jet(u0, 0.0)
+    traj = integrate(EquationSpec.for_order(2), jet, IntegratorConfig(r_max=10.0, max_steps=1))
+    assert traj.stats["naccept"] == 0 and isinstance(traj.verdict, Inconclusive)
+    want = np.array([jet.lap_values[0], 0.0, jet.lap_values[1], 0.0])
+    assert len(traj) == 1 and np.array_equal(traj.r, [0.0])
+    assert np.array_equal(traj.y, [want])
+    assert traj.state(0).r == 0.0 and np.array_equal(traj.state(0).y, want)
+
+
+@pytest.mark.parametrize("ending", ["horizon", "extended_horizon"])
+def test_one_evaluator_below_the_launch_radius(u0, ending):
+    # on [0, launch radius] the dense output and the rows are the series of
+    # the integration's own coefficients, bit for bit; d/dr starts at r_lo
+    m, param, cfg_kw, _ = _ENDINGS[ending]
+    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+    cfg = IntegratorConfig(**{**cfg_kw, "dense_output_stride": 2.5e-4})
+    traj = integrate(EquationSpec.for_order(m), jet, cfg)
+    d = traj.dense
+    assert d.r_lo == traj.stats["launch_radius"]
+    coeffs = taylor_coefficients(traj.spec, jet, dtype=cfg.dtype)
+    r = np.array([0.0, 0.3 * d.r_lo, d.r_lo, 0.7 * d.r_lo, 1e-9])  # unsorted
+    want = np.asarray(_taylor_state(coeffs, m, r, dtype=cfg.dtype), dtype=float)
+    assert np.array_equal(d(r), want)
+    assert np.array_equal(d.series(r), want)
+    head = traj.r <= d.r_lo
+    assert head.sum() == 5
+    assert np.array_equal(traj.y[head],
+                          np.asarray(_taylor_state(coeffs, m, traj.r[head], dtype=cfg.dtype),
+                                     dtype=float))
+    with pytest.raises(ValueError):
+        d(0.5 * d.r_lo, derivative=1)
+    assert d(d.r_lo, derivative=1).shape == (2 * m,)
 
 
 @pytest.mark.parametrize("ending", sorted(_ENDINGS))
 def test_rows_built_on_first_read(u0, ending, monkeypatch):
     builds = []
-    build = SampleRows.__call__
-    monkeypatch.setattr(SampleRows, "__call__", lambda self: builds.append(1) or build(self))
+    build = Trajectory._dense_rows
+    monkeypatch.setattr(Trajectory, "_dense_rows", lambda self: builds.append(1) or build(self))
     m, param, cfg_kw, kind = _ENDINGS[ending]
     jet = _m2_jet(u0, param) if m == 2 else Jet(param)
     traj = integrate(EquationSpec.for_order(m), jet, IntegratorConfig(**cfg_kw))
@@ -436,7 +486,7 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
     def refuse(self):
         raise AssertionError("sample rows built")
 
-    monkeypatch.setattr(SampleRows, "__call__", refuse)
+    monkeypatch.setattr(Trajectory, "_dense_rows", refuse)
     spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
     # a critical_eps probe on each side, and the volumes of a sweep
     for eps in (3.0, 3.2):
@@ -445,6 +495,8 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
             lap_limit_estimate(traj)
             fit_growth(traj)
             volume(spec3, traj)
+            ode_residual_max(traj)
+            traj.count_rows(0.0, traj.r_end)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
     # cold critical-datum solves, their volumes and critical balances, down
