@@ -1,4 +1,4 @@
-"""Problem instances and the first-order radial reduction.
+"""Problem instances, the radial reduction and its Taylor series.
 
 The equations handled here are the radial forms of
 
@@ -14,12 +14,19 @@ pairing each iterated Laplacian with its radial derivative, so that the
 All odd radial derivatives vanish at the origin, which makes every state
 component an even (respectively odd) function of r and permits a
 singularity-free even-power Taylor launch off r = 0.
+
+One recurrence gives every Taylor series (Jorba & Zou, Exp. Math. 14
+(2005); Corliss & Chang, ACM TOMS 8 (1982)): u^p comes from Miller's power
+recurrence (Knuth, TAOCP 2, 4.7), in s = r^2 at the origin
+(taylor_coefficients) and in tau = (r - r0) / r0 about any r0 > 0 (_series).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
+from operator import mul
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -153,35 +160,39 @@ class Inconclusive:
 Verdict = Union[Collapsed, EntirePositive, Inconclusive]
 
 
-# Rows per dense-output call when the state rows are built: each row
-# gathers its step's (2m, 4) coefficients, so a whole 100 001-row grid in
-# one call would hold over 20 MB of temporaries at once.
-_ROW_BLOCK = 4096
+# Rows per dense-output call when the state rows are built: large enough
+# that a step's rows go through few NumPy calls, small enough that the
+# temporaries of one call (about 1 MB) stay small next to the rows.
+_ROW_BLOCK = 16384
 
 
 class Trajectory:
     """A numerical solution: dense output, sample rows and termination verdict.
 
     Rows are stored column-wise: ``r`` has shape (n,), ``y`` shape (n, 2m).
-    ``integrate`` passes a picklable grid function (``radii``) instead of
-    the arrays: ``r`` is built from it, and ``y`` as ``dense(r)``, the first
-    time each is read, then kept.  ``len``, ``count_rows`` and ``state``
-    read ``r`` only, so they leave ``y`` unbuilt.  ``dense`` (when present)
-    is the integrator's DenseSolution, which evaluates the solution from 0
-    to the deepest radius reached; the verdict, the volume and the
-    critical-datum probes read only it.
+    ``integrate`` passes a picklable grid function (``radii``) and its
+    ``stride`` instead of the arrays: ``r`` is built from it, and ``y`` as
+    ``dense(r)``, the first time each is read, then kept.  ``len`` and
+    ``state`` read ``r`` only.  Rows given as arrays take their widest gap
+    as the stride, which the fits' window rule compares with a window.
+    ``dense`` (when present) is the integrator's DenseSolution, which
+    evaluates the solution from 0 to the deepest radius reached; the
+    verdict, the volume and the critical-datum probes read only it.
     """
 
     def __init__(self, spec: EquationSpec, jet: Jet, r=None, y=None, *,
                  verdict: Verdict, r_end: float, events: tuple = (),
                  dense: Optional[object] = None, stats: Optional[dict] = None,
-                 radii: Optional[Callable[[], np.ndarray]] = None):
+                 radii: Optional[Callable[[], np.ndarray]] = None,
+                 stride: Optional[float] = None):
         self.spec, self.jet, self.verdict, self.r_end = spec, jet, verdict, r_end
         self.events, self.dense, self.stats = events, dense, stats
-        self._radii, self._r, self._y = radii, None, None
+        self._radii, self._r, self._y, self.stride = radii, None, None, stride
         if radii is None:
             self._r = np.asarray(r, dtype=float)
             self._y = np.asarray(y, dtype=float)
+            if stride is None:
+                self.stride = float(np.diff(self._r).max(initial=0.0)) or math.inf
             if self._y.shape != (self._r.shape[0], self.spec.n_state):
                 raise ValueError(
                     f"sample array shape {self._y.shape} does not match "
@@ -211,12 +222,6 @@ class Trajectory:
     def __len__(self):
         return self.r.shape[0]
 
-    def count_rows(self, lo: float, hi: float) -> int:
-        """Number of sample rows with lo <= r <= hi."""
-        r = self.r
-        return max(0, int(np.searchsorted(r, hi, side="right")
-                          - np.searchsorted(r, lo, side="left")))
-
     @property
     def u(self) -> np.ndarray:
         return self.y[:, 0]
@@ -242,20 +247,14 @@ def _radial_rhs(p, r, y) -> list:
     """Derivative of the first-order radial state, on scalars, at r > 0.
 
     y holds the 2m slots as scalars of one floating type (Python floats,
-    or np.longdouble for extended precision) and the result is a list of
-    that type.  The state has at most six slots, so per-call NumPy
-    dispatch would cost more than the arithmetic; the step loop and rhs()
-    both use this form.  No checks: when u <= 0 every slot is NaN, and when
-    u^p overflows (a binary64 Python float raises where NumPy gives inf)
-    the top slot is -inf, so an adaptive stepper rejects the step.
+    or np.longdouble) and the result is a list of that type.  No checks:
+    when u <= 0 every slot is NaN, and when u^p overflows (a binary64
+    Python float raises where NumPy gives inf) the top slot is -inf.
     """
     u = y[0]
     if not u > 0:
         return [math.nan] * len(y)
-    try:
-        top = u ** p
-    except OverflowError:
-        top = math.inf
+    top = _power0(u, p)
     t = 2.0 / r
     if len(y) == 4:
         u, u1, v, v1 = y
@@ -283,38 +282,57 @@ def rhs(spec: EquationSpec, state: RadialState) -> np.ndarray:
     return np.array(_radial_rhs(spec.rhs_exponent, float(state.r), y.tolist()))
 
 
-def taylor_coefficients(spec: EquationSpec, jet: Jet, dtype=np.float64) -> np.ndarray:
-    """Iterated Laplacians of the solution at the origin, through order m+2.
+def _power0(u0, p):
+    """u0^p, or inf where it overflows a binary64 Python float (which raises)."""
+    try:
+        return u0 ** p
+    except OverflowError:
+        return math.inf
 
-    c[j] = Lap^j u(0).  The first m entries come from the jet; the equation
-    and its first two Laplacians at the origin supply
 
-        c[m]   = -c0^p
-        c[m+1] = -p c0^(p-1) c1
-        c[m+2] = -p c0^(p-1) c2 - (5/3) p (p-1) c0^(p-2) c1^2
+def _power_coefficient(p, u, iu, v_rev, k):
+    """Coefficient k >= 1 of v = u^p by Miller's recurrence
 
-    (gradients vanish at the origin, so only these chain-rule terms survive).
+        v_k = sum_{i=1..k} ((p+1) i - k) u_i v_{k-i} / (k u_0),
+
+    from u (u_0, u_1, ...), iu (i u_i for i = 1, 2, ...) and v_rev (v_{k-1}
+    .. v_0); the sums stop with v_rev, so longer u and iu do no harm.
+    """
+    s_iu = sum(map(mul, iu, v_rev))
+    s_u = sum(map(mul, islice(u, 1, None), v_rev))
+    return ((p + 1) * s_iu - k * s_u) / (k * u[0])
+
+
+def taylor_coefficients(spec: EquationSpec, jet: Jet, dtype=np.float64,
+                        order: Optional[int] = None) -> np.ndarray:
+    """Iterated Laplacians of the solution at the origin, c[j] = Lap^j u(0).
+
+    The first m come from the jet, the rest through c[order] (default m+2,
+    the launch's order) from the series in s = r^2: u = sum_j U_j s^j, U_j
+    = c[j] / (2j+1)!, and u^p = sum_k V_k s^k by Miller's recurrence, which
+    reads U_0 .. U_k for V_k, and c[m+k] = Lap^k(-u^p)(0) = -(2k+1)! V_k.
     """
     m = spec.m
     if len(jet) != m:
         raise ValueError(f"jet has {len(jet)} values, order m={m} needs {m}")
-    p = dtype(spec.rhs_exponent)
-    c = np.zeros(m + 3, dtype=dtype)
-    c[:m] = jet.lap_values
-    c0, c1 = c[0], c[1]
-    c[m] = -(c0 ** p)
-    c[m + 1] = -p * c0 ** (p - 1) * c1
-    c2 = c[2]  # for m=2 this is c[m], already set above
-    c[m + 2] = -p * c0 ** (p - 1) * c2 - dtype(5.0 / 3.0) * p * (p - 1) * c0 ** (p - 2) * c1 ** 2
-    return c
-
-
-# Inverse odd factorials 1/(2j+1)! for the even series u = sum c_j r^(2j)/(2j+1)!
-_INV_ODD_FACT = [1.0 / math.factorial(2 * j + 1) for j in range(8)]
+    order = m + 2 if order is None else order
+    p = spec.rhs_exponent
+    c = [dtype(x) for x in jet.lap_values]
+    U = [cj / math.factorial(2 * j + 1) for j, cj in enumerate(c)]
+    iU = [j * U[j] for j in range(1, m)]
+    V_rev = [_power0(U[0], p)]
+    for k in range(order - m + 1):
+        if k:
+            V_rev.insert(0, _power_coefficient(p, U, iU, V_rev, k))
+        c.append(-math.factorial(2 * k + 1) * V_rev[0])
+        U.append(c[-1] / math.factorial(2 * len(U) + 1))
+        iU.append((len(U) - 1) * U[-1])
+    return np.array(c, dtype=dtype)
 
 
 def _taylor_state(c, m, r, dtype=np.float64):
-    """Evaluate all 2m slots of the truncated even series at radii r (array ok)."""
+    """All 2m slots of the truncated even series at radii r (array ok): slot
+    2l is sum_j c[l+j] r^(2j) / (2j+1)!, and slot 2l+1 its derivative."""
     r = np.asarray(r, dtype=dtype)
     n_coef = c.shape[0]
     y = np.zeros(r.shape + (2 * m,), dtype=dtype)
@@ -323,7 +341,7 @@ def _taylor_state(c, m, r, dtype=np.float64):
         der = np.zeros_like(r)
         for j in range(n_coef - level):
             cj = c[level + j]
-            w = dtype(_INV_ODD_FACT[j])
+            w = dtype(1) / math.factorial(2 * j + 1)
             val += cj * w * r ** (2 * j)
             if j > 0:
                 der += cj * w * (2 * j) * r ** (2 * j - 1)
@@ -332,28 +350,57 @@ def _taylor_state(c, m, r, dtype=np.float64):
     return y
 
 
+def _series(p, r0, y, order):
+    """Taylor coefficients a[j][k], k = 0 .. order, of every level L_j = Lap^j u
+    about r0 > 0 in tau = (r - r0) / r0, from the state y at r0, as scalars
+    of y's floating type.  With b = L_{j+1}, or b = -u^p (Miller's
+    recurrence) at the top, r L_j'' + 2 L_j' = r b gives in tau
+
+        a_{j,k+2} = r0^2 (b_k + b_{k-1}) / ((k+1)(k+2)) - a_{j,k+1}.
+
+    Nothing is checked: u <= 0, or a coefficient beyond the floating range,
+    leaves some of them non-finite.
+    """
+    m = len(y) // 2
+    a = [[y[2 * j], y[2 * j + 1] * r0] for j in range(m)]
+    u, top = a[0], a[m - 1]
+    rr, iu, v_rev = r0 * r0, [u[1]], [_power0(u[0], p)]
+    for k in range(order - 1):
+        if k:
+            v_rev.insert(0, _power_coefficient(p, u, iu, v_rev, k))
+        f = rr / ((k + 1) * (k + 2))
+        top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1] if k
+                   else -v_rev[0] * f - top[1])
+        for j in range(m - 2, -1, -1):
+            b = a[j + 1]
+            a[j].append((b[k] + b[k - 1]) * f - a[j][k + 1] if k else b[0] * f - a[j][1])
+        iu.append((k + 2) * u[k + 2])
+    return a
+
+
 def taylor_launch(spec: EquationSpec, jet: Jet, r0: float, *, tol: float = 1e-9,
                   dtype=np.float64) -> RadialState:
     """State at a small radius r0 from the even Taylor series off the origin.
 
-    The series for Lap^l u keeps terms through the highest known coefficient
-    c[m+2], giving per-slot truncation error O(r0^{2m+2}) or better.  Raises
+    The series for Lap^l u keeps terms through c[m+2] (taylor_coefficients),
+    giving per-slot truncation error O(r0^{2m+2}) or better.  Raises
     LaunchRadiusTooLarge when the relative size of the last retained term of
     any slot exceeds ``tol``.
     """
     if not r0 > 0:
         raise ValueError("launch radius must be positive")
     c = taylor_coefficients(spec, jet, dtype=dtype)
-    m = spec.m
+    m, last = spec.m, c.shape[0] - 1
     # First omitted term of slot `level`, extrapolated geometrically from the
     # last two retained terms (the coefficient chain grows roughly like a
     # power of 1/u(0), so the term ratio is an honest convergence estimate).
     worst = 0.0
     for level in range(m):
-        j_last = (m + 2) - level
-        t_last = abs(float(c[m + 2])) * float(r0) ** (2 * j_last) * _INV_ODD_FACT[j_last]
-        t_prev = abs(float(c[m + 1])) * float(r0) ** (2 * (j_last - 1)) \
-            * _INV_ODD_FACT[j_last - 1]
+        j_last = last - level
+        t_last = abs(float(c[last])) * float(r0) ** (2 * j_last) \
+            / math.factorial(2 * j_last + 1)
+        t_prev = abs(float(c[last - 1])) * float(r0) ** (2 * (j_last - 1)) \
+            / math.factorial(2 * j_last - 1)
         ratio = t_last / t_prev if t_prev > 0 else 1.0
         est = t_last * min(1.0, ratio)
         scale = max(1.0, abs(float(c[level])))
@@ -382,10 +429,10 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     The scaled solution is u_lam(r) = lam^{(3-2m)/2} u(lam r); each Lap^j
     slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
     power.  Sample radii map to r/lam, so no interpolation is needed.  The
-    dense output is rescaled alike: its radii and step lengths are divided
-    by lam, its left states multiplied by the slot weights w, its step
-    coefficients by lam * w, since each step's length shrinks by lam, and
-    its Taylor coefficients Lap^j u(0) by lam^{(3-2m)/2 + 2j}.
+    dense output's radii are divided by lam, and its Taylor coefficients
+    Lap^j u(0) and step polynomials of level j multiplied by lam^{(3-2m)/2
+    + 2j}: theta does not change, and a derivative slot, the derivative over
+    the step's width, picks up its extra power by itself.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
@@ -404,8 +451,7 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
         alpha = (3 - 2 * spec.m) / 2.0
         head = np.array([lam ** (alpha + 2 * j) for j in range(dense.coeffs.shape[0])])
         dense = type(dense)(dense.coeffs * head, dense.r_lo / lam, dense.r_lefts / lam,
-                            dense.r_rights / lam, dense.hs / lam,
-                            dense.y_lefts * w, dense.qs * (lam * w)[:, None])
+                            dense.r_rights / lam, dense.cs * w[0::2, None])
     return Trajectory(
         spec=traj.spec,
         jet=new_jet,
@@ -416,4 +462,5 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
         events=events,
         dense=dense,
         stats=None,
+        stride=traj.stride / lam,
     )

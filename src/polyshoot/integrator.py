@@ -1,48 +1,34 @@
-"""Adaptive embedded Runge-Kutta integration of the radial system.
+"""Taylor-series integration of the radial system.
 
-A Dormand-Prince 5(4) pair with Shampine's quartic dense-output
-interpolant drives every trajectory.  The independent variable is r
-itself; the origin singularity is removed by the even Taylor launch, so no
-change of variables is needed.  The same tableau is instantiated in
-float64 or 80-bit long double depending on the configured precision.
+Every step is one Taylor series of order _ORDER (core._series), from the
+recurrence that also gives the even launch series off r = 0, so a
+trajectory is one piecewise polynomial: the launch series up to the launch
+radius, one polynomial per level and step beyond.  Each step runs on
+Python scalars of the configured precision (floats, or np.longdouble
+scalars for extended), one code path for both; with 2m <= 6 slots, per-call
+NumPy dispatch would cost more than the arithmetic.
 
-Each step runs on Python scalars of that precision (floats for binary64,
-np.longdouble scalars for extended), one code path for both.  The state
-has only 2m <= 6 slots, so the dispatch of a NumPy call per stage
-operation would cost more than its arithmetic.  Every stage sum runs in
-tableau order, so the step sequence no longer depends on how a BLAS
-library orders a small matrix-vector product.  Arrays are built only for
-what leaves the loop: each accepted step's left state and dense
-coefficients, and the event bisection.
+The step size comes from the series (Jorba & Zou, Exp. Math. 14 (2005)):
+h = 0.9 min over levels j and k in {N-1, N} of (tol_j / |a_{j,k}|)^(1/k),
+tol_j = _STEP_TOL (abs_tol + rel_tol |L_j|).  The series sees the nearest
+singularity (a collapse, or the complex poles of a growing solution), so
+no cap on h is needed, and the only rejection is a step ending with u <= 0
+or a non-finite slot, which halves h on the same series.
 
-The dense output is the one thing an integration has to produce.
-``DenseSolution`` evaluates a trajectory on [0, r_hi]: the launch's Taylor
-series up to the launch radius, one quartic per accepted step beyond.  The
-growth fit of the verdict, the critical-datum probes, every integral a
-solve takes (volume.dense_quadrature) and the sample rows (Trajectory.y:
-a CSV, the formula-1 check) read it; ``_quartic`` also serves the event
-bisection, so they agree bit for bit.  The step loop never sees the sample
-grid (sample_radii), so the steps taken do not depend on the stride.
+``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
+growth fit, the critical-datum probes, every integral of a solve
+(volume.dense_quadrature) and the sample rows (Trajectory.y) read it, and
+the event bisection reads the same polynomials.  The step loop never sees
+the sample grid (sample_radii), so the steps do not depend on the stride.
 
-Steps are capped at max(0.1, r/20).  The cap is not needed for accuracy
-or for the samples, which sit on a uniform grid whatever the step size:
-without it every slot of m=2 trajectories with rho in [0.3, 20] still
-matched a rel_tol 1e-12 run to the configured tolerance.  It binds for
-m=2 with quadratic growth (at r/20 through the tail) and for m=3 on r up
-to about 6 (at 0.1).  It stays because without it the m=3 critical_eps
-solves at k = 10, 20 and 40 (bracket_tol 1e-6) took 43 integrations and
-9969 accepted steps instead of 38 and 9009.
-
-A collapse is closed on the wall asymptote as soon as that is accurate.
-Inside the wall the controller takes steps of a fixed fraction of the
-remaining distance s (about 85 per decade of s for m=2), so stepping all
-the way to the floor would cost most of a collapsing trajectory's steps.
+Inside a collapse wall each step covers a fixed fraction of the remaining
+distance s, so stepping to the floor would cost most of a collapse's steps.
 After each accepted step with u' < 0, ``_wall_distance`` gives two
 independent estimates of s; once they agree to abs_tol on three
-consecutive accepted steps, and no Laplacian slot can reach zero within s,
-the trajectory ends at that step with r* = r + s, which is then accurate
-to about abs_tol.  A step-size stall before that closes with the same
-estimates; a floor crossing reached first is bisected on the dense output.
+consecutive steps, and no Laplacian slot can reach zero within s, the
+trajectory ends with r* = r + s, accurate to about abs_tol.  A step-size
+stall closes with the same estimates; a floor crossing reached first is
+bisected on the step's polynomial.
 """
 
 from __future__ import annotations
@@ -50,6 +36,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -61,7 +49,7 @@ from .core import (
     Inconclusive,
     Jet,
     Trajectory,
-    _radial_rhs,
+    _series,
     _taylor_state,
     taylor_coefficients,
     taylor_launch,
@@ -85,10 +73,12 @@ __all__ = [
 class IntegratorConfig:
     """Tolerances, horizon and sampling for one integration.
 
-    rel_tol/abs_tol are targets for the delivered accuracy of the samples;
-    the per-step embedded-error control applies a fixed internal safety
-    factor so that accumulated error over the default horizons stays within
-    roughly 10x these numbers.
+    rel_tol/abs_tol are targets for the delivered accuracy of the samples.
+    Each step keeps the last two terms of every level's series below
+    _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so that
+    the error carried along the default horizons, where a growing mode
+    amplifies it, stays within them.  Every float field must be positive
+    and finite.
     """
 
     rel_tol: float = 1e-8
@@ -101,14 +91,13 @@ class IntegratorConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not (self.r_max > self.launch_radius > 0):
+        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "launch_radius",
+                     "dense_output_stride"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.r_max > self.launch_radius:
             raise ValueError("need r_max > launch_radius > 0")
-        if not self.u_floor > 0:
-            raise ValueError("u_floor must be positive")
-        if not self.dense_output_stride > 0:
-            raise ValueError("dense_output_stride must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.precision not in ("double", "extended"):
@@ -129,133 +118,108 @@ class Event:
     direction: int = 0            # -1 downward crossing, +1 upward
 
 
-# Dormand-Prince 5(4) tableau with Shampine's dense-output matrix.  All
-# entries are exact integer ratios so they can be materialised in any
-# floating dtype without double rounding.
-_A_NUM = (
-    (),
-    ((1, 5),),
-    ((3, 40), (9, 40)),
-    ((44, 45), (-56, 15), (32, 9)),
-    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
-    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
-    ((35, 384), (0, 1), (500, 1113), (125, 192), (-2187, 6784), (11, 84)),
-)
-_C_NUM = ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))
-_E_NUM = ((71, 57600), (0, 1), (-71, 16695), (71, 1920),
-          (-17253, 339200), (22, 525), (-1, 40))
-_P_NUM = (
-    ((1, 1), (-8048581381, 2820520608), (8663915743, 2820520608),
-     (-12715105075, 11282082432)),
-    ((0, 1), (0, 1), (0, 1), (0, 1)),
-    ((0, 1), (131558114200, 32700410799), (-68118460800, 10900136933),
-     (87487479700, 32700410799)),
-    ((0, 1), (-1754552775, 470086768), (14199869525, 1410260304),
-     (-10690763975, 1880347072)),
-    ((0, 1), (127303824393, 49829197408), (-318862633887, 49829197408),
-     (701980252875, 199316789632)),
-    ((0, 1), (-282668133, 205662961), (2019193451, 616988883),
-     (-1453857185, 822651844)),
-    ((0, 1), (40617522, 29380423), (-110615467, 29380423),
-     (69997945, 29380423)),
-)
-
-_TABLEAUS = {}
+# Points of one step in a dense-output call above which they are evaluated
+# on their own, against that step's coefficients (the sample rows of long
+# steps); the points of consecutive steps holding fewer (the fit nodes,
+# single states, the short steps near the origin) go in runs of at most as
+# many, which gather each point's coefficients: a few NumPy calls per run,
+# and at most _GATHER_MAX K slots gathered values (300 kB for m=3) at once.
+# A 200-node fit took 0.70 ms with every step on its own and a 100 001-row
+# fill 62 ms with every point gathered, against 0.29 and 12 ms this way.
+# Both run the same elementwise operations in the same order, so a value
+# depends neither on the run nor on the other points of the call.
+_GATHER_MAX = 256
 
 
-def _tableau(dtype):
-    key = np.dtype(dtype).name
-    if key not in _TABLEAUS:
-        def frac(pair):
-            return dtype(pair[0]) / dtype(pair[1])
-
-        A = np.zeros((7, 7), dtype=dtype)
-        for i, row in enumerate(_A_NUM):
-            for j, pair in enumerate(row):
-                A[i, j] = frac(pair)
-        C = np.array([frac(p) for p in _C_NUM], dtype=dtype)
-        B = A[6].copy()           # 5th-order weights; FSAL row
-        E = np.array([frac(p) for p in _E_NUM], dtype=dtype)
-        P = np.array([[frac(p) for p in row] for row in _P_NUM], dtype=dtype)
-        _TABLEAUS[key] = (A, B, C, E, P)
-    return _TABLEAUS[key]
-
-
-_THETA_POWERS = np.arange(1, 5)
-
-
-def _quartic(y0, h, q, theta, derivative: int = 0):
-    """Quartic dense output y0 + h q @ [t, t^2, t^3, t^4] at theta = t, or d/dr.
-
-    q has shape (..., n, 4); y0, h and theta broadcast against its leading
-    axes, so the sample fill, event bisection, DenseSolution and the
-    quadrature nodes of volume.dense_quadrature share it.
-    """
-    if derivative not in (0, 1):
-        raise ValueError("only derivative 0 or 1 supported")
-    t = np.asarray(theta, dtype=q.dtype)[..., None]
-    powers = (t ** _THETA_POWERS if derivative == 0
-              else _THETA_POWERS * t ** (_THETA_POWERS - 1))
-    qt = np.matmul(q, powers[..., None])[..., 0]
-    return y0 + np.asarray(h)[..., None] * qt if derivative == 0 else qt
+def _horner(P, idx, theta):
+    """sum_k P[k, s, idx] theta^k by Horner's rule, for every point and slot
+    s: (n, slots), in runs of points of consecutive steps (_GATHER_MAX)."""
+    out = np.empty((P.shape[1], idx.shape[0]), dtype=np.result_type(P, theta))
+    bounds = [0, *(np.flatnonzero(np.diff(idx)) + 1).tolist(), idx.shape[0]]
+    run = 0
+    for g in range(len(bounds) - 1):
+        lo, hi = bounds[g], bounds[g + 1]
+        one_step = hi - lo > _GATHER_MAX
+        if not (one_step or g + 2 == len(bounds) or bounds[g + 2] - bounds[run] > _GATHER_MAX):
+            continue  # the next step's points join this run
+        lo, run = lo if one_step else bounds[run], g + 1
+        t, acc, G = theta[lo:hi], out[:, lo:hi], P[:, :, idx[lo], None]
+        if not one_step:  # flat operands: NumPy calls without broadcasting cost less
+            G, t = P[:, :, idx[lo:hi]].reshape(P.shape[0], -1), np.tile(t, P.shape[1])
+            acc = np.empty_like(t)
+        acc[...] = G[-1]
+        for k in range(P.shape[0] - 2, -1, -1):
+            acc *= t
+            acc += G[k]
+        out[:, lo:hi] = acc.reshape(P.shape[1], -1)
+    return out.T
 
 
 class DenseSolution:
     """The solution on [0, r_hi], and d/dr of every slot on [r_lo, r_hi].
 
     Up to r_lo (the launch radius) it is the even Taylor series of coeffs,
-    the launch's coefficients in the integration's precision, which
-    series() reads directly; with no accepted step r_hi = r_lo.  Step i
-    covers (r_lefts[i], r_rights[i]] and is evaluated at theta = (r -
-    r_left) / (r_right - r_left) with multiplier hs[i]: near the m=2 wall
-    r + h rounds, and mapping theta over the stored interval keeps the
-    interpolant continuous at every step boundary.  Input need not be sorted.
+    the launch's coefficients in the integration's precision (series());
+    with no accepted step r_hi = r_lo.  Step i covers (r_lefts[i],
+    r_rights[i]], where level j is sum_k cs[i, j, k] theta^k in theta = (r
+    - r_left) / width, width = r_right - r_left, and each derivative slot
+    the derivative of its level's polynomial.  Theta runs over the stored
+    interval (near the m=2 wall r + h rounds), which keeps the pieces
+    continuous.  Input need not be sorted.
     """
 
-    def __init__(self, coeffs, r_lo, r_lefts, r_rights, hs, y_lefts, qs):
-        self.coeffs = np.asarray(coeffs)
-        self.m = self.coeffs.shape[0] - 3  # c[0] .. c[m+2]
-        self.r_lo = float(r_lo)
-        self.r_lefts = np.asarray(r_lefts)
-        self.r_rights = np.asarray(r_rights)
-        self.hs = np.asarray(hs)
-        self.y_lefts = np.asarray(y_lefts)
-        self.qs = np.asarray(qs)
-        self.r_hi = float(self.r_rights[-1]) if self.hs.shape[0] else self.r_lo
+    def __init__(self, coeffs, r_lo, r_lefts, r_rights, cs):
+        self.coeffs, self.cs, self.r_lo = np.asarray(coeffs), np.asarray(cs), float(r_lo)
+        self.r_lefts, self.r_rights = np.asarray(r_lefts), np.asarray(r_rights)
+        self.m = self.cs.shape[1]
+        self.r_hi = float(self.r_rights[-1]) if self.cs.shape[0] else self.r_lo
+        self._polys = {}
 
     def series(self, r):
         """All 2m slots of the Taylor series at radii r, as float64."""
         return np.asarray(_taylor_state(self.coeffs, self.m, r, dtype=self.coeffs.dtype.type),
                           dtype=np.float64)
 
+    def slot_polys(self, derivative: int = 0):
+        """Polynomials in theta of every slot, or of its d/dr: [k, slot, step]
+        is the coefficient of theta^k, the layout _horner gathers from."""
+        if derivative not in self._polys:
+            if derivative not in (0, 1):
+                raise ValueError("only derivative 0 or 1 supported")
+            k = np.arange(1, self.cs.shape[2]) / (self.r_rights - self.r_lefts)[:, None, None]
+
+            def d_dr(Q):  # theta = (r - r_left) / width
+                return np.concatenate([Q[..., 1:] * k, np.zeros_like(Q[..., :1])], axis=2)
+
+            P = np.repeat(self.cs, 2, axis=1)
+            P[:, 1::2] = d_dr(self.cs)
+            P = d_dr(P) if derivative else P
+            self._polys[derivative] = np.ascontiguousarray(P.transpose(2, 1, 0))
+        return self._polys[derivative]
+
     def __call__(self, r, derivative: int = 0):
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
         lo = 0.0 if derivative == 0 else self.r_lo
+        steps = self.cs.shape[0]
         if (np.any(r < lo) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300)
-                or (derivative and not self.hs.shape[0])):
+                or (derivative and not steps)):
             raise ValueError(
                 f"dense output (derivative {derivative}) defined on [{lo}, {self.r_hi}], "
                 f"got [{r.min()}, {r.max()}]"
             )
         out = np.empty(r.shape + (2 * self.m,))
-        if self.hs.shape[0]:
-            idx = np.searchsorted(self.r_lefts, r, side="left") - 1
-            idx = np.clip(idx, 0, len(self.hs) - 1)
-            r_left = self.r_lefts.take(idx)
-            theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights.take(idx) - r_left)
-            out[...] = _quartic(self.y_lefts.take(idx, axis=0), self.hs.take(idx),
-                                self.qs.take(idx, axis=0), theta, derivative)
-        if derivative == 0:
-            head = (r <= self.r_lo) | (not self.hs.shape[0])
-            if head.any():
-                out[head] = self.series(r[head])
+        head = (r <= self.r_lo) & (derivative == 0) | (steps == 0)  # the launch series
+        rest = ~head if head.any() else slice(None)
+        if head.any():
+            out[head] = self.series(r[head])
+        if not head.all():
+            idx = np.clip(np.searchsorted(self.r_lefts, r[rest]) - 1, 0, steps - 1)
+            r_left = self.r_lefts[idx]
+            theta = (r[rest].astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
+            out[rest] = _horner(self.slot_polys(derivative), idx, theta)
         return out[0] if scalar else out
 
-
-# Per-step error budget relative to the configured tolerances; keeps the
-# accumulated (global) error within ~10x tol over horizons of a few hundred.
-_GLOBAL_SAFETY = 0.05
 
 # Collapse-wall exponents: near a finite-radius collapse the solution obeys
 # u ~ c (R - r)^(1/2) for m=2 (with c = (16/15)^(1/8), from balancing
@@ -332,10 +296,6 @@ def sample_radii(stride, r_max, r_last, collapsed):
     return np.append(r, r_last) if collapsed and r_last > r[-1] else r
 
 
-def _step_cap(r):
-    return max(0.1, float(r) / 20.0)
-
-
 def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
     """Bisect a sign change of poly_val over [lo, hi] (poly_val(lo) and (hi) differ)."""
     flo = poly_val(lo)
@@ -351,55 +311,65 @@ def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-def _step_tableau(dtype):
-    """Nodes c2..c6, rows a2..a7 and weights e1..e7 of the tableau as scalars
-    of dtype's precision (ndarray.tolist keeps np.longdouble), plus that
-    precision's square root: what one _dp5_step reads."""
-    A, _, C, E, _ = _tableau(dtype)
-    rows = tuple(row[:i] for i, row in enumerate(A.tolist()))[1:]
-    sqrt = math.sqrt if dtype is np.float64 else np.sqrt
-    return tuple(C.tolist()[1:6]), rows, tuple(E.tolist()), sqrt
+# Order of every step's series.  A step covers the fraction 0.9 (tol /
+# |L|)^(1/N) of the distance to the nearest singularity, and costs about
+# N^2/2 products; 20 to 28 took the same time on collapses and profiles.
+_ORDER = 24
+
+# Per-step tolerance relative to the configured ones.  An error of the
+# linear-growth m=2 profile grows about like r through its quadratic mode,
+# so the steps must be over 1e3 times sharper than the accuracy wanted at
+# r = 1e3: this puts u(1e3) within 1.3e-9 relative at rel_tol 1e-8.
+_STEP_TOL = 5e-5
 
 
-def _dp5_step(tab, p, r, y, k1, h, atol, rtol):
-    """One Dormand-Prince 5(4) step of size h from (r, y), on scalars.
+def _step_size(a, atol, rtol):
+    """The step rule on a series a in tau = (r - r0) / r0, in units of r0;
+    inf for a polynomial, 0 when a coefficient is not finite."""
+    h = math.inf
+    for aj in a:
+        tol = atol + rtol * abs(float(aj[0]))
+        for k in (_ORDER - 1, _ORDER):
+            ak = abs(float(aj[k]))
+            if ak > 0.0:
+                h = min(h, (tol / ak) ** (1.0 / k))
+            elif not ak == 0.0:
+                return 0.0
+    return 0.9 * h
 
-    k1 is the derivative at (r, y).  Returns (ys, ks, err, err_norm): ys are
-    the states the stages 2..7 are evaluated at (ys[-1] is the 5th-order
-    solution at r + h), ks the seven stage derivatives (ks[-1] serves as the
-    next k1), err = h E.K the embedded error estimate and err_norm its RMS
-    against the safety-scaled tolerance: NaN or inf when a stage state left
-    u > 0 or overflowed, so the caller rejects the step.  Every sum runs in
-    tableau order, as y + h (A[i, :i] @ K[:i]) reads.
-    """
-    ((c2, c3, c4, c5, c6),
-     ((a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-      (a61, a62, a63, a64, a65), (b1, b2, b3, b4, b5, b6)),
-     (e1, e2, e3, e4, e5, e6, e7), sqrt) = tab
-    y2 = [yj + h * (a21 * x1) for yj, x1 in zip(y, k1)]
-    k2 = _radial_rhs(p, r + c2 * h, y2)
-    y3 = [yj + h * (a31 * x1 + a32 * x2) for yj, x1, x2 in zip(y, k1, k2)]
-    k3 = _radial_rhs(p, r + c3 * h, y3)
-    y4 = [yj + h * (a41 * x1 + a42 * x2 + a43 * x3)
-          for yj, x1, x2, x3 in zip(y, k1, k2, k3)]
-    k4 = _radial_rhs(p, r + c4 * h, y4)
-    y5 = [yj + h * (a51 * x1 + a52 * x2 + a53 * x3 + a54 * x4)
-          for yj, x1, x2, x3, x4 in zip(y, k1, k2, k3, k4)]
-    k5 = _radial_rhs(p, r + c5 * h, y5)
-    y6 = [yj + h * (a61 * x1 + a62 * x2 + a63 * x3 + a64 * x4 + a65 * x5)
-          for yj, x1, x2, x3, x4, x5 in zip(y, k1, k2, k3, k4, k5)]
-    k6 = _radial_rhs(p, r + c6 * h, y6)
-    y7 = [yj + h * (b1 * x1 + b2 * x2 + b3 * x3 + b4 * x4 + b5 * x5 + b6 * x6)
-          for yj, x1, x2, x3, x4, x5, x6 in zip(y, k1, k2, k3, k4, k5, k6)]
-    k7 = _radial_rhs(p, r + h, y7)
-    err = [h * (e1 * x1 + e2 * x2 + e3 * x3 + e4 * x4 + e5 * x5 + e6 * x6 + e7 * x7)
-           for x1, x2, x3, x4, x5, x6, x7 in zip(k1, k2, k3, k4, k5, k6, k7)]
-    err_sq = 0.0
-    for ej, yj, zj in zip(err, y, y7):
-        ej = ej / (_GLOBAL_SAFETY * (atol + rtol * max(abs(yj), abs(zj))))
-        err_sq += ej * ej
-    return ((y2, y3, y4, y5, y6, y7), (k1, k2, k3, k4, k5, k6, k7), err,
-            float(sqrt(err_sq / len(y))))
+
+def _try_step(a, r0, width):
+    """The polynomials c[j][k] = a[j][k] (width / r0)^k in theta = (r - r0) /
+    width of the series a (in tau = (r - r0) / r0), and the state at theta
+    = 1; None when that state has u <= 0 or a slot that is not finite."""
+    ratio = width / r0
+    powers = list(accumulate([ratio] * _ORDER, mul, initial=ratio ** 0))
+    c = [list(map(mul, aj, powers)) for aj in a]
+    y = [v for cj in c for v in (sum(cj), sum(map(mul, range(_ORDER + 1), cj)) / width)]
+    if not (y[0] > 0.0 and all(map(math.isfinite, map(float, y)))):
+        return None
+    return c, y
+
+
+def _carried_error(dense, r_end):
+    """Per slot, every step's truncation estimate (the last two terms of each
+    level's polynomial, and their d/dr) carried to r_end.  A slope error e'
+    at r moves its level by at most r e' (the 1/r mode decays); an error e
+    in level j + i grows in level j like e r_end^(2i) / (2i+1)!, as Lap^-i
+    of a constant does in 3-D, and in its slope like the derivative."""
+    last = np.abs(dense.cs[:, :, -2:]).astype(float).sum(axis=2)  # (steps, m)
+    slope = _ORDER * last / (dense.r_rights - dense.r_lefts).astype(float)[:, None]
+    level = (last + dense.r_lefts.astype(float)[:, None] * slope).sum(axis=0)
+    i = np.arange(dense.m)
+    grow = r_end ** (2 * i) / [math.factorial(2 * k + 1) for k in i]
+    grow_slope = np.concatenate([[0.0], grow[1:] * 2 * i[1:] / r_end])
+    return np.ravel([(level[j:] @ grow[:dense.m - j], slope[:, j].sum()
+                      + level[j:] @ grow_slope[:dense.m - j]) for j in range(dense.m)])
+
+
+def _poly_at(c, theta):
+    """sum_k c[k] theta^k by Horner, on scalars."""
+    return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
 
 
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory:
@@ -413,13 +383,14 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     terminate the integration.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
-    {"kind": "floor"} when a step crosses u_floor (r* bisected on the dense
-    output to abs_tol in r), or {"kind": "wall", "s": s, "disagreement": d}
-    when the two wall estimates of the remaining distance s (_wall_distance)
-    agree to abs_tol on three consecutive accepted steps (or the step size
-    stalls first), with no Laplacian sign change possible within s.  Then
-    r* = r + s is accurate to about abs_tol, and the samples end at that
-    last accepted r.  stats["closure"] is None when there is no collapse.
+    {"kind": "floor"} when a step crosses u_floor (r* bisected on the step's
+    polynomial to abs_tol in r), or {"kind": "wall", "s": s, "disagreement":
+    d} when the two wall estimates of the remaining distance s agree to
+    abs_tol on three consecutive accepted steps (or the step size stalls
+    first), with no Laplacian sign change possible within s; the samples
+    then end at that last accepted r.  stats["closure"] is None without a
+    collapse, stats["nfev"] counts the series computed (a halved step
+    reuses its own), and stats["err_accum"] is _carried_error's estimate.
 
     The growth exponent of an entire verdict is the weighted log-log slope
     of u over _FIT_NODES uniform nodes of the dense output on the window
@@ -428,139 +399,113 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     grid (sample_radii) has no row strictly between 0 and the horizon, and
     the window holds only the horizon row.  The rows are that grid and the
     dense output there, built the first time the trajectory reads them.
-
-    Each step (_dp5_step) works on scalars, not 2m-slot arrays, because
-    NumPy's per-call dispatch dominates at that size; its sums run in
-    tableau order, so the steps taken do not depend on the BLAS library.
     """
     dtype = cfg.dtype
     num = float if dtype is np.float64 else dtype  # scalar type of the step
     p = spec.rhs_exponent
-    n = spec.n_state
-    tab = _step_tableau(dtype)
-    P = _tableau(dtype)[4]
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    atol, rtol = _STEP_TOL * cfg.abs_tol, _STEP_TOL * cfg.rel_tol
 
     coeffs = taylor_coefficients(spec, jet, dtype=dtype)
     # The configured launch radius is an upper bound: jets with small u(0)
     # have steep coefficient chains, so halve until the series estimate
     # passes its tolerance.
     r_launch = cfg.launch_radius
-    launch = None
     for _ in range(60):
         try:
             launch = taylor_launch(spec, jet, r_launch, dtype=dtype)
             break
         except LaunchRadiusTooLarge:
             r_launch *= 0.5
-    if launch is None:
+    else:
         raise LaunchRadiusTooLarge(
             f"no workable launch radius below {cfg.launch_radius} for jet {jet}")
     r = num(r_launch)
     y = np.asarray(launch.y, dtype=dtype).tolist()
     r_max = num(cfg.r_max)
 
-    r_lefts, r_rights, hs, y_lefts, qs = [], [], [], [], []
-    events = []
-    k1 = _radial_rhs(p, r, y)
-    nfev = 1
-    naccept = nreject = 0
-    err_accum = [0.0] * n
-    h = num(min(r_launch, _step_cap(r)))
+    r_lefts, r_rights, cs, events = [], [], [], []
+    nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     agree = 0  # consecutive accepted steps whose wall estimates agree
-    verdict = closure = None
+    verdict = closure = a = None
 
-    while True:
-        if r >= r_max:
-            events.append(Event(kind="horizon", r_event=float(r)))
-            break
-        if naccept + nreject >= cfg.max_steps:
-            verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
-            break
-        h = min(h, r_max - r, num(_step_cap(r)))
-        if h < tiny_h_factor * max(float(r), 1.0):
-            # Step-size stall before the wall estimates agreed to abs_tol:
-            # r cannot resolve the rest of the wall, so close it with them.
-            wall = (_wall_distance(spec.m, r, y, cfg.u_floor)
-                    if float(y[0]) < 1e-4 * max(1.0, jet.u0) else None)
-            if wall is None:
-                verdict = Inconclusive(
-                    reason=f"step size underflow at r={float(r):.6g}")
-            else:
-                verdict, closure = _close_on_wall(r, wall, events)
-            break
-
-        ys, ks, err, err_norm = _dp5_step(tab, p, r, y, k1, h, atol, rtol)
-        nfev += 6
-        if not math.isfinite(err_norm):
-            h = h * num(0.5)
-            nreject += 1
-            continue
-        if err_norm > 1.0:
-            h = h * num(min(0.9, max(0.2, 0.9 * err_norm ** -0.2)))
-            nreject += 1
-            continue
-
-        # accepted: only what leaves the loop becomes an array
-        naccept += 1
-        err_accum = [a + abs(float(ej)) for a, ej in zip(err_accum, err)]
-        y_new = ys[-1]
-        y_left = np.array(y, dtype=dtype)
-        q = np.array(ks, dtype=dtype).T @ P  # (n, 4) dense coefficients
-        r_new = r + h
-        width = r_new - r  # theta runs over the stored interval, not h
-        r_lefts.append(r)
-        r_rights.append(r_new)
-        hs.append(h)
-        y_lefts.append(y_left)
-        qs.append(q)
-
-        # --- events inside (r, r_new] ---
-        theta_tol = cfg.abs_tol / float(width)
-        terminal_theta = None
-        if float(y_new[0]) < cfg.u_floor:
-            terminal_theta = _bisect_theta(
-                lambda t: float(_quartic(y_left, h, q, t)[0]) - cfg.u_floor,
-                0.0, 1.0, theta_tol)
-        for j in range(1, spec.m):
-            s0, s1 = float(y[2 * j]), float(y_new[2 * j])
-            if s0 * s1 < 0.0:
-                tc = _bisect_theta(
-                    lambda t, jj=2 * j: float(_quartic(y_left, h, q, t)[jj]),
-                    0.0, 1.0, theta_tol)
-                r_ev = float(r + width * num(tc))
-                if terminal_theta is None or tc <= terminal_theta:
-                    events.append(Event(kind="lap_sign_change", r_event=r_ev,
-                                        level=j, direction=-1 if s1 < s0 else 1))
-
-        if terminal_theta is not None:
-            r = float(r + width * num(terminal_theta))  # the deepest radius reached
-            events.append(Event(kind="u_floor", r_event=r, direction=-1))
-            verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
-            break
-
-        r, y, k1 = r_new, y_new, ks[-1]  # FSAL
-        if y[1] < 0.0:  # only a falling u can be inside a wall
-            wall = _wall_distance(spec.m, r, y, cfg.u_floor)
-            agree = agree + 1 if wall is not None and wall[1] <= atol else 0
-            if agree == _WALL_AGREE_STEPS:
-                verdict, closure = _close_on_wall(r, wall, events)
+    # np.longdouble scalars warn where Python floats overflow silently; a
+    # non-finite series or state is handled below either way
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if r >= r_max:
+                events.append(Event(kind="horizon", r_event=float(r)))
                 break
-        else:
-            agree = 0
-        h = h * num(min(5.0, max(0.2, 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0)))
+            if naccept + nreject >= cfg.max_steps:
+                verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
+                break
+            if a is None:  # a new step position; a halved step keeps its series
+                a = _series(p, r, y, _ORDER)
+                nfev += 1
+                h = r * num(_step_size(a, atol, rtol))
+            h = min(h, r_max - r)
+            if h < tiny_h_factor * max(float(r), 1.0):
+                # Step-size stall before the wall estimates agreed to abs_tol:
+                # r cannot resolve the rest of the wall, so close it with them.
+                wall = (_wall_distance(spec.m, r, y, cfg.u_floor)
+                        if float(y[0]) < 1e-4 * max(1.0, jet.u0) else None)
+                if wall is None:
+                    verdict = Inconclusive(
+                        reason=f"step size underflow at r={float(r):.6g}")
+                else:
+                    verdict, closure = _close_on_wall(r, wall, events)
+                break
+
+            r_new = r + h
+            width = r_new - r  # theta runs over the stored interval, not h
+            step = _try_step(a, r, width)
+            if step is None:
+                h = h * num(0.5)
+                nreject += 1
+                continue
+            c, y_new = step
+
+            naccept += 1
+            r_lefts.append(r)
+            r_rights.append(r_new)
+            cs.append(c)
+
+            # --- events inside (r, r_new] ---
+            theta_tol = cfg.abs_tol / float(width)
+            terminal_theta = None
+            if float(y_new[0]) < cfg.u_floor:
+                terminal_theta = _bisect_theta(
+                    lambda t: float(_poly_at(c[0], num(t))) - cfg.u_floor, 0.0, 1.0, theta_tol)
+            for j in range(1, spec.m):
+                s0, s1 = float(y[2 * j]), float(y_new[2 * j])
+                if s0 * s1 < 0.0:
+                    tc = _bisect_theta(lambda t, cj=c[j]: float(_poly_at(cj, num(t))),
+                                       0.0, 1.0, theta_tol)
+                    r_ev = float(r + width * num(tc))
+                    if terminal_theta is None or tc <= terminal_theta:
+                        events.append(Event(kind="lap_sign_change", r_event=r_ev,
+                                            level=j, direction=-1 if s1 < s0 else 1))
+
+            if terminal_theta is not None:
+                r = float(r + width * num(terminal_theta))  # the deepest radius reached
+                events.append(Event(kind="u_floor", r_event=r, direction=-1))
+                verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
+                break
+
+            r, y, a = r_new, y_new, None
+            if y[1] < 0.0:  # only a falling u can be inside a wall
+                wall = _wall_distance(spec.m, r, y, cfg.u_floor)
+                agree = agree + 1 if wall is not None and wall[1] <= cfg.abs_tol else 0
+                if agree == _WALL_AGREE_STEPS:
+                    verdict, closure = _close_on_wall(r, wall, events)
+                    break
+            else:
+                agree = 0
 
     dense = DenseSolution(coeffs, r_launch, np.array(r_lefts, dtype=dtype),
-                          np.array(r_rights, dtype=dtype), np.array(hs, dtype=dtype),
-                          np.array(y_lefts, dtype=dtype).reshape(-1, n),
-                          np.array(qs, dtype=dtype).reshape(-1, n, 4))
-    if isinstance(verdict, Collapsed):
-        r_end = verdict.r_star
-    elif verdict is not None:
-        r_end = float(r)
-    else:
-        r_end = float(r_max)
+                          np.array(r_rights, dtype=dtype),
+                          np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))
+    r_end = verdict.r_star if isinstance(verdict, Collapsed) else float(r if verdict else r_max)
 
     stride = cfg.dense_output_stride
     if verdict is None:
@@ -577,7 +522,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "naccept": naccept,
         "nreject": nreject,
         "nfev": nfev,
-        "err_accum": np.array(err_accum),
+        "err_accum": _carried_error(dense, float(r)),
         "launch_radius": r_launch,
         "precision": cfg.precision,
         "closure": closure,
@@ -585,7 +530,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     radii = functools.partial(sample_radii, stride, cfg.r_max, float(r),
                               isinstance(verdict, Collapsed))
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
-                      events=tuple(events), dense=dense, stats=stats, radii=radii)
+                      events=tuple(events), dense=dense, stats=stats, radii=radii,
+                      stride=stride)
 
 
 # Nodes of the dense output that a fit over a window reads.  Uniform
@@ -618,6 +564,12 @@ def _fit_growth_dense(dense, r_lo, r_hi):
     return gamma, float(y[-1, 0] / r[-1] ** round(gamma))
 
 
+def window_rows(traj: Trajectory, lo: float, hi: float) -> int:
+    """Rows of the sample grid in [lo, hi] by the length rule, floor(length /
+    stride) + 1, give or take one: like integrate's horizon rule, no grid."""
+    return max(0, int(math.floor((hi - lo) / traj.stride + 1e-9)) + 1)
+
+
 @dataclass(frozen=True)
 class GrowthFit:
     gamma: float
@@ -636,9 +588,9 @@ def fit_growth(traj: Trajectory, fit_window=None) -> GrowthFit:
     The window defaults to [r_end/4, r_end]; a window reaching further in
     than a twentieth of its outer edge is rejected because the asymptotic
     power law has not set in there.  The fit reads the dense output at the
-    window's nodes, the routine that fixes integrate's verdict; a window
-    with fewer than 10 rows of the sample grid raises WindowTooNarrow, and
-    n_samples is that row count.
+    window's nodes, the routine that fixes integrate's verdict.  A window
+    holding fewer than 10 rows of the sample grid by the length rule
+    (window_rows) raises WindowTooNarrow, and n_samples is that count.
     """
     if not isinstance(traj.verdict, EntirePositive):
         raise ValueError("growth classification needs an EntirePositive verdict")
@@ -652,7 +604,7 @@ def fit_growth(traj: Trajectory, fit_window=None) -> GrowthFit:
         raise ValueError(f"window end {r_hi} beyond trajectory end {r_end}")
     if r_lo < r_hi / 20.0 - 1e-9 * r_hi:
         raise ValueError("window reaches too far in: need r_lo >= r_hi / 20")
-    n_in = traj.count_rows(r_lo, r_hi)
+    n_in = window_rows(traj, r_lo, r_hi)
     if n_in < 10:
         raise WindowTooNarrow(f"only {n_in} samples in [{r_lo}, {r_hi}]")
     gamma, limit = _fit_growth_dense(traj.dense, r_lo, r_hi)

@@ -5,11 +5,13 @@ Two explicit entire radial solutions anchor every numerical test:
     m=2:  u(r) = (a + r^2)^(1/2),  a = 15^(-1/2)   (linear growth)
     m=3:  u(r) = (b + r^2)^(3/2),  b = 315^(-1/3)  (cubic growth)
 
-The full derivative chains below were derived by hand and are locked in by
-finite-difference tests; the m=2 chain closes with
-Lap^2 u = -15 a^2 (a+r^2)^(-7/2), so the residual vanishes exactly when
-15 a^2 = 1.  For m=3 the top Laplacian is confirmed numerically only
-(Richardson finite differences), which limits that residual to ~1e-7.
+The full derivative chains below are derived by hand and checked
+symbolically in the test suite.  They close with
+
+    Lap^2 (a + r^2)^(1/2) = -15 a^2 (a + r^2)^(-7/2),
+    Lap^3 (b + r^2)^(3/2) = -315 b^3 (b + r^2)^(-9/2),
+
+so the residual vanishes exactly when 15 a^2 = 1 (m=2), 315 b^3 = 1 (m=3).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "linear_profile",
     "cubic_profile",
     "lambda_star",
-    "fd_derivative",
-    "fd_laplacian",
 ]
 
 _LINEAR_SHIFT = 15.0 ** -0.5
@@ -94,22 +94,16 @@ class ClosedForm:
         return Jet(tuple(self.eval(0.0, 2 * j) for j in range(self.m)))
 
     def top_laplacian_closed(self, r):
-        """Lap^m u in closed form; only the m=2 chain is derived by hand."""
-        if self.m != 2:
-            raise NotImplementedError("m=3 top Laplacian is checked numerically only")
+        """Lap^m u in closed form: -15 a^2 s^(-7/2) (m=2), -315 b^3 s^(-9/2)
+        (m=3), s = shift + r^2."""
         a = self.shift
         s = a + np.asarray(r, dtype=float) ** 2
-        out = -15.0 * a * a * s ** -3.5
+        out = -15.0 * a * a * s ** -3.5 if self.m == 2 else -315.0 * a ** 3 * s ** -4.5
         return out if out.ndim else float(out)
 
     def residual(self, r: float) -> float:
-        """Defect Lap^m u + u^p; ~1e-14 (m=2, closed form) / ~1e-7 (m=3, FD)."""
-        p = self.spec.rhs_exponent
-        if self.m == 2:
-            lap_top = self.top_laplacian_closed(r)
-        else:
-            lap_top = fd_laplacian(lambda x: self.eval(x, 2 * (self.m - 1)), r)
-        return float(lap_top + self.eval(r, 0) ** p)
+        """Defect Lap^m u + u^p, from the closed forms: rounding level."""
+        return float(self.top_laplacian_closed(r) + self.eval(r, 0) ** self.spec.rhs_exponent)
 
 
 def linear_profile() -> ClosedForm:
@@ -130,41 +124,3 @@ def lambda_star() -> float:
     1e-10 relative in the test suite.
     """
     return math.pi ** 2 * 15.0 ** 0.75 / 4.0
-
-
-def fd_derivative(f, r: float, h: float = 1e-5) -> float:
-    """Plain central first difference (order 2)."""
-    return (f(r + h) - f(r - h)) / (2.0 * h)
-
-
-def _fd_laplacian_base(f, r: float, h: float) -> float:
-    """One central-difference estimate of f'' + (2/r) f' at r >= 0.
-
-    At the origin the even extension gives Lap f(0) = 3 f''(0) via a
-    two-point stencil.
-    """
-    if r < h:  # near-origin: use the even reflection f(-x) = f(x)
-        fl = f(abs(r - h))
-    else:
-        fl = f(r - h)
-    fc = f(r)
-    fr = f(r + h)
-    fpp = (fr - 2.0 * fc + fl) / (h * h)
-    if r == 0.0:
-        return 3.0 * fpp
-    fp = (fr - fl) / (2.0 * h)
-    return fpp + 2.0 / r * fp
-
-
-def fd_laplacian(f, r: float, h: float = 0.01, levels: int = 2) -> float:
-    """Radial Laplacian by central differences with Richardson extrapolation.
-
-    ``levels`` Richardson stages over step halvings remove the h^2 and h^4
-    error terms; with the default step this reaches ~1e-10 absolute on
-    smooth O(1) profiles.
-    """
-    est = [_fd_laplacian_base(f, r, h / 2 ** k) for k in range(levels + 1)]
-    for lev in range(1, levels + 1):
-        fac = 4.0 ** lev
-        est = [(fac * est[i + 1] - est[i]) / (fac - 1.0) for i in range(len(est) - 1)]
-    return est[0]

@@ -170,7 +170,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 5  # 5: partial_integral from the dense-output quadrature
+    SCHEMA = 6  # 6: Taylor-series steps; the two-halves quadrature rule
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 

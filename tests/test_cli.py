@@ -291,6 +291,10 @@ def test_config_file_bad_schema(tmp_path):
     ({"rel_tol": -1}, []),
     ({}, ["--tol", "-1"]),
     ({}, ["--r-max", "1e-4"]),  # below launch_radius
+    ({}, ["--tol", "inf"]),  # every step would pass: u(50) off by 3.5e-4
+    ({}, ["--r-max", "inf"]),
+    ({"u_floor": float("nan")}, []),
+    ({"dense_output_stride": float("inf")}, []),
 ])
 def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"

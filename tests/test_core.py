@@ -24,7 +24,9 @@ from polyshoot import (
     taylor_launch,
 )
 import polyshoot
-from polyshoot.core import _radial_rhs, _scaling_weights, taylor_coefficients, _taylor_state
+from polyshoot import cubic_profile, linear_profile
+from polyshoot.core import (_radial_rhs, _scaling_weights, _series, _taylor_state,
+                            taylor_coefficients)
 
 
 def test_spec_exponents():
@@ -122,6 +124,37 @@ def test_taylor_coefficient_rule_symbolic():
         term = r ** (2 * j) / sympy.factorial(2 * j + 1)
         lap = sympy.diff(term, r, 2) + 2 / r * sympy.diff(term, r)
         assert sympy.simplify(lap - r ** (2 * j - 2) / sympy.factorial(2 * j - 1)) == 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_series_match_sympy_to_order_n(m):
+    # the general-order recurrence against the series of (shift + r^2)^q,
+    # q = 1/2 (m=2) or 3/2 (m=3), and of its Laplacians, through order N:
+    # in s = r^2 at the origin, and in tau = (r - 0.7) / 0.7 about 0.7
+    sympy = pytest.importorskip("sympy")
+    from polyshoot.integrator import _ORDER
+
+    cf = (linear_profile() if m == 2 else cubic_profile())
+    spec = EquationSpec.for_order(m)
+    r, t = sympy.symbols("r t")
+    shift = sympy.Float(cf.shift, 40)
+    levels = [(shift + r ** 2) ** sympy.Rational(2 * m - 3, 2)]
+    for _ in range(m - 1):
+        g = levels[-1]
+        levels.append(sympy.factor(sympy.diff(g, r, 2) + 2 / r * sympy.diff(g, r)))
+    origin = sympy.series(levels[0], r, 0, _ORDER + 2).removeO()
+    want = [float(origin.coeff(r, 2 * j)) * math.factorial(2 * j + 1)
+            for j in range(_ORDER // 2 + 1)]
+    got = taylor_coefficients(spec, cf.jet(), order=_ORDER // 2)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    r0 = 0.7
+    y = [float(sympy.diff(g, r, d).subs(r, r0)) for g in levels for d in (0, 1)]
+    a = _series(spec.rhs_exponent, r0, y, _ORDER)
+    for j, g in enumerate(levels):
+        ser = sympy.series(g.subs(r, r0 * (1 + t)), t, 0, _ORDER + 1).removeO()
+        want = np.array([float(ser.coeff(t, k)) for k in range(_ORDER + 1)])
+        scale = np.abs(want).max()
+        assert np.all(np.abs(np.array(a[j]) - want) <= 1e-12 * scale), j
 
 
 def test_taylor_self_consistency(spec2, spec3, u0, u1):

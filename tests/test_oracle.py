@@ -5,9 +5,62 @@ import numpy as np
 import pytest
 
 from polyshoot import lambda_star, linear_profile, cubic_profile
-from polyshoot.oracle import fd_derivative, fd_laplacian
 
 R_GRID = [0.0, 0.1, 1.0, 10.0, 100.0]
+
+
+def fd_derivative(f, r: float, h: float = 1e-5) -> float:
+    """Plain central first difference (order 2)."""
+    return (f(r + h) - f(r - h)) / (2.0 * h)
+
+
+def _fd_laplacian_base(f, r: float, h: float) -> float:
+    """One central-difference estimate of f'' + (2/r) f' at r >= 0; at the
+    origin the even extension gives Lap f(0) = 3 f''(0)."""
+    fl = f(abs(r - h)) if r < h else f(r - h)
+    fc, fr = f(r), f(r + h)
+    fpp = (fr - 2.0 * fc + fl) / (h * h)
+    if r == 0.0:
+        return 3.0 * fpp
+    return fpp + 2.0 / r * (fr - fl) / (2.0 * h)
+
+
+def fd_laplacian(f, r: float, h: float = 0.01, levels: int = 2) -> float:
+    """Radial Laplacian by central differences with two Richardson stages."""
+    est = [_fd_laplacian_base(f, r, h / 2 ** k) for k in range(levels + 1)]
+    for lev in range(1, levels + 1):
+        fac = 4.0 ** lev
+        est = [(fac * est[i + 1] - est[i]) / (fac - 1.0) for i in range(len(est) - 1)]
+    return est[0]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_slot_chains_symbolic(m):
+    # every slot of eval is the exact derivative or Laplacian of the slot
+    # below it, and the chain closes with top_laplacian_closed, for a
+    # symbolic shift: then the residual vanishes exactly at 15 a^2 = 1
+    # (m=2) and 315 b^3 = 1 (m=3)
+    sympy = pytest.importorskip("sympy")
+    from polyshoot.oracle import ClosedForm
+
+    r, a = sympy.symbols("r a", positive=True)
+    u = (a + r ** 2) ** sympy.Rational(2 * m - 3, 2)
+    slots, g = [], u
+    for _ in range(m):
+        slots += [g, sympy.diff(g, r)]
+        g = sympy.simplify(sympy.diff(g, r, 2) + 2 / r * sympy.diff(g, r))
+    top = -{2: 15, 3: 315}[m] * a ** m * (a + r ** 2) ** -sympy.Rational(2 * m + 3, 2)
+    assert sympy.simplify(g - top) == 0
+    cf = ClosedForm(m=m, shift=0.37)
+    for x in (0.0, 0.3, 2.0, 15.0):
+        at = {a: sympy.Float(0.37, 30), r: sympy.Float(x, 30)}
+        for k, slot in enumerate(slots):
+            want = float(slot.subs(at))
+            assert cf.eval(x, k) == pytest.approx(want, rel=1e-13, abs=1e-15), (k, x)
+        assert cf.top_laplacian_closed(x) == pytest.approx(float(top.subs(at)), rel=1e-13)
+    p = {2: -7, 3: -3}[m]
+    shift = sympy.solve({2: 15 * a ** 2, 3: 315 * a ** 3}[m] - 1, a)[0]
+    assert sympy.simplify((g + u ** p).subs(a, shift)) == 0
 
 
 def test_linear_profile_origin_values(u0):

@@ -353,12 +353,13 @@ def test_midpoint_round_is_not_a_stall(root):
 
 def test_cache_schema_3_is_a_miss(tmp_path):
     # schema 3 entries hold volumes from Simpson on the sample rows, schema 4
-    # entries partial integrals from it
+    # entries partial integrals from it, schema 5 entries both from
+    # Dormand-Prince steps and the 5-point rule
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 5
-    for schema in (3, 4):
+    assert EpsCache.SCHEMA == 6
+    for schema in (3, 4, 5):
         cache.path.write_text(json.dumps(
             {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
         assert cache.get(key) is None

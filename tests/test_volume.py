@@ -7,9 +7,11 @@ from scipy.integrate import quad
 from polyshoot import (
     DivergentTail,
     EntirePositive,
+    EquationSpec,
     IntegratorConfig,
     Jet,
     UndefinedVolume,
+    fit_growth,
     integrate,
     lambda_star,
     power_tail,
@@ -50,15 +52,16 @@ def test_power_tail_closed_form():
 
 
 def test_divergent_tail_on_flat_synthetic(spec3):
-    # flat dense output: constant left states, zero quartic coefficients
+    # flat dense output: every step's polynomials are constants
     r = np.linspace(0.0, 100.0, 5001)
     y = np.zeros((r.size, 6))
     y[:, 0] = 2.0   # flat profile: gamma ~ 0, integral diverges
     y[:, 4] = 1.0
     edges = np.linspace(1e-3, 100.0, 101)
+    cs = np.zeros((100, 3, 25))
+    cs[:, :, 0] = y[0, 0::2]
     dense = DenseSolution(taylor_coefficients(spec3, Jet((2.0, 0.0, 1.0))), edges[0],
-                          edges[:-1], edges[1:], np.diff(edges), np.tile(y[0], (100, 1)),
-                          np.zeros((100, 6, 4)))
+                          edges[:-1], edges[1:], cs)
     traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
                       verdict=EntirePositive(growth_exponent=0.0), r_end=100.0,
                       dense=dense)
@@ -74,6 +77,17 @@ def test_volume_needs_dense_output(spec3):
                       verdict=EntirePositive(growth_exponent=0.0), r_end=100.0)
     with pytest.raises(UndefinedVolume, match="dense output"):
         volume(spec3, traj)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_volume_leaves_the_rows_unbuilt(u0, m):
+    # the tail window is checked by its length against the stride
+    spec = EquationSpec.for_order(m)
+    jet = jet_offset(u0, 0.5) if m == 2 else Jet((10.0, 1.0, 1.0))
+    traj = integrate(spec, jet, IntegratorConfig(r_max=1000.0 if m == 2 else 100.0))
+    assert volume(spec, traj).total > 0
+    assert fit_growth(traj).n_samples == (75_001 if m == 2 else 7_501)
+    assert traj._r is None and traj._y is None
 
 
 def test_volume_ordering_in_rho(spec2, u0, traj_u0_1000):
