@@ -25,7 +25,6 @@ from .errors import (
     BracketFailure,
     DivergentTail,
     HorizonTooShort,
-    LaunchRadiusTooLarge,
     NonPositiveU,
     OriginSingularity,
     PolyshootError,
@@ -66,8 +65,7 @@ __all__ = [
     "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",
     "prescribe_volume", "smallest_valid_k", "is_entire", "default_config",
     "linear_profile", "cubic_profile", "lambda_star",
-    "PolyshootError", "NonPositiveU", "OriginSingularity",
-    "LaunchRadiusTooLarge", "WindowTooNarrow", "DivergentTail",
-    "UndefinedVolume", "BracketFailure", "HorizonTooShort",
+    "PolyshootError", "NonPositiveU", "OriginSingularity", "WindowTooNarrow",
+    "DivergentTail", "UndefinedVolume", "BracketFailure", "HorizonTooShort",
     "TargetOutOfRange", "TableExhausted",
 ]

@@ -12,8 +12,9 @@ the 2m-vector state
 pairing each iterated Laplacian with its radial derivative, so that the
 3-D radial Laplacian identity  Lap g = g'' + (2/r) g'  closes the system.
 All odd radial derivatives vanish at the origin, which makes every state
-component an even (respectively odd) function of r and permits a
-singularity-free even-power Taylor launch off r = 0.
+component an even (respectively odd) function of r: the even series off
+r = 0 (taylor_launch) is singularity-free, and is the first step of every
+integration.
 
 One recurrence gives every Taylor series (Jorba & Zou, Exp. Math. 14
 (2005); Corliss & Chang, ACM TOMS 8 (1982)): u^p comes from Miller's power
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import LaunchRadiusTooLarge, NonPositiveU, OriginSingularity
+from .errors import NonPositiveU, OriginSingularity
 
 __all__ = [
     "EquationSpec",
@@ -93,7 +94,8 @@ class Jet:
     """Initial data at r = 0: the iterated Laplacian values (u, Lap u, ...).
 
     Odd radial derivatives at the origin are identically zero and are not
-    stored.  lap_values has length m and lap_values[0] = u(0) must be > 0.
+    stored.  lap_values has length m, every value finite (ValueError
+    otherwise), and lap_values[0] = u(0) must be > 0.
     """
 
     lap_values: tuple
@@ -102,6 +104,8 @@ class Jet:
         object.__setattr__(self, "lap_values", tuple(float(v) for v in lap_values))
         if len(self.lap_values) == 0:
             raise ValueError("jet needs at least u(0)")
+        if not all(map(math.isfinite, self.lap_values)):
+            raise ValueError(f"jet values must be finite, got {self.lap_values}")
         if not self.lap_values[0] > 0:
             raise NonPositiveU(f"u(0) must be positive, got {self.lap_values[0]}")
 
@@ -282,6 +286,13 @@ def rhs(spec: EquationSpec, state: RadialState) -> np.ndarray:
     return np.array(_radial_rhs(spec.rhs_exponent, float(state.r), y.tolist()))
 
 
+# Order of every step's series, the origin's included.  A step covers the
+# fraction 0.9 (tol / |L|)^(1/N) of the distance to the nearest
+# singularity, and costs about N^2/2 products; 20 to 28 took the same time
+# on collapses and profiles.
+_ORDER = 24
+
+
 def _power0(u0, p):
     """u0^p, or inf where it overflows a binary64 Python float (which raises)."""
     try:
@@ -303,19 +314,18 @@ def _power_coefficient(p, u, iu, v_rev, k):
     return ((p + 1) * s_iu - k * s_u) / (k * u[0])
 
 
-def taylor_coefficients(spec: EquationSpec, jet: Jet, dtype=np.float64,
-                        order: Optional[int] = None) -> np.ndarray:
+def taylor_coefficients(spec: EquationSpec, jet: Jet, order: int,
+                        dtype=np.float64) -> np.ndarray:
     """Iterated Laplacians of the solution at the origin, c[j] = Lap^j u(0).
 
-    The first m come from the jet, the rest through c[order] (default m+2,
-    the launch's order) from the series in s = r^2: u = sum_j U_j s^j, U_j
-    = c[j] / (2j+1)!, and u^p = sum_k V_k s^k by Miller's recurrence, which
-    reads U_0 .. U_k for V_k, and c[m+k] = Lap^k(-u^p)(0) = -(2k+1)! V_k.
+    The first m come from the jet, the rest through c[order] from the
+    series in s = r^2: u = sum_j U_j s^j, U_j = c[j] / (2j+1)!, and u^p =
+    sum_k V_k s^k by Miller's recurrence, which reads U_0 .. U_k for V_k,
+    and c[m+k] = Lap^k(-u^p)(0) = -(2k+1)! V_k.
     """
     m = spec.m
     if len(jet) != m:
         raise ValueError(f"jet has {len(jet)} values, order m={m} needs {m}")
-    order = m + 2 if order is None else order
     p = spec.rhs_exponent
     c = [dtype(x) for x in jet.lap_values]
     U = [cj / math.factorial(2 * j + 1) for j, cj in enumerate(c)]
@@ -328,26 +338,6 @@ def taylor_coefficients(spec: EquationSpec, jet: Jet, dtype=np.float64,
         U.append(c[-1] / math.factorial(2 * len(U) + 1))
         iU.append((len(U) - 1) * U[-1])
     return np.array(c, dtype=dtype)
-
-
-def _taylor_state(c, m, r, dtype=np.float64):
-    """All 2m slots of the truncated even series at radii r (array ok): slot
-    2l is sum_j c[l+j] r^(2j) / (2j+1)!, and slot 2l+1 its derivative."""
-    r = np.asarray(r, dtype=dtype)
-    n_coef = c.shape[0]
-    y = np.zeros(r.shape + (2 * m,), dtype=dtype)
-    for level in range(m):
-        val = np.zeros_like(r)
-        der = np.zeros_like(r)
-        for j in range(n_coef - level):
-            cj = c[level + j]
-            w = dtype(1) / math.factorial(2 * j + 1)
-            val += cj * w * r ** (2 * j)
-            if j > 0:
-                der += cj * w * (2 * j) * r ** (2 * j - 1)
-        y[..., 2 * level] = val
-        y[..., 2 * level + 1] = der
-    return y
 
 
 def _series(p, r0, y, order):
@@ -378,39 +368,20 @@ def _series(p, r0, y, order):
     return a
 
 
-def taylor_launch(spec: EquationSpec, jet: Jet, r0: float, *, tol: float = 1e-9,
-                  dtype=np.float64) -> RadialState:
-    """State at a small radius r0 from the even Taylor series off the origin.
+def taylor_launch(spec: EquationSpec, jet: Jet, dtype=np.float64) -> list:
+    """The origin series of every level in r, through r^_ORDER: a[l][2j] =
+    c[l+j] / (2j+1)! (c from taylor_coefficients) and a[l][2j+1] = 0, as
+    scalars of dtype's type (Python floats for float64).
 
-    The series for Lap^l u keeps terms through c[m+2] (taylor_coefficients),
-    giving per-slot truncation error O(r0^{2m+2}) or better.  Raises
-    LaunchRadiusTooLarge when the relative size of the last retained term of
-    any slot exceeds ``tol``.
+    It is the first step of every integration, a series in r where
+    _series's are in (r - r0) / r0, so the step rule sizes it like any
+    other, in units of 1.  Nothing is checked: a u(0) whose power overflows
+    leaves some coefficients non-finite.
     """
-    if not r0 > 0:
-        raise ValueError("launch radius must be positive")
-    c = taylor_coefficients(spec, jet, dtype=dtype)
-    m, last = spec.m, c.shape[0] - 1
-    # First omitted term of slot `level`, extrapolated geometrically from the
-    # last two retained terms (the coefficient chain grows roughly like a
-    # power of 1/u(0), so the term ratio is an honest convergence estimate).
-    worst = 0.0
-    for level in range(m):
-        j_last = last - level
-        t_last = abs(float(c[last])) * float(r0) ** (2 * j_last) \
-            / math.factorial(2 * j_last + 1)
-        t_prev = abs(float(c[last - 1])) * float(r0) ** (2 * (j_last - 1)) \
-            / math.factorial(2 * j_last - 1)
-        ratio = t_last / t_prev if t_prev > 0 else 1.0
-        est = t_last * min(1.0, ratio)
-        scale = max(1.0, abs(float(c[level])))
-        worst = max(worst, est / scale)
-    if worst > tol:
-        raise LaunchRadiusTooLarge(
-            f"launch truncation estimate {worst:.3e} exceeds tol {tol:.1e} at r0={r0}"
-        )
-    y = _taylor_state(c, m, dtype(r0), dtype=dtype)
-    return RadialState(r=float(r0), y=y)
+    c = taylor_coefficients(spec, jet, spec.m - 1 + _ORDER // 2, dtype=dtype).tolist()
+    zero = c[0] * 0
+    return [[c[level + k // 2] / math.factorial(k + 1) if k % 2 == 0 else zero
+             for k in range(_ORDER + 1)] for level in range(spec.m)]
 
 
 def _scaling_weights(spec: EquationSpec, lam: float) -> np.ndarray:
@@ -429,10 +400,10 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     The scaled solution is u_lam(r) = lam^{(3-2m)/2} u(lam r); each Lap^j
     slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
     power.  Sample radii map to r/lam, so no interpolation is needed.  The
-    dense output's radii are divided by lam, and its Taylor coefficients
-    Lap^j u(0) and step polynomials of level j multiplied by lam^{(3-2m)/2
-    + 2j}: theta does not change, and a derivative slot, the derivative over
-    the step's width, picks up its extra power by itself.
+    dense output's radii are divided by lam and its step polynomials of
+    level j multiplied by lam^{(3-2m)/2 + 2j}: theta does not change, and a
+    derivative slot, the derivative over the step's width, picks up its
+    extra power by itself.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
@@ -448,10 +419,7 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
     dense = traj.dense
     if dense is not None:
-        alpha = (3 - 2 * spec.m) / 2.0
-        head = np.array([lam ** (alpha + 2 * j) for j in range(dense.coeffs.shape[0])])
-        dense = type(dense)(dense.coeffs * head, dense.r_lo / lam, dense.r_lefts / lam,
-                            dense.r_rights / lam, dense.cs * w[0::2, None])
+        dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.cs * w[0::2, None])
     return Trajectory(
         spec=traj.spec,
         jet=new_jet,

@@ -10,11 +10,7 @@ class NonPositiveU(PolyshootError):
 
 
 class OriginSingularity(PolyshootError):
-    """The radial right-hand side was evaluated at r = 0 (use the Taylor launch)."""
-
-
-class LaunchRadiusTooLarge(PolyshootError):
-    """Truncated-series launch error estimate exceeds tolerance at the requested radius."""
+    """The radial right-hand side was evaluated at r = 0 (use the origin series)."""
 
 
 class WindowTooNarrow(PolyshootError):

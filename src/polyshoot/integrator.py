@@ -1,19 +1,21 @@
 """Taylor-series integration of the radial system.
 
-Every step is one Taylor series of order _ORDER (core._series), from the
-recurrence that also gives the even launch series off r = 0, so a
-trajectory is one piecewise polynomial: the launch series up to the launch
-radius, one polynomial per level and step beyond.  Each step runs on
+Every step is one Taylor series of order _ORDER from one recurrence: the
+first the even series off r = 0 (core.taylor_launch), every later one the
+series about its left end (core._series).  A trajectory is one piecewise
+polynomial, one per level and step from r = 0 on.  Each step runs on
 Python scalars of the configured precision (floats, or np.longdouble
 scalars for extended), one code path for both; with 2m <= 6 slots, per-call
 NumPy dispatch would cost more than the arithmetic.
 
 The step size comes from the series (Jorba & Zou, Exp. Math. 14 (2005)):
 h = 0.9 min over levels j and k in {N-1, N} of (tol_j / |a_{j,k}|)^(1/k),
-tol_j = _STEP_TOL (abs_tol + rel_tol |L_j|).  The series sees the nearest
-singularity (a collapse, or the complex poles of a growing solution), so
-no cap on h is needed, and the only rejection is a step ending with u <= 0
-or a non-finite slot, which halves h on the same series.
+tol_j = _STEP_TOL (abs_tol + rel_tol |L_j|), in units of r0 for a series
+about r0 and of 1 for the origin series, whose step ends at the launch
+radius.  The series sees the nearest singularity (a collapse, or the
+complex poles of a growing solution), so no cap on h is needed, and the
+only rejection is a step ending with u <= 0 or a non-finite slot, which
+halves h on the same series.
 
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
 growth fit, the critical-datum probes, every integral of a solve
@@ -49,12 +51,11 @@ from .core import (
     Inconclusive,
     Jet,
     Trajectory,
+    _ORDER,
     _series,
-    _taylor_state,
-    taylor_coefficients,
     taylor_launch,
 )
-from .errors import LaunchRadiusTooLarge, WindowTooNarrow
+from .errors import WindowTooNarrow
 
 __all__ = [
     "IntegratorConfig",
@@ -78,7 +79,8 @@ class IntegratorConfig:
     _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so that
     the error carried along the default horizons, where a growing mode
     amplifies it, stays within them.  Every float field must be positive
-    and finite.
+    and finite.  The first step, the origin series, is sized by the same
+    rule, so the launch radius is no option: it is dense.r_rights[0].
     """
 
     rel_tol: float = 1e-8
@@ -86,18 +88,14 @@ class IntegratorConfig:
     r_max: float = 1e3
     max_steps: int = 200_000
     u_floor: float = 1e-8
-    launch_radius: float = 1e-3
     dense_output_stride: float = 1e-2
     precision: str = "double"
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "launch_radius",
-                     "dense_output_stride"):
+        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "dense_output_stride"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.r_max > self.launch_radius:
-            raise ValueError("need r_max > launch_radius > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.precision not in ("double", "extended"):
@@ -156,29 +154,23 @@ def _horner(P, idx, theta):
 
 
 class DenseSolution:
-    """The solution on [0, r_hi], and d/dr of every slot on [r_lo, r_hi].
+    """The solution and d/dr of every slot on [0, r_hi], one polynomial per
+    level and step.
 
-    Up to r_lo (the launch radius) it is the even Taylor series of coeffs,
-    the launch's coefficients in the integration's precision (series());
-    with no accepted step r_hi = r_lo.  Step i covers (r_lefts[i],
-    r_rights[i]], where level j is sum_k cs[i, j, k] theta^k in theta = (r
-    - r_left) / width, width = r_right - r_left, and each derivative slot
-    the derivative of its level's polynomial.  Theta runs over the stored
-    interval (near the m=2 wall r + h rounds), which keeps the pieces
-    continuous.  Input need not be sorted.
+    Step i covers (r_lefts[i], r_rights[i]], step 0 [0, r_rights[0]] (the
+    origin series), where level j is sum_k cs[i, j, k] theta^k in theta =
+    (r - r_left) / width, width = r_right - r_left, and each derivative
+    slot the derivative of its level's polynomial.  Theta runs over the
+    stored interval (near the m=2 wall r + h rounds), which keeps the
+    pieces continuous.  Input need not be sorted.  With no accepted step
+    r_hi = 0 and there is nothing to evaluate.
     """
 
-    def __init__(self, coeffs, r_lo, r_lefts, r_rights, cs):
-        self.coeffs, self.cs, self.r_lo = np.asarray(coeffs), np.asarray(cs), float(r_lo)
-        self.r_lefts, self.r_rights = np.asarray(r_lefts), np.asarray(r_rights)
+    def __init__(self, r_lefts, r_rights, cs):
+        self.r_lefts, self.r_rights, self.cs = map(np.asarray, (r_lefts, r_rights, cs))
         self.m = self.cs.shape[1]
-        self.r_hi = float(self.r_rights[-1]) if self.cs.shape[0] else self.r_lo
+        self.r_hi = float(self.r_rights[-1]) if self.cs.shape[0] else 0.0
         self._polys = {}
-
-    def series(self, r):
-        """All 2m slots of the Taylor series at radii r, as float64."""
-        return np.asarray(_taylor_state(self.coeffs, self.m, r, dtype=self.coeffs.dtype.type),
-                          dtype=np.float64)
 
     def slot_polys(self, derivative: int = 0):
         """Polynomials in theta of every slot, or of its d/dr: [k, slot, step]
@@ -200,24 +192,15 @@ class DenseSolution:
     def __call__(self, r, derivative: int = 0):
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
-        lo = 0.0 if derivative == 0 else self.r_lo
         steps = self.cs.shape[0]
-        if (np.any(r < lo) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300)
-                or (derivative and not steps)):
-            raise ValueError(
-                f"dense output (derivative {derivative}) defined on [{lo}, {self.r_hi}], "
-                f"got [{r.min()}, {r.max()}]"
-            )
-        out = np.empty(r.shape + (2 * self.m,))
-        head = (r <= self.r_lo) & (derivative == 0) | (steps == 0)  # the launch series
-        rest = ~head if head.any() else slice(None)
-        if head.any():
-            out[head] = self.series(r[head])
-        if not head.all():
-            idx = np.clip(np.searchsorted(self.r_lefts, r[rest]) - 1, 0, steps - 1)
-            r_left = self.r_lefts[idx]
-            theta = (r[rest].astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
-            out[rest] = _horner(self.slot_polys(derivative), idx, theta)
+        if not steps or np.any(r < 0) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300):
+            raise ValueError(f"dense output defined on [0, {self.r_hi}] "
+                             f"({steps} steps), got [{r.min()}, {r.max()}]")
+        idx = np.clip(np.searchsorted(self.r_lefts, r) - 1, 0, steps - 1)
+        r_left = self.r_lefts[idx]
+        theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
+        out = np.ascontiguousarray(_horner(self.slot_polys(derivative), idx, theta),
+                                   dtype=np.float64)
         return out[0] if scalar else out
 
 
@@ -311,11 +294,6 @@ def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
     return 0.5 * (lo + hi)
 
 
-# Order of every step's series.  A step covers the fraction 0.9 (tol /
-# |L|)^(1/N) of the distance to the nearest singularity, and costs about
-# N^2/2 products; 20 to 28 took the same time on collapses and profiles.
-_ORDER = 24
-
 # Per-step tolerance relative to the configured ones.  An error of the
 # linear-growth m=2 profile grows about like r through its quadratic mode,
 # so the steps must be over 1e3 times sharper than the accuracy wanted at
@@ -324,8 +302,9 @@ _STEP_TOL = 5e-5
 
 
 def _step_size(a, atol, rtol):
-    """The step rule on a series a in tau = (r - r0) / r0, in units of r0;
-    inf for a polynomial, 0 when a coefficient is not finite."""
+    """The step rule on a series a in tau = (r - r0) / unit, in units of
+    unit (r0, or 1 at the origin); inf for a polynomial, 0 when a
+    coefficient is not finite."""
     h = math.inf
     for aj in a:
         tol = atol + rtol * abs(float(aj[0]))
@@ -338,11 +317,12 @@ def _step_size(a, atol, rtol):
     return 0.9 * h
 
 
-def _try_step(a, r0, width):
-    """The polynomials c[j][k] = a[j][k] (width / r0)^k in theta = (r - r0) /
-    width of the series a (in tau = (r - r0) / r0), and the state at theta
-    = 1; None when that state has u <= 0 or a slot that is not finite."""
-    ratio = width / r0
+def _try_step(a, unit, width):
+    """The polynomials c[j][k] = a[j][k] (width / unit)^k in theta = (r -
+    r0) / width of the series a (in tau = (r - r0) / unit), and the state
+    at theta = 1; None when that state has u <= 0 or a slot that is not
+    finite."""
+    ratio = width / unit
     powers = list(accumulate([ratio] * _ORDER, mul, initial=ratio ** 0))
     c = [list(map(mul, aj, powers)) for aj in a]
     y = [v for cj in c for v in (sum(cj), sum(map(mul, range(_ORDER + 1), cj)) / width)]
@@ -361,8 +341,9 @@ def _carried_error(dense, r_end):
     slope = _ORDER * last / (dense.r_rights - dense.r_lefts).astype(float)[:, None]
     level = (last + dense.r_lefts.astype(float)[:, None] * slope).sum(axis=0)
     i = np.arange(dense.m)
-    grow = r_end ** (2 * i) / [math.factorial(2 * k + 1) for k in i]
-    grow_slope = np.concatenate([[0.0], grow[1:] * 2 * i[1:] / r_end])
+    fact = [math.factorial(2 * k + 1) for k in i]
+    grow = r_end ** (2 * i) / fact
+    grow_slope = 2 * i * r_end ** np.maximum(2 * i - 1, 0) / fact
     return np.ravel([(level[j:] @ grow[:dense.m - j], slope[:, j].sum()
                       + level[j:] @ grow_slope[:dense.m - j]) for j in range(dense.m)])
 
@@ -404,30 +385,14 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     num = float if dtype is np.float64 else dtype  # scalar type of the step
     p = spec.rhs_exponent
     atol, rtol = _STEP_TOL * cfg.abs_tol, _STEP_TOL * cfg.rel_tol
-
-    coeffs = taylor_coefficients(spec, jet, dtype=dtype)
-    # The configured launch radius is an upper bound: jets with small u(0)
-    # have steep coefficient chains, so halve until the series estimate
-    # passes its tolerance.
-    r_launch = cfg.launch_radius
-    for _ in range(60):
-        try:
-            launch = taylor_launch(spec, jet, r_launch, dtype=dtype)
-            break
-        except LaunchRadiusTooLarge:
-            r_launch *= 0.5
-    else:
-        raise LaunchRadiusTooLarge(
-            f"no workable launch radius below {cfg.launch_radius} for jet {jet}")
-    r = num(r_launch)
-    y = np.asarray(launch.y, dtype=dtype).tolist()
-    r_max = num(cfg.r_max)
+    r, r_max = num(0.0), num(cfg.r_max)
+    y = [num(v) for lap in jet.lap_values for v in (lap, 0.0)]  # the jet's state at r = 0
 
     r_lefts, r_rights, cs, events = [], [], [], []
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     agree = 0  # consecutive accepted steps whose wall estimates agree
-    verdict = closure = a = None
+    verdict = closure = h = None
 
     # np.longdouble scalars warn where Python floats overflow silently; a
     # non-finite series or state is handled below either way
@@ -439,10 +404,12 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             if naccept + nreject >= cfg.max_steps:
                 verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
                 break
-            if a is None:  # a new step position; a halved step keeps its series
-                a = _series(p, r, y, _ORDER)
+            if h is None:  # a new step position; a halved step keeps its series
+                # the origin series is in r, every later one in (r - r0) / r0
+                a = _series(p, r, y, _ORDER) if r else taylor_launch(spec, jet, dtype=dtype)
+                unit = r if r else num(1.0)
                 nfev += 1
-                h = r * num(_step_size(a, atol, rtol))
+                h = unit * num(_step_size(a, atol, rtol))
             h = min(h, r_max - r)
             if h < tiny_h_factor * max(float(r), 1.0):
                 # Step-size stall before the wall estimates agreed to abs_tol:
@@ -458,7 +425,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
             r_new = r + h
             width = r_new - r  # theta runs over the stored interval, not h
-            step = _try_step(a, r, width)
+            step = _try_step(a, unit, width)
             if step is None:
                 h = h * num(0.5)
                 nreject += 1
@@ -492,7 +459,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                 verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
                 break
 
-            r, y, a = r_new, y_new, None
+            r, y, h = r_new, y_new, None
             if y[1] < 0.0:  # only a falling u can be inside a wall
                 wall = _wall_distance(spec.m, r, y, cfg.u_floor)
                 agree = agree + 1 if wall is not None and wall[1] <= cfg.abs_tol else 0
@@ -502,8 +469,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
             else:
                 agree = 0
 
-    dense = DenseSolution(coeffs, r_launch, np.array(r_lefts, dtype=dtype),
-                          np.array(r_rights, dtype=dtype),
+    dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
                           np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))
     r_end = verdict.r_star if isinstance(verdict, Collapsed) else float(r if verdict else r_max)
 
@@ -523,15 +489,16 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "nreject": nreject,
         "nfev": nfev,
         "err_accum": _carried_error(dense, float(r)),
-        "launch_radius": r_launch,
         "precision": cfg.precision,
         "closure": closure,
     }
-    radii = functools.partial(sample_radii, stride, cfg.r_max, float(r),
-                              isinstance(verdict, Collapsed))
+    if naccept:
+        rows = {"radii": functools.partial(sample_radii, stride, cfg.r_max, float(r),
+                                           isinstance(verdict, Collapsed))}
+    else:  # stalled at the origin: one row, the jet's state there
+        rows = {"r": [0.0], "y": [np.array(y, dtype=float)]}
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
-                      events=tuple(events), dense=dense, stats=stats, radii=radii,
-                      stride=stride)
+                      events=tuple(events), dense=dense, stats=stats, stride=stride, **rows)
 
 
 # Nodes of the dense output that a fit over a window reads.  Uniform
@@ -545,10 +512,10 @@ _FIT_NODES = 200
 
 
 def window_nodes(dense, lo, hi):
-    """_FIT_NODES uniform radii on [lo, hi] (clipped to the dense output),
+    """_FIT_NODES uniform radii on [lo, hi] (hi clipped to the dense output),
     their trapezoid weights (up to the common factor of the spacing) and
     the dense output there."""
-    r = np.linspace(max(lo, dense.r_lo), min(hi, dense.r_hi), _FIT_NODES)
+    r = np.linspace(lo, min(hi, dense.r_hi), _FIT_NODES)
     w = np.ones(_FIT_NODES)
     w[0] = w[-1] = 0.5
     return r, w, dense(r)
@@ -664,13 +631,15 @@ def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
     """Max relative defect |Lap^m u + u^p| of the interpolated solution.
 
     Uses the dense output's derivative for (w')' so nothing is differenced
-    numerically; normalised pointwise by max(1, |u^p|).
+    numerically; normalised pointwise by max(1, |u^p|).  The sample rows
+    in [r_lo, r_hi] (default: all) are checked, except r = 0, where 2/r is
+    singular.
     """
     if traj.dense is None:
         raise ValueError("trajectory has no dense output (not built by integrate)")
-    lo = traj.dense.r_lo if r_lo is None else max(r_lo, traj.dense.r_lo)
+    lo = 0.0 if r_lo is None else r_lo
     hi = traj.dense.r_hi if r_hi is None else min(r_hi, traj.dense.r_hi)
-    mask = (traj.r >= lo) & (traj.r <= hi)
+    mask = (traj.r > 0.0) & (traj.r >= lo) & (traj.r <= hi)
     r = traj.r[mask]
     if r.shape[0] == 0:
         raise ValueError("no samples inside the dense range")

@@ -170,7 +170,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 6  # 6: Taylor-series steps; the two-halves quadrature rule
+    SCHEMA = 7  # 7: the origin series as the first step; no launch_radius in the key
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -252,14 +252,15 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     (BracketFailure otherwise, signalling k below the large-k regime at
     this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
     short).  refine_bracket closes it to bracket_tol, with w_inf of every
-    trajectory passing is_entire as the residual.  Every integration runs
+    trajectory passing is_entire as the residual; bracket_tol must be
+    positive and finite (ValueError).  Every integration runs
     at cfg.precision; for a bracket_tol near the rounding width of eps,
     pass precision="extended" in cfg.
     """
     if k < k_min:
         raise ValueError(f"k={k} below configured k_min={k_min}")
-    if not bracket_tol > 0:
-        raise ValueError("bracket_tol must be positive")
+    if not (math.isfinite(bracket_tol) and bracket_tol > 0):
+        raise ValueError(f"bracket_tol must be positive and finite, got {bracket_tol}")
     cfg = cfg if cfg is not None else default_config(3)
     spec = EquationSpec.for_order(3)
     eps_cap = math.sqrt(6.0 * k / 5.0)
@@ -417,8 +418,12 @@ def prescribe_volume(spec: EquationSpec, target: float,
     near-critical volume reaches the target, then moves the second datum
     up from the critical one (volume decreasing to 0); targets beyond the
     largest tabulated k raise TableExhausted.  Both then double the
-    parameter until V < target and refine log(V / target).
+    parameter until V < target and refine log(V / target), until the
+    volume is within rel_tol_target (positive and finite, ValueError
+    otherwise) of the target.
     """
+    if not (math.isfinite(rel_tol_target) and rel_tol_target > 0):
+        raise ValueError(f"rel_tol_target must be positive and finite, got {rel_tol_target}")
     if not target > 0:
         raise TargetOutOfRange(f"volume target must be positive, got {target}")
     cfg = cfg if cfg is not None else default_config(spec.m)

@@ -2,10 +2,9 @@
 
 One quadrature, dense_quadrature, takes every integral over a solution:
 5-point Gauss-Legendre (Davis & Rabinowitz) on every stored step of the
-dense output, where the solution is one polynomial per level, and on its
-head [0, launch radius], where it is the Taylor series.  The same rule on
-the two halves of each interval gives the value; its difference from the
-whole-interval rule is the error estimate.  It has two integrands: the
+dense output, from r = 0 on, where the solution is one polynomial per
+level.  The same rule on the two halves of each step gives the value; its
+difference from the whole-step rule is the error estimate.  It has two integrands: the
 volume core here, and the source integral of the m=3 critical balance
 (shooting._critical_balance).
 
@@ -125,22 +124,18 @@ def dense_quadrature(traj: Trajectory, integrand):
 
     integrand(dr, r, u) returns f(r, u) dr at the nodes r of an interval
     of length dr, with u at those nodes.  u at the nodes of every stored
-    step is one product of the steps' u polynomials with the powers of the
-    nodes' theta; the head [0, r_lo] is read off the dense output's
-    series().  The value is the 5-point rule on the two halves of each
-    interval, and the error the sum over intervals of its difference from
-    the 5-point rule on the whole interval.
+    step, the first from r = 0, is one product of the steps' u polynomials
+    with the powers of the nodes' theta.  The value is the 5-point rule on
+    the two halves of each step, and the error the sum over steps of its
+    difference from the 5-point rule on the whole step.
     """
     d = traj.dense
     a = d.r_lefts.astype(float)
     width = d.r_rights.astype(float) - a
     powers = _GL_X[:, None] ** np.arange(d.cs.shape[2])
     u = d.cs[:, 0, :].astype(float) @ powers.T
-    r0 = d.r_lo * _GL_X
-    u0 = d.series(r0)[:, 0]
-    f = np.vstack((integrand(width[:, None], a[:, None] + width[:, None] * _GL_X, u),
-                   integrand(d.r_lo, r0, u0)))
-    q = f @ _GL_W   # (steps + 1, 2): whole interval, two halves
+    q = integrand(width[:, None], a[:, None] + width[:, None] * _GL_X, u) @ _GL_W
+    # (steps, 2): the whole-step rule, the two-halves rule
     return float(np.sum(q[:, 1])), float(np.sum(np.abs(q[:, 0] - q[:, 1])))
 
 

@@ -57,8 +57,8 @@ def test_verify_controlled_failure(tmp_path):
 
 
 def test_verify_honours_config_file(tmp_path, monkeypatch):
-    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "launch_radius": 5e-4,
-              "dense_output_stride": 0.02, "max_steps": 150_000}
+    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "dense_output_stride": 0.02,
+              "max_steps": 150_000}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **fields}))
     seen = []
@@ -84,8 +84,8 @@ def test_verify_honours_config_file(tmp_path, monkeypatch):
 ])
 def test_commands_honour_config_file(tmp_path, monkeypatch, argv):
     monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
-    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "launch_radius": 5e-4,
-              "dense_output_stride": 0.02, "max_steps": 150_000}
+    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "dense_output_stride": 0.02,
+              "max_steps": 150_000}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **fields}))
     seen = []
@@ -290,7 +290,7 @@ def test_config_file_bad_schema(tmp_path):
 @pytest.mark.parametrize("config, flags", [
     ({"rel_tol": -1}, []),
     ({}, ["--tol", "-1"]),
-    ({}, ["--r-max", "1e-4"]),  # below launch_radius
+    ({"launch_radius": 1e-3}, []),  # no longer a field: an unknown key
     ({}, ["--tol", "inf"]),  # every step would pass: u(50) off by 3.5e-4
     ({}, ["--r-max", "inf"]),
     ({"u_floor": float("nan")}, []),
@@ -301,6 +301,14 @@ def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, fl
     cfg_path.write_text(json.dumps({"schema": 1, **config}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path), *flags]) == 2
     assert "usage error:" in capsys.readouterr().err
+
+
+def test_horizon_below_one_stride_is_inconclusive(tmp_path, capsys):
+    # a valid config: the horizon is too short for the growth fit
+    out = tmp_path / "t.csv"
+    assert main(["shoot", "--rho", "0.5", "--r-max", "1e-4", "--out", str(out)]) == 3
+    assert "too short" in out.read_text().splitlines()[-1]
+    assert "usage error:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("m, horizon", [(2, 1e3), (3, 1e2)])
@@ -327,10 +335,20 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["sweep", "--m", "3", "--at-critical", "--k", "1"],
     ["verify", "--m", "2", "--tol", "0"],
     ["verify", "--m", "2", "--tol", "-1"],
+    ["shoot", "--jet", "1,inf"],  # non-finite jet values
+    ["shoot", "--m", "2", "--rho", "nan"],
+    ["critical-eps", "--k", "nan"],
+    ["critical-eps", "--k", "inf"],
+    ["critical-eps", "--k", "10", "--bracket-tol", "inf"],  # solver tolerances
+    ["sweep", "--m", "3", "--k", "10", "--at-critical", "--bracket-tol", "inf"],
+    ["prescribe-volume", "--m", "2", "--lambda", "9.4", "--vol-tol", "0"],
+    ["prescribe-volume", "--m", "2", "--lambda", "9.4", "--vol-tol", "nan"],
 ])
-def test_invalid_argument_values_exit_2(argv, capsys):
+def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))
     assert main(argv) == 2
     assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()  # nothing written to the cache
 
 
 def test_sweep_at_critical(tmp_path, monkeypatch):

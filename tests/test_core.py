@@ -6,6 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from polyshoot import (
     EquationSpec,
     IntegratorConfig,
     Jet,
-    LaunchRadiusTooLarge,
     NonPositiveU,
     OriginSingularity,
     RadialState,
@@ -25,8 +25,9 @@ from polyshoot import (
 )
 import polyshoot
 from polyshoot import cubic_profile, linear_profile
-from polyshoot.core import (_radial_rhs, _scaling_weights, _series, _taylor_state,
-                            taylor_coefficients)
+from polyshoot.core import _ORDER, _radial_rhs, _scaling_weights, _series, taylor_coefficients
+from polyshoot.integrator import _STEP_TOL
+from polyshoot.shooting import jet_m2
 
 
 def test_spec_exponents():
@@ -45,6 +46,14 @@ def test_jet_requires_positive_u0():
         Jet((0.0, 1.0))
     with pytest.raises(NonPositiveU):
         Jet((-1.0, 1.0))
+
+
+@pytest.mark.parametrize("values", [(1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                    (10.0, -math.nan, 1.0), (math.inf, 0.0, 1.0)])
+def test_jet_rejects_non_finite_values(values):
+    # a usage error (ValueError), not NonPositiveU, even where u(0) is NaN
+    with pytest.raises(ValueError, match="finite"):
+        Jet(values)
 
 
 def test_rhs_closed_form_last_slot(spec2, u0):
@@ -98,23 +107,35 @@ def test_rhs_without_positive_u_is_nan(u, n):
     assert all(math.isnan(v) for v in _radial_rhs(-7 if n == 4 else -3, 1.0, y))
 
 def test_taylor_series_m3_matches_stated_polynomial(spec3):
-    # u-series k - eps r^2/6 + r^4/120 - k^-3 r^6/5040 plus O(r^8) transport
-    k, eps, r0 = 10.0, 0.5, 1e-2
-    state = taylor_launch(spec3, Jet((k, -eps, 1.0)), r0)
-    poly = k - eps * r0 ** 2 / 6 + r0 ** 4 / 120 - k ** -3 * r0 ** 6 / 5040
-    assert state.y[0] == pytest.approx(poly, abs=1e-16)
-    assert state.y[4] == pytest.approx(1.0 - k ** -3 * r0 ** 2 / 6, rel=1e-12)
+    # origin series of u: k - eps r^2/6 + r^4/120 - k^-3 r^6/5040 + O(r^8),
+    # and of Lap^2 u: 1 - k^-3 r^2/6 + O(r^4); odd powers exactly 0
+    k, eps = 10.0, 0.5
+    a = taylor_launch(spec3, Jet((k, -eps, 1.0)))
+    assert [len(level) for level in a] == [_ORDER + 1] * 3
+    assert a[0][:8] == pytest.approx([k, 0, -eps / 6, 0, 1 / 120, 0, -k ** -3 / 5040, 0],
+                                     rel=1e-14, abs=0)
+    assert a[2][:4] == pytest.approx([1.0, 0, -k ** -3 / 6, 0], rel=1e-14, abs=0)
+    assert all(v == 0.0 for level in a for v in level[1::2])
+
+
+def _series_state(a, r):
+    """Every slot of the origin series a at radius r: each level and its d/dr."""
+    return np.ravel([(P.polyval(r, level), P.polyval(r, P.polyder(level))) for level in a])
 
 
 def test_taylor_launch_matches_closed_form(spec2, u0):
-    # error per slot decays like r0^6 or faster for m=2
-    errs = []
-    for r0 in (2e-2, 1e-2):
-        state = taylor_launch(spec2, u0.jet(), r0)
-        ref = u0.state(r0)
-        errs.append(np.max(np.abs(state.y - ref.y)))
-    assert errs[0] < 1e-7
-    assert errs[0] / max(errs[1], 1e-18) > 30.0  # >= ~2^5 per halving
+    # the origin series through r^24 of (shift + r^2)^(1/2) and its
+    # Laplacian, every slot within 4 eps near the origin; further out its
+    # truncation error grows like (r / sqrt(shift))^26, at least like r^20
+    a = np.array(taylor_launch(spec2, u0.jet()))
+
+    def err(r):
+        ref = u0.state(r).y
+        return np.max(np.abs(_series_state(a, r) - ref) / np.maximum(1.0, np.abs(ref)))
+
+    for r in (0.02, 0.05, 0.1):
+        assert err(r) <= 4 * np.finfo(float).eps, r
+    assert 1e-10 < err(0.2) < err(0.3) / 1.5 ** 20
 
 
 def test_taylor_coefficient_rule_symbolic():
@@ -158,29 +179,40 @@ def test_series_match_sympy_to_order_n(m):
 
 
 def test_taylor_self_consistency(spec2, spec3, u0, u1):
-    # launch at r0 vs launch at r0/2 + integrate to r0: difference follows
-    # a power law at least r0^(2m+2) (checked with a fitted constant and 4x
-    # safety, since derivative slots carry one order less)
+    # the first step of an integration is the origin series on [0, width],
+    # rescaled to theta = r / width; where it ends, it agrees with a tight
+    # integration, which is there on a later step, a series about r0 > 0,
+    # to well within the default rel_tol (measured 8e-11)
+    eps = np.finfo(float).eps
     for spec, cf in ((spec2, u0), (spec3, u1)):
         jet = cf.jet()
-        diffs = []
-        for r0 in (0.1, 0.05):
-            direct = taylor_launch(spec, jet, r0, tol=1.0)
-            cfg = IntegratorConfig(r_max=r0, launch_radius=r0 / 2,
-                                   rel_tol=1e-12, abs_tol=1e-14,
-                                   dense_output_stride=r0)
-            via = integrate(spec, jet, cfg)
-            diffs.append(np.max(np.abs(via.y[-1] - direct.y)))
-        order = 2 * spec.m + 2
-        c_fit = diffs[0] / 0.1 ** order
-        assert diffs[1] <= 4.0 * c_fit * 0.05 ** order
+        a = np.array(taylor_launch(spec, jet))
+        d = integrate(spec, jet, IntegratorConfig(r_max=1.0)).dense
+        width = d.r_rights[0]
+        assert d.r_lefts[0] == 0.0
+        want = a * width ** np.arange(_ORDER + 1)
+        assert np.all(np.abs(d.cs[0] - want) <= 4 * eps * np.abs(want))
+        tight = integrate(spec, jet, IntegratorConfig(r_max=1.0, rel_tol=1e-12,
+                                                      abs_tol=1e-14)).dense
+        assert tight.r_rights[0] < width
+        y = d(width)
+        assert np.all(np.abs(tight(width) - y) <= 1e-9 * np.maximum(1.0, np.abs(y)))
 
 
-def test_launch_radius_guard(spec2, u0):
-    with pytest.raises(LaunchRadiusTooLarge):
-        taylor_launch(spec2, u0.jet(), 1.0)
-    with pytest.raises(ValueError):
-        taylor_launch(spec2, u0.jet(), -0.1)
+def test_launch_radius_guard(spec2, spec3, u0):
+    # the launch radius is the step rule's size for the origin series: its
+    # last two terms within _STEP_TOL (abs_tol + rel_tol |L_j(0)|) in every
+    # level, and at 0.9^N of it in one; jets with steep coefficient chains
+    # (rho = -0.45, u(0) = 0.05) launch without a rejection
+    cfg = IntegratorConfig(r_max=30.0)
+    for spec, jet in ((spec2, u0.jet()), (spec2, jet_m2(-0.45)), (spec2, Jet((0.05, 1.0))),
+                      (spec3, Jet((10.0, -3.0751, 1.0)))):
+        traj = integrate(spec, jet, cfg)
+        assert traj.stats["nreject"] == 0, jet
+        c = traj.dense.cs[0]
+        tol = _STEP_TOL * (cfg.abs_tol + cfg.rel_tol * np.abs(c[:, 0]))
+        assert np.all(np.abs(c[:, -2:]) <= tol[:, None] * (1 + 1e-9)), jet
+        assert np.max(np.abs(c[:, -1]) / tol) == pytest.approx(0.9 ** _ORDER, rel=1e-9), jet
 
 
 def test_scale_identity(spec2, traj_u0_50):
@@ -214,11 +246,10 @@ def test_scale_rescales_dense_output(u0, u1, m, lam):
     scaled = scale(spec, traj, lam)
     w = _scaling_weights(spec, lam)
     d = traj.dense
-    r = np.concatenate([np.linspace(d.r_lo, d.r_hi, 997), d.r_lefts[1:]])
-    head = np.linspace(0.0, d.r_lo, 7)  # the Taylor series; no d/dr there
-    for derivative, factor, rr in ((0, w, np.concatenate([r, head])), (1, lam * w, r)):
-        want = factor * d(rr, derivative)
-        got = scaled.dense(rr / lam, derivative)
+    r = np.concatenate([np.linspace(0.0, d.r_hi, 997), d.r_lefts[1:]])
+    for derivative, factor in ((0, w), (1, lam * w)):
+        want = factor * d(r, derivative)
+        got = scaled.dense(r / lam, derivative)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
@@ -262,17 +293,6 @@ def test_trajectory_invariants(traj_u0_50):
     st0 = traj_u0_50.state(0)
     assert st0.u == traj_u0_50.jet.u0
     assert st0.lap(1) == pytest.approx(traj_u0_50.jet.lap_values[1])
-
-
-def test_taylor_state_vectorised(spec3):
-    jet = Jet((2.0, -0.3, 0.7))
-    c = taylor_coefficients(spec3, jet)
-    rr = np.array([0.0, 1e-3, 2e-3])
-    ys = _taylor_state(c, 3, rr)
-    assert ys.shape == (3, 6)
-    assert ys[0, 0] == 2.0 and np.all(ys[0, 1::2] == 0.0)
-    single = _taylor_state(c, 3, np.float64(1e-3))
-    assert np.allclose(single, ys[1])
 
 
 _BROKEN_TRAJECTORY = """

@@ -24,7 +24,7 @@ from polyshoot import (
     ode_residual_max,
 )
 from polyshoot import integrator
-from polyshoot.core import Trajectory, _series, _taylor_state, taylor_coefficients
+from polyshoot.core import Trajectory, _series
 from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, _try_step,
                                   _wall_distance, radial_double_integral, sample_radii,
                                   window_rows)
@@ -269,12 +269,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
-        IntegratorConfig(r_max=1e-4)  # below launch radius
+        IntegratorConfig(r_max=0.0)
+    assert IntegratorConfig(r_max=1e-4).r_max == 1e-4  # no launch radius to stay above
     with pytest.raises(ValueError):
         IntegratorConfig(precision="quad")
 
 
-@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "r_max", "u_floor", "launch_radius",
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "r_max", "u_floor",
                                    "dense_output_stride"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_config_rejects_non_finite_values(field, value):
@@ -324,11 +325,9 @@ def test_samples_agree_with_dense_output(u0, ending):
     assert isinstance(traj.verdict, kind)
     assert np.all(np.isfinite(traj.r)) and np.all(np.isfinite(traj.y))
     assert np.all(np.diff(traj.r) > 0)
-    beyond = traj.r > traj.stats["launch_radius"]
-    assert beyond.sum() >= 2
-    y = traj.y[beyond]
-    assert np.array_equal(y, traj.dense(traj.r[beyond]))
-    loop = np.array([_reference_sample(traj.dense, r) for r in traj.r[beyond]])
+    y = traj.y
+    assert np.array_equal(y, traj.dense(traj.r))
+    loop = np.array([_reference_sample(traj.dense, r) for r in traj.r])
     assert np.all(np.abs(y - loop) <= 1e-14 * np.maximum(1.0, np.abs(y)))
 
 
@@ -435,10 +434,11 @@ def test_short_horizon_guard_is_the_row_rule(u0, stride, r_max):
 
 
 def test_trajectory_without_an_accepted_step(u0, monkeypatch):
-    # a series that is not finite at the launch radius sizes no step: the
-    # trajectory stalls there, with one row at r = 0 read off the series
-    monkeypatch.setattr(integrator, "_series",
-                        lambda p, r, y, order: [[math.nan] * (order + 1)] * (len(y) // 2))
+    # an origin series that is not finite sizes no step: the trajectory
+    # stalls at r = 0, with one row there, the jet's state, and a dense
+    # output with nothing to evaluate
+    monkeypatch.setattr(integrator, "taylor_launch",
+                        lambda spec, jet, dtype: [[math.nan] * (_ORDER + 1)] * spec.m)
     jet = _m2_jet(u0, 0.0)
     traj = integrate(EquationSpec.for_order(2), jet, IntegratorConfig(r_max=10.0, max_steps=1))
     assert traj.stats["naccept"] == 0 and isinstance(traj.verdict, Inconclusive)
@@ -446,31 +446,36 @@ def test_trajectory_without_an_accepted_step(u0, monkeypatch):
     assert len(traj) == 1 and np.array_equal(traj.r, [0.0])
     assert np.array_equal(traj.y, [want])
     assert traj.state(0).r == 0.0 and np.array_equal(traj.state(0).y, want)
+    assert traj.dense.r_hi == 0.0
+    with pytest.raises(ValueError):
+        traj.dense(0.0)
 
 
 @pytest.mark.parametrize("ending", ["horizon", "extended_horizon"])
-def test_one_evaluator_below_the_launch_radius(u0, ending):
-    # on [0, launch radius] the dense output and the rows are the series of
-    # the integration's own coefficients, bit for bit; d/dr starts at r_lo
-    m, param, cfg_kw, _ = _ENDINGS[ending]
-    jet = _m2_jet(u0, param) if m == 2 else Jet(param)
+def test_one_evaluator_below_the_launch_radius(u0, u1, ending):
+    # the launch radius is the end of step 0, the origin series; on [0, it]
+    # the rows are the dense output bit for bit, in any order, u is within
+    # the configured tolerance of the closed form, the odd slots are 0 at
+    # r = 0, and d/dr is defined there: the even slots 0, the odd ones
+    # Lap^(j+1) u(0) / 3 (the top one -u(0)^p / 3)
+    m, _, cfg_kw, _ = _ENDINGS[ending]
+    cf = u0 if m == 2 else u1
     cfg = IntegratorConfig(**{**cfg_kw, "dense_output_stride": 2.5e-4})
-    traj = integrate(EquationSpec.for_order(m), jet, cfg)
+    spec = EquationSpec.for_order(m)
+    traj = integrate(spec, cf.jet(), cfg)
     d = traj.dense
-    assert d.r_lo == traj.stats["launch_radius"]
-    coeffs = taylor_coefficients(traj.spec, jet, dtype=cfg.dtype)
-    r = np.array([0.0, 0.3 * d.r_lo, d.r_lo, 0.7 * d.r_lo, 1e-9])  # unsorted
-    want = np.asarray(_taylor_state(coeffs, m, r, dtype=cfg.dtype), dtype=float)
-    assert np.array_equal(d(r), want)
-    assert np.array_equal(d.series(r), want)
-    head = traj.r <= d.r_lo
-    assert head.sum() == 5
-    assert np.array_equal(traj.y[head],
-                          np.asarray(_taylor_state(coeffs, m, traj.r[head], dtype=cfg.dtype),
-                                     dtype=float))
-    with pytest.raises(ValueError):
-        d(0.5 * d.r_lo, derivative=1)
-    assert d(d.r_lo, derivative=1).shape == (2 * m,)
+    head = traj.r <= d.r_rights[0]
+    assert d.r_lefts[0] == 0.0 and head.sum() >= 100
+    r = traj.r[head]
+    assert np.array_equal(traj.y[head], d(r))
+    assert np.array_equal(d(r[::-1]), d(r)[::-1])
+    ref = cf.eval(r, 0)
+    assert np.max(np.abs(traj.u[head] - ref) / ref) <= cfg.rel_tol
+    assert traj.r[0] == 0.0 and np.all(traj.y[0, 1::2] == 0.0)
+    slope = d(0.0, derivative=1)
+    lap = [*cf.jet().lap_values[1:], -cf.jet().u0 ** spec.rhs_exponent]
+    assert np.all(slope[0::2] == 0.0)
+    assert slope[1::2] == pytest.approx(np.array(lap) / 3.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("ending", sorted(_ENDINGS))
@@ -675,7 +680,7 @@ def test_scalar_step_matches_matrix_form(u0, case, precision):
     dense = integrate(spec, jet, cfg).dense
     assert dense.cs.dtype == cfg.dtype
     n_steps = len(dense.cs)
-    for i in sorted({0, n_steps // 2, n_steps - 2, n_steps - 1}):
+    for i in sorted({1, n_steps // 2, n_steps - 2, n_steps - 1}):  # r0 > 0; 0 is the origin
         width = dense.r_rights[i] - dense.r_lefts[i]
         y = np.empty(2 * m, dtype=cfg.dtype)
         y[0::2] = dense.cs[i, :, 0]
@@ -706,21 +711,21 @@ def test_step_counts_pinned(u0, traj_u0_1000):
     spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
     ext = IntegratorConfig(r_max=100.0, precision="extended")
     runs = {
-        "m2 rho=0": (traj_u0_1000, (41, 0, 41), None),
+        "m2 rho=0": (traj_u0_1000, (35, 0, 35), None),
         "m2 rho=-0.2": (integrate(spec2, _m2_jet(u0, -0.2), IntegratorConfig(r_max=1e3)),
-                        (48, 0, 48), 0.3228133004906487),
+                        (43, 0, 43), 0.32281330049146356),
         "m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)),
-                                   IntegratorConfig(r_max=100.0)), (46, 0, 46),
-                         3.3180895148362137),
+                                   IntegratorConfig(r_max=100.0)), (37, 0, 37),
+                         3.318089514836733),
         "m2 (0.45493..., 5.90396...)": (
             integrate(spec2, Jet((0.4549336961319741, 5.90396901379629)),
-                      IntegratorConfig(r_max=1e3)), (52, 0, 52), 1.4060686973019634),
+                      IntegratorConfig(r_max=1e3)), (47, 0, 47), 1.4060686972977783),
         "extended m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)), ext),
-                                  (46, 0, 46), 3.31808951483687),
+                                  (37, 0, 37), 3.3180895148367324),
         "extended m2 rho=-0.2": (
             integrate(spec2, _m2_jet(u0, -0.2),
-                      IntegratorConfig(r_max=1e3, precision="extended")), (48, 0, 48),
-            0.32281330049065216),
+                      IntegratorConfig(r_max=1e3, precision="extended")), (43, 0, 43),
+            0.3228133004914646),
     }
     for name, (traj, counts, r_star) in runs.items():
         assert tuple(traj.stats[k] for k in ("naccept", "nreject", "nfev")) == counts, name

@@ -284,7 +284,7 @@ def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("abs_tol", 1e-11), ("u_floor", 1e-7), ("launch_radius", 5e-4),
+    ("abs_tol", 1e-11), ("u_floor", 1e-7), ("rel_tol", 1e-9), ("precision", "extended"),
     ("dense_output_stride", 5e-3), ("max_steps", 100_000)])
 def test_cache_key_covers_whole_config(tmp_path, field, value):
     cache = EpsCache(tmp_path)
@@ -354,12 +354,13 @@ def test_midpoint_round_is_not_a_stall(root):
 def test_cache_schema_3_is_a_miss(tmp_path):
     # schema 3 entries hold volumes from Simpson on the sample rows, schema 4
     # entries partial integrals from it, schema 5 entries both from
-    # Dormand-Prince steps and the 5-point rule
+    # Dormand-Prince steps and the 5-point rule, schema 6 entries from
+    # series steps after a launch at a configured radius, part of the key
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 6
-    for schema in (3, 4, 5):
+    assert EpsCache.SCHEMA == 7
+    for schema in (3, 4, 5, 6):
         cache.path.write_text(json.dumps(
             {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
         assert cache.get(key) is None

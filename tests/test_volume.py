@@ -19,7 +19,7 @@ from polyshoot import (
     volume,
     volume_of_jet,
 )
-from polyshoot.core import Trajectory, taylor_coefficients
+from polyshoot.core import Trajectory
 from polyshoot.integrator import DenseSolution
 
 
@@ -57,11 +57,10 @@ def test_divergent_tail_on_flat_synthetic(spec3):
     y = np.zeros((r.size, 6))
     y[:, 0] = 2.0   # flat profile: gamma ~ 0, integral diverges
     y[:, 4] = 1.0
-    edges = np.linspace(1e-3, 100.0, 101)
+    edges = np.linspace(0.0, 100.0, 101)
     cs = np.zeros((100, 3, 25))
     cs[:, :, 0] = y[0, 0::2]
-    dense = DenseSolution(taylor_coefficients(spec3, Jet((2.0, 0.0, 1.0))), edges[0],
-                          edges[:-1], edges[1:], cs)
+    dense = DenseSolution(edges[:-1], edges[1:], cs)
     traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
                       verdict=EntirePositive(growth_exponent=0.0), r_end=100.0,
                       dense=dense)
