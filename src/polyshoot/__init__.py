@@ -17,7 +17,6 @@ from .core import (
     Inconclusive,
     Jet,
     RadialState,
-    rhs,
     scale,
     taylor_launch,
 )
@@ -26,7 +25,6 @@ from .errors import (
     DivergentTail,
     HorizonTooShort,
     NonPositiveU,
-    OriginSingularity,
     PolyshootError,
     TableExhausted,
     TargetOutOfRange,
@@ -58,14 +56,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EquationSpec", "Jet", "RadialState", "Collapsed", "EntirePositive", "Inconclusive",
-    "rhs", "taylor_launch", "scale",
+    "taylor_launch", "scale",
     "IntegratorConfig", "integrate", "classify_growth", "fit_growth",
     "formula1_check", "ode_residual_max",
     "volume", "volume_of_jet", "power_tail",
     "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",
     "prescribe_volume", "smallest_valid_k", "is_entire", "default_config",
     "linear_profile", "cubic_profile", "lambda_star",
-    "PolyshootError", "NonPositiveU", "OriginSingularity", "WindowTooNarrow",
+    "PolyshootError", "NonPositiveU", "WindowTooNarrow",
     "DivergentTail", "UndefinedVolume", "BracketFailure", "HorizonTooShort",
     "TargetOutOfRange", "TableExhausted",
 ]

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NonPositiveU, OriginSingularity
+from .errors import NonPositiveU
 
 __all__ = [
     "EquationSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "Inconclusive",
     "Verdict",
     "Trajectory",
-    "rhs",
     "taylor_launch",
     "taylor_coefficients",
     "scale",
@@ -151,9 +150,15 @@ class Collapsed:
 
 @dataclass(frozen=True)
 class EntirePositive:
-    """Horizon reached with u above the floor; growth_exponent from a log-log fit."""
+    """Horizon reached with u above the floor.  tail is the one fit of the
+    asymptote, integrator.fit_tail on [r_end/2, r_end] (a PowerTail), which
+    fit_growth and the volume's tail read too."""
 
-    growth_exponent: float
+    tail: object
+
+    @property
+    def growth_exponent(self) -> float:
+        return self.tail.gamma
 
 
 @dataclass(frozen=True)
@@ -245,45 +250,6 @@ class Trajectory:
             raise ValueError("odd slots must vanish at r = 0")
         if not (isinstance(self.verdict, Collapsed) or np.all(self.y[:, 0] > 0)):
             raise ValueError("u must stay positive unless collapsed")
-
-
-def _radial_rhs(p, r, y) -> list:
-    """Derivative of the first-order radial state, on scalars, at r > 0.
-
-    y holds the 2m slots as scalars of one floating type (Python floats,
-    or np.longdouble) and the result is a list of that type.  No checks:
-    when u <= 0 every slot is NaN, and when u^p overflows (a binary64
-    Python float raises where NumPy gives inf) the top slot is -inf.
-    """
-    u = y[0]
-    if not u > 0:
-        return [math.nan] * len(y)
-    top = _power0(u, p)
-    t = 2.0 / r
-    if len(y) == 4:
-        u, u1, v, v1 = y
-        return [u1, -t * u1 + v, v1, -t * v1 - top]
-    u, u1, v, v1, w, w1 = y
-    return [u1, -t * u1 + v, v1, -t * v1 + w, w1, -t * w1 - top]
-
-
-def rhs(spec: EquationSpec, state: RadialState) -> np.ndarray:
-    """Right-hand side of the first-order radial system at r > 0.
-
-    Each even slot's derivative is the paired odd slot; each odd slot's
-    derivative is (next iterated Laplacian) - (2/r)(own value), and the top
-    level substitutes Lap^m u = -u^p.
-    """
-    if state.r == 0:
-        raise OriginSingularity("rhs is singular at r = 0; use taylor_launch")
-    if state.r < 0:
-        raise ValueError("negative radius")
-    if not state.u > 0:
-        raise NonPositiveU(f"u = {state.u} at r = {state.r}")
-    y = np.asarray(state.y, dtype=float)
-    if y.shape[0] != spec.n_state:
-        raise ValueError(f"state has {y.shape[0]} slots, spec needs {spec.n_state}")
-    return np.array(_radial_rhs(spec.rhs_exponent, float(state.r), y.tolist()))
 
 
 # Order of every step's series, the origin's included.  A step covers the
@@ -403,7 +369,8 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     dense output's radii are divided by lam and its step polynomials of
     level j multiplied by lam^{(3-2m)/2 + 2j}: theta does not change, and a
     derivative slot, the derivative over the step's width, picks up its
-    extra power by itself.
+    extra power by itself.  An entire verdict's fit c r^gamma (1 + d/r^2)
+    becomes c lam^((3-2m)/2 + gamma) r^gamma (1 + d lam^-2 / r^2) on window / lam.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
@@ -415,6 +382,11 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     verdict = traj.verdict
     if isinstance(verdict, Collapsed):
         verdict = Collapsed(r_star=verdict.r_star / lam)
+    elif isinstance(verdict, EntirePositive):
+        t = verdict.tail
+        verdict = EntirePositive(replace(
+            t, coeff=t.coeff * w[0] * lam ** t.gamma, correction=t.correction / lam ** 2,
+            window=tuple(x / lam for x in t.window)))
     new_jet = Jet(tuple(v * w[2 * j] for j, v in enumerate(traj.jet.lap_values)))
     events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
     dense = traj.dense

@@ -9,10 +9,6 @@ class NonPositiveU(PolyshootError):
     """The u-component is zero or negative where positivity is required."""
 
 
-class OriginSingularity(PolyshootError):
-    """The radial right-hand side was evaluated at r = 0 (use the origin series)."""
-
-
 class WindowTooNarrow(PolyshootError):
     """A fit window contains too few samples."""
 

@@ -18,7 +18,7 @@ only rejection is a step ending with u <= 0 or a non-finite slot, which
 halves h on the same series.
 
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
-growth fit, the critical-datum probes, every integral of a solve
+power-law fit, the critical-datum probes, every integral of a solve
 (volume.dense_quadrature) and the sample rows (Trajectory.y) read it, and
 the event bisection reads the same polynomials.  The step loop never sees
 the sample grid (sample_radii), so the steps do not depend on the stride.
@@ -61,8 +61,9 @@ __all__ = [
     "IntegratorConfig",
     "Event",
     "DenseSolution",
-    "GrowthFit",
+    "PowerTail",
     "integrate",
+    "fit_tail",
     "classify_growth",
     "fit_growth",
     "formula1_check",
@@ -79,8 +80,9 @@ class IntegratorConfig:
     _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so that
     the error carried along the default horizons, where a growing mode
     amplifies it, stays within them.  Every float field must be positive
-    and finite.  The first step, the origin series, is sized by the same
-    rule, so the launch radius is no option: it is dense.r_rights[0].
+    and finite, and max_steps at least 1 and integral (JSON's 1e5 will
+    do).  The first step, the origin series, is sized by the same rule, so
+    the launch radius is no option: it is dense.r_rights[0].
     """
 
     rel_tol: float = 1e-8
@@ -96,8 +98,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
         if self.precision not in ("double", "extended"):
             raise ValueError("precision must be 'double' or 'extended'")
 
@@ -193,7 +195,8 @@ class DenseSolution:
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
         steps = self.cs.shape[0]
-        if not steps or np.any(r < 0) or np.any(r > self.r_hi * (1 + 1e-12) + 1e-300):
+        # NaN fails both comparisons, so only finite radii pass
+        if not (steps and np.all(r >= 0) and np.all(r <= self.r_hi * (1 + 1e-12) + 1e-300)):
             raise ValueError(f"dense output defined on [0, {self.r_hi}] "
                              f"({steps} steps), got [{r.min()}, {r.max()}]")
         idx = np.clip(np.searchsorted(self.r_lefts, r) - 1, 0, steps - 1)
@@ -357,7 +360,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     """Integrate the radial system from the origin jet out to the horizon.
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
-    EntirePositive(gamma) when the horizon is reached with u above the
+    EntirePositive(tail) when the horizon is reached with u above the
     floor throughout, and Inconclusive when the step budget or the step
     size underflows or the horizon is too short (below).  Sign changes of
     every intermediate Laplacian slot are recorded as events; they never
@@ -373,13 +376,13 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     collapse, stats["nfev"] counts the series computed (a halved step
     reuses its own), and stats["err_accum"] is _carried_error's estimate.
 
-    The growth exponent of an entire verdict is the weighted log-log slope
-    of u over _FIT_NODES uniform nodes of the dense output on the window
-    [r_end/4, r_end] (_fit_growth_dense).  The horizon is too short when
-    dense_output_stride >= r_max - 1e-9 max(1, r_max): then the sample
-    grid (sample_radii) has no row strictly between 0 and the horizon, and
-    the window holds only the horizon row.  The rows are that grid and the
-    dense output there, built the first time the trajectory reads them.
+    An entire verdict carries the power-law fit of u on [r_end/2, r_end]
+    (fit_tail): its gamma is the growth exponent, and the volume's tail
+    reads the same fit.  The horizon is too short when dense_output_stride
+    >= r_max - 1e-9 max(1, r_max): then the sample grid (sample_radii) has
+    no row strictly between 0 and the horizon, and the window holds only
+    the horizon row.  The rows are that grid and the dense output there,
+    built the first time the trajectory reads them.
     """
     dtype = cfg.dtype
     num = float if dtype is np.float64 else dtype  # scalar type of the step
@@ -478,11 +481,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         if stride >= cfg.r_max - 1e-9 * max(1.0, cfg.r_max):
             verdict = Inconclusive(
                 reason=f"horizon {r_end:g} too short: the growth-fit window "
-                       f"[{r_end / 4.0:g}, {r_end:g}] holds only the horizon row "
+                       f"[{r_end / 2.0:g}, {r_end:g}] holds only the horizon row "
                        f"(stride {stride:g})")
         else:
-            verdict = EntirePositive(
-                growth_exponent=_fit_growth_dense(dense, r_end / 4.0, r_end)[0])
+            verdict = EntirePositive(fit_tail(dense, (r_end / 2.0, r_end)))
 
     stats = {
         "naccept": naccept,
@@ -503,32 +505,51 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
 # Nodes of the dense output that a fit over a window reads.  Uniform
 # nodes with trapezoid weights approximate the least-squares integral over
-# the window.  At the default horizons 200 of them give growth exponents
-# within 1.8e-8 (m=2, rho in [0, 20]) and 4.5e-6 (m=3, k = 10, 20, 40) of
-# a fit over every sample row in the window, against 1.1e-6 and 5.3e-4
-# with equal weights; at r_max 50 the m=3 gap, 2.3e-5, is as large as the
-# row fit's own distance from the integral.
+# the window.  On [r_end/2, r_end] at the default horizons, 200 of them
+# give tail exponents within 9.7e-10 (m=2, rho in [0, 20]) and 3.1e-6 (m=3
+# at the critical data of k = 10, 20, 40) of a fit over every sample row
+# there, against 2.5e-8 and 7.8e-5 with equal weights; at r_max 50 the m=3
+# gap is 4.4e-6.
 _FIT_NODES = 200
 
 
-def window_nodes(dense, lo, hi):
-    """_FIT_NODES uniform radii on [lo, hi] (hi clipped to the dense output),
-    their trapezoid weights (up to the common factor of the spacing) and
-    the dense output there."""
-    r = np.linspace(lo, min(hi, dense.r_hi), _FIT_NODES)
+@dataclass(frozen=True)
+class PowerTail:
+    """Fitted model u ~ coeff r^gamma (1 + correction / r^2), rms in log u."""
+
+    gamma: float
+    coeff: float
+    correction: float
+    window: tuple
+    fit_rms: float
+
+    @property
+    def gamma_rounded(self) -> int:
+        return round(self.gamma)
+
+    @property
+    def limit_estimate(self) -> float:
+        """u / r^round(gamma) of the model at the window's outer end."""
+        hi = self.window[1]
+        return (self.coeff * hi ** (self.gamma - self.gamma_rounded)
+                * (1.0 + self.correction / hi ** 2))
+
+
+def fit_tail(dense, window) -> PowerTail:
+    """Weighted least squares of log u ~ log coeff + gamma log r + correction
+    / r^2 over _FIT_NODES uniform nodes of the dense output on the window
+    (its end clipped to the dense output), with trapezoid weights."""
+    r = np.linspace(window[0], min(window[1], dense.r_hi), _FIT_NODES)
     w = np.ones(_FIT_NODES)
     w[0] = w[-1] = 0.5
-    return r, w, dense(r)
-
-
-def _fit_growth_dense(dense, r_lo, r_hi):
-    """Weighted least-squares slope of log u on log r over the window's
-    nodes (window_nodes), and u / r^round(gamma) at its outer end."""
-    r, w, y = window_nodes(dense, r_lo, r_hi)
-    lr, lu = np.log(r), np.log(y[:, 0])
-    dr = lr - (w @ lr) / w.sum()
-    gamma = float((w * dr) @ lu / ((w * dr) @ dr))
-    return gamma, float(y[-1, 0] / r[-1] ** round(gamma))
+    lu = np.log(dense(r)[:, 0])
+    design = np.column_stack([np.ones_like(r), np.log(r), 1.0 / r ** 2])
+    root_w = np.sqrt(w)
+    sol, *_ = np.linalg.lstsq(design * root_w[:, None], lu * root_w, rcond=None)
+    resid = lu - design @ sol
+    return PowerTail(gamma=float(sol[1]), coeff=float(np.exp(sol[0])),
+                     correction=float(sol[2]), window=tuple(map(float, window)),
+                     fit_rms=float(np.sqrt(w @ resid ** 2 / w.sum())))
 
 
 def window_rows(traj: Trajectory, lo: float, hi: float) -> int:
@@ -537,36 +558,24 @@ def window_rows(traj: Trajectory, lo: float, hi: float) -> int:
     return max(0, int(math.floor((hi - lo) / traj.stride + 1e-9)) + 1)
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    gamma: float
-    limit_estimate: float
-    window: tuple
-    n_samples: int
+def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
+    """The power-law fit of an entire trajectory over a log-log window.
 
-    @property
-    def gamma_rounded(self) -> int:
-        return round(self.gamma)
-
-
-def fit_growth(traj: Trajectory, fit_window=None) -> GrowthFit:
-    """Fit the growth exponent of an entire trajectory over a log-log window.
-
-    The window defaults to [r_end/4, r_end]; a window reaching further in
-    than a twentieth of its outer edge is rejected because the asymptotic
-    power law has not set in there.  The fit reads the dense output at the
-    window's nodes, the routine that fixes integrate's verdict.  A window
-    holding fewer than 10 rows of the sample grid by the length rule
-    (window_rows) raises WindowTooNarrow, and n_samples is that count.
+    The window defaults to [r_end/2, r_end], and the fit there is the
+    verdict's own (EntirePositive.tail), which the volume's tail reads
+    too; another window is fitted afresh by fit_tail.  A window reaching
+    further in than a twentieth of its outer edge is rejected because the
+    asymptotic power law has not set in there.  A window holding fewer
+    than 10 rows of the sample grid by the length rule (window_rows)
+    raises WindowTooNarrow.
     """
     if not isinstance(traj.verdict, EntirePositive):
         raise ValueError("growth classification needs an EntirePositive verdict")
     if traj.dense is None:
         raise ValueError("growth classification needs the dense output")
     r_end = traj.r_end
-    if fit_window is None:
-        fit_window = (r_end / 4.0, r_end)
-    r_lo, r_hi = float(fit_window[0]), float(fit_window[1])
+    window = (r_end / 2.0, r_end) if fit_window is None else fit_window
+    r_lo, r_hi = float(window[0]), float(window[1])
     if r_hi > r_end * (1 + 1e-9):
         raise ValueError(f"window end {r_hi} beyond trajectory end {r_end}")
     if r_lo < r_hi / 20.0 - 1e-9 * r_hi:
@@ -574,9 +583,7 @@ def fit_growth(traj: Trajectory, fit_window=None) -> GrowthFit:
     n_in = window_rows(traj, r_lo, r_hi)
     if n_in < 10:
         raise WindowTooNarrow(f"only {n_in} samples in [{r_lo}, {r_hi}]")
-    gamma, limit = _fit_growth_dense(traj.dense, r_lo, r_hi)
-    return GrowthFit(gamma=gamma, limit_estimate=limit,
-                     window=(r_lo, r_hi), n_samples=n_in)
+    return traj.verdict.tail if fit_window is None else fit_tail(traj.dense, (r_lo, r_hi))
 
 
 def classify_growth(traj: Trajectory, fit_window=None) -> float:

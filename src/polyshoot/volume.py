@@ -12,14 +12,15 @@ The volume is 4*pi int_0^inf r^2 u(r)^ve dr with ve = -6 (m=2) or -2
 (m=3).  The integrand decays only like r^-4 in the slowest growth class,
 so the integral is split at the trajectory horizon.  The core [0, r_end]
 is that quadrature of the dense output.  The remainder is a closed-form
-power integral, driven by a two-term fit
+power integral of the fit that the entire verdict carries
+(integrator.fit_tail on the outer half [r_end/2, r_end]),
 
-    log u  ~  log c + gamma log r + delta / r^2
+    log u  ~  log c + gamma log r + delta / r^2,
 
-over nodes of the dense output on the outer half [r_end/2, r_end].  The
-delta/r^2 correction is what the slow tails actually look like (u = r +
-a/(2r) + ... for the linear-growth class), and sharpens the tail well
-below the quadrature error.
+so the volume fits nothing itself, and its tail's gamma is the verdict's
+growth exponent.  The delta/r^2 correction is what the slow tails
+actually look like (u = r + a/(2r) + ... for the linear-growth class),
+and sharpens the tail well below the quadrature error.
 
 err_estimate covers the quadrature and the tail model only, not the
 error of the integration that produced the dense output.  On the two
@@ -38,20 +39,10 @@ import numpy as np
 from .core import Collapsed, EntirePositive, EquationSpec, Jet, Trajectory
 from .errors import DivergentTail, UndefinedVolume, WindowTooNarrow
 from . import integrator
+from .integrator import PowerTail
 
 __all__ = ["PowerTail", "VolumeEstimate", "volume", "volume_of_jet", "power_tail",
            "dense_quadrature"]
-
-
-@dataclass(frozen=True)
-class PowerTail:
-    """Fitted tail model u ~ coeff * r^gamma * (1 + correction / r^2)."""
-
-    gamma: float
-    coeff: float
-    correction: float
-    window: tuple
-    fit_rms: float
 
 
 @dataclass(frozen=True)
@@ -87,20 +78,6 @@ def power_tail(coeff: float, gamma: float, vol_exponent: int, r_end: float,
     corr = 4.0 * math.pi * coeff ** ve * ve * correction \
         * r_end ** (mu - 1.0) / (-(mu - 1.0))
     return lead + corr
-
-
-def _fit_tail(dense, window):
-    """Weighted least squares of the tail model over the window's nodes."""
-    r, w, y = integrator.window_nodes(dense, *window)
-    lu = np.log(y[:, 0])
-    design = np.column_stack([np.ones_like(r), np.log(r), 1.0 / r ** 2])
-    root_w = np.sqrt(w)
-    sol, *_ = np.linalg.lstsq(design * root_w[:, None], lu * root_w, rcond=None)
-    resid = lu - design @ sol
-    fit_rms = float(np.sqrt(w @ resid ** 2 / w.sum()))
-    return PowerTail(gamma=float(sol[1]), coeff=float(np.exp(sol[0])),
-                     correction=float(sol[2]), window=tuple(map(float, window)),
-                     fit_rms=fit_rms)
 
 
 # 5-point Gauss-Legendre nodes and weights on [0, 1] (Davis & Rabinowitz,
@@ -143,9 +120,10 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
     """Conformal volume of an entire trajectory, from its dense output.
 
     Collapsed and inconclusive trajectories, and trajectories without a
-    dense output, have no defined volume and raise UndefinedVolume; a tail
-    window [r_end/2, r_end] holding fewer than 10 sample rows by the length
-    rule (integrator.window_rows) raises WindowTooNarrow.  The error
+    dense output, have no defined volume and raise UndefinedVolume.  The
+    tail is the verdict's fit (EntirePositive.tail); a fit window holding
+    fewer than 10 sample rows by the length rule (integrator.window_rows)
+    raises WindowTooNarrow.  The error
     estimate adds the per-step quadrature comparison of the core (floored
     at the summation rounding level) to the tail-fit residual and the
     next-order tail-model term, both propagated through the closed form; it
@@ -164,12 +142,10 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
         traj, lambda dr, r, u: dr * (4.0 * math.pi) * r * r * u ** ve)
     core_err = max(core_err, 1e-13 * abs(core))
 
-    r_end = traj.r_end
-    window = (r_end / 2.0, r_end)
-    n_in = integrator.window_rows(traj, *window)
+    r_end, fit = traj.r_end, traj.verdict.tail
+    n_in = integrator.window_rows(traj, *fit.window)
     if n_in < 10:
-        raise WindowTooNarrow(f"only {n_in} samples in tail window [{window[0]}, {r_end}]")
-    fit = _fit_tail(traj.dense, window)
+        raise WindowTooNarrow(f"only {n_in} samples in tail window [{fit.window[0]}, {fit.window[1]}]")
     tail = power_tail(fit.coeff, fit.gamma, ve, r_end, fit.correction)
     tail_lead = power_tail(fit.coeff, fit.gamma, ve, r_end)
     if tail < 0.0:

@@ -295,6 +295,7 @@ def test_config_file_bad_schema(tmp_path):
     ({}, ["--r-max", "inf"]),
     ({"u_floor": float("nan")}, []),
     ({"dense_output_stride": float("inf")}, []),
+    ({"max_steps": float("nan")}, []),  # would remove the step budget
 ])
 def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"

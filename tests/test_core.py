@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -14,20 +16,18 @@ from polyshoot import (
     EquationSpec,
     IntegratorConfig,
     Jet,
+    Inconclusive,
     NonPositiveU,
-    OriginSingularity,
-    RadialState,
     integrate,
     ode_residual_max,
-    rhs,
     scale,
     taylor_launch,
 )
 import polyshoot
 from polyshoot import cubic_profile, linear_profile
-from polyshoot.core import _ORDER, _radial_rhs, _scaling_weights, _series, taylor_coefficients
-from polyshoot.integrator import _STEP_TOL
-from polyshoot.shooting import jet_m2
+from polyshoot.core import _ORDER, _scaling_weights, _series, taylor_coefficients
+from polyshoot.integrator import _STEP_TOL, fit_tail
+from polyshoot.shooting import default_config, jet_m2
 
 
 def test_spec_exponents():
@@ -56,55 +56,47 @@ def test_jet_rejects_non_finite_values(values):
         Jet(values)
 
 
+def test_every_exported_name_resolves():
+    # each name in __all__, the package's and every module's, is defined
+    for info in pkgutil.iter_modules(polyshoot.__path__):
+        module = importlib.import_module(f"polyshoot.{info.name}")
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    assert [n for n in polyshoot.__all__ if not hasattr(polyshoot, n)] == []
+
+
 def test_rhs_closed_form_last_slot(spec2, u0):
-    # at r=1 the top slot must be -u^-7 - 2 (lap u)'
+    # about r0 = 1 each level's tau coefficients are its slope and half its
+    # second derivative, which the right-hand side fixes: at the top level
+    # -u^-7 - 2 (lap u)', below it lap u - 2 u'
     st_ = u0.state(1.0)
-    dy = rhs(spec2, st_)
+    a = _series(spec2.rhs_exponent, 1.0, st_.y.tolist(), _ORDER)
     expect = -u0.eval(1.0, 0) ** -7 - 2.0 * u0.eval(1.0, 3)
-    assert dy[-1] == pytest.approx(expect, rel=1e-14)
-    # even slots propagate the paired odd slot
-    assert dy[0] == st_.y[1]
-    assert dy[2] == st_.y[3]
+    assert 2.0 * a[1][2] == pytest.approx(expect, rel=1e-14)
+    assert 2.0 * a[0][2] == pytest.approx(st_.y[2] - 2.0 * st_.y[1], rel=1e-14)
+    assert (a[0][1], a[1][1]) == (st_.y[1], st_.y[3])
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_rhs_unit_state(m):
-    # u=1 with all derivative slots zero: top second-derivative slot = -1
+    # u=1 with every other slot zero at r=1: only the top level bends, with
+    # second derivative -1 (tau^2 coefficient -1/2)
     spec = EquationSpec.for_order(m)
-    y = np.zeros(2 * m)
-    y[0] = 1.0
-    dy = rhs(spec, RadialState(r=1.0, y=y))
-    assert dy[-1] == -1.0
-    assert np.all(dy[:-1] == 0.0)
-
-
-def test_rhs_preconditions(spec3):
-    y = np.zeros(6)
-    y[0] = -1.0
-    with pytest.raises(NonPositiveU):
-        rhs(spec3, RadialState(r=1.0, y=y))
-    y[0] = 1.0
-    with pytest.raises(OriginSingularity):
-        rhs(spec3, RadialState(r=0.0, y=y))
-
+    a = _series(spec.rhs_exponent, 1.0, [1.0] + [0.0] * (2 * m - 1), _ORDER)
+    assert [level[:3] for level in a] == [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * (m - 2) \
+        + [[0.0, 0.0, -0.5]]
 
 
 def test_rhs_overflow_is_non_finite(spec2):
-    # 1e-50 ** -7 overflows binary64: a Python float raises OverflowError
-    # there, the RHS must give a non-finite slot so the step is rejected
-    y = np.array([1e-50, 0.0, 1.0, 0.0])
-    dy = rhs(spec2, RadialState(r=1.0, y=y))
-    assert not np.all(np.isfinite(dy))
-    assert dy[-1] == -np.inf
-    assert np.all(np.isfinite(dy[:-1]))
+    # 1e-50 ** -7 overflows binary64, where a Python float raises
+    # OverflowError: the series of the right-hand side -u^p is then not
+    # finite, without raising, and an origin jet there sizes no step, so
+    # the trajectory stalls at r = 0 with one row
+    a = _series(spec2.rhs_exponent, 1.0, [1e-50, 0.0, 1.0, 0.0], _ORDER)
+    assert not all(math.isfinite(v) for level in a for v in level)
+    traj = integrate(spec2, Jet((1e-50, 1.0)), IntegratorConfig())
+    assert isinstance(traj.verdict, Inconclusive) and "r=0" in traj.verdict.reason
+    assert len(traj) == 1 and traj.r[0] == 0.0 and traj.stats["naccept"] == 0
 
-
-@pytest.mark.parametrize("u", [0.0, -1e-3, float("nan")])
-@pytest.mark.parametrize("n", [4, 6])
-def test_rhs_without_positive_u_is_nan(u, n):
-    # the step loop's RHS does not raise: every slot is NaN instead
-    y = [u] + [0.5] * (n - 1)
-    assert all(math.isnan(v) for v in _radial_rhs(-7 if n == 4 else -3, 1.0, y))
 
 def test_taylor_series_m3_matches_stated_polynomial(spec3):
     # origin series of u: k - eps r^2/6 + r^4/120 - k^-3 r^6/5040 + O(r^8),
@@ -253,6 +245,25 @@ def test_scale_rescales_dense_output(u0, u1, m, lam):
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_scale_maps_the_verdict_fit(u0, u1, m, lam):
+    # the entire verdict's fit c r^gamma (1 + d/r^2) maps exactly: it is a
+    # fresh fit of the scaled dense output on the window divided by lam, at
+    # the default horizons
+    spec = EquationSpec.for_order(m)
+    traj = integrate(spec, (u0 if m == 2 else u1).jet(), default_config(m))
+    scaled = scale(spec, traj, lam)
+    got, old = scaled.verdict.tail, traj.verdict.tail
+    assert got.window == (old.window[0] / lam, old.window[1] / lam)
+    assert (got.gamma, got.fit_rms) == (old.gamma, old.fit_rms)
+    want = fit_tail(scaled.dense, got.window)
+    assert got.gamma == pytest.approx(want.gamma, abs=1e-12)
+    assert got.coeff == pytest.approx(want.coeff, rel=1e-12)
+    assert got.correction == pytest.approx(want.correction, abs=1e-8)
+    assert scaled.verdict.growth_exponent == got.gamma
+
+
 def test_scale_transforms_jet_slots(spec3, u1):
     cfg = IntegratorConfig(r_max=5.0)
     traj = integrate(spec3, u1.jet(), cfg)
@@ -299,12 +310,14 @@ _BROKEN_TRAJECTORY = """
 import numpy as np
 from polyshoot import EntirePositive, EquationSpec, Jet
 from polyshoot.core import Trajectory
+from polyshoot.integrator import PowerTail
 
 r = np.array([0.0, 2.0, 1.0])   # not increasing
 y = np.ones((3, 4))
 y[0, 1::2] = 0.0
 traj = Trajectory(spec=EquationSpec.for_order(2), jet=Jet((1.0, 1.0)), r=r,
-                  y=y, verdict=EntirePositive(growth_exponent=1.0), r_end=2.0)
+                  y=y, verdict=EntirePositive(PowerTail(1.0, 1.0, 0.0, (1.0, 2.0), 0.0)),
+                  r_end=2.0)
 """
 
 

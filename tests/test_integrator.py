@@ -25,7 +25,7 @@ from polyshoot import (
 )
 from polyshoot import integrator
 from polyshoot.core import Trajectory, _series
-from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, _try_step,
+from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, PowerTail, _try_step,
                                   _wall_distance, radial_double_integral, sample_radii,
                                   window_rows)
 from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
@@ -65,6 +65,16 @@ def test_dense_output_keeps_the_axis_of_an_array(traj_u0_50):
     assert d(np.array([1.0, 2.0])).shape == (2, 4)
     assert np.array_equal(d(np.array([1.0]))[0], d(1.0))
     assert d(np.array([1.0]), derivative=1).shape == (1, 4)
+
+
+@pytest.mark.parametrize("r", [math.nan, [1.0, math.nan], math.inf, [0.0, -math.inf],
+                               -1e-3, [1.0, 51.0]])
+@pytest.mark.parametrize("derivative", [0, 1])
+def test_dense_output_rejects_radii_it_does_not_cover(traj_u0_50, r, derivative):
+    # a NaN, infinite or out-of-range radius is no point of the solution
+    # on [0, 50]: a ValueError, not a NaN row
+    with pytest.raises(ValueError, match="dense output defined on"):
+        traj_u0_50.dense(r, derivative)
 
 
 def test_dense_output_matches_samples(traj_u0_50):
@@ -125,7 +135,17 @@ def test_growth_fit_reports_limit(traj_u0_1000):
     assert fit.gamma_rounded == 1
     # u ~ r for the linear profile, so the limit estimate is ~1
     assert fit.limit_estimate == pytest.approx(1.0, rel=1e-3)
-    assert fit.n_samples > 10
+
+
+def test_verdict_gamma_is_the_integer_class(spec2, spec3, u0, u1):
+    # the verdict's fit models the 1/r^2 correction of the tail, so its
+    # gamma is the growth class to 1e-8, and fit_growth's default is it
+    cases = [(spec2, u0.jet(), 1), (spec2, _m2_jet(u0, 5.0), 2), (spec3, u1.jet(), 3)]
+    for spec, jet, gamma in cases:
+        traj = integrate(spec, jet, IntegratorConfig(r_max=1000.0))
+        assert abs(traj.verdict.growth_exponent - gamma) <= 1e-8
+        assert fit_growth(traj) is traj.verdict.tail
+        assert traj.verdict.tail.window == (500.0, 1000.0)
 
 
 def test_growth_window_validation(traj_u0_50):
@@ -160,7 +180,8 @@ def test_formula1_constant_laplacian(spec2):
     y[:, 1] = c * r / 3.0
     y[:, 2] = c
     traj = Trajectory(spec=spec2, jet=Jet((1.0, c)), r=r, y=y,
-                      verdict=EntirePositive(growth_exponent=2.0), r_end=10.0)
+                      verdict=EntirePositive(PowerTail(2.0, c / 6.0, 6.0 / c, (5.0, 10.0), 0.0)),
+                      r_end=10.0)
     assert formula1_check(traj, 0) < 1e-13
 
 
@@ -273,10 +294,14 @@ def test_config_validation():
     assert IntegratorConfig(r_max=1e-4).r_max == 1e-4  # no launch radius to stay above
     with pytest.raises(ValueError):
         IntegratorConfig(precision="quad")
+    for steps in (0, 2.5, -1.0):
+        with pytest.raises(ValueError, match="max_steps"):
+            IntegratorConfig(max_steps=steps)
+    assert IntegratorConfig(max_steps=1e5).max_steps == 100_000  # JSON's 1e5
 
 
 @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "r_max", "u_floor",
-                                   "dense_output_stride"])
+                                   "dense_output_stride", "max_steps"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -424,12 +449,12 @@ _GUARD_STRIDES = (0.01, 0.1, 1.0 / 3.0, 0.7)
     for r in (s * (1 - 1e-12), s * (1 + 1e-12), s + 2e-9 * max(1.0, s), 1.2 * s,
               4.0 / 3.0 * s, 2.0 * s)])
 def test_short_horizon_guard_is_the_row_rule(u0, stride, r_max):
-    # Inconclusive exactly when the growth-fit window [r_max/4, r_max] of
+    # Inconclusive exactly when the growth-fit window [r_max/2, r_max] of
     # the sample grid holds fewer than 2 rows
     traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
                      IntegratorConfig(r_max=r_max, dense_output_stride=stride))
     grid = _reference_radii(stride, r_max, r_max, False)
-    n_fit = np.count_nonzero((grid >= r_max / 4.0) & (grid <= r_max))
+    n_fit = np.count_nonzero((grid >= r_max / 2.0) & (grid <= r_max))
     assert isinstance(traj.verdict, Inconclusive) == (n_fit < 2)
 
 
@@ -599,7 +624,7 @@ def test_stride_does_not_change_stepping(u0, m3, a, k):
 
 
 def test_too_short_horizon_is_inconclusive(spec2, u0):
-    # [r_end/4, r_end] = [0.00125, 0.005] holds only the horizon sample
+    # [r_end/2, r_end] = [0.0025, 0.005] holds only the horizon sample
     traj = integrate(spec2, u0.jet(), IntegratorConfig(r_max=0.005))
     assert isinstance(traj.verdict, Inconclusive)
     assert "growth-fit window" in traj.verdict.reason

@@ -11,7 +11,6 @@ from polyshoot import (
     IntegratorConfig,
     Jet,
     UndefinedVolume,
-    fit_growth,
     integrate,
     lambda_star,
     power_tail,
@@ -20,7 +19,8 @@ from polyshoot import (
     volume_of_jet,
 )
 from polyshoot.core import Trajectory
-from polyshoot.integrator import DenseSolution
+from polyshoot.integrator import DenseSolution, PowerTail, fit_tail, window_rows
+from polyshoot.shooting import default_config
 
 
 def jet_offset(u0, rho):
@@ -62,7 +62,7 @@ def test_divergent_tail_on_flat_synthetic(spec3):
     cs[:, :, 0] = y[0, 0::2]
     dense = DenseSolution(edges[:-1], edges[1:], cs)
     traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
-                      verdict=EntirePositive(growth_exponent=0.0), r_end=100.0,
+                      verdict=EntirePositive(fit_tail(dense, (50.0, 100.0))), r_end=100.0,
                       dense=dense)
     with pytest.raises(DivergentTail):
         volume(spec3, traj)
@@ -73,7 +73,8 @@ def test_volume_needs_dense_output(spec3):
     y = np.zeros((r.size, 6))
     y[:, 0] = 2.0
     traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
-                      verdict=EntirePositive(growth_exponent=0.0), r_end=100.0)
+                      verdict=EntirePositive(PowerTail(0.0, 2.0, 0.0, (50.0, 100.0), 0.0)),
+                      r_end=100.0)
     with pytest.raises(UndefinedVolume, match="dense output"):
         volume(spec3, traj)
 
@@ -85,8 +86,25 @@ def test_volume_leaves_the_rows_unbuilt(u0, m):
     jet = jet_offset(u0, 0.5) if m == 2 else Jet((10.0, 1.0, 1.0))
     traj = integrate(spec, jet, IntegratorConfig(r_max=1000.0 if m == 2 else 100.0))
     assert volume(spec, traj).total > 0
-    assert fit_growth(traj).n_samples == (75_001 if m == 2 else 7_501)
+    assert window_rows(traj, traj.r_end / 2.0, traj.r_end) == (50_001 if m == 2 else 5_001)
     assert traj._r is None and traj._y is None
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_volume_reads_the_verdict_fit(u0, m, monkeypatch):
+    # the tail is the verdict's own fit: past integrate, the volume reads
+    # the dense output only through the core quadrature's coefficients
+    spec = EquationSpec.for_order(m)
+    jet = jet_offset(u0, 0.5) if m == 2 else Jet((10.0, 1.0, 1.0))
+    traj = integrate(spec, jet, default_config(m))
+
+    def refuse(self, r, derivative=0):
+        raise AssertionError("dense output evaluated")
+
+    monkeypatch.setattr(DenseSolution, "__call__", refuse)
+    v = volume(spec, traj)
+    assert v.tail_model is traj.verdict.tail
+    assert v.tail_model.window == (traj.r_end / 2.0, traj.r_end)
 
 
 def test_volume_ordering_in_rho(spec2, u0, traj_u0_1000):
