@@ -17,9 +17,9 @@ r = 0 (taylor_launch) is singularity-free, and is the first step of every
 integration.
 
 One recurrence gives every Taylor series (Jorba & Zou, Exp. Math. 14
-(2005); Corliss & Chang, ACM TOMS 8 (1982)): u^p comes from Miller's power
-recurrence (Knuth, TAOCP 2, 4.7), in s = r^2 at the origin
-(taylor_coefficients) and in tau = (r - r0) / r0 about any r0 > 0 (_series).
+(2005); Corliss & Chang, ACM TOMS 8 (1982)), _series: each level from
+r L'' + 2 L' = r b, in r about the origin and in tau = (r - r0) / r0 about
+any r0 > 0, with u^p from Miller's power recurrence (Knuth, TAOCP 2, 4.7).
 """
 
 from __future__ import annotations
@@ -44,44 +44,35 @@ __all__ = [
     "Verdict",
     "Trajectory",
     "taylor_launch",
-    "taylor_coefficients",
     "scale",
 ]
 
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """One problem instance: the order m fixes both exponents.
+    """One problem instance, its order m (2 or 3), which fixes the rest.
 
     rhs_exponent is the (negative) power p in the right-hand side -u^p,
     vol_exponent the power in the conformal volume integrand u^{6/(3-2m)}.
     """
 
     m: int
-    rhs_exponent: int
-    vol_exponent: int
-    dimension: int = 3
 
     def __post_init__(self):
         if self.m not in (2, 3):
             raise ValueError(f"order m must be 2 or 3, got {self.m}")
-        if self.dimension != 3:
-            raise ValueError("only dimension 3 is supported")
-        expected_p = {2: -7, 3: -3}[self.m]
-        expected_v = {2: -6, 3: -2}[self.m]
-        if self.rhs_exponent != expected_p:
-            raise ValueError(f"rhs_exponent must be {expected_p} for m={self.m}")
-        if self.vol_exponent != expected_v:
-            raise ValueError(f"vol_exponent must be {expected_v} for m={self.m}")
 
     @classmethod
     def for_order(cls, m: int) -> "EquationSpec":
-        """Build the spec for order m, deriving both exponents."""
-        if m not in (2, 3):
-            raise ValueError(f"order m must be 2 or 3, got {m}")
-        p = (3 + 2 * m) // (3 - 2 * m)   # -7 for m=2, -3 for m=3 (exact integers)
-        v = 6 // (3 - 2 * m)             # -6 for m=2, -2 for m=3
-        return cls(m=m, rhs_exponent=p, vol_exponent=v)
+        return cls(m)
+
+    @property
+    def rhs_exponent(self) -> int:
+        return (3 + 2 * self.m) // (3 - 2 * self.m)   # -7 for m=2, -3 for m=3
+
+    @property
+    def vol_exponent(self) -> int:
+        return 6 // (3 - 2 * self.m)                  # -6 for m=2, -2 for m=3
 
     @property
     def n_state(self) -> int:
@@ -280,42 +271,20 @@ def _power_coefficient(p, u, iu, v_rev, k):
     return ((p + 1) * s_iu - k * s_u) / (k * u[0])
 
 
-def taylor_coefficients(spec: EquationSpec, jet: Jet, order: int,
-                        dtype=np.float64) -> np.ndarray:
-    """Iterated Laplacians of the solution at the origin, c[j] = Lap^j u(0).
-
-    The first m come from the jet, the rest through c[order] from the
-    series in s = r^2: u = sum_j U_j s^j, U_j = c[j] / (2j+1)!, and u^p =
-    sum_k V_k s^k by Miller's recurrence, which reads U_0 .. U_k for V_k,
-    and c[m+k] = Lap^k(-u^p)(0) = -(2k+1)! V_k.
-    """
-    m = spec.m
-    if len(jet) != m:
-        raise ValueError(f"jet has {len(jet)} values, order m={m} needs {m}")
-    p = spec.rhs_exponent
-    c = [dtype(x) for x in jet.lap_values]
-    U = [cj / math.factorial(2 * j + 1) for j, cj in enumerate(c)]
-    iU = [j * U[j] for j in range(1, m)]
-    V_rev = [_power0(U[0], p)]
-    for k in range(order - m + 1):
-        if k:
-            V_rev.insert(0, _power_coefficient(p, U, iU, V_rev, k))
-        c.append(-math.factorial(2 * k + 1) * V_rev[0])
-        U.append(c[-1] / math.factorial(2 * len(U) + 1))
-        iU.append((len(U) - 1) * U[-1])
-    return np.array(c, dtype=dtype)
-
-
 def _series(p, r0, y, order):
     """Taylor coefficients a[j][k], k = 0 .. order, of every level L_j = Lap^j u
-    about r0 > 0 in tau = (r - r0) / r0, from the state y at r0, as scalars
-    of y's floating type.  With b = L_{j+1}, or b = -u^p (Miller's
-    recurrence) at the top, r L_j'' + 2 L_j' = r b gives in tau
+    from the state y at r0, as scalars of y's floating type: in tau = (r -
+    r0) / r0 about r0 > 0, and in r about the origin, r0 = 0, the regular
+    singular point, where y's odd slots are 0.  With b = L_{j+1}, or b =
+    -u^p (Miller's recurrence) at the top, r L_j'' + 2 L_j' = r b gives
 
-        a_{j,k+2} = r0^2 (b_k + b_{k-1}) / ((k+1)(k+2)) - a_{j,k+1}.
+        a_{j,k+2} = r0^2 (b_k + b_{k-1}) / ((k+1)(k+2)) - a_{j,k+1}   (r0 > 0),
+        a_{j,k+2} = b_k / ((k+2)(k+3))                                (r0 = 0).
 
-    Nothing is checked: u <= 0, or a coefficient beyond the floating range,
-    leaves some of them non-finite.
+    Callers pass u = y[0] > 0 (Jet enforces it at the origin, and _try_step
+    rejects a state with u <= 0 before it starts a step); nothing is
+    checked, and a coefficient beyond the floating range leaves some of them
+    non-finite.
     """
     m = len(y) // 2
     a = [[y[2 * j], y[2 * j + 1] * r0] for j in range(m)]
@@ -324,30 +293,36 @@ def _series(p, r0, y, order):
     for k in range(order - 1):
         if k:
             v_rev.insert(0, _power_coefficient(p, u, iu, v_rev, k))
-        f = rr / ((k + 1) * (k + 2))
-        top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1] if k
-                   else -v_rev[0] * f - top[1])
-        for j in range(m - 2, -1, -1):
-            b = a[j + 1]
-            a[j].append((b[k] + b[k - 1]) * f - a[j][k + 1] if k else b[0] * f - a[j][1])
+        if r0:
+            f = rr / ((k + 1) * (k + 2))
+            top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1] if k
+                       else -v_rev[0] * f - top[1])
+            for j in range(m - 2, -1, -1):
+                b = a[j + 1]
+                a[j].append((b[k] + b[k - 1]) * f - a[j][k + 1] if k
+                            else b[0] * f - a[j][1])
+        else:
+            d = (k + 2) * (k + 3)  # an exact divisor: one rounding per coefficient
+            top.append(-v_rev[0] / d)
+            for j in range(m - 2, -1, -1):
+                a[j].append(a[j + 1][k] / d)
         iu.append((k + 2) * u[k + 2])
     return a
 
 
 def taylor_launch(spec: EquationSpec, jet: Jet, dtype=np.float64) -> list:
-    """The origin series of every level in r, through r^_ORDER: a[l][2j] =
-    c[l+j] / (2j+1)! (c from taylor_coefficients) and a[l][2j+1] = 0, as
-    scalars of dtype's type (Python floats for float64).
-
-    It is the first step of every integration, a series in r where
-    _series's are in (r - r0) / r0, so the step rule sizes it like any
-    other, in units of 1.  Nothing is checked: a u(0) whose power overflows
-    leaves some coefficients non-finite.
+    """The origin series of every level in r through r^_ORDER, _series at
+    r0 = 0 from the jet's state there, as scalars of dtype's type (Python
+    floats for float64).  It is the first step of every integration, sized
+    by the step rule like any other, in units of 1.  A jet whose length is
+    not m raises ValueError.
     """
-    c = taylor_coefficients(spec, jet, spec.m - 1 + _ORDER // 2, dtype=dtype).tolist()
-    zero = c[0] * 0
-    return [[c[level + k // 2] / math.factorial(k + 1) if k % 2 == 0 else zero
-             for k in range(_ORDER + 1)] for level in range(spec.m)]
+    m = spec.m
+    if len(jet) != m:
+        raise ValueError(f"jet has {len(jet)} values, order m={m} needs {m}")
+    num = float if dtype is np.float64 else dtype
+    y = [num(v) for lap in jet.lap_values for v in (lap, 0.0)]
+    return _series(spec.rhs_exponent, num(0.0), y, _ORDER)
 
 
 def _scaling_weights(spec: EquationSpec, lam: float) -> np.ndarray:

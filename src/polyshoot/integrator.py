@@ -1,8 +1,8 @@
 """Taylor-series integration of the radial system.
 
-Every step is one Taylor series of order _ORDER from one recurrence: the
-first the even series off r = 0 (core.taylor_launch), every later one the
-series about its left end (core._series).  A trajectory is one piecewise
+Every step is one Taylor series of order _ORDER from one recurrence,
+core._series: the first the even series off r = 0 (core.taylor_launch),
+every later one the series about its left end.  A trajectory is one piecewise
 polynomial, one per level and step from r = 0 on.  Each step runs on
 Python scalars of the configured precision (floats, or np.longdouble
 scalars for extended), one code path for both; with 2m <= 6 slots, per-call
@@ -334,23 +334,6 @@ def _try_step(a, unit, width):
     return c, y
 
 
-def _carried_error(dense, r_end):
-    """Per slot, every step's truncation estimate (the last two terms of each
-    level's polynomial, and their d/dr) carried to r_end.  A slope error e'
-    at r moves its level by at most r e' (the 1/r mode decays); an error e
-    in level j + i grows in level j like e r_end^(2i) / (2i+1)!, as Lap^-i
-    of a constant does in 3-D, and in its slope like the derivative."""
-    last = np.abs(dense.cs[:, :, -2:]).astype(float).sum(axis=2)  # (steps, m)
-    slope = _ORDER * last / (dense.r_rights - dense.r_lefts).astype(float)[:, None]
-    level = (last + dense.r_lefts.astype(float)[:, None] * slope).sum(axis=0)
-    i = np.arange(dense.m)
-    fact = [math.factorial(2 * k + 1) for k in i]
-    grow = r_end ** (2 * i) / fact
-    grow_slope = 2 * i * r_end ** np.maximum(2 * i - 1, 0) / fact
-    return np.ravel([(level[j:] @ grow[:dense.m - j], slope[:, j].sum()
-                      + level[j:] @ grow_slope[:dense.m - j]) for j in range(dense.m)])
-
-
 def _poly_at(c, theta):
     """sum_k c[k] theta^k by Horner, on scalars."""
     return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
@@ -374,7 +357,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
     first), with no Laplacian sign change possible within s; the samples
     then end at that last accepted r.  stats["closure"] is None without a
     collapse, stats["nfev"] counts the series computed (a halved step
-    reuses its own), and stats["err_accum"] is _carried_error's estimate.
+    reuses its own).
 
     An entire verdict carries the power-law fit of u on [r_end/2, r_end]
     (fit_tail): its gamma is the growth exponent, and the volume's tail
@@ -490,7 +473,6 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "naccept": naccept,
         "nreject": nreject,
         "nfev": nfev,
-        "err_accum": _carried_error(dense, float(r)),
         "precision": cfg.precision,
         "closure": closure,
     }

@@ -170,7 +170,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 7  # 7: the origin series as the first step; no launch_radius in the key
+    SCHEMA = 8  # 8: the origin series from _series at r0 = 0
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -275,7 +275,7 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     def evaluate(eps):
         traj = integrate(spec, jet_m3(k, eps), cfg)
         w_inf = lap_limit_estimate(traj) if is_entire(traj) else None
-        return Probe(_entire(traj), w_inf, traj)
+        return Probe(w_inf is not None and w_inf > 0.0, w_inf, traj)
 
     b = Bracket(0.0, eps_cap, evaluate(0.0), evaluate(eps_cap))
     if not b.at_lo.lo_side:

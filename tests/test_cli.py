@@ -352,6 +352,12 @@ def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "cache").exists()  # nothing written to the cache
 
 
+def test_shoot_jet_of_the_wrong_length_exits_2(capsys):
+    # the origin series checks the jet's length before any array is shaped
+    assert main(["shoot", "--m", "2", "--jet", "1,2,3"]) == 2
+    assert "jet has 3 values, order m=2 needs 2" in capsys.readouterr().err
+
+
 def test_sweep_at_critical(tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "crit.csv"

@@ -25,7 +25,7 @@ from polyshoot import (
 )
 import polyshoot
 from polyshoot import cubic_profile, linear_profile
-from polyshoot.core import _ORDER, _scaling_weights, _series, taylor_coefficients
+from polyshoot.core import _ORDER, _scaling_weights, _series
 from polyshoot.integrator import _STEP_TOL, fit_tail
 from polyshoot.shooting import default_config, jet_m2
 
@@ -38,7 +38,15 @@ def test_spec_exponents():
     with pytest.raises(ValueError):
         EquationSpec.for_order(1)
     with pytest.raises(ValueError):
-        EquationSpec(m=2, rhs_exponent=-3, vol_exponent=-6)
+        EquationSpec(4)
+    assert EquationSpec(3) == s3 and s3.n_state == 6
+
+
+def test_jet_length_must_match_the_order(spec2):
+    # the origin series needs exactly m values: a third value for m=2 is a
+    # usage error, not a NumPy shape error further on
+    with pytest.raises(ValueError, match="jet has 3 values"):
+        integrate(spec2, Jet((1.0, 2.0, 3.0)), IntegratorConfig(r_max=10.0))
 
 
 def test_jet_requires_positive_u0():
@@ -131,21 +139,23 @@ def test_taylor_launch_matches_closed_form(spec2, u0):
 
 
 def test_taylor_coefficient_rule_symbolic():
+    # the rule the origin series solves: Lap r^n = n (n+1) r^(n-2) in 3-D,
+    # so r L'' + 2 L' = r b gives a_{k+2} = b_k / ((k+2)(k+3))
     sympy = pytest.importorskip("sympy")
     r = sympy.symbols("r", positive=True)
-    for j in range(1, 5):
-        term = r ** (2 * j) / sympy.factorial(2 * j + 1)
+    for n in range(2, _ORDER + 1):
+        term = r ** n
         lap = sympy.diff(term, r, 2) + 2 / r * sympy.diff(term, r)
-        assert sympy.simplify(lap - r ** (2 * j - 2) / sympy.factorial(2 * j - 1)) == 0
+        assert sympy.simplify(lap - n * (n + 1) * r ** (n - 2)) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_series_match_sympy_to_order_n(m):
     # the general-order recurrence against the series of (shift + r^2)^q,
     # q = 1/2 (m=2) or 3/2 (m=3), and of its Laplacians, through order N:
-    # in s = r^2 at the origin, and in tau = (r - 0.7) / 0.7 about 0.7
+    # in r at the origin (odd orders exactly 0), and in tau = (r - 0.7) /
+    # 0.7 about 0.7
     sympy = pytest.importorskip("sympy")
-    from polyshoot.integrator import _ORDER
 
     cf = (linear_profile() if m == 2 else cubic_profile())
     spec = EquationSpec.for_order(m)
@@ -155,11 +165,12 @@ def test_series_match_sympy_to_order_n(m):
     for _ in range(m - 1):
         g = levels[-1]
         levels.append(sympy.factor(sympy.diff(g, r, 2) + 2 / r * sympy.diff(g, r)))
-    origin = sympy.series(levels[0], r, 0, _ORDER + 2).removeO()
-    want = [float(origin.coeff(r, 2 * j)) * math.factorial(2 * j + 1)
-            for j in range(_ORDER // 2 + 1)]
-    got = taylor_coefficients(spec, cf.jet(), order=_ORDER // 2)
-    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    a = taylor_launch(spec, cf.jet())
+    for j, g in enumerate(levels):
+        ser = sympy.series(g, r, 0, _ORDER + 1).removeO()
+        want = [float(ser.coeff(r, k)) for k in range(0, _ORDER + 1, 2)]
+        assert np.allclose(a[j][0::2], want, rtol=1e-13, atol=0), j
+        assert all(v == 0.0 for v in a[j][1::2]), j
     r0 = 0.7
     y = [float(sympy.diff(g, r, d).subs(r, r0)) for g in levels for d in (0, 1)]
     a = _series(spec.rhs_exponent, r0, y, _ORDER)

@@ -233,13 +233,14 @@ def test_entire_m2_has_positive_laplacian(spec2, u0, traj_u0_50):
 
 
 def test_tolerance_convergence(spec2, u0):
-    # halving rel_tol changes u(r_max) by less than the coarse error budget
+    # halving rel_tol changes u(r_max) by far less than rel_tol (measured
+    # 4.3e-13 relative)
     jet = Jet((u0.eval(0.0, 0) + 0.3, u0.eval(0.0, 2)))
     coarse = integrate(spec2, jet, IntegratorConfig(r_max=100.0))
     fine = integrate(spec2, jet,
                      IntegratorConfig(r_max=100.0, rel_tol=5e-9, abs_tol=5e-11))
     drift = abs(coarse.u[-1] - fine.u[-1])
-    assert drift <= max(coarse.stats["err_accum"][0], 1e-12)
+    assert drift <= 5e-11 * abs(coarse.u[-1])
 
 
 def test_max_steps_inconclusive(spec2, u0):
@@ -639,15 +640,17 @@ def _conv(x, y, n):
 
 def _check_step_against_reference(dtype, p, r, y, width):
     """Run _series and _try_step on scalars and check every relation in
-    NumPy array form.  In tau = (r' - r) / r, each level L_j below the top
-    satisfies (1 + tau) L_j'' + 2 L_j' = r^2 (1 + tau) L_{j+1}, and the top
-    one ((1 + tau) L'' + 2 L') u^|p| = -r^2 (1 + tau) (Lap^m u = -u^p), each
-    through the orders the series fixes, within 64 eps of the magnitudes
-    summed there; the step's polynomials are the series in theta = (r' - r)
-    / width, and its end state their sums.  Returns the step (None when
-    rejected)."""
+    NumPy array form.  In x = (r' - r) / unit, unit = r for r > 0 and 1 at
+    the origin, and rho = 1 for r > 0 and 0 at the origin, each level L_j
+    below the top satisfies (rho + x) L_j'' + 2 L_j' = unit^2 (rho + x)
+    L_{j+1}, and the top one ((rho + x) L'' + 2 L') u^|p| = -unit^2 (rho +
+    x) (Lap^m u = -u^p), each through the orders the series fixes, within
+    64 eps of the magnitudes summed there; the step's polynomials are the
+    series in theta = (r' - r) / width, and its end state their sums.
+    Returns the step (None when rejected)."""
     eps, n = np.finfo(dtype).eps, _ORDER
     r, width = dtype(r), dtype(width)
+    rho, unit = (dtype(1), r) if r else (dtype(0), dtype(1))
     a = _series(p, r, [dtype(v) for v in y], n)
     A = np.array(a, dtype=dtype)
     k = np.arange(n + 1)
@@ -655,24 +658,24 @@ def _check_step_against_reference(dtype, p, r, y, width):
     d1[:, :-1] = A[:, 1:] * k[1:]
     d2 = np.zeros_like(A)
     d2[:, :-1] = d1[:, 1:] * k[1:]
-    one_tau = np.zeros(n + 1, dtype=dtype)
-    one_tau[:2] = 1
+    rho_x = np.zeros(n + 1, dtype=dtype)
+    rho_x[:2] = rho, 1
     m = len(a)
     for j in range(m):
-        lhs = _conv(one_tau, d2[j], n) + 2 * d1[j]
-        mag = _conv(one_tau, np.abs(d2[j]), n) + 2 * np.abs(d1[j])
+        lhs = _conv(rho_x, d2[j], n) + 2 * d1[j]
+        mag = _conv(rho_x, np.abs(d2[j]), n) + 2 * np.abs(d1[j])
         if j < m - 1:
-            rhs = r * r * _conv(one_tau, A[j + 1], n)
-            mag += r * r * _conv(one_tau, np.abs(A[j + 1]), n)
+            rhs = unit * unit * _conv(rho_x, A[j + 1], n)
+            mag += unit * unit * _conv(rho_x, np.abs(A[j + 1]), n)
         else:
             mag_u = np.abs(A[0])
             for _ in range(-p):
                 lhs, mag = _conv(lhs, A[0], n), _conv(mag, mag_u, n)
-            rhs = -r * r * one_tau
+            rhs = -unit * unit * rho_x
         fixed = slice(0, n - 1)  # the series fixes L'' through tau^(n-2)
         assert np.all(np.abs(lhs - rhs)[fixed] <= 64 * eps * mag[fixed]), j
-    step = _try_step(a, r, width)
-    theta_series = A * (width / r) ** k
+    step = _try_step(a, unit, width)
+    theta_series = A * (width / unit) ** k
     if step is not None:
         c, y_new = step
         assert np.all(np.abs(np.array(c, dtype=dtype) - theta_series)
@@ -705,7 +708,7 @@ def test_scalar_step_matches_matrix_form(u0, case, precision):
     dense = integrate(spec, jet, cfg).dense
     assert dense.cs.dtype == cfg.dtype
     n_steps = len(dense.cs)
-    for i in sorted({1, n_steps // 2, n_steps - 2, n_steps - 1}):  # r0 > 0; 0 is the origin
+    for i in sorted({0, 1, n_steps // 2, n_steps - 2, n_steps - 1}):  # 0 is the origin series
         width = dense.r_rights[i] - dense.r_lefts[i]
         y = np.empty(2 * m, dtype=cfg.dtype)
         y[0::2] = dense.cs[i, :, 0]

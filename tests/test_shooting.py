@@ -26,6 +26,7 @@ from polyshoot import (
     volume,
 )
 from polyshoot import shooting
+from polyshoot.core import EntirePositive, Trajectory
 from polyshoot.integrator import radial_double_integral
 from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
                                 refine_bracket)
@@ -127,6 +128,28 @@ def test_critical_eps_integration_count(monkeypatch):
     monkeypatch.setattr(shooting, "integrate", counting)
     critical_eps(10.0, bracket_tol=1e-6)
     assert len(calls) <= 16  # plain bisection makes 24
+
+
+def test_critical_eps_reads_each_end_state_once(monkeypatch):
+    # a probe reads the end state of an entire integration once for
+    # is_entire and once for w_inf, and the solve once more for the
+    # critical balance; a collapse's end state is never read
+    entire, reads = [], []
+    integrate_, state = shooting.integrate, Trajectory.state
+
+    def counting_integrate(*args, **kwargs):
+        traj = integrate_(*args, **kwargs)
+        entire.append(isinstance(traj.verdict, EntirePositive))
+        return traj
+
+    def counting_state(self, i):
+        reads.append(i)
+        return state(self, i)
+
+    monkeypatch.setattr(shooting, "integrate", counting_integrate)
+    monkeypatch.setattr(Trajectory, "state", counting_state)
+    critical_eps(10.0, bracket_tol=1e-3)
+    assert 0 < len(reads) <= 2 * sum(entire) + 1
 
 
 def test_envelope_at_entire_end(ce10):
@@ -355,12 +378,14 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # schema 3 entries hold volumes from Simpson on the sample rows, schema 4
     # entries partial integrals from it, schema 5 entries both from
     # Dormand-Prince steps and the 5-point rule, schema 6 entries from
-    # series steps after a launch at a configured radius, part of the key
+    # series steps after a launch at a configured radius, part of the key,
+    # schema 7 entries from an origin series through s = r^2, which moves
+    # the k=160 entry at the rounding level
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 7
-    for schema in (3, 4, 5, 6):
+    assert EpsCache.SCHEMA == 8
+    for schema in (3, 4, 5, 6, 7):
         cache.path.write_text(json.dumps(
             {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
         assert cache.get(key) is None
