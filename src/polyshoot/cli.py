@@ -159,20 +159,27 @@ def _csv_header(command: str, rc: RunConfig, extra=()):
 
 
 def parse_range(text: str):
-    """Parse '0:5:0.25' (inclusive endpoints) or a comma list '1,2,5'."""
+    """Parse '0:5:0.25' (inclusive endpoints) or a comma list '1,2,5'.  Every
+    part must be finite, and so must the range's count of steps."""
     text = text.strip()
     if not text:
         return []
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise UsageError(f"bad range {text!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"range parts must be finite, got {text!r}")
+    if ":" not in text:
+        return values
+    if len(values) != 3:
+        raise UsageError(f"range must be start:stop:step, got {text!r}")
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise UsageError(f"bad range {text!r}")
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise UsageError(f"range {text!r} has too many points")
+    n = int(math.floor(steps + 1e-9)) + 1
+    return [start + i * step for i in range(n)]
 
 
 def _verdict_label(verdict):

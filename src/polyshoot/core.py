@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from operator import mul
 from typing import Callable, Optional, Union
 
@@ -249,6 +248,8 @@ class Trajectory:
 # on collapses and profiles.
 _ORDER = 24
 
+_DIVISORS = [(k + 1) * (k + 2) for k in range(_ORDER + 1)]  # exact: one rounding each
+
 
 def _power0(u0, p):
     """u0^p, or inf where it overflows a binary64 Python float (which raises)."""
@@ -258,55 +259,53 @@ def _power0(u0, p):
         return math.inf
 
 
-def _power_coefficient(p, u, iu, v_rev, k):
-    """Coefficient k >= 1 of v = u^p by Miller's recurrence
-
-        v_k = sum_{i=1..k} ((p+1) i - k) u_i v_{k-i} / (k u_0),
-
-    from u (u_0, u_1, ...), iu (i u_i for i = 1, 2, ...) and v_rev (v_{k-1}
-    .. v_0); the sums stop with v_rev, so longer u and iu do no harm.
-    """
-    s_iu = sum(map(mul, iu, v_rev))
-    s_u = sum(map(mul, islice(u, 1, None), v_rev))
-    return ((p + 1) * s_iu - k * s_u) / (k * u[0])
-
-
 def _series(p, r0, y, order):
-    """Taylor coefficients a[j][k], k = 0 .. order, of every level L_j = Lap^j u
-    from the state y at r0, as scalars of y's floating type: in tau = (r -
-    r0) / r0 about r0 > 0, and in r about the origin, r0 = 0, the regular
-    singular point, where y's odd slots are 0.  With b = L_{j+1}, or b =
-    -u^p (Miller's recurrence) at the top, r L_j'' + 2 L_j' = r b gives
+    """Taylor coefficients a[j][k], k = 0 .. order (2 .. _ORDER), of every
+    level L_j = Lap^j u from the state y at r0, as scalars of y's floating
+    type: in tau = (r - r0) / r0 about r0 > 0, and in r about the origin,
+    r0 = 0, the regular singular point, where y's odd slots are 0.  With
+    b = L_{j+1}, or b = v = -u^p at the top, r L_j'' + 2 L_j' = r b gives
 
         a_{j,k+2} = r0^2 (b_k + b_{k-1}) / ((k+1)(k+2)) - a_{j,k+1}   (r0 > 0),
-        a_{j,k+2} = b_k / ((k+2)(k+3))                                (r0 = 0).
+        a_{j,k+2} = b_k / ((k+2)(k+3))                                (r0 = 0),
+        v_k = sum_{i=1..k} ((p+1) i - k) u_i v_{k-i} / (k u_0)   (k >= 1, Miller),
 
-    Callers pass u = y[0] > 0 (Jet enforces it at the origin, and _try_step
-    rejects a state with u <= 0 before it starts a step); nothing is
-    checked, and a coefficient beyond the floating range leaves some of them
-    non-finite.
+    b_{-1} = 0, each coefficient by left-to-right sums and an exact integer
+    divisor (_DIVISORS), so its bits do not depend on the loop's layout.
+    Callers pass u = y[0] > 0 (Jet enforces it at the origin, _try_step
+    before each step); nothing is checked, and a coefficient beyond the
+    floating range leaves some of them non-finite.
     """
     m = len(y) // 2
     a = [[y[2 * j], y[2 * j + 1] * r0] for j in range(m)]
     u, top = a[0], a[m - 1]
-    rr, iu, v_rev = r0 * r0, [u[1]], [_power0(u[0], p)]
-    for k in range(order - 1):
-        if k:
-            v_rev.insert(0, _power_coefficient(p, u, iu, v_rev, k))
+    pairs = [(a[j], a[j + 1]) for j in range(m - 2, -1, -1)]  # (L_j, b = L_{j+1})
+    u0, rr, v_rev = u[0], r0 * r0, [_power0(u[0], p)]  # v_rev: v_{k-1} .. v_0
+    if r0:  # k = 0, where b_{-1} = 0
+        f = rr / _DIVISORS[0]
+        top.append(-v_rev[0] * f - top[1])
+        for aj, b in pairs:
+            aj.append(b[0] * f - aj[1])
+    else:
+        top.append(-v_rev[0] / _DIVISORS[1])
+        for aj, b in pairs:
+            aj.append(b[0] / _DIVISORS[1])
+    u_tail, iu = [u[1]], [u[1]]  # u_1 .. u_k and i u_i, i = 1 .. k
+    for k in range(1, order - 1):
+        u_tail.append(u[k + 1])
+        iu.append((k + 1) * u[k + 1])
+        v_rev.insert(0, ((p + 1) * sum(map(mul, iu, v_rev))
+                         - k * sum(map(mul, u_tail, v_rev))) / (k * u0))
         if r0:
-            f = rr / ((k + 1) * (k + 2))
-            top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1] if k
-                       else -v_rev[0] * f - top[1])
-            for j in range(m - 2, -1, -1):
-                b = a[j + 1]
-                a[j].append((b[k] + b[k - 1]) * f - a[j][k + 1] if k
-                            else b[0] * f - a[j][1])
+            f = rr / _DIVISORS[k]
+            top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1])
+            for aj, b in pairs:
+                aj.append((b[k] + b[k - 1]) * f - aj[k + 1])
         else:
-            d = (k + 2) * (k + 3)  # an exact divisor: one rounding per coefficient
+            d = _DIVISORS[k + 1]
             top.append(-v_rev[0] / d)
-            for j in range(m - 2, -1, -1):
-                a[j].append(a[j + 1][k] / d)
-        iu.append((k + 2) * u[k + 2])
+            for aj, b in pairs:
+                aj.append(b[k] / d)
     return a
 
 

@@ -164,8 +164,9 @@ class DenseSolution:
     (r - r_left) / width, width = r_right - r_left, and each derivative
     slot the derivative of its level's polynomial.  Theta runs over the
     stored interval (near the m=2 wall r + h rounds), which keeps the
-    pieces continuous.  Input need not be sorted.  With no accepted step
-    r_hi = 0 and there is nothing to evaluate.
+    pieces continuous.  Input need not be sorted, and ``slots`` selects
+    output slots; Horner runs elementwise, so their values do not depend on
+    it.  With no accepted step r_hi = 0 and there is nothing to evaluate.
     """
 
     def __init__(self, r_lefts, r_rights, cs):
@@ -191,7 +192,7 @@ class DenseSolution:
             self._polys[derivative] = np.ascontiguousarray(P.transpose(2, 1, 0))
         return self._polys[derivative]
 
-    def __call__(self, r, derivative: int = 0):
+    def __call__(self, r, derivative: int = 0, slots: slice = slice(None)):
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
         steps = self.cs.shape[0]
@@ -202,7 +203,7 @@ class DenseSolution:
         idx = np.clip(np.searchsorted(self.r_lefts, r) - 1, 0, steps - 1)
         r_left = self.r_lefts[idx]
         theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
-        out = np.ascontiguousarray(_horner(self.slot_polys(derivative), idx, theta),
+        out = np.ascontiguousarray(_horner(self.slot_polys(derivative)[:, slots], idx, theta),
                                    dtype=np.float64)
         return out[0] if scalar else out
 
@@ -519,12 +520,12 @@ class PowerTail:
 
 def fit_tail(dense, window) -> PowerTail:
     """Weighted least squares of log u ~ log coeff + gamma log r + correction
-    / r^2 over _FIT_NODES uniform nodes of the dense output on the window
-    (its end clipped to the dense output), with trapezoid weights."""
+    / r^2, trapezoid weights, at _FIT_NODES uniform nodes of the window (its
+    end clipped to the dense output), where the dense output reads u only."""
     r = np.linspace(window[0], min(window[1], dense.r_hi), _FIT_NODES)
     w = np.ones(_FIT_NODES)
     w[0] = w[-1] = 0.5
-    lu = np.log(dense(r)[:, 0])
+    lu = np.log(dense(r, slots=slice(0, 1))[:, 0])
     design = np.column_stack([np.ones_like(r), np.log(r), 1.0 / r ** 2])
     root_w = np.sqrt(w)
     sol, *_ = np.linalg.lstsq(design * root_w[:, None], lu * root_w, rcond=None)

@@ -420,10 +420,13 @@ def prescribe_volume(spec: EquationSpec, target: float,
     largest tabulated k raise TableExhausted.  Both then double the
     parameter until V < target and refine log(V / target), until the
     volume is within rel_tol_target (positive and finite, ValueError
-    otherwise) of the target.
+    otherwise) of the target.  A non-finite target raises ValueError, a
+    finite one <= 0 TargetOutOfRange, both before any integration.
     """
     if not (math.isfinite(rel_tol_target) and rel_tol_target > 0):
         raise ValueError(f"rel_tol_target must be positive and finite, got {rel_tol_target}")
+    if not math.isfinite(target):
+        raise ValueError(f"volume target must be finite, got {target}")
     if not target > 0:
         raise TargetOutOfRange(f"volume target must be positive, got {target}")
     cfg = cfg if cfg is not None else default_config(spec.m)

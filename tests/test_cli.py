@@ -29,6 +29,12 @@ def test_parse_range():
         parse_range("0:1")
     with pytest.raises(UsageError):
         parse_range("1:0:0.5")
+    # non-finite parts, and a step count that is not finite, name the range
+    for text in ("0:inf:1", "0:1:inf", "0:1:nan", "1,nan"):
+        with pytest.raises(UsageError, match=f"range parts must be finite, got '{text}'"):
+            parse_range(text)
+    with pytest.raises(UsageError, match="range '0:1e300:1e-300' has too many points"):
+        parse_range("0:1e300:1e-300")
 
 
 def test_verify_m2(tmp_path, capsys):
@@ -344,6 +350,14 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["sweep", "--m", "3", "--k", "10", "--at-critical", "--bracket-tol", "inf"],
     ["prescribe-volume", "--m", "2", "--lambda", "9.4", "--vol-tol", "0"],
     ["prescribe-volume", "--m", "2", "--lambda", "9.4", "--vol-tol", "nan"],
+    ["prescribe-volume", "--m", "2", "--lambda", "nan"],  # non-finite targets
+    ["prescribe-volume", "--m", "2", "--lambda", "inf"],
+    ["prescribe-volume", "--m", "3", "--lambda", "nan"],
+    ["prescribe-volume", "--m", "3", "--lambda", "inf"],
+    ["sweep", "--m", "2", "--rho", "0:inf:1"],  # non-finite ranges and counts
+    ["sweep", "--m", "2", "--rho", "0:1e300:1e-300"],
+    ["sweep", "--m", "2", "--rho", "0:1:inf"],
+    ["sweep", "--m", "3", "--k", "10", "--eps", "0:1:nan"],
 ])
 def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))

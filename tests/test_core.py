@@ -5,6 +5,9 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
+from itertools import islice
+from operator import mul
 
 import numpy as np
 import pytest
@@ -25,8 +28,8 @@ from polyshoot import (
 )
 import polyshoot
 from polyshoot import cubic_profile, linear_profile
-from polyshoot.core import _ORDER, _scaling_weights, _series
-from polyshoot.integrator import _STEP_TOL, fit_tail
+from polyshoot.core import _ORDER, _power0, _scaling_weights, _series
+from polyshoot.integrator import _FIT_NODES, _STEP_TOL, fit_tail
 from polyshoot.shooting import default_config, jet_m2
 
 
@@ -179,6 +182,98 @@ def test_series_match_sympy_to_order_n(m):
         want = np.array([float(ser.coeff(t, k)) for k in range(_ORDER + 1)])
         scale = np.abs(want).max()
         assert np.all(np.abs(np.array(a[j]) - want) <= 1e-12 * scale), j
+
+
+def _frozen_power_coefficient(p, u, iu, v_rev, k):
+    # _series before its loop was tightened, kept verbatim as the reference
+    # the new loop must match bit for bit
+    s_iu = sum(map(mul, iu, v_rev))
+    s_u = sum(map(mul, islice(u, 1, None), v_rev))
+    return ((p + 1) * s_iu - k * s_u) / (k * u[0])
+
+
+def _frozen_series(p, r0, y, order):
+    m = len(y) // 2
+    a = [[y[2 * j], y[2 * j + 1] * r0] for j in range(m)]
+    u, top = a[0], a[m - 1]
+    rr, iu, v_rev = r0 * r0, [u[1]], [_power0(u[0], p)]
+    for k in range(order - 1):
+        if k:
+            v_rev.insert(0, _frozen_power_coefficient(p, u, iu, v_rev, k))
+        if r0:
+            f = rr / ((k + 1) * (k + 2))
+            top.append(-(v_rev[0] + v_rev[1]) * f - top[k + 1] if k
+                       else -v_rev[0] * f - top[1])
+            for j in range(m - 2, -1, -1):
+                b = a[j + 1]
+                a[j].append((b[k] + b[k - 1]) * f - a[j][k + 1] if k
+                            else b[0] * f - a[j][1])
+        else:
+            d = (k + 2) * (k + 3)
+            top.append(-v_rev[0] / d)
+            for j in range(m - 2, -1, -1):
+                a[j].append(a[j + 1][k] / d)
+        iu.append((k + 2) * u[k + 2])
+    return a
+
+
+def _same_scalar(x, y):
+    """Bit for bit: the same type, value and sign of zero, or both NaN."""
+    if type(x) is not type(y):
+        return False
+    if math.isnan(x):
+        return math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def test_series_bits_match_the_frozen_reference():
+    # 1200 seeded states, m = 2 and 3, at the origin (odd slots 0) and at
+    # r0 > 0, in double and extended; slots may be +-0, and u small enough
+    # that u^p overflows double, so non-finite coefficients are covered too
+    rng = np.random.default_rng(20190123)
+
+    def value(lo, hi):
+        if rng.random() < 0.1:
+            return rng.choice([0.0, -0.0])
+        return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi))
+
+    n = 0
+    for num in (float, np.longdouble):
+        for m in (2, 3):
+            p = EquationSpec.for_order(m).rhs_exponent
+            for origin in (True, False):
+                for _ in range(150):
+                    r0 = num(0.0) if origin else num(10.0 ** rng.uniform(-3, 3))
+                    y = [abs(value(-60 if rng.random() < 0.05 else -2, 2)) or 1.0]
+                    y += [value(-3, 3) for _ in range(2 * m - 1)]
+                    if origin:
+                        y[1::2] = [0.0] * m
+                    y = [num(v) for v in y]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = _frozen_series(p, r0, y, _ORDER)
+                        got = _series(p, r0, y, _ORDER)
+                    assert [len(level) for level in got] == [_ORDER + 1] * m
+                    bad = [(j, k) for j in range(m) for k in range(_ORDER + 1)
+                           if not _same_scalar(got[j][k], want[j][k])]
+                    assert bad == [], (num, p, r0, y, bad[:3])
+                    n += 1
+    assert n == 1200
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_fit_reads_the_same_u_as_the_full_dense_read(u0, u1, m, precision):
+    # the tail fit evaluates only the u slot at its nodes; Horner runs
+    # elementwise per slot, so those are the bits of dense(r)[:, 0]
+    spec = EquationSpec.for_order(m)
+    cfg = replace(default_config(m), precision=precision)
+    traj = integrate(spec, (u0 if m == 2 else u1).jet(), cfg)
+    tail, d = traj.verdict.tail, traj.dense
+    r = np.linspace(tail.window[0], min(tail.window[1], d.r_hi), _FIT_NODES)
+    got = d(r, slots=slice(0, 1))
+    assert got.shape == (_FIT_NODES, 1) and got.dtype == np.float64
+    assert got[:, 0].tobytes() == d(r)[:, 0].tobytes()
+    assert fit_tail(d, tail.window) == tail
 
 
 def test_taylor_self_consistency(spec2, spec3, u0, u1):

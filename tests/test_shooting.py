@@ -25,7 +25,7 @@ from polyshoot import (
     smallest_valid_k,
     volume,
 )
-from polyshoot import shooting
+from polyshoot import integrator, shooting
 from polyshoot.core import EntirePositive, Trajectory
 from polyshoot.integrator import radial_double_integral
 from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
@@ -256,6 +256,18 @@ def test_prescribe_volume_m2_out_of_range(spec2):
         prescribe_volume(spec2, 25.0)
     with pytest.raises(TargetOutOfRange):
         prescribe_volume(spec2, -1.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_prescribe_volume_non_finite_target(m, target, monkeypatch):
+    # ValueError naming the target, before any integration
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    monkeypatch.setattr(integrator, "integrate", refuse)
+    with pytest.raises(ValueError, match=f"volume target must be finite, got {target}"):
+        prescribe_volume(EquationSpec.for_order(m), target)
 
 
 def test_prescribe_volume_m3(spec3, tmp_path):
