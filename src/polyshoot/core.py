@@ -24,6 +24,7 @@ any r0 > 0, with u^p from Miller's power recurrence (Knuth, TAOCP 2, 4.7).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from operator import mul
@@ -105,6 +106,11 @@ class Jet:
     def u0(self) -> float:
         return self.lap_values[0]
 
+    @property
+    def origin_state(self) -> tuple:
+        """The state (u, 0, Lap u, 0, ...) at r = 0."""
+        return tuple(v for lap in self.lap_values for v in (lap, 0.0))
+
 
 @dataclass(frozen=True)
 class RadialState:
@@ -166,37 +172,37 @@ _ROW_BLOCK = 16384
 
 
 class Trajectory:
-    """A numerical solution: dense output, sample rows and termination verdict.
+    """A numerical solution: its dense output and termination verdict.
 
-    Rows are stored column-wise: ``r`` has shape (n,), ``y`` shape (n, 2m).
-    ``integrate`` passes a picklable grid function (``radii``) and its
-    ``stride`` instead of the arrays: ``r`` is built from it, and ``y`` as
-    ``dense(r)``, the first time each is read, then kept.  ``len`` and
-    ``state`` read ``r`` only.  Rows given as arrays take their widest gap
-    as the stride, which the fits' window rule compares with a window.
-    ``dense`` (when present) is the integrator's DenseSolution, which
-    evaluates the solution from 0 to the deepest radius reached; the
-    verdict, the volume and the critical-datum probes read only it.
+    ``dense`` is the integrator's DenseSolution, which evaluates the
+    solution from 0 to the deepest radius reached; the verdict, the volume
+    and the critical-datum probes read only it and ``end``.  The sample
+    rows are a view of it for output: ``radii`` is a picklable function
+    giving the row radii ``r`` (integrate's sample grid at the configured
+    stride), and ``y`` is the state there, both built the first time they
+    are read, then kept; ``len`` reads ``r`` only.  With no accepted step
+    the dense output is empty and the one state, at r = 0, is the jet's.
     """
 
-    def __init__(self, spec: EquationSpec, jet: Jet, r=None, y=None, *,
-                 verdict: Verdict, r_end: float, events: tuple = (),
-                 dense: Optional[object] = None, stats: Optional[dict] = None,
-                 radii: Optional[Callable[[], np.ndarray]] = None,
-                 stride: Optional[float] = None):
+    def __init__(self, spec: EquationSpec, jet: Jet, *, verdict: Verdict, r_end: float,
+                 dense, radii: Callable[[], np.ndarray], events: tuple = (),
+                 stats: Optional[dict] = None):
         self.spec, self.jet, self.verdict, self.r_end = spec, jet, verdict, r_end
         self.events, self.dense, self.stats = events, dense, stats
-        self._radii, self._r, self._y, self.stride = radii, None, None, stride
-        if radii is None:
-            self._r = np.asarray(r, dtype=float)
-            self._y = np.asarray(y, dtype=float)
-            if stride is None:
-                self.stride = float(np.diff(self._r).max(initial=0.0)) or math.inf
-            if self._y.shape != (self._r.shape[0], self.spec.n_state):
-                raise ValueError(
-                    f"sample array shape {self._y.shape} does not match "
-                    f"{(self._r.shape[0], self.spec.n_state)}"
-                )
+        self._radii, self._r, self._y = radii, None, None
+
+    @functools.cached_property
+    def end(self) -> RadialState:
+        """The state at the last radius reached, min(r_end, dense.r_hi), read
+        once: past a wall closure's r* the dense output does not reach."""
+        r = min(self.r_end, self.dense.r_hi)
+        return RadialState(r=r, y=self._states(r))
+
+    def _states(self, r):
+        """dense(r), or the jet's state where no step was accepted (r = 0)."""
+        if self.dense.r_hi:
+            return self.dense(r)
+        return np.broadcast_to(self.jet.origin_state, np.shape(r) + (self.spec.n_state,))
 
     @property
     def r(self) -> np.ndarray:
@@ -211,11 +217,11 @@ class Trajectory:
         return self._y
 
     def _dense_rows(self) -> np.ndarray:
-        """The state rows, dense(r) in blocks of _ROW_BLOCK rows."""
+        """The state rows, in blocks of _ROW_BLOCK rows."""
         r = self.r
         y = np.empty((r.shape[0], self.spec.n_state))
         for lo in range(0, r.shape[0], _ROW_BLOCK):
-            y[lo:lo + _ROW_BLOCK] = self.dense(r[lo:lo + _ROW_BLOCK])
+            y[lo:lo + _ROW_BLOCK] = self._states(r[lo:lo + _ROW_BLOCK])
         return y
 
     def __len__(self):
@@ -224,11 +230,6 @@ class Trajectory:
     @property
     def u(self) -> np.ndarray:
         return self.y[:, 0]
-
-    def state(self, i: int) -> RadialState:
-        """Row i as a RadialState; an unbuilt row is evaluated on its own."""
-        r = float(self.r[i])
-        return RadialState(r=r, y=self.dense(r) if self._y is None else self._y[i].copy())
 
     def validate(self):
         """Check the structural invariants; raises ValueError on violation."""
@@ -320,7 +321,7 @@ def taylor_launch(spec: EquationSpec, jet: Jet, dtype=np.float64) -> list:
     if len(jet) != m:
         raise ValueError(f"jet has {len(jet)} values, order m={m} needs {m}")
     num = float if dtype is np.float64 else dtype
-    y = [num(v) for lap in jet.lap_values for v in (lap, 0.0)]
+    y = [num(v) for v in jet.origin_state]
     return _series(spec.rhs_exponent, num(0.0), y, _ORDER)
 
 
@@ -334,25 +335,28 @@ def _scaling_weights(spec: EquationSpec, lam: float) -> np.ndarray:
     return w
 
 
+def _scaled_radii(radii, lam):
+    return radii() / lam
+
+
 def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
-    """Resample a trajectory under the volume-preserving scaling.
+    """Rescale a trajectory under the volume-preserving scaling.
 
     The scaled solution is u_lam(r) = lam^{(3-2m)/2} u(lam r); each Lap^j
     slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
-    power.  Sample radii map to r/lam, so no interpolation is needed.  The
-    dense output's radii are divided by lam and its step polynomials of
-    level j multiplied by lam^{(3-2m)/2 + 2j}: theta does not change, and a
-    derivative slot, the derivative over the step's width, picks up its
-    extra power by itself.  An entire verdict's fit c r^gamma (1 + d/r^2)
-    becomes c lam^((3-2m)/2 + gamma) r^gamma (1 + d lam^-2 / r^2) on window / lam.
+    power.  The dense output's radii are divided by lam and its step
+    polynomials of level j multiplied by lam^{(3-2m)/2 + 2j}: theta does not
+    change, and a derivative slot, the derivative over the step's width,
+    picks up its extra power by itself.  The row radii map to r/lam, and
+    the rows are read off the rescaled dense output when first read.  An
+    entire verdict's fit c r^gamma (1 + d/r^2) becomes
+    c lam^((3-2m)/2 + gamma) r^gamma (1 + d lam^-2 / r^2) on window / lam.
     """
     if not lam > 0:
         raise ValueError("scaling factor must be positive")
     if lam == 1.0:
         return traj
     w = _scaling_weights(spec, lam)
-    new_r = traj.r / lam
-    new_y = traj.y * w
     verdict = traj.verdict
     if isinstance(verdict, Collapsed):
         verdict = Collapsed(r_star=verdict.r_star / lam)
@@ -364,17 +368,13 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     new_jet = Jet(tuple(v * w[2 * j] for j, v in enumerate(traj.jet.lap_values)))
     events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
     dense = traj.dense
-    if dense is not None:
-        dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.cs * w[0::2, None])
+    dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.cs * w[0::2, None])
     return Trajectory(
         spec=traj.spec,
         jet=new_jet,
-        r=new_r,
-        y=new_y,
         verdict=verdict,
         r_end=traj.r_end / lam,
         events=events,
         dense=dense,
-        stats=None,
-        stride=traj.stride / lam,
+        radii=functools.partial(_scaled_radii, traj._radii, lam),
     )

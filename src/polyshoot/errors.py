@@ -5,12 +5,13 @@ class PolyshootError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonPositiveU(PolyshootError):
-    """The u-component is zero or negative where positivity is required."""
+class NonPositiveU(PolyshootError, ValueError):
+    """The u-component is zero or negative where positivity is required; an
+    invalid argument too (ValueError) where a caller gave that value."""
 
 
 class WindowTooNarrow(PolyshootError):
-    """A fit window contains too few samples."""
+    """A fit window spans less than a factor of 2 in r."""
 
 
 class DivergentTail(PolyshootError):

@@ -18,10 +18,11 @@ only rejection is a step ending with u <= 0 or a non-finite slot, which
 halves h on the same series.
 
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
-power-law fit, the critical-datum probes, every integral of a solve
-(volume.dense_quadrature) and the sample rows (Trajectory.y) read it, and
-the event bisection reads the same polynomials.  The step loop never sees
-the sample grid (sample_radii), so the steps do not depend on the stride.
+power-law fit, the end state (Trajectory.end), every integral of a solve
+(volume.dense_quadrature) and the output rows (Trajectory.y) read it, and
+the event bisection reads the same polynomials.  The sample grid
+(sample_radii) only places the output rows: no step, verdict, fit or
+volume depends on the stride.
 
 Inside a collapse wall each step covers a fixed fraction of the remaining
 distance s, so stepping to the floor would cost most of a collapse's steps.
@@ -71,11 +72,17 @@ __all__ = [
 ]
 
 
+# Sample rows a configuration may ask for, r_max / dense_output_stride: a
+# row of m=3 holds 7 floats, so 1e7 rows take 560 MB once built.  The
+# default asks for 1e5.
+_MAX_ROWS = 1e7
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances, horizon and sampling for one integration.
+    """Tolerances, horizon and output rows for one integration.
 
-    rel_tol/abs_tol are targets for the delivered accuracy of the samples.
+    rel_tol/abs_tol are targets for the delivered accuracy of the solution.
     Each step keeps the last two terms of every level's series below
     _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so that
     the error carried along the default horizons, where a growing mode
@@ -83,6 +90,9 @@ class IntegratorConfig:
     and finite, and max_steps at least 1 and integral (JSON's 1e5 will
     do).  The first step, the origin series, is sized by the same rule, so
     the launch radius is no option: it is dense.r_rights[0].
+    dense_output_stride sets the output rows only (sample_radii), at most
+    _MAX_ROWS of them up to r_max (ValueError otherwise); nothing an
+    integration computes depends on it.
     """
 
     rel_tol: float = 1e-8
@@ -98,6 +108,9 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.r_max / self.dense_output_stride > _MAX_ROWS:
+            raise ValueError(f"dense_output_stride {self.dense_output_stride:g} asks for over "
+                             f"{_MAX_ROWS:.0e} sample rows up to r_max {self.r_max:g}")
         if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
         if self.precision not in ("double", "extended"):
@@ -268,7 +281,7 @@ def _close_on_wall(r, wall, events):
 
 
 def sample_radii(stride, r_max, r_last, collapsed):
-    """The sample grid of an integration that reached r_last.
+    """The output rows' radii of an integration that reached r_last.
 
     The multiples of stride below r_max, then r_max itself, which takes the
     place of the last multiple when that lies within 1e-9 max(1, r_max) of
@@ -345,35 +358,33 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
     EntirePositive(tail) when the horizon is reached with u above the
-    floor throughout, and Inconclusive when the step budget or the step
-    size underflows or the horizon is too short (below).  Sign changes of
-    every intermediate Laplacian slot are recorded as events; they never
-    terminate the integration.
+    floor throughout, and Inconclusive when the step budget runs out or
+    the step size underflows.  Sign changes of every intermediate
+    Laplacian slot are recorded as events; they never terminate the
+    integration.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses u_floor (r* bisected on the step's
     polynomial to abs_tol in r), or {"kind": "wall", "s": s, "disagreement":
     d} when the two wall estimates of the remaining distance s agree to
     abs_tol on three consecutive accepted steps (or the step size stalls
-    first), with no Laplacian sign change possible within s; the samples
-    then end at that last accepted r.  stats["closure"] is None without a
-    collapse, stats["nfev"] counts the series computed (a halved step
-    reuses its own).
+    first), with no Laplacian sign change possible within s; the dense
+    output then ends at that last accepted r.  stats["closure"] is None
+    without a collapse, stats["nfev"] counts the series computed (a halved
+    step reuses its own).
 
     An entire verdict carries the power-law fit of u on [r_end/2, r_end]
     (fit_tail): its gamma is the growth exponent, and the volume's tail
-    reads the same fit.  The horizon is too short when dense_output_stride
-    >= r_max - 1e-9 max(1, r_max): then the sample grid (sample_radii) has
-    no row strictly between 0 and the horizon, and the window holds only
-    the horizon row.  The rows are that grid and the dense output there,
-    built the first time the trajectory reads them.
+    reads the same fit.  The output rows are the sample grid at
+    dense_output_stride (sample_radii) and the dense output there, built
+    the first time the trajectory reads them; nothing else reads them.
     """
     dtype = cfg.dtype
     num = float if dtype is np.float64 else dtype  # scalar type of the step
     p = spec.rhs_exponent
     atol, rtol = _STEP_TOL * cfg.abs_tol, _STEP_TOL * cfg.rel_tol
     r, r_max = num(0.0), num(cfg.r_max)
-    y = [num(v) for lap in jet.lap_values for v in (lap, 0.0)]  # the jet's state at r = 0
+    y = [num(v) for v in jet.origin_state]
 
     r_lefts, r_rights, cs, events = [], [], [], []
     nfev = naccept = nreject = 0
@@ -460,15 +471,8 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                           np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))
     r_end = verdict.r_star if isinstance(verdict, Collapsed) else float(r if verdict else r_max)
 
-    stride = cfg.dense_output_stride
     if verdict is None:
-        if stride >= cfg.r_max - 1e-9 * max(1.0, cfg.r_max):
-            verdict = Inconclusive(
-                reason=f"horizon {r_end:g} too short: the growth-fit window "
-                       f"[{r_end / 2.0:g}, {r_end:g}] holds only the horizon row "
-                       f"(stride {stride:g})")
-        else:
-            verdict = EntirePositive(fit_tail(dense, (r_end / 2.0, r_end)))
+        verdict = EntirePositive(fit_tail(dense, (r_end / 2.0, r_end)))
 
     stats = {
         "naccept": naccept,
@@ -477,13 +481,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "precision": cfg.precision,
         "closure": closure,
     }
-    if naccept:
-        rows = {"radii": functools.partial(sample_radii, stride, cfg.r_max, float(r),
-                                           isinstance(verdict, Collapsed))}
-    else:  # stalled at the origin: one row, the jet's state there
-        rows = {"r": [0.0], "y": [np.array(y, dtype=float)]}
+    radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
+                              isinstance(verdict, Collapsed))
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
-                      events=tuple(events), dense=dense, stats=stats, stride=stride, **rows)
+                      events=tuple(events), dense=dense, stats=stats, radii=radii)
 
 
 # Nodes of the dense output that a fit over a window reads.  Uniform
@@ -535,27 +536,19 @@ def fit_tail(dense, window) -> PowerTail:
                      fit_rms=float(np.sqrt(w @ resid ** 2 / w.sum())))
 
 
-def window_rows(traj: Trajectory, lo: float, hi: float) -> int:
-    """Rows of the sample grid in [lo, hi] by the length rule, floor(length /
-    stride) + 1, give or take one: like integrate's horizon rule, no grid."""
-    return max(0, int(math.floor((hi - lo) / traj.stride + 1e-9)) + 1)
-
-
 def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
     """The power-law fit of an entire trajectory over a log-log window.
 
     The window defaults to [r_end/2, r_end], and the fit there is the
     verdict's own (EntirePositive.tail), which the volume's tail reads
-    too; another window is fitted afresh by fit_tail.  A window reaching
-    further in than a twentieth of its outer edge is rejected because the
-    asymptotic power law has not set in there.  A window holding fewer
-    than 10 rows of the sample grid by the length rule (window_rows)
-    raises WindowTooNarrow.
+    too; another window is fitted afresh by fit_tail on the dense output.
+    A window reaching further in than a twentieth of its outer edge is
+    rejected because the asymptotic power law has not set in there.  One
+    spanning less than a factor of 2 (r_lo > r_hi / 2), the verdict's own
+    shape, raises WindowTooNarrow.
     """
     if not isinstance(traj.verdict, EntirePositive):
         raise ValueError("growth classification needs an EntirePositive verdict")
-    if traj.dense is None:
-        raise ValueError("growth classification needs the dense output")
     r_end = traj.r_end
     window = (r_end / 2.0, r_end) if fit_window is None else fit_window
     r_lo, r_hi = float(window[0]), float(window[1])
@@ -563,9 +556,8 @@ def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
         raise ValueError(f"window end {r_hi} beyond trajectory end {r_end}")
     if r_lo < r_hi / 20.0 - 1e-9 * r_hi:
         raise ValueError("window reaches too far in: need r_lo >= r_hi / 20")
-    n_in = window_rows(traj, r_lo, r_hi)
-    if n_in < 10:
-        raise WindowTooNarrow(f"only {n_in} samples in [{r_lo}, {r_hi}]")
+    if not r_lo <= r_hi / 2.0:
+        raise WindowTooNarrow(f"window [{r_lo}, {r_hi}] spans less than a factor of 2")
     return traj.verdict.tail if fit_window is None else fit_tail(traj.dense, (r_lo, r_hi))
 
 
@@ -579,7 +571,7 @@ def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -
 
     Reconstructs w = Lap^level u from w(0) plus the double integral
     int_0^r t^-2 int_0^t s^2 (Lap w)(s) ds dt (radial_double_integral) on
-    the sample grid, and returns the max defect relative to sup |w|.
+    the output rows, and returns the max defect relative to sup |w|.
     The top level uses Lap^m u = -u^p for the integrand.
     """
     m = traj.spec.m
@@ -621,12 +613,10 @@ def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
     """Max relative defect |Lap^m u + u^p| of the interpolated solution.
 
     Uses the dense output's derivative for (w')' so nothing is differenced
-    numerically; normalised pointwise by max(1, |u^p|).  The sample rows
-    in [r_lo, r_hi] (default: all) are checked, except r = 0, where 2/r is
-    singular.
+    numerically; normalised pointwise by max(1, |u^p|).  The radii of the
+    output rows in [r_lo, r_hi] (default: all) are checked, except r = 0,
+    where 2/r is singular.
     """
-    if traj.dense is None:
-        raise ValueError("trajectory has no dense output (not built by integrate)")
     lo = 0.0 if r_lo is None else r_lo
     hi = traj.dense.r_hi if r_hi is None else min(r_hi, traj.dense.r_hi)
     mask = (traj.r > 0.0) & (traj.r >= lo) & (traj.r <= hi)

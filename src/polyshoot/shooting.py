@@ -63,13 +63,13 @@ def is_entire(traj: Trajectory) -> bool:
     """Horizon reached, u above floor, and Lap^{m-1} u positive throughout.
 
     The top slot w = Lap^{m-1} u falls strictly (w' = -r^-2 int s^2 u^p <
-    0), so its least sample is the last one, read off the dense output
-    without building the rows; a sign change between samples is an event.
+    0), so its least value is the one at the horizon, the end state
+    (Trajectory.end); a sign change on the way is an event.
     """
     if not isinstance(traj.verdict, EntirePositive):
         return False
     m = traj.spec.m
-    if traj.state(-1).lap(m - 1) <= 0.0:
+    if traj.end.lap(m - 1) <= 0.0:
         return False
     return not any(ev.kind == "lap_sign_change" and ev.level == m - 1
                    for ev in traj.events)
@@ -83,11 +83,11 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     estimates w_inf with O(r^-7) error.  This removes the O(1/r_max)
     horizon bias that a bare sign check of w(r_max) carries, which is what
     makes the critical-datum refinement horizon-robust.  The state is the
-    last sample row's, read off the dense output.
+    end state (Trajectory.end), at the horizon.
     """
     m = traj.spec.m
-    last = traj.state(-1)
-    return last.lap(m - 1) + last.r * last.lap_deriv(m - 1)
+    end = traj.end
+    return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
 
 
 def _entire(traj: Trajectory) -> bool:
@@ -328,7 +328,7 @@ def _critical_balance(traj: Trajectory) -> tuple:
     """
     r_hi = traj.dense.r_hi
     partial, _ = dense_quadrature(traj, lambda dr, r, u: dr * r * (1.0 - r / r_hi) * u ** -3.0)
-    return traj.state(-1).lap(2), partial
+    return traj.end.lap(2), partial
 
 
 def critical_eps_residual(ce: CriticalEps,
@@ -367,7 +367,7 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
         traj = integrate(spec, jet_m2(rho), cfg)
         entire = is_entire(traj)
         if entire and guard and rho < -tol_b:
-            gap = profile.eval(traj.r_end, 2) - traj.state(-1).lap(1)
+            gap = profile.eval(traj.r_end, 2) - traj.end.lap(1)
             required = 2.0 / gap if gap > 0 else float("inf")
             raise HorizonTooShort(
                 f"rho={rho:.6g} < -tol_b classified entire at horizon "

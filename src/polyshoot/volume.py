@@ -24,8 +24,8 @@ and sharpens the tail well below the quadrature error.
 
 err_estimate covers the quadrature and the tail model only, not the
 error of the integration that produced the dense output.  On the two
-closed-form profiles at rel_tol 1e-6 to 1e-10 it still exceeded the whole
-error, by 1.2 to 1600 times.
+closed-form profiles at rel_tol 1e-6 to 1e-10 (r_max 1e3, abs_tol =
+rel_tol / 100) it still exceeded the whole error, by 10 to 2000 times.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Collapsed, EntirePositive, EquationSpec, Jet, Trajectory
-from .errors import DivergentTail, UndefinedVolume, WindowTooNarrow
+from .errors import DivergentTail, UndefinedVolume
 from . import integrator
 from .integrator import PowerTail
 
@@ -119,13 +119,11 @@ def dense_quadrature(traj: Trajectory, integrand):
 def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
     """Conformal volume of an entire trajectory, from its dense output.
 
-    Collapsed and inconclusive trajectories, and trajectories without a
-    dense output, have no defined volume and raise UndefinedVolume.  The
-    tail is the verdict's fit (EntirePositive.tail); a fit window holding
-    fewer than 10 sample rows by the length rule (integrator.window_rows)
-    raises WindowTooNarrow.  The error
-    estimate adds the per-step quadrature comparison of the core (floored
-    at the summation rounding level) to the tail-fit residual and the
+    Collapsed and inconclusive trajectories have no defined volume and
+    raise UndefinedVolume.  The tail is the verdict's fit
+    (EntirePositive.tail), so no output row is read.  The error estimate
+    adds the per-step quadrature comparison of the core (floored at the
+    summation rounding level) to the tail-fit residual and the
     next-order tail-model term, both propagated through the closed form; it
     leaves out the integration error of the dense output itself.
     """
@@ -133,8 +131,6 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
         raise UndefinedVolume("volume is undefined for a collapsed trajectory")
     if not isinstance(traj.verdict, EntirePositive):
         raise UndefinedVolume(f"volume needs an entire trajectory, got {traj.verdict}")
-    if traj.dense is None:
-        raise UndefinedVolume("volume needs the trajectory's dense output")
     if spec.m != traj.spec.m:
         raise ValueError("spec/trajectory order mismatch")
     ve = spec.vol_exponent
@@ -143,9 +139,6 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
     core_err = max(core_err, 1e-13 * abs(core))
 
     r_end, fit = traj.r_end, traj.verdict.tail
-    n_in = integrator.window_rows(traj, *fit.window)
-    if n_in < 10:
-        raise WindowTooNarrow(f"only {n_in} samples in tail window [{fit.window[0]}, {fit.window[1]}]")
     tail = power_tail(fit.coeff, fit.gamma, ve, r_end, fit.correction)
     tail_lead = power_tail(fit.coeff, fit.gamma, ve, r_end)
     if tail < 0.0:

@@ -35,6 +35,11 @@ def test_parse_range():
             parse_range(text)
     with pytest.raises(UsageError, match="range '0:1e300:1e-300' has too many points"):
         parse_range("0:1e300:1e-300")
+    # a finite count above 1e6 points is refused before any point is listed
+    for text in ("0:1e12:1", "0:1000000:1"):
+        with pytest.raises(UsageError, match=f"range '{text}' has too many points"):
+            parse_range(text)
+    assert len(parse_range("0:999999:1")) == 10 ** 6
 
 
 def test_verify_m2(tmp_path, capsys):
@@ -310,12 +315,58 @@ def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, fl
     assert "usage error:" in capsys.readouterr().err
 
 
-def test_horizon_below_one_stride_is_inconclusive(tmp_path, capsys):
-    # a valid config: the horizon is too short for the growth fit
+def test_horizon_below_one_stride_is_entire(tmp_path, capsys):
+    # the stride places the output rows only: the rows are 0 and the
+    # horizon, and the verdict is the one a finer stride gives
     out = tmp_path / "t.csv"
-    assert main(["shoot", "--rho", "0.5", "--r-max", "1e-4", "--out", str(out)]) == 3
-    assert "too short" in out.read_text().splitlines()[-1]
+    assert main(["shoot", "--rho", "0.5", "--r-max", "1e-4", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [float(ln.split(",")[0]) for ln in lines[-3:-1]] == [0.0, 1e-4]
+    assert lines[-1].startswith("# verdict,EntirePositive,")
     assert "usage error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["critical-eps", "--k", "10"], ["shoot", "--rho", "0"]])
+def test_stride_over_the_row_cap_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # 1e9 and 1e10 rows at the default horizons: refused before any
+    # integration, where a critical probe once asked for 7.45 GiB
+    def refuse(*args):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "dense_output_stride": 1e-7}))
+    assert main([*argv, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "dense_output_stride" in err
+
+
+def test_sweep_pool_no_larger_than_the_points(tmp_path, monkeypatch):
+    # the pool forks every worker it is given on the first submit, so
+    # --jobs 5000 on three points must ask for three; this one starts none
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", "5000",
+                 "--r-max", "50", "--out", str(out)]) == 0
+    assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", "2",
+                 "--r-max", "50", "--out", str(out)]) == 0
+    assert sizes == [3, 2]
 
 
 @pytest.mark.parametrize("m, horizon", [(2, 1e3), (3, 1e2)])
@@ -358,6 +409,9 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["sweep", "--m", "2", "--rho", "0:1e300:1e-300"],
     ["sweep", "--m", "2", "--rho", "0:1:inf"],
     ["sweep", "--m", "3", "--k", "10", "--eps", "0:1:nan"],
+    ["shoot", "--m", "3", "--k", "-5", "--eps", "1"],  # u(0) <= 0
+    ["shoot", "--jet=-1,0"],
+    ["sweep", "--rho=-3:-2:1", "--jobs", "1"],
 ])
 def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))

@@ -407,22 +407,24 @@ def test_trajectory_invariants(traj_u0_50):
     traj_u0_50.validate()
     assert traj_u0_50.r[0] == 0.0
     assert np.all(traj_u0_50.y[0, 1::2] == 0.0)
-    st0 = traj_u0_50.state(0)
-    assert st0.u == traj_u0_50.jet.u0
-    assert st0.lap(1) == pytest.approx(traj_u0_50.jet.lap_values[1])
+    assert traj_u0_50.y[0, 0] == traj_u0_50.jet.u0
+    assert traj_u0_50.y[0, 2] == pytest.approx(traj_u0_50.jet.lap_values[1])
+    end = traj_u0_50.end
+    assert end.r == traj_u0_50.r[-1] == 50.0 and np.array_equal(end.y, traj_u0_50.y[-1])
 
 
 _BROKEN_TRAJECTORY = """
 import numpy as np
 from polyshoot import EntirePositive, EquationSpec, Jet
 from polyshoot.core import Trajectory
-from polyshoot.integrator import PowerTail
+from polyshoot.integrator import DenseSolution, PowerTail
 
-r = np.array([0.0, 2.0, 1.0])   # not increasing
-y = np.ones((3, 4))
-y[0, 1::2] = 0.0
-traj = Trajectory(spec=EquationSpec.for_order(2), jet=Jet((1.0, 1.0)), r=r,
-                  y=y, verdict=EntirePositive(PowerTail(1.0, 1.0, 0.0, (1.0, 2.0), 0.0)),
+cs = np.zeros((1, 2, 25))
+cs[0, :, 0] = 1.0
+traj = Trajectory(spec=EquationSpec.for_order(2), jet=Jet((1.0, 1.0)),
+                  dense=DenseSolution([0.0], [2.0], cs),
+                  radii=lambda: np.array([0.0, 2.0, 1.0]),   # not increasing
+                  verdict=EntirePositive(PowerTail(1.0, 1.0, 0.0, (1.0, 2.0), 0.0)),
                   r_end=2.0)
 """
 

@@ -25,11 +25,13 @@ from polyshoot import (
 )
 from polyshoot import integrator
 from polyshoot.core import Trajectory, _series
-from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, PowerTail, _try_step,
-                                  _wall_distance, radial_double_integral, sample_radii,
-                                  window_rows)
-from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
-                                jet_m2, jet_m3, lap_limit_estimate)
+from polyshoot.cli import _sweep_point
+from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, DenseSolution, PowerTail,
+                                  _try_step, _wall_distance, radial_double_integral,
+                                  sample_radii)
+from polyshoot.shooting import (collapse_boundary_m2, critical_eps, critical_eps_residual,
+                                default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate,
+                                prescribe_volume)
 from polyshoot.volume import volume, volume_of_jet
 
 from conftest import common_grid
@@ -154,7 +156,8 @@ def test_growth_window_validation(traj_u0_50):
     with pytest.raises(ValueError):
         classify_growth(traj_u0_50, (1.0, 50.0))    # reaches too far in
     with pytest.raises(WindowTooNarrow):
-        classify_growth(traj_u0_50, (49.98, 50.0))  # too few samples
+        classify_growth(traj_u0_50, (49.98, 50.0))  # spans less than a factor of 2
+    assert classify_growth(traj_u0_50, (25.0, 50.0)) == traj_u0_50.verdict.growth_exponent
     collapsed = integrate(
         EquationSpec_for_order2(), Jet((0.3, 5.9)), IntegratorConfig(r_max=100.0))
     with pytest.raises(ValueError):
@@ -172,16 +175,18 @@ def test_formula1_u0(traj_u0_50):
 
 
 def test_formula1_constant_laplacian(spec2):
-    # synthetic trajectory with lap u = c exactly: u = 1 + c r^2/6
+    # synthetic trajectory with lap u = c exactly: u = 1 + c r^2/6, one
+    # step over [0, 10] in theta = r / 10
     c = 0.8
-    r = np.linspace(0.0, 10.0, 2001)
-    y = np.zeros((r.size, 4))
-    y[:, 0] = 1.0 + c * r ** 2 / 6.0
-    y[:, 1] = c * r / 3.0
-    y[:, 2] = c
-    traj = Trajectory(spec=spec2, jet=Jet((1.0, c)), r=r, y=y,
+    cs = np.zeros((1, 2, _ORDER + 1))
+    cs[0, 0, [0, 2]] = 1.0, c * 100.0 / 6.0
+    cs[0, 1, 0] = c
+    traj = Trajectory(spec=spec2, jet=Jet((1.0, c)), dense=DenseSolution([0.0], [10.0], cs),
+                      radii=lambda: np.linspace(0.0, 10.0, 2001),
                       verdict=EntirePositive(PowerTail(2.0, c / 6.0, 6.0 / c, (5.0, 10.0), 0.0)),
                       r_end=10.0)
+    assert np.array_equal(traj.y[:, 3], np.zeros(2001))
+    assert np.max(np.abs(traj.y[:, 1] - c * traj.r / 3.0)) <= 1e-15
     assert formula1_check(traj, 0) < 1e-13
 
 
@@ -298,6 +303,12 @@ def test_config_validation():
     for steps in (0, 2.5, -1.0):
         with pytest.raises(ValueError, match="max_steps"):
             IntegratorConfig(max_steps=steps)
+    # at most 1e7 sample rows, r_max / dense_output_stride
+    assert IntegratorConfig(r_max=1e3, dense_output_stride=1e-4).dense_output_stride == 1e-4
+    for kw in ({"dense_output_stride": 1e-7}, {"r_max": 1e4, "dense_output_stride": 9e-4},
+               {"r_max": 1e300, "dense_output_stride": 1e-300}):
+        with pytest.raises(ValueError, match="dense_output_stride"):
+            IntegratorConfig(**kw)
     assert IntegratorConfig(max_steps=1e5).max_steps == 100_000  # JSON's 1e5
 
 
@@ -307,7 +318,6 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         IntegratorConfig(**{field: value})
-
 
 # One case per way integrate() can end: horizon, m=2 and m=3 wall closure
 # (the wall estimates agree), floor crossing located by bisection (a floor
@@ -365,7 +375,7 @@ def test_samples_end_on_the_horizon(u0, r_max, stride):
     # multiple within 1e-9 max(1, r_max) below it (1000 * 0.1) becomes it
     traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
                      IntegratorConfig(r_max=r_max, dense_output_stride=stride))
-    assert traj.state(-1).r == r_max  # what is_entire and lap_limit_estimate read
+    assert traj.end.r == r_max  # what is_entire and lap_limit_estimate read
     assert traj.r[-1] == r_max
     assert np.all(np.diff(traj.r) > 1e-9 * max(1.0, r_max))
     assert len(traj) == math.ceil((r_max - 1e-9 * max(1.0, r_max)) / stride) + 1
@@ -418,28 +428,15 @@ def _reference_radii(stride, r_max, r_last, collapsed):
 
 @settings(max_examples=300, deadline=None)
 @given(stride=st.sampled_from([1e-3, 3e-3, 1e-2, 0.1, 0.3, 1.0 / 3.0, 0.7]),
-       r_max=st.floats(0.01, 200.0), frac=st.floats(0.0, 1.2),
-       collapsed=st.booleans(), window=st.tuples(st.floats(-1.0, 250.0),
-                                                 st.floats(0.0, 250.0)))
-@example(stride=0.1, r_max=0.3, frac=1.0, collapsed=False, window=(0.1, 0.3))
-@example(stride=0.01, r_max=30.0, frac=0.5, collapsed=True, window=(3.75, 15.0))
-@example(stride=0.1, r_max=100.00000005, frac=1.0, collapsed=False, window=(99.95, 100.0))
-def test_sample_rows_count_without_building(stride, r_max, frac, collapsed, window):
-    # the length rule counts the rows of a window inside the grid to within
-    # one, reading neither the grid nor the rows
+       r_max=st.floats(0.01, 200.0), frac=st.floats(0.0, 1.2), collapsed=st.booleans())
+@example(stride=0.1, r_max=0.3, frac=1.0, collapsed=False)
+@example(stride=0.01, r_max=30.0, frac=0.5, collapsed=True)
+@example(stride=0.1, r_max=100.00000005, frac=1.0, collapsed=False)
+def test_sample_rows_count_without_building(stride, r_max, frac, collapsed):
+    # the row radii without building a whole grid equal those cut from one
     r_last = max(1e-3, frac * r_max) if frac < 1.0 else r_max * frac
     want = _reference_radii(stride, r_max, r_last, collapsed and frac < 1.0)
     assert np.array_equal(sample_radii(stride, r_max, r_last, collapsed and frac < 1.0), want)
-
-    def refuse():
-        raise AssertionError("sample grid built")
-
-    traj = Trajectory(EquationSpec.for_order(2), Jet((1.0, 0.0)), verdict=Inconclusive("-"),
-                      r_end=r_max, radii=refuse, stride=stride)
-    lo, hi = sorted(min(max(x, 0.0), want[-1]) for x in window)
-    for lo_, hi_ in ((lo, hi), (want[-1] / 4.0, want[-1]), (want[len(want) // 2], want[-1])):
-        rows = np.count_nonzero((want >= lo_) & (want <= hi_))
-        assert abs(window_rows(traj, lo_, hi_) - rows) <= 1
 
 
 _GUARD_STRIDES = (0.01, 0.1, 1.0 / 3.0, 0.7)
@@ -450,13 +447,18 @@ _GUARD_STRIDES = (0.01, 0.1, 1.0 / 3.0, 0.7)
     for r in (s * (1 - 1e-12), s * (1 + 1e-12), s + 2e-9 * max(1.0, s), 1.2 * s,
               4.0 / 3.0 * s, 2.0 * s)])
 def test_short_horizon_guard_is_the_row_rule(u0, stride, r_max):
-    # Inconclusive exactly when the growth-fit window [r_max/2, r_max] of
-    # the sample grid holds fewer than 2 rows
-    traj = integrate(EquationSpec.for_order(2), _m2_jet(u0, 0.0),
-                     IntegratorConfig(r_max=r_max, dense_output_stride=stride))
-    grid = _reference_radii(stride, r_max, r_max, False)
-    n_fit = np.count_nonzero((grid >= r_max / 2.0) & (grid <= r_max))
-    assert isinstance(traj.verdict, Inconclusive) == (n_fit < 2)
+    # A horizon within a stride or two was once Inconclusive when the row
+    # rule left fewer than 2 rows in the fit window.  The row rule now
+    # places the rows only: 0, the multiples of the stride below the
+    # horizon, and the horizon; the verdict, its fit and the end state
+    # are those of a fine stride.
+    spec, jet = EquationSpec.for_order(2), _m2_jet(u0, 0.0)
+    traj = integrate(spec, jet, IntegratorConfig(r_max=r_max, dense_output_stride=stride))
+    fine = integrate(spec, jet, IntegratorConfig(r_max=r_max, dense_output_stride=r_max / 100))
+    assert isinstance(traj.verdict, EntirePositive) and traj.verdict == fine.verdict
+    assert traj.end.r == fine.end.r == r_max and np.array_equal(traj.end.y, fine.end.y)
+    assert np.array_equal(traj.r, _reference_radii(stride, r_max, r_max, False))
+    assert len(fine) == 101
 
 
 def test_trajectory_without_an_accepted_step(u0, monkeypatch):
@@ -471,7 +473,7 @@ def test_trajectory_without_an_accepted_step(u0, monkeypatch):
     want = np.array([jet.lap_values[0], 0.0, jet.lap_values[1], 0.0])
     assert len(traj) == 1 and np.array_equal(traj.r, [0.0])
     assert np.array_equal(traj.y, [want])
-    assert traj.state(0).r == 0.0 and np.array_equal(traj.state(0).y, want)
+    assert traj.end.r == 0.0 and np.array_equal(traj.end.y, want)
     assert traj.dense.r_hi == 0.0
     with pytest.raises(ValueError):
         traj.dense(0.0)
@@ -512,19 +514,20 @@ def test_rows_built_on_first_read(u0, ending, monkeypatch):
     m, param, cfg_kw, kind = _ENDINGS[ending]
     jet = _m2_jet(u0, param) if m == 2 else Jet(param)
     traj = integrate(EquationSpec.for_order(m), jet, IntegratorConfig(**cfg_kw))
-    n, first, last = len(traj), traj.state(0), traj.state(-1)
-    windows = [(traj.r_end / 4.0, traj.r_end), (traj.r_end / 2.0, traj.r_end),
-               (0.0, min(0.05, traj.r_end))]
-    counts = [window_rows(traj, lo, hi) for lo, hi in windows]
+    n, end = len(traj), traj.end
     copy = pickle.loads(pickle.dumps(traj))
     assert builds == []
     r, y = traj.r, traj.y
     assert builds == [1] and traj.y is y  # built once, then kept
     assert len(traj) == n == r.shape[0] == y.shape[0]
-    for count, (lo, hi) in zip(counts, windows):
-        assert abs(count - np.count_nonzero((r >= lo) & (r <= hi))) <= 1
-    assert (first.r, last.r) == (r[0], r[-1])
-    assert np.array_equal(first.y, y[0]) and np.array_equal(last.y, y[-1])
+    assert r[0] == 0.0 and np.array_equal(y[0], traj.jet.origin_state)
+    # the end state is the last row, except where the step budget ran out
+    # between two rows: then it is at the last radius reached, past r[-1]
+    assert np.array_equal(end.y, traj.dense(end.r))
+    if kind is Inconclusive:
+        assert r[-1] < end.r == traj.dense.r_hi
+    else:
+        assert end.r == r[-1] and np.array_equal(end.y, y[-1])
     assert np.array_equal(copy.r, r) and np.array_equal(copy.y, y)
 
 
@@ -565,7 +568,6 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
             fit_growth(traj)
             volume(spec3, traj)
             ode_residual_max(traj)
-            window_rows(traj, 0.0, traj.r_end)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
     # cold critical-datum solves, their volumes and critical balances, down
@@ -575,6 +577,33 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
     assert critical_eps_residual(ce).partial_integral == ce.partial_integral > 0.9
     longer = critical_eps_residual(ce, default_config(3, r_max=150.0))
     assert longer.horizon == 150.0 and ce.partial_integral < longer.partial_integral < 1.0
+
+
+def test_solves_build_no_row_radii(monkeypatch):
+    # no solve places an output row: with the sample grid refused, the
+    # critical datum, prescribed volumes, the collapse boundary and a sweep
+    # point still come out; each reads a probe's end state once
+    def refuse(*args):
+        raise AssertionError("sample grid built")
+
+    monkeypatch.setattr(integrator, "sample_radii", refuse)
+    spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
+    assert critical_eps(10.0).width <= 1e-6
+    assert prescribe_volume(spec2, 10.0).rel_err <= 1e-3
+    assert prescribe_volume(spec3, 50.0).rel_err <= 1e-3
+    assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
+    assert -1e-3 <= collapse_boundary_m2() <= 0.0
+    assert _sweep_point((2, default_config(2), 0.5, jet_m2(0.5).lap_values))[1] == "EntirePositive"
+
+    traj = integrate(spec3, jet_m3(10.0, 3.0), default_config(3))
+    calls = []
+    evaluate = DenseSolution.__call__
+    monkeypatch.setattr(DenseSolution, "__call__",
+                        lambda self, *a, **kw: calls.append(1) or evaluate(self, *a, **kw))
+    assert traj.end is traj.end and calls == [1]
+    assert lap_limit_estimate(traj) > 0.0 and is_entire(traj) and calls == [1]
+    with pytest.raises(AssertionError, match="sample grid"):
+        len(traj)
 
 
 @pytest.mark.parametrize("ending", ["wall_closure", "m3_wall_closure", "floor_crossing"])
@@ -624,11 +653,13 @@ def test_stride_does_not_change_stepping(u0, m3, a, k):
             assert traj.stats[key] == first.stats[key]
 
 
-def test_too_short_horizon_is_inconclusive(spec2, u0):
-    # [r_end/2, r_end] = [0.0025, 0.005] holds only the horizon sample
+def test_horizon_below_one_stride_is_entire(spec2, u0):
+    # the stride (0.01) places the rows only: a horizon below it has the
+    # rows 0 and r_max, and its fit on [0.0025, 0.005] sees u still flat
     traj = integrate(spec2, u0.jet(), IntegratorConfig(r_max=0.005))
-    assert isinstance(traj.verdict, Inconclusive)
-    assert "growth-fit window" in traj.verdict.reason
+    assert isinstance(traj.verdict, EntirePositive)
+    assert abs(traj.verdict.growth_exponent) < 1e-3
+    assert np.array_equal(traj.r, [0.0, 0.005])
 
 
 # --- the scalar series step against the NumPy matrix form of its relations --

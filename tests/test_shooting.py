@@ -131,25 +131,25 @@ def test_critical_eps_integration_count(monkeypatch):
 
 
 def test_critical_eps_reads_each_end_state_once(monkeypatch):
-    # a probe reads the end state of an entire integration once for
-    # is_entire and once for w_inf, and the solve once more for the
-    # critical balance; a collapse's end state is never read
+    # is_entire, w_inf and the critical balance share one read of an
+    # entire integration's end state; a collapse's is never read, and
+    # neither are the rows
     entire, reads = [], []
-    integrate_, state = shooting.integrate, Trajectory.state
+    integrate_, states = shooting.integrate, Trajectory._states
 
     def counting_integrate(*args, **kwargs):
         traj = integrate_(*args, **kwargs)
         entire.append(isinstance(traj.verdict, EntirePositive))
         return traj
 
-    def counting_state(self, i):
-        reads.append(i)
-        return state(self, i)
+    def counting_states(self, r):
+        reads.append(r)
+        return states(self, r)
 
     monkeypatch.setattr(shooting, "integrate", counting_integrate)
-    monkeypatch.setattr(Trajectory, "state", counting_state)
+    monkeypatch.setattr(Trajectory, "_states", counting_states)
     critical_eps(10.0, bracket_tol=1e-3)
-    assert 0 < len(reads) <= 2 * sum(entire) + 1
+    assert 0 < len(reads) <= sum(entire) and all(np.ndim(r) == 0 for r in reads)
 
 
 def test_envelope_at_entire_end(ce10):

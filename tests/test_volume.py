@@ -19,7 +19,7 @@ from polyshoot import (
     volume_of_jet,
 )
 from polyshoot.core import Trajectory
-from polyshoot.integrator import DenseSolution, PowerTail, fit_tail, window_rows
+from polyshoot.integrator import DenseSolution, fit_tail
 from polyshoot.shooting import default_config
 
 
@@ -52,41 +52,26 @@ def test_power_tail_closed_form():
 
 
 def test_divergent_tail_on_flat_synthetic(spec3):
-    # flat dense output: every step's polynomials are constants
-    r = np.linspace(0.0, 100.0, 5001)
-    y = np.zeros((r.size, 6))
-    y[:, 0] = 2.0   # flat profile: gamma ~ 0, integral diverges
-    y[:, 4] = 1.0
+    # flat dense output: every step's polynomials are constants, u = 2
+    # (gamma ~ 0, the integral diverges), Lap^2 u = 1
     edges = np.linspace(0.0, 100.0, 101)
     cs = np.zeros((100, 3, 25))
-    cs[:, :, 0] = y[0, 0::2]
+    cs[:, :, 0] = 2.0, 0.0, 1.0
     dense = DenseSolution(edges[:-1], edges[1:], cs)
-    traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
+    traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)),
                       verdict=EntirePositive(fit_tail(dense, (50.0, 100.0))), r_end=100.0,
-                      dense=dense)
+                      dense=dense, radii=lambda: np.linspace(0.0, 100.0, 5001))
     with pytest.raises(DivergentTail):
-        volume(spec3, traj)
-
-
-def test_volume_needs_dense_output(spec3):
-    r = np.linspace(0.0, 100.0, 5001)
-    y = np.zeros((r.size, 6))
-    y[:, 0] = 2.0
-    traj = Trajectory(spec=spec3, jet=Jet((2.0, 0.0, 1.0)), r=r, y=y,
-                      verdict=EntirePositive(PowerTail(0.0, 2.0, 0.0, (50.0, 100.0), 0.0)),
-                      r_end=100.0)
-    with pytest.raises(UndefinedVolume, match="dense output"):
         volume(spec3, traj)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_volume_leaves_the_rows_unbuilt(u0, m):
-    # the tail window is checked by its length against the stride
+    # neither the row radii nor the rows are built
     spec = EquationSpec.for_order(m)
     jet = jet_offset(u0, 0.5) if m == 2 else Jet((10.0, 1.0, 1.0))
     traj = integrate(spec, jet, IntegratorConfig(r_max=1000.0 if m == 2 else 100.0))
     assert volume(spec, traj).total > 0
-    assert window_rows(traj, traj.r_end / 2.0, traj.r_end) == (50_001 if m == 2 else 5_001)
     assert traj._r is None and traj._y is None
 
 
