@@ -17,6 +17,7 @@ quantity whose positivity characterises entire solutions for both orders).
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import math
 import os
@@ -90,15 +91,9 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
 
 
-def _entire(traj: Trajectory) -> bool:
-    """Critical-datum classifier: is_entire is not enough, since a
-    supercritical trajectory can outlive the horizon; w_inf must stay > 0."""
-    return is_entire(traj) and lap_limit_estimate(traj) > 0.0
-
-
 class Probe(NamedTuple):
-    """One evaluation: the end it replaces, an optional finite residual
-    (> 0 on the lo side, <= 0 on the hi side) and what the caller keeps."""
+    """One evaluation: the end it replaces, what the caller keeps, and an
+    optional finite residual, > 0 on the lo side and <= 0 on the hi side."""
 
     lo_side: bool
     residual: Optional[float]
@@ -124,43 +119,40 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
                    stop: Optional[Callable[[Bracket], bool]] = None) -> Bracket:
     """Shrink b in place until its width is <= tol or stop(b) holds.
 
-    A round evaluates Illinois false position when both ends carry a
-    residual (Dowell & Jarratt 1971), else the zero of the secant through
-    the two latest lo-side residuals (once per new lo-side point, if within
-    tol/2 of the bracket), else the midpoint, clamped tol/2 inside so that a
-    converged estimate steps across the root.  After two guesses in a row
-    that fail to halve the width a round bisects (Brent 1973).
+    Brent's zeroin (Brent 1973, ch. 4).  A round steps from best, the end
+    of smaller |residual| (none counts as infinite), toward the other end,
+    to the zero of the inverse interpolant through the nodes that carry a
+    residual: the two ends, plus the end the last probe replaced if that
+    probe is best (three nodes: inverse quadratic; two: the secant).  It
+    bisects when fewer than two nodes carry one, when the step leaves the
+    3/4 of the bracket next to best, or when it is not under half the step
+    before last.  A step under tol/2 is made tol/2 toward the other end, so
+    that a converged estimate steps across the root.
     """
-    f = {True: b.at_lo.residual, False: b.at_hi.residual}  # Illinois weights
-    lo_points = [(b.lo, f[True])] if f[True] is not None else []
-    secant_after, last_side, stalls = 2, None, 0
+    def size(end):
+        return math.inf if end[1].residual is None else abs(end[1].residual)
+
+    replaced, e, d = (None, None), b.width, b.width  # e, d: the step before last, last
     while b.width > tol and not (stop is not None and stop(b)):
-        width = b.width
-        x = mid = 0.5 * (b.lo + b.hi)
-        if stalls < 2 and None not in (f[True], f[False]) and f[True] != f[False]:
-            x = b.lo + width * f[True] / (f[True] - f[False])
-        elif stalls < 2 and len(lo_points) >= secant_after:
-            (x1, f1), (x2, f2) = lo_points[-2:]
-            secant_after = len(lo_points) + 1  # once per new lo-side point
-            guess = x2 - f2 * (x2 - x1) / (f2 - f1) if f1 != f2 else x
-            if b.lo - tol / 2 <= guess <= b.hi + tol / 2:  # else bisect
-                x = guess
-        x = min(max(x, b.lo + tol / 2), b.hi - tol / 2)
+        ends = [(b.lo, b.at_lo), (b.hi, b.at_hi)]
+        (best, _), (other, _) = sorted(ends, key=size)
+        if replaced[0] == best:  # Brent's third node
+            ends.append(replaced[1])
+        nodes = [(x, p.residual) for x, p in ends if p.residual is not None]
+        fs, step = [f for _, f in nodes], None
+        if len(set(fs)) == len(fs) > 1:  # distinct: the inverse Lagrange interpolant at 0
+            step = sum((x - best) * math.prod(fj / (fj - f) for fj in fs if fj != f)
+                       for x, f in nodes)
+        if step is None or not (0.0 <= step / (other - best) < 0.75 and abs(step) < abs(e) / 2):
+            step = d = 0.5 * (b.lo + b.hi) - best  # bisect
+        e, d = d, step
+        x = min(max(best + step, b.lo + tol / 2), b.hi - tol / 2)
         probe = evaluate(x)
         b.rounds += 1
-        side = probe.lo_side
-        if side:
-            b.lo, b.at_lo = x, probe
-            if probe.residual is not None:
-                lo_points.append((x, probe.residual))
+        if probe.lo_side:
+            replaced, b.lo, b.at_lo = (x, (b.lo, b.at_lo)), x, probe
         else:
-            b.hi, b.at_hi = x, probe
-        if side == last_side and f[not side] is not None:
-            f[not side] *= 0.5  # Illinois: an end kept twice weighs half
-        f[side], last_side = probe.residual, side
-        # a midpoint halves the width, though rounding may leave it a hair
-        # over; only a guess that fails to halve it is a stall
-        stalls = stalls + 1 if b.width > 0.5 * width and x != mid else 0
+            replaced, b.hi, b.at_hi = (x, (b.hi, b.at_hi)), x, probe
     return b
 
 
@@ -170,7 +162,7 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries."""
 
-    SCHEMA = 8  # 8: the origin series from _series at r0 = 0
+    SCHEMA = 9  # 9: brackets from Brent's zeroin on h (_eps_probe)
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -243,6 +235,18 @@ class CriticalEps:
         return math.sqrt(6.0 * self.k / 5.0)
 
 
+def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) -> Probe:
+    """Critical-datum probe: an EntirePositive trajectory carries the residual
+    h = 1/sqrt(1 - w_inf) - 1, finite as w' < 0 gives w_inf < w(R) < w(0) = 1
+    (kept so where 1 - w_inf rounds to 0, from k near 1e8), and is on the lo
+    side iff h > 0, which implies is_entire; a collapse carries none."""
+    traj = integrate(spec, jet_m3(k, eps), cfg)
+    if not isinstance(traj.verdict, EntirePositive):
+        return Probe(False, None, traj)
+    h = 1.0 / math.sqrt(max(1.0 - lap_limit_estimate(traj), math.ulp(0.0))) - 1.0
+    return Probe(h > 0.0, h, traj)
+
+
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  bracket_tol: float = 1e-6, *, k_min: float = DEFAULT_K_MIN,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
@@ -251,8 +255,8 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     Starts from the bracket imposed by theory: eps=0 must integrate entire
     (BracketFailure otherwise, signalling k below the large-k regime at
     this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
-    short).  refine_bracket closes it to bracket_tol, with w_inf of every
-    trajectory passing is_entire as the residual; bracket_tol must be
+    short).  refine_bracket closes it to bracket_tol, with h of every
+    EntirePositive probe as the residual (_eps_probe); bracket_tol must be
     positive and finite (ValueError).  Every integration runs
     at cfg.precision; for a bracket_tol near the rounding width of eps,
     pass precision="extended" in cfg.
@@ -272,11 +276,7 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                            horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
                            cache_hit=True, **{name: hit[name] for name in EpsCache.FIELDS})
 
-    def evaluate(eps):
-        traj = integrate(spec, jet_m3(k, eps), cfg)
-        w_inf = lap_limit_estimate(traj) if is_entire(traj) else None
-        return Probe(w_inf is not None and w_inf > 0.0, w_inf, traj)
-
+    evaluate = functools.partial(_eps_probe, spec, k, cfg=cfg)
     b = Bracket(0.0, eps_cap, evaluate(0.0), evaluate(eps_cap))
     if not b.at_lo.lo_side:
         raise BracketFailure(
@@ -515,8 +515,8 @@ def smallest_valid_k(cfg: Optional[IntegratorConfig] = None,
     spec = EquationSpec.for_order(3)
     detail = []
     for k in k_grid:
-        lo_ok = _entire(integrate(spec, jet_m3(k, 0.0), cfg))
-        hi_ok = not _entire(integrate(spec, jet_m3(k, math.sqrt(6.0 * k / 5.0)), cfg))
+        lo_ok = _eps_probe(spec, k, 0.0, cfg).lo_side
+        hi_ok = not _eps_probe(spec, k, math.sqrt(6.0 * k / 5.0), cfg).lo_side
         detail.append({"k": k, "eps0_entire": lo_ok,
                        "cap_collapses": hi_ok, "valid": lo_ok and hi_ok})
     return next((d["k"] for d in detail if d["valid"]), None), detail

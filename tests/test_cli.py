@@ -83,8 +83,24 @@ def test_verify_honours_config_file(tmp_path, monkeypatch):
     main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "report.json")])
     # m=2: tracking run, volume run; m=3: tracking run
     assert [cfg.r_max for cfg in seen] == [50.0, 1e3, 10.0]
-    for cfg in seen:
-        assert {name: getattr(cfg, name) for name in fields} == fields
+    # the volume reads no row, so its run keeps the default stride
+    default_stride = polyshoot.IntegratorConfig().dense_output_stride
+    volume_fields = {**fields, "dense_output_stride": default_stride}
+    for cfg, want in zip(seen, (fields, volume_fields, fields)):
+        assert {name: getattr(cfg, name) for name in fields} == want
+
+
+def test_verify_checks_only_the_horizons_it_integrates(tmp_path, capsys):
+    # 5e6 rows at the configured r_max 10, where m=3 tracks the profile;
+    # m=2 tracks it at r_max 50, where the same stride asks for 2.5e7
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "r_max": 10, "dense_output_stride": 2e-6}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--m", "3", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+    capsys.readouterr()
+    assert main(["verify", "--m", "2", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "up to r_max 50" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

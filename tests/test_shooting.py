@@ -64,8 +64,8 @@ _ANALYTIC = {
     "linear_lo_only": lambda x: (x < _ROOT, _ROOT - x if x < _ROOT else None),
     "cubic_lo_only": lambda x: (x < _ROOT, _ROOT ** 3 - x ** 3 if x < _ROOT else None),
     "classifier_only": lambda x: (x < _ROOT, None),
-    # flat at the root: false position and the secant crawl, the forced
-    # bisection keeps the worst-case bound
+    # flat at the root: the interpolants crawl, and the halving rule's
+    # bisections keep the worst-case bound
     "flat_pow9": lambda x: (x < _ROOT, (_ROOT - x) ** 9),
     "flat_exp_lo_only": lambda x: (x < _ROOT, math.exp(-1.0 / (_ROOT - x)) if x < _ROOT else None),
 }
@@ -98,7 +98,8 @@ def test_refine_bracket_analytic(case, tol):
     invariants(b)
     assert b.width <= tol
     assert b.rounds == len(points) - 2 == len(before)
-    # worst case: two rounds that fail to halve, then a bisection
+    # Brent's halving rule: a step not under half the step before last
+    # bisects, so steps that crawl cost a bisection every few rounds
     assert b.rounds <= 3 * math.ceil(math.log2(1.0 / tol))
     if not case.startswith("flat"):
         assert b.rounds <= _round_bound(1.0, tol)
@@ -117,7 +118,8 @@ def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
     assert ce.eps_star == pytest.approx(eps_bisection, abs=1e-6)
 
 
-def test_critical_eps_integration_count(monkeypatch):
+@pytest.mark.parametrize("k, bound", [(10.0, 9), (20.0, 10), (40.0, 11)])
+def test_critical_eps_integration_count(monkeypatch, k, bound):
     calls = []
     integrate_ = shooting.integrate
 
@@ -126,13 +128,40 @@ def test_critical_eps_integration_count(monkeypatch):
         return integrate_(*args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", counting)
-    critical_eps(10.0, bracket_tol=1e-6)
-    assert len(calls) <= 16  # plain bisection makes 24
+    critical_eps(k, bracket_tol=1e-6)
+    assert len(calls) <= bound  # plain bisection makes 24 at k = 10
+
+
+def test_critical_probe_side_matches_residual(monkeypatch):
+    # the one m=3 classifier: h > 0 on the lo side and only there, the lo
+    # side is entire, and a collapse carries no residual
+    probes = []
+    probe_ = shooting._eps_probe
+
+    def recording(*args, **kwargs):
+        probes.append(probe_(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(shooting, "_eps_probe", recording)
+    for k in (10.0, 20.0, 40.0):
+        critical_eps(k, bracket_tol=1e-6)
+    assert sum(p.residual is not None for p in probes) >= 20
+    assert any(p.residual is not None and not p.lo_side for p in probes)  # h <= 0
+    for p in probes:
+        assert (p.residual is None) == (not isinstance(p.payload.verdict, EntirePositive))
+        assert p.lo_side == (p.residual is not None and p.residual > 0.0)
+        assert is_entire(p.payload) or not p.lo_side
+
+
+def test_critical_probe_residual_stays_finite(spec3):
+    # 1 - w_inf rounds to 0 at eps = 0 for k near 1e8
+    p = shooting._eps_probe(spec3, 1e8, 0.0, default_config(3))
+    assert p.lo_side and math.isfinite(p.residual) and p.residual > 0.0
 
 
 def test_critical_eps_reads_each_end_state_once(monkeypatch):
-    # is_entire, w_inf and the critical balance share one read of an
-    # entire integration's end state; a collapse's is never read, and
+    # the residual h (from w_inf) and the critical balance share one read
+    # of an entire integration's end state; a collapse's is never read, and
     # neither are the rows
     entire, reads = [], []
     integrate_, states = shooting.integrate, Trajectory._states
@@ -365,8 +394,9 @@ def test_cache_concurrent_puts_keep_every_entry(tmp_path):
 
 @pytest.mark.parametrize("root", [0.6232655185893089, 0.29280804238748326, 0.0868761715425752])
 def test_midpoint_round_is_not_a_stall(root):
-    # a midpoint leaves half the width up to rounding; counting a hair over
-    # half as a stall forced a second bisection before false position
+    # with a residual at both ends, a bisection is followed by an
+    # interpolation step: the flat residual's steps are far under half the
+    # bisection's
     before, points = [], []
 
     def evaluate(x):
@@ -392,12 +422,13 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # Dormand-Prince steps and the 5-point rule, schema 6 entries from
     # series steps after a launch at a configured radius, part of the key,
     # schema 7 entries from an origin series through s = r^2, which moves
-    # the k=160 entry at the rounding level
+    # the k=160 entry at the rounding level, schema 8 entries from Illinois
+    # false position on w_inf, whose brackets Brent's zeroin on h moves
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 8
-    for schema in (3, 4, 5, 6, 7):
+    assert EpsCache.SCHEMA == 9
+    for schema in (3, 4, 5, 6, 7, 8):
         cache.path.write_text(json.dumps(
             {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
         assert cache.get(key) is None
