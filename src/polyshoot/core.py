@@ -41,6 +41,7 @@ __all__ = [
     "Collapsed",
     "EntirePositive",
     "Inconclusive",
+    "TopZero",
     "Verdict",
     "Trajectory",
     "taylor_launch",
@@ -162,7 +163,16 @@ class Inconclusive:
     reason: str
 
 
-Verdict = Union[Collapsed, EntirePositive, Inconclusive]
+@dataclass(frozen=True)
+class TopZero:
+    """The top Laplacian slot w = Lap^{m-1} u fell through zero at r_zero,
+    where a run asked to stop there ended (integrate's stop_at_top_zero).
+    w falls strictly, so w_inf < 0: the solution is not entire."""
+
+    r_zero: float
+
+
+Verdict = Union[Collapsed, EntirePositive, Inconclusive, TopZero]
 
 
 # Rows per dense-output call when the state rows are built: large enough
@@ -198,11 +208,13 @@ class Trajectory:
         r = min(self.r_end, self.dense.r_hi)
         return RadialState(r=r, y=self._states(r))
 
-    def _states(self, r):
-        """dense(r), or the jet's state where no step was accepted (r = 0)."""
+    def _states(self, r, slots=slice(None)):
+        """dense(r) in slots, or the jet's state where no step was accepted
+        (r = 0)."""
         if self.dense.r_hi:
-            return self.dense(r)
-        return np.broadcast_to(self.jet.origin_state, np.shape(r) + (self.spec.n_state,))
+            return self.dense(r, slots=slots)
+        state = np.asarray(self.jet.origin_state)[slots]
+        return np.broadcast_to(state, np.shape(r) + state.shape)
 
     @property
     def r(self) -> np.ndarray:
@@ -216,12 +228,12 @@ class Trajectory:
             self._y = self._dense_rows()
         return self._y
 
-    def _dense_rows(self) -> np.ndarray:
-        """The state rows, in blocks of _ROW_BLOCK rows."""
+    def _dense_rows(self, slots=slice(None)) -> np.ndarray:
+        """The state rows in slots, in blocks of _ROW_BLOCK rows."""
         r = self.r
-        y = np.empty((r.shape[0], self.spec.n_state))
+        y = np.empty((r.shape[0], len(range(self.spec.n_state)[slots])))
         for lo in range(0, r.shape[0], _ROW_BLOCK):
-            y[lo:lo + _ROW_BLOCK] = self._states(r[lo:lo + _ROW_BLOCK])
+            y[lo:lo + _ROW_BLOCK] = self._states(r[lo:lo + _ROW_BLOCK], slots)
         return y
 
     def __len__(self):
@@ -229,7 +241,9 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self.y[:, 0]
+        """u on the rows: the built rows' first column, or else slot 0 alone,
+        the same Horner on the same polynomials, so the same bits."""
+        return self.y[:, 0] if self._y is not None else self._dense_rows(slice(0, 1))[:, 0]
 
     def validate(self):
         """Check the structural invariants; raises ValueError on violation."""
@@ -273,6 +287,10 @@ def _series(p, r0, y, order):
 
     b_{-1} = 0, each coefficient by left-to-right sums and an exact integer
     divisor (_DIVISORS), so its bits do not depend on the loop's layout.
+    The sums are the built-in sum(), which from Python 3.12 compensates
+    float sums (Neumaier): sum([1e16, 1.0, -1e16]) is 0.0 on 3.11 and 1.0
+    on 3.12.  So the bits of a double series, like the frozen reference
+    they are tested against, hold per interpreter version.
     Callers pass u = y[0] > 0 (Jet enforces it at the origin, _try_step
     before each step); nothing is checked, and a coefficient beyond the
     floating range leaves some of them non-finite.
@@ -360,6 +378,8 @@ def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
     verdict = traj.verdict
     if isinstance(verdict, Collapsed):
         verdict = Collapsed(r_star=verdict.r_star / lam)
+    elif isinstance(verdict, TopZero):
+        verdict = TopZero(r_zero=verdict.r_zero / lam)
     elif isinstance(verdict, EntirePositive):
         t = verdict.tail
         verdict = EntirePositive(replace(

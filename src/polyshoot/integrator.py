@@ -32,6 +32,12 @@ consecutive steps, and no Laplacian slot can reach zero within s, the
 trajectory ends with r* = r + s, accurate to about abs_tol.  A step-size
 stall closes with the same estimates; a floor crossing reached first is
 bisected on the step's polynomial.
+
+Sign changes of the Laplacian slots are events located on the step's
+polynomial; they end a run only where its caller asks for it
+(stop_at_top_zero): the top slot w = Lap^{m-1} u falls strictly, so its
+first zero settles that the solution is not entire, and a root solve that
+only needs that side stops there, before any collapse.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .core import (
     EquationSpec,
     Inconclusive,
     Jet,
+    TopZero,
     Trajectory,
     _ORDER,
     _series,
@@ -280,12 +287,13 @@ def _close_on_wall(r, wall, events):
     return Collapsed(r_star=r_star), {"kind": "wall", "s": s, "disagreement": gap}
 
 
-def sample_radii(stride, r_max, r_last, collapsed):
+def sample_radii(stride, r_max, r_last, stopped):
     """The output rows' radii of an integration that reached r_last.
 
     The multiples of stride below r_max, then r_max itself, which takes the
     place of the last multiple when that lies within 1e-9 max(1, r_max) of
-    it; cut after r_last, and a collapse adds r_last as its last row.
+    it; cut after r_last, and a run that stopped there, at a collapse or a
+    top zero, adds r_last as its last row.
     """
     last = int(math.floor(r_max / stride + 1e-9))
     n_mult = last + (last * stride < r_max - 1e-9 * max(1.0, r_max))
@@ -293,7 +301,7 @@ def sample_radii(stride, r_max, r_last, collapsed):
     r *= stride  # in place: one allocation, 800 kB for a 100 001-row grid
     r[-1] = r_max
     r = r[:np.searchsorted(r, r_last, side="right")]
-    return np.append(r, r_last) if collapsed and r_last > r[-1] else r
+    return np.append(r, r_last) if stopped and r_last > r[-1] else r
 
 
 def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
@@ -353,15 +361,19 @@ def _poly_at(c, theta):
     return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
 
 
-def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory:
+def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
+              stop_at_top_zero: bool = False) -> Trajectory:
     """Integrate the radial system from the origin jet out to the horizon.
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
     EntirePositive(tail) when the horizon is reached with u above the
     floor throughout, and Inconclusive when the step budget runs out or
     the step size underflows.  Sign changes of every intermediate
-    Laplacian slot are recorded as events; they never terminate the
-    integration.
+    Laplacian slot are recorded as events.  With stop_at_top_zero the
+    first downward one of the top slot, bisected to abs_tol like every
+    event, ends the run with TopZero(r0), r_end = r0, unless a floor
+    crossing in the same step comes first; every step up to there is the
+    one the full run takes.  Without it no sign change ends the run.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses u_floor (r* bisected on the step's
@@ -437,7 +449,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
 
             # --- events inside (r, r_new] ---
             theta_tol = cfg.abs_tol / float(width)
-            terminal_theta = None
+            terminal_theta = top_theta = None
             if float(y_new[0]) < cfg.u_floor:
                 terminal_theta = _bisect_theta(
                     lambda t: float(_poly_at(c[0], num(t))) - cfg.u_floor, 0.0, 1.0, theta_tol)
@@ -450,7 +462,13 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
                     if terminal_theta is None or tc <= terminal_theta:
                         events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                             level=j, direction=-1 if s1 < s0 else 1))
+                        if stop_at_top_zero and j == spec.m - 1 and s1 < s0:
+                            top_theta = tc
 
+            if top_theta is not None:
+                r = float(r + width * num(top_theta))
+                verdict = TopZero(r_zero=r)
+                break
             if terminal_theta is not None:
                 r = float(r + width * num(terminal_theta))  # the deepest radius reached
                 events.append(Event(kind="u_floor", r_event=r, direction=-1))
@@ -482,7 +500,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig) -> Trajectory
         "closure": closure,
     }
     radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
-                              isinstance(verdict, Collapsed))
+                              isinstance(verdict, (Collapsed, TopZero)))
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
                       events=tuple(events), dense=dense, stats=stats, radii=radii)
 

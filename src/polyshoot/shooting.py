@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import oracle
-from .core import EntirePositive, EquationSpec, Jet, Trajectory
+from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
 from .integrator import IntegratorConfig, integrate
@@ -65,7 +65,8 @@ def is_entire(traj: Trajectory) -> bool:
 
     The top slot w = Lap^{m-1} u falls strictly (w' = -r^-2 int s^2 u^p <
     0), so its least value is the one at the horizon, the end state
-    (Trajectory.end); a sign change on the way is an event.
+    (Trajectory.end); a sign change on the way is an event, or ends a run
+    that stops at the top zero (TopZero), which is not entire either.
     """
     if not isinstance(traj.verdict, EntirePositive):
         return False
@@ -84,7 +85,8 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     estimates w_inf with O(r^-7) error.  This removes the O(1/r_max)
     horizon bias that a bare sign check of w(r_max) carries, which is what
     makes the critical-datum refinement horizon-robust.  The state is the
-    end state (Trajectory.end), at the horizon.
+    end state (Trajectory.end): at the horizon, or at the zero r0 of a run
+    stopped there (TopZero), where the estimate is r0 w'(r0) < 0.
     """
     m = traj.spec.m
     end = traj.end
@@ -160,9 +162,12 @@ class EpsCache:
     """JSON map from (k, integrator config, bracket_tol) to a critical bracket
     and its entire-side volume and residual.  Writes hold an exclusive
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
-    rename, so parallel table builders neither corrupt it nor lose entries."""
+    rename, so parallel table builders neither corrupt it nor lose entries.
+    A file that cannot be read, or holds JSON of another shape, is empty,
+    and an entry that is not a map of every FIELDS key is a miss; the next
+    put rewrites either."""
 
-    SCHEMA = 9  # 9: brackets from Brent's zeroin on h (_eps_probe)
+    SCHEMA = 10  # 10: brackets from probes that stop at the top zero (_eps_probe)
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -181,12 +186,15 @@ class EpsCache:
         try:
             with open(self.path) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError too
             return {}
-        return data.get("entries", {}) if data.get("schema") == self.SCHEMA else {}
+        current = isinstance(data, dict) and data.get("schema") == self.SCHEMA
+        entries = data.get("entries") if current else None
+        return entries if isinstance(entries, dict) else {}
 
     def get(self, key: str):
-        return self._load().get(key)
+        entry = self._load().get(key)
+        return entry if isinstance(entry, dict) and entry.keys() >= set(self.FIELDS) else None
 
     def put(self, key: str, value: dict):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -236,12 +244,18 @@ class CriticalEps:
 
 
 def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) -> Probe:
-    """Critical-datum probe: an EntirePositive trajectory carries the residual
-    h = 1/sqrt(1 - w_inf) - 1, finite as w' < 0 gives w_inf < w(R) < w(0) = 1
-    (kept so where 1 - w_inf rounds to 0, from k near 1e8), and is on the lo
-    side iff h > 0, which implies is_entire; a collapse carries none."""
-    traj = integrate(spec, jet_m3(k, eps), cfg)
-    if not isinstance(traj.verdict, EntirePositive):
+    """Critical-datum probe, a run that stops at the top slot's first zero
+    r0 (TopZero), where its side is settled, instead of stepping on into the
+    collapse that follows.  It carries the residual h = 1/sqrt(1 - w_inf) - 1,
+    w_inf = lap_limit_estimate at its end: at the horizon of an
+    EntirePositive run, or at r0, where w_inf = r0 w'(r0) < 0 and so h < 0;
+    the two agree at r0 = R, so h is continuous in eps.  h is finite as w' <
+    0 gives w_inf < w(0) = 1 (kept so where 1 - w_inf rounds to 0, from k
+    near 1e8), and the probe is on the lo side iff h > 0, which implies
+    is_entire.  An Inconclusive run carries none, as would a collapse, but
+    a collapse reaches r0 first, where u^p drives w' to -inf."""
+    traj = integrate(spec, jet_m3(k, eps), cfg, stop_at_top_zero=True)
+    if not isinstance(traj.verdict, (EntirePositive, TopZero)):
         return Probe(False, None, traj)
     h = 1.0 / math.sqrt(max(1.0 - lap_limit_estimate(traj), math.ulp(0.0))) - 1.0
     return Probe(h > 0.0, h, traj)
@@ -255,11 +269,12 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     Starts from the bracket imposed by theory: eps=0 must integrate entire
     (BracketFailure otherwise, signalling k below the large-k regime at
     this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
-    short).  refine_bracket closes it to bracket_tol, with h of every
-    EntirePositive probe as the residual (_eps_probe); bracket_tol must be
-    positive and finite (ValueError).  Every integration runs
-    at cfg.precision; for a bracket_tol near the rounding width of eps,
-    pass precision="extended" in cfg.
+    short).  refine_bracket closes it to bracket_tol, with h as the
+    residual of every probe (_eps_probe); a probe stops at the top slot's
+    zero, so traj_hi is a TopZero run unless the hi end is entire with
+    w_inf <= 0.  bracket_tol must be positive and finite (ValueError).
+    Every integration runs at cfg.precision; for a bracket_tol near the
+    rounding width of eps, pass precision="extended" in cfg.
     """
     if k < k_min:
         raise ValueError(f"k={k} below configured k_min={k_min}")
@@ -354,7 +369,9 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     """Locate the collapse boundary of the fourth-order problem in rho.
 
     Bisects rho over [-(u0(0)) + delta, 0] on the entire/collapse verdict
-    (refine_bracket without residuals); theory puts the boundary at 0, so
+    (refine_bracket without residuals), each run ending at the top slot's
+    first zero (integrate's stop_at_top_zero), where is_entire is already
+    false; theory puts the boundary at 0, so
     the estimate must land in [-tol_b, 0].  A parameter below -tol_b that
     classifies entire raises HorizonTooShort with a horizon estimate
     extrapolated from the decay of the Laplacian gap.
@@ -364,7 +381,7 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     profile = oracle.linear_profile()
 
     def evaluate(rho, guard=True):
-        traj = integrate(spec, jet_m2(rho), cfg)
+        traj = integrate(spec, jet_m2(rho), cfg, stop_at_top_zero=True)
         entire = is_entire(traj)
         if entire and guard and rho < -tol_b:
             gap = profile.eval(traj.r_end, 2) - traj.end.lap(1)

@@ -118,9 +118,9 @@ def test_commands_honour_config_file(tmp_path, monkeypatch, argv):
     seen = []
 
     def recording(integrate):
-        def wrapped(spec, jet, cfg):
+        def wrapped(spec, jet, cfg, **kwargs):
             seen.append(cfg)
-            return integrate(spec, jet, cfg)
+            return integrate(spec, jet, cfg, **kwargs)
         return wrapped
 
     # the command's own integrations, the root solves', and volume_of_jet's
@@ -262,6 +262,23 @@ def test_critical_eps_cache_hit_integrates_nothing(tmp_path, monkeypatch):
     # iterations counts the refinement rounds of this run: none on a hit
     assert rep_cold.pop("iterations") > 0 and rep_warm.pop("iterations") == 0
     assert rep_warm == rep_cold
+
+
+@pytest.mark.parametrize("text", [
+    '[]', '{"schema": SCHEMA, "entries": []}', '{"schema": SCHEMA, "entries": "x"}',
+    '{"schema": SCHEMA, "entries": {"KEY": {"eps_star": 3.0}}}'])
+def test_critical_eps_cache_of_another_shape_is_a_miss(tmp_path, monkeypatch, text):
+    # valid JSON of another shape in the cache file: the solve runs, exits
+    # 0, and its put rewrites the file with the entry
+    monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
+    cache = shooting.EpsCache(tmp_path)
+    key = shooting.EpsCache.key(10.0, shooting.default_config(3), 1e-3)
+    cache.path.write_text(text.replace("SCHEMA", str(shooting.EpsCache.SCHEMA))
+                          .replace('"KEY"', json.dumps(key)))
+    argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3", "--cache-dir", str(tmp_path)]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["cache_hit"] is False
+    assert set(cache.get(key)) == set(shooting.EpsCache.FIELDS)
 
 
 def test_critical_eps_honours_config_file(tmp_path, monkeypatch):

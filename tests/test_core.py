@@ -28,9 +28,9 @@ from polyshoot import (
 )
 import polyshoot
 from polyshoot import cubic_profile, linear_profile
-from polyshoot.core import _ORDER, _power0, _scaling_weights, _series
+from polyshoot.core import _ORDER, TopZero, _power0, _scaling_weights, _series
 from polyshoot.integrator import _FIT_NODES, _STEP_TOL, fit_tail
-from polyshoot.shooting import default_config, jet_m2
+from polyshoot.shooting import default_config, jet_m2, jet_m3
 
 
 def test_spec_exponents():
@@ -368,6 +368,31 @@ def test_scale_maps_the_verdict_fit(u0, u1, m, lam):
     assert got.coeff == pytest.approx(want.coeff, rel=1e-12)
     assert got.correction == pytest.approx(want.correction, abs=1e-8)
     assert scaled.verdict.growth_exponent == got.gamma
+
+
+@pytest.mark.parametrize("m, jet", [(2, jet_m2(-0.2)), (3, jet_m3(10.0, 5.0))])
+def test_scale_maps_the_top_zero(m, jet):
+    # a run stopped at the top zero r0 scales to one stopped at r0 / lam
+    spec, lam = EquationSpec.for_order(m), 2.5
+    traj = integrate(spec, jet, default_config(m), stop_at_top_zero=True)
+    scaled = scale(spec, traj, lam)
+    assert scaled.verdict == TopZero(r_zero=traj.verdict.r_zero / lam)
+    assert scaled.r_end == traj.r_end / lam == scaled.verdict.r_zero
+    assert scaled.end.r == pytest.approx(traj.end.r / lam, rel=1e-15)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_u_reads_the_u_slot_only(u0, u1, m, precision):
+    # u is the built rows' first column bit for bit, read without building
+    # them (test_trajectory_without_an_accepted_step covers the jet's u(0))
+    spec = EquationSpec.for_order(m)
+    cfg = IntegratorConfig(r_max=20.0, dense_output_stride=1e-3, precision=precision)
+    traj = integrate(spec, (u0 if m == 2 else u1).jet(), cfg)
+    u = traj.u
+    assert traj._y is None and u.shape == traj.r.shape and u.dtype == np.float64
+    assert u.tobytes() == traj.y[:, 0].tobytes()
+    assert traj.u.tobytes() == u.tobytes()  # now the built column
 
 
 def test_scale_transforms_jet_slots(spec3, u1):

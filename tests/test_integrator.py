@@ -24,7 +24,7 @@ from polyshoot import (
     ode_residual_max,
 )
 from polyshoot import integrator
-from polyshoot.core import Trajectory, _series
+from polyshoot.core import TopZero, Trajectory, _series
 from polyshoot.cli import _sweep_point
 from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, DenseSolution, PowerTail,
                                   _try_step, _wall_distance, radial_double_integral,
@@ -472,11 +472,37 @@ def test_trajectory_without_an_accepted_step(u0, monkeypatch):
     assert traj.stats["naccept"] == 0 and isinstance(traj.verdict, Inconclusive)
     want = np.array([jet.lap_values[0], 0.0, jet.lap_values[1], 0.0])
     assert len(traj) == 1 and np.array_equal(traj.r, [0.0])
+    assert np.array_equal(traj.u, [jet.u0]) and traj._y is None
     assert np.array_equal(traj.y, [want])
     assert traj.end.r == 0.0 and np.array_equal(traj.end.y, want)
     assert traj.dense.r_hi == 0.0
     with pytest.raises(ValueError):
         traj.dense(0.0)
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("m, jet", [(2, jet_m2(-0.2)), (3, jet_m3(10.0, 5.0))])
+def test_stop_at_top_zero(m, jet, precision):
+    # a collapse's top slot falls through zero first: the stopped run ends
+    # there, at the full run's event, with the full run's steps so far, and
+    # its end state, last row and r_end at that radius
+    spec, cfg = EquationSpec.for_order(m), default_config(m, precision=precision)
+    full = integrate(spec, jet, cfg)
+    stopped = integrate(spec, jet, cfg, stop_at_top_zero=True)
+    assert isinstance(full.verdict, Collapsed) and isinstance(stopped.verdict, TopZero)
+    r0, n = stopped.verdict.r_zero, len(stopped.events)
+    assert stopped.events == full.events[:n]
+    assert stopped.events[-1].kind == "lap_sign_change" and stopped.events[-1].level == m - 1
+    assert r0 == stopped.events[-1].r_event == stopped.r_end == stopped.end.r == stopped.r[-1]
+    assert r0 < full.verdict.r_star and not is_entire(stopped)
+    end = stopped.end
+    assert end.lap_deriv(m - 1) < 0.0
+    assert abs(end.lap(m - 1)) <= cfg.abs_tol * abs(end.lap_deriv(m - 1))
+    steps = stopped.stats["naccept"]
+    assert 0 < steps < full.stats["naccept"] and stopped.stats["closure"] is None
+    assert stopped.dense.cs.tobytes() == full.dense.cs[:steps].tobytes()
+    with pytest.raises(TypeError):
+        integrate(spec, jet, cfg, True)  # the flag is keyword-only
 
 
 @pytest.mark.parametrize("ending", ["horizon", "extended_horizon"])

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyshoot import (
     BracketFailure,
@@ -26,7 +28,7 @@ from polyshoot import (
     volume,
 )
 from polyshoot import integrator, shooting
-from polyshoot.core import EntirePositive, Trajectory
+from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
 from polyshoot.integrator import radial_double_integral
 from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
                                 refine_bracket)
@@ -118,7 +120,7 @@ def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
     assert ce.eps_star == pytest.approx(eps_bisection, abs=1e-6)
 
 
-@pytest.mark.parametrize("k, bound", [(10.0, 9), (20.0, 10), (40.0, 11)])
+@pytest.mark.parametrize("k, bound", [(10.0, 7), (20.0, 8), (40.0, 8)])
 def test_critical_eps_integration_count(monkeypatch, k, bound):
     calls = []
     integrate_ = shooting.integrate
@@ -134,7 +136,8 @@ def test_critical_eps_integration_count(monkeypatch, k, bound):
 
 def test_critical_probe_side_matches_residual(monkeypatch):
     # the one m=3 classifier: h > 0 on the lo side and only there, the lo
-    # side is entire, and a collapse carries no residual
+    # side is entire, a probe stopped at the top zero carries h < 0, and
+    # only an inconclusive one carries no residual
     probes = []
     probe_ = shooting._eps_probe
 
@@ -146,11 +149,34 @@ def test_critical_probe_side_matches_residual(monkeypatch):
     for k in (10.0, 20.0, 40.0):
         critical_eps(k, bracket_tol=1e-6)
     assert sum(p.residual is not None for p in probes) >= 20
-    assert any(p.residual is not None and not p.lo_side for p in probes)  # h <= 0
+    assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
     for p in probes:
-        assert (p.residual is None) == (not isinstance(p.payload.verdict, EntirePositive))
+        assert (p.residual is None) == isinstance(p.payload.verdict, Inconclusive)
         assert p.lo_side == (p.residual is not None and p.residual > 0.0)
         assert is_entire(p.payload) or not p.lo_side
+        if isinstance(p.payload.verdict, TopZero):
+            assert p.residual < 0.0 and p.payload.r_end == p.payload.verdict.r_zero
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.floats(10.0, 640.0), frac=st.floats(0.0, 1.0))
+def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
+    # a probe that stops at the top zero takes the full run's steps up to
+    # there, bit for bit, and lands on the side the full run's end state gives
+    eps = frac * math.sqrt(6.0 * k / 5.0)
+    cfg = default_config(3)
+    probe = shooting._eps_probe(spec3, k, eps, cfg)
+    full = integrate(spec3, shooting.jet_m3(k, eps), cfg)
+    full_lo = (isinstance(full.verdict, EntirePositive)
+               and lap_limit_estimate(full) > 0.0)
+    assert probe.lo_side == full_lo
+    stopped = probe.payload.dense
+    n = stopped.cs.shape[0]
+    assert n <= full.dense.cs.shape[0]
+    assert stopped.cs.tobytes() == full.dense.cs[:n].tobytes()
+    assert stopped.r_rights.tobytes() == full.dense.r_rights[:n].tobytes()
+    if isinstance(probe.payload.verdict, TopZero):
+        assert not is_entire(full)
 
 
 def test_critical_probe_residual_stays_finite(spec3):
@@ -161,14 +187,14 @@ def test_critical_probe_residual_stays_finite(spec3):
 
 def test_critical_eps_reads_each_end_state_once(monkeypatch):
     # the residual h (from w_inf) and the critical balance share one read
-    # of an entire integration's end state; a collapse's is never read, and
-    # neither are the rows
-    entire, reads = [], []
+    # of a probe's end state, which only the probes that carry h read, and
+    # the rows are never read
+    carrying, reads = [], []
     integrate_, states = shooting.integrate, Trajectory._states
 
     def counting_integrate(*args, **kwargs):
         traj = integrate_(*args, **kwargs)
-        entire.append(isinstance(traj.verdict, EntirePositive))
+        carrying.append(isinstance(traj.verdict, (EntirePositive, TopZero)))
         return traj
 
     def counting_states(self, r):
@@ -178,7 +204,7 @@ def test_critical_eps_reads_each_end_state_once(monkeypatch):
     monkeypatch.setattr(shooting, "integrate", counting_integrate)
     monkeypatch.setattr(Trajectory, "_states", counting_states)
     critical_eps(10.0, bracket_tol=1e-3)
-    assert 0 < len(reads) <= sum(entire) and all(np.ndim(r) == 0 for r in reads)
+    assert 0 < len(reads) <= sum(carrying) and all(np.ndim(r) == 0 for r in reads)
 
 
 def test_envelope_at_entire_end(ce10):
@@ -248,9 +274,9 @@ def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
     seen = []
     integrate = shooting.integrate
 
-    def recording(spec, jet, cfg):
+    def recording(spec, jet, cfg, **kwargs):
         seen.append(cfg.precision)
-        return integrate(spec, jet, cfg)
+        return integrate(spec, jet, cfg, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", recording)
     ce = critical_eps(10.0, default_config(3, precision=precision), bracket_tol=1e-3)
@@ -261,6 +287,23 @@ def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
 def test_collapse_boundary(spec2):
     b = collapse_boundary_m2()
     assert -1e-3 <= b <= 0.0
+
+
+def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
+    # the runs end at the first zero of Lap u, where is_entire is already
+    # false, so the bisection path and its value are those of full runs
+    runs = []
+    integrate_ = shooting.integrate
+
+    def recording(*args, **kwargs):
+        runs.append(integrate_(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    assert collapse_boundary_m2() == -3.9856713686974097e-4
+    assert len(runs) == 11
+    assert any(isinstance(t.verdict, TopZero) for t in runs)
+    assert all(isinstance(t.verdict, (EntirePositive, TopZero)) for t in runs)
 
 
 def test_collapse_boundary_horizon_guard():
@@ -347,13 +390,18 @@ def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
     assert (hit.volume, hit.volume_err) == (ce.volume, ce.volume_err)
 
 
+# an entry holding every EpsCache.FIELDS key
+_ENTRY = {"eps_star": 3.0, "eps_lo": 3.0, "eps_hi": 3.0, "precision": "double",
+          "volume": 1.0, "volume_err": 0.0, "delta2_at_horizon": 0.0, "partial_integral": 1.0}
+
+
 @pytest.mark.parametrize("field, value", [
     ("abs_tol", 1e-11), ("u_floor", 1e-7), ("rel_tol", 1e-9), ("precision", "extended"),
     ("dense_output_stride", 5e-3), ("max_steps", 100_000)])
 def test_cache_key_covers_whole_config(tmp_path, field, value):
     cache = EpsCache(tmp_path)
     cfg = default_config(3)
-    cache.put(EpsCache.key(10.0, cfg, 1e-6), {"eps_star": 3.0})
+    cache.put(EpsCache.key(10.0, cfg, 1e-6), _ENTRY)
     assert cache.get(EpsCache.key(10, cfg, 1e-6)) is not None
     assert cache.get(EpsCache.key(10.0, replace(cfg, **{field: value}), 1e-6)) is None
 
@@ -363,6 +411,30 @@ def test_cache_ignores_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
     cache = EpsCache(tmp_path)
     assert cache.get("x") is None
+
+
+@pytest.mark.parametrize("shape", ["list", "entries_list", "entries_string",
+                                   "entry_lacks_a_field", "entry_not_a_map", "not_utf8"])
+def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
+    # JSON of another shape, like a file that cannot be read or decoded,
+    # reads as an empty cache or a missing entry, and the next put
+    # rewrites it
+    key = EpsCache.key(10.0, default_config(3), 1e-6)
+    cache = EpsCache(tmp_path)
+    partial = {name: v for name, v in _ENTRY.items() if name != "eps_hi"}
+    raw = {"list": "[]",
+           "entries_list": json.dumps({"schema": EpsCache.SCHEMA, "entries": []}),
+           "entries_string": json.dumps({"schema": EpsCache.SCHEMA, "entries": "x"}),
+           "entry_lacks_a_field": json.dumps({"schema": EpsCache.SCHEMA,
+                                              "entries": {key: partial}}),
+           "entry_not_a_map": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: 3.0}})}
+    if shape == "not_utf8":
+        cache.path.write_bytes(b"\xff\xfe{")
+    else:
+        cache.path.write_text(raw[shape])
+    assert cache.get(key) is None
+    cache.put(key, _ENTRY)
+    assert cache.get(key) == _ENTRY
 
 
 def _put_many(directory, worker, n_puts, barrier):
@@ -423,14 +495,15 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # series steps after a launch at a configured radius, part of the key,
     # schema 7 entries from an origin series through s = r^2, which moves
     # the k=160 entry at the rounding level, schema 8 entries from Illinois
-    # false position on w_inf, whose brackets Brent's zeroin on h moves
+    # false position on w_inf, whose brackets Brent's zeroin on h moves,
+    # schema 9 entries from probes that ran into the collapse with no
+    # residual, whose brackets the stop at the top zero moves
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 9
-    for schema in (3, 4, 5, 6, 7, 8):
-        cache.path.write_text(json.dumps(
-            {"schema": schema, "entries": {key: {"eps_star": 3.0, "volume": 1.0}}}))
+    assert EpsCache.SCHEMA == 10
+    for schema in (3, 4, 5, 6, 7, 8, 9):
+        cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
-    cache.put(key, {"eps_star": 3.0})
-    assert cache.get(key) == {"eps_star": 3.0}
+    cache.put(key, _ENTRY)
+    assert cache.get(key) == _ENTRY
