@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet
+from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet, TopZero
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, integrate
 from .shooting import (EpsCache, critical_eps, critical_eps_residual,
@@ -186,14 +186,6 @@ def parse_range(text: str):
     return [start + i * step for i in range(n)]
 
 
-def _verdict_label(verdict):
-    if isinstance(verdict, Collapsed):
-        return "Collapsed"
-    if isinstance(verdict, EntirePositive):
-        return "EntirePositive"
-    return "Inconclusive"
-
-
 def _jet_from_args(rc: RunConfig, args) -> Jet:
     if getattr(args, "jet", None):
         vals = [float(v) for v in args.jet.split(",")]
@@ -261,6 +253,11 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ shoot
 
+# The one datum of each verdict that shoot's footer and stderr line report
+_VERDICT_FIELD = {Collapsed: "r_star", EntirePositive: "growth_exponent",
+                  TopZero: "r_zero", Inconclusive: "reason"}
+
+
 def cmd_shoot(args) -> int:
     rc = load_run_config(args)
     spec = EquationSpec.for_order(rc.m)
@@ -273,20 +270,11 @@ def cmd_shoot(args) -> int:
     lines.append(",".join(cols))
     lines += _csv_rows(np.column_stack((traj.r, traj.y)))
     verdict = traj.verdict
-    if isinstance(verdict, Collapsed):
-        footer = f"# verdict,Collapsed,r_star,{_fmt(verdict.r_star)}"
-        human = f"verdict: Collapsed at r* = {verdict.r_star:.9g}"
-    elif isinstance(verdict, EntirePositive):
-        footer = (f"# verdict,EntirePositive,growth_exponent,"
-                  f"{_fmt(verdict.growth_exponent)}")
-        human = (f"verdict: EntirePositive, growth exponent "
-                 f"{verdict.growth_exponent:.4f}")
-    else:
-        footer = f"# verdict,Inconclusive,reason,{verdict.reason}"
-        human = f"verdict: Inconclusive ({verdict.reason})"
-    lines.append(footer)
+    name, field = type(verdict).__name__, _VERDICT_FIELD[type(verdict)]
+    value = _fmt(getattr(verdict, field))
+    lines.append(f"# verdict,{name},{field},{value}")
     write_text(args.out, "\n".join(lines) + "\n")
-    print(human, file=sys.stderr)
+    print(f"verdict: {name}, {field} {value}", file=sys.stderr)
     return EXIT_OK if not isinstance(verdict, Inconclusive) else EXIT_NUMERICAL
 
 
@@ -297,7 +285,7 @@ def _sweep_point(payload):
     m, cfg, param, jet_values = payload
     spec = EquationSpec.for_order(m)
     traj = integrate(spec, Jet(jet_values), cfg)
-    label = _verdict_label(traj.verdict)
+    label = type(traj.verdict).__name__
     vol_total = vol_err = gamma = float("nan")
     if isinstance(traj.verdict, EntirePositive):
         gamma = traj.verdict.growth_exponent

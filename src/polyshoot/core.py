@@ -166,8 +166,9 @@ class Inconclusive:
 @dataclass(frozen=True)
 class TopZero:
     """The top Laplacian slot w = Lap^{m-1} u fell through zero at r_zero,
-    where a run asked to stop there ended (integrate's stop_at_top_zero).
-    w falls strictly, so w_inf < 0: the solution is not entire."""
+    and the run ended there (integrate's stop_at_top_zero) or went on to
+    the horizon without a collapse.  w falls strictly, so w_inf < 0: the
+    solution is not entire."""
 
     r_zero: float
 

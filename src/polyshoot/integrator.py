@@ -20,7 +20,7 @@ halves h on the same series.
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
 power-law fit, the end state (Trajectory.end), every integral of a solve
 (volume.dense_quadrature) and the output rows (Trajectory.y) read it, and
-the event bisection reads the same polynomials.  The sample grid
+event location reads the same polynomials.  The sample grid
 (sample_radii) only places the output rows: no step, verdict, fit or
 volume depends on the stride.
 
@@ -31,23 +31,26 @@ independent estimates of s; once they agree to abs_tol on three
 consecutive steps, and no Laplacian slot can reach zero within s, the
 trajectory ends with r* = r + s, accurate to about abs_tol.  A step-size
 stall closes with the same estimates; a floor crossing reached first is
-bisected on the step's polynomial.
+located on the step's polynomial.
 
-Sign changes of the Laplacian slots are events located on the step's
-polynomial; they end a run only where its caller asks for it
-(stop_at_top_zero): the top slot w = Lap^{m-1} u falls strictly, so its
-first zero settles that the solution is not entire, and a root solve that
-only needs that side stops there, before any collapse.
+Every event, a sign change of a Laplacian slot or a floor crossing, is a
+root of one step's polynomial in theta, located to abs_tol in r by
+refine_bracket: Brent's zeroin, the package's one root finder, which the
+shooting solves run too.  The top slot w = Lap^{m-1} u falls strictly, so
+its first zero settles that the solution is not entire: a run reaching the
+horizon after it is TopZero, and one whose caller asks (stop_at_top_zero)
+ends there, before any collapse.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,6 +71,9 @@ from .errors import WindowTooNarrow
 __all__ = [
     "IntegratorConfig",
     "Event",
+    "Probe",
+    "Bracket",
+    "refine_bracket",
     "DenseSolution",
     "PowerTail",
     "integrate",
@@ -304,19 +310,95 @@ def sample_radii(stride, r_max, r_last, stopped):
     return np.append(r, r_last) if stopped and r_last > r[-1] else r
 
 
-def _bisect_theta(poly_val, lo, hi, tol_theta, max_iter=200):
-    """Bisect a sign change of poly_val over [lo, hi] (poly_val(lo) and (hi) differ)."""
-    flo = poly_val(lo)
-    for _ in range(max_iter):
-        if hi - lo <= tol_theta:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = poly_val(mid)
-        if (flo <= 0) == (fm <= 0):
-            lo, flo = mid, fm
+# zeroin's resolution: 4 eps (eps = 2^-52, the binary64 machine epsilon)
+# times the larger end, never taken below the smallest normal float
+_RESOLUTION, _TINY = 4.0 * sys.float_info.epsilon, sys.float_info.min
+
+
+class Probe(NamedTuple):
+    """One evaluation: the end it replaces, what the caller keeps, and an
+    optional finite residual, > 0 on the lo side and <= 0 on the hi side."""
+
+    lo_side: bool
+    residual: Optional[float]
+    payload: object
+
+
+@dataclass
+class Bracket:
+    """[lo, hi], the probes at its ends, and the rounds spent refining it."""
+
+    lo: float
+    hi: float
+    at_lo: Probe
+    at_hi: Probe
+    rounds: int = 0
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
+                   stop: Optional[Callable[[Bracket], bool]] = None) -> Bracket:
+    """Shrink b in place until its width is <= t or stop(b) holds.
+
+    Brent's zeroin (Brent 1973, ch. 4), with its own stopping tolerance t =
+    tol + 4 eps max(|lo|, |hi|), eps the binary64 machine epsilon: a tol
+    below the spacing of floats at the root (0 or 5e-324 included) stops
+    at about 4 ulp, and max takes the smallest normal float as its floor,
+    so that t/2 is at least 2 ulp at a root at 0 too.  A round steps from
+    best, the end of smaller |residual| (none counts as infinite), toward
+    the other end, to the zero of the inverse interpolant through the nodes
+    that carry a residual: the two ends, plus the end the last probe
+    replaced if that probe is best (three nodes: inverse quadratic; two:
+    the secant).  It bisects when fewer than two nodes carry one, when the
+    step leaves the 3/4 of the bracket next to best, or when it is not
+    under half the step before last.  Every probe lies t/2 or more inside
+    the bracket, so every round makes progress and a converged estimate
+    steps across the root.
+    """
+    def size(end):
+        return math.inf if end[1].residual is None else abs(end[1].residual)
+
+    replaced, e, d = (None, None), b.width, b.width  # e, d: the step before last, last
+    while (b.width > (t := tol + _RESOLUTION * max(abs(b.lo), abs(b.hi), _TINY))
+           and not (stop is not None and stop(b))):
+        ends = [(b.lo, b.at_lo), (b.hi, b.at_hi)]
+        (best, _), (other, _) = sorted(ends, key=size)
+        if replaced[0] == best:  # Brent's third node
+            ends.append(replaced[1])
+        nodes = [(x, p.residual) for x, p in ends if p.residual is not None]
+        fs, step = [f for _, f in nodes], None
+        if len(set(fs)) == len(fs) > 1:  # distinct: the inverse Lagrange interpolant at 0
+            step = sum((x - best) * math.prod(fj / (fj - f) for fj in fs if fj != f)
+                       for x, f in nodes)
+        if step is None or not (0.0 <= step / (other - best) < 0.75 and abs(step) < abs(e) / 2):
+            step = d = 0.5 * (b.lo + b.hi) - best  # bisect
+        e, d = d, step
+        x = min(max(best + step, b.lo + t / 2), b.hi - t / 2)
+        probe = evaluate(x)
+        b.rounds += 1
+        if probe.lo_side:
+            replaced, b.lo, b.at_lo = (x, (b.lo, b.at_lo)), x, probe
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            replaced, b.hi, b.at_hi = (x, (b.hi, b.at_hi)), x, probe
+    return b
+
+
+def _event_theta(c, num, y0, y1, shift, tol_theta):
+    """Where the polynomial c in theta, y0 at 0 and y1 at 1, crosses shift
+    (y0 - shift, y1 - shift of opposite signs): refine_bracket to tol_theta
+    on the residual sign (c(theta) - shift), > 0 at 0; its final midpoint."""
+    sign = math.copysign(1.0, y0 - shift)
+
+    def evaluate(theta):
+        f = sign * (float(_poly_at(c, num(theta))) - shift)
+        return Probe(f > 0.0, f, None)
+
+    ends = (Probe(True, sign * (y0 - shift), None), Probe(False, sign * (y1 - shift), None))
+    b = refine_bracket(evaluate, Bracket(0.0, 1.0, *ends), tol_theta)
+    return 0.5 * (b.lo + b.hi)
 
 
 # Per-step tolerance relative to the configured ones.  An error of the
@@ -366,17 +448,17 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     """Integrate the radial system from the origin jet out to the horizon.
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
-    EntirePositive(tail) when the horizon is reached with u above the
-    floor throughout, and Inconclusive when the step budget runs out or
-    the step size underflows.  Sign changes of every intermediate
-    Laplacian slot are recorded as events.  With stop_at_top_zero the
-    first downward one of the top slot, bisected to abs_tol like every
-    event, ends the run with TopZero(r0), r_end = r0, unless a floor
-    crossing in the same step comes first; every step up to there is the
-    one the full run takes.  Without it no sign change ends the run.
+    TopZero(r0) when the horizon is reached after the top slot's first
+    downward zero r0, EntirePositive(tail) when it is reached without one,
+    and Inconclusive when the step budget runs out or the step size
+    underflows.  Sign changes of every intermediate Laplacian slot are
+    events (_event_theta).  With stop_at_top_zero the run ends at r0,
+    r_end = r0, unless a floor crossing in the same step comes first; every
+    step up to there, and so r0, is the full run's.  Without it no sign
+    change ends the run.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
-    {"kind": "floor"} when a step crosses u_floor (r* bisected on the step's
+    {"kind": "floor"} when a step crosses u_floor (r* located on the step's
     polynomial to abs_tol in r), or {"kind": "wall", "s": s, "disagreement":
     d} when the two wall estimates of the remaining distance s agree to
     abs_tol on three consecutive accepted steps (or the step size stalls
@@ -402,7 +484,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     agree = 0  # consecutive accepted steps whose wall estimates agree
-    verdict = closure = h = None
+    verdict = closure = h = r_zero = None  # r_zero: the top slot's first zero
 
     # np.longdouble scalars warn where Python floats overflow silently; a
     # non-finite series or state is handled below either way
@@ -449,25 +531,23 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
 
             # --- events inside (r, r_new] ---
             theta_tol = cfg.abs_tol / float(width)
-            terminal_theta = top_theta = None
+            terminal_theta = None
             if float(y_new[0]) < cfg.u_floor:
-                terminal_theta = _bisect_theta(
-                    lambda t: float(_poly_at(c[0], num(t))) - cfg.u_floor, 0.0, 1.0, theta_tol)
+                terminal_theta = _event_theta(c[0], num, float(y[0]), float(y_new[0]),
+                                              cfg.u_floor, theta_tol)
             for j in range(1, spec.m):
                 s0, s1 = float(y[2 * j]), float(y_new[2 * j])
                 if s0 * s1 < 0.0:
-                    tc = _bisect_theta(lambda t, cj=c[j]: float(_poly_at(cj, num(t))),
-                                       0.0, 1.0, theta_tol)
-                    r_ev = float(r + width * num(tc))
+                    tc = _event_theta(c[j], num, s0, s1, 0.0, theta_tol)
                     if terminal_theta is None or tc <= terminal_theta:
+                        r_ev = float(r + width * num(tc))
                         events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                             level=j, direction=-1 if s1 < s0 else 1))
-                        if stop_at_top_zero and j == spec.m - 1 and s1 < s0:
-                            top_theta = tc
+                        if j == spec.m - 1 and s1 < s0 and r_zero is None:
+                            r_zero = r_ev
 
-            if top_theta is not None:
-                r = float(r + width * num(top_theta))
-                verdict = TopZero(r_zero=r)
+            if stop_at_top_zero and r_zero is not None:
+                r, verdict = r_zero, TopZero(r_zero=r_zero)
                 break
             if terminal_theta is not None:
                 r = float(r + width * num(terminal_theta))  # the deepest radius reached
@@ -489,8 +569,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                           np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))
     r_end = verdict.r_star if isinstance(verdict, Collapsed) else float(r if verdict else r_max)
 
-    if verdict is None:
-        verdict = EntirePositive(fit_tail(dense, (r_end / 2.0, r_end)))
+    radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
+                              isinstance(verdict, (Collapsed, TopZero)))  # stopped short
+    if verdict is None:  # the horizon
+        verdict = (TopZero(r_zero=r_zero) if r_zero is not None
+                   else EntirePositive(fit_tail(dense, (r_end / 2.0, r_end))))
 
     stats = {
         "naccept": naccept,
@@ -499,8 +582,6 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
         "precision": cfg.precision,
         "closure": closure,
     }
-    radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
-                              isinstance(verdict, (Collapsed, TopZero)))
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
                       events=tuple(events), dense=dense, stats=stats, radii=radii)
 

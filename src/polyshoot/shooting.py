@@ -1,7 +1,8 @@
 """Root-finding layers over the integrator.
 
-One safeguarded bracket refinement (refine_bracket) over trajectory
-classifications and residuals solves three shooting problems:
+One safeguarded bracket refinement over trajectory classifications and
+residuals, integrator.refine_bracket (Brent's zeroin, which also locates
+the integrator's events), solves three shooting problems:
 
   * critical_eps: the largest second-datum magnitude eps for which the
     sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
@@ -24,7 +25,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,15 +33,14 @@ from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
-from .integrator import IntegratorConfig, integrate
+from .integrator import Bracket, IntegratorConfig, Probe, integrate, refine_bracket
 from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
-           "Probe", "Bracket", "refine_bracket", "CriticalEps", "critical_eps",
+           "CriticalEps", "critical_eps",
            "EpsResidual", "critical_eps_residual", "collapse_boundary_m2",
            "VolumeSolve", "prescribe_volume", "smallest_valid_k", "EpsCache"]
 
-DEFAULT_K_MIN = 5.0
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
 
 
@@ -65,16 +65,11 @@ def is_entire(traj: Trajectory) -> bool:
 
     The top slot w = Lap^{m-1} u falls strictly (w' = -r^-2 int s^2 u^p <
     0), so its least value is the one at the horizon, the end state
-    (Trajectory.end); a sign change on the way is an event, or ends a run
-    that stops at the top zero (TopZero), which is not entire either.
+    (Trajectory.end); a run whose w fell through zero on the way is
+    TopZero, not EntirePositive, whether it stopped there or not.
     """
-    if not isinstance(traj.verdict, EntirePositive):
-        return False
-    m = traj.spec.m
-    if traj.end.lap(m - 1) <= 0.0:
-        return False
-    return not any(ev.kind == "lap_sign_change" and ev.level == m - 1
-                   for ev in traj.events)
+    return (isinstance(traj.verdict, EntirePositive)
+            and traj.end.lap(traj.spec.m - 1) > 0.0)
 
 
 def lap_limit_estimate(traj: Trajectory) -> float:
@@ -93,71 +88,6 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
 
 
-class Probe(NamedTuple):
-    """One evaluation: the end it replaces, what the caller keeps, and an
-    optional finite residual, > 0 on the lo side and <= 0 on the hi side."""
-
-    lo_side: bool
-    residual: Optional[float]
-    payload: object
-
-
-@dataclass
-class Bracket:
-    """[lo, hi], the probes at its ends, and the rounds spent refining it."""
-
-    lo: float
-    hi: float
-    at_lo: Probe
-    at_hi: Probe
-    rounds: int = 0
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-
-def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
-                   stop: Optional[Callable[[Bracket], bool]] = None) -> Bracket:
-    """Shrink b in place until its width is <= tol or stop(b) holds.
-
-    Brent's zeroin (Brent 1973, ch. 4).  A round steps from best, the end
-    of smaller |residual| (none counts as infinite), toward the other end,
-    to the zero of the inverse interpolant through the nodes that carry a
-    residual: the two ends, plus the end the last probe replaced if that
-    probe is best (three nodes: inverse quadratic; two: the secant).  It
-    bisects when fewer than two nodes carry one, when the step leaves the
-    3/4 of the bracket next to best, or when it is not under half the step
-    before last.  A step under tol/2 is made tol/2 toward the other end, so
-    that a converged estimate steps across the root.
-    """
-    def size(end):
-        return math.inf if end[1].residual is None else abs(end[1].residual)
-
-    replaced, e, d = (None, None), b.width, b.width  # e, d: the step before last, last
-    while b.width > tol and not (stop is not None and stop(b)):
-        ends = [(b.lo, b.at_lo), (b.hi, b.at_hi)]
-        (best, _), (other, _) = sorted(ends, key=size)
-        if replaced[0] == best:  # Brent's third node
-            ends.append(replaced[1])
-        nodes = [(x, p.residual) for x, p in ends if p.residual is not None]
-        fs, step = [f for _, f in nodes], None
-        if len(set(fs)) == len(fs) > 1:  # distinct: the inverse Lagrange interpolant at 0
-            step = sum((x - best) * math.prod(fj / (fj - f) for fj in fs if fj != f)
-                       for x, f in nodes)
-        if step is None or not (0.0 <= step / (other - best) < 0.75 and abs(step) < abs(e) / 2):
-            step = d = 0.5 * (b.lo + b.hi) - best  # bisect
-        e, d = d, step
-        x = min(max(best + step, b.lo + tol / 2), b.hi - tol / 2)
-        probe = evaluate(x)
-        b.rounds += 1
-        if probe.lo_side:
-            replaced, b.lo, b.at_lo = (x, (b.lo, b.at_lo)), x, probe
-        else:
-            replaced, b.hi, b.at_hi = (x, (b.hi, b.at_hi)), x, probe
-    return b
-
-
 class EpsCache:
     """JSON map from (k, integrator config, bracket_tol) to a critical bracket
     and its entire-side volume and residual.  Writes hold an exclusive
@@ -167,7 +97,7 @@ class EpsCache:
     and an entry that is not a map of every FIELDS key is a miss; the next
     put rewrites either."""
 
-    SCHEMA = 10  # 10: brackets from probes that stop at the top zero (_eps_probe)
+    SCHEMA = 11  # 11: top zeros located by Brent's zeroin, not bisection
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -262,7 +192,7 @@ def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) 
 
 
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
-                 bracket_tol: float = 1e-6, *, k_min: float = DEFAULT_K_MIN,
+                 bracket_tol: float = 1e-6, *,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
@@ -273,11 +203,10 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     residual of every probe (_eps_probe); a probe stops at the top slot's
     zero, so traj_hi is a TopZero run unless the hi end is entire with
     w_inf <= 0.  bracket_tol must be positive and finite (ValueError).
-    Every integration runs at cfg.precision; for a bracket_tol near the
-    rounding width of eps, pass precision="extended" in cfg.
+    Every integration runs at cfg.precision, but eps is a Python float in
+    both precisions: a bracket_tol below its rounding width stops at about
+    4 ulp of eps (refine_bracket).
     """
-    if k < k_min:
-        raise ValueError(f"k={k} below configured k_min={k_min}")
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
         raise ValueError(f"bracket_tol must be positive and finite, got {bracket_tol}")
     cfg = cfg if cfg is not None else default_config(3)
@@ -371,8 +300,8 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     Bisects rho over [-(u0(0)) + delta, 0] on the entire/collapse verdict
     (refine_bracket without residuals), each run ending at the top slot's
     first zero (integrate's stop_at_top_zero), where is_entire is already
-    false; theory puts the boundary at 0, so
-    the estimate must land in [-tol_b, 0].  A parameter below -tol_b that
+    false; theory puts the boundary at 0, so the estimate must land in
+    [-tol_b, 0].  A parameter below -tol_b that
     classifies entire raises HorizonTooShort with a horizon estimate
     extrapolated from the decay of the Laplacian gap.
     """
@@ -469,8 +398,7 @@ def prescribe_volume(spec: EquationSpec, target: float,
 
     def solve(lo_end, hi_end):
         (lo, at_lo), (hi, at_hi) = lo_end, hi_end
-        b = refine_bracket(evaluate, Bracket(lo, hi, at_lo, at_hi),
-                           1e-12 * max(1.0, abs(lo), abs(hi)),  # floor; close() ends it
+        b = refine_bracket(evaluate, Bracket(lo, hi, at_lo, at_hi), 0.0,
                            stop=lambda b: close(b.at_lo) or close(b.at_hi))
         x, best = (b.lo, b.at_lo) if close(b.at_lo) else (b.hi, b.at_hi)
         if not close(best):

@@ -421,9 +421,7 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["sweep", "--rho", "a:b:c"],
     ["sweep", "--m", "3", "--k", "1,2", "--eps=0:1:1"],
     ["sweep", "--rho", "0:1:1", "--jobs", "0"],
-    ["critical-eps", "--k", "1"],  # below k_min
     ["critical-eps", "--k", "10", "--bracket-tol", "-1"],
-    ["sweep", "--m", "3", "--at-critical", "--k", "1"],
     ["verify", "--m", "2", "--tol", "0"],
     ["verify", "--m", "2", "--tol", "-1"],
     ["shoot", "--jet", "1,inf"],  # non-finite jet values
@@ -451,6 +449,19 @@ def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert main(argv) == 2
     assert "usage error:" in capsys.readouterr().err
     assert not (tmp_path / "cache").exists()  # nothing written to the cache
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical-eps", "--k", "1"],
+    ["sweep", "--m", "3", "--at-critical", "--k", "1"],
+])
+def test_below_the_large_k_regime_exits_3(argv, capsys, tmp_path, monkeypatch):
+    # no k is refused as such: at k = 1 the theory bracket fails its check,
+    # eps = 0 not entire at the horizon, a numerical failure
+    monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))
+    assert main(argv) == 3
+    assert "eps=0 does not integrate entire at k=1.0" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_shoot_jet_of_the_wrong_length_exits_2(capsys):
@@ -485,6 +496,27 @@ def test_sweep_m3_eps_range(tmp_path):
     # volume increases with eps toward the critical datum
     vols = [float(d[2]) for d in data]
     assert vols[0] < vols[1] < vols[2]
+
+
+def test_sweep_m3_top_zero_has_no_volume(tmp_path):
+    # eps = 3.1 is just past the critical datum at k = 10 (3.075): u stays
+    # above the floor to the horizon, but the top Laplacian falls through zero
+    out = tmp_path / "eps.csv"
+    assert main(["sweep", "--m", "3", "--k", "10", "--eps", "2.9:3.3:0.2",
+                 "--jobs", "1", "--out", str(out)]) == 0
+    data = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith(("#", "eps,"))]
+    assert [d[1] for d in data] == ["EntirePositive", "TopZero", "Collapsed"]
+    assert data[1][2:] == ["", "", ""]
+
+
+def test_shoot_top_zero_footer(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["shoot", "--m", "3", "--k", "10", "--eps", "3.1", "--out", str(out)]) == 0
+    footer = out.read_text().splitlines()[-1].split(",")
+    assert footer[:3] == ["# verdict", "TopZero", "r_zero"]
+    assert float(footer[3]) == pytest.approx(37.9200998, abs=1e-6)
+    assert "verdict: TopZero" in capsys.readouterr().err
 
 
 def test_shoot_inconclusive_exit_code(tmp_path):

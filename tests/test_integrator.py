@@ -21,6 +21,7 @@ from polyshoot import (
     fit_growth,
     formula1_check,
     integrate,
+    UndefinedVolume,
     ode_residual_max,
 )
 from polyshoot import integrator
@@ -503,6 +504,63 @@ def test_stop_at_top_zero(m, jet, precision):
     assert stopped.dense.cs.tobytes() == full.dense.cs[:steps].tobytes()
     with pytest.raises(TypeError):
         integrate(spec, jet, cfg, True)  # the flag is keyword-only
+
+
+def test_top_zero_without_the_stop(spec3):
+    # just past the critical datum at k = 10 the top slot falls through zero
+    # while u stays above the floor to the horizon: the full run is TopZero
+    # too, at the zero where the stopped run ends, and has no volume
+    jet, cfg = jet_m3(10.0, 3.1), default_config(3)
+    full = integrate(spec3, jet, cfg)
+    stopped = integrate(spec3, jet, cfg, stop_at_top_zero=True)
+    assert isinstance(full.verdict, TopZero) and isinstance(stopped.verdict, TopZero)
+    assert full.verdict.r_zero.hex() == stopped.verdict.r_zero.hex()
+    assert full.r_end == full.r[-1] == cfg.r_max and full.end.lap(2) < 0.0
+    assert not is_entire(full)
+    with pytest.raises(UndefinedVolume):
+        volume(spec3, full)
+
+
+# Runs with events located on a step's polynomial: the m=3 top zero short of
+# the horizon just past the critical datum at k = 10, the m=2 top zero before
+# a wall closure, and an m=3 floor crossing (a high floor)
+_EVENT_RUNS = {
+    "m3_top_zero": (3, jet_m3(10.0, 3.1), {}),
+    "m2_collapse": (2, jet_m2(-0.2), {}),
+    "m3_floor": (3, Jet((10.0, -6.0, 1.0)), {"r_max": 30.0, "u_floor": 1e-2}),
+}
+
+
+@pytest.mark.parametrize("abs_tol", [1e-10, 1e-16])
+@pytest.mark.parametrize("run", sorted(_EVENT_RUNS))
+def test_events_at_the_step_polynomials_roots(monkeypatch, run, abs_tol):
+    # every event is within abs_tol (and the rounding of r) of the root of
+    # its step's polynomial that numpy's companion matrix gives, for at most
+    # 12 evaluations of the polynomial an event
+    m, jet, kw = _EVENT_RUNS[run]
+    cfg = default_config(m, abs_tol=abs_tol, **kw)
+    calls, poly_at = [], integrator._poly_at
+
+    def counting(c, theta):
+        calls.append(theta)
+        return poly_at(c, theta)
+
+    monkeypatch.setattr(integrator, "_poly_at", counting)
+    traj = integrate(EquationSpec.for_order(m), jet, cfg)
+    floor = traj.stats["closure"] == {"kind": "floor"}
+    located = [e for e in traj.events
+               if e.kind == "lap_sign_change" or (floor and e.kind == "u_floor")]
+    assert located and len(calls) <= 12 * len(located)
+    d = traj.dense
+    for ev in located:
+        i = int(np.searchsorted(d.r_lefts, ev.r_event)) - 1
+        left, width = float(d.r_lefts[i]), float(d.r_rights[i] - d.r_lefts[i])
+        coef = d.cs[i, 0 if ev.kind == "u_floor" else ev.level].astype(float)
+        coef[0] -= cfg.u_floor if ev.kind == "u_floor" else 0.0
+        roots = [z.real for z in polynomial.Polynomial(coef).roots()
+                 if abs(z.imag) < 1e-9 and -1e-9 <= z.real <= 1.0 + 1e-9]
+        gap = min(abs(left + width * t - ev.r_event) for t in roots)
+        assert gap <= abs_tol + 4.0 * np.finfo(float).eps * ev.r_event, (ev, gap)
 
 
 @pytest.mark.parametrize("ending", ["horizon", "extended_horizon"])

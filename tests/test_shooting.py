@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -29,9 +30,8 @@ from polyshoot import (
 )
 from polyshoot import integrator, shooting
 from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
-from polyshoot.integrator import radial_double_integral
-from polyshoot.shooting import (Bracket, EpsCache, Probe, lap_limit_estimate,
-                                refine_bracket)
+from polyshoot.integrator import Bracket, Probe, radial_double_integral, refine_bracket
+from polyshoot.shooting import EpsCache, lap_limit_estimate
 
 
 @pytest.fixture(scope="module")
@@ -253,11 +253,8 @@ def test_horizon_robustness(ce10):
 
 def test_bracket_failures():
     # tiny k: eps=0 already collapses (below the large-k regime)
-    with pytest.raises((BracketFailure, ValueError)):
-        critical_eps(1.0, k_min=0.5, bracket_tol=1e-3)
-    # k below configured k_min is rejected outright
-    with pytest.raises(ValueError):
-        critical_eps(3.0)
+    with pytest.raises(BracketFailure):
+        critical_eps(1.0, bracket_tol=1e-3)
     # horizon too short: the cap trajectory cannot be told apart
     with pytest.raises(BracketFailure):
         critical_eps(10.0, default_config(3, r_max=3.0), bracket_tol=1e-3)
@@ -464,6 +461,40 @@ def test_cache_concurrent_puts_keep_every_entry(tmp_path):
     assert len(entries) == 120
 
 
+@pytest.mark.parametrize("tol", [1e-18, 5e-324])
+def test_refine_bracket_stops_at_float_resolution(tol):
+    # a tol below the spacing of floats at the root ends as zeroin does, at
+    # tol + 4 eps max(|lo|, |hi|); the cap on the rounds turns a refinement
+    # that would not end into a failure
+    f = _ANALYTIC["linear"]
+
+    def evaluate(x):
+        return Probe(*f(x), payload=x)
+
+    b = Bracket(0.0, 1.0, evaluate(0.0), evaluate(1.0))
+    refine_bracket(evaluate, b, tol, stop=lambda br: br.rounds >= 200)
+    assert b.rounds < 200 and b.lo < _ROOT <= b.hi
+    assert b.width <= tol + 4.0 * sys.float_info.epsilon * max(abs(b.lo), abs(b.hi))
+
+
+def test_critical_eps_below_the_rounding_width_of_eps(monkeypatch):
+    # eps is a float in both precisions, so a bracket_tol under its spacing
+    # at eps* stops at about 4 ulp; the cap on the probes turns a solve that
+    # would not end into a failure
+    probes, probe_ = [], shooting._eps_probe
+
+    def capped(*args, **kwargs):
+        probes.append(args)
+        if len(probes) > 60:
+            raise RuntimeError("the refinement does not end")
+        return probe_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "_eps_probe", capped)
+    ce = critical_eps(10.0, bracket_tol=1e-17)
+    assert 0.0 < ce.width <= 1e-17 + 4.0 * sys.float_info.epsilon * ce.eps_hi
+    assert ce.eps_star == pytest.approx(3.075176, abs=1e-6)
+
+
 @pytest.mark.parametrize("root", [0.6232655185893089, 0.29280804238748326, 0.0868761715425752])
 def test_midpoint_round_is_not_a_stall(root):
     # with a residual at both ends, a bisection is followed by an
@@ -497,12 +528,13 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # the k=160 entry at the rounding level, schema 8 entries from Illinois
     # false position on w_inf, whose brackets Brent's zeroin on h moves,
     # schema 9 entries from probes that ran into the collapse with no
-    # residual, whose brackets the stop at the top zero moves
+    # residual, whose brackets the stop at the top zero moves, schema 10
+    # entries from probes whose top zero was bisected, not located by Brent
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 10
-    for schema in (3, 4, 5, 6, 7, 8, 9):
+    assert EpsCache.SCHEMA == 11
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10):
         cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)
