@@ -6,7 +6,8 @@ Every command is deterministic for a fixed configuration; re-running
 produces byte-identical output apart from one timestamp comment line.
 
 Exit codes: 0 success, 2 usage or config error (an invalid argument or
-config value included), 3 numerical failure, 4 volume target out of range.
+config value, and an output path or cache directory that cannot be
+written, included), 3 numerical failure, 4 volume target out of range.
 """
 
 from __future__ import annotations
@@ -57,7 +58,21 @@ class RunConfig:
     cache_dir: str | None = None
 
     def cache(self):
-        return EpsCache(self.cache_dir) if self.cache_dir else None
+        """The EpsCache of cache_dir, checked before any solve puts to it."""
+        if not self.cache_dir:
+            return None
+        _check_writable(self.cache_dir, f"cache directory {self.cache_dir}")
+        return EpsCache(self.cache_dir)
+
+
+def _check_writable(directory, label: str):
+    """UsageError naming label unless directory is, or mkdir can make, a
+    writable directory: its nearest existing ancestor must be one.  Creates
+    nothing."""
+    path = Path(directory).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise UsageError(f"cannot write {label}: {existing} is not a writable directory")
 
 
 _CONFIG_KEYS = {"m", "cache_dir"} | {f.name for f in fields(IntegratorConfig)}
@@ -466,7 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bracket-tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_critical_eps)
 
-    p = sub.add_parser("prescribe-volume", help="solve for a prescribed volume")
+    p = sub.add_parser("prescribe-volume",
+                       help="solve for a prescribed volume; the report's iterations "
+                            "counts the volume probes, not the critical solves of "
+                            "an m=3 table walk")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--vol-tol", type=float, default=1e-3,
@@ -482,6 +500,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
+        if args.out not in (None, "-"):  # checked before the command runs
+            if Path(args.out).is_dir():
+                raise UsageError(f"cannot write --out {args.out}: it is a directory")
+            _check_writable(Path(args.out).parent, f"--out {args.out}")
         return args.func(args)
     except (UsageError, ValueError) as exc:  # ValueError: an invalid argument
         print(f"usage error: {exc}", file=sys.stderr)

@@ -337,7 +337,9 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
 
 @dataclass
 class VolumeSolve:
-    """Result of a prescribed-volume solve."""
+    """Result of a prescribed-volume solve.  iterations counts its volume
+    probes only, not the integrations of the critical solves that an m=3
+    table walk runs on a cache miss (critical_eps's own iterations)."""
 
     target: float
     param: object            # rho for m=2, (k, eps) for m=3
@@ -352,6 +354,14 @@ class VolumeSolve:
         return abs(self.achieved - self.target) / self.target
 
 
+# beta, per order: the volume falls like (distance to its pole)^-beta in the
+# varied jet slot, so V^(-1/beta) is close to linear there.  m=3, slot s =
+# Lap u(0): near the cap u ~ k + s r^2/6 + r^4/120 gets a double root as s
+# -> -sqrt(6k/5), so V ~ (k - 5 s^2/6)^(-3/2), and for large s the r^2 term
+# rules, V ~ s^(-3/2).  m=2, slot u(0): once u ~ u(0) + B r^2, V ~ u(0)^(-9/2).
+_VOLUME_DECAY = {2: 4.5, 3: 1.5}
+
+
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
                      rel_tol_target: float = 1e-3, cache: Optional[EpsCache] = None,
@@ -361,13 +371,27 @@ def prescribe_volume(spec: EquationSpec, target: float,
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the
     critical volume toward 0); targets above the critical volume raise
     TargetOutOfRange.  m=3: picks the smallest tabulated k whose
-    near-critical volume reaches the target, then moves the second datum
-    up from the critical one (volume decreasing to 0); targets beyond the
-    largest tabulated k raise TableExhausted.  Both then double the
-    parameter until V < target and refine log(V / target), until the
-    volume is within rel_tol_target (positive and finite, ValueError
-    otherwise) of the target.  A non-finite target raises ValueError, a
-    finite one <= 0 TargetOutOfRange, both before any integration.
+    near-critical volume reaches the target, then moves the second jet
+    slot s = Lap u(0) up from the critical one, -eps_lo (volume decreasing
+    to 0); targets beyond the largest tabulated k raise TableExhausted.
+
+    Each probe carries the residual 1 - (target / V)^(1/beta), >= 0 while
+    V >= target, with beta = 9/2 for m=2 and 3/2 for m=3 (_VOLUME_DECAY):
+    V^(-1/beta) is close to linear in the varied slot, so the secant steps
+    of refine_bracket land near the root at once.  m=2 scans rho = 1, 2,
+    4, ...  m=3 first probes where the line through (-eps_cap, 0) and
+    (-eps_lo, V_crit^(-2/3)) in (s, V^(-2/3)) meets target^(-2/3),
+
+        s1 = -eps_cap + (eps_cap - eps_lo) (V_crit / target)^(2/3),
+
+    which is above -eps_lo for a target below V_crit.  While a probe still
+    reads V >= target the scan doubles its distance from the start (rho =
+    0, or s = -eps_lo, where a run at a smaller s is not entire), so it
+    never probes on the far side of the start.  refine_bracket then
+    refines the last two scan points until the volume is within
+    rel_tol_target (positive and finite, ValueError otherwise) of the
+    target.  A non-finite target raises ValueError, a finite one <= 0
+    TargetOutOfRange, both before any integration.
     """
     if not (math.isfinite(rel_tol_target) and rel_tol_target > 0):
         raise ValueError(f"rel_tol_target must be positive and finite, got {rel_tol_target}")
@@ -377,9 +401,10 @@ def prescribe_volume(spec: EquationSpec, target: float,
         raise TargetOutOfRange(f"volume target must be positive, got {target}")
     cfg = cfg if cfg is not None else default_config(spec.m)
     evaluated = []
+    inv_beta = 1.0 / _VOLUME_DECAY[spec.m]
 
     def point(v):  # on a decreasing volume map: lo side while V >= target
-        return Probe(v >= target, math.log(v / target), v)
+        return Probe(v >= target, 1.0 - (target / v) ** inv_beta, v)
 
     def close(p):
         return abs(p.payload - target) / target <= rel_tol_target
@@ -388,12 +413,13 @@ def prescribe_volume(spec: EquationSpec, target: float,
         evaluated.append(x)
         return point(volume_of_jet(spec, jet_of(x), cfg).total)
 
-    def scan_down(scan, x, limit):
+    def scan_down(scan, x, limit):  # x moves away from the start scan[0]
+        start = scan[0][0]
         while scan[-1][1].lo_side:
             if x > limit:
                 raise PolyshootError("volume failed to drop below target")
             scan.append((x, evaluate(x)))
-            x *= 2.0
+            x = start + 2.0 * (x - start)
         return scan
 
     def solve(lo_end, hi_end):
@@ -442,7 +468,13 @@ def prescribe_volume(spec: EquationSpec, target: float,
     def jet_of(s):  # V decreases in the second jet slot s = -eps
         return jet_m3(k, -s)
 
-    scan = scan_down([(-ce.eps_lo, point(ce.volume))], max(1.0, 2.0 * ce.eps_lo), 1e9)
+    critical = (-ce.eps_lo, point(ce.volume))
+    if close(critical[1]):
+        return VolumeSolve(target=target, param=(k, ce.eps_lo), achieved=ce.volume,
+                           iterations=0, k_used=k)
+    # V_crit > target here, so s1 > -eps_lo up to rounding
+    s1 = -ce.eps_cap + (ce.eps_cap - ce.eps_lo) * (ce.volume / target) ** inv_beta
+    scan = scan_down([critical], max(s1, math.nextafter(-ce.eps_lo, math.inf)), 1e9)
     s, achieved = solve(*scan[-2:])
     return VolumeSolve(target=target, param=(k, -s), achieved=achieved,
                        iterations=len(evaluated), k_used=k)

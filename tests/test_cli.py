@@ -451,6 +451,37 @@ def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     assert not (tmp_path / "cache").exists()  # nothing written to the cache
 
 
+def test_cache_directory_under_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    # refused before the solve, which would otherwise fail only at its put
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = str(blocker / "sub")
+    assert main(["critical-eps", "--k", "10", "--bracket-tol", "1e-3",
+                 "--cache-dir", cache_dir]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and cache_dir in err[0]
+
+
+@pytest.mark.parametrize("name", ["file/x.csv", "dir"])
+def test_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch, name):
+    # an output under a file, or an existing directory: refused before the run
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / name)
+    assert main(["shoot", "--m", "2", "--rho", "0", "--r-max", "5", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:") and out in err[0]
+    assert (tmp_path / "file").read_text() == "" and not os.listdir(tmp_path / "dir")
+
+
 @pytest.mark.parametrize("argv", [
     ["critical-eps", "--k", "1"],
     ["sweep", "--m", "3", "--at-critical", "--k", "1"],

@@ -32,6 +32,7 @@ from polyshoot import integrator, shooting
 from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
 from polyshoot.integrator import Bracket, Probe, radial_double_integral, refine_bracket
 from polyshoot.shooting import EpsCache, lap_limit_estimate
+from polyshoot.volume import VolumeEstimate
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,107 @@ def test_prescribe_volume_m3(spec3, tmp_path):
 def test_prescribe_volume_m3_table_exhausted(spec3, tmp_path):
     with pytest.raises(TableExhausted):
         prescribe_volume(spec3, 1e6, cache=EpsCache(tmp_path), table_k=(10.0,))
+
+
+@pytest.fixture(scope="module")
+def warm_table(tmp_path_factory):
+    """An EpsCache holding the default k = 10...640 table at bracket_tol 1e-6."""
+    cache = EpsCache(tmp_path_factory.mktemp("table"))
+    for k in shooting.DEFAULT_TABLE_K:
+        critical_eps(k, default_config(3), 1e-6, cache=cache)
+    return cache
+
+
+def _count_volumes(monkeypatch):
+    """The jets of every volume probe of prescribe_volume, as they happen."""
+    jets = []
+    volume_of_jet = shooting.volume_of_jet
+
+    def counting(spec, jet, cfg):
+        jets.append(jet)
+        return volume_of_jet(spec, jet, cfg)
+
+    monkeypatch.setattr(shooting, "volume_of_jet", counting)
+    return jets
+
+
+# k_used as the smallest table k whose critical volume reaches the target
+@pytest.mark.parametrize("target, k_used", [
+    (0.05, 10.0), (0.5, 10.0), (3.0, 10.0), (20.0, 10.0), (100.0, 10.0), (191.0, 10.0),
+    (195.0, 20.0), (230.0, 20.0), (300.0, 80.0), (400.0, 160.0), (450.0, 320.0),
+    (480.0, 320.0), (490.0, 320.0)])
+def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_table, monkeypatch,
+                                                    target, k_used):
+    # V^(-2/3) is close to linear in s = Lap u(0), and the first probe is on
+    # the line through the critical entry and the cap: one probe, and at most
+    # one secant step (3 to 7 probes from a doubling scan on log V)
+    jets = _count_volumes(monkeypatch)
+    vs = prescribe_volume(spec3, target, cache=warm_table)
+    assert vs.rel_err <= 1e-3
+    assert vs.k_used == k_used
+    assert len(jets) == vs.iterations <= 2
+
+
+@pytest.mark.parametrize("target", [1.0, 3.0, 5.0, 10.0, 15.0])
+def test_prescribe_volume_m2_integration_count(spec2, monkeypatch, target):
+    # rho = 0, the doubling scan and the refinement of 1 - (target/V)^(2/9)
+    jets = _count_volumes(monkeypatch)
+    vs = prescribe_volume(spec2, target)
+    assert vs.rel_err <= 1e-3
+    assert len(jets) <= 5
+
+
+@pytest.mark.parametrize("target", [150.0, 1.0])
+def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monkeypatch,
+                                                                    target):
+    # a volume map whose V^(-2/3) rises ten times slower than the line of the
+    # first probe: that probe reads V >= target, and the scan doubles its
+    # distance from -eps_lo, never reaching s <= -eps_lo, where runs are not
+    # entire (the first probe is below s = 0 at target 150, above at 1)
+    k, eps_lo, v_crit = 10.0, 3.0, 200.0
+    ce = shooting.CriticalEps(
+        k=k, eps_lo=eps_lo, eps_hi=eps_lo + 1e-6, eps_star=eps_lo, width=1e-6,
+        horizon_used=100.0, iterations=0, bracket_tol=1e-6, precision="double",
+        volume=v_crit, volume_err=0.0, delta2_at_horizon=0.0, partial_integral=1.0)
+    eps_cap = ce.eps_cap
+    probes = []
+
+    def volume_of_jet(spec, jet, cfg):
+        s = jet.lap_values[1]
+        assert jet.lap_values[0] == k and s > -eps_lo
+        probes.append(s)
+        slope = 0.1 / (eps_cap - eps_lo)
+        return VolumeEstimate(
+            core=0.0, tail=0.0, err_estimate=0.0, tail_model=None,
+            total=v_crit * (1.0 + slope * (s + eps_lo)) ** -1.5)
+
+    monkeypatch.setattr(shooting, "critical_eps", lambda *args, **kwargs: ce)
+    monkeypatch.setattr(shooting, "volume_of_jet", volume_of_jet)
+    vs = prescribe_volume(spec3, target, table_k=(k,))
+    s1 = -eps_cap + (eps_cap - eps_lo) * (v_crit / target) ** (2.0 / 3.0)
+    assert probes[0] == s1 and (s1 < 0.0) == (target == 150.0)
+    # 1, 2, 4, 8, 16 times the first distance: the fifth probe crosses
+    distances = [s + eps_lo for s in probes[:5]]
+    assert distances == pytest.approx([(s1 + eps_lo) * 2 ** i for i in range(5)])
+    assert vs.rel_err <= 1e-3
+    assert vs.param[1] < eps_lo
+
+
+def test_prescribe_volume_m3_small_target(spec3, warm_table):
+    # s = Lap u(0) near 5.7e3 at k = 10, where V ~ s^(-3/2)
+    vs = prescribe_volume(spec3, 1e-4, cache=warm_table)
+    assert vs.k_used == 10.0
+    assert vs.rel_err <= 1e-3
+
+
+def test_prescribe_volume_m3_at_the_critical_volume(spec3, warm_table, monkeypatch):
+    # the critical entry itself: (k, eps_lo), with no volume probe
+    ce = critical_eps(10.0, default_config(3), 1e-6, cache=warm_table)
+    jets = _count_volumes(monkeypatch)
+    vs = prescribe_volume(spec3, ce.volume, cache=warm_table)
+    assert vs.k_used == 10.0 and vs.rel_err <= 1e-3
+    assert vs.param[0] == 10.0 and abs(vs.param[1] - ce.eps_lo) <= 1e-6
+    assert jets == [] and vs.iterations == 0
 
 
 def test_cache_roundtrip(tmp_path):
