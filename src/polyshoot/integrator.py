@@ -25,13 +25,12 @@ event location reads the same polynomials.  The sample grid
 volume depends on the stride.
 
 Inside a collapse wall each step covers a fixed fraction of the remaining
-distance s, so stepping to the floor would cost most of a collapse's steps.
-After each accepted step with u' < 0, ``_wall_distance`` gives two
-independent estimates of s; once they agree to abs_tol on three
-consecutive steps, and no Laplacian slot can reach zero within s, the
-trajectory ends with r* = r + s, accurate to about abs_tol.  A step-size
-stall closes with the same estimates; a floor crossing reached first is
-located on the step's polynomial.
+distance, so stepping to the floor would cost most of a collapse's steps.
+Instead each new series about r with u' < 0 is read for the singularity R
+it sees (_read_wall, a ratio test on its top u coefficients); once the
+readings settle to abs_tol and no Laplacian slot can reach zero first, the
+trajectory ends at r* = R less the floor offset, accurate to about abs_tol.
+A floor crossing reached first is located on the step's polynomial.
 
 Every event, a sign change of a Laplacian slot or a floor crossing, is a
 root of one step's polynomial in theta, located to abs_tol in r by
@@ -234,63 +233,67 @@ class DenseSolution:
         return out[0] if scalar else out
 
 
-# Collapse-wall exponents: near a finite-radius collapse the solution obeys
-# u ~ c (R - r)^(1/2) for m=2 (with c = (16/15)^(1/8), from balancing
-# Lap^2 s^(1/2) = -(15/16) s^(-7/2) against -u^(-7)) and u ~ c (R - r) for
-# m=3 (soft wall, slope selected by the trajectory).  The remaining distance
-# is closed with these laws (see _wall_distance) once two estimates agree to
-# abs_tol on consecutive steps, or at a step-size stall (the m=2 wall
-# steepens faster than binary64 can resolve), instead of stepping to the
-# floor; r* is then accurate to about abs_tol.
-_WALL_COEF_M2 = (16.0 / 15.0) ** 0.125
+# Collapse wall.  Near a collapse at R, u ~ c (R - r)^(1/2) for m=2 and u ~
+# a (R - r) + b (R - r)^3 log(R - r) for m=3, plus terms analytic at R.  Each
+# pure power (R - r)^alpha, and that log term (alpha = 3), has (k+1) a_{k+1}
+# / a_k = (k - alpha) / rho in tau, rho = (R - r) / r, so the top three
+# coefficients give 1/rho = (k+1) a_{k+1}/a_k - k a_k/a_{k-1} for any alpha:
+# the Domb-Sykes form (Proc. R. Soc. A 240 (1957)) of the ratio test of Chang
+# & Corliss (J. Inst. Maths Applics 25 (1980)).  The next power in the wall
+# biases R_n = r + d, d = r rho, by O(d^2), and two readings, q = d_n /
+# d_{n-1}, extrapolate it: linearly, sigma_n = R_n + (R_n - R_{n-1}) q / (1 -
+# q), a correction that bounds any bias falling at least like d, and for r*
+# quadratically, R_n + (R_n - R_{n-1}) q^2 / (1 - q^2).  The wall closes once
+# the linear correction and the change of sigma are both within abs_tol.
+# For m=2 offsets in [-0.45, -0.02] and m=3 jets (10, -eps, 1), eps in [3.5,
+# 10], at rel_tol 1e-10, abs_tol 1e-12, r* then lies within 0.66 and 0.06
+# abs_tol of an extended run at 1e-12 (200 draws); read off sigma, within
+# 0.98 and 0.57, since sigma overshoots a bias falling like d^2.
+class _Wall(NamedTuple):
+    r: object       # the expansion point, in the integration's precision
+    d: float        # the ratio test's distance from r to R
+    sigma: float    # d, extrapolated linearly; inf on a first reading
+    gap: float      # the larger of that correction and the change in sigma
+    to_r: float     # d, extrapolated quadratically: the distance closed to R
 
 
-# Accepted steps in a row on which the two wall estimates must agree to
-# abs_tol before a collapse is closed: their difference changes sign on the
-# way into the wall, so a single step can agree by chance.
-_WALL_AGREE_STEPS = 3
-
-
-def _wall_distance(m, r, y, u_floor):
-    """Remaining distance s to the collapse from state (r, y), or None.
-
-    Two independent estimates of the distance to the floor crossing: for
-    m=2 the wall law (u/c)^2 and the log-derivative -u/(2u'), each less
-    the wall-law depth (u_floor/c)^2 of the floor; for m=3 the quadratic
-    crossing (with u'' = Lap u - 2u'/r from the state) and the linear one
-    (u - u_floor)/(-u').  Returns (s, |difference|), s the first estimate,
-    or None when u' >= 0, the quadratic does not reach the floor, or some
-    Laplacian slot could reach zero within s (it moves toward zero and
-    |y_2j| <= 2 s |y_2j+1|), since that sign change would go unrecorded.
-    """
-    u, u1 = float(y[0]), float(y[1])
-    if not u1 < 0.0:
+def _read_wall(a_u, r, last):
+    """The wall read off the series a_u of u about r > 0, after the reading
+    last of the step before (or None); None when u does not fall or the
+    ratio test sees no singularity ahead."""
+    k = _ORDER - 1
+    lo, mid, hi = map(float, a_u[k - 1:k + 2])
+    if not (a_u[1] < 0.0 and lo != 0.0 and mid != 0.0):
         return None
-    if m == 2:
-        depth = (u_floor / _WALL_COEF_M2) ** 2
-        s = (u / _WALL_COEF_M2) ** 2 - depth
-        other = -u / (2.0 * u1) - depth
-    else:
-        d = u - u_floor
-        curv = float(y[2]) - 2.0 * u1 / float(r)
-        disc = u1 * u1 - 2.0 * curv * d
-        if not disc >= 0.0:
-            return None
-        s = 2.0 * d / (math.sqrt(disc) - u1)
-        other = d / -u1
+    inv_rho = (k + 1) * hi / mid - k * mid / lo
+    if not 0.0 < inv_rho < math.inf:
+        return None
+    d = float(r) / inv_rho
+    if last is None or not d < last.d:
+        return _Wall(r, d, math.inf, math.inf, d)
+    width, q = float(r - last.r), d / last.d  # the step is exact in r's precision
+    correction = (d - last.d + width) * q / (1.0 - q)  # R_n - R_{n-1} = d - (last.d - width)
+    sigma = d + correction
+    return _Wall(r, d, sigma, max(abs(correction), abs(sigma - last.sigma + width)),
+                 d + correction * q / (1.0 + q))
+
+
+def _close_on_wall(m, y, to_r, u_floor):
+    """The distance s from the state y to the floor crossing: to_r, the
+    distance to R, less the floor offset to_r (u_floor/u)^(1/gamma), gamma =
+    -to_r u'/u the local exponent (1/2 for m=2, about 1 for m=3).  None when
+    to_r <= 0 or a Laplacian slot could reach zero within s (it moves toward
+    zero and |y_2j| <= 2 s |y_2j+1|), since that sign change would go
+    unrecorded."""
+    u, u1 = float(y[0]), float(y[1])
+    if not to_r > 0.0:
+        return None
+    s = to_r * (1.0 - (u_floor / u) ** (u / (-to_r * u1)))
     for j in range(2, 2 * m, 2):
         lap, lap1 = float(y[j]), float(y[j + 1])
         if not (lap * lap1 > 0.0 or abs(lap) > 2.0 * s * abs(lap1)):
             return None
-    return s, abs(s - other)
-
-
-def _close_on_wall(r, wall, events):
-    """Collapsed(r + s) and its closure record for the last accepted r."""
-    s, gap = wall
-    r_star = float(r) + s
-    events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
-    return Collapsed(r_star=r_star), {"kind": "wall", "s": s, "disagreement": gap}
+    return s
 
 
 def sample_radii(stride, r_max, r_last, stopped):
@@ -460,12 +463,13 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses u_floor (r* located on the step's
     polynomial to abs_tol in r), or {"kind": "wall", "s": s, "disagreement":
-    d} when the two wall estimates of the remaining distance s agree to
-    abs_tol on three consecutive accepted steps (or the step size stalls
-    first), with no Laplacian sign change possible within s; the dense
-    output then ends at that last accepted r.  stats["closure"] is None
-    without a collapse, stats["nfev"] counts the series computed (a halved
-    step reuses its own).
+    d} when the wall read off the series at the last accepted r has settled
+    (_read_wall): s = r* - r is the distance closed, to the singularity less
+    the floor offset, and d <= abs_tol the larger of the readings' last bias
+    correction and change; no Laplacian sign change is possible within s,
+    and the dense output ends at that r.  stats["closure"] is None without a
+    collapse, stats["nfev"] counts the series computed (a halved step reuses
+    its own, and a wall closure reads one series more than it steps).
 
     An entire verdict carries the power-law fit of u on [r_end/2, r_end]
     (fit_tail): its gamma is the growth exponent, and the volume's tail
@@ -483,8 +487,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     r_lefts, r_rights, cs, events = [], [], [], []
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
-    agree = 0  # consecutive accepted steps whose wall estimates agree
-    verdict = closure = h = r_zero = None  # r_zero: the top slot's first zero
+    verdict = closure = h = r_zero = wall = None  # r_zero: the top slot's first zero
 
     # np.longdouble scalars warn where Python floats overflow silently; a
     # non-finite series or state is handled below either way
@@ -501,18 +504,19 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                 a = _series(p, r, y, _ORDER) if r else taylor_launch(spec, jet, dtype=dtype)
                 unit = r if r else num(1.0)
                 nfev += 1
+                wall = _read_wall(a[0], r, wall) if r else None
+                s = (_close_on_wall(spec.m, y, wall.to_r, cfg.u_floor)
+                     if wall is not None and wall.gap <= cfg.abs_tol else None)
+                if s is not None:
+                    r_star = float(r) + s
+                    events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
+                    verdict = Collapsed(r_star=r_star)
+                    closure = {"kind": "wall", "s": s, "disagreement": wall.gap}
+                    break
                 h = unit * num(_step_size(a, atol, rtol))
             h = min(h, r_max - r)
             if h < tiny_h_factor * max(float(r), 1.0):
-                # Step-size stall before the wall estimates agreed to abs_tol:
-                # r cannot resolve the rest of the wall, so close it with them.
-                wall = (_wall_distance(spec.m, r, y, cfg.u_floor)
-                        if float(y[0]) < 1e-4 * max(1.0, jet.u0) else None)
-                if wall is None:
-                    verdict = Inconclusive(
-                        reason=f"step size underflow at r={float(r):.6g}")
-                else:
-                    verdict, closure = _close_on_wall(r, wall, events)
+                verdict = Inconclusive(reason=f"step size underflow at r={float(r):.6g}")
                 break
 
             r_new = r + h
@@ -556,14 +560,6 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                 break
 
             r, y, h = r_new, y_new, None
-            if y[1] < 0.0:  # only a falling u can be inside a wall
-                wall = _wall_distance(spec.m, r, y, cfg.u_floor)
-                agree = agree + 1 if wall is not None and wall[1] <= cfg.abs_tol else 0
-                if agree == _WALL_AGREE_STEPS:
-                    verdict, closure = _close_on_wall(r, wall, events)
-                    break
-            else:
-                agree = 0
 
     dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
                           np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))

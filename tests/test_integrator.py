@@ -27,9 +27,8 @@ from polyshoot import (
 from polyshoot import integrator
 from polyshoot.core import TopZero, Trajectory, _series
 from polyshoot.cli import _sweep_point
-from polyshoot.integrator import (_ORDER, _STEP_TOL, _WALL_COEF_M2, DenseSolution, PowerTail,
-                                  _try_step, _wall_distance, radial_double_integral,
-                                  sample_radii)
+from polyshoot.integrator import (_ORDER, _STEP_TOL, DenseSolution, PowerTail, _close_on_wall,
+                                  _read_wall, _try_step, radial_double_integral, sample_radii)
 from polyshoot.shooting import (collapse_boundary_m2, critical_eps, critical_eps_residual,
                                 default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate,
                                 prescribe_volume)
@@ -321,8 +320,8 @@ def test_config_rejects_non_finite_values(field, value):
         IntegratorConfig(**{field: value})
 
 # One case per way integrate() can end: horizon, m=2 and m=3 wall closure
-# (the wall estimates agree), floor crossing located by bisection (a floor
-# high enough to be crossed before they agree), and the step budget; plus
+# (the wall readings settle), floor crossing located by bisection (a floor
+# high enough to be crossed before they settle), and the step budget; plus
 # a horizon in extended precision, near the m=3 critical datum.
 _ENDINGS = {
     "horizon": (2, 0.0, dict(r_max=30.0), EntirePositive),
@@ -847,27 +846,27 @@ def test_scalar_step_rejects_a_stage_without_positive_u(dtype):
 
 
 def test_step_counts_pinned(u0, traj_u0_1000):
-    # counts of the series step with the wall closure; an entire trajectory
-    # never closes, and each collapse keeps r* within abs_tol of stepping
-    # on to the floor (the r* pins, each within 1e-11 of an extended run at
-    # rel_tol 1e-12)
+    # counts of the series step with the wall closure, which reads one
+    # series more than it steps; an entire trajectory never closes, and each
+    # collapse keeps r* within abs_tol of stepping on to the floor (the r*
+    # pins, each within 1e-11 of an extended run at rel_tol 1e-12)
     spec2, spec3 = EquationSpec.for_order(2), EquationSpec.for_order(3)
     ext = IntegratorConfig(r_max=100.0, precision="extended")
     runs = {
         "m2 rho=0": (traj_u0_1000, (35, 0, 35), None),
         "m2 rho=-0.2": (integrate(spec2, _m2_jet(u0, -0.2), IntegratorConfig(r_max=1e3)),
-                        (43, 0, 43), 0.32281330049146356),
+                        (33, 0, 34), 0.32281330049146356),
         "m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)),
-                                   IntegratorConfig(r_max=100.0)), (37, 0, 37),
+                                   IntegratorConfig(r_max=100.0)), (31, 0, 32),
                          3.318089514836733),
         "m2 (0.45493..., 5.90396...)": (
             integrate(spec2, Jet((0.4549336961319741, 5.90396901379629)),
-                      IntegratorConfig(r_max=1e3)), (47, 0, 47), 1.4060686972977783),
+                      IntegratorConfig(r_max=1e3)), (40, 0, 41), 1.4060686972977783),
         "extended m3 (10,-6,1)": (integrate(spec3, Jet((10.0, -6.0, 1.0)), ext),
-                                  (37, 0, 37), 3.3180895148367324),
+                                  (31, 0, 32), 3.3180895148367324),
         "extended m2 rho=-0.2": (
             integrate(spec2, _m2_jet(u0, -0.2),
-                      IntegratorConfig(r_max=1e3, precision="extended")), (43, 0, 43),
+                      IntegratorConfig(r_max=1e3, precision="extended")), (33, 0, 34),
             0.3228133004914646),
     }
     for name, (traj, counts, r_star) in runs.items():
@@ -881,17 +880,63 @@ def test_step_counts_pinned(u0, traj_u0_1000):
                 assert arr.dtype == np.longdouble, name
 
 
+_C2 = (16.0 / 15.0) ** 0.125  # u ~ c (R - r)^(1/2) solves Lap^2 u = -u^-7 near the wall
+
+
+def _power_series(coef, alpha, s0, r0):
+    """Coefficients in tau = (r - r0) / r0 of coef (R - r)^alpha, R = r0 + s0."""
+    out, b = [], 1.0  # b = binom(alpha, k) (-r0 / s0)^k
+    for k in range(_ORDER + 1):
+        out.append(coef * s0 ** alpha * b)
+        b *= (alpha - k) / (k + 1) * (-r0 / s0)
+    return out
+
+
+def _cubic_log_series(s0, r0):
+    """Coefficients in tau of (R - r)^3 log(R - r), R = r0 + s0: with g(x) =
+    x^3 log x, a_k = (-r0)^k g^(k)(s0) / k!, g^(k)(x) = 6 (-1)^k (k-4)!
+    x^(3-k) from k = 4 on."""
+    x, log_x = s0, math.log(s0)
+    g = [x ** 3 * log_x, 3 * x * x * log_x + x * x, 6 * x * log_x + 5 * x, 6 * log_x + 11]
+    return [gk * (-r0) ** k / math.factorial(k) for k, gk in enumerate(g)] + [
+        6.0 * math.factorial(k - 4) / math.factorial(k) * s0 ** 3 * (r0 / s0) ** k
+        for k in range(4, _ORDER + 1)]
+
+
+def _m2_series(s0, r0, delta=0.0):
+    """c (R - r)^(1/2) (1 + delta (R - r)) about r0 = R - s0."""
+    return [a + b for a, b in zip(_power_series(_C2, 0.5, s0, r0),
+                                  _power_series(_C2 * delta, 1.5, s0, r0))]
+
+
+def _m3_series(s0, r0, alpha=2.0, beta=0.0):
+    """alpha t + beta t^2 + t^3 log t, t = R - r, plus e^r / 100 about r0 = R - s0."""
+    a = _cubic_log_series(s0, r0)
+    a[0] += alpha * s0 + beta * s0 * s0
+    a[1] -= (alpha + 2 * beta * s0) * r0
+    a[2] += beta * r0 * r0
+    return [ak + 0.01 * math.exp(r0) * r0 ** k / math.factorial(k) for k, ak in enumerate(a)]
+
+
+def _readings(series, R, s_first, n):
+    """The readings of series(s0, r0) at s0 = s_first 0.75^i, i < n, chained."""
+    wall = None
+    for i in range(n):
+        s0 = s_first * 0.75 ** i
+        wall = _read_wall(series(s0, R - s0), R - s0, wall)
+    return wall, s0
+
+
 def _m2_wall_state(s, r):
     """State of u = c (R - r)^(1/2) at distance s = R - r, all slots exact."""
-    c = _WALL_COEF_M2
-    u, u1 = c * s ** 0.5, -0.5 * c * s ** -0.5
-    u2, u3 = -0.25 * c * s ** -1.5, -0.375 * c * s ** -2.5
+    u, u1 = _C2 * s ** 0.5, -0.5 * _C2 * s ** -0.5
+    u2, u3 = -0.25 * _C2 * s ** -1.5, -0.375 * _C2 * s ** -2.5
     return [u, u1, u2 + 2 * u1 / r, u3 + 2 * u2 / r - 2 * u1 / r ** 2]
 
 
-def _m3_quadratic_state(s, r, alpha, beta, u_floor):
-    """State of u = u_floor + alpha t + beta t^2, t = R - r, at t = s."""
-    u, u1, u2 = u_floor + alpha * s + beta * s * s, -alpha - 2 * beta * s, 2 * beta
+def _m3_quadratic_state(s, r, alpha, beta):
+    """State of u = alpha t + beta t^2, t = R - r, at t = s."""
+    u, u1, u2 = alpha * s + beta * s * s, -alpha - 2 * beta * s, 2 * beta
     # Lap u = u'' + 2u'/r and (Lap u)' = 2u''/r - 2u'/r^2; Lap^2 u falls away from 0
     return [u, u1, u2 + 2 * u1 / r, 2 * u2 / r - 2 * u1 / r ** 2, -1e3, -1e5]
 
@@ -899,33 +944,63 @@ def _m3_quadratic_state(s, r, alpha, beta, u_floor):
 @pytest.mark.parametrize("s, u_floor", [(1e-2, 1e-8), (1e-6, 1e-8), (1e-12, 1e-8),
                                         (1e-2, 1e-4)])
 def test_wall_distance_exact_m2(s, u_floor):
-    # s is the distance to the wall; the floor lies (u_floor/c)^2 before it
-    to_floor = s - (u_floor / _WALL_COEF_M2) ** 2
-    got, gap = _wall_distance(2, 0.7, _m2_wall_state(s, 0.7), u_floor)
-    assert abs(got - to_floor) <= 1e-14 * s
-    assert gap <= 1e-14 * s
+    # the ratio test on the series of c (R - r)^(1/2) reads s = R - r exactly,
+    # and the floor lies (u_floor/c)^2 before R: gamma = -s u'/u is 1/2
+    wall = _read_wall(_m2_series(s, 0.7), 0.7, None)
+    assert abs(wall.d - s) <= 1e-13 * s and wall.gap == math.inf
+    got = _close_on_wall(2, _m2_wall_state(s, 0.7), wall.d, u_floor)
+    assert abs(got - (s - (u_floor / _C2) ** 2)) <= 1e-13 * s
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, -0.3])
 @pytest.mark.parametrize("s", [1e-2, 1e-5])
 def test_wall_distance_exact_m3(s, beta):
+    # alpha t + beta t^2 + t^3 log t plus an analytic part: only the log term
+    # reaches the top coefficients, and its exponent needs no table, so the
+    # reading is exact; the floor offset of the local exponent is exact for
+    # beta = 0 and off by about (u_floor / alpha) (beta s / alpha) log(u / u_floor)
     alpha, u_floor = 0.8, 1e-8
-    got, gap = _wall_distance(3, 2.5, _m3_quadratic_state(s, 2.5, alpha, beta, u_floor),
-                              u_floor)
-    assert abs(got - s) <= 1e-14 * s
-    # the linear estimate misses the curvature by (alpha s + beta s^2)/(alpha + 2 beta s)
-    linear = (alpha * s + beta * s * s) / (alpha + 2 * beta * s)
-    assert abs(gap - abs(s - linear)) <= 1e-14 * s
+    wall = _read_wall(_m3_series(s, 2.5, alpha, beta), 2.5, None)
+    assert abs(wall.d - s) <= 1e-13 * s
+    got = _close_on_wall(3, _m3_quadratic_state(s, 2.5, alpha, beta), wall.d, u_floor)
+    t_floor = 2 * u_floor / (alpha + math.sqrt(alpha * alpha + 4 * beta * u_floor))
+    off = u_floor / alpha * abs(beta) * s / alpha * math.log(alpha * s / u_floor)
+    assert abs(got - (s - t_floor)) <= 1e-13 * s + off
+
+
+@pytest.mark.parametrize("series, R", [(_m2_series, 0.7), (_m3_series, 3.3)])
+def test_wall_reading_chained_exact_for_one_power(series, R):
+    # both extrapolations over readings of an exact wall keep it exact, and
+    # the third reading on carries a gap
+    wall, s0 = _readings(series, R, 1e-3, 8)
+    assert abs(wall.d - s0) <= 1e-13 * s0
+    assert abs(wall.to_r - s0) <= 1e-11 * s0 and abs(wall.sigma - s0) <= 1e-11 * s0
+    assert wall.gap <= 1e-10 * s0
+    assert _readings(series, R, 1e-3, 2)[0].gap == math.inf
+
+
+@pytest.mark.parametrize("delta", [1.0, -3.0])
+def test_wall_reading_extrapolates_the_bias(delta):
+    # c (R - r)^(1/2) (1 + delta (R - r)): the next power biases d by O(s^2);
+    # the linear extrapolation sigma overshoots it, so its correction bounds
+    # the bias, and the quadratic one (to_r) leaves O(s^3)
+    for n in (8, 12):
+        wall, s0 = _readings(lambda s, r: _m2_series(s, r, delta), 0.7, 1e-2, n)
+        bias = wall.d - s0
+        assert 1e-6 * s0 < abs(bias) <= 2e-4 * abs(delta) * s0
+        assert abs(wall.sigma - wall.d) >= abs(bias) and wall.gap >= abs(bias)
+        assert abs(wall.to_r - s0) <= 1e-3 * abs(bias)
 
 
 def test_wall_distance_needs_falling_u():
-    for u1 in (0.0, 1e-3):
-        y2 = _m2_wall_state(1e-6, 0.7)
-        y2[1] = u1
-        assert _wall_distance(2, 0.7, y2, 1e-8) is None
-        y3 = _m3_quadratic_state(1e-5, 2.5, 0.8, 0.0, 1e-8)
-        y3[1] = u1
-        assert _wall_distance(3, 2.5, y3, 1e-8) is None
+    # a rising u gives no reading, even with a singularity ahead, and so does
+    # a flat one
+    blow_up = _power_series(1.0, -0.5, 1e-4, 0.7)  # (R - r)^(-1/2)
+    assert blow_up[1] > 0.0 and _read_wall(blow_up, 0.7, None) is None
+    for series, r0 in ((_m2_series(1e-6, 0.7), 0.7), (_m3_series(1e-5, 2.5), 2.5)):
+        assert _read_wall(series, r0, None) is not None
+        for slope in (0.0, 1e-3):
+            assert _read_wall([series[0], slope, *series[2:]], r0, None) is None
 
 
 @pytest.mark.parametrize("m, slot", [(2, 2), (3, 2), (3, 4)])
@@ -933,12 +1008,13 @@ def test_wall_distance_refuses_a_slot_crossing(m, slot):
     # a Laplacian slot heading for zero closes only if it stays clear of it
     # over the remaining distance s, with a factor 2 margin
     s = 1e-5
-    y = _m2_wall_state(s, 0.7) if m == 2 else _m3_quadratic_state(s, 0.7, 0.8, 0.0, 1e-8)
+    y = _m2_wall_state(s, 0.7) if m == 2 else _m3_quadratic_state(s, 0.7, 0.8, 0.0)
     y[slot + 1] = 1e3
     for lap, closes in ((-1.5 * 2 * s * 1e3, True), (-2 * s * 1e3 * 0.75, False),
                         (0.0, False), (1e-3, True)):
         y[slot] = lap
-        assert (_wall_distance(m, 0.7, y, 1e-8) is not None) is closes, lap
+        assert (_close_on_wall(m, y, s, 1e-8) is not None) is closes, lap
+    assert _close_on_wall(m, y, 0.0, 1e-8) is None  # no distance ahead
 
 
 # m=2 offsets rho in [-0.45, -0.02] and m=3 (10, -eps, 1), eps in [3.5, 10]
@@ -963,13 +1039,28 @@ def test_wall_closure_matches_tight_stepping(case):
     assert abs(coarse.verdict.r_star - tight.verdict.r_star) <= 1e-8
 
 
+@settings(max_examples=12, deadline=None)
+@given(case=_COLLAPSES)
+def test_wall_closure_within_abs_tol_at_tight_tolerances(case):
+    # at the tolerances of criterion 5's comparison pairs the wall closes
+    # within abs_tol of an extended run at 100x tighter ones (measured: 0.66
+    # abs_tol for m=2 and 0.06 for m=3 over 200 draws)
+    m, param = case
+    spec, jet = EquationSpec.for_order(m), jet_m2(param) if m == 2 else jet_m3(10.0, param)
+    traj = integrate(spec, jet, default_config(m, rel_tol=1e-10, abs_tol=1e-12))
+    ref = integrate(spec, jet, default_config(m, rel_tol=1e-12, abs_tol=1e-14,
+                                              precision="extended"))
+    assert traj.stats["closure"]["kind"] == "wall"
+    assert abs(traj.verdict.r_star - ref.verdict.r_star) <= 1e-12
+
+
 def test_closure_is_recorded(u0, traj_u0_1000):
     assert traj_u0_1000.stats["closure"] is None
     spec3, jet3 = EquationSpec.for_order(3), Jet((10.0, -6.0, 1.0))
     wall = integrate(spec3, jet3, IntegratorConfig(r_max=30.0)).stats["closure"]
     assert wall["kind"] == "wall"
     assert 0.0 < wall["s"] < 1e-3 and wall["disagreement"] <= 1e-10
-    # a high floor is crossed long before the estimates agree
+    # a high floor is crossed long before the wall readings settle
     floor = integrate(spec3, jet3, IntegratorConfig(r_max=30.0, u_floor=1e-2))
     assert floor.stats["closure"] == {"kind": "floor"}
     assert floor.events[-1].kind == "u_floor"
