@@ -412,8 +412,6 @@ def cmd_prescribe_volume(args) -> int:
         "achieved": solve.achieved,
         "rel_err": solve.rel_err,
         "iterations": solve.iterations,
-        "monotone_observed": solve.monotone_observed,
-        "multi_root_flag": solve.multi_root_flag,
     }
     if rc.m == 2:
         report["rho"] = solve.param
@@ -473,9 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("critical-eps",
-                       help="locate the critical datum (m=3) by safeguarded "
-                            "bracket refinement")
+    about = ("locate the critical datum (m=3) by safeguarded bracket refinement "
+             "from a bracket about the large-k law; the report's iterations counts "
+             "the refinement rounds, not the probes that opened the bracket")
+    p = sub.add_parser("critical-eps", help=about, description=about)
     common(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--bracket-tol", type=float, default=1e-6)

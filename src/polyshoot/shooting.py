@@ -27,8 +27,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
@@ -97,7 +95,7 @@ class EpsCache:
     and an entry that is not a map of every FIELDS key is a miss; the next
     put rewrites either."""
 
-    SCHEMA = 11  # 11: top zeros located by Brent's zeroin, not bisection
+    SCHEMA = 12  # 12: brackets opened about the large-k law, not at [0, sqrt(6k/5)]
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -149,7 +147,9 @@ class CriticalEps:
     k, with the volume (and its error estimate) and the critical-balance
     residual (see EpsResidual) of the entire end eps_lo; a cache hit reads
     these from the entry and carries no trajectories.  precision is that of
-    the config the solve ran with."""
+    the config the solve ran with.  iterations counts the rounds of
+    refine_bracket, not the probes that opened the bracket about the
+    large-k law or widened it (0 on a cache hit)."""
 
     k: float
     eps_lo: float
@@ -196,16 +196,24 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
-    Starts from the bracket imposed by theory: eps=0 must integrate entire
-    (BracketFailure otherwise, signalling k below the large-k regime at
-    this horizon) and eps=sqrt(6k/5) must not (BracketFailure: horizon too
-    short).  refine_bracket closes it to bracket_tol, with h as the
-    residual of every probe (_eps_probe); a probe stops at the top slot's
-    zero, so traj_hi is a TopZero run unless the hi end is entire with
-    w_inf <= 0.  bracket_tol must be positive and finite (ValueError).
-    Every integration runs at cfg.precision, but eps is a Python float in
-    both precisions: a bracket_tol below its rounding width stops at about
-    4 ulp of eps (refine_bracket).
+    The root lies in the theory bracket [0, sqrt(6k/5)].  The solve opens
+    [pred (1 - d), pred (1 + d)] about the large-k law's pred (_eps_law, d
+    = _LARGE_K["seed"]), clamped to the theory bracket; while an end is on
+    the wrong side, its probe becomes the other end and the half-width
+    doubles from pred.  An end clamped to 0 or sqrt(6k/5) decides as the
+    theory end: eps=0 must integrate entire (BracketFailure otherwise,
+    signalling k below the large-k regime at this horizon) and
+    eps=sqrt(6k/5) must not (BracketFailure: horizon too short).  Below
+    k = 10 (_LARGE_K["seed_k_min"]), where the law was not measured, the
+    bracket is the theory's.  refine_bracket closes the bracket to
+    bracket_tol, with h as the residual of every probe (_eps_probe);
+    iterations counts its rounds, not the probes that opened the bracket.
+    A probe stops at the top slot's zero, so traj_hi is a TopZero run
+    unless the hi end is entire with w_inf <= 0.  bracket_tol must be
+    positive and finite (ValueError).  Every integration runs at
+    cfg.precision, but eps is a Python float in both precisions: a
+    bracket_tol below its rounding width stops at about 4 ulp of eps
+    (refine_bracket).
     """
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
         raise ValueError(f"bracket_tol must be positive and finite, got {bracket_tol}")
@@ -221,15 +229,31 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                            cache_hit=True, **{name: hit[name] for name in EpsCache.FIELDS})
 
     evaluate = functools.partial(_eps_probe, spec, k, cfg=cfg)
-    b = Bracket(0.0, eps_cap, evaluate(0.0), evaluate(eps_cap))
-    if not b.at_lo.lo_side:
-        raise BracketFailure(
-            f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
-            f"below the large-k regime for this horizon ({b.at_lo.payload.verdict})")
-    if b.at_hi.lo_side:
-        raise BracketFailure(
-            f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
-            f"horizon {cfg.r_max}: horizon too short")
+    if k >= _LARGE_K["seed_k_min"]:
+        pred = _eps_law(k)
+        half = _LARGE_K["seed"] * pred
+    else:  # below the laws' range: the theory bracket
+        pred = half = 0.5 * eps_cap
+    lo, hi = max(pred - half, 0.0), min(pred + half, eps_cap)
+    b = Bracket(lo, hi, evaluate(lo), evaluate(hi))
+    while not b.at_lo.lo_side:
+        if b.lo == 0.0:
+            raise BracketFailure(
+                f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
+                f"below the large-k regime for this horizon ({b.at_lo.payload.verdict})")
+        half *= 2.0
+        b.hi, b.at_hi = b.lo, b.at_lo
+        b.lo = max(pred - half, 0.0)
+        b.at_lo = evaluate(b.lo)
+    while b.at_hi.lo_side:
+        if b.hi == eps_cap:
+            raise BracketFailure(
+                f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
+                f"horizon {cfg.r_max}: horizon too short")
+        half *= 2.0
+        b.lo, b.at_lo = b.hi, b.at_hi
+        b.hi = min(pred + half, eps_cap)
+        b.at_hi = evaluate(b.hi)
 
     refine_bracket(evaluate, b, bracket_tol)
 
@@ -345,8 +369,6 @@ class VolumeSolve:
     param: object            # rho for m=2, (k, eps) for m=3
     achieved: float
     iterations: int
-    monotone_observed: bool = True
-    multi_root_flag: bool = False
     k_used: Optional[float] = None
 
     @property
@@ -361,6 +383,27 @@ class VolumeSolve:
 # rules, V ~ s^(-3/2).  m=2, slot u(0): once u ~ u(0) + B r^2, V ~ u(0)^(-9/2).
 _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 
+# The large-k laws of the m=3 critical table (k = 10 ... 640, r_max = 100,
+# bracket_tol 1e-6), which seed critical_eps and the table walk of
+# prescribe_volume; neither result depends on them beyond its cost:
+#   eps*(k)   ~ sqrt(6k/5) - (2/sqrt(3) + D/k) / sqrt(k),  within 0.15 %,
+#   V_crit(k) ~ A k^(1/4) (1 - B/k),                       within 0.1 %.
+# 2/sqrt(3) is the limit of (sqrt(6k/5) - eps*) sqrt(k), to 3e-5 by
+# Richardson extrapolation in 1/k, D its 1/k correction fitted at k = 640;
+# A is the limit of V_crit / k^(1/4) and B its 1/k correction.  "seed" is
+# the relative half-width of the bracket critical_eps opens about the law,
+# from seed_k_min on: below it the widening costs more than the theory bracket
+# (13 integrations against 7 at k = 2, 8 against 7 at k = 5).
+_LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0}
+
+
+def _eps_law(k: float) -> float:
+    return math.sqrt(6.0 * k / 5.0) - (2.0 / math.sqrt(3.0) + _LARGE_K["D"] / k) / math.sqrt(k)
+
+
+def _volume_law(k: float) -> float:
+    return _LARGE_K["A"] * k ** 0.25 * (1.0 - _LARGE_K["B"] / k)
+
 
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
@@ -369,11 +412,17 @@ def prescribe_volume(spec: EquationSpec, target: float,
     """Find initial data whose trajectory has the prescribed volume.
 
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the
-    critical volume toward 0); targets above the critical volume raise
-    TargetOutOfRange.  m=3: picks the smallest tabulated k whose
-    near-critical volume reaches the target, then moves the second jet
-    slot s = Lap u(0) up from the critical one, -eps_lo (volume decreasing
-    to 0); targets beyond the largest tabulated k raise TableExhausted.
+    critical volume lambda* toward 0).  The rho = 0 end is the closed form
+    lambda* (oracle.lambda_star), not an integration, and targets above it
+    raise TargetOutOfRange before any integration.  m=3: picks the smallest
+    tabulated k whose near-critical volume reaches the target, then moves
+    the second jet slot s = Lap u(0) up from the critical one, -eps_lo
+    (volume decreasing to 0).  The table walk starts at the entry k_j that
+    the volume law (_volume_law) picks, solves it and the entry below, and
+    moves one entry at a time until V_crit(k_j) >= target > V_crit(k_(j-1));
+    as V_crit increases with k this is the smallest such entry, from about
+    two critical solves.  Targets beyond the largest tabulated k raise
+    TableExhausted.
 
     Each probe carries the residual 1 - (target / V)^(1/beta), >= 0 while
     V >= target, with beta = 9/2 for m=2 and 3/2 for m=3 (_VOLUME_DECAY):
@@ -435,36 +484,32 @@ def prescribe_volume(spec: EquationSpec, target: float,
 
     if spec.m == 2:
         jet_of = jet_m2
-        p0 = evaluate(0.0)
+        p0 = point(oracle.lambda_star())  # V(0): rho = 0 is the linear-growth profile
         if target > p0.payload * (1.0 + rel_tol_target):
             raise TargetOutOfRange(
                 f"target {target:.6g} above the critical volume {p0.payload:.6g}")
         if close(p0):
-            return VolumeSolve(target=target, param=0.0, achieved=p0.payload,
-                               iterations=len(evaluated))
-        scan = scan_down([(0.0, p0)], 1.0, 1e6)
-        monotone = all(b.payload < a.payload for (_, a), (_, b) in zip(scan, scan[1:]))
-        ends = scan[-2:]
-        if not monotone:
-            # non-monotone scan: refine to the first bracketing interval
-            grid = [(g, evaluate(g)) for g in np.linspace(0.0, scan[-1][0], 17)[1:]]
-            grid.insert(0, (0.0, p0))
-            ends = next(((a, b) for a, b in zip(grid, grid[1:])
-                         if (a[1].payload - target) * (b[1].payload - target) <= 0), ends)
-        rho, achieved = solve(*ends)
+            return VolumeSolve(target=target, param=0.0, achieved=p0.payload, iterations=0)
+        rho, achieved = solve(*scan_down([(0.0, p0)], 1.0, 1e6)[-2:])
         return VolumeSolve(target=target, param=rho, achieved=achieved,
-                           iterations=len(evaluated), monotone_observed=monotone,
-                           multi_root_flag=not monotone)
+                           iterations=len(evaluated))
 
     # m=3: two-level strategy through the critical table
-    for k in table_k:
-        ce = critical_eps(k, cfg, bracket_tol, cache=cache)
-        if ce.volume >= target:
-            break
-    else:
-        raise TableExhausted(
-            f"target {target:.6g} above the largest tabulated near-critical "
-            f"volume; extend table_k beyond {table_k[-1]}")
+    @functools.cache
+    def entry(j):  # each entry's critical solve runs at most once
+        return critical_eps(table_k[j], cfg, bracket_tol, cache=cache)
+
+    j = next((j for j, k in enumerate(table_k) if _volume_law(k) >= target), len(table_k) - 1)
+    while j > 0 and entry(j - 1).volume >= target:
+        j -= 1
+    while entry(j).volume < target:
+        if j + 1 == len(table_k):
+            raise TableExhausted(
+                f"target {target:.6g} above the largest tabulated near-critical "
+                f"volume; extend table_k beyond {table_k[-1]}")
+        j += 1
+    k, ce = table_k[j], entry(j)
+
     def jet_of(s):  # V decreases in the second jet slot s = -eps
         return jet_m3(k, -s)
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -32,7 +33,7 @@ from polyshoot import integrator, shooting
 from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
 from polyshoot.integrator import Bracket, Probe, radial_double_integral, refine_bracket
 from polyshoot.shooting import EpsCache, lap_limit_estimate
-from polyshoot.volume import VolumeEstimate
+from polyshoot.volume import VolumeEstimate, volume_of_jet
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,71 @@ def test_critical_eps_integration_count(monkeypatch, k, bound):
     assert len(calls) <= bound  # plain bisection makes 24 at k = 10
 
 
+# The critical table of the ROADMAP baseline (r_max 100, bracket_tol 1e-6):
+# k, (sqrt(6k/5) - eps*) sqrt(k) and V_crit / k^(1/4), as printed there
+_CRITICAL_TABLE = [
+    (10.0, 1.229892, 108.090), (20.0, 1.190435, 112.453), (40.0, 1.171882, 114.665),
+    (80.0, 1.163024, 115.780), (160.0, 1.158752, 116.341), (320.0, 1.156674, 116.622),
+    (640.0, 1.155658, 116.764)]
+
+
+def _theory_bracket_eps(k, cfg, tol):
+    """eps* as the critical solve located it before its large-k seed:
+    refine_bracket from the theory bracket [0, sqrt(6k/5)], kept here as a
+    reference."""
+    evaluate = functools.partial(shooting._eps_probe, EquationSpec.for_order(3), k, cfg=cfg)
+    cap = math.sqrt(6.0 * k / 5.0)
+    b = refine_bracket(evaluate, Bracket(0.0, cap, evaluate(0.0), evaluate(cap)), tol)
+    return 0.5 * (b.lo + b.hi)
+
+
+def test_large_k_critical_table(spec3, monkeypatch):
+    # a reproduction check of the large-k regime, not a tolerance on the
+    # solver: both scaled columns settle as the table has them, each to the
+    # printed digits plus what a bracket_tol bracket resolves
+    tol, cfg = 1e-6, default_config(3)
+    calls = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return integrate_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    solves = [critical_eps(k, cfg, tol) for k, _, _ in _CRITICAL_TABLE]
+    assert len(calls) <= 42  # 55 from the theory bracket
+    monkeypatch.undo()
+    for ce, (k, gap, v_scaled) in zip(solves, _CRITICAL_TABLE):
+        assert abs(ce.eps_star - _theory_bracket_eps(k, cfg, tol)) <= tol
+        # eps* to tol moves the gap column by tol sqrt(k): 2.5e-5 at k = 640
+        assert (ce.eps_cap - ce.eps_star) * math.sqrt(k) == pytest.approx(
+            gap, abs=5e-7 + tol * math.sqrt(k))
+        # V_crit is read at eps_lo, anywhere in the tol below eps*, where V
+        # is linear in eps: it moves by its change over tol (3.8e-3 at 640)
+        v_below = volume_of_jet(spec3, shooting.jet_m3(k, ce.eps_lo - tol), cfg).total
+        assert ce.volume / k ** 0.25 == pytest.approx(
+            v_scaled, abs=5e-4 + abs(ce.volume - v_below) / k ** 0.25)
+
+
+@pytest.mark.parametrize("k", [5.0, 10.0, 640.0])
+def test_critical_eps_opens_about_the_law(monkeypatch, k):
+    # from k = 10 on, the first two probes are pred (1 -+ 1e-3), clamped to
+    # the cap; below, where the law was not measured, 0 and the cap
+    eps = []
+    probe_ = shooting._eps_probe
+
+    def recording(spec, k_, eps_, cfg):
+        eps.append(eps_)
+        return probe_(spec, k_, eps_, cfg)
+
+    monkeypatch.setattr(shooting, "_eps_probe", recording)
+    ce = critical_eps(k, bracket_tol=1e-3)
+    cap, pred = ce.eps_cap, shooting._eps_law(k)
+    want = [0.0, cap] if k < 10.0 else [pred * (1 - 1e-3), min(pred * (1 + 1e-3), cap)]
+    assert eps[:2] == pytest.approx(want, rel=1e-15)
+    assert ce.eps_lo < ce.eps_hi <= cap
+
+
 def test_critical_probe_side_matches_residual(monkeypatch):
     # the one m=3 classifier: h > 0 on the lo side and only there, the lo
     # side is entire, a probe stopped at the top zero carries h < 0, and
@@ -147,7 +213,8 @@ def test_critical_probe_side_matches_residual(monkeypatch):
         return probes[-1]
 
     monkeypatch.setattr(shooting, "_eps_probe", recording)
-    for k in (10.0, 20.0, 40.0):
+    # five k: a seeded solve makes 5-6 probes, and the sample stays >= 20
+    for k in (10.0, 20.0, 40.0, 80.0, 160.0):
         critical_eps(k, bracket_tol=1e-6)
     assert sum(p.residual is not None for p in probes) >= 20
     assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
@@ -314,16 +381,23 @@ def test_prescribe_volume_m2(spec2):
     vs = prescribe_volume(spec2, target)
     assert vs.rel_err <= 1e-3
     assert vs.param > 0.0
-    assert vs.monotone_observed
-    # target at the critical volume returns rho = 0
+    # target at the critical volume returns rho = 0, read off the closed form
     vs0 = prescribe_volume(spec2, lambda_star())
     assert vs0.param == 0.0
-    assert vs0.rel_err <= 1e-3
+    assert vs0.rel_err <= 1e-3 and vs0.iterations == 0
 
 
-def test_prescribe_volume_m2_out_of_range(spec2):
-    with pytest.raises(TargetOutOfRange):
-        prescribe_volume(spec2, 25.0)
+def test_prescribe_volume_m2_out_of_range(spec2, monkeypatch):
+    # the rho = 0 end is lambda* in closed form, so a target above
+    # lambda* (1 + rel_tol_target) is refused before any integration
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    for module, name in ((shooting, "integrate"), (integrator, "integrate"),
+                         (shooting, "volume_of_jet")):
+        monkeypatch.setattr(module, name, refuse)
+    for target in (25.0, lambda_star() * (1.0 + 1e-3) * (1.0 + 1e-12)):
+        with pytest.raises(TargetOutOfRange, match="above the critical volume"):
+            prescribe_volume(spec2, target, rel_tol_target=1e-3)
     with pytest.raises(TargetOutOfRange):
         prescribe_volume(spec2, -1.0)
 
@@ -379,6 +453,19 @@ def _count_volumes(monkeypatch):
     return jets
 
 
+def _count_critical_solves(monkeypatch):
+    """The k of every critical_eps call of prescribe_volume's table walk."""
+    solved = []
+    critical_eps_ = shooting.critical_eps
+
+    def recording(k, *args, **kwargs):
+        solved.append(k)
+        return critical_eps_(k, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "critical_eps", recording)
+    return solved
+
+
 # k_used as the smallest table k whose critical volume reaches the target
 @pytest.mark.parametrize("target, k_used", [
     (0.05, 10.0), (0.5, 10.0), (3.0, 10.0), (20.0, 10.0), (100.0, 10.0), (191.0, 10.0),
@@ -388,21 +475,69 @@ def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_table, monkeypat
                                                     target, k_used):
     # V^(-2/3) is close to linear in s = Lap u(0), and the first probe is on
     # the line through the critical entry and the cap: one probe, and at most
-    # one secant step (3 to 7 probes from a doubling scan on log V)
+    # one secant step (3 to 7 probes from a doubling scan on log V); the
+    # table walk looks up the entry the volume law picks and the one below
     jets = _count_volumes(monkeypatch)
+    solved = _count_critical_solves(monkeypatch)
     vs = prescribe_volume(spec3, target, cache=warm_table)
     assert vs.rel_err <= 1e-3
     assert vs.k_used == k_used
     assert len(jets) == vs.iterations <= 2
+    j = shooting.DEFAULT_TABLE_K.index(k_used)
+    assert sorted(solved) == list(shooting.DEFAULT_TABLE_K[max(j - 1, 0):j + 1])
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0])
+def test_table_walk_moves_until_the_entry_brackets_the_target(spec3, monkeypatch, scale):
+    # critical volumes the law misjudges threefold: the walk still ends at
+    # the smallest entry whose critical volume reaches the target
+    table = shooting.DEFAULT_TABLE_K
+
+    def critical(k, *args, **kwargs):
+        return shooting.CriticalEps(
+            k=k, eps_lo=1.0, eps_hi=1.0, eps_star=1.0, width=0.0, horizon_used=100.0,
+            iterations=0, bracket_tol=1e-6, precision="double",
+            volume=scale * shooting._volume_law(k), volume_err=0.0,
+            delta2_at_horizon=0.0, partial_integral=1.0)
+
+    monkeypatch.setattr(shooting, "critical_eps", critical)
+    jets = _count_volumes(monkeypatch)
+    for k in table:
+        vs = prescribe_volume(spec3, critical(k).volume, table_k=table)
+        assert vs.k_used == k and vs.param == (k, 1.0)
+    assert jets == []
+    with pytest.raises(TableExhausted):
+        prescribe_volume(spec3, 1.01 * critical(table[-1]).volume, table_k=table)
+
+
+def test_prescribe_volume_m3_cold_table_walk(spec3, tmp_path, monkeypatch):
+    # the volume law picks k = 640 for a target of 550: the walk solves it and
+    # k = 320, and keeps k_used (56 integrations when it went up from k = 10)
+    runs = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return integrate_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    solved = _count_critical_solves(monkeypatch)
+    jets = _count_volumes(monkeypatch)
+    vs = prescribe_volume(spec3, 550.0, cache=EpsCache(tmp_path))
+    assert vs.k_used == 640.0 and vs.rel_err <= 1e-3
+    assert sorted(solved) == [320.0, 640.0]
+    assert len(runs) + len(jets) <= 20
 
 
 @pytest.mark.parametrize("target", [1.0, 3.0, 5.0, 10.0, 15.0])
 def test_prescribe_volume_m2_integration_count(spec2, monkeypatch, target):
-    # rho = 0, the doubling scan and the refinement of 1 - (target/V)^(2/9)
+    # the doubling scan from rho = 1 and the refinement of 1 - (target/V)^(2/9);
+    # the rho = 0 end is lambda*, not a probe (5 probes when it was one)
     jets = _count_volumes(monkeypatch)
     vs = prescribe_volume(spec2, target)
     assert vs.rel_err <= 1e-3
-    assert len(jets) <= 5
+    assert len(jets) == vs.iterations <= 4
+    assert all(jet.u0 > shooting.jet_m2(0.0).u0 for jet in jets)
 
 
 @pytest.mark.parametrize("target", [150.0, 1.0])
@@ -631,12 +766,14 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # false position on w_inf, whose brackets Brent's zeroin on h moves,
     # schema 9 entries from probes that ran into the collapse with no
     # residual, whose brackets the stop at the top zero moves, schema 10
-    # entries from probes whose top zero was bisected, not located by Brent
+    # entries from probes whose top zero was bisected, not located by Brent,
+    # schema 11 entries from brackets refined from [0, sqrt(6k/5)], which
+    # the large-k seed moves within bracket_tol
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 11
-    for schema in (3, 4, 5, 6, 7, 8, 9, 10):
+    assert EpsCache.SCHEMA == 12
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11):
         cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)
