@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -29,7 +28,7 @@ from . import oracle
 from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet, TopZero
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, integrate
-from .shooting import (EpsCache, critical_eps, critical_eps_residual,
+from .shooting import (EpsCache, atomic_write, critical_eps, critical_eps_residual,
                        default_config, jet_m2, jet_m3, prescribe_volume)
 from .volume import volume
 
@@ -151,17 +150,8 @@ def write_text(path, text: str):
     """Atomic write when a path is given, stdout otherwise."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        return
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    else:
+        atomic_write(Path(path), text)
 
 
 def _csv_header(command: str, rc: RunConfig, extra=()):

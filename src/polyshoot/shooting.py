@@ -1,8 +1,9 @@
 """Root-finding layers over the integrator.
 
-One safeguarded bracket refinement over trajectory classifications and
-residuals, integrator.refine_bracket (Brent's zeroin, which also locates
-the integrator's events), solves three shooting problems:
+Each of three shooting problems is solved the same way: a seed, one
+doubling scan from it (_scan) to the first bracket about the root, and
+integrator.refine_bracket (Brent's zeroin, which also locates the
+integrator's events) over trajectory classifications and residuals:
 
   * critical_eps: the largest second-datum magnitude eps for which the
     sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
@@ -86,6 +87,19 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
 
 
+def atomic_write(path: Path, text: str):
+    """Replace path by text through a temp file and a rename; makes its parents."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 class EpsCache:
     """JSON map from (k, integrator config, bracket_tol) to a critical bracket
     and its entire-side volume and residual.  Writes hold an exclusive
@@ -130,15 +144,8 @@ class EpsCache:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             entries = self._load()
             entries[key] = value
-            payload = {"schema": self.SCHEMA, "entries": entries}
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh, indent=1, sort_keys=True)
-                os.replace(tmp, self.path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            atomic_write(self.path, json.dumps({"schema": self.SCHEMA, "entries": entries},
+                                               indent=1, sort_keys=True))
 
 
 @dataclass
@@ -148,8 +155,8 @@ class CriticalEps:
     residual (see EpsResidual) of the entire end eps_lo; a cache hit reads
     these from the entry and carries no trajectories.  precision is that of
     the config the solve ran with.  iterations counts the rounds of
-    refine_bracket, not the probes that opened the bracket about the
-    large-k law or widened it (0 on a cache hit)."""
+    refine_bracket, not the probes of the scan that opened the bracket
+    (0 on a cache hit)."""
 
     k: float
     eps_lo: float
@@ -191,23 +198,43 @@ def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) 
     return Probe(h > 0.0, h, traj)
 
 
+def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float) -> Optional[Bracket]:
+    """The first bracket of a doubling scan from x0, probed as at_x0.
+
+    Probes x1 (on limit's side of x0), then x0 + 2 (x1 - x0), x0 + 4 (x1 -
+    x0), ..., each clamped to limit, until a probe lands on the other side
+    from at_x0; it and the probe before are the Bracket, the lo-side one
+    its lo end.  The limit is probed once: None if it, or x0 = limit,
+    reads x0's side."""
+    x, at_x, step = x0, at_x0, x1
+    while x != limit:
+        prev, at_prev = x, at_x
+        x = min(step, limit) if x0 < limit else max(step, limit)
+        at_x = evaluate(x)
+        if at_x.lo_side != at_x0.lo_side:
+            return (Bracket(prev, x, at_prev, at_x) if at_prev.lo_side
+                    else Bracket(x, prev, at_x, at_prev))
+        step = x0 + 2.0 * (step - x0)
+    return None
+
+
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  bracket_tol: float = 1e-6, *,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
-    The root lies in the theory bracket [0, sqrt(6k/5)].  The solve opens
-    [pred (1 - d), pred (1 + d)] about the large-k law's pred (_eps_law, d
-    = _LARGE_K["seed"]), clamped to the theory bracket; while an end is on
-    the wrong side, its probe becomes the other end and the half-width
-    doubles from pred.  An end clamped to 0 or sqrt(6k/5) decides as the
-    theory end: eps=0 must integrate entire (BracketFailure otherwise,
-    signalling k below the large-k regime at this horizon) and
-    eps=sqrt(6k/5) must not (BracketFailure: horizon too short).  Below
+    The root lies in the theory bracket [0, sqrt(6k/5)].  The solve probes
+    pred (1 - d) below the large-k law's pred (_eps_law, d =
+    _LARGE_K["seed"]) and scans (_scan) from there the way that probe's
+    side calls for: up through pred (1 + d), clamped to sqrt(6k/5), from
+    an entire probe, else down through pred (1 - 2d), clamped to 0.  Below
     k = 10 (_LARGE_K["seed_k_min"]), where the law was not measured, the
-    bracket is the theory's.  refine_bracket closes the bracket to
-    bracket_tol, with h as the residual of every probe (_eps_probe);
-    iterations counts its rounds, not the probes that opened the bracket.
+    scan starts at 0 with sqrt(6k/5) as its first step.  The clamped ends
+    decide as the theory's: an entire probe at sqrt(6k/5) raises
+    BracketFailure (horizon too short), as does eps=0 if it is not entire
+    (k below the large-k regime at this horizon).  refine_bracket closes
+    the bracket to bracket_tol, with h as the residual of every probe
+    (_eps_probe); iterations counts its rounds, not the scan's probes.
     A probe stops at the top slot's zero, so traj_hi is a TopZero run
     unless the hi end is entire with w_inf <= 0.  bracket_tol must be
     positive and finite (ValueError).  Every integration runs at
@@ -232,28 +259,19 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     if k >= _LARGE_K["seed_k_min"]:
         pred = _eps_law(k)
         half = _LARGE_K["seed"] * pred
+        x0, up, down = pred - half, pred + half, pred - 2.0 * half
     else:  # below the laws' range: the theory bracket
-        pred = half = 0.5 * eps_cap
-    lo, hi = max(pred - half, 0.0), min(pred + half, eps_cap)
-    b = Bracket(lo, hi, evaluate(lo), evaluate(hi))
-    while not b.at_lo.lo_side:
-        if b.lo == 0.0:
-            raise BracketFailure(
-                f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
-                f"below the large-k regime for this horizon ({b.at_lo.payload.verdict})")
-        half *= 2.0
-        b.hi, b.at_hi = b.lo, b.at_lo
-        b.lo = max(pred - half, 0.0)
-        b.at_lo = evaluate(b.lo)
-    while b.at_hi.lo_side:
-        if b.hi == eps_cap:
-            raise BracketFailure(
-                f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
-                f"horizon {cfg.r_max}: horizon too short")
-        half *= 2.0
-        b.lo, b.at_lo = b.hi, b.at_hi
-        b.hi = min(pred + half, eps_cap)
-        b.at_hi = evaluate(b.hi)
+        x0, up, down = 0.0, eps_cap, 0.0
+    at_x0 = evaluate(x0)
+    b = _scan(evaluate, x0, at_x0, *((up, eps_cap) if at_x0.lo_side else (down, 0.0)))
+    if b is None and at_x0.lo_side:
+        raise BracketFailure(
+            f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
+            f"horizon {cfg.r_max}: horizon too short")
+    if b is None:
+        raise BracketFailure(
+            f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
+            "below the large-k regime for this horizon")
 
     refine_bracket(evaluate, b, bracket_tol)
 
@@ -318,25 +336,28 @@ def critical_eps_residual(ce: CriticalEps,
 
 
 def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
-                         tol_b: float = 1e-3, delta: float = 0.1) -> float:
+                         tol_b: float = 1e-3) -> float:
     """Locate the collapse boundary of the fourth-order problem in rho.
 
-    Bisects rho over [-(u0(0)) + delta, 0] on the entire/collapse verdict
-    (refine_bracket without residuals), each run ending at the top slot's
-    first zero (integrate's stop_at_top_zero), where is_entire is already
-    false; theory puts the boundary at 0, so the estimate must land in
-    [-tol_b, 0].  A parameter below -tol_b that
-    classifies entire raises HorizonTooShort with a horizon estimate
-    extrapolated from the decay of the Laplacian gap.
+    rho = 0 must integrate entire (BracketFailure otherwise); the scan
+    (_scan) from there probes the fixed lo end -u0(0) + 0.1, its limit,
+    and refine_bracket bisects on the entire/collapse verdict (no
+    residuals), each run ending at the top slot's first zero (integrate's
+    stop_at_top_zero), where is_entire is already false.  Theory puts the
+    boundary at 0, so the estimate must land in [-tol_b, 0]: an entire
+    probe below -tol_b, the lo end included, raises HorizonTooShort with a
+    horizon estimate extrapolated from the decay of the Laplacian gap, and
+    an entire lo end above -tol_b (the scan's None) one without.
     """
     cfg = cfg if cfg is not None else default_config(2)
     spec = EquationSpec.for_order(2)
     profile = oracle.linear_profile()
+    lo = -profile.eval(0.0, 0) + 0.1
 
-    def evaluate(rho, guard=True):
+    def evaluate(rho):
         traj = integrate(spec, jet_m2(rho), cfg, stop_at_top_zero=True)
         entire = is_entire(traj)
-        if entire and guard and rho < -tol_b:
+        if entire and rho < -tol_b:
             gap = profile.eval(traj.r_end, 2) - traj.end.lap(1)
             required = 2.0 / gap if gap > 0 else float("inf")
             raise HorizonTooShort(
@@ -345,17 +366,14 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
                 required_horizon=required)
         return Probe(not entire, None, traj)
 
-    lo = -profile.eval(0.0, 0) + delta
-    if not lo < 0:
-        raise ValueError("delta must leave a negative bracket")
-    at_hi = evaluate(0.0)
-    if at_hi.lo_side:
+    at_0 = evaluate(0.0)
+    if at_0.lo_side:
         raise BracketFailure(
             f"rho=0 failed to classify entire at horizon {cfg.r_max}")
-    at_lo = evaluate(lo, guard=False)
-    if not at_lo.lo_side:
-        raise BracketFailure(f"rho={lo:.4g} classified entire; widen delta")
-    b = refine_bracket(evaluate, Bracket(lo, 0.0, at_lo, at_hi), tol_b)
+    b = _scan(evaluate, 0.0, at_0, lo, lo)
+    if b is None:
+        raise HorizonTooShort(f"rho={lo:.4g} classified entire at horizon {cfg.r_max:g}")
+    refine_bracket(evaluate, b, tol_b)
     return 0.5 * (b.lo + b.hi)
 
 
@@ -391,8 +409,8 @@ _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 # 2/sqrt(3) is the limit of (sqrt(6k/5) - eps*) sqrt(k), to 3e-5 by
 # Richardson extrapolation in 1/k, D its 1/k correction fitted at k = 640;
 # A is the limit of V_crit / k^(1/4) and B its 1/k correction.  "seed" is
-# the relative half-width of the bracket critical_eps opens about the law,
-# from seed_k_min on: below it the widening costs more than the theory bracket
+# d in critical_eps's first probe pred (1 - d) and its first scan step, from
+# seed_k_min on: below it a scan from the law costs more than one from 0
 # (13 integrations against 7 at k = 2, 8 against 7 at k = 5).
 _LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0}
 
@@ -427,20 +445,22 @@ def prescribe_volume(spec: EquationSpec, target: float,
     Each probe carries the residual 1 - (target / V)^(1/beta), >= 0 while
     V >= target, with beta = 9/2 for m=2 and 3/2 for m=3 (_VOLUME_DECAY):
     V^(-1/beta) is close to linear in the varied slot, so the secant steps
-    of refine_bracket land near the root at once.  m=2 scans rho = 1, 2,
-    4, ...  m=3 first probes where the line through (-eps_cap, 0) and
-    (-eps_lo, V_crit^(-2/3)) in (s, V^(-2/3)) meets target^(-2/3),
+    of refine_bracket land near the root at once.  The scan (_scan)
+    starts where the volume is known, rho = 0 (lambda*) or s = -eps_lo
+    (V_crit; a run at a smaller s is not entire), and doubles its distance
+    from there, so it never probes beyond the start: m=2 probes rho = 1,
+    2, 4, ... up to 1e6, m=3 s up to 1e9 from where the line through
+    (-eps_cap, 0) and (-eps_lo, V_crit^(-2/3)) in (s, V^(-2/3)) meets
+    target^(-2/3),
 
         s1 = -eps_cap + (eps_cap - eps_lo) (V_crit / target)^(2/3),
 
-    which is above -eps_lo for a target below V_crit.  While a probe still
-    reads V >= target the scan doubles its distance from the start (rho =
-    0, or s = -eps_lo, where a run at a smaller s is not entire), so it
-    never probes on the far side of the start.  refine_bracket then
-    refines the last two scan points until the volume is within
-    rel_tol_target (positive and finite, ValueError otherwise) of the
-    target.  A non-finite target raises ValueError, a finite one <= 0
-    TargetOutOfRange, both before any integration.
+    above -eps_lo for a target below V_crit.  A V >= target at the limit
+    (the scan's None) raises PolyshootError.  refine_bracket then refines
+    the scan's bracket until the volume is within rel_tol_target (positive
+    and finite, ValueError otherwise) of the target.  A non-finite target
+    raises ValueError, a finite one <= 0 TargetOutOfRange, both before any
+    integration.
     """
     if not (math.isfinite(rel_tol_target) and rel_tol_target > 0):
         raise ValueError(f"rel_tol_target must be positive and finite, got {rel_tol_target}")
@@ -449,7 +469,6 @@ def prescribe_volume(spec: EquationSpec, target: float,
     if not target > 0:
         raise TargetOutOfRange(f"volume target must be positive, got {target}")
     cfg = cfg if cfg is not None else default_config(spec.m)
-    evaluated = []
     inv_beta = 1.0 / _VOLUME_DECAY[spec.m]
 
     def point(v):  # on a decreasing volume map: lo side while V >= target
@@ -458,41 +477,33 @@ def prescribe_volume(spec: EquationSpec, target: float,
     def close(p):
         return abs(p.payload - target) / target <= rel_tol_target
 
-    def evaluate(x):  # jet_of is set per order below
-        evaluated.append(x)
-        return point(volume_of_jet(spec, jet_of(x), cfg).total)
+    def solve(jet_of, x0, at_x0, x1, limit):  # -> (x, V(x), probes)
+        evaluated = []
 
-    def scan_down(scan, x, limit):  # x moves away from the start scan[0]
-        start = scan[0][0]
-        while scan[-1][1].lo_side:
-            if x > limit:
-                raise PolyshootError("volume failed to drop below target")
-            scan.append((x, evaluate(x)))
-            x = start + 2.0 * (x - start)
-        return scan
+        def evaluate(x):
+            evaluated.append(x)
+            return point(volume_of_jet(spec, jet_of(x), cfg).total)
 
-    def solve(lo_end, hi_end):
-        (lo, at_lo), (hi, at_hi) = lo_end, hi_end
-        b = refine_bracket(evaluate, Bracket(lo, hi, at_lo, at_hi), 0.0,
-                           stop=lambda b: close(b.at_lo) or close(b.at_hi))
+        b = _scan(evaluate, x0, at_x0, x1, limit)
+        if b is None:
+            raise PolyshootError(f"volume failed to drop below target {target:.6g}")
+        refine_bracket(evaluate, b, 0.0, stop=lambda b: close(b.at_lo) or close(b.at_hi))
         x, best = (b.lo, b.at_lo) if close(b.at_lo) else (b.hi, b.at_hi)
         if not close(best):
             raise PolyshootError(
                 f"volume solve failed to reach {rel_tol_target:.1e} relative "
                 f"(best {best.payload:.6g} vs target {target:.6g})")
-        return x, best.payload
+        return x, best.payload, len(evaluated)
 
     if spec.m == 2:
-        jet_of = jet_m2
         p0 = point(oracle.lambda_star())  # V(0): rho = 0 is the linear-growth profile
         if target > p0.payload * (1.0 + rel_tol_target):
             raise TargetOutOfRange(
                 f"target {target:.6g} above the critical volume {p0.payload:.6g}")
         if close(p0):
             return VolumeSolve(target=target, param=0.0, achieved=p0.payload, iterations=0)
-        rho, achieved = solve(*scan_down([(0.0, p0)], 1.0, 1e6)[-2:])
-        return VolumeSolve(target=target, param=rho, achieved=achieved,
-                           iterations=len(evaluated))
+        rho, achieved, n = solve(jet_m2, 0.0, p0, 1.0, 1e6)
+        return VolumeSolve(target=target, param=rho, achieved=achieved, iterations=n)
 
     # m=3: two-level strategy through the critical table
     @functools.cache
@@ -509,20 +520,17 @@ def prescribe_volume(spec: EquationSpec, target: float,
                 f"volume; extend table_k beyond {table_k[-1]}")
         j += 1
     k, ce = table_k[j], entry(j)
-
-    def jet_of(s):  # V decreases in the second jet slot s = -eps
-        return jet_m3(k, -s)
-
-    critical = (-ce.eps_lo, point(ce.volume))
-    if close(critical[1]):
+    critical = point(ce.volume)
+    if close(critical):
         return VolumeSolve(target=target, param=(k, ce.eps_lo), achieved=ce.volume,
                            iterations=0, k_used=k)
     # V_crit > target here, so s1 > -eps_lo up to rounding
     s1 = -ce.eps_cap + (ce.eps_cap - ce.eps_lo) * (ce.volume / target) ** inv_beta
-    scan = scan_down([critical], max(s1, math.nextafter(-ce.eps_lo, math.inf)), 1e9)
-    s, achieved = solve(*scan[-2:])
+    s, achieved, n = solve(lambda s: jet_m3(k, -s),  # V decreases in s = Lap u(0) = -eps
+                           -ce.eps_lo, critical,
+                           max(s1, math.nextafter(-ce.eps_lo, math.inf)), 1e9)
     return VolumeSolve(target=target, param=(k, -s), achieved=achieved,
-                       iterations=len(evaluated), k_used=k)
+                       iterations=n, k_used=k)
 
 
 def smallest_valid_k(cfg: Optional[IntegratorConfig] = None,

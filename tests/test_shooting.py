@@ -122,7 +122,7 @@ def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
     assert ce.eps_star == pytest.approx(eps_bisection, abs=1e-6)
 
 
-@pytest.mark.parametrize("k, bound", [(10.0, 7), (20.0, 8), (40.0, 8)])
+@pytest.mark.parametrize("k, bound", [(10.0, 4), (20.0, 8), (40.0, 8)])
 def test_critical_eps_integration_count(monkeypatch, k, bound):
     calls = []
     integrate_ = shooting.integrate
@@ -184,21 +184,49 @@ def test_large_k_critical_table(spec3, monkeypatch):
 
 @pytest.mark.parametrize("k", [5.0, 10.0, 640.0])
 def test_critical_eps_opens_about_the_law(monkeypatch, k):
-    # from k = 10 on, the first two probes are pred (1 -+ 1e-3), clamped to
-    # the cap; below, where the law was not measured, 0 and the cap
-    eps = []
+    # from k = 10 on, the first probe is pred (1 - 1e-3) and the second the
+    # one its side calls for: pred (1 + 1e-3), clamped to the cap, above an
+    # entire probe, pred (1 - 2e-3) below one that is not (at k = 10);
+    # below, where the law was not measured, 0 and the cap
+    eps, probes = [], []
     probe_ = shooting._eps_probe
 
     def recording(spec, k_, eps_, cfg):
         eps.append(eps_)
-        return probe_(spec, k_, eps_, cfg)
+        probes.append(probe_(spec, k_, eps_, cfg))
+        return probes[-1]
 
     monkeypatch.setattr(shooting, "_eps_probe", recording)
     ce = critical_eps(k, bracket_tol=1e-3)
     cap, pred = ce.eps_cap, shooting._eps_law(k)
-    want = [0.0, cap] if k < 10.0 else [pred * (1 - 1e-3), min(pred * (1 + 1e-3), cap)]
+    if k < 10.0:
+        want = [0.0, cap]
+    elif probes[0].lo_side:
+        want = [pred * (1 - 1e-3), min(pred * (1 + 1e-3), cap)]
+    else:
+        want = [pred * (1 - 1e-3), pred * (1 - 2e-3)]
     assert eps[:2] == pytest.approx(want, rel=1e-15)
+    assert probes[0].lo_side == (k != 10.0)
     assert ce.eps_lo < ce.eps_hi <= cap
+
+
+def test_critical_eps_scans_down_at_k10(monkeypatch):
+    # pred (1 - 1e-3) is not entire at k = 10: the scan goes down to pred
+    # (1 - 2e-3), which is, and that bracket refines in two more probes
+    # (5 integrations when pred (1 + 1e-3) was probed as well)
+    eps = []
+    integrate_ = shooting.integrate
+
+    def recording(spec, jet, cfg, **kwargs):
+        eps.append(-jet.lap_values[1])
+        return integrate_(spec, jet, cfg, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    ce = critical_eps(10.0, bracket_tol=1e-6)
+    pred = shooting._eps_law(10.0)
+    assert eps[:2] == pytest.approx([pred * (1 - 1e-3), pred * (1 - 2e-3)], rel=1e-15)
+    assert len(eps) == 4
+    assert eps[1] <= ce.eps_lo < ce.eps_hi <= eps[0]
 
 
 def test_critical_probe_side_matches_residual(monkeypatch):
@@ -374,6 +402,57 @@ def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
 def test_collapse_boundary_horizon_guard():
     with pytest.raises((HorizonTooShort, BracketFailure)):
         collapse_boundary_m2(default_config(2, r_max=20.0), tol_b=1e-6)
+
+
+@pytest.mark.parametrize("tol_b", [1e-3, 1.0])
+def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
+    # the lo end -u0(0) + 0.1 classified entire: the horizon cannot tell the
+    # collapse, whether the probe's own check fires (lo end below -tol_b,
+    # with a horizon estimate) or the scan reaches its limit (tol_b above)
+    rhos = []
+    integrate_ = shooting.integrate
+
+    def recording(spec, jet, cfg, **kwargs):
+        rhos.append(jet.u0 - shooting.jet_m2(0.0).u0)
+        return integrate_(spec, jet, cfg, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", recording)
+    monkeypatch.setattr(shooting, "is_entire", lambda traj: True)
+    with pytest.raises(HorizonTooShort) as info:
+        collapse_boundary_m2(tol_b=tol_b)
+    assert rhos == pytest.approx([0.0, -shooting.jet_m2(0.0).u0 + 0.1], abs=1e-15)
+    assert (info.value.required_horizon is None) == (tol_b == 1.0)
+
+
+def _scan_map(root, probes):
+    """A monotone map on the line: lo side below root, residual root - x."""
+    def evaluate(x):
+        probes.append(x)
+        return Probe(x < root, root - x, x)
+    return evaluate
+
+
+@pytest.mark.parametrize("x0, x1, limit, root, want, bracket", [
+    (0.0, 1.0, 100.0, 5.0, [1.0, 2.0, 4.0, 8.0], (4.0, 8.0)),         # up from the lo side
+    (10.0, 9.0, -100.0, 5.0, [9.0, 8.0, 6.0, 2.0], (2.0, 6.0)),      # down from the hi side
+    (1.0, 1.5, 100.0, 9.0, [1.5, 2.0, 3.0, 5.0, 9.0], (5.0, 9.0)),   # distances from x0 double
+    (0.0, 1.0, 5.5, 5.0, [1.0, 2.0, 4.0, 5.5], (4.0, 5.5)),          # the limit closes it
+    (0.0, 1.0, 5.5, 6.0, [1.0, 2.0, 4.0, 5.5], None),                # the limit reads x0's side
+    (0.0, 8.0, 5.5, 6.0, [5.5], None),                               # x1 beyond the limit
+    (5.5, 8.0, 5.5, 6.0, [], None),                                  # x0 is the limit
+])
+def test_scan(x0, x1, limit, root, want, bracket):
+    probes = []
+    evaluate = _scan_map(root, probes)
+    b = shooting._scan(evaluate, x0, evaluate(x0) if x0 != limit else Probe(True, None, x0),
+                       x1, limit)
+    assert probes[1 if x0 != limit else 0:] == want
+    if bracket is None:
+        assert b is None
+        return
+    assert (b.lo, b.hi) == bracket
+    assert b.at_lo.lo_side and not b.at_hi.lo_side
+    assert (b.at_lo.payload, b.at_hi.payload) == bracket and b.rounds == 0
 
 
 def test_prescribe_volume_m2(spec2):
@@ -610,6 +689,18 @@ def test_cache_roundtrip(tmp_path):
     # different tolerance is a different key
     key_other = EpsCache.key(10.0, cfg, 1e-4)
     assert cache.get(key_other) is None
+
+
+def test_cache_file_is_the_indented_dump_of_its_entries(tmp_path):
+    # the file is written whole through a temp file beside it and a rename
+    cache = EpsCache(tmp_path / "sub")
+    cache.put("k", {"b": 1.5, "a": [1, 2]})
+    cache.put("j", {"c": None})
+    want = {"schema": EpsCache.SCHEMA, "entries": {"k": {"b": 1.5, "a": [1, 2]},
+                                                  "j": {"c": None}}}
+    assert cache.path.read_text() == json.dumps(want, indent=1, sort_keys=True)
+    assert sorted(p.name for p in cache.path.parent.iterdir()) == [
+        "critical_eps.json", "critical_eps.json.lock"]
 
 
 def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
