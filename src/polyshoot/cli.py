@@ -13,11 +13,11 @@ written, included), 3 numerical failure, 4 volume target out of range.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -129,27 +129,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# Rows of a CSV table turned into Python floats at a time: all 100k rows of
-# a shoot at once would hold 500k float objects next to the lines (+26 MB).
-_CSV_BLOCK = 4096
+# Rows of a CSV table turned into Python floats, and into one text, at a
+# time: all 100k rows of a shoot at once would hold 500k float objects and
+# every line next to the file's text (+24 MB).  Blocks of 4096 or 5120
+# rows, m=2, left glibc's heap so fragmented that a process reading the
+# whole file back after a shoot peaked 8 MB higher; 6144 to 32768 did not.
+_CSV_BLOCK = 16384
 
 
-def _csv_rows(table) -> list:
-    """One CSV line per row of a float table, each field as _fmt writes it.
+def _csv_blocks(table):
+    """The CSV lines of a 2-D float table, each field as _fmt writes it, as
+    one text per _CSV_BLOCK rows.
 
-    _fmt writes repr of the Python float, and "nan" can only be a whole
+    %r writes repr of the Python float, and "nan" can only be a whole
     field, so deleting it leaves NaN as an empty field.
     """
     table = np.asarray(table, dtype=np.float64)
-    return [",".join(map(repr, row)).replace("nan", "")
-            for start in range(0, len(table), _CSV_BLOCK)
-            for row in table[start:start + _CSV_BLOCK].tolist()]
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CSV_BLOCK):
+        rows = table[start:start + _CSV_BLOCK]
+        yield ((line * len(rows)) % tuple(rows.ravel().tolist())).replace("nan", "")
 
 
-def write_text(path, text: str):
-    """Atomic write when a path is given, stdout otherwise."""
+def write_text(path, text):
+    """Write text, a str or an iterable of str: atomically when a path is
+    given, to stdout otherwise."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines((text,) if isinstance(text, str) else text)
     else:
         atomic_write(Path(path), text)
 
@@ -271,14 +277,14 @@ def cmd_shoot(args) -> int:
     cols = ["r", "u", "u1", "lap_u", "lap_u1"]
     if rc.m == 3:
         cols += ["lap2_u", "lap2_u1"]
-    lines = _csv_header("shoot", rc, (f"# jet: {list(jet.lap_values)}",))
-    lines.append(",".join(cols))
-    lines += _csv_rows(np.column_stack((traj.r, traj.y)))
+    header = _csv_header("shoot", rc, (f"# jet: {list(jet.lap_values)}",))
+    header.append(",".join(cols))
     verdict = traj.verdict
     name, field = type(verdict).__name__, _VERDICT_FIELD[type(verdict)]
     value = _fmt(getattr(verdict, field))
-    lines.append(f"# verdict,{name},{field},{value}")
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, itertools.chain(
+        ["\n".join(header) + "\n"], _csv_blocks(np.column_stack((traj.r, traj.y))),
+        [f"# verdict,{name},{field},{value}\n"]))
     print(f"verdict: {name}, {field} {value}", file=sys.stderr)
     return EXIT_OK if not isinstance(verdict, Inconclusive) else EXIT_NUMERICAL
 
@@ -346,6 +352,8 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_point(pl) for pl in payloads]
     else:  # the pool forks all its workers on the first submit
+        # imported here, so that start-up and --jobs 1 load no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_point, payloads))
     results.sort(key=lambda row: row[0])

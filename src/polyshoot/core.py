@@ -145,17 +145,46 @@ class Collapsed:
     r_star: float
 
 
-@dataclass(frozen=True)
 class EntirePositive:
     """Horizon reached with u above the floor.  tail is the one fit of the
     asymptote, integrator.fit_tail on [r_end/2, r_end] (a PowerTail), which
-    fit_growth and the volume's tail read too."""
+    fit_growth and the volume's tail read too.
 
-    tail: object
+    The fit runs on first read: integrate hands the verdict the fit to run
+    (a callable of no arguments), and the first read of tail or
+    growth_exponent runs it once and keeps its PowerTail; a PowerTail given
+    directly is the tail as it is.  Equality, hash, repr and pickle read
+    the fitted tail, so a pickled verdict carries it.
+    """
+
+    __slots__ = ("_tail",)
+
+    def __init__(self, tail):
+        self._tail = tail
+
+    @property
+    def tail(self):
+        if callable(self._tail):
+            self._tail = self._tail()
+        return self._tail
 
     @property
     def growth_exponent(self) -> float:
         return self.tail.gamma
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tail == other.tail
+
+    def __hash__(self):
+        return hash((self.tail,))
+
+    def __repr__(self):
+        return f"EntirePositive(tail={self.tail!r})"
+
+    def __reduce__(self):
+        return EntirePositive, (self.tail,)
 
 
 @dataclass(frozen=True)
@@ -187,12 +216,15 @@ class Trajectory:
 
     ``dense`` is the integrator's DenseSolution, which evaluates the
     solution from 0 to the deepest radius reached; the verdict, the volume
-    and the critical-datum probes read only it and ``end``.  The sample
-    rows are a view of it for output: ``radii`` is a picklable function
-    giving the row radii ``r`` (integrate's sample grid at the configured
-    stride), and ``y`` is the state there, both built the first time they
-    are read, then kept; ``len`` reads ``r`` only.  With no accepted step
-    the dense output is empty and the one state, at r = 0, is the jet's.
+    and the critical-datum probes read only it and ``end``.  An entire
+    verdict's tail is fitted on it the first time it is read
+    (EntirePositive), and the probes, which read ``end`` only, fit none.
+    The sample rows are a view of it for output: ``radii`` is a picklable
+    function giving the row radii ``r`` (integrate's sample grid at the
+    configured stride), and ``y`` is the state there, both built the first
+    time they are read, then kept; ``len`` reads ``r`` only.  With no
+    accepted step the dense output is empty and the one state, at r = 0,
+    is the jet's.
     """
 
     def __init__(self, spec: EquationSpec, jet: Jet, *, verdict: Verdict, r_end: float,

@@ -94,11 +94,14 @@ _MAX_ROWS = 1e7
 class IntegratorConfig:
     """Tolerances, horizon and output rows for one integration.
 
-    rel_tol/abs_tol are targets for the delivered accuracy of the solution.
-    Each step keeps the last two terms of every level's series below
-    _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so that
-    the error carried along the default horizons, where a growing mode
-    amplifies it, stays within them.  Every float field must be positive
+    rel_tol/abs_tol are per-step targets, not bounds on the delivered
+    error.  Each step keeps the last two terms of every level's series
+    below _STEP_TOL (abs_tol + rel_tol |L_j|), a fixed fraction of them, so
+    that the error carried along the default horizons, where a growing
+    mode amplifies it, mostly stays within them; it can exceed them: at
+    rel_tol 1e-10, abs_tol 1e-12 the m=2 jet (0.6778004781604301,
+    2.373809617029592) collapses 2.04e-12 from an extended-precision run
+    at rel_tol 1e-12, so r* misses abs_tol.  Every float field must be positive
     and finite, and max_steps at least 1 and integral (JSON's 1e5 will
     do).  The first step, the origin series, is sized by the same rule, so
     the launch radius is no option: it is dense.r_rights[0].
@@ -472,8 +475,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     its own, and a wall closure reads one series more than it steps).
 
     An entire verdict carries the power-law fit of u on [r_end/2, r_end]
-    (fit_tail): its gamma is the growth exponent, and the volume's tail
-    reads the same fit.  The output rows are the sample grid at
+    (fit_tail), run the first time something reads it (EntirePositive.tail):
+    its gamma is the growth exponent, and the volume's tail reads the same
+    fit.  A run whose verdict is only told apart, as the critical-datum
+    probes do, fits nothing.  The output rows are the sample grid at
     dense_output_stride (sample_radii) and the dense output there, built
     the first time the trajectory reads them; nothing else reads them.
     """
@@ -569,7 +574,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                               isinstance(verdict, (Collapsed, TopZero)))  # stopped short
     if verdict is None:  # the horizon
         verdict = (TopZero(r_zero=r_zero) if r_zero is not None
-                   else EntirePositive(fit_tail(dense, (r_end / 2.0, r_end))))
+                   else EntirePositive(functools.partial(fit_tail, dense, (r_end / 2.0, r_end))))
 
     stats = {
         "naccept": naccept,
@@ -635,8 +640,9 @@ def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
     """The power-law fit of an entire trajectory over a log-log window.
 
     The window defaults to [r_end/2, r_end], and the fit there is the
-    verdict's own (EntirePositive.tail), which the volume's tail reads
-    too; another window is fitted afresh by fit_tail on the dense output.
+    verdict's own (EntirePositive.tail), run on its first read and kept,
+    which the volume's tail reads too; another window is fitted afresh by
+    fit_tail on the dense output.
     A window reaching further in than a twentieth of its outer edge is
     rejected because the asymptotic power law has not set in there.  One
     spanning less than a factor of 2 (r_lo > r_hi / 2), the verdict's own

@@ -87,13 +87,14 @@ def lap_limit_estimate(traj: Trajectory) -> float:
     return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
 
 
-def atomic_write(path: Path, text: str):
-    """Replace path by text through a temp file and a rename; makes its parents."""
+def atomic_write(path: Path, text):
+    """Replace path by text, a str or an iterable of str, through a temp file
+    and a rename; makes its parents."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

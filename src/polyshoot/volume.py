@@ -121,7 +121,8 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
 
     Collapsed and inconclusive trajectories have no defined volume and
     raise UndefinedVolume.  The tail is the verdict's fit
-    (EntirePositive.tail), so no output row is read.  The error estimate
+    (EntirePositive.tail), which runs here if nothing read it before, so
+    no output row is read.  The error estimate
     adds the per-step quadrature comparison of the core (floored at the
     summation rounding level) to the tail-fit residual and the
     next-order tail-model term, both propagated through the closed form; it

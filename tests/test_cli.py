@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import polyshoot
 from polyshoot import cli, integrator, shooting
-from polyshoot.cli import _CSV_BLOCK, _csv_rows, _fmt, main, parse_range, UsageError
+from polyshoot.cli import _CSV_BLOCK, _csv_blocks, _fmt, main, parse_range, UsageError
 
 
 def run_cli(argv, capsys=None):
@@ -171,12 +172,13 @@ def test_csv_rows_format_like_fmt():
     table = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf],
                       [1e-300, -2.5e300, 0.1, np.float64(1) / 3, np.nan],
                       [np.nan, np.nan, 5e-324, -1.0, 123456789.125]])
-    rows = _csv_rows(table)
-    assert rows == [",".join(_fmt(v) for v in row) for row in table]
+    rows = "".join(_csv_blocks(table))
+    assert rows == "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
     tall = np.tile(table, (_CSV_BLOCK, 1))  # spans several blocks
-    assert _csv_rows(tall) == rows * _CSV_BLOCK
-    assert rows[0] == "0.0,-0.0,,inf,-inf"
-    assert rows[2].startswith(",,5e-324,")
+    assert len(list(_csv_blocks(tall))) == 3
+    assert "".join(_csv_blocks(tall)) == rows * _CSV_BLOCK
+    assert rows.splitlines()[0] == "0.0,-0.0,,inf,-inf"
+    assert rows.splitlines()[2].startswith(",,5e-324,")
 
 
 def test_shoot_usage_error():
@@ -393,7 +395,7 @@ def test_sweep_pool_no_larger_than_the_points(tmp_path, monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     out = tmp_path / "s.csv"
     assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", "5000",
                  "--r-max", "50", "--out", str(out)]) == 0
@@ -575,9 +577,12 @@ def test_unknown_subcommand():
 def test_cli_import_leaves_scipy_out():
     # scipy.integrate was most of the CLI's start-up time; only verify's
     # quadrature check and formula1_check still import it, when they run,
-    # so neither the import nor a critical-datum solve loads it
+    # so neither the import nor a critical-datum solve loads it; nor does
+    # the import load the process pool, which only sweep --jobs > 1 runs
     src = os.path.dirname(os.path.dirname(polyshoot.__file__))
     code = ("import polyshoot.cli, sys; assert 'scipy' not in sys.modules\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
             "from polyshoot import critical_eps, critical_eps_residual\n"
             "critical_eps_residual(critical_eps(10.0, bracket_tol=1e-3))\n"
             "assert 'scipy' not in sys.modules")

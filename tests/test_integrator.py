@@ -150,6 +150,27 @@ def test_verdict_gamma_is_the_integer_class(spec2, spec3, u0, u1):
         assert traj.verdict.tail.window == (500.0, 1000.0)
 
 
+def test_tail_fitted_on_first_read(spec2, u0, monkeypatch):
+    # integrate leaves an entire verdict's fit to its first reader, which
+    # runs it once; the verdict keeps it, and a pickle carries it
+    fits = []
+    fit_tail = integrator.fit_tail
+    monkeypatch.setattr(integrator, "fit_tail", lambda *args: fits.append(1) or fit_tail(*args))
+    cfg = IntegratorConfig(r_max=50.0)
+    traj, unread = integrate(spec2, u0.jet(), cfg), integrate(spec2, u0.jet(), cfg)
+    assert fits == []
+    gamma = traj.verdict.growth_exponent
+    assert fits == [1]
+    assert traj.verdict.growth_exponent == gamma and fits == [1]
+    want = fit_tail(traj.dense, (traj.r_end / 2.0, traj.r_end))
+    assert repr(traj.verdict) == f"EntirePositive(tail={want!r})"  # repr: bit for bit
+    assert traj.verdict == EntirePositive(want) and hash(traj.verdict) == hash(EntirePositive(want))
+    # pickling reads the tail; the copies fit nothing when read
+    copies = [pickle.loads(pickle.dumps(t)) for t in (unread, traj)]
+    assert fits == [1, 1]
+    assert [c.verdict for c in copies] == [traj.verdict] * 2 and fits == [1, 1]
+
+
 def test_growth_window_validation(traj_u0_50):
     with pytest.raises(ValueError):
         classify_growth(traj_u0_50, (10.0, 60.0))   # beyond r_end

@@ -124,16 +124,19 @@ def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
 
 @pytest.mark.parametrize("k, bound", [(10.0, 4), (20.0, 8), (40.0, 8)])
 def test_critical_eps_integration_count(monkeypatch, k, bound):
-    calls = []
-    integrate_ = shooting.integrate
+    calls, fits = [], []
+    integrate_, fit_tail = shooting.integrate, integrator.fit_tail
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return integrate_(*args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", counting)
+    monkeypatch.setattr(integrator, "fit_tail", lambda *args: fits.append(1) or fit_tail(*args))
     critical_eps(k, bracket_tol=1e-6)
     assert len(calls) <= bound  # plain bisection makes 24 at k = 10
+    # the probes read end states only: the one tail fitted is the volume's
+    assert len(fits) == 1
 
 
 # The critical table of the ROADMAP baseline (r_max 100, bracket_tol 1e-6):

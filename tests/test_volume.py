@@ -77,18 +77,19 @@ def test_volume_leaves_the_rows_unbuilt(u0, m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_volume_reads_the_verdict_fit(u0, m, monkeypatch):
-    # the tail is the verdict's own fit: past integrate, the volume reads
+    # the tail is the verdict's own fit: once it is read, the volume reads
     # the dense output only through the core quadrature's coefficients
     spec = EquationSpec.for_order(m)
     jet = jet_offset(u0, 0.5) if m == 2 else Jet((10.0, 1.0, 1.0))
     traj = integrate(spec, jet, default_config(m))
+    fit = traj.verdict.tail
 
     def refuse(self, r, derivative=0):
         raise AssertionError("dense output evaluated")
 
     monkeypatch.setattr(DenseSolution, "__call__", refuse)
     v = volume(spec, traj)
-    assert v.tail_model is traj.verdict.tail
+    assert v.tail_model is fit is traj.verdict.tail
     assert v.tail_model.window == (traj.r_end / 2.0, traj.r_end)
 
 
