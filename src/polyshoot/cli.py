@@ -28,8 +28,9 @@ from . import oracle
 from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet, TopZero
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, integrate
-from .shooting import (EpsCache, atomic_write, critical_eps, critical_eps_residual,
-                       default_config, jet_m2, jet_m3, prescribe_volume)
+from .shooting import (BRACKET_TOL, VOLUME_REL_TOL, EpsCache, atomic_write, critical_eps,
+                       critical_eps_residual, default_config, jet_m2, jet_m3,
+                       prescribe_volume)
 from .volume import volume
 
 SCHEMA = 1
@@ -78,7 +79,9 @@ _CONFIG_KEYS = {"m", "cache_dir"} | {f.name for f in fields(IntegratorConfig)}
 
 
 def load_run_config(args) -> RunConfig:
-    """Merge defaults < config file < CLI flags; env wins for the cache dir.
+    """Merge defaults < config file < CLI flags.  The cache directory is
+    --cache-dir if given, else env POLYSHOOT_CACHE if set and not empty,
+    else the config file's cache_dir.
 
     A null value in the config file means the default; an unset r_max
     takes the per-order horizon of shooting.default_config.
@@ -291,26 +294,22 @@ def cmd_shoot(args) -> int:
 
 # ------------------------------------------------------------------ sweep
 
-def _sweep_point(payload):
-    """Worker: one (param, jet) volume evaluation; must stay picklable."""
-    m, cfg, param, jet_values = payload
-    spec = EquationSpec.for_order(m)
-    traj = integrate(spec, Jet(jet_values), cfg)
-    label = type(traj.verdict).__name__
-    vol_total = vol_err = gamma = float("nan")
-    if isinstance(traj.verdict, EntirePositive):
-        gamma = traj.verdict.growth_exponent
-        v = volume(spec, traj)
-        vol_total, vol_err = v.total, v.err_estimate
-    return (param, label, vol_total, vol_err, gamma)
+def _sweep_point(spec: EquationSpec, cfg: IntegratorConfig, jet: Jet):
+    """(verdict, volume, err_estimate, growth_exponent) of one jet; NaN, an
+    empty field, for what a verdict that is not entire has none of."""
+    traj = integrate(spec, jet, cfg)
+    if not isinstance(traj.verdict, EntirePositive):
+        return (type(traj.verdict).__name__, math.nan, math.nan, math.nan)
+    v = volume(spec, traj)
+    return ("EntirePositive", v.total, v.err_estimate, traj.verdict.growth_exponent)
 
 
 def cmd_sweep(args) -> int:
     rc = load_run_config(args)
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = args.jobs or min(8, os.cpu_count() or 1)
 
+    extra = ()
     if args.at_critical:
         if rc.m != 3:
             raise UsageError("--at-critical applies to --m 3")
@@ -318,49 +317,33 @@ def cmd_sweep(args) -> int:
         if not ks:
             raise UsageError("--at-critical needs a nonempty --k list")
         cache = rc.cache()
+        columns = "k,eps_star,verdict,volume,err_estimate"
         rows = []
         for k in sorted(ks):
             ce = critical_eps(k, rc.cfg, args.bracket_tol, cache=cache)
-            rows.append((k, ce.eps_star, "EntirePositive", ce.volume,
-                         ce.volume_err))
-        lines = _csv_header("sweep", rc)
-        lines.append("k,eps_star,verdict,volume,err_estimate")
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        write_text(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
-
-    if rc.m == 2:
-        if not args.rho:
-            raise UsageError("m=2 sweep needs --rho range")
-        params = parse_range(args.rho)
-        jets = [(p, jet_m2(p).lap_values) for p in params]
-        param_name = "rho"
-        extra = (f"# lambda_star: {_fmt(oracle.lambda_star())}",)
+            rows.append((k, ce.eps_star, "EntirePositive", ce.volume, ce.volume_err))
     else:
-        if args.k is None or not args.eps:
-            raise UsageError("m=3 sweep needs --k (single value) and --eps range")
-        k = float(args.k)
-        params = parse_range(args.eps)
-        jets = [(p, jet_m3(k, p).lap_values) for p in params]
-        param_name = "eps"
-        extra = (f"# k: {_fmt(k)}",)
-    if not params:
-        raise UsageError("empty parameter range")
-
-    payloads = [(rc.m, rc.cfg, p, j) for p, j in sorted(jets)]
-    if jobs == 1:
-        results = [_sweep_point(pl) for pl in payloads]
-    else:  # the pool forks all its workers on the first submit
-        # imported here, so that start-up and --jobs 1 load no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    results.sort(key=lambda row: row[0])
+        if rc.m == 2:
+            if not args.rho:
+                raise UsageError("m=2 sweep needs --rho range")
+            params, jet_of, param_name = parse_range(args.rho), jet_m2, "rho"
+            extra = (f"# lambda_star: {_fmt(oracle.lambda_star())}",)
+        else:
+            if args.k is None or not args.eps:
+                raise UsageError("m=3 sweep needs --k (single value) and --eps range")
+            k = float(args.k)
+            params, jet_of, param_name = parse_range(args.eps), lambda e: jet_m3(k, e), "eps"
+            extra = (f"# k: {_fmt(k)}",)
+        if not params:
+            raise UsageError("empty parameter range")
+        params = sorted(params)
+        jets = [jet_of(p) for p in params]  # a bad point exits 2 before any integration
+        spec = EquationSpec.for_order(rc.m)
+        columns = f"{param_name},verdict,volume,err_estimate,growth_exponent"
+        rows = [(p, *_sweep_point(spec, rc.cfg, jet)) for p, jet in zip(params, jets)]
     lines = _csv_header("sweep", rc, extra)
-    lines.append(f"{param_name},verdict,volume,err_estimate,growth_exponent")
-    for row in results:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(columns)
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -465,8 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default=None, help="m=3 eps range")
     p.add_argument("--at-critical", action="store_true",
                    help="sweep k values at their critical datum")
-    p.add_argument("--bracket-tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--bracket-tol", type=float, default=BRACKET_TOL)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; changes nothing, as every "
+                        "point runs in this process")
     p.set_defaults(func=cmd_sweep)
 
     about = ("locate the critical datum (m=3) by safeguarded bracket refinement "
@@ -475,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-eps", help=about, description=about)
     common(p)
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--bracket-tol", type=float, default=1e-6)
+    p.add_argument("--bracket-tol", type=float, default=BRACKET_TOL)
     p.set_defaults(func=cmd_critical_eps)
 
     p = sub.add_parser("prescribe-volume",
@@ -484,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "an m=3 table walk")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--vol-tol", type=float, default=1e-3,
+    p.add_argument("--vol-tol", type=float, default=VOLUME_REL_TOL,
                    help="relative tolerance on the achieved volume")
     p.set_defaults(func=cmd_prescribe_volume)
     return parser

@@ -125,10 +125,6 @@ class RadialState:
         if self.y.ndim != 1 or self.y.shape[0] % 2 != 0:
             raise ValueError("state vector must be 1-D with even length")
 
-    @property
-    def u(self) -> float:
-        return float(self.y[0])
-
     def lap(self, j: int) -> float:
         """Value of Lap^j u at this radius."""
         return float(self.y[2 * j])

@@ -48,10 +48,6 @@ class ClosedForm:
             raise ValueError("shift constant must be positive")
 
     @property
-    def kind(self) -> str:
-        return "linear" if self.m == 2 else "cubic"
-
-    @property
     def spec(self) -> EquationSpec:
         return EquationSpec.for_order(self.m)
 

@@ -41,6 +41,9 @@ __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimat
            "VolumeSolve", "prescribe_volume", "smallest_valid_k", "EpsCache"]
 
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
+# the solvers' default tolerances, which the CLI's flags default to
+BRACKET_TOL = 1e-6
+VOLUME_REL_TOL = 1e-3
 
 
 def default_config(m: int, **overrides) -> IntegratorConfig:
@@ -220,7 +223,7 @@ def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float) -> Optiona
 
 
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
-                 bracket_tol: float = 1e-6, *,
+                 bracket_tol: float = BRACKET_TOL, *,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
@@ -426,8 +429,8 @@ def _volume_law(k: float) -> float:
 
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
-                     rel_tol_target: float = 1e-3, cache: Optional[EpsCache] = None,
-                     bracket_tol: float = 1e-6, table_k=DEFAULT_TABLE_K) -> VolumeSolve:
+                     rel_tol_target: float = VOLUME_REL_TOL, cache: Optional[EpsCache] = None,
+                     bracket_tol: float = BRACKET_TOL, table_k=DEFAULT_TABLE_K) -> VolumeSolve:
     """Find initial data whose trajectory has the prescribed volume.
 
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the

@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import os
 import subprocess
@@ -200,6 +201,7 @@ def test_sweep_m2(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
+    # --jobs is accepted and changes no byte
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(["sweep", "--m", "2", "--rho", "0.5:1.5:0.5", "--jobs", "1",
@@ -377,31 +379,50 @@ def test_stride_over_the_row_cap_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert err.startswith("usage error:") and "dense_output_stride" in err
 
 
-def test_sweep_pool_no_larger_than_the_points(tmp_path, monkeypatch):
-    # the pool forks every worker it is given on the first submit, so
-    # --jobs 5000 on three points must ask for three; this one starts none
-    sizes = []
+def test_sweep_runs_in_this_process(tmp_path, monkeypatch):
+    # every point runs in the calling process: --jobs forks nothing, starts
+    # no pool and changes no byte
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started a process")
 
-    class Recording:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    outputs = []
+    for jobs in ("1", "2", "5000"):
+        out = tmp_path / f"s{jobs}.csv"
+        assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", jobs,
+                     "--r-max", "50", "--out", str(out)]) == 0
+        outputs.append(read_nontimestamp(out))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_parser_defaults_are_the_solvers():
+    # the flags default to the library's defaults, not to a copy of them
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+    parse = cli.build_parser().parse_args
+    assert (parse(["critical-eps", "--k", "10"]).bracket_tol
+            == parse(["sweep"]).bracket_tol
+            == default(shooting.critical_eps, "bracket_tol")
+            == default(shooting.prescribe_volume, "bracket_tol"))
+    assert (parse(["prescribe-volume", "--lambda", "1"]).vol_tol
+            == default(shooting.prescribe_volume, "rel_tol_target"))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    out = tmp_path / "s.csv"
-    assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", "5000",
-                 "--r-max", "50", "--out", str(out)]) == 0
-    assert main(["sweep", "--m", "2", "--rho", "0:1:0.5", "--jobs", "2",
-                 "--r-max", "50", "--out", str(out)]) == 0
-    assert sizes == [3, 2]
+
+def test_cache_dir_precedence(tmp_path, monkeypatch):
+    # --cache-dir over env POLYSHOOT_CACHE over the config file's cache_dir
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schema": 1, "cache_dir": "from-config"}))
+    parse = cli.build_parser().parse_args
+    argv = ["critical-eps", "--k", "10", "--config", str(cfg_path)]
+    monkeypatch.setenv("POLYSHOOT_CACHE", "from-env")
+    assert cli.load_run_config(parse(argv + ["--cache-dir", "from-flag"])).cache_dir == "from-flag"
+    assert cli.load_run_config(parse(argv)).cache_dir == "from-env"
+    monkeypatch.setenv("POLYSHOOT_CACHE", "")  # set but empty: not a directory
+    assert cli.load_run_config(parse(argv)).cache_dir == "from-config"
+    monkeypatch.delenv("POLYSHOOT_CACHE")
+    assert cli.load_run_config(parse(argv)).cache_dir == "from-config"
 
 
 @pytest.mark.parametrize("m, horizon", [(2, 1e3), (3, 1e2)])
@@ -578,7 +599,7 @@ def test_cli_import_leaves_scipy_out():
     # scipy.integrate was most of the CLI's start-up time; only verify's
     # quadrature check and formula1_check still import it, when they run,
     # so neither the import nor a critical-datum solve loads it; nor does
-    # the import load the process pool, which only sweep --jobs > 1 runs
+    # the import load a process pool, which no command runs
     src = os.path.dirname(os.path.dirname(polyshoot.__file__))
     code = ("import polyshoot.cli, sys; assert 'scipy' not in sys.modules\n"
             "assert 'concurrent.futures.process' not in sys.modules\n"

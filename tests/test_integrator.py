@@ -697,7 +697,7 @@ def test_solves_build_no_row_radii(monkeypatch):
     assert prescribe_volume(spec3, 50.0).rel_err <= 1e-3
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
     assert -1e-3 <= collapse_boundary_m2() <= 0.0
-    assert _sweep_point((2, default_config(2), 0.5, jet_m2(0.5).lap_values))[1] == "EntirePositive"
+    assert _sweep_point(spec2, default_config(2), jet_m2(0.5))[0] == "EntirePositive"
 
     traj = integrate(spec3, jet_m3(10.0, 3.0), default_config(3))
     calls = []
