@@ -35,9 +35,7 @@ from .integrator import (
     IntegratorConfig,
     classify_growth,
     fit_growth,
-    formula1_check,
     integrate,
-    ode_residual_max,
 )
 from .oracle import cubic_profile, lambda_star, linear_profile
 from .shooting import (
@@ -50,7 +48,7 @@ from .shooting import (
     prescribe_volume,
     smallest_valid_k,
 )
-from .volume import power_tail, volume, volume_of_jet
+from .volume import formula1_check, power_tail, volume, volume_of_jet
 
 __version__ = "0.1.0"
 
@@ -58,7 +56,7 @@ __all__ = [
     "EquationSpec", "Jet", "RadialState", "Collapsed", "EntirePositive", "Inconclusive",
     "taylor_launch", "scale",
     "IntegratorConfig", "integrate", "classify_growth", "fit_growth",
-    "formula1_check", "ode_residual_max",
+    "formula1_check",
     "volume", "volume_of_jet", "power_tail",
     "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",
     "prescribe_volume", "smallest_valid_k", "is_entire", "default_config",

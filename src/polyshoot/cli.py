@@ -31,7 +31,7 @@ from .integrator import IntegratorConfig, integrate
 from .shooting import (BRACKET_TOL, VOLUME_REL_TOL, EpsCache, atomic_write, critical_eps,
                        critical_eps_residual, default_config, jet_m2, jet_m3,
                        prescribe_volume)
-from .volume import volume
+from .volume import gauss_legendre, volume
 
 SCHEMA = 1
 
@@ -238,11 +238,10 @@ def cmd_verify(args) -> int:
         add(f"m{m}_profile_residual_max", res, 1e-8 if m == 2 else 1e-6)
 
         if m == 2:
-            from scipy.integrate import quad
-            a = profile.shift
-            quad_val = 4.0 * math.pi * quad(
-                lambda r: r * r * (a + r * r) ** -3.0, 0.0, np.inf,
-                epsabs=0.0, epsrel=1e-12)[0]
+            # 4 pi int_0^inf r^2 (a + r^2)^-3 dr, r = sqrt(a) tan t
+            quad_val = 4.0 * math.pi * profile.shift ** -1.5 * gauss_legendre(
+                np.zeros(1), np.full(1, 0.5 * math.pi),
+                lambda dt, t: dt * (np.sin(t) * np.cos(t)) ** 2)[0, 1]
             rel = abs(oracle.lambda_star() - quad_val) / quad_val
             add("lambda_star_closed_form_vs_quadrature", rel, 1e-10)
 

@@ -18,11 +18,11 @@ only rejection is a step ending with u <= 0 or a non-finite slot, which
 halves h on the same series.
 
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
-power-law fit, the end state (Trajectory.end), every integral of a solve
-(volume.dense_quadrature) and the output rows (Trajectory.y) read it, and
-event location reads the same polynomials.  The sample grid
-(sample_radii) only places the output rows: no step, verdict, fit or
-volume depends on the stride.
+power-law fit, the end state (Trajectory.end), formula1_check and the
+output rows (Trajectory.y) read it, and event location and every integral
+over a solution (volume.dense_quadrature's rule) read the same polynomials.
+The sample grid (sample_radii) only places the output rows: no step,
+verdict, fit, integral or check depends on the stride.
 
 Inside a collapse wall each step covers a fixed fraction of the remaining
 distance, so stepping to the floor would cost most of a collapse's steps.
@@ -79,8 +79,6 @@ __all__ = [
     "fit_tail",
     "classify_growth",
     "fit_growth",
-    "formula1_check",
-    "ode_residual_max",
 ]
 
 
@@ -607,17 +605,6 @@ class PowerTail:
     window: tuple
     fit_rms: float
 
-    @property
-    def gamma_rounded(self) -> int:
-        return round(self.gamma)
-
-    @property
-    def limit_estimate(self) -> float:
-        """u / r^round(gamma) of the model at the window's outer end."""
-        hi = self.window[1]
-        return (self.coeff * hi ** (self.gamma - self.gamma_rounded)
-                * (1.0 + self.correction / hi ** 2))
-
 
 def fit_tail(dense, window) -> PowerTail:
     """Weighted least squares of log u ~ log coeff + gamma log r + correction
@@ -665,69 +652,3 @@ def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
 def classify_growth(traj: Trajectory, fit_window=None) -> float:
     """Growth exponent gamma of an entire trajectory (see fit_growth)."""
     return fit_growth(traj, fit_window).gamma
-
-
-def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -> float:
-    """Self-consistency of the radial integral identity at one Laplacian level.
-
-    Reconstructs w = Lap^level u from w(0) plus the double integral
-    int_0^r t^-2 int_0^t s^2 (Lap w)(s) ds dt (radial_double_integral) on
-    the output rows, and returns the max defect relative to sup |w|.
-    The top level uses Lap^m u = -u^p for the integrand.
-    """
-    m = traj.spec.m
-    if not 0 <= level <= m - 1:
-        raise ValueError(f"level must be in 0..{m - 1}")
-    r, y = traj.r, traj.y
-    if r_hi is not None:
-        keep = r <= r_hi
-        r, y = r[keep], y[keep]
-    if r.shape[0] < 5:
-        raise ValueError("too few samples for the reconstruction")
-    w = y[:, 2 * level]
-    if level < m - 1:
-        g = y[:, 2 * level + 2]
-    else:
-        g = -(y[:, 0] ** traj.spec.rhs_exponent)
-    rec = w[0] + radial_double_integral(r, g)
-    return float(np.max(np.abs(rec - w)) / max(1.0, float(np.max(np.abs(w)))))
-
-
-def radial_double_integral(r, g):
-    """int_0^r t^-2 int_0^t s^2 g(s) ds dt at every radius of r (r[0] = 0).
-
-    Two passes of scipy's cumulative Simpson over the samples, which may
-    be unevenly spaced; the inner integral over t^2 is taken as zero at
-    t = 0.  Only formula1_check reads it, so scipy is imported here, off
-    the package's import path.
-    """
-    from scipy.integrate import cumulative_simpson
-
-    inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
-    q = np.zeros_like(inner)
-    q[1:] = inner[1:] / (r[1:] ** 2)
-    return cumulative_simpson(q, x=r, initial=0.0)
-
-
-def ode_residual_max(traj: Trajectory, r_lo: Optional[float] = None,
-                     r_hi: Optional[float] = None) -> float:
-    """Max relative defect |Lap^m u + u^p| of the interpolated solution.
-
-    Uses the dense output's derivative for (w')' so nothing is differenced
-    numerically; normalised pointwise by max(1, |u^p|).  The radii of the
-    output rows in [r_lo, r_hi] (default: all) are checked, except r = 0,
-    where 2/r is singular.
-    """
-    lo = 0.0 if r_lo is None else r_lo
-    hi = traj.dense.r_hi if r_hi is None else min(r_hi, traj.dense.r_hi)
-    mask = (traj.r > 0.0) & (traj.r >= lo) & (traj.r <= hi)
-    r = traj.r[mask]
-    if r.shape[0] == 0:
-        raise ValueError("no samples inside the dense range")
-    yv = traj.dense(r)
-    yd = traj.dense(r, derivative=1)
-    u = yv[:, 0]
-    wp = yv[:, -1]
-    lap_top = yd[:, -1] + 2.0 / r * wp
-    resid = lap_top + u ** traj.spec.rhs_exponent
-    return float(np.max(np.abs(resid) / np.maximum(1.0, np.abs(u ** traj.spec.rhs_exponent))))

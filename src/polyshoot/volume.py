@@ -1,12 +1,14 @@
 """Conformal volume of an entire trajectory: quadrature core + modeled tail.
 
-One quadrature, dense_quadrature, takes every integral over a solution:
-5-point Gauss-Legendre (Davis & Rabinowitz) on every stored step of the
-dense output, from r = 0 on, where the solution is one polynomial per
-level.  The same rule on the two halves of each step gives the value; its
-difference from the whole-step rule is the error estimate.  It has two integrands: the
-volume core here, and the source integral of the m=3 critical balance
-(shooting._critical_balance).
+One quadrature, gauss_legendre, takes every integral of the package: the
+5-point Gauss-Legendre rule (Davis & Rabinowitz) on the two halves of an
+interval gives the value, its difference from the whole-interval rule the
+error estimate.  Over a solution (dense_quadrature) the intervals are the
+stored steps of the dense output, from r = 0 on, where the solution is one
+polynomial per level.  The integrands are the volume core here, the source
+integral of the m=3 critical balance (shooting._critical_balance), the two
+cumulative sums of formula1_check's radial identity, and, off a solution,
+verify's lambda* (cli.cmd_verify).
 
 The volume is 4*pi int_0^inf r^2 u(r)^ve dr with ve = -6 (m=2) or -2
 (m=3).  The integrand decays only like r^-4 in the slowest growth class,
@@ -42,7 +44,7 @@ from . import integrator
 from .integrator import PowerTail
 
 __all__ = ["PowerTail", "VolumeEstimate", "volume", "volume_of_jet", "power_tail",
-           "dense_quadrature"]
+           "gauss_legendre", "dense_quadrature", "formula1_check"]
 
 
 @dataclass(frozen=True)
@@ -95,25 +97,61 @@ _GL_W = np.column_stack([np.concatenate([_GL5_W, np.zeros(10)]),
                          np.concatenate([np.zeros(5), 0.5 * _GL5_W, 0.5 * _GL5_W])])
 
 
+def gauss_legendre(a, width, integrand):
+    """(intervals, 2): int f dr over each [a, a + width] by the 5-point rule
+    on the whole interval, then on its two halves.  integrand(dr, r) returns
+    f(r) dr at the nodes r, arrays (intervals, 15) or a stack of them."""
+    return integrand(width[:, None], a[:, None] + width[:, None] * _GL_X) @ _GL_W
+
+
+def _step_rules(dense, integrand, level=0):
+    """gauss_legendre of integrand(dr, r, y) over every stored step of the
+    dense output, y that level at the nodes: one product of the steps'
+    polynomials with the powers of the nodes' theta."""
+    a = dense.r_lefts.astype(float)
+    width = dense.r_rights.astype(float) - a
+    powers = _GL_X[:, None] ** np.arange(dense.cs.shape[2])
+    y = dense.cs[:, level, :].astype(float) @ powers.T
+    return gauss_legendre(a, width, lambda dr, r: integrand(dr, r, y))
+
+
 def dense_quadrature(traj: Trajectory, integrand):
     """int_0^R f(r, u) dr over the dense output, R its outer end, and the
     error of that value.
 
     integrand(dr, r, u) returns f(r, u) dr at the nodes r of an interval
-    of length dr, with u at those nodes.  u at the nodes of every stored
-    step, the first from r = 0, is one product of the steps' u polynomials
-    with the powers of the nodes' theta.  The value is the 5-point rule on
-    the two halves of each step, and the error the sum over steps of its
-    difference from the 5-point rule on the whole step.
+    of length dr, with u at those nodes.  The value is the two-halves rule
+    summed over the steps (_step_rules), and the error the sum over steps
+    of its difference from the whole-step rule.
     """
-    d = traj.dense
-    a = d.r_lefts.astype(float)
-    width = d.r_rights.astype(float) - a
-    powers = _GL_X[:, None] ** np.arange(d.cs.shape[2])
-    u = d.cs[:, 0, :].astype(float) @ powers.T
-    q = integrand(width[:, None], a[:, None] + width[:, None] * _GL_X, u) @ _GL_W
-    # (steps, 2): the whole-step rule, the two-halves rule
+    q = _step_rules(traj.dense, integrand)
     return float(np.sum(q[:, 1])), float(np.sum(np.abs(q[:, 0] - q[:, 1])))
+
+
+def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -> float:
+    """Self-consistency of the radial integral identity at one Laplacian level.
+
+    w = Lap^level u is w(0) + int_0^r t^-2 int_0^t s^2 g(s) ds dt, g = Lap w
+    (-u^p at the top level), which swapping the order of integration makes
+    w(0) + A(r) - B(r)/r, A = int_0^r s g ds, B = int_0^r s^2 g ds: the
+    cumulative sums of _step_rules, at the step ends up to r_hi (default:
+    all).  Returns the max defect there relative to max(1, sup |w|), w read
+    off the dense output; no output row is read.
+    """
+    m, p = traj.spec.m, traj.spec.rhs_exponent
+    if not 0 <= level <= m - 1:
+        raise ValueError(f"level must be in 0..{m - 1}")
+    top = level == m - 1
+    q = _step_rules(traj.dense, lambda dr, r, y: np.stack([dr * r, dr * r * r])
+                    * (-(y ** p) if top else y), 0 if top else level + 1)
+    a, b = np.cumsum(q[..., 1], axis=1)
+    r = traj.dense.r_rights.astype(float)
+    n = len(r) if r_hi is None else int(np.searchsorted(r, r_hi, side="right"))
+    if n == 0:
+        raise ValueError(f"no step of the dense output ends at or below {r_hi}")
+    w = traj.dense(np.append(0.0, r[:n]), slots=slice(2 * level, 2 * level + 1))[:, 0]
+    rec = w[0] + a[:n] - b[:n] / r[:n]
+    return float(np.max(np.abs(rec - w[1:])) / max(1.0, float(np.max(np.abs(w)))))
 
 
 def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:

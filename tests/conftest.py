@@ -51,3 +51,33 @@ def common_grid(t1, t2):
     while n > 0 and abs(t1.r[n - 1] - t2.r[n - 1]) > 1e-12:
         n -= 1
     return n
+
+
+def radial_double_integral(r, g):
+    """int_0^r t^-2 int_0^t s^2 g(s) ds dt at every radius of r (r[0] = 0).
+
+    Two passes of scipy's cumulative Simpson over samples that may be
+    unevenly spaced, the inner integral over t^2 taken as zero at t = 0: a
+    reference for the dense quadrature, independent of it.
+    """
+    from scipy.integrate import cumulative_simpson
+
+    inner = cumulative_simpson(r * r * g, x=r, initial=0.0)
+    q = np.zeros_like(inner)
+    q[1:] = inner[1:] / (r[1:] ** 2)
+    return cumulative_simpson(q, x=r, initial=0.0)
+
+
+def ode_residual_max(traj, r_lo=0.0, r_hi=np.inf):
+    """Max relative defect |Lap^m u + u^p| of the dense output at the output
+    rows' radii in [r_lo, r_hi], r = 0 left out (2/r is singular there).
+
+    (w')' is the dense output's derivative, so nothing is differenced;
+    normalised pointwise by max(1, |u^p|).
+    """
+    r = traj.r[(traj.r > 0.0) & (traj.r >= r_lo) & (traj.r <= min(r_hi, traj.dense.r_hi))]
+    assert r.shape[0] > 0
+    y, yd = traj.dense(r), traj.dense(r, derivative=1)
+    source = y[:, 0] ** traj.spec.rhs_exponent
+    return float(np.max(np.abs(yd[:, -1] + 2.0 / r * y[:, -1] + source)
+                        / np.maximum(1.0, np.abs(source))))

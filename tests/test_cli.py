@@ -595,12 +595,13 @@ def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy.integrate was most of the CLI's start-up time; only verify's
-    # quadrature check and formula1_check still import it, when they run,
-    # so neither the import nor a critical-datum solve loads it; nor does
-    # the import load a process pool, which no command runs
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is a test dependency only: neither the import nor a
+    # critical-datum solve loads it, and every command exits 0 with it
+    # unimportable; nor does the import load a process pool, which no
+    # command runs
     src = os.path.dirname(os.path.dirname(polyshoot.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
     code = ("import polyshoot.cli, sys; assert 'scipy' not in sys.modules\n"
             "assert 'concurrent.futures.process' not in sys.modules\n"
             "assert 'multiprocessing' not in sys.modules\n"
@@ -608,5 +609,18 @@ def test_cli_import_leaves_scipy_out():
             "critical_eps_residual(critical_eps(10.0, bracket_tol=1e-3))\n"
             "assert 'scipy' not in sys.modules")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                         env=env, timeout=120)
     assert out.returncode == 0, out.stderr
+
+    blocked = ("import sys; sys.modules['scipy'] = None\n"
+               "from polyshoot.cli import main; sys.exit(main(sys.argv[1:]))")
+    cache = str(tmp_path / "cache")
+    for argv in (["verify", "--out", str(tmp_path / "v.json")],
+                 ["shoot", "--m", "2", "--rho", "0", "--r-max", "50",
+                  "--out", str(tmp_path / "s.csv")],
+                 ["sweep", "--m", "2", "--rho", "0:1:0.5", "--out", str(tmp_path / "w.csv")],
+                 ["critical-eps", "--k", "10", "--bracket-tol", "1e-3", "--cache-dir", cache],
+                 ["prescribe-volume", "--m", "3", "--lambda", "50", "--cache-dir", cache]):
+        out = subprocess.run([sys.executable, "-c", blocked, *argv], capture_output=True,
+                             text=True, env=env, cwd=tmp_path, timeout=120)
+        assert out.returncode == 0, (argv, out.stderr)

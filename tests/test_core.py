@@ -22,7 +22,6 @@ from polyshoot import (
     Inconclusive,
     NonPositiveU,
     integrate,
-    ode_residual_max,
     scale,
     taylor_launch,
 )
@@ -31,6 +30,8 @@ from polyshoot import cubic_profile, linear_profile
 from polyshoot.core import _ORDER, TopZero, _power0, _scaling_weights, _series
 from polyshoot.integrator import _FIT_NODES, _STEP_TOL, fit_tail
 from polyshoot.shooting import default_config, jet_m2, jet_m3
+
+from conftest import ode_residual_max
 
 
 def test_spec_exponents():

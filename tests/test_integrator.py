@@ -22,19 +22,18 @@ from polyshoot import (
     formula1_check,
     integrate,
     UndefinedVolume,
-    ode_residual_max,
 )
 from polyshoot import integrator
 from polyshoot.core import TopZero, Trajectory, _series
 from polyshoot.cli import _sweep_point
 from polyshoot.integrator import (_ORDER, _STEP_TOL, DenseSolution, PowerTail, _close_on_wall,
-                                  _read_wall, _try_step, radial_double_integral, sample_radii)
+                                  _read_wall, _try_step, sample_radii)
 from polyshoot.shooting import (collapse_boundary_m2, critical_eps, critical_eps_residual,
                                 default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate,
                                 prescribe_volume)
 from polyshoot.volume import volume, volume_of_jet
 
-from conftest import common_grid
+from conftest import common_grid, ode_residual_max, radial_double_integral
 
 
 def test_u0_tracking_within_ten_rel_tol(spec2, u0, traj_u0_50):
@@ -134,9 +133,12 @@ def test_growth_exponents(spec2, spec3, u0, u1, traj_u0_1000):
 
 def test_growth_fit_reports_limit(traj_u0_1000):
     fit = fit_growth(traj_u0_1000, (100.0, 1000.0))
-    assert fit.gamma_rounded == 1
-    # u ~ r for the linear profile, so the limit estimate is ~1
-    assert fit.limit_estimate == pytest.approx(1.0, rel=1e-3)
+    assert round(fit.gamma) == 1
+    # u ~ r for the linear profile, so the model's u / r at the window's
+    # outer end is ~1
+    hi = fit.window[1]
+    limit = fit.coeff * hi ** (fit.gamma - 1.0) * (1.0 + fit.correction / hi ** 2)
+    assert limit == pytest.approx(1.0, rel=1e-3)
 
 
 def test_verdict_gamma_is_the_integer_class(spec2, spec3, u0, u1):
@@ -199,33 +201,43 @@ def test_formula1_constant_laplacian(spec2):
     # synthetic trajectory with lap u = c exactly: u = 1 + c r^2/6, one
     # step over [0, 10] in theta = r / 10
     c = 0.8
-    cs = np.zeros((1, 2, _ORDER + 1))
-    cs[0, 0, [0, 2]] = 1.0, c * 100.0 / 6.0
-    cs[0, 1, 0] = c
-    traj = Trajectory(spec=spec2, jet=Jet((1.0, c)), dense=DenseSolution([0.0], [10.0], cs),
-                      radii=lambda: np.linspace(0.0, 10.0, 2001),
-                      verdict=EntirePositive(PowerTail(2.0, c / 6.0, 6.0 / c, (5.0, 10.0), 0.0)),
-                      r_end=10.0)
+
+    def synthetic(lap):
+        cs = np.zeros((1, 2, _ORDER + 1))
+        cs[0, 0, [0, 2]] = 1.0, c * 100.0 / 6.0
+        cs[0, 1, 0] = lap
+        return Trajectory(spec=spec2, jet=Jet((1.0, lap)),
+                          dense=DenseSolution([0.0], [10.0], cs),
+                          radii=lambda: np.linspace(0.0, 10.0, 2001),
+                          verdict=EntirePositive(PowerTail(2.0, c / 6.0, 6.0 / c, (5.0, 10.0),
+                                                           0.0)),
+                          r_end=10.0)
+
+    traj = synthetic(c)
     assert np.array_equal(traj.y[:, 3], np.zeros(2001))
     assert np.max(np.abs(traj.y[:, 1] - c * traj.r / 3.0)) <= 1e-15
     assert formula1_check(traj, 0) < 1e-13
+    # a level 1 that disagrees with u: the reconstruction 1 + c' r^2/6 misses
+    # u by |c - c'| r^2 / 6 at the step end r = 10, relative to sup |u|
+    mismatch = 0.1 * 100.0 / 6.0 / (1.0 + c * 100.0 / 6.0)
+    assert formula1_check(synthetic(c - 0.1), 0) >= mismatch * (1.0 - 1e-12)
 
 
 def test_formula1_collapsed_top_level(spec2, u0):
-    # the top-level integrand u^-7 steepens toward the wall, so the sample
-    # stride must resolve it; 1e-3 suffices for the defect bound
+    # the top-level integrand u^-7 steepens toward the wall; the identity is
+    # checked at the step ends, on the dense output, so the sample stride
+    # changes no bit of the defect
     jet = Jet((u0.eval(0.0, 0) - 0.2, u0.eval(0.0, 2)))
-    traj = integrate(spec2, jet,
-                     IntegratorConfig(r_max=1000.0, dense_output_stride=1e-3))
+    traj = integrate(spec2, jet, IntegratorConfig(r_max=1000.0))
     assert isinstance(traj.verdict, Collapsed)
     defect = formula1_check(traj, 1, r_hi=0.9 * traj.verdict.r_star)
-    assert defect <= 1e-5
+    assert defect <= 1e-10
+    fine_rows = integrate(spec2, jet, IntegratorConfig(r_max=1000.0, dense_output_stride=1e-3))
+    assert formula1_check(fine_rows, 1, r_hi=0.9 * traj.verdict.r_star) == defect
     # two-tolerance cross-check of the same defect
-    fine = integrate(spec2, jet,
-                     IntegratorConfig(r_max=1000.0, dense_output_stride=1e-3,
-                                      rel_tol=1e-9, abs_tol=1e-11))
+    fine = integrate(spec2, jet, IntegratorConfig(r_max=1000.0, rel_tol=1e-9, abs_tol=1e-11))
     defect_fine = formula1_check(fine, 1, r_hi=0.9 * fine.verdict.r_star)
-    assert defect_fine <= 1e-5
+    assert defect_fine <= 1e-10
 
 
 def test_ode_residual_dense(traj_u0_50):
@@ -671,7 +683,7 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
             lap_limit_estimate(traj)
             fit_growth(traj)
             volume(spec3, traj)
-            ode_residual_max(traj)
+            formula1_check(traj, 2)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
     # cold critical-datum solves, their volumes and critical balances, down
@@ -700,6 +712,7 @@ def test_solves_build_no_row_radii(monkeypatch):
     assert _sweep_point(spec2, default_config(2), jet_m2(0.5))[0] == "EntirePositive"
 
     traj = integrate(spec3, jet_m3(10.0, 3.0), default_config(3))
+    assert max(formula1_check(traj, level) for level in range(3)) <= 1e-10
     calls = []
     evaluate = DenseSolution.__call__
     monkeypatch.setattr(DenseSolution, "__call__",

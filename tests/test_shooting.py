@@ -31,9 +31,11 @@ from polyshoot import (
 )
 from polyshoot import integrator, shooting
 from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
-from polyshoot.integrator import Bracket, Probe, radial_double_integral, refine_bracket
+from polyshoot.integrator import Bracket, Probe, refine_bracket
 from polyshoot.shooting import EpsCache, lap_limit_estimate
 from polyshoot.volume import VolumeEstimate, volume_of_jet
+
+from conftest import radial_double_integral
 
 
 @pytest.fixture(scope="module")
