@@ -17,7 +17,6 @@ from .core import (
     Inconclusive,
     Jet,
     RadialState,
-    scale,
     taylor_launch,
 )
 from .errors import (
@@ -46,7 +45,6 @@ from .shooting import (
     default_config,
     is_entire,
     prescribe_volume,
-    smallest_valid_k,
 )
 from .volume import formula1_check, power_tail, volume, volume_of_jet
 
@@ -54,12 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EquationSpec", "Jet", "RadialState", "Collapsed", "EntirePositive", "Inconclusive",
-    "taylor_launch", "scale",
+    "taylor_launch",
     "IntegratorConfig", "integrate", "classify_growth", "fit_growth",
     "formula1_check",
     "volume", "volume_of_jet", "power_tail",
     "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",
-    "prescribe_volume", "smallest_valid_k", "is_entire", "default_config",
+    "prescribe_volume", "is_entire", "default_config",
     "linear_profile", "cubic_profile", "lambda_star",
     "PolyshootError", "NonPositiveU", "WindowTooNarrow",
     "DivergentTail", "UndefinedVolume", "BracketFailure", "HorizonTooShort",

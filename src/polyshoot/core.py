@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional, Union
 
@@ -45,7 +45,6 @@ __all__ = [
     "Verdict",
     "Trajectory",
     "taylor_launch",
-    "scale",
 ]
 
 
@@ -102,10 +101,6 @@ class Jet:
 
     def __len__(self):
         return len(self.lap_values)
-
-    @property
-    def u0(self) -> float:
-        return self.lap_values[0]
 
     @property
     def origin_state(self) -> tuple:
@@ -274,17 +269,6 @@ class Trajectory:
         the same Horner on the same polynomials, so the same bits."""
         return self.y[:, 0] if self._y is not None else self._dense_rows(slice(0, 1))[:, 0]
 
-    def validate(self):
-        """Check the structural invariants; raises ValueError on violation."""
-        if not self.r[0] == 0.0:
-            raise ValueError("samples must start at r = 0")
-        if not np.all(np.diff(self.r) > 0):
-            raise ValueError("samples must be strictly increasing")
-        if not np.all(self.y[0, 1::2] == 0.0):
-            raise ValueError("odd slots must vanish at r = 0")
-        if not (isinstance(self.verdict, Collapsed) or np.all(self.y[:, 0] > 0)):
-            raise ValueError("u must stay positive unless collapsed")
-
 
 # Order of every step's series, the origin's included.  A step covers the
 # fraction 0.9 (tol / |L|)^(1/N) of the distance to the nearest
@@ -370,60 +354,3 @@ def taylor_launch(spec: EquationSpec, jet: Jet, dtype=np.float64) -> list:
     num = float if dtype is np.float64 else dtype
     y = [num(v) for v in jet.origin_state]
     return _series(spec.rhs_exponent, num(0.0), y, _ORDER)
-
-
-def _scaling_weights(spec: EquationSpec, lam: float) -> np.ndarray:
-    """Per-slot powers of lambda under u -> lam^{(3-2m)/2} u(lam r)."""
-    alpha = (3 - 2 * spec.m) / 2.0
-    w = np.empty(spec.n_state)
-    for j in range(spec.m):
-        w[2 * j] = lam ** (alpha + 2 * j)
-        w[2 * j + 1] = lam ** (alpha + 2 * j + 1)
-    return w
-
-
-def _scaled_radii(radii, lam):
-    return radii() / lam
-
-
-def scale(spec: EquationSpec, traj: Trajectory, lam: float) -> Trajectory:
-    """Rescale a trajectory under the volume-preserving scaling.
-
-    The scaled solution is u_lam(r) = lam^{(3-2m)/2} u(lam r); each Lap^j
-    slot picks up lam^{(3-2m)/2 + 2j} and each derivative slot one more
-    power.  The dense output's radii are divided by lam and its step
-    polynomials of level j multiplied by lam^{(3-2m)/2 + 2j}: theta does not
-    change, and a derivative slot, the derivative over the step's width,
-    picks up its extra power by itself.  The row radii map to r/lam, and
-    the rows are read off the rescaled dense output when first read.  An
-    entire verdict's fit c r^gamma (1 + d/r^2) becomes
-    c lam^((3-2m)/2 + gamma) r^gamma (1 + d lam^-2 / r^2) on window / lam.
-    """
-    if not lam > 0:
-        raise ValueError("scaling factor must be positive")
-    if lam == 1.0:
-        return traj
-    w = _scaling_weights(spec, lam)
-    verdict = traj.verdict
-    if isinstance(verdict, Collapsed):
-        verdict = Collapsed(r_star=verdict.r_star / lam)
-    elif isinstance(verdict, TopZero):
-        verdict = TopZero(r_zero=verdict.r_zero / lam)
-    elif isinstance(verdict, EntirePositive):
-        t = verdict.tail
-        verdict = EntirePositive(replace(
-            t, coeff=t.coeff * w[0] * lam ** t.gamma, correction=t.correction / lam ** 2,
-            window=tuple(x / lam for x in t.window)))
-    new_jet = Jet(tuple(v * w[2 * j] for j, v in enumerate(traj.jet.lap_values)))
-    events = tuple(replace(ev, r_event=ev.r_event / lam) for ev in traj.events)
-    dense = traj.dense
-    dense = type(dense)(dense.r_lefts / lam, dense.r_rights / lam, dense.cs * w[0::2, None])
-    return Trajectory(
-        spec=traj.spec,
-        jet=new_jet,
-        verdict=verdict,
-        r_end=traj.r_end / lam,
-        events=events,
-        dense=dense,
-        radii=functools.partial(_scaled_radii, traj._radii, lam),
-    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationSpec, Jet, RadialState
+from .core import EquationSpec, Jet
 
 __all__ = [
     "ClosedForm",
@@ -81,10 +81,6 @@ class ClosedForm:
             raise ValueError(f"slot must be in 0..{2 * self.m - 1}")
         out = table[slot]()
         return out if out.ndim else float(out)
-
-    def state(self, r: float) -> RadialState:
-        y = np.array([self.eval(r, k) for k in range(2 * self.m)])
-        return RadialState(r=float(r), y=y)
 
     def jet(self) -> Jet:
         return Jet(tuple(self.eval(0.0, 2 * j) for j in range(self.m)))

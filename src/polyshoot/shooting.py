@@ -38,7 +38,7 @@ from .volume import dense_quadrature, volume, volume_of_jet
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
            "CriticalEps", "critical_eps",
            "EpsResidual", "critical_eps_residual", "collapse_boundary_m2",
-           "VolumeSolve", "prescribe_volume", "smallest_valid_k", "EpsCache"]
+           "VolumeSolve", "prescribe_volume", "EpsCache"]
 
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
 # the solvers' default tolerances, which the CLI's flags default to
@@ -351,8 +351,11 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     boundary at 0, so the estimate must land in [-tol_b, 0]: an entire
     probe below -tol_b, the lo end included, raises HorizonTooShort with a
     horizon estimate extrapolated from the decay of the Laplacian gap, and
-    an entire lo end above -tol_b (the scan's None) one without.
+    an entire lo end above -tol_b (the scan's None) one without.  tol_b
+    must be positive and finite (ValueError).
     """
+    if not (math.isfinite(tol_b) and tol_b > 0):
+        raise ValueError(f"tol_b must be positive and finite, got {tol_b}")
     cfg = cfg if cfg is not None else default_config(2)
     spec = EquationSpec.for_order(2)
     profile = oracle.linear_profile()
@@ -535,22 +538,3 @@ def prescribe_volume(spec: EquationSpec, target: float,
                            max(s1, math.nextafter(-ce.eps_lo, math.inf)), 1e9)
     return VolumeSolve(target=target, param=(k, -s), achieved=achieved,
                        iterations=n, k_used=k)
-
-
-def smallest_valid_k(cfg: Optional[IntegratorConfig] = None,
-                     k_grid=tuple(range(1, 11))) -> tuple:
-    """Measure the smallest k whose theoretical bracket is valid here.
-
-    The large-k threshold of the theory is not explicit; this scans a k
-    grid and reports (smallest valid k, per-k detail) at the configured
-    horizon, where valid means eps=0 entire and eps=sqrt(6k/5) not.
-    """
-    cfg = cfg if cfg is not None else default_config(3)
-    spec = EquationSpec.for_order(3)
-    detail = []
-    for k in k_grid:
-        lo_ok = _eps_probe(spec, k, 0.0, cfg).lo_side
-        hi_ok = not _eps_probe(spec, k, math.sqrt(6.0 * k / 5.0), cfg).lo_side
-        detail.append({"k": k, "eps0_entire": lo_ok,
-                       "cap_collapses": hi_ok, "valid": lo_ok and hi_ok})
-    return next((d["k"] for d in detail if d["valid"]), None), detail

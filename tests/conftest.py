@@ -4,6 +4,7 @@ import pytest
 from polyshoot import (
     EquationSpec,
     IntegratorConfig,
+    Jet,
     integrate,
     linear_profile,
     cubic_profile,
@@ -81,3 +82,16 @@ def ode_residual_max(traj, r_lo=0.0, r_hi=np.inf):
     source = y[:, 0] ** traj.spec.rhs_exponent
     return float(np.max(np.abs(yd[:, -1] + 2.0 / r * y[:, -1] + source)
                         / np.maximum(1.0, np.abs(source))))
+
+
+def scaling_weights(m, lam):
+    """Per-slot factors of u_lam(r) = lam^((3-2m)/2) u(lam r), which solves
+    the equation whenever u does: slot i (Lap^j u at i = 2j, its derivative
+    at i = 2j + 1) picks up lam^((3-2m)/2 + i)."""
+    return lam ** ((3 - 2 * m) / 2 + np.arange(2 * m))
+
+
+def scaled_jet(jet, lam):
+    """The jet of u_lam: each Lap^j u(0) times its scaling weight."""
+    w = scaling_weights(len(jet), lam)
+    return Jet([v * w[2 * j] for j, v in enumerate(jet.lap_values)])

@@ -100,7 +100,8 @@ def test_collapse_verdict_and_cross_tolerance(spec2, u0):
     assert isinstance(fine.verdict, Collapsed)
     assert coarse.verdict.r_star == pytest.approx(fine.verdict.r_star, abs=1e-8)
     assert coarse.verdict.r_star == pytest.approx(0.7715818, abs=1e-4)
-    coarse.validate()
+    assert coarse.r[0] == 0.0 and np.all(np.diff(coarse.r) > 0)
+    assert np.all(coarse.y[0, 1::2] == 0.0)
     # floor event recorded at r_star
     kinds = [e.kind for e in coarse.events]
     assert "u_floor" in kinds
@@ -505,7 +506,7 @@ def test_trajectory_without_an_accepted_step(u0, monkeypatch):
     assert traj.stats["naccept"] == 0 and isinstance(traj.verdict, Inconclusive)
     want = np.array([jet.lap_values[0], 0.0, jet.lap_values[1], 0.0])
     assert len(traj) == 1 and np.array_equal(traj.r, [0.0])
-    assert np.array_equal(traj.u, [jet.u0]) and traj._y is None
+    assert np.array_equal(traj.u, [jet.lap_values[0]]) and traj._y is None
     assert np.array_equal(traj.y, [want])
     assert traj.end.r == 0.0 and np.array_equal(traj.end.y, want)
     assert traj.dense.r_hi == 0.0
@@ -617,7 +618,7 @@ def test_one_evaluator_below_the_launch_radius(u0, u1, ending):
     assert np.max(np.abs(traj.u[head] - ref) / ref) <= cfg.rel_tol
     assert traj.r[0] == 0.0 and np.all(traj.y[0, 1::2] == 0.0)
     slope = d(0.0, derivative=1)
-    lap = [*cf.jet().lap_values[1:], -cf.jet().u0 ** spec.rhs_exponent]
+    lap = [*traj.jet.lap_values[1:], -traj.jet.lap_values[0] ** spec.rhs_exponent]
     assert np.all(slope[0::2] == 0.0)
     assert slope[1::2] == pytest.approx(np.array(lap) / 3.0, rel=1e-13)
 

@@ -26,7 +26,6 @@ from polyshoot import (
     is_entire,
     lambda_star,
     prescribe_volume,
-    smallest_valid_k,
     volume,
 )
 from polyshoot import integrator, shooting
@@ -361,12 +360,6 @@ def test_bracket_failures():
         critical_eps(10.0, default_config(3, r_max=3.0), bracket_tol=1e-3)
 
 
-def test_smallest_valid_k():
-    k_min, detail = smallest_valid_k(k_grid=(1, 2, 5, 10))
-    assert k_min is not None and k_min <= 10
-    assert any(not d["valid"] for d in detail) or k_min == 1
-
-
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
     seen = []
@@ -409,6 +402,17 @@ def test_collapse_boundary_horizon_guard():
         collapse_boundary_m2(default_config(2, r_max=20.0), tol_b=1e-6)
 
 
+@pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3])
+def test_collapse_boundary_rejects_tol_b(tol_b, monkeypatch):
+    # ValueError before any integration (unchecked, nan returned -0.2041 and
+    # -1e-3 raised HorizonTooShort at rho = 0)
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    with pytest.raises(ValueError, match=f"tol_b must be positive and finite, got {tol_b}"):
+        collapse_boundary_m2(tol_b=tol_b)
+
+
 @pytest.mark.parametrize("tol_b", [1e-3, 1.0])
 def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
     # the lo end -u0(0) + 0.1 classified entire: the horizon cannot tell the
@@ -418,14 +422,14 @@ def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b
     integrate_ = shooting.integrate
 
     def recording(spec, jet, cfg, **kwargs):
-        rhos.append(jet.u0 - shooting.jet_m2(0.0).u0)
+        rhos.append(jet.lap_values[0] - shooting.jet_m2(0.0).lap_values[0])
         return integrate_(spec, jet, cfg, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", recording)
     monkeypatch.setattr(shooting, "is_entire", lambda traj: True)
     with pytest.raises(HorizonTooShort) as info:
         collapse_boundary_m2(tol_b=tol_b)
-    assert rhos == pytest.approx([0.0, -shooting.jet_m2(0.0).u0 + 0.1], abs=1e-15)
+    assert rhos == pytest.approx([0.0, -shooting.jet_m2(0.0).lap_values[0] + 0.1], abs=1e-15)
     assert (info.value.required_horizon is None) == (tol_b == 1.0)
 
 
@@ -621,7 +625,7 @@ def test_prescribe_volume_m2_integration_count(spec2, monkeypatch, target):
     vs = prescribe_volume(spec2, target)
     assert vs.rel_err <= 1e-3
     assert len(jets) == vs.iterations <= 4
-    assert all(jet.u0 > shooting.jet_m2(0.0).u0 for jet in jets)
+    assert all(jet.lap_values[0] > shooting.jet_m2(0.0).lap_values[0] for jet in jets)
 
 
 @pytest.mark.parametrize("target", [150.0, 1.0])
