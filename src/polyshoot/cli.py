@@ -295,7 +295,9 @@ def cmd_shoot(args) -> int:
 
 def _sweep_point(spec: EquationSpec, cfg: IntegratorConfig, jet: Jet):
     """(verdict, volume, err_estimate, growth_exponent) of one jet; NaN, an
-    empty field, for what a verdict that is not entire has none of."""
+    empty field, for what a verdict that is not entire has none of: a
+    collapse, and a run certified not entire (TopZero) whose u stays
+    positive to the horizon."""
     traj = integrate(spec, jet, cfg)
     if not isinstance(traj.verdict, EntirePositive):
         return (type(traj.verdict).__name__, math.nan, math.nan, math.nan)

@@ -185,10 +185,12 @@ class Inconclusive:
 
 @dataclass(frozen=True)
 class TopZero:
-    """The top Laplacian slot w = Lap^{m-1} u fell through zero at r_zero,
-    and the run ended there (integrate's stop_at_top_zero) or went on to
-    the horizon without a collapse.  w falls strictly, so w_inf < 0: the
-    solution is not entire."""
+    """The run was certified not entire at r_zero, and ended where that
+    was settled (integrate's stop_at_top_zero) or went on to the horizon
+    without a collapse.  r_zero is the first radius where E = w + r w', w
+    = Lap^{m-1} u, reads -tau, or w reads 0.  E falls strictly toward w's
+    limit w_inf, and w does too, so w_inf < 0: the solution is not
+    entire."""
 
     r_zero: float
 

@@ -35,10 +35,14 @@ A floor crossing reached first is located on the step's polynomial.
 Every event, a sign change of a Laplacian slot or a floor crossing, is a
 root of one step's polynomial in theta, located to abs_tol in r by
 refine_bracket: Brent's zeroin, the package's one root finder, which the
-shooting solves run too.  The top slot w = Lap^{m-1} u falls strictly, so
-its first zero settles that the solution is not entire: a run reaching the
-horizon after it is TopZero, and one whose caller asks (stop_at_top_zero)
-ends there, before any collapse.
+shooting solves run too.
+
+E = w + r w', w = Lap^{m-1} u the top slot, falls strictly (dE/dr = -r
+u^p < 0) toward w's limit w_inf at infinity, so E(r) < 0 proves that the
+solution is not entire.  Once E < -tau (_CERT_TOL) the run is certified,
+and its verdict is TopZero unless it collapses; a run whose caller asks
+(stop_at_top_zero) ends once the certified limit estimate has settled
+(_tail_limit, _SETTLE), or at w's first zero, before any collapse.
 """
 
 from __future__ import annotations
@@ -302,8 +306,8 @@ def sample_radii(stride, r_max, r_last, stopped):
 
     The multiples of stride below r_max, then r_max itself, which takes the
     place of the last multiple when that lies within 1e-9 max(1, r_max) of
-    it; cut after r_last, and a run that stopped there, at a collapse or a
-    top zero, adds r_last as its last row.
+    it; cut after r_last, and a run that stopped there, at a collapse or
+    once certified not entire, adds r_last as its last row.
     """
     last = int(math.floor(r_max / stride + 1e-9))
     n_mult = last + (last * stride < r_max - 1e-9 * max(1.0, r_max))
@@ -447,19 +451,69 @@ def _poly_at(c, theta):
     return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
 
 
+# The certificate that a run is not entire: E = w + r w' < -tau, tau =
+# _CERT_TOL rel_tol.  Both closed forms are exactly critical (w_inf = 0),
+# and their integrated E(R) reads from -0.0225 to +0.064 rel_tol (u0 at R =
+# 100, where the exact E is 2e-11, aside) over rel_tol 1e-4 ... 1e-12,
+# abs_tol 1e-14 ... rel_tol, R = 1e2 and 1e3, in double and extended; it
+# does not move with abs_tol.
+_CERT_TOL = 1.0
+
+# A stopped run ends at the first step end where the certificate holds and
+# the tail-corrected limit (_tail_limit) has moved by at most _SETTLE times
+# itself since the step end before; at k = 10, 20 and 40 (bracket_tol
+# 1e-6) the critical solves then take 277 accepted steps, not 350; over
+# k = 2 ... 640 and bracket_tol 1e-3 ... 1e-9 no solve takes more probes
+# than with probes run to w's zero or the horizon, and every eps* stays
+# within bracket_tol of theirs.
+_SETTLE = 1e-3
+
+
+def _tail_limit(p, r, y):
+    """w_inf estimated from the state y = (u, u', ..., w, w') at r: E = w +
+    r w' less the source still to come, int_r^inf s u^p ds, taken for the
+    local power law u ~ r^gamma, gamma = r u'/u, as r^2 u^p / (-p gamma -
+    2); None where that tail diverges (-p gamma <= 2)."""
+    r, u, du, w, dw = map(float, (r, y[0], y[1], y[-2], y[-1]))
+    decay = -p * r * du / u - 2.0
+    return w + r * dw - r * r * u ** p / decay if decay > 0.0 else None
+
+
+def _certificate_radius(c, r_left, width, tau, num, tol_theta):
+    """The first radius of a step where E = w + r w' reads -tau, on the
+    polynomial E(theta) = sum_k (k+1) (c_k + c_(k+1) r_left / width)
+    theta^k of the top slot's c; r_left where E starts there below -tau."""
+    ratio = r_left / width
+    e = [(k + 1) * (ck + ratio * cn) for k, (ck, cn) in enumerate(zip(c, [*c[1:], 0.0]))]
+    e0 = float(e[0])
+    if not e0 > -tau:
+        return float(r_left)
+    theta = _event_theta(e, num, e0, float(sum(e)), -tau, tol_theta)
+    return float(r_left + width * num(theta))
+
+
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
               stop_at_top_zero: bool = False) -> Trajectory:
     """Integrate the radial system from the origin jet out to the horizon.
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
-    TopZero(r0) when the horizon is reached after the top slot's first
-    downward zero r0, EntirePositive(tail) when it is reached without one,
-    and Inconclusive when the step budget runs out or the step size
-    underflows.  Sign changes of every intermediate Laplacian slot are
-    events (_event_theta).  With stop_at_top_zero the run ends at r0,
-    r_end = r0, unless a floor crossing in the same step comes first; every
-    step up to there, and so r0, is the full run's.  Without it no sign
-    change ends the run.
+    TopZero(r0) when the horizon is reached after the run was certified
+    not entire, EntirePositive(tail) when it is reached without that, and
+    Inconclusive when the step budget runs out or the step size
+    underflows.  The certificate is E = w + r w' < -tau at a step end, w =
+    Lap^{m-1} u, tau = _CERT_TOL rel_tol, or w's first downward zero; r0 is
+    the first radius where either holds, located on its step's polynomial
+    (_certificate_radius), and only for a TopZero verdict.  Sign changes of
+    every intermediate Laplacian slot are events (_event_theta).
+
+    With stop_at_top_zero a certified run ends, TopZero(r0), at the first
+    step end where the limit estimate _tail_limit has moved by at most
+    _SETTLE times itself since the step end before, r_end that step end,
+    or at w's first zero, r_end that zero, whichever comes first (a run
+    that collapses, gamma = r u'/u <= -2/p, reaches only the zero), unless
+    a floor crossing in the same step comes first; every step up to there
+    is the full run's.  Without it no certificate or sign change ends the
+    run.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses u_floor (r* located on the step's
@@ -490,7 +544,9 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     r_lefts, r_rights, cs, events = [], [], [], []
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
-    verdict = closure = h = r_zero = wall = None  # r_zero: the top slot's first zero
+    top, tau = 2 * (spec.m - 1), _CERT_TOL * cfg.rel_tol
+    verdict = closure = h = r_top = wall = cert = hat = None
+    stopped = False  # r_top: w's first zero; cert: the step where E first fell below -tau
 
     # np.longdouble scalars warn where Python floats overflow silently; a
     # non-finite series or state is handled below either way
@@ -550,29 +606,44 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                         r_ev = float(r + width * num(tc))
                         events.append(Event(kind="lap_sign_change", r_event=r_ev,
                                             level=j, direction=-1 if s1 < s0 else 1))
-                        if j == spec.m - 1 and s1 < s0 and r_zero is None:
-                            r_zero = r_ev
+                        if j == spec.m - 1 and s1 < s0 and r_top is None:
+                            r_top = r_ev
 
-            if stop_at_top_zero and r_zero is not None:
-                r, verdict = r_zero, TopZero(r_zero=r_zero)
+            if cert is None and y_new[top] + r_new * y_new[top + 1] < -tau:
+                cert = naccept - 1
+            if stop_at_top_zero and r_top is not None:
+                r, stopped = r_top, True
                 break
             if terminal_theta is not None:
                 r = float(r + width * num(terminal_theta))  # the deepest radius reached
                 events.append(Event(kind="u_floor", r_event=r, direction=-1))
                 verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
                 break
+            if stop_at_top_zero and cert is not None:  # has the limit estimate settled?
+                before = _tail_limit(p, r, y) if cert == naccept - 1 else hat
+                hat = _tail_limit(p, r_new, y_new)
+                stopped = None not in (before, hat) and abs(hat - before) <= _SETTLE * abs(hat)
 
             r, y, h = r_new, y_new, None
+            if stopped:
+                break
 
     dense = DenseSolution(np.array(r_lefts, dtype=dtype), np.array(r_rights, dtype=dtype),
                           np.array(cs, dtype=dtype).reshape(-1, spec.m, _ORDER + 1))
-    r_end = verdict.r_star if isinstance(verdict, Collapsed) else float(r if verdict else r_max)
+    r_end = (verdict.r_star if isinstance(verdict, Collapsed)
+             else float(r if verdict or stopped else r_max))
 
     radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
-                              isinstance(verdict, (Collapsed, TopZero)))  # stopped short
-    if verdict is None:  # the horizon
-        verdict = (TopZero(r_zero=r_zero) if r_zero is not None
-                   else EntirePositive(functools.partial(fit_tail, dense, (r_end / 2.0, r_end))))
+                              stopped or isinstance(verdict, Collapsed))  # stopped short
+    if verdict is None and (cert is not None or r_top is not None):  # certified
+        zeros = [] if r_top is None else [r_top]
+        if cert is not None:
+            width = r_rights[cert] - r_lefts[cert]
+            zeros.append(_certificate_radius(cs[cert][spec.m - 1], r_lefts[cert], width, tau,
+                                             num, cfg.abs_tol / float(width)))
+        verdict = TopZero(r_zero=min(zeros))
+    elif verdict is None:  # the horizon
+        verdict = EntirePositive(functools.partial(fit_tail, dense, (r_end / 2.0, r_end)))
 
     stats = {
         "naccept": naccept,

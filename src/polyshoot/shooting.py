@@ -12,8 +12,13 @@ integrator's events) over trajectory classifications and residuals:
   * prescribe_volume: parameters achieving a requested conformal volume.
 
 "Entire" is operational: the trajectory reaches the horizon with u above
-the collapse floor and the top Laplacian slot positive throughout (the
-quantity whose positivity characterises entire solutions for both orders).
+the collapse floor, the top Laplacian slot w = Lap^{m-1} u positive
+throughout (the quantity whose positivity characterises entire solutions
+for both orders), and no certificate that it is not entire.  The
+certificate (integrate) reads E = w + r w', which falls strictly (dE/dr =
+-r u^p) toward w's limit w_inf: E < -tau, tau set by rel_tol, proves w_inf
+< 0, and the run is TopZero.  So a run just past a critical datum, whose w
+stays positive to the horizon, is not entire.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
-from .integrator import Bracket, IntegratorConfig, Probe, integrate, refine_bracket
+from .integrator import Bracket, IntegratorConfig, Probe, _tail_limit, integrate, refine_bracket
 from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
@@ -63,31 +68,38 @@ def jet_m3(k: float, eps: float) -> Jet:
 
 
 def is_entire(traj: Trajectory) -> bool:
-    """Horizon reached, u above floor, and Lap^{m-1} u positive throughout.
+    """Horizon reached with an EntirePositive verdict (u above floor, no
+    certificate that the run is not entire), and Lap^{m-1} u positive
+    throughout.
 
     The top slot w = Lap^{m-1} u falls strictly (w' = -r^-2 int s^2 u^p <
     0), so its least value is the one at the horizon, the end state
-    (Trajectory.end); a run whose w fell through zero on the way is
-    TopZero, not EntirePositive, whether it stopped there or not.
+    (Trajectory.end); a run whose w fell through zero on the way, or whose
+    E = w + r w' fell below -tau, is TopZero, not EntirePositive, whether
+    it stopped there or not.
     """
     return (isinstance(traj.verdict, EntirePositive)
             and traj.end.lap(traj.spec.m - 1) > 0.0)
 
 
 def lap_limit_estimate(traj: Trajectory) -> float:
-    """Extrapolated infinite-radius limit of the top Laplacian slot.
+    """Extrapolated infinite-radius limit w_inf of the top Laplacian slot.
 
-    The top slot obeys w(r) = w_inf + I/r + O(r^-7) where I is the
-    (finite) total source integral, so w + r w' evaluated at the horizon
-    estimates w_inf with O(r^-7) error.  This removes the O(1/r_max)
-    horizon bias that a bare sign check of w(r_max) carries, which is what
-    makes the critical-datum refinement horizon-robust.  The state is the
-    end state (Trajectory.end): at the horizon, or at the zero r0 of a run
-    stopped there (TopZero), where the estimate is r0 w'(r0) < 0.
+    E = w + r w' falls strictly, dE/dr = -r u^p, to w_inf, so E(R) =
+    w_inf + int_R^inf s u^p ds: it removes the O(1/R) horizon bias that a
+    bare sign check of w(R) carries, which is what makes the critical-datum
+    refinement horizon-robust, and bounds w_inf from above.  Its own bias
+    is that tail integral, about 1.7e-13 at R = 100 near eps*(10).  The
+    estimate is E less the tail of the local power law (integrator's
+    _tail_limit), or E itself where that tail diverges (u ~ r^gamma with
+    -p gamma <= 2: growing too slowly, or falling toward a collapse).  The
+    state is the end state (Trajectory.end): at the horizon, at the step
+    end where a stopped run's estimate settled, or at the zero r0 of w
+    where a stopped run ended (TopZero), there r0 w'(r0) < 0.
     """
-    m = traj.spec.m
-    end = traj.end
-    return end.lap(m - 1) + end.r * end.lap_deriv(m - 1)
+    m, end = traj.spec.m, traj.end
+    hat = _tail_limit(traj.spec.rhs_exponent, end.r, end.y)
+    return end.lap(m - 1) + end.r * end.lap_deriv(m - 1) if hat is None else hat
 
 
 def atomic_write(path: Path, text):
@@ -113,7 +125,7 @@ class EpsCache:
     and an entry that is not a map of every FIELDS key is a miss; the next
     put rewrites either."""
 
-    SCHEMA = 12  # 12: brackets opened about the large-k law, not at [0, sqrt(6k/5)]
+    SCHEMA = 13  # 13: residuals from the tail-corrected limit, probes stopped once certified
     FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
               "delta2_at_horizon", "partial_integral")
 
@@ -160,7 +172,9 @@ class CriticalEps:
     these from the entry and carries no trajectories.  precision is that of
     the config the solve ran with.  iterations counts the rounds of
     refine_bracket, not the probes of the scan that opened the bracket
-    (0 on a cache hit)."""
+    (0 on a cache hit).  traj_lo runs to the horizon; traj_hi is a TopZero
+    run that ended where it was certified not entire (_eps_probe), unless
+    the hi end is entire with w_inf <= 0."""
 
     k: float
     eps_lo: float
@@ -185,16 +199,20 @@ class CriticalEps:
 
 
 def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) -> Probe:
-    """Critical-datum probe, a run that stops at the top slot's first zero
-    r0 (TopZero), where its side is settled, instead of stepping on into the
-    collapse that follows.  It carries the residual h = 1/sqrt(1 - w_inf) - 1,
-    w_inf = lap_limit_estimate at its end: at the horizon of an
-    EntirePositive run, or at r0, where w_inf = r0 w'(r0) < 0 and so h < 0;
-    the two agree at r0 = R, so h is continuous in eps.  h is finite as w' <
-    0 gives w_inf < w(0) = 1 (kept so where 1 - w_inf rounds to 0, from k
-    near 1e8), and the probe is on the lo side iff h > 0, which implies
+    """Critical-datum probe, a run that stops (integrate's stop_at_top_zero)
+    once it is certified not entire, E = w + r w' < -tau, and its limit
+    estimate has settled, or else at w's first zero, instead of stepping on
+    to the horizon or into a collapse.  It carries the residual h =
+    1/sqrt(1 - w_inf) - 1, w_inf = lap_limit_estimate at its end: at the
+    horizon of an EntirePositive run, at the stop of a TopZero one, where
+    it is at most E < 0 and so h < 0 (E itself where the tail diverges, as
+    at w's zero r0 in a run that collapses: r0 w'(r0)).  The
+    tail-corrected estimate reads w_inf wherever the run ends, so h
+    changes little with where the stop falls.  h is finite as w' < 0 gives
+    w_inf < w(0) = 1 (kept so where 1 - w_inf rounds to 0, from k near
+    1e8), and the probe is on the lo side iff h > 0, which implies
     is_entire.  An Inconclusive run carries none, as would a collapse, but
-    a collapse reaches r0 first, where u^p drives w' to -inf."""
+    a collapse reaches w's zero first, where u^p drives w' to -inf."""
     traj = integrate(spec, jet_m3(k, eps), cfg, stop_at_top_zero=True)
     if not isinstance(traj.verdict, (EntirePositive, TopZero)):
         return Probe(False, None, traj)
@@ -239,13 +257,15 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     (k below the large-k regime at this horizon).  refine_bracket closes
     the bracket to bracket_tol, with h as the residual of every probe
     (_eps_probe); iterations counts its rounds, not the scan's probes.
-    A probe stops at the top slot's zero, so traj_hi is a TopZero run
-    unless the hi end is entire with w_inf <= 0.  bracket_tol must be
-    positive and finite (ValueError).  Every integration runs at
-    cfg.precision, but eps is a Python float in both precisions: a
-    bracket_tol below its rounding width stops at about 4 ulp of eps
-    (refine_bracket).
+    A probe stops once certified not entire, so traj_hi is a TopZero run
+    unless the hi end is entire with w_inf <= 0.  k and bracket_tol must
+    be positive and finite (ValueError, before any integration).  Every
+    integration runs at cfg.precision, but eps is a Python float in both
+    precisions: a bracket_tol below its rounding width stops at about 4
+    ulp of eps (refine_bracket).
     """
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be positive and finite, got {k}")
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
         raise ValueError(f"bracket_tol must be positive and finite, got {bracket_tol}")
     cfg = cfg if cfg is not None else default_config(3)
@@ -346,7 +366,7 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     rho = 0 must integrate entire (BracketFailure otherwise); the scan
     (_scan) from there probes the fixed lo end -u0(0) + 0.1, its limit,
     and refine_bracket bisects on the entire/collapse verdict (no
-    residuals), each run ending at the top slot's first zero (integrate's
+    residuals), each run ending once certified not entire (integrate's
     stop_at_top_zero), where is_entire is already false.  Theory puts the
     boundary at 0, so the estimate must land in [-tol_b, 0]: an entire
     probe below -tol_b, the lo end included, raises HorizonTooShort with a

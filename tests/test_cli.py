@@ -565,12 +565,39 @@ def test_sweep_m3_top_zero_has_no_volume(tmp_path):
 
 
 def test_shoot_top_zero_footer(tmp_path, capsys):
+    # r_zero is where the run was certified not entire, E = w + r w' = -tau;
+    # w itself falls through zero only at r = 37.92
     out = tmp_path / "t.csv"
     assert main(["shoot", "--m", "3", "--k", "10", "--eps", "3.1", "--out", str(out)]) == 0
     footer = out.read_text().splitlines()[-1].split(",")
     assert footer[:3] == ["# verdict", "TopZero", "r_zero"]
-    assert float(footer[3]) == pytest.approx(37.9200998, abs=1e-6)
+    assert float(footer[3]) == pytest.approx(6.2693873, abs=1e-6)
     assert "verdict: TopZero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["-1", "0", "inf", "nan"])
+def test_critical_eps_rejects_k(k, capsys, monkeypatch):
+    # a usage error naming k, before any integration (unchecked, -1 failed
+    # with "math domain error" and inf blamed the jet (inf, nan, 1.0))
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    assert main(["critical-eps", "--k", k, "--bracket-tol", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: k must be positive and finite, got {float(k)}" in err
+
+
+def test_sweep_past_the_critical_datum_has_no_volume(tmp_path):
+    # above eps*(10) = 3.0751756 w stays positive to the horizon, but E = w
+    # + r w' falls below -tau: not entire, so no volume (these five rows
+    # once read EntirePositive with volumes 192.2 to 195.9)
+    out = tmp_path / "eps.csv"
+    assert main(["sweep", "--m", "3", "--k", "10", "--eps", "3.0752,3.0753,3.0755,3.076,3.08",
+                 "--out", str(out)]) == 0
+    data = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith(("#", "eps,"))]
+    assert [d[1:] for d in data] == [["TopZero", "", "", ""]] * 5
 
 
 def test_shoot_inconclusive_exit_code(tmp_path):

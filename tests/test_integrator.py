@@ -517,18 +517,26 @@ def test_trajectory_without_an_accepted_step(u0, monkeypatch):
 @pytest.mark.parametrize("precision", ["double", "extended"])
 @pytest.mark.parametrize("m, jet", [(2, jet_m2(-0.2)), (3, jet_m3(10.0, 5.0))])
 def test_stop_at_top_zero(m, jet, precision):
-    # a collapse's top slot falls through zero first: the stopped run ends
-    # there, at the full run's event, with the full run's steps so far, and
-    # its end state, last row and r_end at that radius
+    # a collapse's limit estimate never settles (u falls, so its tail
+    # diverges), and its top slot falls through zero first: the stopped run
+    # ends there, at the full run's event, with the full run's steps so
+    # far, and its end state, last row and r_end at that radius; r_zero,
+    # where E = w + r w' read -tau (located to abs_tol in r), lies before
     spec, cfg = EquationSpec.for_order(m), default_config(m, precision=precision)
     full = integrate(spec, jet, cfg)
     stopped = integrate(spec, jet, cfg, stop_at_top_zero=True)
     assert isinstance(full.verdict, Collapsed) and isinstance(stopped.verdict, TopZero)
-    r0, n = stopped.verdict.r_zero, len(stopped.events)
+    r0, n = stopped.r_end, len(stopped.events)
     assert stopped.events == full.events[:n]
     assert stopped.events[-1].kind == "lap_sign_change" and stopped.events[-1].level == m - 1
-    assert r0 == stopped.events[-1].r_event == stopped.r_end == stopped.end.r == stopped.r[-1]
+    assert r0 == stopped.events[-1].r_event == stopped.end.r == stopped.r[-1]
     assert r0 < full.verdict.r_star and not is_entire(stopped)
+    r_cert = stopped.verdict.r_zero
+    y = stopped.dense(r_cert)
+    slope = r_cert * y[0] ** spec.rhs_exponent  # -dE/dr
+    assert r_cert < r0
+    tau = integrator._CERT_TOL * cfg.rel_tol
+    assert abs(y[-2] + r_cert * y[-1] + tau) <= 2.0 * slope * cfg.abs_tol
     end = stopped.end
     assert end.lap_deriv(m - 1) < 0.0
     assert abs(end.lap(m - 1)) <= cfg.abs_tol * abs(end.lap_deriv(m - 1))
@@ -540,18 +548,37 @@ def test_stop_at_top_zero(m, jet, precision):
 
 
 def test_top_zero_without_the_stop(spec3):
-    # just past the critical datum at k = 10 the top slot falls through zero
-    # while u stays above the floor to the horizon: the full run is TopZero
-    # too, at the zero where the stopped run ends, and has no volume
+    # just past the critical datum at k = 10, E = w + r w' falls below -tau
+    # at r = 6.27 and the top slot through zero at 37.92, while u stays
+    # above the floor to the horizon: the full run is TopZero too, certified
+    # where the stopped run is, which ends a few steps on, and has no volume
     jet, cfg = jet_m3(10.0, 3.1), default_config(3)
     full = integrate(spec3, jet, cfg)
     stopped = integrate(spec3, jet, cfg, stop_at_top_zero=True)
     assert isinstance(full.verdict, TopZero) and isinstance(stopped.verdict, TopZero)
     assert full.verdict.r_zero.hex() == stopped.verdict.r_zero.hex()
+    w_zero = next(e.r_event for e in full.events if e.level == 2)
+    assert stopped.verdict.r_zero < stopped.r_end == stopped.dense.r_hi < w_zero
     assert full.r_end == full.r[-1] == cfg.r_max and full.end.lap(2) < 0.0
     assert not is_entire(full)
     with pytest.raises(UndefinedVolume):
         volume(spec3, full)
+
+
+@pytest.mark.parametrize("r_max", [1e2, 1e3])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_closed_forms_are_not_certified(spec2, spec3, u0, u1, rel_tol, r_max):
+    # both closed forms are exactly critical (w_inf = 0), so their
+    # integrated E = w + r w' is sign noise: down to -0.023 rel_tol (u1 at
+    # 1e-9), well inside tau, and both stay EntirePositive; at rel_tol 1e-8,
+    # r_max 1e3, u0 is shoot --m 2 --rho 0 (E(R) = -4e-12)
+    tau = integrator._CERT_TOL * rel_tol
+    for spec, cf in ((spec2, u0), (spec3, u1)):
+        cfg = IntegratorConfig(rel_tol=rel_tol, abs_tol=rel_tol / 100, r_max=r_max)
+        traj = integrate(spec, cf.jet(), cfg)
+        end = traj.end
+        assert isinstance(traj.verdict, EntirePositive) and is_entire(traj)
+        assert end.lap(spec.m - 1) + end.r * end.lap_deriv(spec.m - 1) > -0.1 * tau
 
 
 # Runs with events located on a step's polynomial: the m=3 top zero short of

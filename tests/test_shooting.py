@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyshoot import (
@@ -235,8 +235,9 @@ def test_critical_eps_scans_down_at_k10(monkeypatch):
 
 def test_critical_probe_side_matches_residual(monkeypatch):
     # the one m=3 classifier: h > 0 on the lo side and only there, the lo
-    # side is entire, a probe stopped at the top zero carries h < 0, and
-    # only an inconclusive one carries no residual
+    # side is entire, a probe certified not entire carries h < 0 from a
+    # limit estimate below -tau, and only an inconclusive one carries no
+    # residual
     probes = []
     probe_ = shooting._eps_probe
 
@@ -255,14 +256,21 @@ def test_critical_probe_side_matches_residual(monkeypatch):
         assert p.lo_side == (p.residual is not None and p.residual > 0.0)
         assert is_entire(p.payload) or not p.lo_side
         if isinstance(p.payload.verdict, TopZero):
-            assert p.residual < 0.0 and p.payload.r_end == p.payload.verdict.r_zero
+            tau = integrator._CERT_TOL * default_config(3).rel_tol
+            assert p.residual < 0.0 and p.payload.verdict.r_zero <= p.payload.r_end
+            assert lap_limit_estimate(p.payload) < -tau
 
 
 @settings(max_examples=25, deadline=None)
 @given(k=st.floats(10.0, 640.0), frac=st.floats(0.0, 1.0))
+@example(k=10.0, frac=0.895)  # eps 3.1: the settled stop at r = 7.85, w's zero at 37.9
+@example(k=640.0, frac=0.999)  # the settled stop
+@example(k=10.0, frac=0.999)  # collapsing: w's zero
 def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
-    # a probe that stops at the top zero takes the full run's steps up to
-    # there, bit for bit, and lands on the side the full run's end state gives
+    # a probe that stops once certified takes the full run's steps up to
+    # there, bit for bit, and lands on the side the full run's end state
+    # gives; it ends at w's zero, or at a step end where E < -tau and the
+    # limit estimate moved by at most _SETTLE of itself over the last step
     eps = frac * math.sqrt(6.0 * k / 5.0)
     cfg = default_config(3)
     probe = shooting._eps_probe(spec3, k, eps, cfg)
@@ -277,6 +285,51 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
     assert stopped.r_rights.tobytes() == full.dense.r_rights[:n].tobytes()
     if isinstance(probe.payload.verdict, TopZero):
         assert not is_entire(full)
+        end = probe.payload.end
+        if probe.payload.r_end == stopped.r_hi:  # the settled stop
+            tau, settle = integrator._CERT_TOL * cfg.rel_tol, integrator._SETTLE
+            before = stopped(float(stopped.r_lefts[-1]))
+            hat = integrator._tail_limit(spec3.rhs_exponent, end.r, end.y)
+            hat_before = integrator._tail_limit(spec3.rhs_exponent, stopped.r_lefts[-1], before)
+            assert end.lap(2) + end.r * end.lap_deriv(2) < -tau and end.lap(2) > 0.0
+            assert abs(hat - hat_before) <= settle * abs(hat) * (1.0 + 1e-6)
+            assert n < full.dense.cs.shape[0]
+        else:  # w's zero
+            assert abs(end.lap(2)) <= cfg.abs_tol * abs(end.lap_deriv(2))
+
+
+# Integrations per critical_eps solve with probes run to w's zero or the
+# horizon (r_max 100), k: (bracket_tol 1e-3, 1e-6, 1e-9); the same in
+# extended precision at k = 10, 40 and 160
+_PROBES_BEFORE = {2.0: (6, 7, 7), 5.0: (6, 7, 8), 10.0: (4, 4, 5), 20.0: (4, 5, 5),
+                  40.0: (4, 5, 6), 80.0: (4, 5, 6), 160.0: (4, 5, 6), 320.0: (4, 6, 7),
+                  640.0: (5, 6, 7)}
+
+
+def test_critical_probe_budget(monkeypatch):
+    # a probe stopped once certified carries the tail-corrected limit, so
+    # no solve takes more probes than one run to w's zero or the horizon,
+    # while the three solves of a perfbench m3_critical pass (k = 10, 20
+    # and 40 at 1e-6) take 277 accepted steps (350 before)
+    runs = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        runs.append(integrate_(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    for precision, ks in (("double", _PROBES_BEFORE), ("extended", (10.0, 40.0, 160.0))):
+        cfg = default_config(3, precision=precision)
+        for k in ks:
+            for tol, most in zip((1e-3, 1e-6, 1e-9), _PROBES_BEFORE[k]):
+                runs.clear()
+                critical_eps(k, cfg, tol)
+                assert len(runs) <= most, (precision, k, tol)
+    runs.clear()
+    for k in (10.0, 20.0, 40.0):
+        critical_eps(k, bracket_tol=1e-6)
+    assert sum(t.stats["naccept"] for t in runs) <= 280
 
 
 def test_critical_probe_residual_stays_finite(spec3):
@@ -381,7 +434,7 @@ def test_collapse_boundary(spec2):
 
 
 def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
-    # the runs end at the first zero of Lap u, where is_entire is already
+    # the runs end once certified not entire, where is_entire is already
     # false, so the bisection path and its value are those of full runs
     runs = []
     integrate_ = shooting.integrate
@@ -398,8 +451,10 @@ def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
 
 
 def test_collapse_boundary_horizon_guard():
+    # the certificate tells rho = -6.2e-6 apart by r = 5, so horizon 5
+    # resolves tol_b = 1e-6 (-3.9e-7) and horizon 3 does not
     with pytest.raises((HorizonTooShort, BracketFailure)):
-        collapse_boundary_m2(default_config(2, r_max=20.0), tol_b=1e-6)
+        collapse_boundary_m2(default_config(2, r_max=3.0), tol_b=1e-6)
 
 
 @pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3])
@@ -868,12 +923,15 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # residual, whose brackets the stop at the top zero moves, schema 10
     # entries from probes whose top zero was bisected, not located by Brent,
     # schema 11 entries from brackets refined from [0, sqrt(6k/5)], which
-    # the large-k seed moves within bracket_tol
+    # the large-k seed moves within bracket_tol, schema 12 entries from
+    # residuals of E = w + r w' at the end of probes run to the top zero,
+    # which the tail-corrected limit and the stop once certified move
+    # within bracket_tol
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 12
-    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11):
+    assert EpsCache.SCHEMA == 13
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)
