@@ -29,8 +29,7 @@ from .core import Collapsed, EntirePositive, EquationSpec, Inconclusive, Jet, To
 from .errors import PolyshootError, TargetOutOfRange
 from .integrator import IntegratorConfig, integrate
 from .shooting import (BRACKET_TOL, VOLUME_REL_TOL, EpsCache, atomic_write, critical_eps,
-                       critical_eps_residual, default_config, jet_m2, jet_m3,
-                       prescribe_volume)
+                       default_config, jet_m2, jet_m3, prescribe_volume)
 from .volume import gauss_legendre, volume
 
 SCHEMA = 1
@@ -124,8 +123,6 @@ def load_run_config(args) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     if isinstance(x, (float, np.floating)):
         x = float(x)
         return "" if math.isnan(x) else repr(x)
@@ -357,7 +354,6 @@ def cmd_critical_eps(args) -> int:
     args.m = 3  # also picks the m=3 default horizon when nothing sets r_max
     rc = load_run_config(args)
     ce = critical_eps(args.k, rc.cfg, args.bracket_tol, cache=rc.cache())
-    resid = critical_eps_residual(ce, rc.cfg)
     report = {
         "schema": SCHEMA,
         "k": args.k,
@@ -372,8 +368,8 @@ def cmd_critical_eps(args) -> int:
         "precision": ce.precision,
         "cache_hit": ce.cache_hit,
         "residual": {
-            "delta2_at_horizon": resid.delta2_at_horizon,
-            "partial_integral": resid.partial_integral,
+            "delta2_at_horizon": ce.delta2_at_horizon,
+            "partial_integral": ce.partial_integral,
         },
     }
     write_text(args.out, json.dumps(report, indent=2) + "\n")

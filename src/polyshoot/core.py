@@ -144,8 +144,8 @@ class EntirePositive:
     The fit runs on first read: integrate hands the verdict the fit to run
     (a callable of no arguments), and the first read of tail or
     growth_exponent runs it once and keeps its PowerTail; a PowerTail given
-    directly is the tail as it is.  Equality, hash, repr and pickle read
-    the fitted tail, so a pickled verdict carries it.
+    directly is the tail as it is.  Equality, hash and repr read the
+    fitted tail, so verdicts compare by value.
     """
 
     __slots__ = ("_tail",)
@@ -173,9 +173,6 @@ class EntirePositive:
 
     def __repr__(self):
         return f"EntirePositive(tail={self.tail!r})"
-
-    def __reduce__(self):
-        return EntirePositive, (self.tail,)
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,11 @@ class Trajectory:
         r = min(self.r_end, self.dense.r_hi)
         return RadialState(r=r, y=self._states(r))
 
-    def _states(self, r, slots=slice(None)):
-        """dense(r) in slots, or the jet's state where no step was accepted
-        (r = 0)."""
+    def _states(self, r):
+        """dense(r), or the jet's state where no step was accepted (r = 0)."""
         if self.dense.r_hi:
-            return self.dense(r, slots=slots)
-        state = np.asarray(self.jet.origin_state)[slots]
+            return self.dense(r)
+        state = np.asarray(self.jet.origin_state)
         return np.broadcast_to(state, np.shape(r) + state.shape)
 
     @property
@@ -254,12 +250,12 @@ class Trajectory:
             self._y = self._dense_rows()
         return self._y
 
-    def _dense_rows(self, slots=slice(None)) -> np.ndarray:
-        """The state rows in slots, in blocks of _ROW_BLOCK rows."""
+    def _dense_rows(self) -> np.ndarray:
+        """The state rows, in blocks of _ROW_BLOCK rows."""
         r = self.r
-        y = np.empty((r.shape[0], len(range(self.spec.n_state)[slots])))
+        y = np.empty((r.shape[0], self.spec.n_state))
         for lo in range(0, r.shape[0], _ROW_BLOCK):
-            y[lo:lo + _ROW_BLOCK] = self._states(r[lo:lo + _ROW_BLOCK], slots)
+            y[lo:lo + _ROW_BLOCK] = self._states(r[lo:lo + _ROW_BLOCK])
         return y
 
     def __len__(self):
@@ -267,9 +263,8 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        """u on the rows: the built rows' first column, or else slot 0 alone,
-        the same Horner on the same polynomials, so the same bits."""
-        return self.y[:, 0] if self._y is not None else self._dense_rows(slice(0, 1))[:, 0]
+        """u on the rows, the first column of y (built on first read)."""
+        return self.y[:, 0]
 
 
 # Order of every step's series, the origin's included.  A step covers the

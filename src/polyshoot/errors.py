@@ -27,11 +27,8 @@ class BracketFailure(PolyshootError):
 
 
 class HorizonTooShort(PolyshootError):
-    """A parameter that must collapse classified as entire: increase the horizon."""
-
-    def __init__(self, msg, required_horizon=None):
-        super().__init__(msg)
-        self.required_horizon = required_horizon
+    """A parameter that must collapse classified as entire: the horizon is
+    too short to certify it not entire."""
 
 
 class TargetOutOfRange(PolyshootError):

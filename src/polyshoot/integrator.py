@@ -39,10 +39,10 @@ shooting solves run too.
 
 E = w + r w', w = Lap^{m-1} u the top slot, falls strictly (dE/dr = -r
 u^p < 0) toward w's limit w_inf at infinity, so E(r) < 0 proves that the
-solution is not entire.  Once E < -tau (_CERT_TOL) the run is certified,
-and its verdict is TopZero unless it collapses; a run whose caller asks
-(stop_at_top_zero) ends once the certified limit estimate has settled
-(_tail_limit, _SETTLE), or at w's first zero, before any collapse.
+solution is not entire.  Once E < -tau, tau = rel_tol, the run is
+certified, and its verdict is TopZero unless it collapses; a run whose
+caller asks (stop_at_top_zero) ends once the certified limit estimate has
+settled (_tail_limit, _SETTLE), or at w's first zero, before any collapse.
 """
 
 from __future__ import annotations
@@ -451,14 +451,6 @@ def _poly_at(c, theta):
     return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
 
 
-# The certificate that a run is not entire: E = w + r w' < -tau, tau =
-# _CERT_TOL rel_tol.  Both closed forms are exactly critical (w_inf = 0),
-# and their integrated E(R) reads from -0.0225 to +0.064 rel_tol (u0 at R =
-# 100, where the exact E is 2e-11, aside) over rel_tol 1e-4 ... 1e-12,
-# abs_tol 1e-14 ... rel_tol, R = 1e2 and 1e3, in double and extended; it
-# does not move with abs_tol.
-_CERT_TOL = 1.0
-
 # A stopped run ends at the first step end where the certificate holds and
 # the tail-corrected limit (_tail_limit) has moved by at most _SETTLE times
 # itself since the step end before; at k = 10, 20 and 40 (bracket_tol
@@ -501,7 +493,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     not entire, EntirePositive(tail) when it is reached without that, and
     Inconclusive when the step budget runs out or the step size
     underflows.  The certificate is E = w + r w' < -tau at a step end, w =
-    Lap^{m-1} u, tau = _CERT_TOL rel_tol, or w's first downward zero; r0 is
+    Lap^{m-1} u, tau = rel_tol, or w's first downward zero; r0 is
     the first radius where either holds, located on its step's polynomial
     (_certificate_radius), and only for a TopZero verdict.  Sign changes of
     every intermediate Laplacian slot are events (_event_theta).
@@ -544,7 +536,12 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     r_lefts, r_rights, cs, events = [], [], [], []
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
-    top, tau = 2 * (spec.m - 1), _CERT_TOL * cfg.rel_tol
+    # tau, the certificate's margin: both closed forms are exactly critical
+    # (w_inf = 0), and their integrated E(R) reads from -0.0225 to +0.064
+    # rel_tol (u0 at R = 100, where the exact E is 2e-11, aside) over rel_tol
+    # 1e-4 ... 1e-12, abs_tol 1e-14 ... rel_tol, R = 1e2 and 1e3, in double
+    # and extended; it does not move with abs_tol
+    top, tau = 2 * (spec.m - 1), cfg.rel_tol
     verdict = closure = h = r_top = wall = cert = hat = None
     stopped = False  # r_top: w's first zero; cert: the step where E first fell below -tau
 
@@ -649,7 +646,6 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
         "naccept": naccept,
         "nreject": nreject,
         "nfev": nfev,
-        "precision": cfg.precision,
         "closure": closure,
     }
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),

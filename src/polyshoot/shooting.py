@@ -42,7 +42,7 @@ from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
            "CriticalEps", "critical_eps",
-           "EpsResidual", "critical_eps_residual", "collapse_boundary_m2",
+           "critical_eps_residual", "collapse_boundary_m2",
            "VolumeSolve", "prescribe_volume", "EpsCache"]
 
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
@@ -167,14 +167,17 @@ class EpsCache:
 @dataclass
 class CriticalEps:
     """Refined bracket [eps_lo, eps_hi] for the critical second datum at fixed
-    k, with the volume (and its error estimate) and the critical-balance
-    residual (see EpsResidual) of the entire end eps_lo; a cache hit reads
-    these from the entry and carries no trajectories.  precision is that of
-    the config the solve ran with.  iterations counts the rounds of
-    refine_bracket, not the probes of the scan that opened the bracket
-    (0 on a cache hit).  traj_lo runs to the horizon; traj_hi is a TopZero
-    run that ended where it was certified not entire (_eps_probe), unless
-    the hi end is entire with w_inf <= 0."""
+    k, with the volume (and its error estimate) and the critical balance of
+    the entire end eps_lo at the horizon: at the critical datum the top
+    Laplacian drains to zero at infinity, and the normalised source integral
+    reaches one, so delta2_at_horizon is Lap^2 u there, and partial_integral
+    that integral, from a quadrature of the dense output (_critical_balance).
+    A cache hit reads these from the entry and carries no trajectories.
+    precision is that of the config the solve ran with.  iterations counts
+    the rounds of refine_bracket, not the probes of the scan that opened
+    the bracket (0 on a cache hit).  traj_lo runs to the horizon; traj_hi
+    is a TopZero run that ended where it was certified not entire
+    (_eps_probe), unless the hi end is entire with w_inf <= 0."""
 
     k: float
     eps_lo: float
@@ -312,22 +315,6 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     return result
 
 
-@dataclass(frozen=True)
-class EpsResidual:
-    """How far the entire-side trajectory is from the critical balance.
-
-    At the critical datum the top Laplacian drains to zero at infinity;
-    equivalently the normalised source integral reaches one.  Both
-    quantities are reported: delta2_at_horizon straight from the state,
-    partial_integral from an independent quadrature of the dense output.
-    """
-
-    delta2_at_horizon: float
-    partial_integral: float
-    eps_used: float
-    horizon: float
-
-
 def _critical_balance(traj: Trajectory) -> tuple:
     """(Lap^2 u at the horizon, normalised source integral) of an m=3 trajectory.
 
@@ -342,21 +329,16 @@ def _critical_balance(traj: Trajectory) -> tuple:
 
 
 def critical_eps_residual(ce: CriticalEps,
-                          cfg: Optional[IntegratorConfig] = None) -> EpsResidual:
-    """Critical-balance residual at the entire bracket end.
-
-    Read from ce (computed by the solve, or stored in its cache entry) when
-    cfg's horizon is within the solve's; a longer horizon re-integrates the
-    entire end there.
+                          cfg: Optional[IntegratorConfig] = None) -> CriticalEps:
+    """ce itself, which holds the critical balance of its entire end at the
+    solve's horizon (delta2_at_horizon, partial_integral), computed by the
+    solve or read from its cache entry.  A cfg whose horizon lies beyond
+    the solve's raises ValueError: no balance is taken there.
     """
     cfg = cfg if cfg is not None else default_config(3)
-    if cfg.r_max <= ce.horizon_used:
-        delta2, partial, horizon = ce.delta2_at_horizon, ce.partial_integral, ce.horizon_used
-    else:
-        traj = integrate(EquationSpec.for_order(3), jet_m3(ce.k, ce.eps_lo), cfg)
-        (delta2, partial), horizon = _critical_balance(traj), traj.r_end
-    return EpsResidual(delta2_at_horizon=delta2, partial_integral=partial,
-                       eps_used=ce.eps_lo, horizon=float(horizon))
+    if cfg.r_max > ce.horizon_used:
+        raise ValueError(f"horizon {cfg.r_max:g} beyond the solve's {ce.horizon_used:g}")
+    return ce
 
 
 def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
@@ -369,28 +351,24 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     residuals), each run ending once certified not entire (integrate's
     stop_at_top_zero), where is_entire is already false.  Theory puts the
     boundary at 0, so the estimate must land in [-tol_b, 0]: an entire
-    probe below -tol_b, the lo end included, raises HorizonTooShort with a
-    horizon estimate extrapolated from the decay of the Laplacian gap, and
-    an entire lo end above -tol_b (the scan's None) one without.  tol_b
-    must be positive and finite (ValueError).
+    probe below -tol_b, the lo end included, raises HorizonTooShort, as
+    does an entire lo end above -tol_b (the scan's None).  So every entire
+    probe lies in [-tol_b, 0], and the estimate is the refined bracket's
+    entire end: 0 itself where every negative probe is certified not entire.
+    tol_b must be positive and finite (ValueError).
     """
     if not (math.isfinite(tol_b) and tol_b > 0):
         raise ValueError(f"tol_b must be positive and finite, got {tol_b}")
     cfg = cfg if cfg is not None else default_config(2)
     spec = EquationSpec.for_order(2)
-    profile = oracle.linear_profile()
-    lo = -profile.eval(0.0, 0) + 0.1
+    lo = -oracle.linear_profile().eval(0.0, 0) + 0.1
 
     def evaluate(rho):
         traj = integrate(spec, jet_m2(rho), cfg, stop_at_top_zero=True)
         entire = is_entire(traj)
         if entire and rho < -tol_b:
-            gap = profile.eval(traj.r_end, 2) - traj.end.lap(1)
-            required = 2.0 / gap if gap > 0 else float("inf")
             raise HorizonTooShort(
-                f"rho={rho:.6g} < -tol_b classified entire at horizon "
-                f"{cfg.r_max:g}; estimated required horizon ~{required:.3g}",
-                required_horizon=required)
+                f"rho={rho:.6g} < -tol_b classified entire at horizon {cfg.r_max:g}")
         return Probe(not entire, None, traj)
 
     at_0 = evaluate(0.0)
@@ -401,7 +379,7 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
     if b is None:
         raise HorizonTooShort(f"rho={lo:.4g} classified entire at horizon {cfg.r_max:g}")
     refine_bracket(evaluate, b, tol_b)
-    return 0.5 * (b.lo + b.hi)
+    return b.hi
 
 
 @dataclass
@@ -453,7 +431,7 @@ def _volume_law(k: float) -> float:
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
                      rel_tol_target: float = VOLUME_REL_TOL, cache: Optional[EpsCache] = None,
-                     bracket_tol: float = BRACKET_TOL, table_k=DEFAULT_TABLE_K) -> VolumeSolve:
+                     table_k=DEFAULT_TABLE_K) -> VolumeSolve:
     """Find initial data whose trajectory has the prescribed volume.
 
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the
@@ -535,7 +513,7 @@ def prescribe_volume(spec: EquationSpec, target: float,
     # m=3: two-level strategy through the critical table
     @functools.cache
     def entry(j):  # each entry's critical solve runs at most once
-        return critical_eps(table_k[j], cfg, bracket_tol, cache=cache)
+        return critical_eps(table_k[j], cfg, BRACKET_TOL, cache=cache)
 
     j = next((j for j, k in enumerate(table_k) if _volume_law(k) >= target), len(table_k) - 1)
     while j > 0 and entry(j - 1).volume >= target:

@@ -147,6 +147,20 @@ def test_shoot_csv_m2(tmp_path, capsys):
     assert "EntirePositive" in err
 
 
+def test_shoot_csv_extended(tmp_path, capsys):
+    # the long-double path end to end: the config line and the footer
+    out = tmp_path / "traj.csv"
+    assert main(["shoot", "--m", "2", "--rho", "0", "--r-max", "50",
+                 "--precision", "extended", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    config = json.loads([ln for ln in lines if ln.startswith("# config:")][0].split(":", 1)[1])
+    assert config["precision"] == "extended"
+    footer = lines[-1].split(",")
+    assert footer[:3] == ["# verdict", "EntirePositive", "growth_exponent"]
+    assert abs(float(footer[3]) - 1.0) <= 0.05
+    assert "EntirePositive" in capsys.readouterr().err
+
+
 def test_shoot_csv_collapse(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert main(["shoot", "--m", "2", "--rho", "-0.2", "--out", str(out)]) == 0
@@ -327,12 +341,15 @@ def test_config_file_roundtrip(tmp_path):
     assert stored["rel_tol"] == 1e-7
 
 
-def test_config_file_bad_schema(tmp_path):
+def test_config_file_bad_schema(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 2, "m": 2}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path)]) == 2
     cfg_path.write_text(json.dumps({"schema": 1, "bogus_key": 1}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path)]) == 2
+    missing = tmp_path / "missing.json"  # a file that cannot be read
+    assert main(["shoot", "--rho", "0.5", "--config", str(missing)]) == 2
+    assert f"usage error: cannot read config {missing}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -344,12 +361,14 @@ def test_config_file_bad_schema(tmp_path):
     ({"u_floor": float("nan")}, []),
     ({"dense_output_stride": float("inf")}, []),
     ({"max_steps": float("nan")}, []),  # would remove the step budget
+    ({"m": 4}, []),
 ])
 def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **config}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path), *flags]) == 2
-    assert "usage error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error:" in err and ("m" not in config or "--m must be 2 or 3, got 4" in err)
 
 
 def test_horizon_below_one_stride_is_entire(tmp_path, capsys):
@@ -405,7 +424,7 @@ def test_parser_defaults_are_the_solvers():
     assert (parse(["critical-eps", "--k", "10"]).bracket_tol
             == parse(["sweep"]).bracket_tol
             == default(shooting.critical_eps, "bracket_tol")
-            == default(shooting.prescribe_volume, "bracket_tol"))
+            == shooting.BRACKET_TOL)  # the table walk's, prescribe_volume's
     assert (parse(["prescribe-volume", "--lambda", "1"]).vol_tol
             == default(shooting.prescribe_volume, "rel_tol_target"))
 
@@ -466,12 +485,26 @@ def test_config_null_means_default(tmp_path, m, horizon):
     ["shoot", "--m", "3", "--k", "-5", "--eps", "1"],  # u(0) <= 0
     ["shoot", "--jet=-1,0"],
     ["sweep", "--rho=-3:-2:1", "--jobs", "1"],
+    ["shoot", "--m", "3", "--k", "10"],  # missing or blank jet data and ranges
+    ["sweep", "--m", "2", "--at-critical"],
+    ["sweep", "--m", "3", "--at-critical", "--k", ""],
+    ["sweep", "--m", "2", "--rho", ""],
 ])
 def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))
     assert main(argv) == 2
-    assert "usage error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error:" in err and _USAGE_MESSAGES.get(" ".join(argv), "") in err
     assert not (tmp_path / "cache").exists()  # nothing written to the cache
+
+
+# The message of each usage error above that names what is missing
+_USAGE_MESSAGES = {
+    "shoot --m 3 --k 10": "m=3 needs --k and --eps (or --jet)",
+    "sweep --m 2 --at-critical": "--at-critical applies to --m 3",
+    "sweep --m 3 --at-critical --k ": "--at-critical needs a nonempty --k list",
+    "sweep --m 2 --rho ": "m=2 sweep needs --rho range",
+}
 
 
 def test_cache_directory_under_a_file_exits_2(tmp_path, capsys, monkeypatch):

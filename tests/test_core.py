@@ -400,15 +400,14 @@ def test_scale_maps_the_collapse(m, jet):
 @pytest.mark.parametrize("precision", ["double", "extended"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_u_reads_the_u_slot_only(u0, u1, m, precision):
-    # u is the built rows' first column bit for bit, read without building
-    # them (test_trajectory_without_an_accepted_step covers the jet's u(0))
+    # u is the u slot of the rows, which its first read builds, in float64
+    # (test_trajectory_without_an_accepted_step covers the jet's u(0))
     spec = EquationSpec.for_order(m)
     cfg = IntegratorConfig(r_max=20.0, dense_output_stride=1e-3, precision=precision)
     traj = integrate(spec, (u0 if m == 2 else u1).jet(), cfg)
     u = traj.u
-    assert traj._y is None and u.shape == traj.r.shape and u.dtype == np.float64
-    assert u.tobytes() == traj.y[:, 0].tobytes()
-    assert traj.u.tobytes() == u.tobytes()  # now the built column
+    assert traj._y is not None and u.shape == traj.r.shape and u.dtype == np.float64
+    assert u.tobytes() == traj.dense(traj.r)[:, 0].tobytes()
 
 
 def test_scale_transforms_jet_slots(spec3, u1):

@@ -256,7 +256,7 @@ def test_critical_probe_side_matches_residual(monkeypatch):
         assert p.lo_side == (p.residual is not None and p.residual > 0.0)
         assert is_entire(p.payload) or not p.lo_side
         if isinstance(p.payload.verdict, TopZero):
-            tau = integrator._CERT_TOL * default_config(3).rel_tol
+            tau = default_config(3).rel_tol
             assert p.residual < 0.0 and p.payload.verdict.r_zero <= p.payload.r_end
             assert lap_limit_estimate(p.payload) < -tau
 
@@ -287,7 +287,7 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
         assert not is_entire(full)
         end = probe.payload.end
         if probe.payload.r_end == stopped.r_hi:  # the settled stop
-            tau, settle = integrator._CERT_TOL * cfg.rel_tol, integrator._SETTLE
+            tau, settle = cfg.rel_tol, integrator._SETTLE
             before = stopped(float(stopped.r_lefts[-1]))
             hat = integrator._tail_limit(spec3.rhs_exponent, end.r, end.y)
             hat_before = integrator._tail_limit(spec3.rhs_exponent, stopped.r_lefts[-1], before)
@@ -369,7 +369,11 @@ def test_envelope_at_entire_end(ce10):
 
 
 def test_critical_eps_residual_behaviour(ce10, spec3):
-    res = critical_eps_residual(ce10)
+    # the solve's own balance at its horizon; none is taken beyond it
+    res = critical_eps_residual(ce10, default_config(3))
+    assert res is ce10 and critical_eps_residual(ce10) is ce10
+    with pytest.raises(ValueError, match="beyond the solve's 100"):
+        critical_eps_residual(ce10, default_config(3, r_max=200.0))
     t0 = integrate(spec3, Jet((10.0, 0.0, 1.0)), default_config(3))
     d2_far = float(t0.y[-1, 4])
     assert d2_far >= 2.0 / 3.0
@@ -444,7 +448,7 @@ def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(shooting, "integrate", recording)
-    assert collapse_boundary_m2() == -3.9856713686974097e-4
+    assert collapse_boundary_m2() == 0.0  # every negative probe certified not entire
     assert len(runs) == 11
     assert any(isinstance(t.verdict, TopZero) for t in runs)
     assert all(isinstance(t.verdict, (EntirePositive, TopZero)) for t in runs)
@@ -452,9 +456,35 @@ def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
 
 def test_collapse_boundary_horizon_guard():
     # the certificate tells rho = -6.2e-6 apart by r = 5, so horizon 5
-    # resolves tol_b = 1e-6 (-3.9e-7) and horizon 3 does not
+    # resolves tol_b = 1e-6 and horizon 3 does not
     with pytest.raises((HorizonTooShort, BracketFailure)):
         collapse_boundary_m2(default_config(2, r_max=3.0), tol_b=1e-6)
+
+
+# Integrations of collapse_boundary_m2 per (tol_b, r_max), each at most
+# those of the bracket's midpoint estimate it replaced
+_BOUNDARY_RUNS = {(1e-3, 1.0): 11, (1e-3, 2.0): 11, (1e-3, 3.0): 11, (1e-3, 5.0): 11,
+                  (1e-3, 20.0): 11, (1e-6, 1.0): 11, (1e-6, 2.0): 15, (1e-6, 3.0): 18,
+                  (1e-6, 5.0): 21, (1e-6, 20.0): 21}
+
+
+@pytest.mark.parametrize("tol_b, r_max", sorted(_BOUNDARY_RUNS))
+def test_collapse_boundary_lands_in_its_band(monkeypatch, tol_b, r_max):
+    # the estimate is the bracket's entire end, in [-tol_b, 0] (the midpoint
+    # read -1.2e-3 at r_max 1, tol_b 1e-3), or the horizon is too short
+    runs = []
+    integrate_ = shooting.integrate
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return integrate_(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", counting)
+    try:
+        assert -tol_b <= collapse_boundary_m2(default_config(2, r_max=r_max), tol_b) <= 0.0
+    except HorizonTooShort:
+        pass
+    assert len(runs) <= _BOUNDARY_RUNS[tol_b, r_max]
 
 
 @pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3])
@@ -471,8 +501,8 @@ def test_collapse_boundary_rejects_tol_b(tol_b, monkeypatch):
 @pytest.mark.parametrize("tol_b", [1e-3, 1.0])
 def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
     # the lo end -u0(0) + 0.1 classified entire: the horizon cannot tell the
-    # collapse, whether the probe's own check fires (lo end below -tol_b,
-    # with a horizon estimate) or the scan reaches its limit (tol_b above)
+    # collapse, whether the probe's own check fires (lo end below -tol_b)
+    # or the scan reaches its limit (tol_b above)
     rhos = []
     integrate_ = shooting.integrate
 
@@ -485,7 +515,7 @@ def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b
     with pytest.raises(HorizonTooShort) as info:
         collapse_boundary_m2(tol_b=tol_b)
     assert rhos == pytest.approx([0.0, -shooting.jet_m2(0.0).lap_values[0] + 0.1], abs=1e-15)
-    assert (info.value.required_horizon is None) == (tol_b == 1.0)
+    assert ("< -tol_b" in str(info.value)) == (tol_b == 1e-3)
 
 
 def _scan_map(root, probes):
