@@ -33,7 +33,6 @@ from .errors import (
 from .integrator import (
     IntegratorConfig,
     classify_growth,
-    fit_growth,
     integrate,
 )
 from .oracle import cubic_profile, lambda_star, linear_profile
@@ -53,7 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EquationSpec", "Jet", "RadialState", "Collapsed", "EntirePositive", "Inconclusive",
     "taylor_launch",
-    "IntegratorConfig", "integrate", "classify_growth", "fit_growth",
+    "IntegratorConfig", "integrate", "classify_growth",
     "formula1_check",
     "volume", "volume_of_jet", "power_tail",
     "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",

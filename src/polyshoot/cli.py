@@ -92,11 +92,15 @@ def load_run_config(args) -> RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(raw, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
         if raw.pop("schema", None) != SCHEMA:
             raise UsageError(f"config {args.config} must declare \"schema\": {SCHEMA}")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        if not isinstance(raw.get("cache_dir"), (str, type(None))):
+            raise UsageError(f"config cache_dir must be a string, got {raw['cache_dir']!r}")
         values.update(raw)
     if getattr(args, "m", None) is not None:
         values["m"] = args.m
@@ -114,7 +118,7 @@ def load_run_config(args) -> RunConfig:
         values["cache_dir"] = env_cache
     values = {name: v for name, v in values.items() if v is not None}
     m, cache_dir = values.pop("m", 2), values.pop("cache_dir", None)
-    if m not in (2, 3):
+    if m not in (2, 3) or not isinstance(m, int):
         raise UsageError(f"--m must be 2 or 3, got {m}")
     try:
         return RunConfig(m, default_config(m, **values), cache_dir)
@@ -213,8 +217,8 @@ def _jet_from_args(rc: RunConfig, args) -> Jet:
 # ----------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    # --tol tightens the CHECK tolerances only; integration still runs at
-    # the configured (or default) integrator tolerances.
+    # --tol tightens the CHECK tolerances only, each to min(its own, --tol);
+    # integration still runs at the configured (or default) tolerances.
     tol_override = args.tol
     if tol_override is not None and not (math.isfinite(tol_override) and tol_override > 0):
         raise UsageError(f"--tol must be positive and finite, got {tol_override}")
@@ -224,7 +228,7 @@ def cmd_verify(args) -> int:
     checks = []
 
     def add(name, value, tol):
-        tol = tol if tol_override is None else tol_override
+        tol = tol if tol_override is None else min(tol, tol_override)
         checks.append({"check": name, "value": value, "tolerance": tol,
                        "pass": bool(abs(value) <= tol)})
 
@@ -412,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--m", type=int, choices=(2, 3), default=None)
         p.add_argument("--tol", type=float, default=None,
-                       help="relative tolerance (verify: check tolerance)")
+                       help="relative tolerance (verify: an upper bound on each "
+                            "check's tolerance)")
         p.add_argument("--r-max", dest="r_max", type=float, default=None)
         p.add_argument("--precision", choices=("double", "extended"),
                        default=None)

@@ -139,7 +139,7 @@ class Collapsed:
 class EntirePositive:
     """Horizon reached with u above the floor.  tail is the one fit of the
     asymptote, integrator.fit_tail on [r_end/2, r_end] (a PowerTail), which
-    fit_growth and the volume's tail read too.
+    classify_growth and the volume's tail read too.
 
     The fit runs on first read: integrate hands the verdict the fit to run
     (a callable of no arguments), and the first read of tail or

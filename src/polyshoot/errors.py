@@ -27,8 +27,8 @@ class BracketFailure(PolyshootError):
 
 
 class HorizonTooShort(PolyshootError):
-    """A parameter that must collapse classified as entire: the horizon is
-    too short to certify it not entire."""
+    """A parameter that must be certified not entire (TopZero or Collapsed)
+    classified entire or Inconclusive at the horizon given."""
 
 
 class TargetOutOfRange(PolyshootError):

@@ -82,7 +82,6 @@ __all__ = [
     "integrate",
     "fit_tail",
     "classify_growth",
-    "fit_growth",
 ]
 
 
@@ -103,10 +102,10 @@ class IntegratorConfig:
     mode amplifies it, mostly stays within them; it can exceed them: at
     rel_tol 1e-10, abs_tol 1e-12 the m=2 jet (0.6778004781604301,
     2.373809617029592) collapses 2.04e-12 from an extended-precision run
-    at rel_tol 1e-12, so r* misses abs_tol.  Every float field must be positive
-    and finite, and max_steps at least 1 and integral (JSON's 1e5 will
-    do).  The first step, the origin series, is sized by the same rule, so
-    the launch radius is no option: it is dense.r_rights[0].
+    at rel_tol 1e-12, so r* misses abs_tol.  Every numeric field must be a
+    positive finite number, not a bool, and max_steps integral too (JSON's
+    1e5 will do).  The first step, the origin series, is sized by the same
+    rule, so the launch radius is no option: it is dense.r_rights[0].
     dense_output_stride sets the output rows only (sample_radii), at most
     _MAX_ROWS of them up to r_max (ValueError otherwise); nothing an
     integration computes depends on it.
@@ -121,10 +120,10 @@ class IntegratorConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "dense_output_stride"):
+        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "dense_output_stride", "max_steps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
         if self.r_max / self.dense_output_stride > _MAX_ROWS:
             raise ValueError(f"dense_output_stride {self.dense_output_stride:g} asks for over "
                              f"{_MAX_ROWS:.0e} sample rows up to r_max {self.r_max:g}")
@@ -186,8 +185,8 @@ def _horner(P, idx, theta):
 
 
 class DenseSolution:
-    """The solution and d/dr of every slot on [0, r_hi], one polynomial per
-    level and step.
+    """The solution, every slot, on [0, r_hi], one polynomial per level and
+    step.
 
     Step i covers (r_lefts[i], r_rights[i]], step 0 [0, r_rights[0]] (the
     origin series), where level j is sum_k cs[i, j, k] theta^k in theta =
@@ -203,26 +202,19 @@ class DenseSolution:
         self.r_lefts, self.r_rights, self.cs = map(np.asarray, (r_lefts, r_rights, cs))
         self.m = self.cs.shape[1]
         self.r_hi = float(self.r_rights[-1]) if self.cs.shape[0] else 0.0
-        self._polys = {}
 
-    def slot_polys(self, derivative: int = 0):
-        """Polynomials in theta of every slot, or of its d/dr: [k, slot, step]
-        is the coefficient of theta^k, the layout _horner gathers from."""
-        if derivative not in self._polys:
-            if derivative not in (0, 1):
-                raise ValueError("only derivative 0 or 1 supported")
-            k = np.arange(1, self.cs.shape[2]) / (self.r_rights - self.r_lefts)[:, None, None]
+    @functools.cached_property
+    def slot_polys(self):
+        """Polynomials in theta of every slot: [k, slot, step] is the
+        coefficient of theta^k, the layout _horner gathers from."""
+        k = np.arange(1, self.cs.shape[2]) / (self.r_rights - self.r_lefts)[:, None, None]
+        P = np.repeat(self.cs, 2, axis=1)
+        # each odd slot is d/dr of its level, theta = (r - r_left) / width
+        P[:, 1::2] = np.concatenate([self.cs[..., 1:] * k, np.zeros_like(self.cs[..., :1])],
+                                    axis=2)
+        return np.ascontiguousarray(P.transpose(2, 1, 0))
 
-            def d_dr(Q):  # theta = (r - r_left) / width
-                return np.concatenate([Q[..., 1:] * k, np.zeros_like(Q[..., :1])], axis=2)
-
-            P = np.repeat(self.cs, 2, axis=1)
-            P[:, 1::2] = d_dr(self.cs)
-            P = d_dr(P) if derivative else P
-            self._polys[derivative] = np.ascontiguousarray(P.transpose(2, 1, 0))
-        return self._polys[derivative]
-
-    def __call__(self, r, derivative: int = 0, slots: slice = slice(None)):
+    def __call__(self, r, slots: slice = slice(None)):
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r))
         steps = self.cs.shape[0]
@@ -233,7 +225,7 @@ class DenseSolution:
         idx = np.clip(np.searchsorted(self.r_lefts, r) - 1, 0, steps - 1)
         r_left = self.r_lefts[idx]
         theta = (r.astype(r_left.dtype) - r_left) / (self.r_rights[idx] - r_left)
-        out = np.ascontiguousarray(_horner(self.slot_polys(derivative)[:, slots], idx, theta),
+        out = np.ascontiguousarray(_horner(self.slot_polys[:, slots], idx, theta),
                                    dtype=np.float64)
         return out[0] if scalar else out
 
@@ -690,8 +682,9 @@ def fit_tail(dense, window) -> PowerTail:
                      fit_rms=float(np.sqrt(w @ resid ** 2 / w.sum())))
 
 
-def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
-    """The power-law fit of an entire trajectory over a log-log window.
+def classify_growth(traj: Trajectory, fit_window=None) -> float:
+    """Growth exponent gamma of an entire trajectory, from the power-law fit
+    over a log-log window.
 
     The window defaults to [r_end/2, r_end], and the fit there is the
     verdict's own (EntirePositive.tail), run on its first read and kept,
@@ -713,9 +706,5 @@ def fit_growth(traj: Trajectory, fit_window=None) -> PowerTail:
         raise ValueError("window reaches too far in: need r_lo >= r_hi / 20")
     if not r_lo <= r_hi / 2.0:
         raise WindowTooNarrow(f"window [{r_lo}, {r_hi}] spans less than a factor of 2")
-    return traj.verdict.tail if fit_window is None else fit_tail(traj.dense, (r_lo, r_hi))
-
-
-def classify_growth(traj: Trajectory, fit_window=None) -> float:
-    """Growth exponent gamma of an entire trajectory (see fit_growth)."""
-    return fit_growth(traj, fit_window).gamma
+    tail = traj.verdict.tail if fit_window is None else fit_tail(traj.dense, (r_lo, r_hi))
+    return tail.gamma

@@ -1,15 +1,17 @@
 """Root-finding layers over the integrator.
 
-Each of three shooting problems is solved the same way: a seed, one
-doubling scan from it (_scan) to the first bracket about the root, and
-integrator.refine_bracket (Brent's zeroin, which also locates the
-integrator's events) over trajectory classifications and residuals:
+Two shooting problems are solved from a seed, one doubling scan from it
+(_scan) to the first bracket about the root, and integrator.refine_bracket
+(Brent's zeroin, which also locates the integrator's events) over
+trajectory classifications and residuals:
 
   * critical_eps: the largest second-datum magnitude eps for which the
     sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
-  * collapse_boundary_m2: the offset rho below which the fourth-order
-    problem (jet (u0+rho, lap-u0)) collapses,
   * prescribe_volume: parameters achieving a requested conformal volume.
+
+The third, collapse_boundary_m2, the offset rho below which the
+fourth-order problem (jet (u0+rho, lap-u0)) collapses, is 0 in theory,
+and two probes settle it: one entire, one certified not entire.
 
 "Entire" is operational: the trajectory reaches the horizon with u above
 the collapse floor, the top Laplacian slot w = Lap^{m-1} u positive
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import oracle
-from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
+from .core import Collapsed, EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
                      TableExhausted, TargetOutOfRange)
 from .integrator import Bracket, IntegratorConfig, Probe, _tail_limit, integrate, refine_bracket
@@ -122,12 +124,12 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries.
     A file that cannot be read, or holds JSON of another shape, is empty,
-    and an entry that is not a map of every FIELDS key is a miss; the next
-    put rewrites either."""
+    and an entry that is not a map of every FIELDS key to a number is a
+    miss; the next put rewrites either.  The key holds the precision."""
 
-    SCHEMA = 13  # 13: residuals from the tail-corrected limit, probes stopped once certified
-    FIELDS = ("eps_star", "eps_lo", "eps_hi", "precision", "volume", "volume_err",
-              "delta2_at_horizon", "partial_integral")
+    SCHEMA = 14  # 14: numbers only, without eps_star (0.5 (eps_lo + eps_hi)) and precision
+    FIELDS = ("eps_lo", "eps_hi", "volume", "volume_err", "delta2_at_horizon",
+              "partial_integral")
 
     def __init__(self, directory):
         self.path = Path(directory) / "critical_eps.json"
@@ -152,7 +154,9 @@ class EpsCache:
 
     def get(self, key: str):
         entry = self._load().get(key)
-        return entry if isinstance(entry, dict) and entry.keys() >= set(self.FIELDS) else None
+        numbers = isinstance(entry, dict) and all(
+            type(entry.get(name)) in (int, float) for name in self.FIELDS)
+        return entry if numbers else None
 
     def put(self, key: str, value: dict):
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -278,9 +282,11 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     key = EpsCache.key(k, cfg, bracket_tol)
     hit = cache.get(key) if cache is not None else None
     if hit is not None:
-        return CriticalEps(k=k, width=hit["eps_hi"] - hit["eps_lo"],
+        lo, hi = hit["eps_lo"], hit["eps_hi"]
+        return CriticalEps(k=k, eps_star=0.5 * (lo + hi), width=hi - lo,
                            horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
-                           cache_hit=True, **{name: hit[name] for name in EpsCache.FIELDS})
+                           precision=cfg.precision, cache_hit=True,
+                           **{name: hit[name] for name in EpsCache.FIELDS})
 
     evaluate = functools.partial(_eps_probe, spec, k, cfg=cfg)
     if k >= _LARGE_K["seed_k_min"]:
@@ -345,41 +351,27 @@ def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
                          tol_b: float = 1e-3) -> float:
     """Locate the collapse boundary of the fourth-order problem in rho.
 
-    rho = 0 must integrate entire (BracketFailure otherwise); the scan
-    (_scan) from there probes the fixed lo end -u0(0) + 0.1, its limit,
-    and refine_bracket bisects on the entire/collapse verdict (no
-    residuals), each run ending once certified not entire (integrate's
-    stop_at_top_zero), where is_entire is already false.  Theory puts the
-    boundary at 0, so the estimate must land in [-tol_b, 0]: an entire
-    probe below -tol_b, the lo end included, raises HorizonTooShort, as
-    does an entire lo end above -tol_b (the scan's None).  So every entire
-    probe lies in [-tol_b, 0], and the estimate is the refined bracket's
-    entire end: 0 itself where every negative probe is certified not entire.
-    tol_b must be positive and finite (ValueError).
+    Theory puts the boundary at 0, and two probes settle it, each a run
+    that ends once certified not entire (integrate's stop_at_top_zero):
+    rho = 0 must be entire (BracketFailure otherwise), and rho = -tol_b
+    certified not entire, a TopZero or Collapsed verdict; an entire or
+    Inconclusive run there raises HorizonTooShort.  The estimate is the
+    entire end of that bracket [-tol_b, 0], 0.0.  tol_b must be positive
+    and finite, and leave u(0) > 0 at -tol_b (ValueError, NonPositiveU
+    from tol_b = u0(0) = 15^(-1/4) on), both before any integration.
     """
     if not (math.isfinite(tol_b) and tol_b > 0):
         raise ValueError(f"tol_b must be positive and finite, got {tol_b}")
     cfg = cfg if cfg is not None else default_config(2)
     spec = EquationSpec.for_order(2)
-    lo = -oracle.linear_profile().eval(0.0, 0) + 0.1
-
-    def evaluate(rho):
-        traj = integrate(spec, jet_m2(rho), cfg, stop_at_top_zero=True)
-        entire = is_entire(traj)
-        if entire and rho < -tol_b:
-            raise HorizonTooShort(
-                f"rho={rho:.6g} < -tol_b classified entire at horizon {cfg.r_max:g}")
-        return Probe(not entire, None, traj)
-
-    at_0 = evaluate(0.0)
-    if at_0.lo_side:
-        raise BracketFailure(
-            f"rho=0 failed to classify entire at horizon {cfg.r_max}")
-    b = _scan(evaluate, 0.0, at_0, lo, lo)
-    if b is None:
-        raise HorizonTooShort(f"rho={lo:.4g} classified entire at horizon {cfg.r_max:g}")
-    refine_bracket(evaluate, b, tol_b)
-    return b.hi
+    at_0, below = jet_m2(0.0), jet_m2(-tol_b)
+    if not is_entire(integrate(spec, at_0, cfg, stop_at_top_zero=True)):
+        raise BracketFailure(f"rho=0 failed to classify entire at horizon {cfg.r_max}")
+    verdict = integrate(spec, below, cfg, stop_at_top_zero=True).verdict
+    if not isinstance(verdict, (TopZero, Collapsed)):
+        raise HorizonTooShort(f"rho={-tol_b:.6g} classified {type(verdict).__name__} at "
+                              f"horizon {cfg.r_max:g}, not TopZero or Collapsed")
+    return 0.0
 
 
 @dataclass

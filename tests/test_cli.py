@@ -69,6 +69,21 @@ def test_verify_controlled_failure(tmp_path):
     assert report["pass"] is False
 
 
+def test_verify_tol_only_tightens(tmp_path):
+    # --tol caps each check's tolerance: 1 leaves the defaults (it replaced
+    # them, and every check passed at 1.0), 1e-30 lowers every one
+    reports = {}
+    for tol in (None, "1", "1e-30"):
+        out = tmp_path / f"{tol}.json"
+        flags = [] if tol is None else ["--tol", tol]
+        want = 3 if tol == "1e-30" else 0
+        assert main(["verify", "--m", "2", *flags, "--out", str(out)]) == want
+        reports[tol] = json.loads(out.read_text())["checks"]
+    assert reports["1"] == reports[None]
+    assert [c["tolerance"] for c in reports[None]] == [1e-8, 1e-10, 1e-7, 1e-4]
+    assert all(c["tolerance"] == 1e-30 for c in reports["1e-30"])
+
+
 def test_verify_honours_config_file(tmp_path, monkeypatch):
     fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "dense_output_stride": 0.02,
               "max_steps": 150_000}
@@ -284,7 +299,11 @@ def test_critical_eps_cache_hit_integrates_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("text", [
     '[]', '{"schema": SCHEMA, "entries": []}', '{"schema": SCHEMA, "entries": "x"}',
-    '{"schema": SCHEMA, "entries": {"KEY": {"eps_star": 3.0}}}'])
+    '{"schema": SCHEMA, "entries": {"KEY": {"eps_star": 3.0}}}',
+    # every field, values no numbers: a hit, then a TypeError and exit 1, at schema 13
+    '{"schema": SCHEMA, "entries": {"KEY": {"eps_star": "x", "eps_lo": "x", "eps_hi": null, '
+    '"precision": null, "volume": "x", "volume_err": null, "delta2_at_horizon": "x", '
+    '"partial_integral": null}}}'])
 def test_critical_eps_cache_of_another_shape_is_a_miss(tmp_path, monkeypatch, text):
     # valid JSON of another shape in the cache file: the solve runs, exits
     # 0, and its put rewrites the file with the entry
@@ -350,6 +369,15 @@ def test_config_file_bad_schema(tmp_path, capsys):
     missing = tmp_path / "missing.json"  # a file that cannot be read
     assert main(["shoot", "--rho", "0.5", "--config", str(missing)]) == 2
     assert f"usage error: cannot read config {missing}:" in capsys.readouterr().err
+    # JSON that is not an object, and a cache_dir that is not a string (a
+    # TypeError and an AttributeError, exit 1, before they were checked)
+    not_an_object = f"config {cfg_path} must hold a JSON object"
+    for raw, message in (([], not_an_object), ("x", not_an_object),
+                         ({"schema": 1, "cache_dir": 5},
+                          "config cache_dir must be a string, got 5")):
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path)]) == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config, flags", [
@@ -362,13 +390,17 @@ def test_config_file_bad_schema(tmp_path, capsys):
     ({"dense_output_stride": float("inf")}, []),
     ({"max_steps": float("nan")}, []),  # would remove the step budget
     ({"m": 4}, []),
+    ({"max_steps": True}, []),  # would run one step
+    ({"r_max": True}, []),  # would integrate to r = 1
+    ({"m": 2.0}, []),  # a TypeError in the step loop, exit 1
 ])
 def test_invalid_integrator_values_are_usage_errors(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **config}))
     assert main(["shoot", "--rho", "0.5", "--config", str(cfg_path), *flags]) == 2
     err = capsys.readouterr().err
-    assert "usage error:" in err and ("m" not in config or "--m must be 2 or 3, got 4" in err)
+    assert "usage error:" in err
+    assert "m" not in config or f"--m must be 2 or 3, got {config['m']}" in err
 
 
 def test_horizon_below_one_stride_is_entire(tmp_path, capsys):

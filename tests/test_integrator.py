@@ -18,7 +18,6 @@ from polyshoot import (
     Jet,
     WindowTooNarrow,
     classify_growth,
-    fit_growth,
     formula1_check,
     integrate,
     UndefinedVolume,
@@ -33,7 +32,8 @@ from polyshoot.shooting import (collapse_boundary_m2, critical_eps, critical_eps
                                 prescribe_volume)
 from polyshoot.volume import volume, volume_of_jet
 
-from conftest import common_grid, ode_residual_max, radial_double_integral
+from conftest import (common_grid, level_second_derivatives, ode_residual_max,
+                      radial_double_integral)
 
 
 def test_u0_tracking_within_ten_rel_tol(spec2, u0, traj_u0_50):
@@ -65,17 +65,17 @@ def test_dense_output_keeps_the_axis_of_an_array(traj_u0_50):
     assert d(np.array([1.0])).shape == (1, 4)
     assert d(np.array([1.0, 2.0])).shape == (2, 4)
     assert np.array_equal(d(np.array([1.0]))[0], d(1.0))
-    assert d(np.array([1.0]), derivative=1).shape == (1, 4)
+    assert d(np.array([1.0]), slots=slice(0, 1)).shape == (1, 1)  # fit_tail's u-only call
 
 
 @pytest.mark.parametrize("r", [math.nan, [1.0, math.nan], math.inf, [0.0, -math.inf],
                                -1e-3, [1.0, 51.0]])
-@pytest.mark.parametrize("derivative", [0, 1])
-def test_dense_output_rejects_radii_it_does_not_cover(traj_u0_50, r, derivative):
+@pytest.mark.parametrize("level", [0, 1])
+def test_dense_output_rejects_radii_it_does_not_cover(traj_u0_50, r, level):
     # a NaN, infinite or out-of-range radius is no point of the solution
-    # on [0, 50]: a ValueError, not a NaN row
+    # on [0, 50]: a ValueError, not a NaN row, whichever level's slots
     with pytest.raises(ValueError, match="dense output defined on"):
-        traj_u0_50.dense(r, derivative)
+        traj_u0_50.dense(r, slots=slice(2 * level, 2 * level + 2))
 
 
 def test_dense_output_matches_samples(traj_u0_50):
@@ -86,9 +86,6 @@ def test_dense_output_matches_samples(traj_u0_50):
         i = np.argmin(np.abs(traj_u0_50.r - rq))
         if abs(traj_u0_50.r[i] - rq) < 1e-12:
             assert np.allclose(traj_u0_50.y[i], yq, rtol=1e-12)
-    # derivative of the u-slot equals the u'-slot
-    yd = d(r_probe, derivative=1)
-    assert np.allclose(yd[:, 0], y_probe[:, 1], rtol=1e-6, atol=1e-9)
 
 
 def test_collapse_verdict_and_cross_tolerance(spec2, u0):
@@ -133,7 +130,8 @@ def test_growth_exponents(spec2, spec3, u0, u1, traj_u0_1000):
 
 
 def test_growth_fit_reports_limit(traj_u0_1000):
-    fit = fit_growth(traj_u0_1000, (100.0, 1000.0))
+    fit = integrator.fit_tail(traj_u0_1000.dense, (100.0, 1000.0))
+    assert classify_growth(traj_u0_1000, (100.0, 1000.0)) == fit.gamma
     assert round(fit.gamma) == 1
     # u ~ r for the linear profile, so the model's u / r at the window's
     # outer end is ~1
@@ -142,15 +140,18 @@ def test_growth_fit_reports_limit(traj_u0_1000):
     assert limit == pytest.approx(1.0, rel=1e-3)
 
 
-def test_verdict_gamma_is_the_integer_class(spec2, spec3, u0, u1):
+def test_verdict_gamma_is_the_integer_class(spec2, spec3, u0, u1, monkeypatch):
     # the verdict's fit models the 1/r^2 correction of the tail, so its
-    # gamma is the growth class to 1e-8, and fit_growth's default is it
+    # gamma is the growth class to 1e-8, and classify_growth's default
+    # window reads that fit, fitting none of its own
     cases = [(spec2, u0.jet(), 1), (spec2, _m2_jet(u0, 5.0), 2), (spec3, u1.jet(), 3)]
     for spec, jet, gamma in cases:
         traj = integrate(spec, jet, IntegratorConfig(r_max=1000.0))
         assert abs(traj.verdict.growth_exponent - gamma) <= 1e-8
-        assert fit_growth(traj) is traj.verdict.tail
         assert traj.verdict.tail.window == (500.0, 1000.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(integrator, "fit_tail", None)
+            assert classify_growth(traj) == traj.verdict.growth_exponent
 
 
 def test_tail_fitted_on_first_read(spec2, u0, monkeypatch):
@@ -640,10 +641,10 @@ def test_one_evaluator_below_the_launch_radius(u0, u1, ending):
     ref = cf.eval(r, 0)
     assert np.max(np.abs(traj.u[head] - ref) / ref) <= cfg.rel_tol
     assert traj.r[0] == 0.0 and np.all(traj.y[0, 1::2] == 0.0)
-    slope = d(0.0, derivative=1)
+    # (Lap^j u)''(0) = Lap^{j+1} u(0) / 3, (Lap^{m-1} u)''(0) = -u(0)^p / 3
     lap = [*traj.jet.lap_values[1:], -traj.jet.lap_values[0] ** spec.rhs_exponent]
-    assert np.all(slope[0::2] == 0.0)
-    assert slope[1::2] == pytest.approx(np.array(lap) / 3.0, rel=1e-13)
+    assert level_second_derivatives(d, [0.0])[0] == pytest.approx(np.array(lap) / 3.0,
+                                                                  rel=1e-13)
 
 
 @pytest.mark.parametrize("ending", sorted(_ENDINGS))
@@ -705,7 +706,7 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
         traj = integrate(spec3, jet_m3(10.0, eps), default_config(3))
         if is_entire(traj):
             lap_limit_estimate(traj)
-            fit_growth(traj)
+            classify_growth(traj)
             volume(spec3, traj)
             formula1_check(traj, 2)
     assert volume_of_jet(spec2, jet_m2(0.5), default_config(2)).total > 0
@@ -770,7 +771,6 @@ def test_dense_output_continuous_at_step_boundaries(u0, ending):
             want = P(cs[i, j]).deriv()(theta) / width[i]
             err = np.abs(got[:, 2 * j + 1] - want)
             assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(want)))
-        assert np.array_equal(dense(r, derivative=1)[:, 0::2], got[:, 1::2])
 
 
 @settings(max_examples=12, deadline=None)

@@ -433,89 +433,97 @@ def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
 
 
 def test_collapse_boundary(spec2):
-    b = collapse_boundary_m2()
-    assert -1e-3 <= b <= 0.0
+    assert collapse_boundary_m2() == 0.0
 
 
-def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
-    # the runs end once certified not entire, where is_entire is already
-    # false, so the bisection path and its value are those of full runs
+def _recording_boundary_runs(monkeypatch):
+    """The (rho, trajectory) of every integration collapse_boundary_m2 runs,
+    which must call neither _scan nor refine_bracket."""
     runs = []
-    integrate_ = shooting.integrate
-
-    def recording(*args, **kwargs):
-        runs.append(integrate_(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(shooting, "integrate", recording)
-    assert collapse_boundary_m2() == 0.0  # every negative probe certified not entire
-    assert len(runs) == 11
-    assert any(isinstance(t.verdict, TopZero) for t in runs)
-    assert all(isinstance(t.verdict, (EntirePositive, TopZero)) for t in runs)
-
-
-def test_collapse_boundary_horizon_guard():
-    # the certificate tells rho = -6.2e-6 apart by r = 5, so horizon 5
-    # resolves tol_b = 1e-6 and horizon 3 does not
-    with pytest.raises((HorizonTooShort, BracketFailure)):
-        collapse_boundary_m2(default_config(2, r_max=3.0), tol_b=1e-6)
-
-
-# Integrations of collapse_boundary_m2 per (tol_b, r_max), each at most
-# those of the bracket's midpoint estimate it replaced
-_BOUNDARY_RUNS = {(1e-3, 1.0): 11, (1e-3, 2.0): 11, (1e-3, 3.0): 11, (1e-3, 5.0): 11,
-                  (1e-3, 20.0): 11, (1e-6, 1.0): 11, (1e-6, 2.0): 15, (1e-6, 3.0): 18,
-                  (1e-6, 5.0): 21, (1e-6, 20.0): 21}
-
-
-@pytest.mark.parametrize("tol_b, r_max", sorted(_BOUNDARY_RUNS))
-def test_collapse_boundary_lands_in_its_band(monkeypatch, tol_b, r_max):
-    # the estimate is the bracket's entire end, in [-tol_b, 0] (the midpoint
-    # read -1.2e-3 at r_max 1, tol_b 1e-3), or the horizon is too short
-    runs = []
-    integrate_ = shooting.integrate
-
-    def counting(*args, **kwargs):
-        runs.append(1)
-        return integrate_(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate", counting)
-    try:
-        assert -tol_b <= collapse_boundary_m2(default_config(2, r_max=r_max), tol_b) <= 0.0
-    except HorizonTooShort:
-        pass
-    assert len(runs) <= _BOUNDARY_RUNS[tol_b, r_max]
-
-
-@pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3])
-def test_collapse_boundary_rejects_tol_b(tol_b, monkeypatch):
-    # ValueError before any integration (unchecked, nan returned -0.2041 and
-    # -1e-3 raised HorizonTooShort at rho = 0)
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrate called")
-    monkeypatch.setattr(shooting, "integrate", refuse)
-    with pytest.raises(ValueError, match=f"tol_b must be positive and finite, got {tol_b}"):
-        collapse_boundary_m2(tol_b=tol_b)
-
-
-@pytest.mark.parametrize("tol_b", [1e-3, 1.0])
-def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
-    # the lo end -u0(0) + 0.1 classified entire: the horizon cannot tell the
-    # collapse, whether the probe's own check fires (lo end below -tol_b)
-    # or the scan reaches its limit (tol_b above)
-    rhos = []
     integrate_ = shooting.integrate
 
     def recording(spec, jet, cfg, **kwargs):
-        rhos.append(jet.lap_values[0] - shooting.jet_m2(0.0).lap_values[0])
-        return integrate_(spec, jet, cfg, **kwargs)
+        rho = jet.lap_values[0] - shooting.jet_m2(0.0).lap_values[0]
+        runs.append((rho, integrate_(spec, jet, cfg, **kwargs)))
+        return runs[-1][1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the boundary solve scanned or refined a bracket")
 
     monkeypatch.setattr(shooting, "integrate", recording)
-    monkeypatch.setattr(shooting, "is_entire", lambda traj: True)
-    with pytest.raises(HorizonTooShort) as info:
+    monkeypatch.setattr(shooting, "_scan", refuse)
+    monkeypatch.setattr(shooting, "refine_bracket", refuse)
+    return runs
+
+
+def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
+    # two probes: rho = 0 entire to the horizon, rho = -tol_b certified not
+    # entire, its run ended there; no scan, no bisection
+    runs = _recording_boundary_runs(monkeypatch)
+    assert collapse_boundary_m2() == 0.0
+    assert [rho for rho, _ in runs] == pytest.approx([0.0, -1e-3], abs=1e-15)
+    (_, at_0), (_, below) = runs
+    assert is_entire(at_0) and at_0.r_end == 1e3
+    assert isinstance(below.verdict, TopZero) and below.r_end < 1e3
+
+
+@pytest.mark.parametrize("tol_b", [1e-3, 1e-6])
+def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
+    # at horizon 1 the bracket's lo end -tol_b classifies entire: the
+    # horizon cannot tell the collapse (a bisection that never probed
+    # -tol_b itself returned -7.971e-4 at tol_b 1e-3)
+    runs = _recording_boundary_runs(monkeypatch)
+    with pytest.raises(HorizonTooShort, match="classified EntirePositive at horizon 1,"):
+        collapse_boundary_m2(default_config(2, r_max=1.0), tol_b)
+    assert [rho for rho, _ in runs] == pytest.approx([0.0, -tol_b], abs=1e-15)
+
+
+def test_collapse_boundary_inconclusive_probe_is_horizon_too_short(monkeypatch):
+    # an Inconclusive run (here its step budget spent) certifies nothing,
+    # so it is no collapse
+    integrate_ = shooting.integrate
+
+    def short_below_zero(spec, jet, cfg, **kwargs):
+        below = jet.lap_values[0] < shooting.jet_m2(0.0).lap_values[0]
+        return integrate_(spec, jet, replace(cfg, max_steps=3) if below else cfg, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", short_below_zero)
+    with pytest.raises(HorizonTooShort, match="classified Inconclusive"):
+        collapse_boundary_m2()
+
+
+def test_collapse_boundary_horizon_guard():
+    # the certificate tells rho = -1e-6 apart by r = 5, so horizon 5
+    # resolves tol_b = 1e-6 and horizon 3 does not
+    with pytest.raises(HorizonTooShort):
+        collapse_boundary_m2(default_config(2, r_max=3.0), tol_b=1e-6)
+
+
+@pytest.mark.parametrize("tol_b, r_max", [(tol_b, r_max) for tol_b in (1e-3, 1e-6)
+                                          for r_max in (1.0, 2.0, 3.0, 5.0, 20.0, 1000.0)])
+def test_collapse_boundary_lands_in_its_band(monkeypatch, tol_b, r_max):
+    # 0.0, the entire end of [-tol_b, 0], or the horizon is too short: two
+    # integrations either way
+    runs = _recording_boundary_runs(monkeypatch)
+    try:
+        assert collapse_boundary_m2(default_config(2, r_max=r_max), tol_b) == 0.0
+    except HorizonTooShort:
+        assert r_max <= 3.0
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3, 1.0])
+def test_collapse_boundary_rejects_tol_b(tol_b, monkeypatch):
+    # ValueError before any integration (unchecked, nan returned -0.2041 and
+    # -1e-3 raised HorizonTooShort at rho = 0); from tol_b = u0(0) =
+    # 15^(-1/4) on, the jet at -tol_b has u(0) <= 0 (NonPositiveU)
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    monkeypatch.setattr(shooting, "integrate", refuse)
+    match = ("u\\(0\\) must be positive" if tol_b == 1.0
+             else f"tol_b must be positive and finite, got {tol_b}")
+    with pytest.raises(ValueError, match=match):
         collapse_boundary_m2(tol_b=tol_b)
-    assert rhos == pytest.approx([0.0, -shooting.jet_m2(0.0).lap_values[0] + 0.1], abs=1e-15)
-    assert ("< -tol_b" in str(info.value)) == (tol_b == 1e-3)
 
 
 def _scan_map(root, probes):
@@ -775,11 +783,13 @@ def test_cache_roundtrip(tmp_path):
     assert raw["schema"] == EpsCache.SCHEMA
     key = EpsCache.key(10.0, cfg, 1e-3)
     assert key in raw["entries"]
-    assert raw["entries"][key]["eps_star"] == pytest.approx(ce.eps_star)
-    assert raw["entries"][key]["volume"] > 0
+    entry = raw["entries"][key]
+    assert set(entry) == set(EpsCache.FIELDS)  # eps_star and precision are not stored
+    assert entry["volume"] > 0
     ce2 = critical_eps(10.0, cfg, bracket_tol=1e-3, cache=cache)
     assert ce2.cache_hit
-    assert ce2.eps_star == pytest.approx(ce.eps_star, abs=1e-12)
+    # a hit recomputes eps_star and width as the solve does: the same bits
+    assert (ce2.eps_star, ce2.width, ce2.precision) == (ce.eps_star, ce.width, ce.precision)
     # different tolerance is a different key
     key_other = EpsCache.key(10.0, cfg, 1e-4)
     assert cache.get(key_other) is None
@@ -809,9 +819,9 @@ def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
     assert (hit.volume, hit.volume_err) == (ce.volume, ce.volume_err)
 
 
-# an entry holding every EpsCache.FIELDS key
-_ENTRY = {"eps_star": 3.0, "eps_lo": 3.0, "eps_hi": 3.0, "precision": "double",
-          "volume": 1.0, "volume_err": 0.0, "delta2_at_horizon": 0.0, "partial_integral": 1.0}
+# an entry holding every EpsCache.FIELDS key, each a number
+_ENTRY = {"eps_lo": 3.0, "eps_hi": 3.0, "volume": 1.0, "volume_err": 0.0,
+          "delta2_at_horizon": 0.0, "partial_integral": 1}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -833,7 +843,8 @@ def test_cache_ignores_bad_schema(tmp_path):
 
 
 @pytest.mark.parametrize("shape", ["list", "entries_list", "entries_string",
-                                   "entry_lacks_a_field", "entry_not_a_map", "not_utf8"])
+                                   "entry_lacks_a_field", "entry_not_a_map", "not_utf8",
+                                   "entry_value_not_a_number"])
 def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
     # JSON of another shape, like a file that cannot be read or decoded,
     # reads as an empty cache or a missing entry, and the next put
@@ -846,7 +857,10 @@ def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
            "entries_string": json.dumps({"schema": EpsCache.SCHEMA, "entries": "x"}),
            "entry_lacks_a_field": json.dumps({"schema": EpsCache.SCHEMA,
                                               "entries": {key: partial}}),
-           "entry_not_a_map": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: 3.0}})}
+           "entry_not_a_map": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: 3.0}}),
+           # every field there, but a string, null or bool is no number
+           "entry_value_not_a_number": json.dumps({"schema": EpsCache.SCHEMA, "entries": {
+               key: {**_ENTRY, "eps_lo": "x", "eps_hi": None, "volume": True}}})}
     if shape == "not_utf8":
         cache.path.write_bytes(b"\xff\xfe{")
     else:
@@ -956,12 +970,13 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # the large-k seed moves within bracket_tol, schema 12 entries from
     # residuals of E = w + r w' at the end of probes run to the top zero,
     # which the tail-corrected limit and the stop once certified move
-    # within bracket_tol
+    # within bracket_tol, schema 13 entries holding eps_star and precision,
+    # whose values were not checked to be numbers
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 13
-    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+    assert EpsCache.SCHEMA == 14
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
         cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)

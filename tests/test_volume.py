@@ -85,7 +85,7 @@ def test_volume_reads_the_verdict_fit(u0, m, monkeypatch):
     traj = integrate(spec, jet, default_config(m))
     fit = traj.verdict.tail
 
-    def refuse(self, r, derivative=0):
+    def refuse(self, r, slots=slice(None)):
         raise AssertionError("dense output evaluated")
 
     monkeypatch.setattr(DenseSolution, "__call__", refuse)
