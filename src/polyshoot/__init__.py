@@ -22,7 +22,6 @@ from .core import (
 from .errors import (
     BracketFailure,
     DivergentTail,
-    HorizonTooShort,
     NonPositiveU,
     PolyshootError,
     TableExhausted,
@@ -38,7 +37,6 @@ from .integrator import (
 from .oracle import cubic_profile, lambda_star, linear_profile
 from .shooting import (
     EpsCache,
-    collapse_boundary_m2,
     critical_eps,
     critical_eps_residual,
     default_config,
@@ -55,10 +53,10 @@ __all__ = [
     "IntegratorConfig", "integrate", "classify_growth",
     "formula1_check",
     "volume", "volume_of_jet", "power_tail",
-    "EpsCache", "critical_eps", "critical_eps_residual", "collapse_boundary_m2",
+    "EpsCache", "critical_eps", "critical_eps_residual",
     "prescribe_volume", "is_entire", "default_config",
     "linear_profile", "cubic_profile", "lambda_star",
     "PolyshootError", "NonPositiveU", "WindowTooNarrow",
-    "DivergentTail", "UndefinedVolume", "BracketFailure", "HorizonTooShort",
+    "DivergentTail", "UndefinedVolume", "BracketFailure",
     "TargetOutOfRange", "TableExhausted",
 ]

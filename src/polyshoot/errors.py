@@ -26,11 +26,6 @@ class BracketFailure(PolyshootError):
     """The shooting bracket endpoints do not have opposite classifications."""
 
 
-class HorizonTooShort(PolyshootError):
-    """A parameter that must be certified not entire (TopZero or Collapsed)
-    classified entire or Inconclusive at the horizon given."""
-
-
 class TargetOutOfRange(PolyshootError):
     """A prescribed volume outside the attainable range."""
 

@@ -9,9 +9,11 @@ trajectory classifications and residuals:
     sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
   * prescribe_volume: parameters achieving a requested conformal volume.
 
-The third, collapse_boundary_m2, the offset rho below which the
-fourth-order problem (jet (u0+rho, lap-u0)) collapses, is 0 in theory,
-and two probes settle it: one entire, one certified not entire.
+The fourth-order problem's collapse boundary in rho (jet_m2) needs no
+solve: theory puts it at 0, where the linear-growth profile is entire
+with the critical volume lambda*, and a run at rho < 0 is certified not
+entire once its horizon is long enough.  Acceptance criteria 2-4 check
+both sides, and so does the CI line that shoots rho = -1e-3.
 
 "Entire" is operational: the trajectory reaches the horizon with u above
 the collapse floor, the top Laplacian slot w = Lap^{m-1} u positive
@@ -36,15 +38,14 @@ from pathlib import Path
 from typing import Optional
 
 from . import oracle
-from .core import Collapsed, EntirePositive, EquationSpec, Jet, TopZero, Trajectory
-from .errors import (BracketFailure, HorizonTooShort, PolyshootError,
-                     TableExhausted, TargetOutOfRange)
+from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
+from .errors import BracketFailure, PolyshootError, TableExhausted, TargetOutOfRange
 from .integrator import Bracket, IntegratorConfig, Probe, _tail_limit, integrate, refine_bracket
 from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
            "CriticalEps", "critical_eps",
-           "critical_eps_residual", "collapse_boundary_m2",
+           "critical_eps_residual",
            "VolumeSolve", "prescribe_volume", "EpsCache"]
 
 DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
@@ -124,8 +125,9 @@ class EpsCache:
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
     rename, so parallel table builders neither corrupt it nor lose entries.
     A file that cannot be read, or holds JSON of another shape, is empty,
-    and an entry that is not a map of every FIELDS key to a number is a
-    miss; the next put rewrites either.  The key holds the precision."""
+    and an entry that is not a map of every FIELDS key to a finite number
+    (json reads NaN and Infinity) is a miss; the next put rewrites either.
+    The key holds the precision."""
 
     SCHEMA = 14  # 14: numbers only, without eps_star (0.5 (eps_lo + eps_hi)) and precision
     FIELDS = ("eps_lo", "eps_hi", "volume", "volume_err", "delta2_at_horizon",
@@ -155,7 +157,8 @@ class EpsCache:
     def get(self, key: str):
         entry = self._load().get(key)
         numbers = isinstance(entry, dict) and all(
-            type(entry.get(name)) in (int, float) for name in self.FIELDS)
+            type(entry.get(name)) in (int, float) and math.isfinite(entry[name])
+            for name in self.FIELDS)
         return entry if numbers else None
 
     def put(self, key: str, value: dict):
@@ -347,33 +350,6 @@ def critical_eps_residual(ce: CriticalEps,
     return ce
 
 
-def collapse_boundary_m2(cfg: Optional[IntegratorConfig] = None,
-                         tol_b: float = 1e-3) -> float:
-    """Locate the collapse boundary of the fourth-order problem in rho.
-
-    Theory puts the boundary at 0, and two probes settle it, each a run
-    that ends once certified not entire (integrate's stop_at_top_zero):
-    rho = 0 must be entire (BracketFailure otherwise), and rho = -tol_b
-    certified not entire, a TopZero or Collapsed verdict; an entire or
-    Inconclusive run there raises HorizonTooShort.  The estimate is the
-    entire end of that bracket [-tol_b, 0], 0.0.  tol_b must be positive
-    and finite, and leave u(0) > 0 at -tol_b (ValueError, NonPositiveU
-    from tol_b = u0(0) = 15^(-1/4) on), both before any integration.
-    """
-    if not (math.isfinite(tol_b) and tol_b > 0):
-        raise ValueError(f"tol_b must be positive and finite, got {tol_b}")
-    cfg = cfg if cfg is not None else default_config(2)
-    spec = EquationSpec.for_order(2)
-    at_0, below = jet_m2(0.0), jet_m2(-tol_b)
-    if not is_entire(integrate(spec, at_0, cfg, stop_at_top_zero=True)):
-        raise BracketFailure(f"rho=0 failed to classify entire at horizon {cfg.r_max}")
-    verdict = integrate(spec, below, cfg, stop_at_top_zero=True).verdict
-    if not isinstance(verdict, (TopZero, Collapsed)):
-        raise HorizonTooShort(f"rho={-tol_b:.6g} classified {type(verdict).__name__} at "
-                              f"horizon {cfg.r_max:g}, not TopZero or Collapsed")
-    return 0.0
-
-
 @dataclass
 class VolumeSolve:
     """Result of a prescribed-volume solve.  iterations counts its volume
@@ -422,22 +398,23 @@ def _volume_law(k: float) -> float:
 
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
-                     rel_tol_target: float = VOLUME_REL_TOL, cache: Optional[EpsCache] = None,
-                     table_k=DEFAULT_TABLE_K) -> VolumeSolve:
+                     rel_tol_target: float = VOLUME_REL_TOL,
+                     cache: Optional[EpsCache] = None) -> VolumeSolve:
     """Find initial data whose trajectory has the prescribed volume.
 
     m=2: solves V(rho) = target for rho >= 0 (V decreasing from the
-    critical volume lambda* toward 0).  The rho = 0 end is the closed form
+    critical volume lambda* toward 0; rho < 0 is past the collapse
+    boundary, module docstring).  The rho = 0 end is the closed form
     lambda* (oracle.lambda_star), not an integration, and targets above it
-    raise TargetOutOfRange before any integration.  m=3: picks the smallest
-    tabulated k whose near-critical volume reaches the target, then moves
-    the second jet slot s = Lap u(0) up from the critical one, -eps_lo
-    (volume decreasing to 0).  The table walk starts at the entry k_j that
-    the volume law (_volume_law) picks, solves it and the entry below, and
-    moves one entry at a time until V_crit(k_j) >= target > V_crit(k_(j-1));
-    as V_crit increases with k this is the smallest such entry, from about
-    two critical solves.  Targets beyond the largest tabulated k raise
-    TableExhausted.
+    raise TargetOutOfRange before any integration.  m=3: picks the
+    smallest k of DEFAULT_TABLE_K, read when called, whose near-critical
+    volume reaches the target, then moves the second jet slot s = Lap u(0)
+    up from the critical one, -eps_lo (volume decreasing to 0).  The table
+    walk starts at the entry k_j that the volume law (_volume_law) picks,
+    solves it and the entry below, and moves one entry at a time until
+    V_crit(k_j) >= target > V_crit(k_(j-1)); as V_crit increases with k
+    this is the smallest such entry, from about two critical solves.
+    Targets beyond the largest tabulated k raise TableExhausted.
 
     Each probe carries the residual 1 - (target / V)^(1/beta), >= 0 while
     V >= target, with beta = 9/2 for m=2 and 3/2 for m=3 (_VOLUME_DECAY):
@@ -502,21 +479,23 @@ def prescribe_volume(spec: EquationSpec, target: float,
         rho, achieved, n = solve(jet_m2, 0.0, p0, 1.0, 1e6)
         return VolumeSolve(target=target, param=rho, achieved=achieved, iterations=n)
 
-    # m=3: two-level strategy through the critical table
+    # m=3: two-level strategy through the critical table, read at call time
+    table = DEFAULT_TABLE_K
+
     @functools.cache
     def entry(j):  # each entry's critical solve runs at most once
-        return critical_eps(table_k[j], cfg, BRACKET_TOL, cache=cache)
+        return critical_eps(table[j], cfg, BRACKET_TOL, cache=cache)
 
-    j = next((j for j, k in enumerate(table_k) if _volume_law(k) >= target), len(table_k) - 1)
+    j = next((j for j, k in enumerate(table) if _volume_law(k) >= target), len(table) - 1)
     while j > 0 and entry(j - 1).volume >= target:
         j -= 1
     while entry(j).volume < target:
-        if j + 1 == len(table_k):
+        if j + 1 == len(table):
             raise TableExhausted(
-                f"target {target:.6g} above the largest tabulated near-critical "
-                f"volume; extend table_k beyond {table_k[-1]}")
+                f"target {target:.6g} above the near-critical volume "
+                f"{entry(j).volume:.6g} of the largest tabulated k, {table[-1]:g}")
         j += 1
-    k, ce = table_k[j], entry(j)
+    k, ce = table[j], entry(j)
     critical = point(ce.volume)
     if close(critical):
         return VolumeSolve(target=target, param=(k, ce.eps_lo), achieved=ce.volume,

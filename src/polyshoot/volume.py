@@ -128,15 +128,15 @@ def dense_quadrature(traj: Trajectory, integrand):
     return float(np.sum(q[:, 1])), float(np.sum(np.abs(q[:, 0] - q[:, 1])))
 
 
-def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -> float:
+def formula1_check(traj: Trajectory, level: int) -> float:
     """Self-consistency of the radial integral identity at one Laplacian level.
 
     w = Lap^level u is w(0) + int_0^r t^-2 int_0^t s^2 g(s) ds dt, g = Lap w
     (-u^p at the top level), which swapping the order of integration makes
     w(0) + A(r) - B(r)/r, A = int_0^r s g ds, B = int_0^r s^2 g ds: the
-    cumulative sums of _step_rules, at the step ends up to r_hi (default:
-    all).  Returns the max defect there relative to max(1, sup |w|), w read
-    off the dense output; no output row is read.
+    cumulative sums of _step_rules, at every step end.  Returns the max
+    defect there relative to max(1, sup |w|), w read off the dense output;
+    no output row is read.
     """
     m, p = traj.spec.m, traj.spec.rhs_exponent
     if not 0 <= level <= m - 1:
@@ -146,11 +146,8 @@ def formula1_check(traj: Trajectory, level: int, r_hi: Optional[float] = None) -
                     * (-(y ** p) if top else y), 0 if top else level + 1)
     a, b = np.cumsum(q[..., 1], axis=1)
     r = traj.dense.r_rights.astype(float)
-    n = len(r) if r_hi is None else int(np.searchsorted(r, r_hi, side="right"))
-    if n == 0:
-        raise ValueError(f"no step of the dense output ends at or below {r_hi}")
-    w = traj.dense(np.append(0.0, r[:n]), slots=slice(2 * level, 2 * level + 1))[:, 0]
-    rec = w[0] + a[:n] - b[:n] / r[:n]
+    w = traj.dense(np.append(0.0, r), slots=slice(2 * level, 2 * level + 1))[:, 0]
+    rec = w[0] + a - b / r
     return float(np.max(np.abs(rec - w[1:])) / max(1.0, float(np.max(np.abs(w)))))
 
 

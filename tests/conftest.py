@@ -9,6 +9,8 @@ from polyshoot import (
     linear_profile,
     cubic_profile,
 )
+from polyshoot.core import Trajectory
+from polyshoot.integrator import DenseSolution
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +83,17 @@ def level_second_derivatives(dense, r):
     k = np.arange(2, cs.shape[2])
     powers = theta[:, None] ** (k - 2)
     return np.einsum("njk,nk->nj", cs[..., 2:] * (k * (k - 1)), powers) / width[:, None] ** 2
+
+
+def cut_at(traj, r):
+    """traj with its dense output cut to the steps that end at or below r
+    (at least one), for checks that read the dense output only up to r."""
+    d = traj.dense
+    n = int(np.searchsorted(d.r_rights, r, side="right"))
+    assert n > 0
+    cut = DenseSolution(d.r_lefts[:n], d.r_rights[:n], d.cs[:n])
+    return Trajectory(traj.spec, traj.jet, verdict=traj.verdict, r_end=cut.r_hi, dense=cut,
+                      radii=lambda: traj.r[traj.r <= cut.r_hi])
 
 
 def ode_residual_max(traj, r_lo=0.0, r_hi=np.inf):

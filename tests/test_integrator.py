@@ -27,12 +27,11 @@ from polyshoot.core import TopZero, Trajectory, _series
 from polyshoot.cli import _sweep_point
 from polyshoot.integrator import (_ORDER, _STEP_TOL, DenseSolution, PowerTail, _close_on_wall,
                                   _read_wall, _try_step, sample_radii)
-from polyshoot.shooting import (collapse_boundary_m2, critical_eps, critical_eps_residual,
-                                default_config, is_entire, jet_m2, jet_m3, lap_limit_estimate,
-                                prescribe_volume)
+from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
+                                jet_m2, jet_m3, lap_limit_estimate, prescribe_volume)
 from polyshoot.volume import volume, volume_of_jet
 
-from conftest import (common_grid, level_second_derivatives, ode_residual_max,
+from conftest import (common_grid, cut_at, level_second_derivatives, ode_residual_max,
                       radial_double_integral)
 
 
@@ -229,13 +228,13 @@ def test_formula1_collapsed_top_level(spec2, u0):
     jet = Jet((u0.eval(0.0, 0) - 0.2, u0.eval(0.0, 2)))
     traj = integrate(spec2, jet, IntegratorConfig(r_max=1000.0))
     assert isinstance(traj.verdict, Collapsed)
-    defect = formula1_check(traj, 1, r_hi=0.9 * traj.verdict.r_star)
+    defect = formula1_check(cut_at(traj, 0.9 * traj.verdict.r_star), 1)
     assert defect <= 1e-10
     fine_rows = integrate(spec2, jet, IntegratorConfig(r_max=1000.0, dense_output_stride=1e-3))
-    assert formula1_check(fine_rows, 1, r_hi=0.9 * traj.verdict.r_star) == defect
+    assert formula1_check(cut_at(fine_rows, 0.9 * traj.verdict.r_star), 1) == defect
     # two-tolerance cross-check of the same defect
     fine = integrate(spec2, jet, IntegratorConfig(r_max=1000.0, rel_tol=1e-9, abs_tol=1e-11))
-    defect_fine = formula1_check(fine, 1, r_hi=0.9 * fine.verdict.r_star)
+    defect_fine = formula1_check(cut_at(fine, 0.9 * fine.verdict.r_star), 1)
     assert defect_fine <= 1e-10
 
 
@@ -720,8 +719,8 @@ def test_hot_paths_leave_rows_unbuilt(u0, monkeypatch):
 
 def test_solves_build_no_row_radii(monkeypatch):
     # no solve places an output row: with the sample grid refused, the
-    # critical datum, prescribed volumes, the collapse boundary and a sweep
-    # point still come out; each reads a probe's end state once
+    # critical datum, prescribed volumes and a sweep point still come out;
+    # each reads a probe's end state once
     def refuse(*args):
         raise AssertionError("sample grid built")
 
@@ -731,7 +730,6 @@ def test_solves_build_no_row_radii(monkeypatch):
     assert prescribe_volume(spec2, 10.0).rel_err <= 1e-3
     assert prescribe_volume(spec3, 50.0).rel_err <= 1e-3
     assert volume_of_jet(spec3, jet_m3(10.0, -1.0), default_config(3)).total > 0
-    assert -1e-3 <= collapse_boundary_m2() <= 0.0
     assert _sweep_point(spec2, default_config(2), jet_m2(0.5))[0] == "EntirePositive"
 
     traj = integrate(spec3, jet_m3(10.0, 3.0), default_config(3))

@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from polyshoot import (
     BracketFailure,
     EquationSpec,
-    HorizonTooShort,
     IntegratorConfig,
     Jet,
     TableExhausted,
     TargetOutOfRange,
-    collapse_boundary_m2,
     critical_eps,
     critical_eps_residual,
     default_config,
@@ -432,98 +430,39 @@ def test_critical_eps_runs_at_config_precision(monkeypatch, precision):
     assert ce.eps_star == pytest.approx(3.0752, abs=2e-3)
 
 
+def _boundary_probes(spec2, tol_b, r_max):
+    """The runs at rho = 0 and rho = -tol_b at horizon r_max, each ended
+    once certified not entire (stop_at_top_zero)."""
+    cfg = default_config(2, r_max=r_max)
+    return [integrate(spec2, shooting.jet_m2(rho), cfg, stop_at_top_zero=True)
+            for rho in (0.0, -tol_b)]
+
+
 def test_collapse_boundary(spec2):
-    assert collapse_boundary_m2() == 0.0
-
-
-def _recording_boundary_runs(monkeypatch):
-    """The (rho, trajectory) of every integration collapse_boundary_m2 runs,
-    which must call neither _scan nor refine_bracket."""
-    runs = []
-    integrate_ = shooting.integrate
-
-    def recording(spec, jet, cfg, **kwargs):
-        rho = jet.lap_values[0] - shooting.jet_m2(0.0).lap_values[0]
-        runs.append((rho, integrate_(spec, jet, cfg, **kwargs)))
-        return runs[-1][1]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the boundary solve scanned or refined a bracket")
-
-    monkeypatch.setattr(shooting, "integrate", recording)
-    monkeypatch.setattr(shooting, "_scan", refuse)
-    monkeypatch.setattr(shooting, "refine_bracket", refuse)
-    return runs
-
-
-def test_collapse_boundary_stops_at_the_top_zero(monkeypatch):
-    # two probes: rho = 0 entire to the horizon, rho = -tol_b certified not
-    # entire, its run ended there; no scan, no bisection
-    runs = _recording_boundary_runs(monkeypatch)
-    assert collapse_boundary_m2() == 0.0
-    assert [rho for rho, _ in runs] == pytest.approx([0.0, -1e-3], abs=1e-15)
-    (_, at_0), (_, below) = runs
+    # theory puts the m=2 collapse boundary at rho = 0: there the run is
+    # entire to the default horizon, and at rho = -1e-3 it is certified not
+    # entire, its run ended where its limit estimate settled
+    at_0, below = _boundary_probes(spec2, 1e-3, 1e3)
     assert is_entire(at_0) and at_0.r_end == 1e3
-    assert isinstance(below.verdict, TopZero) and below.r_end < 1e3
-
-
-@pytest.mark.parametrize("tol_b", [1e-3, 1e-6])
-def test_collapse_boundary_entire_lo_end_is_horizon_too_short(monkeypatch, tol_b):
-    # at horizon 1 the bracket's lo end -tol_b classifies entire: the
-    # horizon cannot tell the collapse (a bisection that never probed
-    # -tol_b itself returned -7.971e-4 at tol_b 1e-3)
-    runs = _recording_boundary_runs(monkeypatch)
-    with pytest.raises(HorizonTooShort, match="classified EntirePositive at horizon 1,"):
-        collapse_boundary_m2(default_config(2, r_max=1.0), tol_b)
-    assert [rho for rho, _ in runs] == pytest.approx([0.0, -tol_b], abs=1e-15)
-
-
-def test_collapse_boundary_inconclusive_probe_is_horizon_too_short(monkeypatch):
-    # an Inconclusive run (here its step budget spent) certifies nothing,
-    # so it is no collapse
-    integrate_ = shooting.integrate
-
-    def short_below_zero(spec, jet, cfg, **kwargs):
-        below = jet.lap_values[0] < shooting.jet_m2(0.0).lap_values[0]
-        return integrate_(spec, jet, replace(cfg, max_steps=3) if below else cfg, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate", short_below_zero)
-    with pytest.raises(HorizonTooShort, match="classified Inconclusive"):
-        collapse_boundary_m2()
-
-
-def test_collapse_boundary_horizon_guard():
-    # the certificate tells rho = -1e-6 apart by r = 5, so horizon 5
-    # resolves tol_b = 1e-6 and horizon 3 does not
-    with pytest.raises(HorizonTooShort):
-        collapse_boundary_m2(default_config(2, r_max=3.0), tol_b=1e-6)
+    assert isinstance(below.verdict, TopZero) and not is_entire(below)
+    assert below.r_end == pytest.approx(2.8382, abs=1e-4)
 
 
 @pytest.mark.parametrize("tol_b, r_max", [(tol_b, r_max) for tol_b in (1e-3, 1e-6)
                                           for r_max in (1.0, 2.0, 3.0, 5.0, 20.0, 1000.0)])
-def test_collapse_boundary_lands_in_its_band(monkeypatch, tol_b, r_max):
-    # 0.0, the entire end of [-tol_b, 0], or the horizon is too short: two
-    # integrations either way
-    runs = _recording_boundary_runs(monkeypatch)
-    try:
-        assert collapse_boundary_m2(default_config(2, r_max=r_max), tol_b) == 0.0
-    except HorizonTooShort:
-        assert r_max <= 3.0
-    assert len(runs) == 2
-
-
-@pytest.mark.parametrize("tol_b", [math.nan, math.inf, 0.0, -1e-3, 1.0])
-def test_collapse_boundary_rejects_tol_b(tol_b, monkeypatch):
-    # ValueError before any integration (unchecked, nan returned -0.2041 and
-    # -1e-3 raised HorizonTooShort at rho = 0); from tol_b = u0(0) =
-    # 15^(-1/4) on, the jet at -tol_b has u(0) <= 0 (NonPositiveU)
-    def refuse(*args, **kwargs):
-        raise AssertionError("integrate called")
-    monkeypatch.setattr(shooting, "integrate", refuse)
-    match = ("u\\(0\\) must be positive" if tol_b == 1.0
-             else f"tol_b must be positive and finite, got {tol_b}")
-    with pytest.raises(ValueError, match=match):
-        collapse_boundary_m2(tol_b=tol_b)
+def test_collapse_boundary_lands_in_its_band(spec2, tol_b, r_max):
+    # rho = 0 is entire at every horizon; rho = -tol_b is certified not
+    # entire where E = w + r w' falls below -tau (r_zero 1.0687 at tol_b
+    # 1e-3, 4.6336 at 1e-6), and a shorter horizon cannot tell it from
+    # entire: that run reaches the horizon EntirePositive
+    at_0, below = _boundary_probes(spec2, tol_b, r_max)
+    assert is_entire(at_0) and at_0.r_end == r_max
+    r_cert = {1e-3: 1.0687, 1e-6: 4.6336}[tol_b]
+    if r_max > r_cert:
+        assert isinstance(below.verdict, TopZero)
+        assert below.verdict.r_zero == pytest.approx(r_cert, abs=1e-4)
+    else:
+        assert isinstance(below.verdict, EntirePositive) and below.r_end == r_max
 
 
 def _scan_map(root, probes):
@@ -607,9 +546,11 @@ def test_prescribe_volume_m3(spec3, tmp_path):
     assert cache.get(key) is not None
 
 
-def test_prescribe_volume_m3_table_exhausted(spec3, tmp_path):
-    with pytest.raises(TableExhausted):
-        prescribe_volume(spec3, 1e6, cache=EpsCache(tmp_path), table_k=(10.0,))
+def test_prescribe_volume_m3_table_exhausted(spec3, tmp_path, monkeypatch):
+    # the walk reads the table when called
+    monkeypatch.setattr(shooting, "DEFAULT_TABLE_K", (10.0,))
+    with pytest.raises(TableExhausted, match=r"volume 192\.216 of the largest tabulated k, 10$"):
+        prescribe_volume(spec3, 1e6, cache=EpsCache(tmp_path))
 
 
 @pytest.fixture(scope="module")
@@ -684,11 +625,11 @@ def test_table_walk_moves_until_the_entry_brackets_the_target(spec3, monkeypatch
     monkeypatch.setattr(shooting, "critical_eps", critical)
     jets = _count_volumes(monkeypatch)
     for k in table:
-        vs = prescribe_volume(spec3, critical(k).volume, table_k=table)
+        vs = prescribe_volume(spec3, critical(k).volume)
         assert vs.k_used == k and vs.param == (k, 1.0)
     assert jets == []
     with pytest.raises(TableExhausted):
-        prescribe_volume(spec3, 1.01 * critical(table[-1]).volume, table_k=table)
+        prescribe_volume(spec3, 1.01 * critical(table[-1]).volume)
 
 
 def test_prescribe_volume_m3_cold_table_walk(spec3, tmp_path, monkeypatch):
@@ -747,7 +688,8 @@ def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monk
 
     monkeypatch.setattr(shooting, "critical_eps", lambda *args, **kwargs: ce)
     monkeypatch.setattr(shooting, "volume_of_jet", volume_of_jet)
-    vs = prescribe_volume(spec3, target, table_k=(k,))
+    monkeypatch.setattr(shooting, "DEFAULT_TABLE_K", (k,))
+    vs = prescribe_volume(spec3, target)
     s1 = -eps_cap + (eps_cap - eps_lo) * (v_crit / target) ** (2.0 / 3.0)
     assert probes[0] == s1 and (s1 < 0.0) == (target == 150.0)
     # 1, 2, 4, 8, 16 times the first distance: the fifth probe crosses
@@ -844,7 +786,7 @@ def test_cache_ignores_bad_schema(tmp_path):
 
 @pytest.mark.parametrize("shape", ["list", "entries_list", "entries_string",
                                    "entry_lacks_a_field", "entry_not_a_map", "not_utf8",
-                                   "entry_value_not_a_number"])
+                                   "entry_value_not_a_number", "entry_value_not_finite"])
 def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
     # JSON of another shape, like a file that cannot be read or decoded,
     # reads as an empty cache or a missing entry, and the next put
@@ -860,7 +802,10 @@ def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
            "entry_not_a_map": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: 3.0}}),
            # every field there, but a string, null or bool is no number
            "entry_value_not_a_number": json.dumps({"schema": EpsCache.SCHEMA, "entries": {
-               key: {**_ENTRY, "eps_lo": "x", "eps_hi": None, "volume": True}}})}
+               key: {**_ENTRY, "eps_lo": "x", "eps_hi": None, "volume": True}}}),
+           # json reads NaN and Infinity as floats (a hit gave eps_star nan)
+           "entry_value_not_finite": json.dumps({"schema": EpsCache.SCHEMA, "entries": {
+               key: {**_ENTRY, "eps_lo": math.nan, "eps_hi": math.inf}}})}
     if shape == "not_utf8":
         cache.path.write_bytes(b"\xff\xfe{")
     else:
