@@ -27,7 +27,7 @@ from polyshoot import (
     volume,
 )
 from polyshoot import integrator, shooting
-from polyshoot.core import EntirePositive, Inconclusive, TopZero, Trajectory
+from polyshoot.core import Collapsed, EntirePositive, Inconclusive, TopZero, Trajectory
 from polyshoot.integrator import Bracket, Probe, refine_bracket
 from polyshoot.shooting import EpsCache, lap_limit_estimate
 from polyshoot.volume import VolumeEstimate, volume_of_jet
@@ -448,7 +448,41 @@ def test_collapse_boundary(spec2):
     assert below.r_end == pytest.approx(2.8382, abs=1e-4)
 
 
-@pytest.mark.parametrize("tol_b, r_max", [(tol_b, r_max) for tol_b in (1e-3, 1e-6)
+def test_collapse_boundary_stops_at_the_top_zero(spec2):
+    # stop_at_top_zero ends the rho = -1e-3 run once its limit estimate has
+    # settled past the top zero; run on, it collapses where the CI shoot
+    # line's footer puts r_star
+    jet, cfg = shooting.jet_m2(-1e-3), default_config(2)
+    stopped = integrate(spec2, jet, cfg, stop_at_top_zero=True)
+    full = integrate(spec2, jet, cfg)
+    assert isinstance(stopped.verdict, TopZero)
+    assert stopped.verdict.r_zero < stopped.r_end < full.r_end
+    assert isinstance(full.verdict, Collapsed)
+    assert full.verdict.r_star == pytest.approx(66.14340638984538, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol_b", [1e-3, 1e-6])
+def test_collapse_boundary_entire_lo_end_is_horizon_too_short(spec2, tol_b):
+    # at horizon 1 the run at rho = -tol_b reaches the horizon
+    # EntirePositive, as rho = 0 does: the horizon is too short to tell
+    # the collapse, which the default horizon certifies
+    at_0, below = _boundary_probes(spec2, tol_b, 1.0)
+    assert isinstance(at_0.verdict, EntirePositive)
+    assert isinstance(below.verdict, EntirePositive) and below.r_end == 1.0
+    _, resolved = _boundary_probes(spec2, tol_b, 1e3)
+    assert isinstance(resolved.verdict, TopZero)
+
+
+def test_collapse_boundary_horizon_guard(spec2):
+    # the certificate tells rho = -1e-6 apart by r = 4.6336, so horizon 5
+    # resolves tol_b = 1e-6 and horizon 3 does not
+    _, short = _boundary_probes(spec2, 1e-6, 3.0)
+    _, long_ = _boundary_probes(spec2, 1e-6, 5.0)
+    assert isinstance(short.verdict, EntirePositive) and short.r_end == 3.0
+    assert isinstance(long_.verdict, TopZero) and 3.0 < long_.verdict.r_zero < 5.0
+
+
+@pytest.mark.parametrize("tol_b, r_max",[(tol_b, r_max) for tol_b in (1e-3, 1e-6)
                                           for r_max in (1.0, 2.0, 3.0, 5.0, 20.0, 1000.0)])
 def test_collapse_boundary_lands_in_its_band(spec2, tol_b, r_max):
     # rho = 0 is entire at every horizon; rho = -tol_b is certified not
