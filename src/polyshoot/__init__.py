@@ -24,7 +24,6 @@ from .errors import (
     DivergentTail,
     NonPositiveU,
     PolyshootError,
-    TableExhausted,
     TargetOutOfRange,
     UndefinedVolume,
     WindowTooNarrow,
@@ -58,5 +57,5 @@ __all__ = [
     "linear_profile", "cubic_profile", "lambda_star",
     "PolyshootError", "NonPositiveU", "WindowTooNarrow",
     "DivergentTail", "UndefinedVolume", "BracketFailure",
-    "TargetOutOfRange", "TableExhausted",
+    "TargetOutOfRange",
 ]

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -406,8 +407,14 @@ def cmd_prescribe_volume(args) -> int:
 
 # ------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):  # add_subparsers gives its subparsers this class
+    def __init__(self, *args, **kwargs):  # a value may start with - then a digit or .
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.].*")  # -1e-3, -0.2:0:0.1
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyshoot",
         description="Shooting-method toolkit for radial polyharmonic "
                     "equations with negative exponents (orders m=2,3)")
@@ -467,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prescribe-volume",
                        help="solve for a prescribed volume; the report's iterations "
-                            "counts the volume probes, not the critical solves of "
-                            "an m=3 table walk")
+                            "counts the volume probes, not the integrations of the "
+                            "m=3 critical solve")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--vol-tol", type=float, default=VOLUME_REL_TOL,

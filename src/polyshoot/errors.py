@@ -28,7 +28,3 @@ class BracketFailure(PolyshootError):
 
 class TargetOutOfRange(PolyshootError):
     """A prescribed volume outside the attainable range."""
-
-
-class TableExhausted(PolyshootError):
-    """The prescribed volume exceeds the largest tabulated critical volume."""

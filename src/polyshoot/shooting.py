@@ -39,7 +39,7 @@ from typing import Optional
 
 from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
-from .errors import BracketFailure, PolyshootError, TableExhausted, TargetOutOfRange
+from .errors import BracketFailure, PolyshootError, TargetOutOfRange
 from .integrator import Bracket, IntegratorConfig, Probe, _tail_limit, integrate, refine_bracket
 from .volume import dense_quadrature, volume, volume_of_jet
 
@@ -48,7 +48,6 @@ __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimat
            "critical_eps_residual",
            "VolumeSolve", "prescribe_volume", "EpsCache"]
 
-DEFAULT_TABLE_K = (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
 # the solvers' default tolerances, which the CLI's flags default to
 BRACKET_TOL = 1e-6
 VOLUME_REL_TOL = 1e-3
@@ -123,7 +122,7 @@ class EpsCache:
     """JSON map from (k, integrator config, bracket_tol) to a critical bracket
     and its entire-side volume and residual.  Writes hold an exclusive
     ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
-    rename, so parallel table builders neither corrupt it nor lose entries.
+    rename, so parallel solves neither corrupt it nor lose entries.
     A file that cannot be read, or holds JSON of another shape, is empty,
     and an entry that is not a map of every FIELDS key to a finite number
     (json reads NaN and Infinity) is a miss; the next put rewrites either.
@@ -189,8 +188,6 @@ class CriticalEps:
     k: float
     eps_lo: float
     eps_hi: float
-    eps_star: float
-    width: float
     horizon_used: float
     iterations: int
     bracket_tol: float
@@ -202,6 +199,14 @@ class CriticalEps:
     cache_hit: bool = False
     traj_lo: Optional[Trajectory] = field(default=None, repr=False)
     traj_hi: Optional[Trajectory] = field(default=None, repr=False)
+
+    @property
+    def eps_star(self) -> float:
+        return 0.5 * (self.eps_lo + self.eps_hi)
+
+    @property
+    def width(self) -> float:
+        return self.eps_hi - self.eps_lo
 
     @property
     def eps_cap(self) -> float:
@@ -285,9 +290,7 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     key = EpsCache.key(k, cfg, bracket_tol)
     hit = cache.get(key) if cache is not None else None
     if hit is not None:
-        lo, hi = hit["eps_lo"], hit["eps_hi"]
-        return CriticalEps(k=k, eps_star=0.5 * (lo + hi), width=hi - lo,
-                           horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
+        return CriticalEps(k=k, horizon_used=cfg.r_max, iterations=0, bracket_tol=bracket_tol,
                            precision=cfg.precision, cache_hit=True,
                            **{name: hit[name] for name in EpsCache.FIELDS})
 
@@ -314,10 +317,9 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     v_lo = volume(spec, b.at_lo.payload)
     delta2, partial = _critical_balance(b.at_lo.payload)
     result = CriticalEps(
-        k=k, eps_lo=b.lo, eps_hi=b.hi, eps_star=0.5 * (b.lo + b.hi), width=b.width,
-        horizon_used=cfg.r_max, iterations=b.rounds, bracket_tol=bracket_tol,
-        precision=cfg.precision, volume=v_lo.total, volume_err=v_lo.err_estimate,
-        delta2_at_horizon=delta2, partial_integral=partial,
+        k=k, eps_lo=b.lo, eps_hi=b.hi, horizon_used=cfg.r_max, iterations=b.rounds,
+        bracket_tol=bracket_tol, precision=cfg.precision, volume=v_lo.total,
+        volume_err=v_lo.err_estimate, delta2_at_horizon=delta2, partial_integral=partial,
         traj_lo=b.at_lo.payload, traj_hi=b.at_hi.payload)
     if cache is not None:
         cache.put(key, {name: getattr(result, name) for name in EpsCache.FIELDS})
@@ -353,8 +355,7 @@ def critical_eps_residual(ce: CriticalEps,
 @dataclass
 class VolumeSolve:
     """Result of a prescribed-volume solve.  iterations counts its volume
-    probes only, not the integrations of the critical solves that an m=3
-    table walk runs on a cache miss (critical_eps's own iterations)."""
+    probes, not the integrations of an m=3 critical solve (its iterations)."""
 
     target: float
     param: object            # rho for m=2, (k, eps) for m=3
@@ -374,18 +375,21 @@ class VolumeSolve:
 # rules, V ~ s^(-3/2).  m=2, slot u(0): once u ~ u(0) + B r^2, V ~ u(0)^(-9/2).
 _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 
-# The large-k laws of the m=3 critical table (k = 10 ... 640, r_max = 100,
-# bracket_tol 1e-6), which seed critical_eps and the table walk of
-# prescribe_volume; neither result depends on them beyond its cost:
+# The large-k laws of the m=3 critical solve (r_max = 100, bracket_tol 1e-6):
 #   eps*(k)   ~ sqrt(6k/5) - (2/sqrt(3) + D/k) / sqrt(k),  within 0.15 %,
-#   V_crit(k) ~ A k^(1/4) (1 - B/k),                       within 0.1 %.
+#   V_crit(k) ~ A k^(1/4) (1 - B/k),  within 0.1 % (k = 10 ... 640), 6e-5 (640 ... 2e4).
 # 2/sqrt(3) is the limit of (sqrt(6k/5) - eps*) sqrt(k), to 3e-5 by
 # Richardson extrapolation in 1/k, D its 1/k correction fitted at k = 640;
 # A is the limit of V_crit / k^(1/4) and B its 1/k correction.  "seed" is
 # d in critical_eps's first probe pred (1 - d) and its first scan step, from
 # seed_k_min on: below it a scan from the law costs more than one from 0
-# (13 integrations against 7 at k = 2, 8 against 7 at k = 5).
-_LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0}
+# (13 integrations against 7 at k = 2, 8 against 7 at k = 5).  critical_eps's
+# result does not depend on the laws beyond its cost; prescribe_volume's does
+# through its k, whose law volume is the target times 1 + margin (10x the law's
+# error).  k_max caps that k (V_crit 1168.9): up to k = 2e4 V_crit moves by
+# 5e-10 when r_max grows 2-4.7x, and from k = 3e4 critical_eps raises DivergentTail.
+_LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0,
+            "margin": 1e-2, "k_max": 1e4}
 
 
 def _eps_law(k: float) -> float:
@@ -406,15 +410,13 @@ def prescribe_volume(spec: EquationSpec, target: float,
     critical volume lambda* toward 0; rho < 0 is past the collapse
     boundary, module docstring).  The rho = 0 end is the closed form
     lambda* (oracle.lambda_star), not an integration, and targets above it
-    raise TargetOutOfRange before any integration.  m=3: picks the
-    smallest k of DEFAULT_TABLE_K, read when called, whose near-critical
-    volume reaches the target, then moves the second jet slot s = Lap u(0)
-    up from the critical one, -eps_lo (volume decreasing to 0).  The table
-    walk starts at the entry k_j that the volume law (_volume_law) picks,
-    solves it and the entry below, and moves one entry at a time until
-    V_crit(k_j) >= target > V_crit(k_(j-1)); as V_crit increases with k
-    this is the smallest such entry, from about two critical solves.
-    Targets beyond the largest tabulated k raise TableExhausted.
+    raise TargetOutOfRange before any integration.  m=3: solves the
+    critical datum at the one k, at least 10, whose law volume
+    (_volume_law) is the target plus 1 %, then moves the second jet slot s =
+    Lap u(0) up from the critical one, -eps_lo (volume decreasing to 0).
+    Targets whose law k exceeds 1e4 (above about 1157) raise
+    TargetOutOfRange before any integration, and a V_crit(k) below the
+    target beyond rel_tol_target raises PolyshootError.
 
     Each probe carries the residual 1 - (target / V)^(1/beta), >= 0 while
     V >= target, with beta = 9/2 for m=2 and 3/2 for m=3 (_VOLUME_DECAY):
@@ -479,27 +481,22 @@ def prescribe_volume(spec: EquationSpec, target: float,
         rho, achieved, n = solve(jet_m2, 0.0, p0, 1.0, 1e6)
         return VolumeSolve(target=target, param=rho, achieved=achieved, iterations=n)
 
-    # m=3: two-level strategy through the critical table, read at call time
-    table = DEFAULT_TABLE_K
-
-    @functools.cache
-    def entry(j):  # each entry's critical solve runs at most once
-        return critical_eps(table[j], cfg, BRACKET_TOL, cache=cache)
-
-    j = next((j for j, k in enumerate(table) if _volume_law(k) >= target), len(table) - 1)
-    while j > 0 and entry(j - 1).volume >= target:
-        j -= 1
-    while entry(j).volume < target:
-        if j + 1 == len(table):
-            raise TableExhausted(
-                f"target {target:.6g} above the near-critical volume "
-                f"{entry(j).volume:.6g} of the largest tabulated k, {table[-1]:g}")
-        j += 1
-    k, ce = table[j], entry(j)
+    # m=3: one critical solve, at k >= 10 whose law volume is v = target (1 + margin):
+    # the fixed point of k = (v / (A (1 - B/k)))^4, a contraction there by 4B/(k - B) <= 1/3
+    v, top = target * (1.0 + _LARGE_K["margin"]), _volume_law(_LARGE_K["k_max"])
+    if v > top:
+        raise TargetOutOfRange(f"target {target:.6g} above {top / (1.0 + _LARGE_K['margin']):.6g}, "
+                               f"the largest reachable (law k {_LARGE_K['k_max']:g})")
+    k = _LARGE_K["seed_k_min"]
+    for _ in range(40 if _volume_law(k) < v else 0):
+        k = (v / (_LARGE_K["A"] * (1.0 - _LARGE_K["B"] / k))) ** 4
+    ce = critical_eps(k, cfg, BRACKET_TOL, cache=cache)
     critical = point(ce.volume)
     if close(critical):
         return VolumeSolve(target=target, param=(k, ce.eps_lo), achieved=ce.volume,
                            iterations=0, k_used=k)
+    if not critical.lo_side:
+        raise PolyshootError(f"V_crit({k:.6g}) = {ce.volume:.6g} below target {target:.6g}")
     # V_crit > target here, so s1 > -eps_lo up to rounding
     s1 = -ce.eps_cap + (ce.eps_cap - ce.eps_lo) * (ce.volume / target) ** inv_beta
     s, achieved, n = solve(lambda s: jet_m3(k, -s),  # V decreases in s = Lap u(0) = -eps

@@ -456,7 +456,7 @@ def test_parser_defaults_are_the_solvers():
     assert (parse(["critical-eps", "--k", "10"]).bracket_tol
             == parse(["sweep"]).bracket_tol
             == default(shooting.critical_eps, "bracket_tol")
-            == shooting.BRACKET_TOL)  # the table walk's, prescribe_volume's
+            == shooting.BRACKET_TOL)  # prescribe_volume's critical solve's
     assert (parse(["prescribe-volume", "--lambda", "1"]).vol_tol
             == default(shooting.prescribe_volume, "rel_tol_target"))
 
@@ -528,6 +528,22 @@ def test_invalid_argument_values_exit_2(argv, capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert "usage error:" in err and _USAGE_MESSAGES.get(" ".join(argv), "") in err
     assert not (tmp_path / "cache").exists()  # nothing written to the cache
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--m", "2", "--rho", "-1e-3"],
+    ["sweep", "--m", "2", "--rho", "-0.2,0"],
+    ["sweep", "--m", "2", "--rho", "-0.2:0:0.1"],
+])
+def test_negative_values_parse_as_with_equals(argv, tmp_path):
+    # a value that starts with - and a digit or . is a value, not an option
+    # (argparse's own pattern takes -0.2, but not -1e-3 or a list or range):
+    # the run writes what --flag=value writes
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main([*argv, "--r-max", "5", "--out", str(spaced)]) == 0
+    flag, value = argv[-2:]
+    assert main([*argv[:-2], f"{flag}={value}", "--r-max", "5", "--out", str(joined)]) == 0
+    assert read_nontimestamp(spaced) == read_nontimestamp(joined)
 
 
 # The message of each usage error above that names what is missing

@@ -15,7 +15,7 @@ from polyshoot import (
     EquationSpec,
     IntegratorConfig,
     Jet,
-    TableExhausted,
+    PolyshootError,
     TargetOutOfRange,
     critical_eps,
     critical_eps_residual,
@@ -580,19 +580,12 @@ def test_prescribe_volume_m3(spec3, tmp_path):
     assert cache.get(key) is not None
 
 
-def test_prescribe_volume_m3_table_exhausted(spec3, tmp_path, monkeypatch):
-    # the walk reads the table when called
-    monkeypatch.setattr(shooting, "DEFAULT_TABLE_K", (10.0,))
-    with pytest.raises(TableExhausted, match=r"volume 192\.216 of the largest tabulated k, 10$"):
-        prescribe_volume(spec3, 1e6, cache=EpsCache(tmp_path))
-
-
 @pytest.fixture(scope="module")
-def warm_table(tmp_path_factory):
-    """An EpsCache holding the default k = 10...640 table at bracket_tol 1e-6."""
-    cache = EpsCache(tmp_path_factory.mktemp("table"))
-    for k in shooting.DEFAULT_TABLE_K:
-        critical_eps(k, default_config(3), 1e-6, cache=cache)
+def warm_cache(tmp_path_factory):
+    """An EpsCache holding the k = 10 critical entry at bracket_tol 1e-6, the
+    one that every target whose law k is 10 (up to about 190) reads."""
+    cache = EpsCache(tmp_path_factory.mktemp("k10"))
+    critical_eps(10.0, default_config(3), 1e-6, cache=cache)
     return cache
 
 
@@ -610,7 +603,7 @@ def _count_volumes(monkeypatch):
 
 
 def _count_critical_solves(monkeypatch):
-    """The k of every critical_eps call of prescribe_volume's table walk."""
+    """The k of every critical_eps call of prescribe_volume."""
     solved = []
     critical_eps_ = shooting.critical_eps
 
@@ -622,53 +615,70 @@ def _count_critical_solves(monkeypatch):
     return solved
 
 
-# k_used as the smallest table k whose critical volume reaches the target
+# k_used, at least 10, is the k whose law volume is the target plus 1 %
 @pytest.mark.parametrize("target, k_used", [
-    (0.05, 10.0), (0.5, 10.0), (3.0, 10.0), (20.0, 10.0), (100.0, 10.0), (191.0, 10.0),
-    (195.0, 20.0), (230.0, 20.0), (300.0, 80.0), (400.0, 160.0), (450.0, 320.0),
-    (480.0, 320.0), (490.0, 320.0)])
-def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_table, monkeypatch,
+    (0.05, 10.0), (0.5, 10.0), (3.0, 10.0), (20.0, 10.0), (100.0, 10.0), (191.0, 10.13),
+    (195.0, 10.79), (230.0, 18.45), (300.0, 48.1), (400.0, 145.7), (450.0, 231.5),
+    (480.0, 298.8), (490.0, 324.3), (600.0, 725.2), (1000.0, 5575.0)])
+def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_cache, monkeypatch,
                                                     target, k_used):
     # V^(-2/3) is close to linear in s = Lap u(0), and the first probe is on
     # the line through the critical entry and the cap: one probe, and at most
-    # one secant step (3 to 7 probes from a doubling scan on log V); the
-    # table walk looks up the entry the volume law picks and the one below
+    # one secant step (3 to 7 probes from a doubling scan on log V); one
+    # critical solve, at the law's k (a cache hit at k = 10)
     jets = _count_volumes(monkeypatch)
     solved = _count_critical_solves(monkeypatch)
-    vs = prescribe_volume(spec3, target, cache=warm_table)
+    vs = prescribe_volume(spec3, target, cache=warm_cache)
     assert vs.rel_err <= 1e-3
-    assert vs.k_used == k_used
+    assert solved == [vs.k_used] and vs.k_used == pytest.approx(k_used, rel=5e-4)
+    assert (vs.k_used == 10.0 if k_used == 10.0
+            else shooting._volume_law(vs.k_used) == pytest.approx(1.01 * target, rel=1e-12))
     assert len(jets) == vs.iterations <= 2
-    j = shooting.DEFAULT_TABLE_K.index(k_used)
-    assert sorted(solved) == list(shooting.DEFAULT_TABLE_K[max(j - 1, 0):j + 1])
 
 
-@pytest.mark.parametrize("scale", [0.3, 3.0])
-def test_table_walk_moves_until_the_entry_brackets_the_target(spec3, monkeypatch, scale):
-    # critical volumes the law misjudges threefold: the walk still ends at
-    # the smallest entry whose critical volume reaches the target
-    table = shooting.DEFAULT_TABLE_K
+def test_prescribe_volume_m3_critical_volume_short_of_the_target(spec3, monkeypatch):
+    # a V_crit the law overrates by more than its margin: PolyshootError
+    # after the one critical solve, with no second k; within rel_tol_target
+    # of the target it is the answer itself
+    solved = []
 
     def critical(k, *args, **kwargs):
+        solved.append(k)
         return shooting.CriticalEps(
-            k=k, eps_lo=1.0, eps_hi=1.0, eps_star=1.0, width=0.0, horizon_used=100.0,
-            iterations=0, bracket_tol=1e-6, precision="double",
-            volume=scale * shooting._volume_law(k), volume_err=0.0,
+            k=k, eps_lo=1.0, eps_hi=1.0, horizon_used=100.0, iterations=0, bracket_tol=1e-6,
+            precision="double", volume=scale * shooting._volume_law(k), volume_err=0.0,
             delta2_at_horizon=0.0, partial_integral=1.0)
 
     monkeypatch.setattr(shooting, "critical_eps", critical)
     jets = _count_volumes(monkeypatch)
-    for k in table:
-        vs = prescribe_volume(spec3, critical(k).volume)
-        assert vs.k_used == k and vs.param == (k, 1.0)
-    assert jets == []
-    with pytest.raises(TableExhausted):
-        prescribe_volume(spec3, 1.01 * critical(table[-1]).volume)
+    scale = 0.9
+    with pytest.raises(PolyshootError, match=r"^V_crit\(351\.293\) = 454\.5 below target 500$"):
+        prescribe_volume(spec3, 500.0)
+    assert solved == [pytest.approx(351.293, rel=1e-6)] and jets == []
+    scale = 0.99  # V_crit = 0.9999 target
+    vs = prescribe_volume(spec3, 500.0)
+    assert vs.param == (solved[-1], 1.0) and vs.iterations == 0 and jets == []
 
 
-def test_prescribe_volume_m3_cold_table_walk(spec3, tmp_path, monkeypatch):
-    # the volume law picks k = 640 for a target of 550: the walk solves it and
-    # k = 320, and keeps k_used (56 integrations when it went up from k = 10)
+def test_prescribe_volume_m3_above_the_ceiling(spec3, monkeypatch):
+    # a target whose law k exceeds 1e4 is refused before any integration,
+    # and the message names the largest reachable target
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    for module, name in ((shooting, "integrate"), (integrator, "integrate"),
+                         (shooting, "volume_of_jet"), (shooting, "critical_eps")):
+        monkeypatch.setattr(module, name, refuse)
+    top = shooting._volume_law(1e4) / 1.01
+    for target in (top * (1.0 + 1e-12), 2000.0, sys.float_info.max):
+        with pytest.raises(TargetOutOfRange, match=r"above 1157\.34, the largest reachable"):
+            prescribe_volume(spec3, target)
+    with pytest.raises(AssertionError, match="integrate called"):  # just below: a solve
+        prescribe_volume(spec3, top * (1.0 - 1e-12))
+
+
+def test_prescribe_volume_m3_cold_solve(spec3, tmp_path, monkeypatch):
+    # a cold target runs one critical solve, at the law's k; the same
+    # targets again read it from the cache and integrate volumes only
     runs = []
     integrate_ = shooting.integrate
 
@@ -679,10 +689,14 @@ def test_prescribe_volume_m3_cold_table_walk(spec3, tmp_path, monkeypatch):
     monkeypatch.setattr(shooting, "integrate", counting)
     solved = _count_critical_solves(monkeypatch)
     jets = _count_volumes(monkeypatch)
-    vs = prescribe_volume(spec3, 550.0, cache=EpsCache(tmp_path))
-    assert vs.k_used == 640.0 and vs.rel_err <= 1e-3
-    assert sorted(solved) == [320.0, 640.0]
-    assert len(runs) + len(jets) <= 20
+    cache = EpsCache(tmp_path)
+    cold = [prescribe_volume(spec3, target, cache=cache) for target in (550.0, 1000.0)]
+    assert solved == [vs.k_used for vs in cold] and 200.0 < cold[0].k_used < 640.0
+    assert all(vs.rel_err <= 1e-3 for vs in cold)
+    assert len(runs) + len(jets) <= 16  # 6 + 7 critical probes, 1 + 1 volume probes
+    del runs[:], jets[:]
+    warm = [prescribe_volume(spec3, target, cache=cache) for target in (550.0, 1000.0)]
+    assert runs == [] and warm == cold and len(jets) == sum(vs.iterations for vs in cold)
 
 
 @pytest.mark.parametrize("target", [1.0, 3.0, 5.0, 10.0, 15.0])
@@ -705,9 +719,9 @@ def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monk
     # entire (the first probe is below s = 0 at target 150, above at 1)
     k, eps_lo, v_crit = 10.0, 3.0, 200.0
     ce = shooting.CriticalEps(
-        k=k, eps_lo=eps_lo, eps_hi=eps_lo + 1e-6, eps_star=eps_lo, width=1e-6,
-        horizon_used=100.0, iterations=0, bracket_tol=1e-6, precision="double",
-        volume=v_crit, volume_err=0.0, delta2_at_horizon=0.0, partial_integral=1.0)
+        k=k, eps_lo=eps_lo, eps_hi=eps_lo + 1e-6, horizon_used=100.0, iterations=0,
+        bracket_tol=1e-6, precision="double", volume=v_crit, volume_err=0.0,
+        delta2_at_horizon=0.0, partial_integral=1.0)
     eps_cap = ce.eps_cap
     probes = []
 
@@ -722,7 +736,6 @@ def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monk
 
     monkeypatch.setattr(shooting, "critical_eps", lambda *args, **kwargs: ce)
     monkeypatch.setattr(shooting, "volume_of_jet", volume_of_jet)
-    monkeypatch.setattr(shooting, "DEFAULT_TABLE_K", (k,))
     vs = prescribe_volume(spec3, target)
     s1 = -eps_cap + (eps_cap - eps_lo) * (v_crit / target) ** (2.0 / 3.0)
     assert probes[0] == s1 and (s1 < 0.0) == (target == 150.0)
@@ -733,20 +746,21 @@ def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monk
     assert vs.param[1] < eps_lo
 
 
-def test_prescribe_volume_m3_small_target(spec3, warm_table):
+def test_prescribe_volume_m3_small_target(spec3, warm_cache):
     # s = Lap u(0) near 5.7e3 at k = 10, where V ~ s^(-3/2)
-    vs = prescribe_volume(spec3, 1e-4, cache=warm_table)
+    vs = prescribe_volume(spec3, 1e-4, cache=warm_cache)
     assert vs.k_used == 10.0
     assert vs.rel_err <= 1e-3
 
 
-def test_prescribe_volume_m3_at_the_critical_volume(spec3, warm_table, monkeypatch):
-    # the critical entry itself: (k, eps_lo), with no volume probe
-    ce = critical_eps(10.0, default_config(3), 1e-6, cache=warm_table)
+def test_prescribe_volume_m3_at_the_critical_volume(spec3, warm_cache, monkeypatch):
+    # a target within rel_tol_target of V_crit at its k: the critical entry
+    # itself, (k, eps_lo), with no volume probe (V_crit(10) = 192.216)
+    ce = critical_eps(10.0, default_config(3), 1e-6, cache=warm_cache)
     jets = _count_volumes(monkeypatch)
-    vs = prescribe_volume(spec3, ce.volume, cache=warm_table)
-    assert vs.k_used == 10.0 and vs.rel_err <= 1e-3
-    assert vs.param[0] == 10.0 and abs(vs.param[1] - ce.eps_lo) <= 1e-6
+    vs = prescribe_volume(spec3, 190.0, rel_tol_target=0.02, cache=warm_cache)
+    assert vs.k_used == 10.0 and vs.rel_err == pytest.approx(ce.volume / 190.0 - 1.0)
+    assert vs.param == (10.0, ce.eps_lo)
     assert jets == [] and vs.iterations == 0
 
 
@@ -764,7 +778,7 @@ def test_cache_roundtrip(tmp_path):
     assert entry["volume"] > 0
     ce2 = critical_eps(10.0, cfg, bracket_tol=1e-3, cache=cache)
     assert ce2.cache_hit
-    # a hit recomputes eps_star and width as the solve does: the same bits
+    # eps_star and width come from the same ends on a hit: the same bits
     assert (ce2.eps_star, ce2.width, ce2.precision) == (ce.eps_star, ce.width, ce.precision)
     # different tolerance is a different key
     key_other = EpsCache.key(10.0, cfg, 1e-4)
