@@ -475,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prescribe-volume",
                        help="solve for a prescribed volume; the report's iterations "
                             "counts the volume probes, not the integrations of the "
-                            "m=3 critical solve")
+                            "m=3 critical solve (m=3: one probe, aimed by the "
+                            "closed-form source-free volume, within 8.6e-4 at k = 10 "
+                            "and less at larger k)")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--vol-tol", type=float, default=VOLUME_REL_TOL,

@@ -235,14 +235,17 @@ def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) 
     return Probe(h > 0.0, h, traj)
 
 
-def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float) -> Optional[Bracket]:
+def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float,
+          stop=None) -> Optional[Bracket]:
     """The first bracket of a doubling scan from x0, probed as at_x0.
 
     Probes x1 (on limit's side of x0), then x0 + 2 (x1 - x0), x0 + 4 (x1 -
     x0), ..., each clamped to limit, until a probe lands on the other side
     from at_x0; it and the probe before are the Bracket, the lo-side one
-    its lo end.  The limit is probed once: None if it, or x0 = limit,
-    reads x0's side."""
+    its lo end.  A probe on x0's side for which stop (a predicate on a
+    Probe) holds already answers: the scan ends there, with the Bracket
+    [x, x] of width 0.  The limit is probed once: None if it, or x0 =
+    limit, reads x0's side."""
     x, at_x, step = x0, at_x0, x1
     while x != limit:
         prev, at_prev = x, at_x
@@ -251,6 +254,8 @@ def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float) -> Optiona
         if at_x.lo_side != at_x0.lo_side:
             return (Bracket(prev, x, at_prev, at_x) if at_prev.lo_side
                     else Bracket(x, prev, at_x, at_prev))
+        if stop is not None and stop(at_x):
+            return Bracket(x, x, at_x, at_x)
         step = x0 + 2.0 * (step - x0)
     return None
 
@@ -355,7 +360,9 @@ def critical_eps_residual(ce: CriticalEps,
 @dataclass
 class VolumeSolve:
     """Result of a prescribed-volume solve.  iterations counts its volume
-    probes, not the integrations of an m=3 critical solve (its iterations)."""
+    probes, not the integrations of an m=3 critical solve (its iterations):
+    1 for an m=3 target at the default rel_tol_target, whose first probe
+    lands within 8.6e-4 (prescribe_volume)."""
 
     target: float
     param: object            # rho for m=2, (k, eps) for m=3
@@ -370,9 +377,11 @@ class VolumeSolve:
 
 # beta, per order: the volume falls like (distance to its pole)^-beta in the
 # varied jet slot, so V^(-1/beta) is close to linear there.  m=3, slot s =
-# Lap u(0): near the cap u ~ k + s r^2/6 + r^4/120 gets a double root as s
-# -> -sqrt(6k/5), so V ~ (k - 5 s^2/6)^(-3/2), and for large s the r^2 term
-# rules, V ~ s^(-3/2).  m=2, slot u(0): once u ~ u(0) + B r^2, V ~ u(0)^(-9/2).
+# Lap u(0): the source-free u0 = k + s r^2/6 + r^4/120 has a volume V0
+# proportional to (s + sqrt(6k/5))^(-3/2) (_source_free_volume), which V >= V0
+# nears as s grows; the first probe is aimed by V0 itself, so beta only shapes
+# the residual of later probes.  m=2, slot u(0): once u ~ u(0) + B r^2, V ~
+# u(0)^(-9/2).
 _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 
 # The large-k laws of the m=3 critical solve (r_max = 100, bracket_tol 1e-6):
@@ -400,6 +409,12 @@ def _volume_law(k: float) -> float:
     return _LARGE_K["A"] * k ** 0.25 * (1.0 - _LARGE_K["B"] / k)
 
 
+def _source_free_volume(k: float, s: float) -> float:
+    """Volume of u0 = k + s r^2/6 + r^4/120, the m=3 profile with Lap^3 u0 = 0,
+    for s > -sqrt(6k/5): pi^2 (6 / (s + sqrt(6k/5)))^(3/2) / sqrt(k)."""
+    return math.pi ** 2 * (6.0 / (s + math.sqrt(6.0 * k / 5.0))) ** 1.5 / math.sqrt(k)
+
+
 def prescribe_volume(spec: EquationSpec, target: float,
                      cfg: Optional[IntegratorConfig] = None, *,
                      rel_tol_target: float = VOLUME_REL_TOL,
@@ -425,13 +440,24 @@ def prescribe_volume(spec: EquationSpec, target: float,
     starts where the volume is known, rho = 0 (lambda*) or s = -eps_lo
     (V_crit; a run at a smaller s is not entire), and doubles its distance
     from there, so it never probes beyond the start: m=2 probes rho = 1,
-    2, 4, ... up to 1e6, m=3 s up to 1e9 from where the line through
-    (-eps_cap, 0) and (-eps_lo, V_crit^(-2/3)) in (s, V^(-2/3)) meets
-    target^(-2/3),
+    2, 4, ... up to 1e6, m=3 s up to 1e9 from its first probe s1.  That
+    probe is aimed by the source-free volume V0(s) = pi^2 (6 / (s +
+    eps_cap))^(3/2) / sqrt(k) of u0 = k + s r^2/6 + r^4/120 (Lap^3 u0 = 0;
+    _source_free_volume).  The source only lowers u, so V >= V0, and V is
+    modelled as V0 + a V0^2, a = (V_crit / V0c - 1) / V0c > 0 with V0c =
+    V0(-eps_lo), which meets V_crit there.  Its root in V0 and then in s,
 
-        s1 = -eps_cap + (eps_cap - eps_lo) (V_crit / target)^(2/3),
+        w = 2 target / (1 + sqrt(1 + 4 a target)),
+        s1 = 6 (pi^2 / (w sqrt(k)))^(2/3) - eps_cap,
 
-    above -eps_lo for a target below V_crit.  A V >= target at the limit
+    is above -eps_lo for a target below V_crit (clamped to the next float
+    above it).  Measured at the default tolerances, V(s1) reads 0 to 8.6e-4
+    above every target at k = 10 (the worst near target 70), and less as
+    the law's k grows (2.2e-5 at k = 10.13, 8.5e-9 at k = 5575), so the scan
+    stops there: a probe on V_crit's side within rel_tol_target of the
+    target answers (_scan's stop).  A target below V0(1e9) at its k, the
+    source-free volume at the scan's limit, can never be reached and raises
+    TargetOutOfRange before any integration; a V >= target at the limit
     (the scan's None) raises PolyshootError.  refine_bracket then refines
     the scan's bracket until the volume is within rel_tol_target (positive
     and finite, ValueError otherwise) of the target.  A non-finite target
@@ -460,7 +486,7 @@ def prescribe_volume(spec: EquationSpec, target: float,
             evaluated.append(x)
             return point(volume_of_jet(spec, jet_of(x), cfg).total)
 
-        b = _scan(evaluate, x0, at_x0, x1, limit)
+        b = _scan(evaluate, x0, at_x0, x1, limit, stop=close)
         if b is None:
             raise PolyshootError(f"volume failed to drop below target {target:.6g}")
         refine_bracket(evaluate, b, 0.0, stop=lambda b: close(b.at_lo) or close(b.at_hi))
@@ -490,6 +516,10 @@ def prescribe_volume(spec: EquationSpec, target: float,
     k = _LARGE_K["seed_k_min"]
     for _ in range(40 if _volume_law(k) < v else 0):
         k = (v / (_LARGE_K["A"] * (1.0 - _LARGE_K["B"] / k))) ** 4
+    s_max = 1e9
+    if target < (floor := _source_free_volume(k, s_max)):  # V >= V0 up to the scan's limit
+        raise TargetOutOfRange(f"target {target:.6g} below {floor:.6g}, the source-free "
+                               f"volume at the scan's limit s = {s_max:g} (k {k:.6g})")
     ce = critical_eps(k, cfg, BRACKET_TOL, cache=cache)
     critical = point(ce.volume)
     if close(critical):
@@ -497,10 +527,14 @@ def prescribe_volume(spec: EquationSpec, target: float,
                            iterations=0, k_used=k)
     if not critical.lo_side:
         raise PolyshootError(f"V_crit({k:.6g}) = {ce.volume:.6g} below target {target:.6g}")
-    # V_crit > target here, so s1 > -eps_lo up to rounding
-    s1 = -ce.eps_cap + (ce.eps_cap - ce.eps_lo) * (ce.volume / target) ** inv_beta
+    # the root w in V0 of target = V0 + a V0^2, the model through (V0c, V_crit), then
+    # its s; V_crit > target here, so s1 > -eps_lo up to rounding
+    v0c = _source_free_volume(k, -ce.eps_lo)
+    a = (ce.volume / v0c - 1.0) / v0c
+    w = 2.0 * target / (1.0 + math.sqrt(1.0 + 4.0 * a * target))
+    s1 = 6.0 * (math.pi ** 2 / (w * math.sqrt(k))) ** (2.0 / 3.0) - ce.eps_cap
     s, achieved, n = solve(lambda s: jet_m3(k, -s),  # V decreases in s = Lap u(0) = -eps
                            -ce.eps_lo, critical,
-                           max(s1, math.nextafter(-ce.eps_lo, math.inf)), 1e9)
+                           max(s1, math.nextafter(-ce.eps_lo, math.inf)), s_max)
     return VolumeSolve(target=target, param=(k, -s), achieved=achieved,
                        iterations=n, k_used=k)

@@ -346,6 +346,14 @@ def test_prescribe_volume_out_of_range(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_prescribe_volume_m3_below_the_floor(capsys, tmp_path):
+    # below the source-free volume at the scan's limit: 4, with no critical solve
+    assert main(["prescribe-volume", "--m", "3", "--lambda", "1e-12",
+                 "--cache-dir", str(tmp_path)]) == 4
+    assert "below 1.45053e-12, the source-free volume" in capsys.readouterr().err
+    assert not (tmp_path / "critical_eps.json").exists()
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = {"schema": 1, "m": 2, "rel_tol": 1e-7, "r_max": 500.0}
     cfg_path = tmp_path / "cfg.json"

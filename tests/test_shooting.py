@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from polyshoot import (
     BracketFailure,
@@ -530,6 +531,41 @@ def test_scan(x0, x1, limit, root, want, bracket):
     assert (b.at_lo.payload, b.at_hi.payload) == bracket and b.rounds == 0
 
 
+def test_scan_stops_at_a_probe_that_answers():
+    # a probe on x0's side for which stop holds ends the scan: the bracket
+    # [x, x]; a probe across the root still closes a bracket, stop or not
+    probes = []
+    evaluate = _scan_map(5.0, probes)
+    b = shooting._scan(evaluate, 0.0, evaluate(0.0), 1.0, 100.0, stop=lambda p: p.payload >= 2.0)
+    assert probes == [0.0, 1.0, 2.0]
+    assert (b.lo, b.hi, b.at_lo.payload) == (2.0, 2.0, 2.0) and b.at_hi is b.at_lo
+    del probes[:]
+    b = shooting._scan(evaluate, 0.0, evaluate(0.0), 1.0, 100.0, stop=lambda p: p.payload >= 8.0)
+    assert probes == [0.0, 1.0, 2.0, 4.0, 8.0] and (b.lo, b.hi) == (4.0, 8.0)
+
+
+@pytest.mark.parametrize("k, s", [(2.0, 0.5), (10.0, -3.0), (10.0, 0.0), (10.0, 5.0),
+                                  (40.0, -6.0), (640.0, 100.0)])
+def test_source_free_volume(k, s):
+    # u0 = k + s r^2/6 + r^4/120 solves Lap^3 u0 = 0; its volume in closed form
+    def integrand(r):
+        return 4.0 * math.pi * r * r * (k + s * r * r / 6.0 + r ** 4 / 120.0) ** -2.0
+    reference, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+    assert shooting._source_free_volume(k, s) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [10.0, 40.0])
+def test_volume_above_the_source_free_volume(k):
+    # the source only lowers u (Lap^3 u = -u^-3 < 0 from the same jet), so
+    # V(s) >= V0(s) from the critical datum on (V/V0 - 1 falls from 1.6e-2
+    # there to 4e-6 at s = 100, k = 10)
+    ce = critical_eps(k, bracket_tol=1e-6)
+    spec, cfg = EquationSpec.for_order(3), default_config(3)
+    for s in (-ce.eps_lo, -0.5 * ce.eps_lo, 0.0, 1.0, 10.0, 100.0):
+        v = volume_of_jet(spec, shooting.jet_m3(k, -s), cfg).total
+        assert v >= shooting._source_free_volume(k, s)
+
+
 def test_prescribe_volume_m2(spec2):
     target = 0.5 * lambda_star()
     vs = prescribe_volume(spec2, target)
@@ -622,10 +658,9 @@ def _count_critical_solves(monkeypatch):
     (480.0, 298.8), (490.0, 324.3), (600.0, 725.2), (1000.0, 5575.0)])
 def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_cache, monkeypatch,
                                                     target, k_used):
-    # V^(-2/3) is close to linear in s = Lap u(0), and the first probe is on
-    # the line through the critical entry and the cap: one probe, and at most
-    # one secant step (3 to 7 probes from a doubling scan on log V); one
-    # critical solve, at the law's k (a cache hit at k = 10)
+    # the first probe, aimed by the source-free volume and its model through
+    # the critical entry, reads within 8.6e-4 above the target: one volume
+    # probe, and one critical solve, at the law's k (a cache hit at k = 10)
     jets = _count_volumes(monkeypatch)
     solved = _count_critical_solves(monkeypatch)
     vs = prescribe_volume(spec3, target, cache=warm_cache)
@@ -633,7 +668,7 @@ def test_prescribe_volume_m3_takes_two_integrations(spec3, warm_cache, monkeypat
     assert solved == [vs.k_used] and vs.k_used == pytest.approx(k_used, rel=5e-4)
     assert (vs.k_used == 10.0 if k_used == 10.0
             else shooting._volume_law(vs.k_used) == pytest.approx(1.01 * target, rel=1e-12))
-    assert len(jets) == vs.iterations <= 2
+    assert len(jets) == vs.iterations == 1
 
 
 def test_prescribe_volume_m3_critical_volume_short_of_the_target(spec3, monkeypatch):
@@ -676,6 +711,22 @@ def test_prescribe_volume_m3_above_the_ceiling(spec3, monkeypatch):
         prescribe_volume(spec3, top * (1.0 - 1e-12))
 
 
+def test_prescribe_volume_m3_below_the_floor(spec3, monkeypatch):
+    # V >= V0, so a target below V0(1e9), the source-free volume at the
+    # scan's limit, cannot be reached: refused before any integration
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate called")
+    for module, name in ((shooting, "integrate"), (integrator, "integrate"),
+                         (shooting, "volume_of_jet"), (shooting, "critical_eps")):
+        monkeypatch.setattr(module, name, refuse)
+    floor = shooting._source_free_volume(10.0, 1e9)
+    for target in (floor * (1.0 - 1e-12), 1e-12, sys.float_info.min):
+        with pytest.raises(TargetOutOfRange, match=r"below 1\.45053e-12, the source-free volume"):
+            prescribe_volume(spec3, target)
+    with pytest.raises(AssertionError, match="integrate called"):  # at the floor: a solve
+        prescribe_volume(spec3, floor)
+
+
 def test_prescribe_volume_m3_cold_solve(spec3, tmp_path, monkeypatch):
     # a cold target runs one critical solve, at the law's k; the same
     # targets again read it from the cache and integrate volumes only
@@ -710,40 +761,74 @@ def test_prescribe_volume_m2_integration_count(spec2, monkeypatch, target):
     assert all(jet.lap_values[0] > shooting.jet_m2(0.0).lap_values[0] for jet in jets)
 
 
-@pytest.mark.parametrize("target", [150.0, 1.0])
-def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monkeypatch,
-                                                                    target):
-    # a volume map whose V^(-2/3) rises ten times slower than the line of the
-    # first probe: that probe reads V >= target, and the scan doubles its
-    # distance from -eps_lo, never reaching s <= -eps_lo, where runs are not
-    # entire (the first probe is below s = 0 at target 150, above at 1)
-    k, eps_lo, v_crit = 10.0, 3.0, 200.0
+def _fake_critical_entry(monkeypatch):
+    """A k = 10 critical entry (eps_lo 3, V_crit 200) that critical_eps returns."""
     ce = shooting.CriticalEps(
-        k=k, eps_lo=eps_lo, eps_hi=eps_lo + 1e-6, horizon_used=100.0, iterations=0,
-        bracket_tol=1e-6, precision="double", volume=v_crit, volume_err=0.0,
+        k=10.0, eps_lo=3.0, eps_hi=3.0 + 1e-6, horizon_used=100.0, iterations=0,
+        bracket_tol=1e-6, precision="double", volume=200.0, volume_err=0.0,
         delta2_at_horizon=0.0, partial_integral=1.0)
-    eps_cap = ce.eps_cap
+    monkeypatch.setattr(shooting, "critical_eps", lambda *args, **kwargs: ce)
+    return ce
+
+
+def _first_probe(ce, target):
+    """s1, where the model V = V0 + a V0^2 through the critical entry meets the target."""
+    def v0(s):  # the source-free volume
+        return math.pi ** 2 * (6.0 / (s + ce.eps_cap)) ** 1.5 / math.sqrt(ce.k)
+    a = (ce.volume / v0(-ce.eps_lo) - 1.0) / v0(-ce.eps_lo)
+    w = 2.0 * target / (1.0 + math.sqrt(1.0 + 4.0 * a * target))
+    s1 = 6.0 * (math.pi ** 2 / (w * math.sqrt(ce.k))) ** (2.0 / 3.0) - ce.eps_cap
+    assert v0(s1) + a * v0(s1) ** 2 == pytest.approx(target, rel=1e-12)
+    return s1
+
+
+def _fake_volumes(monkeypatch, ce, total):
+    """volume_of_jet as total(s) at k = ce.k, s > -eps_lo; the probed s in order."""
     probes = []
 
     def volume_of_jet(spec, jet, cfg):
         s = jet.lap_values[1]
-        assert jet.lap_values[0] == k and s > -eps_lo
+        assert jet.lap_values[0] == ce.k and s > -ce.eps_lo
         probes.append(s)
-        slope = 0.1 / (eps_cap - eps_lo)
-        return VolumeEstimate(
-            core=0.0, tail=0.0, err_estimate=0.0, tail_model=None,
-            total=v_crit * (1.0 + slope * (s + eps_lo)) ** -1.5)
+        return VolumeEstimate(core=0.0, tail=0.0, err_estimate=0.0, tail_model=None,
+                              total=total(s))
 
-    monkeypatch.setattr(shooting, "critical_eps", lambda *args, **kwargs: ce)
     monkeypatch.setattr(shooting, "volume_of_jet", volume_of_jet)
+    return probes
+
+
+@pytest.mark.parametrize("target", [150.0, 1.0])
+def test_prescribe_volume_m3_scan_steps_away_from_the_critical_entry(spec3, monkeypatch,
+                                                                    target):
+    # a volume map whose V^(-2/3) rises ten times slower than that of the
+    # source-free volume through the critical entry: the first probe reads V
+    # far above the target, and the scan doubles its distance from -eps_lo,
+    # never reaching s <= -eps_lo, where runs are not entire (the first probe
+    # is below s = 0 at target 150, above at 1)
+    ce = _fake_critical_entry(monkeypatch)
+    slope = 0.1 / (ce.eps_cap - ce.eps_lo)
+    probes = _fake_volumes(monkeypatch, ce,
+                           lambda s: ce.volume * (1.0 + slope * (s + ce.eps_lo)) ** -1.5)
     vs = prescribe_volume(spec3, target)
-    s1 = -eps_cap + (eps_cap - eps_lo) * (v_crit / target) ** (2.0 / 3.0)
+    s1 = _first_probe(ce, target)
     assert probes[0] == s1 and (s1 < 0.0) == (target == 150.0)
     # 1, 2, 4, 8, 16 times the first distance: the fifth probe crosses
-    distances = [s + eps_lo for s in probes[:5]]
-    assert distances == pytest.approx([(s1 + eps_lo) * 2 ** i for i in range(5)])
+    distances = [s + ce.eps_lo for s in probes[:5]]
+    assert distances == pytest.approx([(s1 + ce.eps_lo) * 2 ** i for i in range(5)])
     assert vs.rel_err <= 1e-3
-    assert vs.param[1] < eps_lo
+    assert vs.param[1] < ce.eps_lo
+
+
+@pytest.mark.parametrize("target", [150.0, 1.0])
+def test_prescribe_volume_m3_first_probe_within_tolerance_answers(spec3, monkeypatch, target):
+    # a first probe that reads V = target (1 + 5e-4), on the lo side and
+    # within rel_tol_target: the scan stops there, with no second probe
+    ce = _fake_critical_entry(monkeypatch)
+    probes = _fake_volumes(monkeypatch, ce, lambda s: target * (1.0 + 5e-4))
+    vs = prescribe_volume(spec3, target)
+    s1 = _first_probe(ce, target)
+    assert probes == [s1] and vs.iterations == 1
+    assert vs.param == (ce.k, -s1) and vs.achieved == target * (1.0 + 5e-4)
 
 
 def test_prescribe_volume_m3_small_target(spec3, warm_cache):
