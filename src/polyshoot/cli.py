@@ -308,14 +308,16 @@ def _sweep_point(spec: EquationSpec, cfg: IntegratorConfig, jet: Jet):
 
 
 def cmd_sweep(args) -> int:
+    if args.at_critical:
+        if args.m not in (None, 3):
+            raise UsageError("--at-critical applies to --m 3")
+        args.m = 3  # as critical-eps: the m=3 default horizon too
     rc = load_run_config(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
     extra = ()
     if args.at_critical:
-        if rc.m != 3:
-            raise UsageError("--at-critical applies to --m 3")
         ks = parse_range(args.k or "")
         if not ks:
             raise UsageError("--at-critical needs a nonempty --k list")
@@ -456,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="m=3 k (single value, or list with --at-critical)")
     p.add_argument("--eps", default=None, help="m=3 eps range")
     p.add_argument("--at-critical", action="store_true",
-                   help="sweep k values at their critical datum")
+                   help="sweep k values at their critical datum; implies --m 3")
     p.add_argument("--bracket-tol", type=float, default=BRACKET_TOL)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; changes nothing, as every "

@@ -214,7 +214,8 @@ class Trajectory:
     configured stride), and ``y`` is the state there, both built the first
     time they are read, then kept; ``len`` reads ``r`` only.  With no
     accepted step the dense output is empty and the one state, at r = 0,
-    is the jet's.
+    is the jet's.  ``events``, the point the verdict carries, serves only
+    perfbench's tracer.
     """
 
     def __init__(self, spec: EquationSpec, jet: Jet, *, verdict: Verdict, r_end: float,

@@ -19,7 +19,7 @@ halves h on the same series.
 
 ``DenseSolution`` evaluates the trajectory on [0, r_hi]; the verdict's
 power-law fit, the end state (Trajectory.end), formula1_check and the
-output rows (Trajectory.y) read it, and event location and every integral
+output rows (Trajectory.y) read it, and root location and every integral
 over a solution (volume.dense_quadrature's rule) read the same polynomials.
 The sample grid (sample_radii) only places the output rows: no step,
 verdict, fit, integral or check depends on the stride.
@@ -32,8 +32,9 @@ readings settle to abs_tol and no Laplacian slot can reach zero first, the
 trajectory ends at r* = R less the floor offset, accurate to about abs_tol.
 A floor crossing reached first is located on the step's polynomial.
 
-Every event, a sign change of a Laplacian slot or a floor crossing, is a
-root of one step's polynomial in theta, located to abs_tol in r by
+A run locates only the points a verdict or a stop reads: a floor crossing,
+w's first zero in a TopZero or stopped run, and where E (below) reads -tau.
+Each is a root of one step's polynomial in theta, located to abs_tol in r by
 refine_bracket: Brent's zeroin, the package's one root finder, which the
 shooting solves run too.
 
@@ -90,6 +91,10 @@ __all__ = [
 # default asks for 1e5.
 _MAX_ROWS = 1e7
 
+# u below _U_FLOOR is a collapse, and _MAX_STEPS steps, accepted or rejected,
+# end a run Inconclusive; integrate reads both when called.
+_U_FLOOR, _MAX_STEPS = 1e-8, 200_000
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -103,32 +108,27 @@ class IntegratorConfig:
     rel_tol 1e-10, abs_tol 1e-12 the m=2 jet (0.6778004781604301,
     2.373809617029592) collapses 2.04e-12 from an extended-precision run
     at rel_tol 1e-12, so r* misses abs_tol.  Every numeric field must be a
-    positive finite number, not a bool, and max_steps integral too (JSON's
-    1e5 will do).  The first step, the origin series, is sized by the same
-    rule, so the launch radius is no option: it is dense.r_rights[0].
-    dense_output_stride sets the output rows only (sample_radii), at most
-    _MAX_ROWS of them up to r_max (ValueError otherwise); nothing an
-    integration computes depends on it.
+    positive finite number, not a bool.  The first step, the origin series,
+    is sized by the same rule, so the launch radius is no option: it is
+    dense.r_rights[0].  dense_output_stride sets the output rows only
+    (sample_radii), at most _MAX_ROWS of them up to r_max (ValueError
+    otherwise); nothing an integration computes depends on it.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     r_max: float = 1e3
-    max_steps: int = 200_000
-    u_floor: float = 1e-8
     dense_output_stride: float = 1e-2
     precision: str = "double"
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "r_max", "u_floor", "dense_output_stride", "max_steps"):
+        for name in ("rel_tol", "abs_tol", "r_max", "dense_output_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value}")
         if self.r_max / self.dense_output_stride > _MAX_ROWS:
             raise ValueError(f"dense_output_stride {self.dense_output_stride:g} asks for over "
                              f"{_MAX_ROWS:.0e} sample rows up to r_max {self.r_max:g}")
-        if not (float(self.max_steps).is_integer() and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
         if self.precision not in ("double", "extended"):
             raise ValueError("precision must be 'double' or 'extended'")
 
@@ -139,12 +139,12 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Event:
-    """Something noticed during integration, located on the dense output."""
+    """The located point a verdict carries: "u_floor" at a collapse's r*, or
+    "lap_sign_change" at w's first zero in a TopZero run.  It and
+    Trajectory.events remain only for perfbench's tracer (ROADMAP item 1b)."""
 
-    kind: str          # "u_floor" | "lap_sign_change" | "horizon"
+    kind: str
     r_event: float
-    level: Optional[int] = None   # Laplacian level for sign changes
-    direction: int = 0            # -1 downward crossing, +1 upward
 
 
 # Points of one step in a dense-output call above which they are evaluated
@@ -280,8 +280,7 @@ def _close_on_wall(m, y, to_r, u_floor):
     distance to R, less the floor offset to_r (u_floor/u)^(1/gamma), gamma =
     -to_r u'/u the local exponent (1/2 for m=2, about 1 for m=3).  None when
     to_r <= 0 or a Laplacian slot could reach zero within s (it moves toward
-    zero and |y_2j| <= 2 s |y_2j+1|), since that sign change would go
-    unrecorded."""
+    zero and |y_2j| <= 2 s |y_2j+1|): w's zero ends a stopped run first."""
     u, u1 = float(y[0]), float(y[1])
     if not to_r > 0.0:
         return None
@@ -386,10 +385,11 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
     return b
 
 
-def _event_theta(c, num, y0, y1, shift, tol_theta):
-    """Where the polynomial c in theta, y0 at 0 and y1 at 1, crosses shift
-    (y0 - shift, y1 - shift of opposite signs): refine_bracket to tol_theta
-    on the residual sign (c(theta) - shift), > 0 at 0; its final midpoint."""
+def _event_theta(c, num, shift, tol_theta):
+    """Where the polynomial c in theta crosses shift on [0, 1] (c(0) - shift,
+    c(1) - shift of opposite signs): refine_bracket to tol_theta on the
+    residual sign (c(theta) - shift), > 0 at 0; its final midpoint."""
+    y0, y1 = float(c[0]), float(sum(c))  # the step's end states, bit for bit
     sign = math.copysign(1.0, y0 - shift)
 
     def evaluate(theta):
@@ -463,17 +463,13 @@ def _tail_limit(p, r, y):
     return w + r * dw - r * r * u ** p / decay if decay > 0.0 else None
 
 
-def _certificate_radius(c, r_left, width, tau, num, tol_theta):
-    """The first radius of a step where E = w + r w' reads -tau, on the
-    polynomial E(theta) = sum_k (k+1) (c_k + c_(k+1) r_left / width)
-    theta^k of the top slot's c; r_left where E starts there below -tau."""
-    ratio = r_left / width
-    e = [(k + 1) * (ck + ratio * cn) for k, (ck, cn) in enumerate(zip(c, [*c[1:], 0.0]))]
-    e0 = float(e[0])
-    if not e0 > -tau:
+def _crossing_radius(c, r_left, r_right, shift, num, abs_tol):
+    """The first radius of the step (r_left, r_right] where its polynomial c
+    in theta reads shift, to abs_tol in r; r_left where c(0) <= shift."""
+    width = r_right - r_left
+    if not float(c[0]) > shift:
         return float(r_left)
-    theta = _event_theta(e, num, e0, float(sum(e)), -tau, tol_theta)
-    return float(r_left + width * num(theta))
+    return float(r_left + width * num(_event_theta(c, num, shift, abs_tol / float(width))))
 
 
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
@@ -485,10 +481,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     not entire, EntirePositive(tail) when it is reached without that, and
     Inconclusive when the step budget runs out or the step size
     underflows.  The certificate is E = w + r w' < -tau at a step end, w =
-    Lap^{m-1} u, tau = rel_tol, or w's first downward zero; r0 is
-    the first radius where either holds, located on its step's polynomial
-    (_certificate_radius), and only for a TopZero verdict.  Sign changes of
-    every intermediate Laplacian slot are events (_event_theta).
+    Lap^{m-1} u, tau = rel_tol, or w's first downward zero; r0 is the
+    first radius where either holds.  Both points are located on their
+    step's polynomial (_crossing_radius) only for a TopZero verdict, whose
+    events then holds w's zero; a collapse's holds r*.  Nothing else is
+    located.
 
     With stop_at_top_zero a certified run ends, TopZero(r0), at the first
     step end where the limit estimate _tail_limit has moved by at most
@@ -500,7 +497,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     run.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
-    {"kind": "floor"} when a step crosses u_floor (r* located on the step's
+    {"kind": "floor"} when a step crosses _U_FLOOR (r* located on the step's
     polynomial to abs_tol in r), or {"kind": "wall", "s": s, "disagreement":
     d} when the wall read off the series at the last accepted r has settled
     (_read_wall): s = r* - r is the distance closed, to the singularity less
@@ -525,7 +522,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     r, r_max = num(0.0), num(cfg.r_max)
     y = [num(v) for v in jet.origin_state]
 
-    r_lefts, r_rights, cs, events = [], [], [], []
+    r_lefts, r_rights, cs = [], [], []
     nfev = naccept = nreject = 0
     tiny_h_factor = 128.0 * float(np.finfo(dtype).eps)
     # tau, the certificate's margin: both closed forms are exactly critical
@@ -534,18 +531,15 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     # 1e-4 ... 1e-12, abs_tol 1e-14 ... rel_tol, R = 1e2 and 1e3, in double
     # and extended; it does not move with abs_tol
     top, tau = 2 * (spec.m - 1), cfg.rel_tol
-    verdict = closure = h = r_top = wall = cert = hat = None
-    stopped = False  # r_top: w's first zero; cert: the step where E first fell below -tau
+    verdict = closure = h = wall = cert = zero = hat = None
+    stopped = False  # cert, zero: the steps where E first fell below -tau, w through zero
 
     # np.longdouble scalars warn where Python floats overflow silently; a
     # non-finite series or state is handled below either way
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if r >= r_max:
-                events.append(Event(kind="horizon", r_event=float(r)))
-                break
-            if naccept + nreject >= cfg.max_steps:
-                verdict = Inconclusive(reason=f"max step count {cfg.max_steps} exhausted")
+        while r < r_max:
+            if naccept + nreject >= _MAX_STEPS:
+                verdict = Inconclusive(reason=f"max step count {_MAX_STEPS} exhausted")
                 break
             if h is None:  # a new step position; a halved step keeps its series
                 # the origin series is in r, every later one in (r - r0) / r0
@@ -553,12 +547,10 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                 unit = r if r else num(1.0)
                 nfev += 1
                 wall = _read_wall(a[0], r, wall) if r else None
-                s = (_close_on_wall(spec.m, y, wall.to_r, cfg.u_floor)
+                s = (_close_on_wall(spec.m, y, wall.to_r, _U_FLOOR)
                      if wall is not None and wall.gap <= cfg.abs_tol else None)
                 if s is not None:
-                    r_star = float(r) + s
-                    events.append(Event(kind="u_floor", r_event=r_star, direction=-1))
-                    verdict = Collapsed(r_star=r_star)
+                    verdict = Collapsed(r_star=float(r) + s)
                     closure = {"kind": "wall", "s": s, "disagreement": wall.gap}
                     break
                 h = unit * num(_step_size(a, atol, rtol))
@@ -581,31 +573,21 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
             r_rights.append(r_new)
             cs.append(c)
 
-            # --- events inside (r, r_new] ---
+            # --- what ends the run or reads a verdict inside (r, r_new] ---
             theta_tol = cfg.abs_tol / float(width)
-            terminal_theta = None
-            if float(y_new[0]) < cfg.u_floor:
-                terminal_theta = _event_theta(c[0], num, float(y[0]), float(y_new[0]),
-                                              cfg.u_floor, theta_tol)
-            for j in range(1, spec.m):
-                s0, s1 = float(y[2 * j]), float(y_new[2 * j])
-                if s0 * s1 < 0.0:
-                    tc = _event_theta(c[j], num, s0, s1, 0.0, theta_tol)
-                    if terminal_theta is None or tc <= terminal_theta:
-                        r_ev = float(r + width * num(tc))
-                        events.append(Event(kind="lap_sign_change", r_event=r_ev,
-                                            level=j, direction=-1 if s1 < s0 else 1))
-                        if j == spec.m - 1 and s1 < s0 and r_top is None:
-                            r_top = r_ev
-
+            below = float(y_new[0]) < _U_FLOOR
+            floor = _event_theta(c[0], num, _U_FLOOR, theta_tol) if below else None
             if cert is None and y_new[top] + r_new * y_new[top + 1] < -tau:
                 cert = naccept - 1
-            if stop_at_top_zero and r_top is not None:
-                r, stopped = r_top, True
-                break
-            if terminal_theta is not None:
-                r = float(r + width * num(terminal_theta))  # the deepest radius reached
-                events.append(Event(kind="u_floor", r_event=r, direction=-1))
+            if zero is None and float(y[top]) > 0.0 > float(y_new[top]):
+                zero = naccept - 1
+                if stop_at_top_zero:  # ends here unless the floor comes first
+                    theta = _event_theta(c[-1], num, 0.0, theta_tol)
+                    if floor is None or theta <= floor:
+                        r, stopped = float(r + width * num(theta)), True
+                        break
+            if floor is not None:
+                r = float(r + width * num(floor))  # the deepest radius reached
                 verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
                 break
             if stop_at_top_zero and cert is not None:  # has the limit estimate settled?
@@ -624,15 +606,20 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
 
     radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
                               stopped or isinstance(verdict, Collapsed))  # stopped short
-    if verdict is None and (cert is not None or r_top is not None):  # certified
-        zeros = [] if r_top is None else [r_top]
-        if cert is not None:
-            width = r_rights[cert] - r_lefts[cert]
-            zeros.append(_certificate_radius(cs[cert][spec.m - 1], r_lefts[cert], width, tau,
-                                             num, cfg.abs_tol / float(width)))
-        verdict = TopZero(r_zero=min(zeros))
+    w_zero = r_cert = None  # located only for a TopZero verdict
+    if verdict is None and (cert is not None or zero is not None):  # certified
+        if zero is not None:  # a stopped run ended on it
+            w_zero = r_end if stopped else _crossing_radius(
+                cs[zero][-1], r_lefts[zero], r_rights[zero], 0.0, num, cfg.abs_tol)
+        if cert is not None:  # E = w + r w' = sum_k (k+1) (c_k + c_(k+1) r_left/width) theta^k
+            c, ratio = cs[cert][-1], r_lefts[cert] / (r_rights[cert] - r_lefts[cert])
+            e = [(k + 1) * (ck + ratio * cn) for k, (ck, cn) in enumerate(zip(c, [*c[1:], 0.0]))]
+            r_cert = _crossing_radius(e, r_lefts[cert], r_rights[cert], -tau, num, cfg.abs_tol)
+        verdict = TopZero(r_zero=min(x for x in (w_zero, r_cert) if x is not None))
     elif verdict is None:  # the horizon
         verdict = EntirePositive(functools.partial(fit_tail, dense, (r_end / 2.0, r_end)))
+    events = ((Event("u_floor", r_end),) if isinstance(verdict, Collapsed)
+              else () if w_zero is None else (Event("lap_sign_change", w_zero),))
 
     stats = {
         "naccept": naccept,
@@ -641,7 +628,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
         "closure": closure,
     }
     return Trajectory(spec=spec, jet=jet, verdict=verdict, r_end=float(r_end),
-                      events=tuple(events), dense=dense, stats=stats, radii=radii)
+                      events=events, dense=dense, stats=stats, radii=radii)
 
 
 # Nodes of the dense output that a fit over a window reads.  Uniform

@@ -128,7 +128,7 @@ class EpsCache:
     (json reads NaN and Infinity) is a miss; the next put rewrites either.
     The key holds the precision."""
 
-    SCHEMA = 14  # 14: numbers only, without eps_star (0.5 (eps_lo + eps_hi)) and precision
+    SCHEMA = 15  # 15: keys without u_floor and max_steps, now integrator constants
     FIELDS = ("eps_lo", "eps_hi", "volume", "volume_err", "delta2_at_horizon",
               "partial_integral")
 
@@ -397,6 +397,9 @@ _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 # through its k, whose law volume is the target times 1 + margin (10x the law's
 # error).  k_max caps that k (V_crit 1168.9): up to k = 2e4 V_crit moves by
 # 5e-10 when r_max grows 2-4.7x, and from k = 3e4 critical_eps raises DivergentTail.
+# A = 116.9 is pi^2 3^(9/4) = 116.902, and V0(k, -eps_law(k)) (_source_free_volume)
+# is within 0.12 % of critical_eps's V_crit at k = 10 and 5e-4 from k = 20 to 640
+# (default config): a volume law from V0 would need neither A nor B.
 _LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0,
             "margin": 1e-2, "k_max": 1e4}
 

@@ -85,8 +85,7 @@ def test_verify_tol_only_tightens(tmp_path):
 
 
 def test_verify_honours_config_file(tmp_path, monkeypatch):
-    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "dense_output_stride": 0.02,
-              "max_steps": 150_000}
+    fields = {"rel_tol": 1e-9, "abs_tol": 1e-11, "dense_output_stride": 0.02}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **fields}))
     seen = []
@@ -128,8 +127,7 @@ def test_verify_checks_only_the_horizons_it_integrates(tmp_path, capsys):
 ])
 def test_commands_honour_config_file(tmp_path, monkeypatch, argv):
     monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
-    fields = {"rel_tol": 1e-9, "u_floor": 1e-7, "dense_output_stride": 0.02,
-              "max_steps": 150_000}
+    fields = {"rel_tol": 1e-9, "abs_tol": 1e-11, "dense_output_stride": 0.02}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, **fields}))
     seen = []
@@ -321,7 +319,7 @@ def test_critical_eps_cache_of_another_shape_is_a_miss(tmp_path, monkeypatch, te
 def test_critical_eps_honours_config_file(tmp_path, monkeypatch):
     monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"schema": 1, "r_max": 200, "u_floor": 1e-6}))
+    cfg_path.write_text(json.dumps({"schema": 1, "r_max": 200, "abs_tol": 1e-11}))
     out = tmp_path / "ce.json"
     argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3", "--out", str(out)]
     assert main(argv + ["--config", str(cfg_path)]) == 0
@@ -392,13 +390,13 @@ def test_config_file_bad_schema(tmp_path, capsys):
     ({"rel_tol": -1}, []),
     ({}, ["--tol", "-1"]),
     ({"launch_radius": 1e-3}, []),  # no longer a field: an unknown key
+    ({"u_floor": 1e-6}, []),  # integrator constants now (_U_FLOOR, _MAX_STEPS)
+    ({"max_steps": 150_000}, []),
     ({}, ["--tol", "inf"]),  # every step would pass: u(50) off by 3.5e-4
     ({}, ["--r-max", "inf"]),
-    ({"u_floor": float("nan")}, []),
+    ({"abs_tol": float("nan")}, []),
     ({"dense_output_stride": float("inf")}, []),
-    ({"max_steps": float("nan")}, []),  # would remove the step budget
     ({"m": 4}, []),
-    ({"max_steps": True}, []),  # would run one step
     ({"r_max": True}, []),  # would integrate to r = 1
     ({"m": 2.0}, []),  # a TypeError in the step loop, exit 1
 ])
@@ -626,6 +624,12 @@ def test_sweep_at_critical(tmp_path, monkeypatch):
     assert [float(d[0]) for d in data] == [10.0, 20.0]
     vols = [float(d[3]) for d in data]
     assert vols[0] < vols[1]  # volumes grow with k at the critical datum
+    # --at-critical picks m=3, as critical-eps does: the same file without --m
+    again = tmp_path / "crit_no_m.csv"
+    assert main(["sweep", "--k", "10,20", "--at-critical", "--bracket-tol", "1e-3",
+                 "--out", str(again)]) == 0
+    assert ([ln for ln in again.read_text().splitlines() if not ln.startswith("# generated:")]
+            == [ln for ln in lines if not ln.startswith("# generated:")])
 
 
 def test_sweep_m3_eps_range(tmp_path):
@@ -689,12 +693,10 @@ def test_sweep_past_the_critical_datum_has_no_volume(tmp_path):
     assert [d[1:] for d in data] == [["TopZero", "", "", ""]] * 5
 
 
-def test_shoot_inconclusive_exit_code(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"schema": 1, "m": 2, "max_steps": 20}))
+def test_shoot_inconclusive_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 20)
     out = tmp_path / "t.csv"
-    code = main(["shoot", "--rho", "0.5", "--config", str(cfg_path),
-                 "--out", str(out)])
+    code = main(["shoot", "--m", "2", "--rho", "0.5", "--out", str(out)])
     assert code == 3
     assert "# verdict,Inconclusive" in out.read_text().splitlines()[-1]
 

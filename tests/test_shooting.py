@@ -907,6 +907,9 @@ def test_cache_key_covers_whole_config(tmp_path, field, value):
     cfg = default_config(3)
     cache.put(EpsCache.key(10.0, cfg, 1e-6), _ENTRY)
     assert cache.get(EpsCache.key(10, cfg, 1e-6)) is not None
+    if field in ("u_floor", "max_steps"):  # integrator constants, not config: not in the key
+        assert field not in json.loads(EpsCache.key(10.0, cfg, 1e-6))
+        return
     assert cache.get(EpsCache.key(10.0, replace(cfg, **{field: value}), 1e-6)) is None
 
 
@@ -1049,12 +1052,13 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # residuals of E = w + r w' at the end of probes run to the top zero,
     # which the tail-corrected limit and the stop once certified move
     # within bracket_tol, schema 13 entries holding eps_star and precision,
-    # whose values were not checked to be numbers
+    # whose values were not checked to be numbers, schema 14 entries whose
+    # keys held u_floor and max_steps
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 14
-    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
+    assert EpsCache.SCHEMA == 15
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
         cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)
