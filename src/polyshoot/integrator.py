@@ -279,17 +279,15 @@ def _close_on_wall(m, y, to_r, u_floor):
     """The distance s from the state y to the floor crossing: to_r, the
     distance to R, less the floor offset to_r (u_floor/u)^(1/gamma), gamma =
     -to_r u'/u the local exponent (1/2 for m=2, about 1 for m=3).  None when
-    to_r <= 0 or a Laplacian slot could reach zero within s (it moves toward
-    zero and |y_2j| <= 2 s |y_2j+1|): w's zero ends a stopped run first."""
+    to_r <= 0 or w = Lap^{m-1} u could reach zero within s (it moves toward
+    zero and |w| <= 2 s |w'|): w's zero ends a stopped run first.  No other
+    slot is read: nothing records its sign changes."""
     u, u1 = float(y[0]), float(y[1])
     if not to_r > 0.0:
         return None
     s = to_r * (1.0 - (u_floor / u) ** (u / (-to_r * u1)))
-    for j in range(2, 2 * m, 2):
-        lap, lap1 = float(y[j]), float(y[j + 1])
-        if not (lap * lap1 > 0.0 or abs(lap) > 2.0 * s * abs(lap1)):
-            return None
-    return s
+    w, w1 = float(y[2 * m - 2]), float(y[2 * m - 1])
+    return s if w * w1 > 0.0 or abs(w) > 2.0 * s * abs(w1) else None
 
 
 def sample_radii(stride, r_max, r_last, stopped):
@@ -502,7 +500,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     d} when the wall read off the series at the last accepted r has settled
     (_read_wall): s = r* - r is the distance closed, to the singularity less
     the floor offset, and d <= abs_tol the larger of the readings' last bias
-    correction and change; no Laplacian sign change is possible within s,
+    correction and change; w cannot reach zero within s (_close_on_wall),
     and the dense output ends at that r.  stats["closure"] is None without a
     collapse, stats["nfev"] counts the series computed (a halved step reuses
     its own, and a wall closure reads one series more than it steps).

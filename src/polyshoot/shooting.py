@@ -181,9 +181,10 @@ class CriticalEps:
     A cache hit reads these from the entry and carries no trajectories.
     precision is that of the config the solve ran with.  iterations counts
     the rounds of refine_bracket, not the probes of the scan that opened
-    the bracket (0 on a cache hit).  traj_lo runs to the horizon; traj_hi
-    is a TopZero run that ended where it was certified not entire
-    (_eps_probe), unless the hi end is entire with w_inf <= 0."""
+    the bracket: 0 on a cache hit, and on a cold solve whose scan's two
+    probes already bracket eps* within bracket_tol.  traj_lo runs to the
+    horizon; traj_hi is a TopZero run that ended where it was certified not
+    entire (_eps_probe), unless the hi end is entire with w_inf <= 0."""
 
     k: float
     eps_lo: float
@@ -265,24 +266,24 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
-    The root lies in the theory bracket [0, sqrt(6k/5)].  The solve probes
-    pred (1 - d) below the large-k law's pred (_eps_law, d =
-    _LARGE_K["seed"]) and scans (_scan) from there the way that probe's
-    side calls for: up through pred (1 + d), clamped to sqrt(6k/5), from
-    an entire probe, else down through pred (1 - 2d), clamped to 0.  Below
-    k = 10 (_LARGE_K["seed_k_min"]), where the law was not measured, the
-    scan starts at 0 with sqrt(6k/5) as its first step.  The clamped ends
-    decide as the theory's: an entire probe at sqrt(6k/5) raises
-    BracketFailure (horizon too short), as does eps=0 if it is not entire
-    (k below the large-k regime at this horizon).  refine_bracket closes
-    the bracket to bracket_tol, with h as the residual of every probe
-    (_eps_probe); iterations counts its rounds, not the scan's probes.
-    A probe stops once certified not entire, so traj_hi is a TopZero run
-    unless the hi end is entire with w_inf <= 0.  k and bracket_tol must
-    be positive and finite (ValueError, before any integration).  Every
-    integration runs at cfg.precision, but eps is a Python float in both
-    precisions: a bracket_tol below its rounding width stops at about 4
-    ulp of eps (refine_bracket).
+    The root lies in the theory bracket [0, sqrt(6k/5)].  From k = 10
+    (_LARGE_K["k_min"]), where the law _eps_law was fitted, the first probe
+    is x0 = law (1 + b), b the law's stated error, clamped to sqrt(6k/5):
+    just above eps*.  The second is one Newton step on x0's residual h0
+    with the slope model dh/deps = -eps, overshot by 2 % to pass eps*, x1 =
+    x0 + 1.02 h0 / x0, or b law when x0 carries no residual or one too
+    small to move it; _scan doubles that step toward sqrt(6k/5) from an
+    entire x0, toward 0 otherwise.  Below k = 10 it starts at 0 with
+    sqrt(6k/5) as its first step.  The clamped ends decide as the theory's:
+    an entire probe at sqrt(6k/5) raises BracketFailure (horizon too
+    short), as does eps=0 if it is not entire (k below the large-k regime
+    at this horizon).  refine_bracket closes the bracket to bracket_tol,
+    with h as the residual of every probe (_eps_probe).  A probe stops once
+    certified not entire, so traj_hi is a TopZero run unless the hi end is
+    entire with w_inf <= 0.  k and bracket_tol must be positive and finite
+    (ValueError, before any integration).  Every integration runs at
+    cfg.precision, but eps is a Python float: a bracket_tol below its
+    rounding width stops at about 4 ulp of eps (refine_bracket).
     """
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive and finite, got {k}")
@@ -300,14 +301,15 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                            **{name: hit[name] for name in EpsCache.FIELDS})
 
     evaluate = functools.partial(_eps_probe, spec, k, cfg=cfg)
-    if k >= _LARGE_K["seed_k_min"]:
-        pred = _eps_law(k)
-        half = _LARGE_K["seed"] * pred
-        x0, up, down = pred - half, pred + half, pred - 2.0 * half
-    else:  # below the laws' range: the theory bracket
-        x0, up, down = 0.0, eps_cap, 0.0
+    err = _LARGE_K["law_err"]
+    pred = _eps_law(k) if k >= _LARGE_K["k_min"] else 0.0  # 0: the theory bracket
+    x0 = min(pred * (1.0 + err), eps_cap)
     at_x0 = evaluate(x0)
-    b = _scan(evaluate, x0, at_x0, *((up, eps_cap) if at_x0.lo_side else (down, 0.0)))
+    # one Newton step on h, dh/deps ~ -eps, overshot to land past eps*; the cap from 0
+    x1 = x0 + _LARGE_K["overshoot"] * (at_x0.residual or 0.0) / x0 if x0 else eps_cap
+    if x1 == x0:  # no residual, or one too small to move x0: scan the law's error
+        x1 = x0 + (err if at_x0.lo_side else -err) * pred
+    b = _scan(evaluate, x0, at_x0, x1, eps_cap if at_x0.lo_side else 0.0)
     if b is None and at_x0.lo_side:
         raise BracketFailure(
             f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
@@ -384,28 +386,28 @@ class VolumeSolve:
 # u(0)^(-9/2).
 _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 
-# The large-k laws of the m=3 critical solve (r_max = 100, bracket_tol 1e-6):
-#   eps*(k)   ~ sqrt(6k/5) - (2/sqrt(3) + D/k) / sqrt(k),  within 0.15 %,
+# The large-k laws of the m=3 critical solve (default config, r_max = 100):
+#   eps*(k)   ~ sqrt(6k/5) - (2/sqrt(3) + D/k + E/k^2 + F/k^3) / sqrt(k)  ("gap"),
 #   V_crit(k) ~ A k^(1/4) (1 - B/k),  within 0.1 % (k = 10 ... 640), 6e-5 (640 ... 2e4).
-# 2/sqrt(3) is the limit of (sqrt(6k/5) - eps*) sqrt(k), to 3e-5 by
-# Richardson extrapolation in 1/k, D its 1/k correction fitted at k = 640;
-# A is the limit of V_crit / k^(1/4) and B its 1/k correction.  "seed" is
-# d in critical_eps's first probe pred (1 - d) and its first scan step, from
-# seed_k_min on: below it a scan from the law costs more than one from 0
-# (13 integrations against 7 at k = 2, 8 against 7 at k = 5).  critical_eps's
-# result does not depend on the laws beyond its cost; prescribe_volume's does
-# through its k, whose law volume is the target times 1 + margin (10x the law's
-# error).  k_max caps that k (V_crit 1168.9): up to k = 2e4 V_crit moves by
-# 5e-10 when r_max grows 2-4.7x, and from k = 3e4 critical_eps raises DivergentTail.
-# A = 116.9 is pi^2 3^(9/4) = 116.902, and V0(k, -eps_law(k)) (_source_free_volume)
-# is within 0.12 % of critical_eps's V_crit at k = 10 and 5e-4 from k = 20 to 640
-# (default config): a volume law from V0 would need neither A nor B.
-_LARGE_K = {"D": 0.61, "A": 116.9, "B": 0.76, "seed": 1e-3, "seed_k_min": 10.0,
-            "margin": 1e-2, "k_max": 1e4}
+# 2/sqrt(3) is the limit of (sqrt(6k/5) - eps*) sqrt(k), to 3e-5 by Richardson
+# extrapolation in 1/k.  D, E and F are a least-squares fit of the relative error to
+# eps* (bracket_tol 1e-10) at 22 k from k_min = 10 to 2e4: worst 1.6e-6 at k = 12, and
+# 1.7e-6 at k = 11.5 of 23 more k.  law_err, b, bounds that error, so critical_eps's
+# first probe law (1 + b) lies just above eps*; its Newton step to the second, on the
+# slope model dh/deps = -eps, is overshot 2 %, as the slope reads -0.997 eps* at k = 10
+# and -0.988 eps* from k = 40 to 1e4 (at eps* +- 1e-4).  A is the limit of V_crit /
+# k^(1/4), B its 1/k correction, and A = 116.9 is pi^2 3^(9/4) = 116.902.  critical_eps's
+# result does not depend on the laws beyond its cost; prescribe_volume's does through
+# its k >= k_min, whose law volume is the target times 1 + margin (10x the law's error).
+# k_max caps that k (V_crit 1168.9): up to k = 2e4 V_crit moves by 5e-10 when r_max
+# grows 2-4.7x, and from k = 3e4 critical_eps raises DivergentTail.
+_LARGE_K = {"gap": (2.0 / math.sqrt(3.0), 0.6598, 1.2493, -3.2896), "law_err": 2e-6,
+            "overshoot": 1.02, "A": 116.9, "B": 0.76, "k_min": 10.0, "margin": 1e-2, "k_max": 1e4}
 
 
 def _eps_law(k: float) -> float:
-    return math.sqrt(6.0 * k / 5.0) - (2.0 / math.sqrt(3.0) + _LARGE_K["D"] / k) / math.sqrt(k)
+    gap = sum(c / k ** i for i, c in enumerate(_LARGE_K["gap"]))  # 2/sqrt(3) + D/k + ...
+    return math.sqrt(6.0 * k / 5.0) - gap / math.sqrt(k)
 
 
 def _volume_law(k: float) -> float:
@@ -516,7 +518,7 @@ def prescribe_volume(spec: EquationSpec, target: float,
     if v > top:
         raise TargetOutOfRange(f"target {target:.6g} above {top / (1.0 + _LARGE_K['margin']):.6g}, "
                                f"the largest reachable (law k {_LARGE_K['k_max']:g})")
-    k = _LARGE_K["seed_k_min"]
+    k = _LARGE_K["k_min"]
     for _ in range(40 if _volume_law(k) < v else 0):
         k = (v / (_LARGE_K["A"] * (1.0 - _LARGE_K["B"] / k))) ** 4
     s_max = 1e9

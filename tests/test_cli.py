@@ -280,7 +280,8 @@ def test_critical_eps_cache_hit_integrates_nothing(tmp_path, monkeypatch):
         return integrate_(*args, **kwargs)
 
     monkeypatch.setattr(shooting, "integrate", counting)
-    argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3",
+    # at 1e-3 the scan's two aimed probes already bracket eps*(10): 0 rounds
+    argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-6",
             "--cache-dir", str(tmp_path / "cache")]
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert main(argv + ["--out", str(cold)]) == 0

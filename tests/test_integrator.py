@@ -1126,10 +1126,10 @@ def test_wall_distance_needs_falling_u():
             assert _read_wall([series[0], slope, *series[2:]], r0, None) is None
 
 
-@pytest.mark.parametrize("m, slot", [(2, 2), (3, 2), (3, 4)])
+@pytest.mark.parametrize("m, slot", [(2, 2), (3, 4)])
 def test_wall_distance_refuses_a_slot_crossing(m, slot):
-    # a Laplacian slot heading for zero closes only if it stays clear of it
-    # over the remaining distance s, with a factor 2 margin
+    # the top Laplacian slot w heading for zero closes only if it stays
+    # clear of it over the remaining distance s, with a factor 2 margin
     s = 1e-5
     y = _m2_wall_state(s, 0.7) if m == 2 else _m3_quadratic_state(s, 0.7, 0.8, 0.0)
     y[slot + 1] = 1e3
@@ -1138,6 +1138,21 @@ def test_wall_distance_refuses_a_slot_crossing(m, slot):
         y[slot] = lap
         assert (_close_on_wall(m, y, s, 1e-8) is not None) is closes, lap
     assert _close_on_wall(m, y, 0.0, 1e-8) is None  # no distance ahead
+
+
+def test_wall_distance_reads_only_the_top_slot():
+    # an m=3 Lap u heading for zero within s does not hold the closure back:
+    # nothing records its sign changes, and over 1461 collapses (1257 of
+    # them m=3, double and extended, rel_tol 1e-6 ... 1e-11, full and
+    # stopped) reading it changed no verdict, r*, step or series
+    s = 1e-5
+    y = _m3_quadratic_state(s, 0.7, 0.8, 0.0)
+    want = _close_on_wall(3, y, s, 1e-8)
+    assert want is not None
+    y[3] = 1e3
+    for lap in (-2 * s * 1e3 * 0.75, 0.0):
+        y[2] = lap
+        assert _close_on_wall(3, y, s, 1e-8) == want, lap
 
 
 def _lap_sign_changes(traj):

@@ -122,7 +122,7 @@ def test_critical_eps_matches_bisection(ce10, k, eps_bisection):
     assert ce.eps_star == pytest.approx(eps_bisection, abs=1e-6)
 
 
-@pytest.mark.parametrize("k, bound", [(10.0, 4), (20.0, 8), (40.0, 8)])
+@pytest.mark.parametrize("k, bound", [(10.0, 3), (20.0, 3), (40.0, 3)])
 def test_critical_eps_integration_count(monkeypatch, k, bound):
     calls, fits = [], []
     integrate_, fit_tail = shooting.integrate, integrator.fit_tail
@@ -171,7 +171,7 @@ def test_large_k_critical_table(spec3, monkeypatch):
 
     monkeypatch.setattr(shooting, "integrate", counting)
     solves = [critical_eps(k, cfg, tol) for k, _, _ in _CRITICAL_TABLE]
-    assert len(calls) <= 42  # 55 from the theory bracket
+    assert len(calls) <= 21  # 36 from a scan about the law, 55 from the theory bracket
     monkeypatch.undo()
     for ce, (k, gap, v_scaled) in zip(solves, _CRITICAL_TABLE):
         assert abs(ce.eps_star - _theory_bracket_eps(k, cfg, tol)) <= tol
@@ -185,51 +185,96 @@ def test_large_k_critical_table(spec3, monkeypatch):
             v_scaled, abs=5e-4 + abs(ce.volume - v_below) / k ** 0.25)
 
 
-@pytest.mark.parametrize("k", [5.0, 10.0, 640.0])
-def test_critical_eps_opens_about_the_law(monkeypatch, k):
-    # from k = 10 on, the first probe is pred (1 - 1e-3) and the second the
-    # one its side calls for: pred (1 + 1e-3), clamped to the cap, above an
-    # entire probe, pred (1 - 2e-3) below one that is not (at k = 10);
-    # below, where the law was not measured, 0 and the cap
+def _recording_probes(monkeypatch, alter=None):
+    """(eps, probes) of every critical-datum probe from here on; alter(i,
+    probe), if given, replaces the i-th probe."""
     eps, probes = [], []
     probe_ = shooting._eps_probe
 
     def recording(spec, k_, eps_, cfg):
+        p = probe_(spec, k_, eps_, cfg)
         eps.append(eps_)
-        probes.append(probe_(spec, k_, eps_, cfg))
+        probes.append(p if alter is None else alter(len(probes), p))
         return probes[-1]
 
     monkeypatch.setattr(shooting, "_eps_probe", recording)
-    ce = critical_eps(k, bracket_tol=1e-3)
-    cap, pred = ce.eps_cap, shooting._eps_law(k)
+    return eps, probes
+
+
+@pytest.mark.parametrize("k", [5.0, 10.0, 20.0, 40.0, 160.0, 640.0])
+def test_critical_eps_opens_about_the_law(monkeypatch, k):
+    # from k = 10 on, the first probe is law (1 + b), b the law's stated
+    # error, so just above eps*, and the second is aimed by one Newton step
+    # on its residual with the slope -eps, overshot by 2 %: the two land on
+    # opposite sides; below, where the law was not measured, 0 and the cap
+    eps, probes = _recording_probes(monkeypatch)
+    ce = critical_eps(k, bracket_tol=1e-6)
     if k < 10.0:
-        want = [0.0, cap]
-    elif probes[0].lo_side:
-        want = [pred * (1 - 1e-3), min(pred * (1 + 1e-3), cap)]
+        assert eps[:2] == [0.0, ce.eps_cap]
     else:
-        want = [pred * (1 - 1e-3), pred * (1 - 2e-3)]
-    assert eps[:2] == pytest.approx(want, rel=1e-15)
-    assert probes[0].lo_side == (k != 10.0)
-    assert ce.eps_lo < ce.eps_hi <= cap
+        x0 = shooting._eps_law(k) * (1.0 + shooting._LARGE_K["law_err"])
+        x1 = x0 + shooting._LARGE_K["overshoot"] * probes[0].residual / x0
+        assert eps[:2] == [x0, x1]
+        assert not probes[0].lo_side and probes[1].lo_side
+        assert x1 <= ce.eps_lo < ce.eps_hi <= x0
+    assert ce.eps_lo < ce.eps_hi <= ce.eps_cap
 
 
 def test_critical_eps_scans_down_at_k10(monkeypatch):
-    # pred (1 - 1e-3) is not entire at k = 10: the scan goes down to pred
-    # (1 - 2e-3), which is, and that bracket refines in two more probes
-    # (5 integrations when pred (1 + 1e-3) was probed as well)
-    eps = []
-    integrate_ = shooting.integrate
-
-    def recording(spec, jet, cfg, **kwargs):
-        eps.append(-jet.lap_values[1])
-        return integrate_(spec, jet, cfg, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate", recording)
+    # the first probe, law (1 + b), is not entire at k = 10: the scan goes
+    # down to the aimed second probe, which is, and that bracket refines in
+    # one more probe (4 integrations when the scan went down from the law
+    # less 1e-3 of it)
+    eps, probes = _recording_probes(monkeypatch)
     ce = critical_eps(10.0, bracket_tol=1e-6)
-    pred = shooting._eps_law(10.0)
-    assert eps[:2] == pytest.approx([pred * (1 - 1e-3), pred * (1 - 2e-3)], rel=1e-15)
-    assert len(eps) == 4
+    assert [p.lo_side for p in probes[:2]] == [False, True]
+    assert len(eps) == 3 and ce.iterations == 1
     assert eps[1] <= ce.eps_lo < ce.eps_hi <= eps[0]
+
+
+@pytest.mark.parametrize("residual", [None, 0.0])
+def test_critical_eps_first_probe_without_a_step(monkeypatch, residual):
+    # a first probe that carries no residual (an Inconclusive run), or one
+    # too small to move eps, falls back to a doubling scan of the law's
+    # error down from it, and the solve still ends in a valid bracket
+    eps, _ = _recording_probes(
+        monkeypatch, lambda i, p: p._replace(residual=residual) if i == 0 else p)
+    k, tol = 10.0, 1e-6
+    ce = critical_eps(k, bracket_tol=tol)
+    pred, err = shooting._eps_law(k), shooting._LARGE_K["law_err"]
+    x0 = pred * (1.0 + err)
+    assert eps[:2] == [x0, x0 - err * pred]
+    assert ce.eps_lo < ce.eps_hi <= x0 and ce.width <= tol
+    assert is_entire(ce.traj_lo) and lap_limit_estimate(ce.traj_lo) > 0.0
+    assert not (is_entire(ce.traj_hi) and lap_limit_estimate(ce.traj_hi) > 0.0)
+    monkeypatch.undo()
+    assert abs(ce.eps_star - critical_eps(k, bracket_tol=tol).eps_star) <= tol
+
+
+@pytest.fixture(scope="module")
+def eps_star_fine():
+    """eps* at bracket_tol 1e-9 for the k that the law's guards read."""
+    return {k: critical_eps(k, bracket_tol=1e-9).eps_star for k in (10.0, 40.0, 640.0)}
+
+
+@pytest.mark.parametrize("k", [10.0, 40.0, 640.0])
+def test_eps_law_within_its_stated_error(eps_star_fine, k):
+    # the first probe law (1 + b) lies above eps* only while the law is
+    # within b of it: a change to the law or to the residual h that moves
+    # eps* fails here, not as probes spent
+    assert abs(shooting._eps_law(k) / eps_star_fine[k] - 1.0) <= shooting._LARGE_K["law_err"]
+
+
+@pytest.mark.parametrize("k", [10.0, 40.0, 640.0])
+def test_critical_residual_slope_band(spec3, eps_star_fine, k):
+    # the second probe's Newton step models dh/deps as -eps: the measured
+    # slope over -eps* (0.997 at k = 10, 0.988 from k = 40 on) must lie in
+    # (1/overshoot, 1], where the overshot step passes eps*, by at most 2 %
+    # of the first probe's distance from it
+    eps, cfg, d = eps_star_fine[k], default_config(3), 1e-4
+    lo, hi = (shooting._eps_probe(spec3, k, eps + s, cfg) for s in (-d, d))
+    ratio = (hi.residual - lo.residual) / (2.0 * d) / -eps
+    assert 1.0 / shooting._LARGE_K["overshoot"] < ratio <= 1.0
 
 
 def test_critical_probe_side_matches_residual(monkeypatch):
@@ -237,16 +282,9 @@ def test_critical_probe_side_matches_residual(monkeypatch):
     # side is entire, a probe certified not entire carries h < 0 from a
     # limit estimate below -tau, and only an inconclusive one carries no
     # residual
-    probes = []
-    probe_ = shooting._eps_probe
-
-    def recording(*args, **kwargs):
-        probes.append(probe_(*args, **kwargs))
-        return probes[-1]
-
-    monkeypatch.setattr(shooting, "_eps_probe", recording)
-    # five k: a seeded solve makes 5-6 probes, and the sample stays >= 20
-    for k in (10.0, 20.0, 40.0, 80.0, 160.0):
+    _, probes = _recording_probes(monkeypatch)
+    # nine k: an aimed solve makes 3 probes, and the sample stays >= 20
+    for k in (10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0, 160.0, 320.0):
         critical_eps(k, bracket_tol=1e-6)
     assert sum(p.residual is not None for p in probes) >= 20
     assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
@@ -309,7 +347,8 @@ def test_critical_probe_budget(monkeypatch):
     # a probe stopped once certified carries the tail-corrected limit, so
     # no solve takes more probes than one run to w's zero or the horizon,
     # while the three solves of a perfbench m3_critical pass (k = 10, 20
-    # and 40 at 1e-6) take 277 accepted steps (350 before)
+    # and 40 at 1e-6) take 182 accepted steps (277 from a scan about the
+    # law, 350 before)
     runs = []
     integrate_ = shooting.integrate
 
@@ -328,7 +367,7 @@ def test_critical_probe_budget(monkeypatch):
     runs.clear()
     for k in (10.0, 20.0, 40.0):
         critical_eps(k, bracket_tol=1e-6)
-    assert sum(t.stats["naccept"] for t in runs) <= 280
+    assert sum(t.stats["naccept"] for t in runs) <= 182
 
 
 def test_critical_probe_residual_stays_finite(spec3):
