@@ -465,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "point runs in this process")
     p.set_defaults(func=cmd_sweep)
 
-    about = ("locate the critical datum (m=3) by safeguarded bracket refinement "
-             "from a bracket about the large-k law; the report's iterations counts "
-             "the refinement rounds, not the probes that opened the bracket")
+    about = ("locate the critical datum eps* (m=3, any k > 0; eps* < 0 below k ~ 1.62) by "
+             "safeguarded bracket refinement from a scan seeded by the large-k law; the "
+             "report's iterations counts the refinement rounds, not the probes of the scan")
     p = sub.add_parser("critical-eps", help=about, description=about)
     common(p)
     p.add_argument("--k", type=float, required=True)

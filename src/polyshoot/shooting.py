@@ -5,8 +5,8 @@ Two shooting problems are solved from a seed, one doubling scan from it
 (Brent's zeroin, which also locates the integrator's events) over
 trajectory classifications and residuals:
 
-  * critical_eps: the largest second-datum magnitude eps for which the
-    sixth-order problem (m=3, jet (k, -eps, 1)) stays entire,
+  * critical_eps: the largest second datum eps for which the sixth-order
+    problem (m=3, jet (k, -eps, 1)) stays entire, at every k > 0,
   * prescribe_volume: parameters achieving a requested conformal volume.
 
 The fourth-order problem's collapse boundary in rho (jet_m2) needs no
@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -173,18 +174,19 @@ class EpsCache:
 @dataclass
 class CriticalEps:
     """Refined bracket [eps_lo, eps_hi] for the critical second datum at fixed
-    k, with the volume (and its error estimate) and the critical balance of
-    the entire end eps_lo at the horizon: at the critical datum the top
-    Laplacian drains to zero at infinity, and the normalised source integral
-    reaches one, so delta2_at_horizon is Lap^2 u there, and partial_integral
-    that integral, from a quadrature of the dense output (_critical_balance).
-    A cache hit reads these from the entry and carries no trajectories.
-    precision is that of the config the solve ran with.  iterations counts
-    the rounds of refine_bracket, not the probes of the scan that opened
-    the bracket: 0 on a cache hit, and on a cold solve whose scan's two
-    probes already bracket eps* within bracket_tol.  traj_lo runs to the
-    horizon; traj_hi is a TopZero run that ended where it was certified not
-    entire (_eps_probe), unless the hi end is entire with w_inf <= 0."""
+    k (below eps_cap, and below 0 under k ~ 1.6198), with the volume (and its
+    error estimate) and the critical balance of the entire end eps_lo at the
+    horizon: at the critical datum the top Laplacian drains to zero at
+    infinity, and the normalised source integral reaches one, so
+    delta2_at_horizon is Lap^2 u there, and partial_integral that integral,
+    from a quadrature of the dense output (_critical_balance).  A cache hit
+    reads these from the entry and carries no trajectories.  precision is that
+    of the config the solve ran with.  iterations counts the rounds of
+    refine_bracket, not the probes of the scan that opened the bracket: 0 on a
+    cache hit, and on a cold solve whose scan's two probes already bracket
+    eps* within bracket_tol.  traj_lo runs to the horizon; traj_hi is a
+    TopZero run that ended where it was certified not entire (_eps_probe),
+    unless the hi end is entire with w_inf <= 0."""
 
     k: float
     eps_lo: float
@@ -266,24 +268,23 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
-    The root lies in the theory bracket [0, sqrt(6k/5)].  From k = 10
-    (_LARGE_K["k_min"]), where the law _eps_law was fitted, the first probe
-    is x0 = law (1 + b), b the law's stated error, clamped to sqrt(6k/5):
-    just above eps*.  The second is one Newton step on x0's residual h0
-    with the slope model dh/deps = -eps, overshot by 2 % to pass eps*, x1 =
-    x0 + 1.02 h0 / x0, or b law when x0 carries no residual or one too
-    small to move it; _scan doubles that step toward sqrt(6k/5) from an
-    entire x0, toward 0 otherwise.  Below k = 10 it starts at 0 with
-    sqrt(6k/5) as its first step.  The clamped ends decide as the theory's:
-    an entire probe at sqrt(6k/5) raises BracketFailure (horizon too
-    short), as does eps=0 if it is not entire (k below the large-k regime
-    at this horizon).  refine_bracket closes the bracket to bracket_tol,
-    with h as the residual of every probe (_eps_probe).  A probe stops once
-    certified not entire, so traj_hi is a TopZero run unless the hi end is
-    entire with w_inf <= 0.  k and bracket_tol must be positive and finite
-    (ValueError, before any integration).  Every integration runs at
-    cfg.precision, but eps is a Python float: a bracket_tol below its
-    rounding width stops at about 4 ulp of eps (refine_bracket).
+    eps* < sqrt(6k/5) at every k > 0, and eps* < 0 below k0 ~ 1.6198
+    (eps* k^2 -> -3/2 as k -> 0).  Every solve opens alike: the first probe is
+    x0 = law (1 + b), _eps_law and b its stated error, clamped to sqrt(6k/5);
+    from k = 10, where the law was fitted, just above eps*, and a positive
+    seed below.  The second is one Newton step on x0's residual h0 with the
+    slope model dh/deps = -eps, overshot by 2 % to pass eps*,
+    x1 = x0 + 1.02 h0 / x0, or b law when x0 carries no residual or one too
+    small to move it.  _scan doubles that step toward sqrt(6k/5) from an
+    entire x0, else down to the least float; that end probed on x0's side
+    raises BracketFailure (the cap: horizon too short; the least float: k
+    <= 1e-9, where no run is entire).  refine_bracket closes the bracket to
+    bracket_tol, with h as the residual of every probe (_eps_probe).  A probe
+    stops once certified not entire, so traj_hi is a TopZero run unless the hi
+    end is entire with w_inf <= 0.  k and bracket_tol must be positive and
+    finite (ValueError, before any integration).  Every integration runs at
+    cfg.precision, but eps is a Python float: a bracket_tol below its rounding
+    width stops at about 4 ulp of eps (refine_bracket).
     """
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive and finite, got {k}")
@@ -301,23 +302,19 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                            **{name: hit[name] for name in EpsCache.FIELDS})
 
     evaluate = functools.partial(_eps_probe, spec, k, cfg=cfg)
-    err = _LARGE_K["law_err"]
-    pred = _eps_law(k) if k >= _LARGE_K["k_min"] else 0.0  # 0: the theory bracket
+    pred, err = _eps_law(k), _LARGE_K["law_err"]
     x0 = min(pred * (1.0 + err), eps_cap)
     at_x0 = evaluate(x0)
-    # one Newton step on h, dh/deps ~ -eps, overshot to land past eps*; the cap from 0
-    x1 = x0 + _LARGE_K["overshoot"] * (at_x0.residual or 0.0) / x0 if x0 else eps_cap
+    # one Newton step on h, dh/deps ~ -eps, overshot to land past eps*
+    x1 = x0 + _LARGE_K["overshoot"] * (at_x0.residual or 0.0) / x0
     if x1 == x0:  # no residual, or one too small to move x0: scan the law's error
         x1 = x0 + (err if at_x0.lo_side else -err) * pred
-    b = _scan(evaluate, x0, at_x0, x1, eps_cap if at_x0.lo_side else 0.0)
-    if b is None and at_x0.lo_side:
-        raise BracketFailure(
-            f"eps=sqrt(6k/5)={eps_cap:.6g} still classifies entire at "
-            f"horizon {cfg.r_max}: horizon too short")
-    if b is None:
-        raise BracketFailure(
-            f"eps=0 does not integrate entire at k={k}, horizon {cfg.r_max}: k is "
-            "below the large-k regime for this horizon")
+    limit = eps_cap if at_x0.lo_side else -sys.float_info.max
+    b = _scan(evaluate, x0, at_x0, x1, limit)
+    if b is None:  # the scan's end probed on x0's side
+        side = "entire: horizon too short" if at_x0.lo_side else "not entire"
+        raise BracketFailure(f"the scan's end eps={limit:.6g} still classifies {side} "
+                             f"(k={k}, horizon {cfg.r_max})")
 
     refine_bracket(evaluate, b, bracket_tol)
 
@@ -398,7 +395,8 @@ _VOLUME_DECAY = {2: 4.5, 3: 1.5}
 # and -0.988 eps* from k = 40 to 1e4 (at eps* +- 1e-4).  A is the limit of V_crit /
 # k^(1/4), B its 1/k correction, and A = 116.9 is pi^2 3^(9/4) = 116.902.  critical_eps's
 # result does not depend on the laws beyond its cost; prescribe_volume's does through
-# its k >= k_min, whose law volume is the target times 1 + margin (10x the law's error).
+# its k >= k_min (its least k), whose law volume is the target times 1 + margin (10x the
+# law's error).  Below k_min the eps law is only a seed, positive (least 0.382 at k = 1.5).
 # k_max caps that k (V_crit 1168.9): up to k = 2e4 V_crit moves by 5e-10 when r_max
 # grows 2-4.7x, and from k = 3e4 critical_eps raises DivergentTail.
 _LARGE_K = {"gap": (2.0 / math.sqrt(3.0), 0.6598, 1.2493, -3.2896), "law_err": 2e-6,
@@ -406,7 +404,8 @@ _LARGE_K = {"gap": (2.0 / math.sqrt(3.0), 0.6598, 1.2493, -3.2896), "law_err": 2
 
 
 def _eps_law(k: float) -> float:
-    gap = sum(c / k ** i for i, c in enumerate(_LARGE_K["gap"]))  # 2/sqrt(3) + D/k + ...
+    # 2/sqrt(3) + D/k + ...; k ** i kept off 0 below k ~ 3e-103, where the law is +inf
+    gap = sum(c / max(k ** i, sys.float_info.min) for i, c in enumerate(_LARGE_K["gap"]))
     return math.sqrt(6.0 * k / 5.0) - gap / math.sqrt(k)
 
 

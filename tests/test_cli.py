@@ -597,13 +597,18 @@ def test_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatc
     ["critical-eps", "--k", "1"],
     ["sweep", "--m", "3", "--at-critical", "--k", "1"],
 ])
-def test_below_the_large_k_regime_exits_3(argv, capsys, tmp_path, monkeypatch):
-    # no k is refused as such: at k = 1 the theory bracket fails its check,
-    # eps = 0 not entire at the horizon, a numerical failure
+def test_negative_critical_datum_below_k0_exits_0(argv, capsys, tmp_path, monkeypatch):
+    # no k > 0 is refused: below k0 ~ 1.6198 the critical datum is negative,
+    # eps*(1) = -1.2696164 by bisection, and the solve's entry is cached
     monkeypatch.setenv("POLYSHOOT_CACHE", str(tmp_path / "cache"))
-    assert main(argv) == 3
-    assert "eps=0 does not integrate entire at k=1.0" in capsys.readouterr().err
-    assert not (tmp_path / "cache").exists()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "critical-eps":
+        eps_star = json.loads(out)["eps_star"]
+    else:
+        eps_star = float(next(ln for ln in out.splitlines() if ln.startswith("1.0,")).split(",")[1])
+    assert abs(eps_star - -1.2696161) <= 1e-6
+    assert (tmp_path / "cache" / "critical_eps.json").exists()
 
 
 def test_shoot_jet_of_the_wrong_length_exits_2(capsys):

@@ -203,21 +203,47 @@ def _recording_probes(monkeypatch, alter=None):
 
 @pytest.mark.parametrize("k", [5.0, 10.0, 20.0, 40.0, 160.0, 640.0])
 def test_critical_eps_opens_about_the_law(monkeypatch, k):
-    # from k = 10 on, the first probe is law (1 + b), b the law's stated
-    # error, so just above eps*, and the second is aimed by one Newton step
-    # on its residual with the slope -eps, overshot by 2 %: the two land on
-    # opposite sides; below, where the law was not measured, 0 and the cap
+    # the first probe is law (1 + b), b the law's stated error, so just
+    # above eps* from k = 10 (at k = 5, below the fit, too), and the second is
+    # aimed by one Newton step on its residual with the slope -eps,
+    # overshot by 2 %: the two land on opposite sides
     eps, probes = _recording_probes(monkeypatch)
     ce = critical_eps(k, bracket_tol=1e-6)
-    if k < 10.0:
-        assert eps[:2] == [0.0, ce.eps_cap]
-    else:
-        x0 = shooting._eps_law(k) * (1.0 + shooting._LARGE_K["law_err"])
-        x1 = x0 + shooting._LARGE_K["overshoot"] * probes[0].residual / x0
-        assert eps[:2] == [x0, x1]
-        assert not probes[0].lo_side and probes[1].lo_side
-        assert x1 <= ce.eps_lo < ce.eps_hi <= x0
+    x0 = shooting._eps_law(k) * (1.0 + shooting._LARGE_K["law_err"])
+    x1 = x0 + shooting._LARGE_K["overshoot"] * probes[0].residual / x0
+    assert eps[:2] == [x0, x1]
+    assert not probes[0].lo_side and probes[1].lo_side
+    assert x1 <= ce.eps_lo < ce.eps_hi <= x0
     assert ce.eps_lo < ce.eps_hi <= ce.eps_cap
+
+
+# eps* by bisection on is_entire at the default config (ROADMAP baseline), to
+# the digits printed there, and the tolerance on it: k: (eps*, tolerance).
+# eps* k^2 -> -3/2 as k -> 0, and eps* = 0 at k0 = 1.6197849745
+_CRITICAL_CURVE = {0.01: (-15000.001, 1.5e-3), 0.1: (-149.9997, 1e-6), 0.3: (-16.658609, 1e-6),
+                   0.5: (-5.963309, 1e-6), 1.0: (-1.2696164, 1e-6), 1.5: (-0.161097, 1e-6),
+                   1.6197849745: (0.0, 1e-6), 1.7: (0.096345, 1e-6), 2.0: (0.39804014, 1e-6)}
+
+
+@pytest.mark.parametrize("k", sorted(_CRITICAL_CURVE))
+def test_critical_curve_below_the_law(k):
+    # one opening serves every k > 0: below k = 10 the law is a seed, and
+    # below k0 the scan walks down through eps = 0 to a negative eps*
+    ce = critical_eps(k, bracket_tol=1e-6)
+    want, tol = _CRITICAL_CURVE[k]
+    assert abs(ce.eps_star - want) <= tol
+    assert ce.eps_lo < ce.eps_hi
+    assert is_entire(ce.traj_lo) and lap_limit_estimate(ce.traj_lo) > 0.0
+    assert not (is_entire(ce.traj_hi) and lap_limit_estimate(ce.traj_hi) > 0.0)
+
+
+def test_eps_law_is_positive_at_every_k():
+    # the first probe x0 = min(law (1 + b), sqrt(6k/5)) divides the Newton
+    # step: the law is positive on k = 1e-3 ... 1e8, least 0.382 near k =
+    # 1.5, so x0 > 0; below k ~ 3e-103, where k^3 underflows, it is +inf
+    law = [shooting._eps_law(float(k)) for k in np.logspace(-3.0, 8.0, 1101)]
+    assert min(law) > 0.0 and min(law) == pytest.approx(0.382, abs=1e-3)
+    assert shooting._eps_law(1e-200) == math.inf
 
 
 def test_critical_eps_scans_down_at_k10(monkeypatch):
@@ -335,12 +361,12 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
             assert abs(end.lap(2)) <= cfg.abs_tol * abs(end.lap_deriv(2))
 
 
-# Integrations per critical_eps solve with probes run to w's zero or the
-# horizon (r_max 100), k: (bracket_tol 1e-3, 1e-6, 1e-9); the same in
-# extended precision at k = 10, 40 and 160
-_PROBES_BEFORE = {2.0: (6, 7, 7), 5.0: (6, 7, 8), 10.0: (4, 4, 5), 20.0: (4, 5, 5),
-                  40.0: (4, 5, 6), 80.0: (4, 5, 6), 160.0: (4, 5, 6), 320.0: (4, 6, 7),
-                  640.0: (5, 6, 7)}
+# Integrations per critical_eps solve (r_max 100) as measured, k: (bracket_tol
+# 1e-3, 1e-6, 1e-9); the same in extended precision at k = 1, 10, 40 and 160.
+# Each bound is the count itself, so one more probe in any solve fails.
+_PROBES_BEFORE = {0.1: (13, 14, 14), 1.0: (8, 9, 10), 1.6197849745: (5, 6, 7),
+                  2.0: (5, 6, 6), 5.0: (3, 4, 5),
+                  **{k: (2, 3, 4) for k in (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)}}
 
 
 def test_critical_probe_budget(monkeypatch):
@@ -357,7 +383,7 @@ def test_critical_probe_budget(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(shooting, "integrate", counting)
-    for precision, ks in (("double", _PROBES_BEFORE), ("extended", (10.0, 40.0, 160.0))):
+    for precision, ks in (("double", _PROBES_BEFORE), ("extended", (1.0, 10.0, 40.0, 160.0))):
         cfg = default_config(3, precision=precision)
         for k in ks:
             for tol, most in zip((1e-3, 1e-6, 1e-9), _PROBES_BEFORE[k]):
@@ -447,12 +473,33 @@ def test_horizon_robustness(ce10):
 
 
 def test_bracket_failures():
-    # tiny k: eps=0 already collapses (below the large-k regime)
-    with pytest.raises(BracketFailure):
-        critical_eps(1.0, bracket_tol=1e-3)
     # horizon too short: the cap trajectory cannot be told apart
     with pytest.raises(BracketFailure):
         critical_eps(10.0, default_config(3, r_max=3.0), bracket_tol=1e-3)
+
+
+@pytest.mark.parametrize("residual", [None, -0.5])
+def test_unbounded_scan_raises_bracket_failure(monkeypatch, residual):
+    # the scan down has no floor but the least float, probed once: a solve
+    # whose probes are never entire ends there in a typed error, not in a
+    # ValueError from a non-finite jet or a scan without end
+    eps = []
+
+    def never_entire(spec, k, eps_, cfg):
+        eps.append(eps_)
+        return Probe(False, residual, None)
+
+    monkeypatch.setattr(shooting, "_eps_probe", never_entire)
+    with pytest.raises(BracketFailure, match="not entire"):
+        critical_eps(10.0, bracket_tol=1e-3)
+    assert eps[-1] == -sys.float_info.max and len(eps) < 1100
+    assert all(math.isfinite(e) for e in eps) and eps == sorted(eps, reverse=True)
+    monkeypatch.undo()
+    # so do the real probes at k = 1e-20, where no run is entire, and at
+    # 1e-200, where the law's k^3 underflows
+    for k in (1e-20, 1e-200):
+        with pytest.raises(BracketFailure, match="not entire"):
+            critical_eps(k, bracket_tol=1e-3)
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
