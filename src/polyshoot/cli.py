@@ -147,13 +147,14 @@ def _csv_blocks(table):
     one text per _CSV_BLOCK rows.
 
     %r writes repr of the Python float, and "nan" can only be a whole
-    field, so deleting it leaves NaN as an empty field.
+    field, so deleting it from a block holding NaN leaves an empty field.
     """
     table = np.asarray(table, dtype=np.float64)
     line = ",".join(["%r"] * table.shape[1]) + "\n"
     for start in range(0, len(table), _CSV_BLOCK):
         rows = table[start:start + _CSV_BLOCK]
-        yield ((line * len(rows)) % tuple(rows.ravel().tolist())).replace("nan", "")
+        text = (line * len(rows)) % tuple(rows.ravel().tolist())
+        yield text.replace("nan", "") if np.isnan(rows).any() else text
 
 
 def write_text(path, text):

@@ -136,43 +136,48 @@ class Collapsed:
     r_star: float
 
 
-class EntirePositive:
-    """Horizon reached with u above the floor.  tail is the one fit of the
-    asymptote, integrator.fit_tail on [r_end/2, r_end] (a PowerTail), which
-    classify_growth and the volume's tail read too.
+class _ReadOnce:
+    """A verdict's one datum, or the callable of no arguments that integrate
+    hands over to compute it on the first read, which keeps its value.
+    Equality, hash and repr read the value, so verdicts compare by value;
+    a pickle carries what is kept, the value or the callable."""
 
-    The fit runs on first read: integrate hands the verdict the fit to run
-    (a callable of no arguments), and the first read of tail or
-    growth_exponent runs it once and keeps its PowerTail; a PowerTail given
-    directly is the tail as it is.  Equality, hash and repr read the
-    fitted tail, so verdicts compare by value.
-    """
+    __slots__ = ("_value",)
+    _name = ""
 
-    __slots__ = ("_tail",)
+    def __init__(self, value):
+        self._value = value
 
-    def __init__(self, tail):
-        self._tail = tail
-
-    @property
-    def tail(self):
-        if callable(self._tail):
-            self._tail = self._tail()
-        return self._tail
-
-    @property
-    def growth_exponent(self) -> float:
-        return self.tail.gamma
+    def _read(self):
+        if callable(self._value):
+            self._value = self._value()
+        return self._value
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.tail == other.tail
+        return self._read() == other._read()
 
     def __hash__(self):
-        return hash((self.tail,))
+        return hash((self._read(),))
 
     def __repr__(self):
-        return f"EntirePositive(tail={self.tail!r})"
+        return f"{type(self).__name__}({self._name}={self._read()!r})"
+
+
+class EntirePositive(_ReadOnce):
+    """Horizon reached with u above the floor.  tail is the one fit of the
+    asymptote, integrator.fit_tail on [r_end/2, r_end] (a PowerTail), which
+    classify_growth and the volume's tail read too; integrate hands over
+    the fit to run, and the first read of tail or growth_exponent runs it.
+    """
+
+    __slots__, _name = (), "tail"
+    tail = property(_ReadOnce._read)
+
+    @property
+    def growth_exponent(self) -> float:
+        return self.tail.gamma
 
 
 @dataclass(frozen=True)
@@ -180,16 +185,17 @@ class Inconclusive:
     reason: str
 
 
-@dataclass(frozen=True)
-class TopZero:
-    """The run was certified not entire at r_zero, and ended where that
-    was settled (integrate's stop_at_top_zero) or went on to the horizon
-    without a collapse.  r_zero is the first radius where E = w + r w', w
-    = Lap^{m-1} u, reads -tau, or w reads 0.  E falls strictly toward w's
-    limit w_inf, and w does too, so w_inf < 0: the solution is not
-    entire."""
+class TopZero(_ReadOnce):
+    """The run was certified not entire at r_zero, and ended at a stop
+    (integrate's stop_at_top_zero; a probe that closes the critical bracket
+    ends at its first certified step end) or went on to the horizon without
+    a collapse.  r_zero, located on its first read, is the first radius
+    where E = w + r w', w = Lap^{m-1} u, reads -tau, or w reads 0.  E falls
+    strictly toward w's limit w_inf, and w does too, so w_inf < 0: the
+    solution is not entire."""
 
-    r_zero: float
+    __slots__, _name = (), "r_zero"
+    r_zero = property(_ReadOnce._read)
 
 
 Verdict = Union[Collapsed, EntirePositive, Inconclusive, TopZero]

@@ -33,17 +33,17 @@ trajectory ends at r* = R less the floor offset, accurate to about abs_tol.
 A floor crossing reached first is located on the step's polynomial.
 
 A run locates only the points a verdict or a stop reads: a floor crossing,
-w's first zero in a TopZero or stopped run, and where E (below) reads -tau.
-Each is a root of one step's polynomial in theta, located to abs_tol in r by
-refine_bracket: Brent's zeroin, the package's one root finder, which the
-shooting solves run too.
+w's first zero in a TopZero or stopped run, and, once TopZero.r_zero is
+read, where E (below) reads -tau.  Each is a root of one step's polynomial
+in theta, located to abs_tol in r by refine_bracket: Brent's zeroin, the
+package's one root finder, which the shooting solves run too.
 
 E = w + r w', w = Lap^{m-1} u the top slot, falls strictly (dE/dr = -r
 u^p < 0) toward w's limit w_inf at infinity, so E(r) < 0 proves that the
 solution is not entire.  Once E < -tau, tau = rel_tol, the run is
 certified, and its verdict is TopZero unless it collapses; a run whose
 caller asks (stop_at_top_zero) ends once the certified limit estimate has
-settled (_tail_limit, _SETTLE), or at w's first zero, before any collapse.
+settled as asked (_tail_limit), or at w's first zero, before any collapse.
 """
 
 from __future__ import annotations
@@ -336,17 +336,22 @@ class Bracket:
         return self.hi - self.lo
 
 
+def _stop_width(tol, lo, hi):
+    """refine_bracket's stopping width t of the bracket [lo, hi]."""
+    return tol + _RESOLUTION * max(abs(lo), abs(hi), _TINY)
+
+
 def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
                    stop: Optional[Callable[[Bracket], bool]] = None) -> Bracket:
     """Shrink b in place until its width is <= t or stop(b) holds.
 
-    Brent's zeroin (Brent 1973, ch. 4), with its own stopping tolerance t =
-    tol + 4 eps max(|lo|, |hi|), eps the binary64 machine epsilon: a tol
-    below the spacing of floats at the root (0 or 5e-324 included) stops
-    at about 4 ulp, and max takes the smallest normal float as its floor,
-    so that t/2 is at least 2 ulp at a root at 0 too.  A round steps from
-    best, the end of smaller |residual| (none counts as infinite), toward
-    the other end, to the zero of the inverse interpolant through the nodes
+    Brent's zeroin (Brent 1973, ch. 4), with its own stopping width t =
+    tol + 4 eps max(|lo|, |hi|) (_stop_width), eps the binary64 machine
+    epsilon: a tol below the spacing of floats at the root (0 or 5e-324
+    included) stops at about 4 ulp, and max takes the smallest normal float
+    as its floor, so that t/2 is at least 2 ulp at a root at 0 too.  A round
+    steps from best, the end of smaller |residual| (none counts as
+    infinite), toward the other end, to the zero of the inverse interpolant through the nodes
     that carry a residual: the two ends, plus the end the last probe
     replaced if that probe is best (three nodes: inverse quadratic; two:
     the secant).  It bisects when fewer than two nodes carry one, when the
@@ -359,7 +364,7 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
         return math.inf if end[1].residual is None else abs(end[1].residual)
 
     replaced, e, d = (None, None), b.width, b.width  # e, d: the step before last, last
-    while (b.width > (t := tol + _RESOLUTION * max(abs(b.lo), abs(b.hi), _TINY))
+    while (b.width > (t := _stop_width(tol, b.lo, b.hi))
            and not (stop is not None and stop(b))):
         ends = [(b.lo, b.at_lo), (b.hi, b.at_hi)]
         (best, _), (other, _) = sorted(ends, key=size)
@@ -404,6 +409,7 @@ def _event_theta(c, num, shift, tol_theta):
 # so the steps must be over 1e3 times sharper than the accuracy wanted at
 # r = 1e3: this puts u(1e3) within 1.3e-9 relative at rel_tol 1e-8.
 _STEP_TOL = 5e-5
+_WEIGHTS = [float(k) for k in range(_ORDER + 1)]  # _try_step's k: floats, exact
 
 
 def _step_size(a, atol, rtol):
@@ -429,8 +435,10 @@ def _try_step(a, unit, width):
     finite."""
     ratio = width / unit
     powers = list(accumulate([ratio] * _ORDER, mul, initial=ratio ** 0))
-    c = [list(map(mul, aj, powers)) for aj in a]
-    y = [v for cj in c for v in (sum(cj), sum(map(mul, range(_ORDER + 1), cj)) / width)]
+    c, y = [], []
+    for aj in a:
+        c.append(cj := list(map(mul, aj, powers)))
+        y += (sum(cj), sum(map(mul, _WEIGHTS, cj)) / width)
     if not (y[0] > 0.0 and all(map(math.isfinite, map(float, y)))):
         return None
     return c, y
@@ -439,16 +447,6 @@ def _try_step(a, unit, width):
 def _poly_at(c, theta):
     """sum_k c[k] theta^k by Horner, on scalars."""
     return functools.reduce(lambda acc, ck: acc * theta + ck, reversed(c))
-
-
-# A stopped run ends at the first step end where the certificate holds and
-# the tail-corrected limit (_tail_limit) has moved by at most _SETTLE times
-# itself since the step end before; at k = 10, 20 and 40 (bracket_tol
-# 1e-6) the critical solves then take 277 accepted steps, not 350; over
-# k = 2 ... 640 and bracket_tol 1e-3 ... 1e-9 no solve takes more probes
-# than with probes run to w's zero or the horizon, and every eps* stays
-# within bracket_tol of theirs.
-_SETTLE = 1e-3
 
 
 def _tail_limit(p, r, y):
@@ -470,8 +468,18 @@ def _crossing_radius(c, r_left, r_right, shift, num, abs_tol):
     return float(r_left + width * num(_event_theta(c, num, shift, abs_tol / float(width))))
 
 
+def _certified_at(w_zero, c, r_left, r_right, tau, num, abs_tol):
+    """r_zero: where E = w + r w' reads -tau in the certificate's step, of top
+    level c in theta, or w_zero, w's first zero (or None), if that is first."""
+    # E = sum_k (k+1) (c_k + c_(k+1) r_left/width) theta^k
+    ratio = r_left / (r_right - r_left)
+    e = [(k + 1) * (ck + ratio * cn) for k, (ck, cn) in enumerate(zip(c, [*c[1:], 0.0]))]
+    r_cert = _crossing_radius(e, r_left, r_right, -tau, num, abs_tol)
+    return r_cert if w_zero is None else min(w_zero, r_cert)
+
+
 def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
-              stop_at_top_zero: bool = False) -> Trajectory:
+              stop_at_top_zero: Optional[float] = None) -> Trajectory:
     """Integrate the radial system from the origin jet out to the horizon.
 
     Returns a Trajectory whose verdict is Collapsed(r*) when u collapses,
@@ -481,18 +489,18 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
     underflows.  The certificate is E = w + r w' < -tau at a step end, w =
     Lap^{m-1} u, tau = rel_tol, or w's first downward zero; r0 is the
     first radius where either holds.  Both points are located on their
-    step's polynomial (_crossing_radius) only for a TopZero verdict, whose
-    events then holds w's zero; a collapse's holds r*.  Nothing else is
-    located.
+    step's polynomial (_crossing_radius) only for a TopZero verdict: w's
+    zero by the run (events then holds it; a collapse's holds r*), and E's
+    -tau crossing when TopZero.r_zero is first read.  Nothing else is located.
 
-    With stop_at_top_zero a certified run ends, TopZero(r0), at the first
-    step end where the limit estimate _tail_limit has moved by at most
-    _SETTLE times itself since the step end before, r_end that step end,
+    With stop_at_top_zero = s a certified run ends, TopZero(r0), at the
+    first step end where the limit estimate _tail_limit has moved by at
+    most s times itself since the step end before, r_end that step end,
     or at w's first zero, r_end that zero, whichever comes first (a run
     that collapses, gamma = r u'/u <= -2/p, reaches only the zero), unless
     a floor crossing in the same step comes first; every step up to there
-    is the full run's.  Without it no certificate or sign change ends the
-    run.
+    is the full run's; s = inf ends it at the first certified step end.
+    With None no certificate or sign change ends the run.
 
     A collapse ends in one of two ways, recorded in stats["closure"]:
     {"kind": "floor"} when a step crosses _U_FLOOR (r* located on the step's
@@ -579,7 +587,7 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                 cert = naccept - 1
             if zero is None and float(y[top]) > 0.0 > float(y_new[top]):
                 zero = naccept - 1
-                if stop_at_top_zero:  # ends here unless the floor comes first
+                if stop_at_top_zero is not None:  # ends here unless the floor comes first
                     theta = _event_theta(c[-1], num, 0.0, theta_tol)
                     if floor is None or theta <= floor:
                         r, stopped = float(r + width * num(theta)), True
@@ -588,10 +596,11 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
                 r = float(r + width * num(floor))  # the deepest radius reached
                 verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
                 break
-            if stop_at_top_zero and cert is not None:  # has the limit estimate settled?
+            if stop_at_top_zero is not None and cert is not None:  # settled as asked?
                 before = _tail_limit(p, r, y) if cert == naccept - 1 else hat
                 hat = _tail_limit(p, r_new, y_new)
-                stopped = None not in (before, hat) and abs(hat - before) <= _SETTLE * abs(hat)
+                stopped = stop_at_top_zero == math.inf or (
+                    None not in (before, hat) and abs(hat - before) <= stop_at_top_zero * abs(hat))
 
             r, y, h = r_new, y_new, None
             if stopped:
@@ -604,16 +613,14 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
 
     radii = functools.partial(sample_radii, cfg.dense_output_stride, cfg.r_max, float(r),
                               stopped or isinstance(verdict, Collapsed))  # stopped short
-    w_zero = r_cert = None  # located only for a TopZero verdict
+    w_zero = None  # located only for a TopZero verdict
     if verdict is None and (cert is not None or zero is not None):  # certified
         if zero is not None:  # a stopped run ended on it
             w_zero = r_end if stopped else _crossing_radius(
                 cs[zero][-1], r_lefts[zero], r_rights[zero], 0.0, num, cfg.abs_tol)
-        if cert is not None:  # E = w + r w' = sum_k (k+1) (c_k + c_(k+1) r_left/width) theta^k
-            c, ratio = cs[cert][-1], r_lefts[cert] / (r_rights[cert] - r_lefts[cert])
-            e = [(k + 1) * (ck + ratio * cn) for k, (ck, cn) in enumerate(zip(c, [*c[1:], 0.0]))]
-            r_cert = _crossing_radius(e, r_lefts[cert], r_rights[cert], -tau, num, cfg.abs_tol)
-        verdict = TopZero(r_zero=min(x for x in (w_zero, r_cert) if x is not None))
+        verdict = TopZero(w_zero if cert is None else functools.partial(
+            _certified_at, w_zero, cs[cert][-1], r_lefts[cert], r_rights[cert], tau, num,
+            cfg.abs_tol))
     elif verdict is None:  # the horizon
         verdict = EntirePositive(functools.partial(fit_tail, dense, (r_end / 2.0, r_end)))
     events = ((Event("u_floor", r_end),) if isinstance(verdict, Collapsed)

@@ -41,7 +41,8 @@ from typing import Optional
 from . import oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import BracketFailure, PolyshootError, TargetOutOfRange
-from .integrator import Bracket, IntegratorConfig, Probe, _tail_limit, integrate, refine_bracket
+from .integrator import (Bracket, IntegratorConfig, Probe, _stop_width, _tail_limit, integrate,
+                         refine_bracket)
 from .volume import dense_quadrature, volume, volume_of_jet
 
 __all__ = ["default_config", "jet_m2", "jet_m3", "is_entire", "lap_limit_estimate",
@@ -185,8 +186,8 @@ class CriticalEps:
     refine_bracket, not the probes of the scan that opened the bracket: 0 on a
     cache hit, and on a cold solve whose scan's two probes already bracket
     eps* within bracket_tol.  traj_lo runs to the horizon; traj_hi is a
-    TopZero run that ended where it was certified not entire (_eps_probe),
-    unless the hi end is entire with w_inf <= 0."""
+    TopZero run that ended where it was certified not entire (_eps_probe; a
+    closing probe at its certificate), unless the hi end is entire."""
 
     k: float
     eps_lo: float
@@ -216,26 +217,34 @@ class CriticalEps:
         return math.sqrt(6.0 * self.k / 5.0)
 
 
-def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig) -> Probe:
-    """Critical-datum probe, a run that stops (integrate's stop_at_top_zero)
-    once it is certified not entire, E = w + r w' < -tau, and its limit
-    estimate has settled, or else at w's first zero, instead of stepping on
-    to the horizon or into a collapse.  It carries the residual h =
-    1/sqrt(1 - w_inf) - 1, w_inf = lap_limit_estimate at its end: at the
-    horizon of an EntirePositive run, at the stop of a TopZero one, where
-    it is at most E < 0 and so h < 0 (E itself where the tail diverges, as
-    at w's zero r0 in a run that collapses: r0 w'(r0)).  The
-    tail-corrected estimate reads w_inf wherever the run ends, so h
-    changes little with where the stop falls.  h is finite as w' < 0 gives
-    w_inf < w(0) = 1 (kept so where 1 - w_inf rounds to 0, from k near
-    1e8), and the probe is on the lo side iff h > 0, which implies
-    is_entire.  An Inconclusive run carries none, as would a collapse, but
-    a collapse reaches w's zero first, where u^p drives w' to -inf."""
-    traj = integrate(spec, jet_m3(k, eps), cfg, stop_at_top_zero=True)
+# A probe's limit estimate has settled once it moves by at most _SETTLE of
+# itself over a step: at k = 10, 20 and 40 (bracket_tol 1e-6) 277 accepted
+# steps, not 350, and no more probes than runs to w's zero or the horizon.
+_SETTLE = 1e-3
+
+
+def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig,
+               settle: float = _SETTLE) -> Probe:
+    """Critical-datum probe, a run that stops (integrate's stop_at_top_zero
+    = settle) once it is certified not entire, E = w + r w' < -tau, and its
+    limit estimate has settled (at once for settle = inf), or else at w's
+    first zero, instead of stepping on to the horizon or into a collapse.
+    It carries the residual h = 1/sqrt(1 - w_inf) - 1, w_inf =
+    lap_limit_estimate at its end: at the horizon of an EntirePositive run,
+    at the stop of a TopZero one, where it is at most E < 0 and so h < 0 (E
+    itself where the tail diverges, as at w's zero r0 in a run that
+    collapses: r0 w'(r0)), which changes little with where a settled stop
+    falls.  h is finite as w' < 0 gives w_inf < w(0) = 1 (kept so where 1 -
+    w_inf rounds to 0, from k near 1e8).  The probe is on the lo side iff
+    it is EntirePositive with h > 0, which implies is_entire.  A TopZero run
+    whose h reads > 0 (k just under the collapse floor) carries none, nor
+    does an Inconclusive run or a collapse, which reaches w's zero first."""
+    traj = integrate(spec, jet_m3(k, eps), cfg, stop_at_top_zero=settle)
     if not isinstance(traj.verdict, (EntirePositive, TopZero)):
         return Probe(False, None, traj)
     h = 1.0 / math.sqrt(max(1.0 - lap_limit_estimate(traj), math.ulp(0.0))) - 1.0
-    return Probe(h > 0.0, h, traj)
+    entire = isinstance(traj.verdict, EntirePositive)
+    return Probe(entire and h > 0.0, h if entire or h <= 0.0 else None, traj)
 
 
 def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float,
@@ -278,14 +287,15 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
     small to move it.  _scan doubles that step toward sqrt(6k/5) from an
     entire x0, else down to the least float; that end probed on x0's side
     raises BracketFailure (the cap: horizon too short; the least float: k
-    <= 1e-9, where no run is entire).  refine_bracket closes the bracket to
+    <= 5e-9, where no run is entire).  refine_bracket closes the bracket to
     bracket_tol, with h as the residual of every probe (_eps_probe).  A probe
     stops once certified not entire, so traj_hi is a TopZero run unless the hi
-    end is entire with w_inf <= 0.  k and bracket_tol must be positive and
-    finite (ValueError, before any integration).  Every integration runs at
-    cfg.precision, but eps is a Python float: a bracket_tol below its rounding
-    width stops at about 4 ulp of eps (refine_bracket).
-    """
+    end is entire; one within the stopping width (_stop_width) of eps_lo
+    closes the bracket if certified, and stops at its certificate.  k and
+    bracket_tol must be positive and finite (ValueError, before any
+    integration).  Every integration runs at cfg.precision, but eps is a
+    Python float: a bracket_tol below its rounding width stops at about 4
+    ulp of eps."""
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive and finite, got {k}")
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
@@ -316,7 +326,8 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
         raise BracketFailure(f"the scan's end eps={limit:.6g} still classifies {side} "
                              f"(k={k}, horizon {cfg.r_max})")
 
-    refine_bracket(evaluate, b, bracket_tol)
+    refine_bracket(lambda x: evaluate(x, settle=math.inf if x - b.lo <= _stop_width(
+        bracket_tol, b.lo, x) else _SETTLE), b, bracket_tol)
 
     v_lo = volume(spec, b.at_lo.payload)
     delta2, partial = _critical_balance(b.at_lo.payload)

@@ -209,6 +209,17 @@ def test_csv_rows_format_like_fmt():
     assert rows.splitlines()[2].startswith(",,5e-324,")
 
 
+def test_csv_nan_field_is_empty_in_any_block():
+    # a block is searched for "nan" only if it holds a NaN: one in the last
+    # of three blocks is still an empty field, and the blocks without one
+    # are written as they are
+    table = np.tile([[1.0, 0.5]], (2 * _CSV_BLOCK + 3, 1))
+    table[-2, 1] = np.nan
+    blocks = list(_csv_blocks(table))
+    assert blocks[0] == blocks[1] == "1.0,0.5\n" * _CSV_BLOCK
+    assert blocks[2] == "1.0,0.5\n1.0,\n1.0,0.5\n"
+
+
 def test_shoot_usage_error():
     assert main(["shoot", "--m", "2"]) == 2
 

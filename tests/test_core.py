@@ -24,7 +24,7 @@ import polyshoot
 from polyshoot import cubic_profile, linear_profile
 from polyshoot.core import _ORDER, TopZero, _power0, _series
 from polyshoot.integrator import _FIT_NODES, _STEP_TOL, fit_tail
-from polyshoot.shooting import default_config, jet_m2, jet_m3
+from polyshoot.shooting import _SETTLE, default_config, jet_m2, jet_m3
 
 from conftest import ode_residual_max, scaled_jet, scaling_weights
 
@@ -378,9 +378,9 @@ def test_scale_maps_the_top_zero(m, jet):
     # r0 / lam (measured 3.8e-11 apart); r_zero, where E = w + r w' reads
     # -tau, does not scale, as tau does not
     spec, cfg, lam = EquationSpec.for_order(m), default_config(m), 2.5
-    traj = integrate(spec, jet, cfg, stop_at_top_zero=True)
+    traj = integrate(spec, jet, cfg, stop_at_top_zero=_SETTLE)
     scaled = integrate(spec, scaled_jet(jet, lam), default_config(m, r_max=cfg.r_max / lam),
-                       stop_at_top_zero=True)
+                       stop_at_top_zero=_SETTLE)
     assert isinstance(scaled.verdict, TopZero) and scaled.verdict.r_zero <= scaled.r_end
     end = scaled.end  # w's zero, located to abs_tol in r
     assert abs(end.lap(m - 1)) <= cfg.abs_tol * abs(end.lap_deriv(m - 1))

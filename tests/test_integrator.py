@@ -28,8 +28,8 @@ from polyshoot.core import TopZero, Trajectory, _series
 from polyshoot.cli import _sweep_point
 from polyshoot.integrator import (_ORDER, _STEP_TOL, DenseSolution, PowerTail, _close_on_wall,
                                   _read_wall, _try_step, sample_radii)
-from polyshoot.shooting import (critical_eps, critical_eps_residual, default_config, is_entire,
-                                jet_m2, jet_m3, lap_limit_estimate, prescribe_volume)
+from polyshoot.shooting import (_SETTLE, critical_eps, critical_eps_residual, default_config,
+                                is_entire, jet_m2, jet_m3, lap_limit_estimate, prescribe_volume)
 from polyshoot.volume import volume, volume_of_jet
 
 from conftest import (common_grid, cut_at, level_second_derivatives, ode_residual_max,
@@ -171,6 +171,30 @@ def test_tail_fitted_on_first_read(spec2, u0, monkeypatch):
     assert repr(traj.verdict) == f"EntirePositive(tail={want!r})"  # repr: bit for bit
     assert traj.verdict == EntirePositive(want) and hash(traj.verdict) == hash(EntirePositive(want))
     assert unread.verdict == traj.verdict and fits == [1, 1]  # equality reads the tail
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_top_zero_located_on_first_read(spec3, monkeypatch, precision):
+    # integrate leaves where E = w + r w' reads -tau to the first read of
+    # r_zero, which locates it once; the verdict keeps it, and equality,
+    # hash, repr and pickle work on the value (a pickle taken before the
+    # read carries the location, which the copy runs on its own read)
+    crossings, crossing = [], integrator._crossing_radius
+    monkeypatch.setattr(integrator, "_crossing_radius",
+                        lambda *a: crossings.append(1) or crossing(*a))
+    jet, cfg = jet_m3(10.0, 3.1), default_config(3, precision=precision)
+    traj, unread = (integrate(spec3, jet, cfg, stop_at_top_zero=_SETTLE) for _ in range(2))
+    copy = pickle.loads(pickle.dumps(unread.verdict))
+    assert crossings == []
+    r0 = traj.verdict.r_zero
+    assert traj.verdict.r_zero == r0 and crossings == [1]
+    assert r0 == pytest.approx(6.2693872765051575, rel=1e-12)
+    assert repr(traj.verdict) == f"TopZero(r_zero={r0!r})"  # repr: bit for bit
+    assert traj.verdict == TopZero(r0) and hash(traj.verdict) == hash(TopZero(r0))
+    assert unread.verdict == traj.verdict and crossings == [1, 1]  # equality reads the value
+    assert copy.r_zero.hex() == r0.hex() and crossings == [1, 1, 1]
+    assert pickle.loads(pickle.dumps(traj.verdict)) == copy
+    assert traj.verdict != EntirePositive(r0) and TopZero(r0) != r0
 
 
 def test_growth_window_validation(traj_u0_50):
@@ -534,7 +558,7 @@ def test_stop_at_top_zero(m, jet, precision):
     # The full run, a collapse, records r* alone
     spec, cfg = EquationSpec.for_order(m), default_config(m, precision=precision)
     full = integrate(spec, jet, cfg)
-    stopped = integrate(spec, jet, cfg, stop_at_top_zero=True)
+    stopped = integrate(spec, jet, cfg, stop_at_top_zero=_SETTLE)
     assert isinstance(full.verdict, Collapsed) and isinstance(stopped.verdict, TopZero)
     r0 = stopped.r_end
     assert [(e.kind, e.r_event) for e in full.events] == [("u_floor", full.verdict.r_star)]
@@ -566,7 +590,7 @@ def test_top_zero_without_the_stop(spec3):
     # after its loop, and has no volume
     jet, cfg = jet_m3(10.0, 3.1), default_config(3)
     full = integrate(spec3, jet, cfg)
-    stopped = integrate(spec3, jet, cfg, stop_at_top_zero=True)
+    stopped = integrate(spec3, jet, cfg, stop_at_top_zero=_SETTLE)
     assert isinstance(full.verdict, TopZero) and isinstance(stopped.verdict, TopZero)
     assert full.verdict.r_zero.hex() == stopped.verdict.r_zero.hex()
     (kind, w_zero), = [(e.kind, e.r_event) for e in full.events]
@@ -598,34 +622,39 @@ def test_closed_forms_are_not_certified(spec2, spec3, u0, u1, rel_tol, r_max):
 
 # Root solves (_event_theta) per run at the m=3 defaults, with what the
 # runs must still give: a located point only where a verdict or a stop
-# reads it, so no intermediate Laplacian zero and no w zero in a collapse.
-# (jet, stop): (root solves, verdict, r* or r_zero, accepted steps,
-# sum |dense.cs|); locating fewer points moves none of the last four
+# reads it, so no intermediate Laplacian zero and no w zero in a collapse,
+# and where E reads -tau only once r_zero is read.  (jet, stop): (root
+# solves by the run, by its first read of r_zero, verdict, r* or r_zero,
+# accepted steps, sum |dense.cs|); locating fewer points moves none of the
+# last four
 _LOCATED = {
-    ((10.0, -3.0, 1.0), False): (0, EntirePositive, None, 23, 1045333.7526642733),
-    ((10.0, -3.0, 1.0), True): (0, EntirePositive, None, 23, 1045333.7526642733),
-    ((10.0, -6.0, 1.0), False): (0, Collapsed, 3.3180895148368763, 31, 317.50644002625427),
-    ((10.0, -6.0, 1.0), True): (2, TopZero, 3.216517374715301, 20, 159.8201552926845),
-    ((10.0, -3.1, 1.0), False): (2, TopZero, 6.2693872765051575, 24, 251533.57311513656),
-    ((10.0, -3.1, 1.0), True): (1, TopZero, 6.2693872765051575, 10, 107.06826590781733),
+    ((10.0, -3.0, 1.0), False): (0, 0, EntirePositive, None, 23, 1045333.7526642733),
+    ((10.0, -3.0, 1.0), True): (0, 0, EntirePositive, None, 23, 1045333.7526642733),
+    ((10.0, -6.0, 1.0), False): (0, 0, Collapsed, 3.3180895148368763, 31, 317.50644002625427),
+    ((10.0, -6.0, 1.0), True): (1, 1, TopZero, 3.216517374715301, 20, 159.8201552926845),
+    ((10.0, -3.1, 1.0), False): (1, 1, TopZero, 6.2693872765051575, 24, 251533.57311513656),
+    ((10.0, -3.1, 1.0), True): (0, 1, TopZero, 6.2693872765051575, 10, 107.06826590781733),
 }
 
 
 @pytest.mark.parametrize("jet, stop", sorted(_LOCATED))
 def test_locates_only_what_a_verdict_reads(monkeypatch, jet, stop):
-    # (10, -6, 1) stopped: w's zero and the certificate; (10, -3.1, 1), run
-    # past the critical datum: the certificate, and w's zero at 37.92 in the
-    # full run only (the stopped one ends short of it)
+    # (10, -6, 1) stopped: w's zero by the run, the certificate on read;
+    # (10, -3.1, 1), run past the critical datum: the certificate on read,
+    # and w's zero at 37.92 in the full run only (the stopped one ends
+    # short of it)
     solves, event_theta = [], integrator._event_theta
     monkeypatch.setattr(integrator, "_event_theta",
                         lambda *a: solves.append(1) or event_theta(*a))
     traj = integrate(EquationSpec.for_order(3), Jet(jet), default_config(3),
-                     stop_at_top_zero=stop)
-    n, kind, r_point, steps, size = _LOCATED[jet, stop]
+                     stop_at_top_zero=_SETTLE if stop else None)
+    n, n_read, kind, r_point, steps, size = _LOCATED[jet, stop]
     assert len(solves) == n and isinstance(traj.verdict, kind)
     if r_point is not None:
         got = traj.verdict.r_star if kind is Collapsed else traj.verdict.r_zero
         assert got == pytest.approx(r_point, rel=1e-13)
+        assert (traj.verdict.r_star if kind is Collapsed else traj.verdict.r_zero) == got
+    assert len(solves) == n + n_read  # located once, on the first read
     assert traj.stats["naccept"] == steps
     assert float(np.abs(traj.dense.cs).sum()) == pytest.approx(size, rel=1e-13)
 
@@ -661,7 +690,8 @@ def test_events_at_the_step_polynomials_roots(monkeypatch, run, abs_tol):
     monkeypatch.setattr(integrator, "_poly_at", counting)
     monkeypatch.setattr(integrator, "_event_theta",
                         lambda *a: solves.append(1) or event_theta(*a))
-    traj = integrate(EquationSpec.for_order(m), jet, cfg, stop_at_top_zero=stop)
+    traj = integrate(EquationSpec.for_order(m), jet, cfg,
+                     stop_at_top_zero=_SETTLE if stop else None)
     floor = u_floor is not None
     assert traj.stats["closure"] == ({"kind": "floor"} if floor else None)
     (ev,) = traj.events

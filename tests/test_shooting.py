@@ -191,8 +191,8 @@ def _recording_probes(monkeypatch, alter=None):
     eps, probes = [], []
     probe_ = shooting._eps_probe
 
-    def recording(spec, k_, eps_, cfg):
-        p = probe_(spec, k_, eps_, cfg)
+    def recording(spec, k_, eps_, cfg, settle=shooting._SETTLE):
+        p = probe_(spec, k_, eps_, cfg, settle)
         eps.append(eps_)
         probes.append(p if alter is None else alter(len(probes), p))
         return probes[-1]
@@ -350,7 +350,7 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(spec3, k, frac):
         assert not is_entire(full)
         end = probe.payload.end
         if probe.payload.r_end == stopped.r_hi:  # the settled stop
-            tau, settle = cfg.rel_tol, integrator._SETTLE
+            tau, settle = cfg.rel_tol, shooting._SETTLE
             before = stopped(float(stopped.r_lefts[-1]))
             hat = integrator._tail_limit(spec3.rhs_exponent, end.r, end.y)
             hat_before = integrator._tail_limit(spec3.rhs_exponent, stopped.r_lefts[-1], before)
@@ -373,8 +373,8 @@ def test_critical_probe_budget(monkeypatch):
     # a probe stopped once certified carries the tail-corrected limit, so
     # no solve takes more probes than one run to w's zero or the horizon,
     # while the three solves of a perfbench m3_critical pass (k = 10, 20
-    # and 40 at 1e-6) take 182 accepted steps (277 from a scan about the
-    # law, 350 before)
+    # and 40 at 1e-6) take 173 accepted steps (182 with the closing probe
+    # settled too, 277 from a scan about the law, 350 before)
     runs = []
     integrate_ = shooting.integrate
 
@@ -393,7 +393,55 @@ def test_critical_probe_budget(monkeypatch):
     runs.clear()
     for k in (10.0, 20.0, 40.0):
         critical_eps(k, bracket_tol=1e-6)
-    assert sum(t.stats["naccept"] for t in runs) <= 182
+    assert sum(t.stats["naccept"] for t in runs) <= 173
+
+
+# r_zero of traj_hi at bracket_tol 1e-6, where E = w + r w' reads -tau
+_CLOSING_R_ZERO = {10.0: 14.049774424385673, 20.0: 13.952954525028387, 40.0: 13.916050961831349}
+
+
+@pytest.mark.parametrize("k", sorted(_CLOSING_R_ZERO))
+def test_closing_probe_stops_at_its_certificate(spec3, monkeypatch, k):
+    # the probe that closes the bracket on the hi side ends at its first
+    # certified step end, a prefix of the settled probe, and the solve
+    # locates no point at all; r_zero is located when read, on the
+    # certificate's step, as the settled probe has it
+    crossings, crossing = [], integrator._crossing_radius
+    monkeypatch.setattr(integrator, "_crossing_radius",
+                        lambda *a: crossings.append(1) or crossing(*a))
+    cfg = default_config(3)
+    ce = critical_eps(k, cfg, bracket_tol=1e-6)
+    assert crossings == [] and ce.iterations >= 1
+    hi, settled = ce.traj_hi, shooting._eps_probe(spec3, k, ce.eps_hi, cfg).payload
+    n = hi.stats["naccept"]
+    assert 0 < n < settled.stats["naccept"]
+    assert hi.dense.cs.tobytes() == settled.dense.cs[:n].tobytes()
+    end, r_before = hi.end, float(hi.dense.r_lefts[-1])
+    before = hi.dense(r_before)
+    assert end.lap(2) + end.r * end.lap_deriv(2) < -cfg.rel_tol <= before[4] + r_before * before[5]
+    r_zero = hi.verdict.r_zero
+    assert len(crossings) == 1 and r_zero == settled.verdict.r_zero
+    assert r_zero == pytest.approx(_CLOSING_R_ZERO[k], rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [2e-9, 5e-9, 9e-9])
+def test_just_under_the_collapse_floor(monkeypatch, k):
+    # u(0) = k just under the collapse floor 1e-8: a TopZero probe, whose h
+    # can read > 0 there (w's zero at r0 ~ 5e-13), carries no residual and
+    # is never the lo end, so the solve either ends with an entire lo end
+    # or raises BracketFailure, and never reaches a volume of a TopZero run
+    _, probes = _recording_probes(monkeypatch)
+    try:
+        ce = critical_eps(k, bracket_tol=1e-6)
+    except BracketFailure:
+        ce = None
+    assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
+    for p in probes:
+        assert p.lo_side == (isinstance(p.payload.verdict, EntirePositive)
+                             and p.residual is not None and p.residual > 0.0)
+        assert p.residual is None or p.residual <= 0.0 or not isinstance(p.payload.verdict, TopZero)
+    if ce is not None:
+        assert isinstance(ce.traj_lo.verdict, EntirePositive) and is_entire(ce.traj_lo)
 
 
 def test_critical_probe_residual_stays_finite(spec3):
@@ -521,7 +569,7 @@ def _boundary_probes(spec2, tol_b, r_max):
     """The runs at rho = 0 and rho = -tol_b at horizon r_max, each ended
     once certified not entire (stop_at_top_zero)."""
     cfg = default_config(2, r_max=r_max)
-    return [integrate(spec2, shooting.jet_m2(rho), cfg, stop_at_top_zero=True)
+    return [integrate(spec2, shooting.jet_m2(rho), cfg, stop_at_top_zero=shooting._SETTLE)
             for rho in (0.0, -tol_b)]
 
 
@@ -540,7 +588,7 @@ def test_collapse_boundary_stops_at_the_top_zero(spec2):
     # settled past the top zero; run on, it collapses where the CI shoot
     # line's footer puts r_star
     jet, cfg = shooting.jet_m2(-1e-3), default_config(2)
-    stopped = integrate(spec2, jet, cfg, stop_at_top_zero=True)
+    stopped = integrate(spec2, jet, cfg, stop_at_top_zero=shooting._SETTLE)
     full = integrate(spec2, jet, cfg)
     assert isinstance(stopped.verdict, TopZero)
     assert stopped.verdict.r_zero < stopped.r_end < full.r_end
