@@ -35,8 +35,11 @@ A floor crossing reached first is located on the step's polynomial.
 A run locates only the points a verdict or a stop reads: a floor crossing,
 w's first zero in a TopZero or stopped run, and, once TopZero.r_zero is
 read, where E (below) reads -tau.  Each is a root of one step's polynomial
-in theta, located to abs_tol in r by refine_bracket: Brent's zeroin, the
-package's one root finder, which the shooting solves run too.
+in theta, located to abs_tol in r by one routine, _crossing_radius, through
+refine_bracket: Brent's zeroin, the package's one root finder, which the
+shooting solves run too.  A step that starts at or under the value sought
+has its crossing at its start: a run whose first step starts and ends
+under the collapse floor collapses at r* = 0.
 
 E = w + r w', w = Lap^{m-1} u the top slot, falls strictly (dE/dr = -r
 u^p < 0) toward w's limit w_inf at infinity, so E(r) < 0 proves that the
@@ -388,22 +391,6 @@ def refine_bracket(evaluate: Callable[[float], Probe], b: Bracket, tol: float,
     return b
 
 
-def _event_theta(c, num, shift, tol_theta):
-    """Where the polynomial c in theta crosses shift on [0, 1] (c(0) - shift,
-    c(1) - shift of opposite signs): refine_bracket to tol_theta on the
-    residual sign (c(theta) - shift), > 0 at 0; its final midpoint."""
-    y0, y1 = float(c[0]), float(sum(c))  # the step's end states, bit for bit
-    sign = math.copysign(1.0, y0 - shift)
-
-    def evaluate(theta):
-        f = sign * (float(_poly_at(c, num(theta))) - shift)
-        return Probe(f > 0.0, f, None)
-
-    ends = (Probe(True, sign * (y0 - shift), None), Probe(False, sign * (y1 - shift), None))
-    b = refine_bracket(evaluate, Bracket(0.0, 1.0, *ends), tol_theta)
-    return 0.5 * (b.lo + b.hi)
-
-
 # Per-step tolerance relative to the configured ones.  An error of the
 # linear-growth m=2 profile grows about like r through its quadratic mode,
 # so the steps must be over 1e3 times sharper than the accuracy wanted at
@@ -461,11 +448,20 @@ def _tail_limit(p, r, y):
 
 def _crossing_radius(c, r_left, r_right, shift, num, abs_tol):
     """The first radius of the step (r_left, r_right] where its polynomial c
-    in theta reads shift, to abs_tol in r; r_left where c(0) <= shift."""
-    width = r_right - r_left
-    if not float(c[0]) > shift:
+    in theta reads shift, to abs_tol in r: refine_bracket on c(theta) -
+    shift, > 0 at 0 and not at 1, and the final midpoint in theta; r_left
+    where c(0) <= shift."""
+    y0, width = float(c[0]), r_right - r_left
+    if not y0 > shift:
         return float(r_left)
-    return float(r_left + width * num(_event_theta(c, num, shift, abs_tol / float(width))))
+
+    def evaluate(theta):
+        f = float(_poly_at(c, num(theta))) - shift
+        return Probe(f > 0.0, f, None)
+
+    ends = (Probe(True, y0 - shift, None), Probe(False, float(sum(c)) - shift, None))
+    b = refine_bracket(evaluate, Bracket(0.0, 1.0, *ends), abs_tol / float(width))
+    return float(r_left + width * num(0.5 * (b.lo + b.hi)))
 
 
 def _certified_at(w_zero, c, r_left, r_right, tau, num, abs_tol):
@@ -580,20 +576,19 @@ def integrate(spec: EquationSpec, jet: Jet, cfg: IntegratorConfig, *,
             cs.append(c)
 
             # --- what ends the run or reads a verdict inside (r, r_new] ---
-            theta_tol = cfg.abs_tol / float(width)
-            below = float(y_new[0]) < _U_FLOOR
-            floor = _event_theta(c[0], num, _U_FLOOR, theta_tol) if below else None
+            r_floor = (_crossing_radius(c[0], r, r_new, _U_FLOOR, num, cfg.abs_tol)
+                       if float(y_new[0]) < _U_FLOOR else None)
             if cert is None and y_new[top] + r_new * y_new[top + 1] < -tau:
                 cert = naccept - 1
             if zero is None and float(y[top]) > 0.0 > float(y_new[top]):
                 zero = naccept - 1
                 if stop_at_top_zero is not None:  # ends here unless the floor comes first
-                    theta = _event_theta(c[-1], num, 0.0, theta_tol)
-                    if floor is None or theta <= floor:
-                        r, stopped = float(r + width * num(theta)), True
+                    r_zero = _crossing_radius(c[-1], r, r_new, 0.0, num, cfg.abs_tol)
+                    if r_floor is None or r_zero <= r_floor:
+                        r, stopped = r_zero, True
                         break
-            if floor is not None:
-                r = float(r + width * num(floor))  # the deepest radius reached
+            if r_floor is not None:
+                r = r_floor  # the deepest radius reached
                 verdict, closure = Collapsed(r_star=r), {"kind": "floor"}
                 break
             if stop_at_top_zero is not None and cert is not None:  # settled as asked?

@@ -2,11 +2,12 @@
 
 Two shooting problems are solved from a seed, one doubling scan from it
 (_scan) to the first bracket about the root, and integrator.refine_bracket
-(Brent's zeroin, which also locates the integrator's events) over
-trajectory classifications and residuals:
+(Brent's zeroin, which also locates a crossing on a step's polynomial,
+integrator._crossing_radius) over trajectory classifications and residuals:
 
   * critical_eps: the largest second datum eps for which the sixth-order
-    problem (m=3, jet (k, -eps, 1)) stays entire, at every k > 0,
+    problem (m=3, jet (k, -eps, 1)) stays entire, at every k above the
+    collapse floor,
   * prescribe_volume: parameters achieving a requested conformal volume.
 
 The fourth-order problem's collapse boundary in rho (jet_m2) needs no
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import oracle
+from . import integrator, oracle
 from .core import EntirePositive, EquationSpec, Jet, TopZero, Trajectory
 from .errors import BracketFailure, PolyshootError, TargetOutOfRange
 from .integrator import (Bracket, IntegratorConfig, Probe, _stop_width, _tail_limit, integrate,
@@ -248,28 +249,28 @@ def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig,
 
 
 def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float,
-          stop=None) -> Optional[Bracket]:
+          stop=lambda probe: False) -> Optional[Bracket]:
     """The first bracket of a doubling scan from x0, probed as at_x0.
 
     Probes x1 (on limit's side of x0), then x0 + 2 (x1 - x0), x0 + 4 (x1 -
     x0), ..., each clamped to limit, until a probe lands on the other side
     from at_x0; it and the probe before are the Bracket, the lo-side one
     its lo end.  A probe on x0's side for which stop (a predicate on a
-    Probe) holds already answers: the scan ends there, with the Bracket
-    [x, x] of width 0.  The limit is probed once: None if it, or x0 =
-    limit, reads x0's side."""
+    Probe) holds, at_x0 included, already answers: the scan ends there,
+    with the Bracket [x, x] of width 0.  The limit is probed once: None if
+    it, or x0 = limit, reads x0's side."""
     x, at_x, step = x0, at_x0, x1
-    while x != limit:
+    while not stop(at_x):
+        if x == limit:
+            return None
         prev, at_prev = x, at_x
         x = min(step, limit) if x0 < limit else max(step, limit)
         at_x = evaluate(x)
         if at_x.lo_side != at_x0.lo_side:
             return (Bracket(prev, x, at_prev, at_x) if at_prev.lo_side
                     else Bracket(x, prev, at_x, at_prev))
-        if stop is not None and stop(at_x):
-            return Bracket(x, x, at_x, at_x)
         step = x0 + 2.0 * (step - x0)
-    return None
+    return Bracket(x, x, at_x, at_x)
 
 
 def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
@@ -277,29 +278,34 @@ def critical_eps(k: float, cfg: Optional[IntegratorConfig] = None,
                  cache: Optional[EpsCache] = None) -> CriticalEps:
     """Locate the critical second datum of the m=3 problem at fixed k.
 
-    eps* < sqrt(6k/5) at every k > 0, and eps* < 0 below k0 ~ 1.6198
-    (eps* k^2 -> -3/2 as k -> 0).  Every solve opens alike: the first probe is
-    x0 = law (1 + b), _eps_law and b its stated error, clamped to sqrt(6k/5);
-    from k = 10, where the law was fitted, just above eps*, and a positive
-    seed below.  The second is one Newton step on x0's residual h0 with the
-    slope model dh/deps = -eps, overshot by 2 % to pass eps*,
-    x1 = x0 + 1.02 h0 / x0, or b law when x0 carries no residual or one too
-    small to move it.  _scan doubles that step toward sqrt(6k/5) from an
-    entire x0, else down to the least float; that end probed on x0's side
-    raises BracketFailure (the cap: horizon too short; the least float: k
-    <= 5e-9, where no run is entire).  refine_bracket closes the bracket to
-    bracket_tol, with h as the residual of every probe (_eps_probe).  A probe
-    stops once certified not entire, so traj_hi is a TopZero run unless the hi
-    end is entire; one within the stopping width (_stop_width) of eps_lo
-    closes the bracket if certified, and stops at its certificate.  k and
-    bracket_tol must be positive and finite (ValueError, before any
-    integration).  Every integration runs at cfg.precision, but eps is a
-    Python float: a bracket_tol below its rounding width stops at about 4
-    ulp of eps."""
+    eps* < sqrt(6k/5) at every k > 0, and eps* < 0 below k0 ~ 1.6198 (eps* k^2
+    -> -3/2 as k -> 0).  Every solve opens alike: the first probe is x0 = law
+    (1 + b), _eps_law and b its stated error, clamped to sqrt(6k/5); from k =
+    10, where the law was fitted, just above eps*, and a positive seed below.
+    The second is one Newton step on x0's residual h0 with the slope model
+    dh/deps = -eps, overshot by 2 % to pass eps*, x1 = x0 + 1.02 h0 / x0, or b
+    law when x0 carries no residual or one too small to move it.  _scan
+    doubles that step toward sqrt(6k/5) from an entire x0, else down to the
+    least float; that end probed on x0's side raises BracketFailure (the cap:
+    horizon too short; the least float: no run is entire).  refine_bracket
+    closes the bracket to bracket_tol, with h as the residual of every probe
+    (_eps_probe).  A probe stops once certified not entire, so traj_hi is a
+    TopZero run unless the hi end is entire; one within the stopping width
+    (_stop_width) of eps_lo closes the bracket if certified, and stops at its
+    certificate.  k and bracket_tol must be positive and finite (ValueError),
+    and k above the collapse floor, integrator._U_FLOOR = 1e-8
+    (BracketFailure), both checked before any integration: with u(0) = k at or
+    under the floor, the floor detector, not the equation, would tell a
+    probe's side.  Every integration runs at cfg.precision, but eps is a
+    Python float: a bracket_tol below its rounding width stops at about 4 ulp
+    of eps."""
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive and finite, got {k}")
     if not (math.isfinite(bracket_tol) and bracket_tol > 0):
         raise ValueError(f"bracket_tol must be positive and finite, got {bracket_tol}")
+    if k <= integrator._U_FLOOR:
+        raise BracketFailure(f"k={k} is at or under the collapse floor {integrator._U_FLOOR:g}, "
+                             "where the floor, not the equation, classifies a run")
     cfg = cfg if cfg is not None else default_config(3)
     spec = EquationSpec.for_order(3)
     eps_cap = math.sqrt(6.0 * k / 5.0)
@@ -470,7 +476,8 @@ def prescribe_volume(spec: EquationSpec, target: float,
     above every target at k = 10 (the worst near target 70), and less as
     the law's k grows (2.2e-5 at k = 10.13, 8.5e-9 at k = 5575), so the scan
     stops there: a probe on V_crit's side within rel_tol_target of the
-    target answers (_scan's stop).  A target below V0(1e9) at its k, the
+    target answers (_scan's stop), and so does the start itself, lambda* or
+    V_crit, with no volume probe (iterations 0).  A target below V0(1e9) at its k, the
     source-free volume at the scan's limit, can never be reached and raises
     TargetOutOfRange before any integration; a V >= target at the limit
     (the scan's None) raises PolyshootError.  refine_bracket then refines
@@ -517,8 +524,6 @@ def prescribe_volume(spec: EquationSpec, target: float,
         if target > p0.payload * (1.0 + rel_tol_target):
             raise TargetOutOfRange(
                 f"target {target:.6g} above the critical volume {p0.payload:.6g}")
-        if close(p0):
-            return VolumeSolve(target=target, param=0.0, achieved=p0.payload, iterations=0)
         rho, achieved, n = solve(jet_m2, 0.0, p0, 1.0, 1e6)
         return VolumeSolve(target=target, param=rho, achieved=achieved, iterations=n)
 
@@ -537,10 +542,7 @@ def prescribe_volume(spec: EquationSpec, target: float,
                                f"volume at the scan's limit s = {s_max:g} (k {k:.6g})")
     ce = critical_eps(k, cfg, BRACKET_TOL, cache=cache)
     critical = point(ce.volume)
-    if close(critical):
-        return VolumeSolve(target=target, param=(k, ce.eps_lo), achieved=ce.volume,
-                           iterations=0, k_used=k)
-    if not critical.lo_side:
+    if not (critical.lo_side or close(critical)):
         raise PolyshootError(f"V_crit({k:.6g}) = {ce.volume:.6g} below target {target:.6g}")
     # the root w in V0 of target = V0 + a V0^2, the model through (V0c, V_crit), then
     # its s; V_crit > target here, so s1 > -eps_lo up to rounding

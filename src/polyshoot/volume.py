@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class VolumeEstimate:
     tail: float
     total: float
     err_estimate: float
-    tail_model: Optional[PowerTail]
 
     def __post_init__(self):
         if self.core < 0 or self.tail < 0 or self.err_estimate < 0:
@@ -191,7 +189,7 @@ def volume(spec: EquationSpec, traj: Trajectory) -> VolumeEstimate:
 
     total = core + tail
     return VolumeEstimate(core=core, tail=tail, total=total,
-                          err_estimate=core_err + tail_err, tail_model=fit)
+                          err_estimate=core_err + tail_err)
 
 
 def volume_of_jet(spec: EquationSpec, jet: Jet, cfg) -> VolumeEstimate:

@@ -620,7 +620,7 @@ def test_closed_forms_are_not_certified(spec2, spec3, u0, u1, rel_tol, r_max):
         assert end.lap(spec.m - 1) + end.r * end.lap_deriv(spec.m - 1) > -0.1 * tau
 
 
-# Root solves (_event_theta) per run at the m=3 defaults, with what the
+# Root solves (_crossing_radius) per run at the m=3 defaults, with what the
 # runs must still give: a located point only where a verdict or a stop
 # reads it, so no intermediate Laplacian zero and no w zero in a collapse,
 # and where E reads -tau only once r_zero is read.  (jet, stop): (root
@@ -643,9 +643,9 @@ def test_locates_only_what_a_verdict_reads(monkeypatch, jet, stop):
     # (10, -3.1, 1), run past the critical datum: the certificate on read,
     # and w's zero at 37.92 in the full run only (the stopped one ends
     # short of it)
-    solves, event_theta = [], integrator._event_theta
-    monkeypatch.setattr(integrator, "_event_theta",
-                        lambda *a: solves.append(1) or event_theta(*a))
+    solves, crossing = [], integrator._crossing_radius
+    monkeypatch.setattr(integrator, "_crossing_radius",
+                        lambda *a: solves.append(1) or crossing(*a))
     traj = integrate(EquationSpec.for_order(3), Jet(jet), default_config(3),
                      stop_at_top_zero=_SETTLE if stop else None)
     n, n_read, kind, r_point, steps, size = _LOCATED[jet, stop]
@@ -681,15 +681,15 @@ def test_events_at_the_step_polynomials_roots(monkeypatch, run, abs_tol):
     if u_floor is not None:
         monkeypatch.setattr(integrator, "_U_FLOOR", u_floor)
     cfg = default_config(m, abs_tol=abs_tol, r_max=r_max)
-    calls, poly_at, solves, event_theta = [], integrator._poly_at, [], integrator._event_theta
+    calls, poly_at, solves, crossing = [], integrator._poly_at, [], integrator._crossing_radius
 
     def counting(c, theta):
         calls.append(theta)
         return poly_at(c, theta)
 
     monkeypatch.setattr(integrator, "_poly_at", counting)
-    monkeypatch.setattr(integrator, "_event_theta",
-                        lambda *a: solves.append(1) or event_theta(*a))
+    monkeypatch.setattr(integrator, "_crossing_radius",
+                        lambda *a: solves.append(1) or crossing(*a))
     traj = integrate(EquationSpec.for_order(m), jet, cfg,
                      stop_at_top_zero=_SETTLE if stop else None)
     floor = u_floor is not None
@@ -706,6 +706,18 @@ def test_events_at_the_step_polynomials_roots(monkeypatch, run, abs_tol):
              if abs(z.imag) < 1e-9 and -1e-9 <= z.real <= 1.0 + 1e-9]
     gap = min(abs(left + width * t - ev.r_event) for t in roots)
     assert gap <= abs_tol + 4.0 * np.finfo(float).eps * ev.r_event, (ev, gap)
+
+
+@pytest.mark.parametrize("jet", [(2e-9, -1.0, 1.0), (5e-9, 6e16, 1.0)])
+def test_a_start_under_the_floor_collapses_at_the_origin(monkeypatch, jet):
+    # u(0) under the collapse floor: the first step's polynomial reads under
+    # it at both ends, so there is no crossing to locate and the run
+    # collapses where it starts, at r* = 0, with no polynomial evaluated
+    calls, poly_at = [], integrator._poly_at
+    monkeypatch.setattr(integrator, "_poly_at", lambda *a: calls.append(1) or poly_at(*a))
+    traj = integrate(EquationSpec.for_order(3), Jet(jet), default_config(3))
+    assert repr(traj.verdict) == "Collapsed(r_star=0.0)" and traj.r_end == 0.0
+    assert traj.stats["closure"] == {"kind": "floor"} and calls == []
 
 
 @pytest.mark.parametrize("ending", ["horizon", "extended_horizon"])

@@ -424,24 +424,32 @@ def test_closing_probe_stops_at_its_certificate(spec3, monkeypatch, k):
     assert r_zero == pytest.approx(_CLOSING_R_ZERO[k], rel=1e-13)
 
 
-@pytest.mark.parametrize("k", [2e-9, 5e-9, 9e-9])
+@pytest.mark.parametrize("k", [2e-9, 5e-9, 9e-9, 9.9e-9, 1e-8])
 def test_just_under_the_collapse_floor(monkeypatch, k):
-    # u(0) = k just under the collapse floor 1e-8: a TopZero probe, whose h
-    # can read > 0 there (w's zero at r0 ~ 5e-13), carries no residual and
-    # is never the lo end, so the solve either ends with an entire lo end
-    # or raises BracketFailure, and never reaches a volume of a TopZero run
-    _, probes = _recording_probes(monkeypatch)
-    try:
-        ce = critical_eps(k, bracket_tol=1e-6)
-    except BracketFailure:
-        ce = None
-    assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
-    for p in probes:
-        assert p.lo_side == (isinstance(p.payload.verdict, EntirePositive)
-                             and p.residual is not None and p.residual > 0.0)
-        assert p.residual is None or p.residual <= 0.0 or not isinstance(p.payload.verdict, TopZero)
-    if ce is not None:
-        assert isinstance(ce.traj_lo.verdict, EntirePositive) and is_entire(ce.traj_lo)
+    # u(0) = k at or under the collapse floor 1e-8: the floor detector, not
+    # the equation, would tell every probe's side, so the solve refuses k
+    # before any integration
+    calls = []
+    monkeypatch.setattr(shooting, "integrate", lambda *a, **kw: calls.append(a))
+    with pytest.raises(BracketFailure, match="at or under the collapse floor"):
+        critical_eps(k, bracket_tol=1e-6)
+    assert calls == []
+
+
+# (eps_lo, eps_hi) just over the collapse floor at the default bracket_tol
+_OVER_THE_FLOOR = {
+    1.0000001e-8: ("-0x1.aa5357a68896ep+53", "-0x1.aa5357a688969p+53"),
+    1.1e-8: ("-0x1.6055d258886c5p+53", "-0x1.6055d258886c1p+53"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(_OVER_THE_FLOOR))
+def test_just_over_the_collapse_floor(k):
+    # u(0) = k just over the floor: the solve runs, bit for bit as pinned,
+    # to eps* k^2 near its small-k limit -3/2
+    ce = critical_eps(k)
+    assert (ce.eps_lo.hex(), ce.eps_hi.hex()) == _OVER_THE_FLOOR[k]
+    assert ce.eps_star * k * k == pytest.approx(-1.5, rel=1e-3)
 
 
 def test_critical_probe_residual_stays_finite(spec3):
@@ -543,10 +551,9 @@ def test_unbounded_scan_raises_bracket_failure(monkeypatch, residual):
     assert eps[-1] == -sys.float_info.max and len(eps) < 1100
     assert all(math.isfinite(e) for e in eps) and eps == sorted(eps, reverse=True)
     monkeypatch.undo()
-    # so do the real probes at k = 1e-20, where no run is entire, and at
-    # 1e-200, where the law's k^3 underflows
+    # so do k = 1e-20 and 1e-200, under the collapse floor, before any probe
     for k in (1e-20, 1e-200):
-        with pytest.raises(BracketFailure, match="not entire"):
+        with pytest.raises(BracketFailure, match="at or under the collapse floor"):
             critical_eps(k, bracket_tol=1e-3)
 
 
@@ -924,8 +931,7 @@ def _fake_volumes(monkeypatch, ce, total):
         s = jet.lap_values[1]
         assert jet.lap_values[0] == ce.k and s > -ce.eps_lo
         probes.append(s)
-        return VolumeEstimate(core=0.0, tail=0.0, err_estimate=0.0, tail_model=None,
-                              total=total(s))
+        return VolumeEstimate(core=0.0, tail=0.0, err_estimate=0.0, total=total(s))
 
     monkeypatch.setattr(shooting, "volume_of_jet", volume_of_jet)
     return probes

@@ -32,9 +32,10 @@ def test_u0_volume_reproduces_critical_volume(spec2, traj_u0_1000):
     v = volume(spec2, traj_u0_1000)
     assert abs(v.total - lambda_star()) / lambda_star() < 1e-4
     assert v.core > 0 and v.tail > 0
-    assert v.tail_model.gamma == pytest.approx(1.0, abs=1e-3)
+    tail = traj_u0_1000.verdict.tail
+    assert tail.gamma == pytest.approx(1.0, abs=1e-3)
     # second-order tail coefficient recovers a/2 of the profile's expansion
-    assert v.tail_model.correction == pytest.approx(15.0 ** -0.5 / 2.0, rel=0.5)
+    assert tail.correction == pytest.approx(15.0 ** -0.5 / 2.0, rel=0.5)
 
 
 def test_volume_undefined_for_collapsed(spec2, u0):
@@ -90,8 +91,8 @@ def test_volume_reads_the_verdict_fit(u0, m, monkeypatch):
 
     monkeypatch.setattr(DenseSolution, "__call__", refuse)
     v = volume(spec, traj)
-    assert v.tail_model is fit is traj.verdict.tail
-    assert v.tail_model.window == (traj.r_end / 2.0, traj.r_end)
+    assert v.tail > 0.0 and traj.verdict.tail is fit
+    assert fit.window == (traj.r_end / 2.0, traj.r_end)
 
 
 def test_volume_ordering_in_rho(spec2, u0, traj_u0_1000):
@@ -154,7 +155,8 @@ def test_tail_consistency_doubling(spec2, spec3, u0):
 
 def test_m3_volume_values(spec3):
     cfg = IntegratorConfig(r_max=100.0)
-    v = volume_of_jet(spec3, Jet((10.0, 1.0, 1.0)), cfg)
-    assert v.tail_model.gamma == pytest.approx(4.0, abs=0.05)
+    traj = integrate(spec3, Jet((10.0, 1.0, 1.0)), cfg)
+    v = volume(spec3, traj)
+    assert traj.verdict.tail.gamma == pytest.approx(4.0, abs=0.05)
     assert v.total > 0
     assert v.err_estimate < 1e-3 * v.total
