@@ -103,17 +103,17 @@ def load_run_config(args) -> RunConfig:
         if not isinstance(raw.get("cache_dir"), (str, type(None))):
             raise UsageError(f"config cache_dir must be a string, got {raw['cache_dir']!r}")
         values.update(raw)
-    if getattr(args, "m", None) is not None:
+    if args.m is not None:
         values["m"] = args.m
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         values["rel_tol"] = args.tol
         values["abs_tol"] = args.tol * 1e-2
-    if getattr(args, "r_max", None) is not None:
+    if args.r_max is not None:
         values["r_max"] = args.r_max
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         values["precision"] = args.precision
     env_cache = os.environ.get("POLYSHOOT_CACHE")
-    if getattr(args, "cache_dir", None) is not None:
+    if args.cache_dir is not None:
         values["cache_dir"] = args.cache_dir
     elif env_cache:
         values["cache_dir"] = env_cache

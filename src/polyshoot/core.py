@@ -115,11 +115,6 @@ class RadialState:
     r: float
     y: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y))
-        if self.y.ndim != 1 or self.y.shape[0] % 2 != 0:
-            raise ValueError("state vector must be 1-D with even length")
-
     def lap(self, j: int) -> float:
         """Value of Lap^j u at this radius."""
         return float(self.y[2 * j])

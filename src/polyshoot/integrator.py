@@ -203,7 +203,6 @@ class DenseSolution:
 
     def __init__(self, r_lefts, r_rights, cs):
         self.r_lefts, self.r_rights, self.cs = map(np.asarray, (r_lefts, r_rights, cs))
-        self.m = self.cs.shape[1]
         self.r_hi = float(self.r_rights[-1]) if self.cs.shape[0] else 0.0
 
     @functools.cached_property

@@ -28,13 +28,13 @@ stays positive to the horizon, is not entire.
 
 from __future__ import annotations
 
-import fcntl
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -122,21 +122,23 @@ def atomic_write(path: Path, text):
 
 
 class EpsCache:
-    """JSON map from (k, integrator config, bracket_tol) to a critical bracket
-    and its entire-side volume and residual.  Writes hold an exclusive
-    ``flock`` on ``critical_eps.json.lock`` and go through a temp file and a
-    rename, so parallel solves neither corrupt it nor lose entries.
-    A file that cannot be read, or holds JSON of another shape, is empty,
-    and an entry that is not a map of every FIELDS key to a finite number
-    (json reads NaN and Infinity) is a miss; the next put rewrites either.
-    The key holds the precision."""
+    """Critical brackets, with their entire-side volume and residual, keyed by
+    (k, integrator config, bracket_tol); the key holds the precision.  Each
+    entry is its own file, critical_eps-<crc32 of its key>.json, holding the
+    schema, the key and the entry, and a put replaces it whole through a temp
+    file and a rename (atomic_write): parallel solves neither corrupt an entry
+    nor lose one, and need no lock.  A get reads only that file.  One that
+    cannot be read, holds JSON of another shape or schema, or holds another
+    key (a crc32 collision) is a miss, and so is an entry that is not a map
+    of every FIELDS key to a finite number (json reads NaN and Infinity); the
+    next put rewrites it."""
 
-    SCHEMA = 15  # 15: keys without u_floor and max_steps, now integrator constants
+    SCHEMA = 16  # 16: one file per entry, which holds its key
     FIELDS = ("eps_lo", "eps_hi", "volume", "volume_err", "delta2_at_horizon",
               "partial_integral")
 
     def __init__(self, directory):
-        self.path = Path(directory) / "critical_eps.json"
+        self.directory = Path(directory)
 
     @staticmethod
     def key(k: float, cfg: IntegratorConfig, bracket_tol: float) -> str:
@@ -146,31 +148,27 @@ class EpsCache:
         return json.dumps({"m": 3, "k": float(k), "bracket_tol": float(bracket_tol),
                            **fields}, sort_keys=True)
 
-    def _load(self) -> dict:
-        try:
-            with open(self.path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError too
-            return {}
-        current = isinstance(data, dict) and data.get("schema") == self.SCHEMA
-        entries = data.get("entries") if current else None
-        return entries if isinstance(entries, dict) else {}
+    def path(self, key: str) -> Path:
+        # zlib.crc32, not hash(): str hashes are salted per process
+        return self.directory / f"critical_eps-{zlib.crc32(key.encode()):08x}.json"
 
     def get(self, key: str):
-        entry = self._load().get(key)
+        try:
+            with open(self.path(key)) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):  # JSONDecodeError and UnicodeDecodeError too
+            return None
+        ours = (isinstance(data, dict) and data.get("schema") == self.SCHEMA
+                and data.get("key") == key)
+        entry = data.get("entry") if ours else None
         numbers = isinstance(entry, dict) and all(
             type(entry.get(name)) in (int, float) and math.isfinite(entry[name])
             for name in self.FIELDS)
         return entry if numbers else None
 
     def put(self, key: str, value: dict):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(str(self.path) + ".lock", "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            entries = self._load()
-            entries[key] = value
-            atomic_write(self.path, json.dumps({"schema": self.SCHEMA, "entries": entries},
-                                               indent=1, sort_keys=True))
+        atomic_write(self.path(key), json.dumps(
+            {"schema": self.SCHEMA, "key": key, "entry": value}, indent=1, sort_keys=True))
 
 
 @dataclass
@@ -231,21 +229,22 @@ def _eps_probe(spec: EquationSpec, k: float, eps: float, cfg: IntegratorConfig,
     limit estimate has settled (at once for settle = inf), or else at w's
     first zero, instead of stepping on to the horizon or into a collapse.
     It carries the residual h = 1/sqrt(1 - w_inf) - 1, w_inf =
-    lap_limit_estimate at its end: at the horizon of an EntirePositive run,
-    at the stop of a TopZero one, where it is at most E < 0 and so h < 0 (E
-    itself where the tail diverges, as at w's zero r0 in a run that
-    collapses: r0 w'(r0)), which changes little with where a settled stop
-    falls.  h is finite as w' < 0 gives w_inf < w(0) = 1 (kept so where 1 -
-    w_inf rounds to 0, from k near 1e8).  The probe is on the lo side iff
-    it is EntirePositive with h > 0, which implies is_entire.  A TopZero run
-    whose h reads > 0 (k just under the collapse floor) carries none, nor
-    does an Inconclusive run or a collapse, which reaches w's zero first."""
+    lap_limit_estimate at its end, the horizon of an EntirePositive run or
+    the stop of a TopZero one, which changes little with where a settled
+    stop falls.  A TopZero run's h < 0 at every k critical_eps takes
+    (above the collapse floor): E falls strictly, so it is below -tau from
+    the certificate on, and at w's zero r0 it is r0 w'(r0) < 0; w_inf is E
+    less a tail integral >= 0, or E itself where the tail diverges.  h is
+    finite as w' < 0 gives w_inf < w(0) = 1 (kept so where 1 - w_inf rounds
+    to 0, from k near 1e8).  The probe is on the lo side iff it is
+    EntirePositive with h > 0, which implies is_entire.  An Inconclusive
+    run or a collapse, which reaches w's zero first, carries no residual."""
     traj = integrate(spec, jet_m3(k, eps), cfg, stop_at_top_zero=settle)
     if not isinstance(traj.verdict, (EntirePositive, TopZero)):
         return Probe(False, None, traj)
     h = 1.0 / math.sqrt(max(1.0 - lap_limit_estimate(traj), math.ulp(0.0))) - 1.0
     entire = isinstance(traj.verdict, EntirePositive)
-    return Probe(entire and h > 0.0, h if entire or h <= 0.0 else None, traj)
+    return Probe(entire and h > 0.0, h, traj)
 
 
 def _scan(evaluate, x0: float, at_x0: Probe, x1: float, limit: float,
@@ -421,8 +420,7 @@ _LARGE_K = {"gap": (2.0 / math.sqrt(3.0), 0.6598, 1.2493, -3.2896), "law_err": 2
 
 
 def _eps_law(k: float) -> float:
-    # 2/sqrt(3) + D/k + ...; k ** i kept off 0 below k ~ 3e-103, where the law is +inf
-    gap = sum(c / max(k ** i, sys.float_info.min) for i, c in enumerate(_LARGE_K["gap"]))
+    gap = sum(c / k ** i for i, c in enumerate(_LARGE_K["gap"]))  # 2/sqrt(3) + D/k + ...
     return math.sqrt(6.0 * k / 5.0) - gap / math.sqrt(k)
 
 

@@ -273,7 +273,8 @@ def test_critical_eps_json_and_cache(tmp_path, monkeypatch):
     assert rep["eps_star"] <= rep["eps_cap"]
     assert rep["width"] <= 1e-3
     assert rep["residual"]["partial_integral"] > 0.9
-    assert (tmp_path / "cache" / "critical_eps.json").exists()
+    cache = shooting.EpsCache(tmp_path / "cache")
+    assert cache.path(shooting.EpsCache.key(10.0, shooting.default_config(3), 1e-3)).exists()
     # second run hits the cache
     assert main(["critical-eps", "--k", "10", "--bracket-tol", "1e-3",
                  "--out", str(out)]) == 0
@@ -313,15 +314,19 @@ def test_critical_eps_cache_hit_integrates_nothing(tmp_path, monkeypatch):
     # every field, values no numbers: a hit, then a TypeError and exit 1, at schema 13
     '{"schema": SCHEMA, "entries": {"KEY": {"eps_star": "x", "eps_lo": "x", "eps_hi": null, '
     '"precision": null, "volume": "x", "volume_err": null, "delta2_at_horizon": "x", '
-    '"partial_integral": null}}}'])
+    '"partial_integral": null}}}',
+    # the same values in an entry's own file
+    '{"schema": SCHEMA, "key": "KEY", "entry": {"eps_lo": "x", "eps_hi": null, "volume": "x", '
+    '"volume_err": null, "delta2_at_horizon": "x", "partial_integral": null}}'])
 def test_critical_eps_cache_of_another_shape_is_a_miss(tmp_path, monkeypatch, text):
-    # valid JSON of another shape in the cache file: the solve runs, exits
-    # 0, and its put rewrites the file with the entry
+    # valid JSON of another shape in the entry's file (the first five in the
+    # one-map layout of schema 15 and before): the solve runs, exits 0, and
+    # its put rewrites the file with the entry
     monkeypatch.delenv("POLYSHOOT_CACHE", raising=False)
     cache = shooting.EpsCache(tmp_path)
     key = shooting.EpsCache.key(10.0, shooting.default_config(3), 1e-3)
-    cache.path.write_text(text.replace("SCHEMA", str(shooting.EpsCache.SCHEMA))
-                          .replace('"KEY"', json.dumps(key)))
+    cache.path(key).write_text(text.replace("SCHEMA", str(shooting.EpsCache.SCHEMA))
+                               .replace('"KEY"', json.dumps(key)))
     argv = ["critical-eps", "--k", "10", "--bracket-tol", "1e-3", "--cache-dir", str(tmp_path)]
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
     assert json.loads((tmp_path / "r.json").read_text())["cache_hit"] is False
@@ -361,7 +366,7 @@ def test_prescribe_volume_m3_below_the_floor(capsys, tmp_path):
     assert main(["prescribe-volume", "--m", "3", "--lambda", "1e-12",
                  "--cache-dir", str(tmp_path)]) == 4
     assert "below 1.45053e-12, the source-free volume" in capsys.readouterr().err
-    assert not (tmp_path / "critical_eps.json").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -619,7 +624,9 @@ def test_negative_critical_datum_below_k0_exits_0(argv, capsys, tmp_path, monkey
     else:
         eps_star = float(next(ln for ln in out.splitlines() if ln.startswith("1.0,")).split(",")[1])
     assert abs(eps_star - -1.2696161) <= 1e-6
-    assert (tmp_path / "cache" / "critical_eps.json").exists()
+    cache = shooting.EpsCache(tmp_path / "cache")
+    key = shooting.EpsCache.key(1.0, shooting.default_config(3), shooting.BRACKET_TOL)
+    assert cache.path(key).exists()
 
 
 def test_shoot_jet_of_the_wrong_length_exits_2(capsys):

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import multiprocessing
+import re
 import sys
 from dataclasses import replace
 
@@ -240,10 +241,9 @@ def test_critical_curve_below_the_law(k):
 def test_eps_law_is_positive_at_every_k():
     # the first probe x0 = min(law (1 + b), sqrt(6k/5)) divides the Newton
     # step: the law is positive on k = 1e-3 ... 1e8, least 0.382 near k =
-    # 1.5, so x0 > 0; below k ~ 3e-103, where k^3 underflows, it is +inf
+    # 1.5, so x0 > 0
     law = [shooting._eps_law(float(k)) for k in np.logspace(-3.0, 8.0, 1101)]
     assert min(law) > 0.0 and min(law) == pytest.approx(0.382, abs=1e-3)
-    assert shooting._eps_law(1e-200) == math.inf
 
 
 def test_critical_eps_scans_down_at_k10(monkeypatch):
@@ -309,8 +309,10 @@ def test_critical_probe_side_matches_residual(monkeypatch):
     # limit estimate below -tau, and only an inconclusive one carries no
     # residual
     _, probes = _recording_probes(monkeypatch)
-    # nine k: an aimed solve makes 3 probes, and the sample stays >= 20
-    for k in (10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0, 160.0, 320.0):
+    # twelve k: an aimed solve makes 3 probes, and the sample stays >= 20;
+    # below k = 10 the solves add TopZero probes that stop early, at w's
+    # zero at k = 0.01 and 1, and at r < 2e-10 at k = 1e-7
+    for k in (1e-7, 0.01, 1.0, 10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 80.0, 160.0, 320.0):
         critical_eps(k, bracket_tol=1e-6)
     assert sum(p.residual is not None for p in probes) >= 20
     assert any(isinstance(p.payload.verdict, TopZero) for p in probes)
@@ -994,11 +996,10 @@ def test_cache_roundtrip(tmp_path):
     cfg = default_config(3)
     ce = critical_eps(10.0, cfg, bracket_tol=1e-3, cache=cache)
     assert not ce.cache_hit
-    raw = json.loads((tmp_path / "critical_eps.json").read_text())
-    assert raw["schema"] == EpsCache.SCHEMA
     key = EpsCache.key(10.0, cfg, 1e-3)
-    assert key in raw["entries"]
-    entry = raw["entries"][key]
+    raw = json.loads(cache.path(key).read_text())
+    assert (raw["schema"], raw["key"]) == (EpsCache.SCHEMA, key)
+    entry = raw["entry"]
     assert set(entry) == set(EpsCache.FIELDS)  # eps_star and precision are not stored
     assert entry["volume"] > 0
     ce2 = critical_eps(10.0, cfg, bracket_tol=1e-3, cache=cache)
@@ -1011,15 +1012,18 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_file_is_the_indented_dump_of_its_entries(tmp_path):
-    # the file is written whole through a temp file beside it and a rename
+    # each entry's file, named by its key's crc32, is written whole through
+    # a temp file beside it and a rename; no lock file, no other file
     cache = EpsCache(tmp_path / "sub")
-    cache.put("k", {"b": 1.5, "a": [1, 2]})
-    cache.put("j", {"c": None})
-    want = {"schema": EpsCache.SCHEMA, "entries": {"k": {"b": 1.5, "a": [1, 2]},
-                                                  "j": {"c": None}}}
-    assert cache.path.read_text() == json.dumps(want, indent=1, sort_keys=True)
-    assert sorted(p.name for p in cache.path.parent.iterdir()) == [
-        "critical_eps.json", "critical_eps.json.lock"]
+    entries = {"k": {"b": 1.5, "a": [1, 2]}, "j": {"c": None}}
+    for key, value in entries.items():
+        cache.put(key, value)
+    for key, value in entries.items():
+        want = {"schema": EpsCache.SCHEMA, "key": key, "entry": value}
+        assert cache.path(key).read_text() == json.dumps(want, indent=1, sort_keys=True)
+    names = sorted(p.name for p in (tmp_path / "sub").iterdir())
+    assert names == sorted(cache.path(key).name for key in entries)
+    assert all(re.fullmatch(r"critical_eps-[0-9a-f]{8}\.json", name) for name in names)
 
 
 def test_cache_hit_carries_volume(tmp_path, spec3, monkeypatch):
@@ -1054,41 +1058,47 @@ def test_cache_key_covers_whole_config(tmp_path, field, value):
 
 
 def test_cache_ignores_bad_schema(tmp_path):
-    path = tmp_path / "critical_eps.json"
-    path.write_text(json.dumps({"schema": 99, "entries": {"x": {}}}))
     cache = EpsCache(tmp_path)
+    cache.path("x").write_text(json.dumps({"schema": 99, "key": "x", "entry": _ENTRY}))
     assert cache.get("x") is None
+
+
+def _entry_file(key, entry):
+    return json.dumps({"schema": EpsCache.SCHEMA, "key": key, "entry": entry})
 
 
 @pytest.mark.parametrize("shape", ["list", "entries_list", "entries_string",
                                    "entry_lacks_a_field", "entry_not_a_map", "not_utf8",
-                                   "entry_value_not_a_number", "entry_value_not_finite"])
+                                   "entry_value_not_a_number", "entry_value_not_finite",
+                                   "another_key"])
 def test_cache_of_another_shape_is_a_miss(tmp_path, shape):
-    # JSON of another shape, like a file that cannot be read or decoded,
-    # reads as an empty cache or a missing entry, and the next put
-    # rewrites it
+    # JSON of another shape in an entry's file, like a file that cannot be
+    # read or decoded, is a miss, and the next put rewrites it
     key = EpsCache.key(10.0, default_config(3), 1e-6)
     cache = EpsCache(tmp_path)
     partial = {name: v for name, v in _ENTRY.items() if name != "eps_hi"}
     raw = {"list": "[]",
-           "entries_list": json.dumps({"schema": EpsCache.SCHEMA, "entries": []}),
-           "entries_string": json.dumps({"schema": EpsCache.SCHEMA, "entries": "x"}),
-           "entry_lacks_a_field": json.dumps({"schema": EpsCache.SCHEMA,
-                                              "entries": {key: partial}}),
-           "entry_not_a_map": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: 3.0}}),
+           # the one-map layout of schema 15 and before, at the current schema
+           "entries_list": json.dumps({"schema": EpsCache.SCHEMA, "entries": {key: _ENTRY}}),
+           "entries_string": _entry_file(key, "x"),
+           "entry_lacks_a_field": _entry_file(key, partial),
+           "entry_not_a_map": _entry_file(key, 3.0),
            # every field there, but a string, null or bool is no number
-           "entry_value_not_a_number": json.dumps({"schema": EpsCache.SCHEMA, "entries": {
-               key: {**_ENTRY, "eps_lo": "x", "eps_hi": None, "volume": True}}}),
+           "entry_value_not_a_number": _entry_file(
+               key, {**_ENTRY, "eps_lo": "x", "eps_hi": None, "volume": True}),
            # json reads NaN and Infinity as floats (a hit gave eps_star nan)
-           "entry_value_not_finite": json.dumps({"schema": EpsCache.SCHEMA, "entries": {
-               key: {**_ENTRY, "eps_lo": math.nan, "eps_hi": math.inf}}})}
+           "entry_value_not_finite": _entry_file(
+               key, {**_ENTRY, "eps_lo": math.nan, "eps_hi": math.inf}),
+           # another key whose crc32 names the same file: a collision, not a hit
+           "another_key": _entry_file(EpsCache.key(20.0, default_config(3), 1e-6), _ENTRY)}
     if shape == "not_utf8":
-        cache.path.write_bytes(b"\xff\xfe{")
+        cache.path(key).write_bytes(b"\xff\xfe{")
     else:
-        cache.path.write_text(raw[shape])
+        cache.path(key).write_text(raw[shape])
     assert cache.get(key) is None
     cache.put(key, _ENTRY)
     assert cache.get(key) == _ENTRY
+    assert json.loads(cache.path(key).read_text())["key"] == key
 
 
 def _put_many(directory, worker, n_puts, barrier):
@@ -1096,6 +1106,7 @@ def _put_many(directory, worker, n_puts, barrier):
     barrier.wait(timeout=60)
     for i in range(n_puts):
         cache.put(f"worker={worker}|i={i}", {"eps_star": float(i), "volume": 1.0})
+        cache.put("shared", {**_ENTRY, "eps_lo": float(worker)})
 
 
 def test_cache_concurrent_puts_keep_every_entry(tmp_path):
@@ -1114,8 +1125,16 @@ def test_cache_concurrent_puts_keep_every_entry(tmp_path):
             if proc.is_alive():
                 proc.kill()
     assert [proc.exitcode for proc in procs] == [0, 0, 0]
-    entries = json.loads((tmp_path / "critical_eps.json").read_text())["entries"]
-    assert len(entries) == 120
+    # one file per key, each holding its key, and no temp file left behind
+    cache = EpsCache(tmp_path)
+    keys = [f"worker={w}|i={i}" for w in range(3) for i in range(40)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        cache.path(key).name for key in keys + ["shared"])
+    for key in keys:
+        raw = json.loads(cache.path(key).read_text())
+        assert (raw["key"], raw["entry"]["eps_star"]) == (key, float(key.split("=")[-1]))
+    # the key all three workers put ends as one worker's whole entry
+    assert cache.get("shared")["eps_lo"] in (0.0, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("tol", [1e-18, 5e-324])
@@ -1193,13 +1212,17 @@ def test_cache_schema_3_is_a_miss(tmp_path):
     # which the tail-corrected limit and the stop once certified move
     # within bracket_tol, schema 13 entries holding eps_star and precision,
     # whose values were not checked to be numbers, schema 14 entries whose
-    # keys held u_floor and max_steps
+    # keys held u_floor and max_steps, schema 15 entries in one map file,
+    # critical_eps.json, which this layout no longer reads
     cfg = default_config(3)
     key = EpsCache.key(10.0, cfg, 1e-6)
     cache = EpsCache(tmp_path)
-    assert EpsCache.SCHEMA == 15
-    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
-        cache.path.write_text(json.dumps({"schema": schema, "entries": {key: _ENTRY}}))
+    assert EpsCache.SCHEMA == 16
+    (tmp_path / "critical_eps.json").write_text(
+        json.dumps({"schema": 15, "entries": {key: _ENTRY}}))
+    assert cache.get(key) is None
+    for schema in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
+        cache.path(key).write_text(json.dumps({"schema": schema, "key": key, "entry": _ENTRY}))
         assert cache.get(key) is None
     cache.put(key, _ENTRY)
     assert cache.get(key) == _ENTRY
